@@ -22,6 +22,8 @@ import enum
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RootBracketError
 from .models import OpenSystemParams, population_factor
 
@@ -70,9 +72,12 @@ def _classify_params(p: OpenSystemParams) -> Regime:
     return regime_classify(p.Gamma / p.gamma0)
 
 
-def memory_witness(p: OpenSystemParams, t: float) -> float:
-    """sqrt(P_t); the environment feeds information back wherever this grows."""
-    return math.sqrt(population_factor(p, t))
+def memory_witness(p: OpenSystemParams, t):
+    """sqrt(P_t); the environment feeds information back wherever this grows.
+
+    ``t`` may be an array."""
+    pop = population_factor(p, t)
+    return math.sqrt(pop) if isinstance(pop, float) else np.sqrt(pop)
 
 
 def _oscillation_rates(p: OpenSystemParams) -> tuple[float, float]:

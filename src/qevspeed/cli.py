@@ -28,25 +28,20 @@ from .models import (
     markovian_two_qubit_speed,
     trajectory_from_key,
 )
-from .speed import Trajectory, speed_at, speedup_measure
+from .speed import SpeedBatch, Trajectory, speed_curve, speedup_measures, speeds_at
 
 SWEEP_PARAMS = ("t", "alpha", "C", "Omega", "Gamma_over_gamma0")
 
-_CONFIG_KEYS = {
-    "model",
-    "metric",
-    "alpha",
-    "omega",
-    "gamma_ratio",
-    "markovian_limit",
-    "tmin",
-    "tmax",
-    "points",
-    "time",
-    "sweep",
-    "n_max",
-    "format",
-    "out",
+# Config-file key -> RunConfig attribute: the same name, except "format".
+_CONFIG_ATTRS = {
+    **{
+        key: key
+        for key in (
+            "model", "metric", "alpha", "omega", "gamma_ratio", "markovian_limit",
+            "tmin", "tmax", "points", "time", "sweep", "n_max", "out",
+        )
+    },
+    "format": "fmt",
 }
 
 
@@ -213,11 +208,11 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_CONFIG_ATTRS)
     if unknown:
         raise UsageError(
             f"unknown config keys: {', '.join(sorted(unknown))}; "
-            f"valid keys: {', '.join(sorted(_CONFIG_KEYS))}"
+            f"valid keys: {', '.join(sorted(_CONFIG_ATTRS))}"
         )
     return data
 
@@ -226,23 +221,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     """Resolve precedence: command-line flag, then config file, then default."""
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
     config = RunConfig(command=args.command)
-    mapping = {
-        "model": "model",
-        "metric": "metric",
-        "alpha": "alpha",
-        "omega": "omega",
-        "gamma_ratio": "gamma_ratio",
-        "markovian_limit": "markovian_limit",
-        "tmin": "tmin",
-        "tmax": "tmax",
-        "points": "points",
-        "time": "time",
-        "sweep": "sweep",
-        "n_max": "n_max",
-        "format": "fmt",
-        "out": "out",
-    }
-    for key, attr in mapping.items():
+    for key, attr in _CONFIG_ATTRS.items():
         flag = getattr(args, attr, None)
         if flag is not None:
             setattr(config, attr, flag)
@@ -305,26 +284,18 @@ def _time_grid(config: RunConfig) -> np.ndarray:
     return np.linspace(config.tmin, config.tmax, points)
 
 
+def _skipped(name: str, points: np.ndarray, failures: dict) -> list[str]:
+    """One ``# note`` per failed point of a batch, in grid order."""
+    return [f"skipped {name}={points[i]:.12g}: {failures[i]}" for i in sorted(failures)]
+
+
 def run_speed(config: RunConfig) -> TableResult:
     metric = _resolve_metric(config)
     traj = _build_trajectory(config, horizon=max(50.0, config.tmax))
     grid = _time_grid(config)
     if grid[0] < 0.0:
         raise UsageError("tmin must be nonnegative")
-
-    notes: list[str] = []
-    speeds = np.full(grid.shape, math.nan)
-    for i, t in enumerate(grid):
-        try:
-            speeds[i] = speed_at(traj, float(t), metric)
-        except NumericalFailure as exc:
-            notes.append(f"skipped t={t:.12g}: {exc}")
-    slopes = np.full(grid.shape, math.nan)
-    if grid.size >= 2:
-        slopes[0] = (speeds[1] - speeds[0]) / (grid[1] - grid[0])
-        slopes[-1] = (speeds[-1] - speeds[-2]) / (grid[-1] - grid[-2])
-    if grid.size > 2:
-        slopes[1:-1] = (speeds[2:] - speeds[:-2]) / (grid[2:] - grid[:-2])
+    curve = speed_curve(traj, grid, metric)
 
     header = _base_header(config)
     header.append(("model", config.model or ""))
@@ -335,13 +306,11 @@ def run_speed(config: RunConfig) -> TableResult:
         ("grid", f"tmin={config.tmin:.12g} tmax={config.tmax:.12g} points={grid.size}")
     )
     columns = ["t", "S", "dS_dt"]
-    rows = [[float(t), float(s), float(d)] for t, s, d in zip(grid, speeds, slopes)]
+    values = [grid, curve.speeds, curve.slopes]
     if traj.speed_at_zero is not None:
         columns.append("S_over_S0")
-        s0 = traj.speed_at_zero
-        for row, s in zip(rows, speeds):
-            row.append(float(s / s0))
-    return TableResult(header, columns, rows, notes)
+        values.append(curve.speeds / traj.speed_at_zero)
+    return TableResult(header, columns, _rows(*values), _skipped("t", grid, curve.failures))
 
 
 def run_figure(config: RunConfig) -> TableResult:
@@ -377,51 +346,44 @@ def run_figure(config: RunConfig) -> TableResult:
             horizon=max(50.0, hi + 1.0),
         )
         s0 = traj.speed_at_zero
-        with_witness = spec.model == "open-1q"
-        if with_witness:
-            witness_params = OpenSystemParams(alpha=spec.alpha, Gamma=spec.gamma_ratio)
-        rows = []
-        for t in grid:
-            t = float(t)
-            s = speed_at(traj, t, metric)
-            slope = speedup_measure(lambda x: speed_at(traj, x, metric), t)
-            row = [t, s / s0]
-            if with_witness:
-                row.append(memory_witness(witness_params, t))
-            row.append(slope / s0)
-            rows.append(row)
+        speeds, slopes, failures = speedup_measures(
+            lambda times: speeds_at(traj, times, metric), grid
+        )
         columns = ["t", "S_over_S0"]
-        if with_witness:
+        values = [grid, speeds / s0]
+        if spec.model == "open-1q":
+            witness_params = OpenSystemParams(alpha=spec.alpha, Gamma=spec.gamma_ratio)
             columns.append("sqrt_P")
+            values.append(memory_witness(witness_params, grid))
         columns.append("dS_dt_over_S0")
-        return TableResult(header, columns, rows)
+        values.append(slopes / s0)
+        return TableResult(header, columns, _rows(*values), _skipped("t", grid, failures))
 
     if spec.kind == "omega_sweep":
         t_fix = spec.fixed_time
 
-        def speed_of_omega(omega_ratio: float) -> float:
-            traj = trajectory_from_key(
-                spec.model, alpha=spec.alpha, Gamma_over_gamma0=1.0 / omega_ratio
+        def speeds_of_omega(omega_ratios: np.ndarray):
+            family = trajectory_from_key(
+                spec.model, alpha=spec.alpha, Gamma_over_gamma0=1.0 / omega_ratios
             )
-            return speed_at(traj, t_fix, metric)
+            return speeds_at(family, t_fix, metric)
 
-        rows = []
-        for omega_ratio in grid:
-            omega_ratio = float(omega_ratio)
-            s = speed_of_omega(omega_ratio)
-            slope = speedup_measure(speed_of_omega, omega_ratio)
-            rows.append([omega_ratio, s, slope, 1.0 if omega_ratio < 0.5 else 0.0])
-        return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows)
+        speeds, slopes, failures = speedup_measures(speeds_of_omega, grid)
+        band = np.where(grid < 0.5, 1.0, 0.0)
+        rows = _rows(grid, speeds, slopes, band)
+        notes = _skipped("Omega", grid, failures)
+        return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows, notes)
 
-    # concurrence sweep in the Markovian limit
+    # concurrence sweep in the Markovian limit, a closed form
     t_fix = spec.fixed_time
-    rows = []
-    for c in grid:
-        c = float(c)
-        s = markovian_two_qubit_speed(c, t_fix)
-        slope = speedup_measure(lambda x: markovian_two_qubit_speed(x, t_fix), c)
-        rows.append([c, s, slope])
-    return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], rows)
+    speeds, slopes, _ = speedup_measures(
+        lambda cs: SpeedBatch(markovian_two_qubit_speed(cs, t_fix)), grid
+    )
+    return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes))
+
+
+def _rows(*columns: np.ndarray) -> list[list[float]]:
+    return np.column_stack(columns).tolist()
 
 
 def run_regions(config: RunConfig) -> TableResult:
@@ -476,46 +438,42 @@ def _parse_sweep(sweep: str | None) -> tuple[str, float, float, int]:
     return name, lo, hi, n
 
 
-def _sweep_speed_function(config: RunConfig, name: str, metric: MetricKind):
-    """Speed as a function of the swept parameter, all else fixed."""
+def _inside(points: np.ndarray, ok: np.ndarray, message: str) -> None:
+    """UsageError naming the first stencil point that fails ``ok``, in the
+    order xi, xi + h, xi - h of each row in turn."""
+    if not ok.all():
+        raise UsageError(message.format(points.T[~ok.T][0]))
+
+
+def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
+    """Batched speed as a function of the swept parameter, all else fixed."""
     t_eval = config.time
     margin = 2e-4  # room for the central-difference probes
 
     if name == "t":
         traj = _build_trajectory(config, horizon=max(50.0, t_eval))
-        return lambda t: speed_at(traj, t, metric), "longitudinal"
+        return (lambda times: speeds_at(traj, times, metric)), "longitudinal"
 
-    if name == "alpha":
+    if name == "C" and config.model not in (
+        "closed-2q-aligned",
+        "closed-2q-anti",
+        "open-2q-aligned",
+        "open-2q-anti",
+    ):
+        raise UsageError(f"concurrence sweep needs a two-qubit model, got '{config.model}'")
+    if name in ("alpha", "C"):
 
-        def f(alpha: float) -> float:
-            if not 0.0 <= alpha <= 1.0:
-                raise UsageError(
-                    f"alpha sweep left [0, 1] at {alpha:.6g}; keep the grid "
-                    f"inside [{margin}, {1 - margin}]"
-                )
-            return speed_at(_build_trajectory(config, alpha=alpha), t_eval, metric)
+        def evaluate(values: np.ndarray):
+            _inside(
+                values,
+                (values >= 0.0) & (values <= 1.0),
+                f"{name} sweep left [0, 1] at {{:.6g}}; keep the grid inside "
+                f"[{margin}, {1 - margin}]",
+            )
+            alphas = values if name == "alpha" else alpha_from_concurrence(values)
+            return speeds_at(_build_trajectory(config, alpha=alphas), t_eval, metric)
 
-        return f, "transverse"
-
-    if name == "C":
-        if config.model not in (
-            "closed-2q-aligned",
-            "closed-2q-anti",
-            "open-2q-aligned",
-            "open-2q-anti",
-        ):
-            raise UsageError(f"concurrence sweep needs a two-qubit model, got '{config.model}'")
-
-        def f(c: float) -> float:
-            if not 0.0 <= c <= 1.0:
-                raise UsageError(
-                    f"C sweep left [0, 1] at {c:.6g}; keep the grid inside "
-                    f"[{margin}, {1 - margin}]"
-                )
-            alpha = alpha_from_concurrence(c)
-            return speed_at(_build_trajectory(config, alpha=alpha), t_eval, metric)
-
-        return f, "transverse"
+        return evaluate, "transverse"
 
     if config.model is None or config.model.startswith("closed"):
         raise UsageError(f"sweep '{name}' needs an open-system model, got '{config.model}'")
@@ -523,34 +481,20 @@ def _sweep_speed_function(config: RunConfig, name: str, metric: MetricKind):
         raise UsageError(
             f"sweep '{name}' varies the spectral width; drop --markovian-limit"
         )
+    label = "Omega" if name == "Omega" else "Gamma/gamma0"
 
-    if name == "Omega":
+    def evaluate(values: np.ndarray):
+        _inside(values, values > 0.0, f"{label} must stay positive, got {{:.6g}}")
+        ratios = 1.0 / values if name == "Omega" else values
+        return speeds_at(_build_trajectory(config, Gamma_over_gamma0=ratios), t_eval, metric)
 
-        def f(omega_ratio: float) -> float:
-            if omega_ratio <= 0.0:
-                raise UsageError(f"Omega must stay positive, got {omega_ratio:.6g}")
-            return speed_at(
-                _build_trajectory(config, Gamma_over_gamma0=1.0 / omega_ratio),
-                t_eval,
-                metric,
-            )
-
-        return f, "transverse"
-
-    def f(ratio: float) -> float:
-        if ratio <= 0.0:
-            raise UsageError(f"Gamma/gamma0 must stay positive, got {ratio:.6g}")
-        return speed_at(
-            _build_trajectory(config, Gamma_over_gamma0=ratio), t_eval, metric
-        )
-
-    return f, "transverse"
+    return evaluate, "transverse"
 
 
 def run_detect(config: RunConfig) -> TableResult:
     metric = _resolve_metric(config)
     name, lo, hi, n = _parse_sweep(config.sweep)
-    speed_of, classification = _sweep_speed_function(config, name, metric)
+    evaluate, classification = _sweep_evaluator(config, name, metric)
     grid = np.linspace(lo, hi, n)
 
     header = _base_header(config)
@@ -567,13 +511,11 @@ def run_detect(config: RunConfig) -> TableResult:
     if name != "alpha":
         header.append(("alpha", _format_value(config.alpha)))
 
-    rows = []
-    for xi in grid:
-        xi = float(xi)
-        s = speed_of(xi)
-        slope = speedup_measure(speed_of, xi)
-        rows.append([xi, s, slope, 1.0 if slope > 0.0 else 0.0])
-    return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], rows)
+    speeds, slopes, failures = speedup_measures(evaluate, grid)
+    flags = np.where(slopes > 0.0, 1.0, 0.0)
+    flags[list(failures)] = math.nan
+    rows = _rows(grid, speeds, slopes, flags)
+    return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], rows, _skipped(name, grid, failures))
 
 
 # ---------------------------------------------------------------------------
@@ -627,18 +569,12 @@ def main(argv: list[str] | None = None) -> int:
         if config.fmt not in ("csv", "json"):
             raise UsageError(f"unknown format '{config.fmt}'; use csv or json")
         result = _RUNNERS[config.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MetricRejectionError as exc:
+    except ValueError as exc:  # usage errors and rejected metrics alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
     text = render_csv(result) if config.fmt == "csv" else render_json(result)
     if config.out:

@@ -93,6 +93,31 @@ def eigh(matrix: np.ndarray, tol: float = HERM_TOL) -> EigenSystem:
     return EigenSystem(values, _fix_phases(vectors), degenerate)
 
 
+def eigh_stack(matrices: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a stack of Hermitian
+    matrices, shape (N, d, d), in one LAPACK call.
+
+    Unlike ``eigh`` no gauge is fixed: callers that only use the projectors
+    (such as the speed kernel sum) do not need one. Raises ``ValueError``
+    for non-finite or non-Hermitian input and ``EigenSolverError`` when the
+    solver fails to converge.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("matrix contains NaN or Inf entries")
+    deviation = np.abs(m - m.conj().swapaxes(-2, -1))
+    if deviation.max() > tol:
+        index, *_ = np.unravel_index(np.argmax(deviation), deviation.shape)
+        raise ValueError(
+            f"matrix {index} of the stack is not Hermitian within {tol:.1e} "
+            f"(deviation {deviation.max():.3e})"
+        )
+    try:
+        return np.linalg.eigh(m)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
+
+
 def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     """Hilbert-Schmidt inner product trace(adjoint(a) @ b)."""
     a = np.asarray(a)

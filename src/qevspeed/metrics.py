@@ -66,11 +66,24 @@ def resolve_metric(name: str) -> MetricKind:
     )
 
 
-def mc_function(kind: MetricKind, x: float, y: float) -> float:
-    """Symmetric metric kernel c(x, y) on an eigenvalue pair.
+def mc_kernel(kind: MetricKind, x, y, where=True) -> np.ndarray:
+    """The kernel c(x, y) elementwise over broadcast arrays of eigenvalues.
 
-    Requires x, y >= 0 with x + y > 0; the WY kernel is evaluated as
-    4 / (sqrt(x) + sqrt(y))^2 to stay accurate for tiny arguments.
+    Unchecked; entries where ``where`` is False (the boundary pairs with
+    x + y = 0, which callers must drop) are 0, from a division by infinity.
+    The WY kernel is evaluated as 4 / (sqrt(x) + sqrt(y))^2 to stay
+    accurate for tiny arguments.
+    """
+    if kind is MetricKind.SLD:
+        return 2.0 / np.where(where, np.add(x, y), np.inf)
+    root = np.where(where, np.sqrt(x) + np.sqrt(y), np.inf)
+    return 4.0 / (root * root)
+
+
+def mc_function(kind: MetricKind, x: float, y: float) -> float:
+    """Symmetric metric kernel c(x, y) on one eigenvalue pair.
+
+    Requires x, y >= 0 with x + y > 0.
     """
     if x < 0.0 or y < 0.0:
         raise ValueError(f"eigenvalues must be nonnegative, got ({x}, {y})")
@@ -79,26 +92,31 @@ def mc_function(kind: MetricKind, x: float, y: float) -> float:
             "c(x, y) diverges at x = y = 0; filter boundary eigenvalue pairs "
             "before evaluating the kernel"
         )
-    if kind is MetricKind.SLD:
-        return 2.0 / (x + y)
-    root = math.sqrt(x) + math.sqrt(y)
-    return 4.0 / (root * root)
+    return float(mc_kernel(kind, x, y))
 
 
-def pure_state_speed(psi: np.ndarray, psi_dot: np.ndarray, kind: MetricKind) -> float:
+def pure_state_speed(psi: np.ndarray, psi_dot: np.ndarray, kind: MetricKind):
     """Evolution speed of a pure state from its time-derivative vector.
 
     Computes epsilon * || psi_dot_perp ||, the norm of the component of
     ``psi_dot`` orthogonal to ``psi``, i.e. the Fubini-Study speed scaled by
-    the metric's pure-state prefactor.
+    the metric's pure-state prefactor. A stack of vectors (the last axis
+    indexes the components) gives an array of speeds.
     """
-    psi = np.asarray(psi, dtype=complex).reshape(-1)
-    psi_dot = np.asarray(psi_dot, dtype=complex).reshape(-1)
+    psi = np.asarray(psi, dtype=complex)
+    psi_dot = np.asarray(psi_dot, dtype=complex)
     if psi.shape != psi_dot.shape:
         raise ValueError("state and derivative must have equal dimension")
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise ValueError(f"state vector must be normalized, got |psi| = {norm:.12g}")
-    overlap = np.vdot(psi, psi_dot)
-    squared = float(np.vdot(psi_dot, psi_dot).real) - abs(overlap) ** 2
-    return kind.epsilon * math.sqrt(max(squared, 0.0))
+    norm = np.sqrt(_inner(psi, psi).real)
+    unnormalized = np.abs(norm - 1.0) > _NORM_TOL
+    if unnormalized.any():
+        bad = float(norm[unnormalized].flat[0]) if norm.ndim else float(norm)
+        raise ValueError(f"state vector must be normalized, got |psi| = {bad:.12g}")
+    squared = _inner(psi_dot, psi_dot).real - np.abs(_inner(psi, psi_dot)) ** 2
+    speed = kind.epsilon * np.sqrt(np.maximum(squared, 0.0))
+    return float(speed) if speed.ndim == 0 else speed
+
+
+def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """<u|v> over the last axis, for stacks of vectors."""
+    return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]

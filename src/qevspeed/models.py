@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .linalg import PAULI_Y, assert_density, tensor
-from .speed import Trajectory
+from .speed import Trajectory, vectorized
 
 # Width of the window around Gamma = 2 gamma0 treated as the degenerate
 # (kappa = 0) branch, measured on kappa in units of gamma0.
@@ -119,67 +119,145 @@ class OpenSystemParams:
         return "oscillatory" if self.Gamma < 2.0 * self.gamma0 else "hyperbolic"
 
 
-def _check_time(t: float) -> None:
-    if t < 0.0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+def _check_time(t) -> None:
+    t = np.asarray(t)
+    if (t < 0.0).any():
+        raise ValueError(f"time must be nonnegative, got {t[t < 0.0].flat[0]}")
 
 
-def amplitude_factor(p: OpenSystemParams, t: float) -> float:
+def _scalar_or_array(value: np.ndarray):
+    """A 0-d result as a Python float, anything larger as the array."""
+    return float(value) if value.ndim == 0 else value
+
+
+def _libm(func):
+    """Apply a ``math`` function elementwise to a float array.
+
+    numpy's SIMD exp, cosh and sinh differ from libm in the last bit for a
+    few percent of arguments. Near t = 0 one bit of G_t is a relative error
+    of 1e-7 in 1 - P_t, so the amplitudes keep libm's values: the batched
+    builders then agree with the scalar closed forms bit for bit.
+    """
+
+    def apply(x):
+        if isinstance(x, float):
+            return func(x)
+        return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+    return apply
+
+
+_exp, _cos, _sin, _cosh, _sinh = map(_libm, (math.exp, math.cos, math.sin, math.cosh, math.sinh))
+
+
+def _markovian(t, g, k, gamma0):
+    decay = _exp(-0.5 * gamma0 * t)
+    return decay, -0.5 * gamma0 * decay
+
+
+def _critical(t, g, k, gamma0):
+    decay = _exp(-0.5 * g * t)
+    return decay * (1.0 + 0.5 * g * t), -0.25 * g * g * t * decay
+
+
+def _oscillatory(t, g, k, gamma0):
+    half = 0.5 * k * t
+    decay, sine = _exp(-0.5 * g * t), _sin(half)
+    return decay * (_cos(half) + (g / k) * sine), -(gamma0 * g / k) * decay * sine
+
+
+def _hyperbolic(t, g, k, gamma0):
+    # For small arguments keep cosh/sinh (the split form below cancels badly
+    # when Gamma/kappa is huge near the critical point).
+    half = 0.5 * k * t
+    decay, sinh = _exp(-0.5 * g * t), _sinh(half)
+    return decay * (_cosh(half) + (g / k) * sinh), -(gamma0 * g / k) * decay * sinh
+
+
+def _hyperbolic_split(t, g, k, gamma0):
+    # For large arguments expand into decaying exponentials (kappa < Gamma)
+    # to avoid cosh overflow.
+    up = _exp(0.5 * (k - g) * t)
+    down = _exp(-0.5 * (k + g) * t)
+    return (
+        0.5 * ((1.0 + g / k) * up + (1.0 - g / k) * down),
+        -(gamma0 * g / (2.0 * k)) * (up - down),
+    )
+
+
+_BRANCHES = (_markovian, _critical, _oscillatory, _hyperbolic, _hyperbolic_split)
+
+
+def _amplitudes(t, Gamma, gamma0: float):
+    """G_t and dG_t/dt elementwise over broadcast times and widths.
+
+    ``Gamma = inf`` is the Markovian limit. Each element takes the branch
+    that ``OpenSystemParams.branch`` names for its width, and the
+    hyperbolic branch splits at kappa t / 2 = 20. Scalars give floats.
+    """
+    if np.ndim(t) == 0 and np.ndim(Gamma) == 0:
+        # One point (every speed_at call): the same choice of branch in
+        # Python floats, several times faster than numpy on 0-d arrays.
+        t, g = float(t), float(Gamma)
+        if t < 0.0:
+            raise ValueError(f"time must be nonnegative, got {t}")
+        if math.isinf(g):
+            return _markovian(t, g, 0.0, gamma0)
+        k = math.sqrt(abs(2.0 * gamma0 * g - g**2))
+        if k <= CRITICAL_KAPPA_TOL * gamma0:
+            return _critical(t, g, k, gamma0)
+        if g < 2.0 * gamma0:
+            return _oscillatory(t, g, k, gamma0)
+        return (_hyperbolic if 0.5 * k * t < 20.0 else _hyperbolic_split)(t, g, k, gamma0)
+    _check_time(t)
+    t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
+    markovian = np.isinf(g)
+    finite = np.where(markovian, 0.0, g)
+    k = np.sqrt(np.abs(2.0 * gamma0 * finite - finite**2))
+    code = np.where(
+        k <= CRITICAL_KAPPA_TOL * gamma0,
+        1,
+        np.where(finite < 2.0 * gamma0, 2, np.where(0.5 * k * t < 20.0, 3, 4)),
+    )
+    code[markovian] = 0
+    value, slope = np.empty(t.shape), np.empty(t.shape)
+    with np.errstate(under="ignore"):  # decaying terms may flush to zero
+        for branch, formula in enumerate(_BRANCHES):
+            mask = code == branch
+            if mask.any():
+                value[mask], slope[mask] = formula(t[mask], g[mask], k[mask], gamma0)
+    return value, slope
+
+
+def _width(p: OpenSystemParams) -> float:
+    return math.inf if p.markovian_limit else p.Gamma
+
+
+def amplitude_factor(p: OpenSystemParams, t):
     """Signed coherence amplitude G_t; the excited population is G_t^2.
 
     G_t passes through zero in the oscillatory regime, flipping the sign of
-    the coherences; the population factor is insensitive to the sign.
+    the coherences; the population factor is insensitive to the sign. ``t``
+    may be an array.
     """
-    _check_time(t)
-    branch = p.branch()
-    if branch == "markovian":
-        return math.exp(-0.5 * p.gamma0 * t)
-    g, k = p.Gamma, p.kappa
-    if branch == "critical":
-        return math.exp(-0.5 * g * t) * (1.0 + 0.5 * g * t)
-    if branch == "oscillatory":
-        half = 0.5 * k * t
-        return math.exp(-0.5 * g * t) * (math.cos(half) + (g / k) * math.sin(half))
-    # hyperbolic: for small arguments keep cosh/sinh (the split form below
-    # cancels badly when Gamma/kappa is huge near the critical point); for
-    # large arguments expand into decaying exponentials (kappa < Gamma) to
-    # avoid cosh overflow.
-    half = 0.5 * k * t
-    if half < 20.0:
-        return math.exp(-0.5 * g * t) * (math.cosh(half) + (g / k) * math.sinh(half))
-    up = math.exp(0.5 * (k - g) * t)
-    down = math.exp(-0.5 * (k + g) * t)
-    return 0.5 * ((1.0 + g / k) * up + (1.0 - g / k) * down)
+    return _scalar_or_array(np.asarray(_amplitudes(t, _width(p), p.gamma0)[0]))
 
 
-def amplitude_factor_dot(p: OpenSystemParams, t: float) -> float:
+def amplitude_factor_dot(p: OpenSystemParams, t):
     """Closed-form time derivative of the coherence amplitude G_t."""
-    _check_time(t)
-    branch = p.branch()
-    if branch == "markovian":
-        return -0.5 * p.gamma0 * math.exp(-0.5 * p.gamma0 * t)
-    g, k = p.Gamma, p.kappa
-    if branch == "critical":
-        return -0.25 * g * g * t * math.exp(-0.5 * g * t)
-    if branch == "oscillatory":
-        return -(p.gamma0 * g / k) * math.exp(-0.5 * g * t) * math.sin(0.5 * k * t)
-    half = 0.5 * k * t
-    if half < 20.0:
-        return -(p.gamma0 * g / k) * math.exp(-0.5 * g * t) * math.sinh(half)
-    up = math.exp(0.5 * (k - g) * t)
-    down = math.exp(-0.5 * (k + g) * t)
-    return -(p.gamma0 * g / (2.0 * k)) * (up - down)
+    return _scalar_or_array(np.asarray(_amplitudes(t, _width(p), p.gamma0)[1]))
 
 
-def population_factor(p: OpenSystemParams, t: float) -> float:
+def population_factor(p: OpenSystemParams, t):
     """Excited-state survival factor P_t = G_t^2, in [0, 1]."""
     g = amplitude_factor(p, t)
-    return min(g * g, 1.0)
+    return min(g * g, 1.0) if isinstance(g, float) else np.minimum(g * g, 1.0)
 
 
-def population_factor_dot(p: OpenSystemParams, t: float) -> float:
+def population_factor_dot(p: OpenSystemParams, t):
     """Closed-form dP/dt = 2 G_t dG/dt."""
-    return 2.0 * amplitude_factor(p, t) * amplitude_factor_dot(p, t)
+    g, dg = _amplitudes(t, _width(p), p.gamma0)
+    return _scalar_or_array(np.asarray(2.0 * g * dg))
 
 
 def population_complement(p: OpenSystemParams, t: float) -> float:
@@ -268,35 +346,59 @@ def local_damping_evolve(rho0: np.ndarray, P: float, n: int = 1) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Trajectories
+#
+# Each model has one array-valued builder: its state and derivative callables
+# take a time or an array of times, broadcast it against the model's
+# parameters (which may be arrays too) and return the matrices stacked along
+# the leading axes, so a whole grid is built in one call.
+
+
+def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u[..., :, None] * v[..., None, :].conj()
+
+
+def _closed_trajectory(kind: str, a, b, w: float, horizon: float) -> Trajectory:
+    """Pure precessing states of one qubit (``kind='1q'``) or of the
+    aligned/anti-aligned pair, for amplitudes ``a``, ``b`` that broadcast."""
+    dim = 2 if kind == "1q" else 4
+    last = dim - 1
+    spin = 0.5j if kind == "1q" else 1j  # phase rate per unit omega
+
+    def vectors(t) -> tuple[np.ndarray, np.ndarray]:
+        t = np.asarray(t, dtype=float)
+        shape = t.shape if np.ndim(a) == 0 else np.broadcast_shapes(t.shape, np.shape(a))
+        v = np.zeros(shape + (dim,), dtype=complex)
+        dv = np.zeros_like(v)
+        if kind == "anti":
+            v[..., 1], v[..., 2] = a, b
+            return v, dv
+        phase = np.exp(-spin * w * t)
+        v[..., 0], v[..., last] = a * phase, b / phase
+        dv[..., 0], dv[..., last] = -spin * w * a * phase, spin * w * b / phase
+        return v, dv
+
+    @vectorized
+    def state(t) -> np.ndarray:
+        v, _ = vectors(t)
+        return _outer(v, v)
+
+    @vectorized
+    def derivative(t) -> np.ndarray:
+        v, dv = vectors(t)
+        return _outer(dv, v) + _outer(v, dv)
+
+    return Trajectory(
+        dim=dim,
+        horizon=horizon,
+        state_at=state,
+        derivative_at=derivative,
+        params={"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)},
+    )
 
 
 def precession_trajectory(p: ClosedQubitParams, horizon: float = 50.0) -> Trajectory:
     """Pure-state precession alpha e^{-i omega t/2}|1> + beta e^{i omega t/2}|0>."""
-    a, b, w = complex(p.alpha), complex(p.beta), p.omega
-
-    def psi(t: float) -> np.ndarray:
-        phase = np.exp(-0.5j * w * t)
-        return np.array([a * phase, b / phase])
-
-    def psi_dot(t: float) -> np.ndarray:
-        phase = np.exp(-0.5j * w * t)
-        return np.array([-0.5j * w * a * phase, 0.5j * w * b / phase])
-
-    def state(t: float) -> np.ndarray:
-        v = psi(t)
-        return np.outer(v, v.conj())
-
-    def derivative(t: float) -> np.ndarray:
-        v, dv = psi(t), psi_dot(t)
-        return np.outer(dv, v.conj()) + np.outer(v, dv.conj())
-
-    return Trajectory(
-        dim=2,
-        horizon=horizon,
-        state_at=state,
-        derivative_at=derivative,
-        params={"omega": w, "alpha_abs": abs(a), "beta_abs": abs(b)},
-    )
+    return _closed_trajectory("1q", complex(p.alpha), complex(p.beta), p.omega, horizon)
 
 
 def two_qubit_closed_trajectory(
@@ -308,55 +410,97 @@ def two_qubit_closed_trajectory(
     phases of both spins; ``kind='anti'`` starts from alpha|10> + beta|01>,
     whose components are degenerate in energy, so the state never moves.
     """
-    a, b, w = complex(p.alpha), complex(p.beta), p.omega
-    if kind == "aligned":
-
-        def psi(t: float) -> np.ndarray:
-            phase = np.exp(-1j * w * t)
-            return np.array([a * phase, 0.0, 0.0, b / phase])
-
-        def psi_dot(t: float) -> np.ndarray:
-            phase = np.exp(-1j * w * t)
-            return np.array([-1j * w * a * phase, 0.0, 0.0, 1j * w * b / phase])
-
-        def state(t: float) -> np.ndarray:
-            v = psi(t)
-            return np.outer(v, v.conj())
-
-        def derivative(t: float) -> np.ndarray:
-            v, dv = psi(t), psi_dot(t)
-            return np.outer(dv, v.conj()) + np.outer(v, dv.conj())
-
-    elif kind == "anti":
-        vec = np.array([0.0, a, b, 0.0], dtype=complex)
-        frozen = np.outer(vec, vec.conj())
-        zero = np.zeros((4, 4), dtype=complex)
-
-        def state(t: float) -> np.ndarray:
-            return frozen.copy()
-
-        def derivative(t: float) -> np.ndarray:
-            return zero.copy()
-
-    else:
+    if kind not in ("aligned", "anti"):
         raise ValueError(f"kind must be 'aligned' or 'anti', got '{kind}'")
+    return _closed_trajectory(kind, complex(p.alpha), complex(p.beta), p.omega, horizon)
 
+
+def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) -> Trajectory:
+    """Locally damped qubit (``kind='1q'``) or pair from real amplitude ``a``;
+    ``a`` and ``Gamma`` broadcast, ``Gamma = inf`` is the Markovian limit.
+
+    The entries are closed forms in the signed amplitude G_t (one qubit) or
+    in P_t = min(G_t^2, 1) (pairs). The pair entries are the local
+    operation elements of ``local_damping_evolve`` multiplied out, in the
+    same order of floating-point operations, so both give the same bits.
+    """
+    if horizon is None:
+        horizon = 50.0 / gamma0
+    b = np.sqrt(1.0 - a * a)
+    dim = 2 if kind == "1q" else 4
+
+    def shape_of(g) -> tuple[int, ...]:
+        return np.shape(g) if np.ndim(a) == 0 else np.broadcast_shapes(np.shape(g), np.shape(a))
+
+    @vectorized
+    def state(t) -> np.ndarray:
+        g, _ = _amplitudes(t, Gamma, gamma0)
+        out = np.zeros(shape_of(g) + (dim, dim), dtype=complex)
+        if kind == "1q":
+            pop = g * g
+            out[..., 0, 0] = a * a * pop
+            out[..., 0, 1] = out[..., 1, 0] = a * b * g
+            out[..., 1, 1] = 1.0 - a * a * pop
+            return out
+        root = np.sqrt(np.minimum(g * g, 1.0))
+        decay = np.sqrt(np.maximum(1.0 - root * root, 0.0))
+        if kind == "aligned":
+            kept, moved, lost = root * root, root * decay, decay * decay
+            out[..., 0, 0] = kept * (a * a) * kept
+            out[..., 1, 1] = out[..., 2, 2] = moved * (a * a) * moved
+            out[..., 3, 3] = b * b + lost * (a * a) * lost
+            out[..., 0, 3] = out[..., 3, 0] = kept * (a * b)
+        else:
+            out[..., 1, 1] = root * (a * a) * root
+            out[..., 1, 2] = out[..., 2, 1] = root * (a * b) * root
+            out[..., 2, 2] = root * (b * b) * root
+            out[..., 3, 3] = decay * (b * b) * decay + decay * (a * a) * decay
+        return out
+
+    @vectorized
+    def derivative(t) -> np.ndarray:
+        g, dg = _amplitudes(t, Gamma, gamma0)
+        out = np.zeros(shape_of(g) + (dim, dim), dtype=complex)
+        dpop = 2.0 * g * dg
+        if kind == "1q":
+            out[..., 0, 0] = a * a * dpop
+            out[..., 0, 1] = out[..., 1, 0] = a * b * dg
+            out[..., 1, 1] = -a * a * dpop
+        elif kind == "aligned":
+            pop = np.minimum(g * g, 1.0)
+            out[..., 0, 0] = 2.0 * a * a * pop * dpop
+            out[..., 1, 1] = out[..., 2, 2] = a * a * dpop * (1.0 - 2.0 * pop)
+            out[..., 3, 3] = -2.0 * a * a * dpop * (1.0 - pop)
+            out[..., 0, 3] = out[..., 3, 0] = a * b * dpop
+        else:
+            out[..., 1, 1] = dpop * (a * a)
+            out[..., 1, 2] = out[..., 2, 1] = dpop * (a * b)
+            out[..., 2, 2] = dpop * (b * b)
+            out[..., 3, 3] = -dpop
+        return out
+
+    record = {"alpha": a, "gamma0": gamma0}
+    if np.isinf(Gamma).all():
+        record["markovian_limit"] = 1.0
+        limit = None
+    else:
+        record["Gamma_over_gamma0"] = Gamma / gamma0
+        if kind == "1q":
+            limit = a * a * np.sqrt(0.5 * Gamma * gamma0)
+        elif kind == "aligned":
+            limit = a * np.sqrt(Gamma * gamma0)
+        else:
+            limit = np.sqrt(0.5 * Gamma * gamma0)
+        limit = _scalar_or_array(np.broadcast_to(limit, np.broadcast_shapes(np.shape(a), np.shape(Gamma))))
     return Trajectory(
-        dim=4,
+        dim=dim,
         horizon=horizon,
         state_at=state,
         derivative_at=derivative,
-        params={"omega": w, "alpha_abs": abs(a), "beta_abs": abs(b)},
+        params=record,
+        speed_at_zero=limit,
+        boundary_at_zero=True,
     )
-
-
-def _open_params_record(p: OpenSystemParams) -> dict[str, float]:
-    record = {"alpha": p.alpha, "gamma0": p.gamma0}
-    if p.markovian_limit:
-        record["markovian_limit"] = 1.0
-    else:
-        record["Gamma_over_gamma0"] = p.Gamma / p.gamma0
-    return record
 
 
 def open_qubit_trajectory(
@@ -370,47 +514,7 @@ def open_qubit_trajectory(
     G_t >= 0. The speed limit at t = 0, where the evaluation is 0/0, is
     alpha^2 sqrt(Gamma gamma0 / 2); in the Markovian limit it diverges.
     """
-    if horizon is None:
-        horizon = 50.0 / p.gamma0
-    a = p.alpha
-    b = math.sqrt(1.0 - a * a)
-
-    def state(t: float) -> np.ndarray:
-        g = amplitude_factor(p, t)
-        pop = g * g
-        return np.array(
-            [
-                [a * a * pop, a * b * g],
-                [a * b * g, 1.0 - a * a * pop],
-            ],
-            dtype=complex,
-        )
-
-    def derivative(t: float) -> np.ndarray:
-        g = amplitude_factor(p, t)
-        dg = amplitude_factor_dot(p, t)
-        dpop = 2.0 * g * dg
-        return np.array(
-            [
-                [a * a * dpop, a * b * dg],
-                [a * b * dg, -a * a * dpop],
-            ],
-            dtype=complex,
-        )
-
-    if p.markovian_limit:
-        limit = None
-    else:
-        limit = a * a * math.sqrt(0.5 * p.Gamma * p.gamma0)
-    return Trajectory(
-        dim=2,
-        horizon=horizon,
-        state_at=state,
-        derivative_at=derivative,
-        params=_open_params_record(p),
-        speed_at_zero=limit,
-        boundary_at_zero=True,
-    )
+    return _open_trajectory("1q", p.alpha, p.gamma0, _width(p), horizon)
 
 
 def open_two_qubit_trajectory(
@@ -418,62 +522,14 @@ def open_two_qubit_trajectory(
 ) -> Trajectory:
     """Two qubits, each locally amplitude-damped by its own cavity.
 
-    States are produced by the local operation elements
-    (``local_damping_evolve``); the attached derivatives are the closed forms
-    for the two supported initial states. ``kind='aligned'`` starts from
-    alpha|11> + beta|00>; ``kind='anti'`` from alpha|10> + beta|01>, whose
-    evolved state P_t|phi0><phi0| + (1-P_t)|00><00| has constant eigenvectors
-    and an alpha-independent speed.
+    ``kind='aligned'`` starts from alpha|11> + beta|00>; ``kind='anti'`` from
+    alpha|10> + beta|01>, whose evolved state P_t|phi0><phi0| +
+    (1-P_t)|00><00| has constant eigenvectors and an alpha-independent speed.
+    The states equal ``local_damping_evolve`` of the initial state.
     """
-    if horizon is None:
-        horizon = 50.0 / p.gamma0
-    a = p.alpha
-    b = math.sqrt(1.0 - a * a)
-    if kind == "aligned":
-        vec = np.array([a, 0.0, 0.0, b], dtype=complex)
-    elif kind == "anti":
-        vec = np.array([0.0, a, b, 0.0], dtype=complex)
-    else:
+    if kind not in ("aligned", "anti"):
         raise ValueError(f"kind must be 'aligned' or 'anti', got '{kind}'")
-    rho0 = np.outer(vec, vec.conj())
-
-    def state(t: float) -> np.ndarray:
-        return local_damping_evolve(rho0, population_factor(p, t), n=2)
-
-    if kind == "aligned":
-
-        def derivative(t: float) -> np.ndarray:
-            pop = population_factor(p, t)
-            dpop = population_factor_dot(p, t)
-            middle = a * a * dpop * (1.0 - 2.0 * pop)
-            out = np.zeros((4, 4), dtype=complex)
-            out[0, 0] = 2.0 * a * a * pop * dpop
-            out[1, 1] = middle
-            out[2, 2] = middle
-            out[3, 3] = -2.0 * a * a * dpop * (1.0 - pop)
-            out[0, 3] = out[3, 0] = a * b * dpop
-            return out
-
-        limit = None if p.markovian_limit else a * math.sqrt(p.Gamma * p.gamma0)
-    else:
-        ground = np.zeros((4, 4), dtype=complex)
-        ground[3, 3] = 1.0
-        generator = rho0 - ground
-
-        def derivative(t: float) -> np.ndarray:
-            return population_factor_dot(p, t) * generator
-
-        limit = None if p.markovian_limit else math.sqrt(0.5 * p.Gamma * p.gamma0)
-
-    return Trajectory(
-        dim=4,
-        horizon=horizon,
-        state_at=state,
-        derivative_at=derivative,
-        params=_open_params_record(p),
-        speed_at_zero=limit,
-        boundary_at_zero=True,
-    )
+    return _open_trajectory(kind, p.alpha, p.gamma0, _width(p), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -525,38 +581,43 @@ def open_two_qubit_speed_analytic(p: OpenSystemParams, t: float) -> float:
     return 2.0 * a * abs(dg) * math.sqrt(numerator / denominator)
 
 
-def markovian_two_qubit_speed(C: float, t: float) -> float:
+def _concurrence_factor(C) -> np.ndarray:
+    """x = 1 - sqrt(1 - C^2), written without cancellation; C may be an array."""
+    C = np.asarray(C, dtype=float)
+    outside = ~((C >= 0.0) & (C <= 1.0))
+    if outside.any():
+        raise ValueError(f"concurrence must lie in [0, 1], got {C[outside].flat[0]}")
+    return C * C / (1.0 + np.sqrt(1.0 - C * C))
+
+
+def markovian_two_qubit_speed(C, t: float):
     """Speed (in units of gamma0) of the aligned pair in the Markovian limit,
     parameterized by the initial concurrence C = 2 alpha sqrt(1 - alpha^2).
 
     S = (1/2) sqrt( x P (1 - 2P + 2P^2) / ((1-P) [1 - x P (1-P)]) ) with
-    x = 1 - sqrt(1 - C^2) and P = exp(-t). Diverges at t = 0.
+    x = 1 - sqrt(1 - C^2) and P = exp(-t). Diverges at t = 0. ``C`` may be
+    an array.
     """
-    if not 0.0 <= C <= 1.0:
-        raise ValueError(f"concurrence must lie in [0, 1], got {C}")
+    x = _concurrence_factor(C)
     _check_time(t)
-    if C == 0.0:
-        return 0.0
     if t == 0.0:
-        raise DivergenceError(
-            "the Markovian-limit speed is unbounded at t = 0 "
-            "(the spectral width has been taken to infinity)"
-        )
-    x = C * C / (1.0 + math.sqrt(1.0 - C * C))
+        if not (x == 0.0).all():
+            raise DivergenceError(
+                "the Markovian-limit speed is unbounded at t = 0 "
+                "(the spectral width has been taken to infinity)"
+            )
+        return _scalar_or_array(np.zeros_like(x))
     pop = math.exp(-t)
     comp = -math.expm1(-t)
     numerator = x * pop * (1.0 - 2.0 * pop * comp)
     denominator = comp * (1.0 - x * pop * comp)
-    return 0.5 * math.sqrt(numerator / denominator)
+    return _scalar_or_array(0.5 * np.sqrt(numerator / denominator))
 
 
-def alpha_from_concurrence(C: float) -> float:
+def alpha_from_concurrence(C):
     """Excited amplitude (<= 1/sqrt(2) branch) of an aligned pair with
-    initial concurrence C = 2 alpha sqrt(1 - alpha^2)."""
-    if not 0.0 <= C <= 1.0:
-        raise ValueError(f"concurrence must lie in [0, 1], got {C}")
-    x = C * C / (1.0 + math.sqrt(1.0 - C * C))
-    return math.sqrt(0.5 * x)
+    initial concurrence C = 2 alpha sqrt(1 - alpha^2); C may be an array."""
+    return _scalar_or_array(np.sqrt(0.5 * _concurrence_factor(C)))
 
 
 def concurrence(rho: np.ndarray) -> float:
@@ -583,42 +644,62 @@ def concurrence(rho: np.ndarray) -> float:
 # Registry
 
 
+def _extremes(value) -> tuple[float, ...]:
+    """The smallest and largest element of a parameter. Every parameter check
+    is a bound, so an array passes exactly when its extremes do."""
+    values = np.asarray(value, dtype=float)
+    return (float(values),) if values.ndim == 0 else (float(values.min()), float(values.max()))
+
+
 def trajectory_from_key(
     key: str,
     *,
-    alpha: float = 1.0,
+    alpha=1.0,
     omega: float = 1.0,
     gamma0: float = 1.0,
-    Gamma_over_gamma0: float | None = None,
+    Gamma_over_gamma0=None,
     markovian_limit: bool = False,
     horizon: float | None = None,
 ) -> Trajectory:
     """Build a model trajectory from its string key and real parameters.
 
     Open models need either ``Gamma_over_gamma0`` or ``markovian_limit``.
+    ``alpha`` and ``Gamma_over_gamma0`` may be arrays: the result is then a
+    family of trajectories whose states broadcast time against them, for a
+    parameter sweep evaluated in one batch.
     """
     if key not in MODEL_KEYS:
         raise ValueError(
             f"unknown model '{key}'; valid keys: {', '.join(MODEL_KEYS)}"
         )
+    if np.ndim(alpha):
+        alpha = np.asarray(alpha, dtype=float)
     if key.startswith("closed"):
-        params = ClosedQubitParams.from_alpha(alpha, omega)
+        for a in _extremes(alpha):
+            params = ClosedQubitParams.from_alpha(a, omega)
         h = 50.0 / omega if horizon is None else horizon
-        if key == "closed-1q":
-            return precession_trajectory(params, horizon=h)
-        kind = "aligned" if key.endswith("aligned") else "anti"
-        return two_qubit_closed_trajectory(params, kind, horizon=h)
+        kind = "1q" if key == "closed-1q" else key.removeprefix("closed-2q-")
+        if np.ndim(alpha) == 0:
+            return _closed_trajectory(kind, complex(params.alpha), complex(params.beta), omega, h)
+        return _closed_trajectory(kind, alpha, np.sqrt(1.0 - alpha * alpha), omega, h)
     if Gamma_over_gamma0 is None and not markovian_limit:
         raise ValueError(
             f"model '{key}' needs Gamma_over_gamma0 or markovian_limit"
         )
-    open_params = OpenSystemParams(
-        alpha=alpha,
-        gamma0=gamma0,
-        Gamma=None if markovian_limit else Gamma_over_gamma0 * gamma0,
-        markovian_limit=markovian_limit,
-    )
-    if key == "open-1q":
-        return open_qubit_trajectory(open_params, horizon=horizon)
-    kind = "aligned" if key.endswith("aligned") else "anti"
-    return open_two_qubit_trajectory(open_params, kind, horizon=horizon)
+    widths = (None,) if markovian_limit else _extremes(Gamma_over_gamma0)
+    for a in _extremes(alpha):
+        for ratio in widths:
+            OpenSystemParams(
+                alpha=a,
+                gamma0=gamma0,
+                Gamma=None if ratio is None else ratio * gamma0,
+                markovian_limit=markovian_limit,
+            )
+    if markovian_limit:
+        Gamma = math.inf
+    elif np.ndim(Gamma_over_gamma0):
+        Gamma = np.asarray(Gamma_over_gamma0, dtype=float) * gamma0
+    else:
+        Gamma = Gamma_over_gamma0 * gamma0
+    kind = "1q" if key == "open-1q" else key.removeprefix("open-2q-")
+    return _open_trajectory(kind, alpha, gamma0, Gamma, horizon)

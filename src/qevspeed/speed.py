@@ -14,6 +14,11 @@ eigenvector rotation,
 with q_k = sqrt(p_k). Both are provided; the first is the primary path (its
 diagonal kernel c(p, p) = 1/p is continuous through degeneracies), the second
 needs a non-degenerate spectrum and is useful as an independent cross-check.
+
+The kernel sum is evaluated in batches: ``speeds_at`` takes an array of
+times (and a model family built on arrays of parameters), builds all states
+in one call and sums the kernel over one stacked eigendecomposition
+(``kernel_speeds``). ``speed_at`` is its one-point case.
 """
 
 from __future__ import annotations
@@ -25,8 +30,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrumError, RankIncreaseError
-from .metrics import PURE_STATE_TOL, MetricKind, mc_function, pure_state_speed
+from .errors import DegenerateSpectrumError, NumericalFailure, RankIncreaseError
+from .metrics import PURE_STATE_TOL, MetricKind, mc_function, mc_kernel, pure_state_speed
 
 # Eigenvalue-pair sums below RANK_TOL are boundary terms: dropped when the
 # corresponding derivative element is below ELEM_TOL, an error otherwise
@@ -43,6 +48,18 @@ DEFAULT_TIME_STEP = 1e-5
 ZERO_TIME_CLAMP = 1e-8
 
 
+def vectorized(func: Callable) -> Callable:
+    """Mark a state or derivative callable as array-valued.
+
+    A marked callable also accepts an array of times and returns the
+    matrices stacked along the leading axes. The mark is a function
+    attribute, so wrappers made with ``functools.wraps`` keep it; any other
+    replacement of ``state_at`` is evaluated one time at a time.
+    """
+    func.vectorized = True
+    return func
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """A differentiable curve t -> rho_t of density operators on [0, horizon].
@@ -50,11 +67,13 @@ class Trajectory:
     ``state_at`` must return a Hermitian, trace-one, positive-semidefinite
     matrix of size ``dim`` for every t in range. ``derivative_at`` is the
     analytic time derivative when available; otherwise central differences of
-    ``state_at`` are used. ``params`` records the numbers the trajectory was
-    built from. ``speed_at_zero`` carries the analytic limit of the speed for
-    trajectories whose t = 0 state sits on the manifold boundary (where the
-    naive evaluation is 0/0); ``boundary_at_zero`` marks such trajectories
-    when no finite limit exists.
+    ``state_at`` are used. Callables marked with ``vectorized`` also take
+    arrays of times; the built-in models mark theirs, and may carry arrays
+    of parameters (a family of curves evaluated together). ``params``
+    records the numbers the trajectory was built from. ``speed_at_zero``
+    carries the analytic limit of the speed for trajectories whose t = 0
+    state sits on the manifold boundary (where the naive evaluation is 0/0);
+    ``boundary_at_zero`` marks such trajectories when no finite limit exists.
     """
 
     dim: int
@@ -67,32 +86,166 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
+class SpeedBatch:
+    """Speeds at a batch of points; ``failures`` maps the flat index of each
+    point whose evaluation failed to its error, and its speed is nan."""
+
+    speeds: np.ndarray
+    failures: dict[int, NumericalFailure] = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
 class SpeedCurve:
-    """Speed samples along a time grid, with slopes from the samples."""
+    """Speed samples along a time grid, with slopes from the samples.
+
+    Failed samples are nan, with their errors in ``failures`` by index.
+    """
 
     metric: MetricKind
     times: np.ndarray
     speeds: np.ndarray
     slopes: np.ndarray  # dS/dt, central differences of the samples
+    failures: dict[int, NumericalFailure] = field(default_factory=dict)
 
 
-def rho_dot(traj: Trajectory, t: float, step: float = DEFAULT_TIME_STEP) -> np.ndarray:
+def _stacked(func: Callable, times: np.ndarray, dim: int) -> np.ndarray:
+    """``func`` at every time, stacked; one call when it is vectorized."""
+    if getattr(func, "vectorized", False):
+        return np.asarray(func(times), dtype=complex)
+    out = np.empty(times.shape + (dim, dim), dtype=complex)
+    for index in np.ndindex(times.shape):
+        out[index] = func(float(times[index]))
+    return out
+
+
+def rho_dot(traj: Trajectory, t, step: float = DEFAULT_TIME_STEP) -> np.ndarray:
     """Time derivative of the state, Hermitian-symmetrized.
 
     Uses the trajectory's analytic derivative when present, otherwise a
     central difference with one-sided fallback at the interval endpoints.
+    ``t`` may be an array; the derivatives are then stacked.
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
+    t = np.asarray(t, dtype=float)
     if traj.derivative_at is not None:
-        d = np.asarray(traj.derivative_at(t), dtype=complex)
-    elif t - step < 0.0:
-        d = (traj.state_at(t + step) - traj.state_at(t)) / step
-    elif t + step > traj.horizon:
-        d = (traj.state_at(t) - traj.state_at(t - step)) / step
+        d = _stacked(traj.derivative_at, t, traj.dim)
     else:
-        d = (traj.state_at(t + step) - traj.state_at(t - step)) / (2.0 * step)
-    return 0.5 * (d + d.conj().T)
+        forward = t - step < 0.0
+        backward = ~forward & (t + step > traj.horizon)
+        plus = np.where(backward, t, t + step)
+        minus = np.where(forward, t, t - step)
+        width = np.where(forward | backward, step, 2.0 * step)
+        d = _stacked(traj.state_at, plus, traj.dim) - _stacked(traj.state_at, minus, traj.dim)
+        d /= width[..., None, None]
+    return 0.5 * (d + d.conj().swapaxes(-2, -1))
+
+
+def _pure_speeds(vectors, drho, metric: MetricKind) -> np.ndarray:
+    """Fubini-Study speeds of the top eigenvectors."""
+    psi = vectors[..., -1]
+    return pure_state_speed(psi, (drho @ psi[..., None])[..., 0], metric)
+
+
+def _kernel_sums(p, vectors, drho, metric: MetricKind):
+    """Kernel-sum speeds, and the derivative-element magnitudes with the
+    mask of boundary pairs whose element is not negligible (None when no
+    pair is on the boundary)."""
+    magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ drho @ vectors)
+    pk, pl = p[:, :, None], p[:, None, :]
+    kept = pk + pl >= RANK_TOL
+    weight = mc_kernel(metric, pk, pl, where=kept)
+    with np.errstate(under="ignore"):  # negligible terms flush to zero
+        total = (weight * magnitude * magnitude).sum(axis=(1, 2))
+    escaping = None if kept.all() else ~kept & (magnitude >= ELEM_TOL)
+    return 0.5 * np.sqrt(np.maximum(total, 0.0)), magnitude, escaping
+
+
+def kernel_speeds(
+    rho: np.ndarray,
+    drho: np.ndarray,
+    metric: MetricKind = MetricKind.SLD,
+    times: np.ndarray | None = None,
+) -> SpeedBatch:
+    """Speeds of stacked states ``rho`` moving at ``drho`` (shape (..., d, d)).
+
+    One stacked eigendecomposition, then per point: the Fubini-Study
+    reduction for pure states (second-largest eigenvalue below
+    ``PURE_STATE_TOL``), else the kernel sum, where eigenvalue pairs summing
+    below ``RANK_TOL`` are dropped when their derivative elements are
+    negligible and fail the point with ``RankIncreaseError`` otherwise.
+    ``times`` only labels those errors. Non-finite or non-Hermitian states
+    raise ``ValueError`` for the whole batch.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    batch, dim = rho.shape[:-2], rho.shape[-1]
+    rho = rho.reshape(-1, dim, dim)
+    drho = np.asarray(drho, dtype=complex).reshape(rho.shape)
+    values, vectors = linalg.eigh_stack(rho)
+    p = np.maximum(values, 0.0)
+
+    pure = p[:, -2] < PURE_STATE_TOL
+    mixed = ~pure
+    n_pure = np.count_nonzero(pure)
+    if n_pure == len(rho):
+        return SpeedBatch(_pure_speeds(vectors, drho, metric).reshape(batch))
+    if n_pure == 0:
+        speeds, magnitude, escaping = _kernel_sums(p, vectors, drho, metric)
+    else:
+        speeds = np.empty(len(rho))
+        speeds[pure] = _pure_speeds(vectors[pure], drho[pure], metric)
+        speeds[mixed], magnitude, escaping = _kernel_sums(
+            p[mixed], vectors[mixed], drho[mixed], metric
+        )
+
+    failures: dict[int, NumericalFailure] = {}
+    if escaping is not None and escaping.any():
+        labels = np.broadcast_to(math.nan if times is None else times, batch).ravel()
+        index = np.flatnonzero(mixed)
+        for row in np.flatnonzero(escaping.any(axis=(1, 2))):
+            k, l = divmod(int(np.argmax(escaping[row])), dim)
+            i = int(index[row])
+            failures[i] = RankIncreaseError(float(labels[i]), (k, l), float(magnitude[row, k, l]))
+            speeds[i] = math.nan
+    return SpeedBatch(speeds.reshape(batch), failures)
+
+
+def speeds_at(
+    traj: Trajectory,
+    times,
+    metric: MetricKind = MetricKind.SLD,
+    step: float = DEFAULT_TIME_STEP,
+) -> SpeedBatch:
+    """Speeds along a trajectory at an array of times, in one batch.
+
+    States and derivatives come from one call of each builder when they are
+    vectorized; the kernel sum is ``kernel_speeds``. At t = 0 a trajectory's
+    ``speed_at_zero`` limit is returned, and a boundary trajectory without
+    one is evaluated at ``ZERO_TIME_CLAMP``. Times outside [0, horizon]
+    raise ``ValueError``; a failed point is nan with its error in
+    ``failures``.
+    """
+    t = np.asarray(times, dtype=float)
+    first, last = (float(t), float(t)) if t.ndim == 0 else (t.min(), t.max())
+    if not (first >= 0.0 and last <= traj.horizon):
+        bad = t[~((t >= 0.0) & (t <= traj.horizon))].flat[0]
+        raise ValueError(f"t = {bad} outside trajectory range [0, {traj.horizon}]")
+    limit = traj.speed_at_zero
+    clamp = first == 0.0 and (limit is not None or traj.boundary_at_zero)
+    if clamp:
+        if limit is not None and last == 0.0:  # every point takes the limit
+            return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
+        at_zero = t == 0.0
+        t = np.where(at_zero, ZERO_TIME_CLAMP, t)
+    with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
+        rho = _stacked(traj.state_at, t, traj.dim)
+        result = kernel_speeds(rho, rho_dot(traj, t, step), metric, t)
+    if not (clamp and limit is not None):
+        return result
+    at_zero = np.broadcast_to(at_zero, result.speeds.shape)
+    speeds = np.where(at_zero, limit, result.speeds)
+    failures = {i: e for i, e in result.failures.items() if not at_zero.flat[i]}
+    return SpeedBatch(speeds, failures)
 
 
 def speed_at(
@@ -101,40 +254,17 @@ def speed_at(
     metric: MetricKind = MetricKind.SLD,
     step: float = DEFAULT_TIME_STEP,
 ) -> float:
-    """Instantaneous speed from the metric kernel sum over the eigensystem.
+    """Instantaneous speed at one time: the one-point case of ``speeds_at``.
 
-    Pure states (second-largest eigenvalue below ``PURE_STATE_TOL``) are
-    routed through the Fubini-Study reduction. Boundary eigenvalue pairs are
-    dropped when their derivative elements are negligible and raise
-    ``RankIncreaseError`` otherwise.
+    A failed evaluation raises its error (``RankIncreaseError`` when a
+    boundary eigenvalue pair carries a non-negligible derivative element).
     """
-    if not 0.0 <= t <= traj.horizon:
-        raise ValueError(f"t = {t} outside trajectory range [0, {traj.horizon}]")
-    if t == 0.0:
-        if traj.speed_at_zero is not None:
-            return traj.speed_at_zero
-        if traj.boundary_at_zero:
-            t = ZERO_TIME_CLAMP
-    rho = np.asarray(traj.state_at(t), dtype=complex)
-    drho = rho_dot(traj, t, step)
-    system = linalg.eigh(rho)
-    p = np.clip(system.eigenvalues, 0.0, None)
-
-    if p[-2] < PURE_STATE_TOL:
-        psi = system.eigenvectors[:, -1]
-        return pure_state_speed(psi, drho @ psi, metric)
-
-    elements = system.eigenvectors.conj().T @ drho @ system.eigenvectors
-    total = 0.0
-    for k in range(traj.dim):
-        for l in range(traj.dim):
-            magnitude = abs(elements[k, l])
-            if p[k] + p[l] < RANK_TOL:
-                if magnitude >= ELEM_TOL:
-                    raise RankIncreaseError(t, (k, l), magnitude)
-                continue
-            total += mc_function(metric, p[k], p[l]) * magnitude * magnitude
-    return 0.5 * math.sqrt(max(total, 0.0))
+    result = speeds_at(traj, t, metric, step)
+    if result.speeds.size != 1:
+        raise ValueError("speed_at evaluates one point; use speeds_at for a family")
+    if result.failures:
+        raise next(iter(result.failures.values()))
+    return float(result.speeds.reshape(-1)[0])
 
 
 def speed_spectral_form(
@@ -225,20 +355,48 @@ def speedup_measure(
     evaluation failure of ``speed_of`` propagates.
     """
     if step is None:
-        step = DEFAULT_TIME_STEP * max(1.0, abs(xi0))
+        step = float(stencil_step(xi0))
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
     return (speed_of(xi0 + step) - speed_of(xi0 - step)) / (2.0 * step)
 
 
+def stencil_step(xi) -> np.ndarray:
+    """Central-difference half-width DEFAULT_TIME_STEP * max(1, |xi|)."""
+    return DEFAULT_TIME_STEP * np.maximum(1.0, np.abs(xi))
+
+
+def speedup_measures(evaluate: Callable[[np.ndarray], SpeedBatch], xi) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Speeds and ``speedup_measure`` slopes at every xi from one batch.
+
+    ``evaluate`` receives the stencil (xi, xi + h, xi - h) stacked as an
+    array of shape (3, N) and returns its ``SpeedBatch``. Returns the speeds
+    at xi, the slopes dS/dxi and the failures by row; a row with any failed
+    point has nan speed and slope.
+    """
+    xi = np.asarray(xi, dtype=float)
+    h = stencil_step(xi)
+    result = evaluate(np.stack([xi, xi + h, xi - h]))
+    s = result.speeds
+    speeds = s[0].copy()
+    slopes = (s[1] - s[2]) / (2.0 * h)
+    failures = {}
+    for index, error in sorted(result.failures.items()):
+        failures.setdefault(index % xi.size, error)
+    for row in failures:
+        speeds[row] = slopes[row] = math.nan
+    return speeds, slopes, failures
+
+
 def speed_curve(
     traj: Trajectory, grid: np.ndarray, metric: MetricKind = MetricKind.SLD
 ) -> SpeedCurve:
-    """Sample the speed over a strictly increasing time grid.
+    """Sample the speed over a strictly increasing time grid, in one batch.
 
     Slopes are central differences of the sampled speeds (one-sided at the
     endpoints), so they converge with the grid spacing rather than the
-    internal step size.
+    internal step size. A failed sample is nan (so are the slopes next to
+    it), with its error in ``failures``.
     """
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
@@ -250,10 +408,11 @@ def speed_curve(
             f"grid [{times[0]}, {times[-1]}] outside trajectory range "
             f"[0, {traj.horizon}]"
         )
-    speeds = np.array([speed_at(traj, float(t), metric) for t in times])
+    result = speeds_at(traj, times, metric)
+    speeds = result.speeds
     slopes = np.empty_like(speeds)
     slopes[0] = (speeds[1] - speeds[0]) / (times[1] - times[0])
     slopes[-1] = (speeds[-1] - speeds[-2]) / (times[-1] - times[-2])
     if times.size > 2:
         slopes[1:-1] = (speeds[2:] - speeds[:-2]) / (times[2:] - times[:-2])
-    return SpeedCurve(metric, times, speeds, slopes)
+    return SpeedCurve(metric, times, speeds, slopes, result.failures)

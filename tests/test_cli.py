@@ -95,17 +95,26 @@ class TestSpeedCommand:
             assert s == pytest.approx(speed_at(traj, t, MetricKind.SLD), rel=1e-11)
 
     def test_singular_rows_annotated_and_run_continues(self, tmp_path, monkeypatch):
-        from qevspeed.errors import RankIncreaseError
+        from qevspeed.speed import Trajectory
         import qevspeed.cli as cli_module
 
-        real_speed_at = cli_module.speed_at
+        # A rank-2 state whose derivative couples its null space near t = 1:
+        # the kernel sum fails there with RankIncreaseError.
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
 
-        def flaky(traj, t, metric):
+        def derivative(t):
+            d = np.zeros((4, 4), dtype=complex)
             if 0.9 < t < 1.1:
-                raise RankIncreaseError(t, (0, 1), 1e-3)
-            return real_speed_at(traj, t, metric)
+                d[2, 3] = d[3, 2] = 1e-3
+            return d
 
-        monkeypatch.setattr(cli_module, "speed_at", flaky)
+        def leaky(key, **kwargs):
+            return Trajectory(
+                dim=4, horizon=kwargs["horizon"], state_at=lambda t: rho.copy(),
+                derivative_at=derivative,
+            )
+
+        monkeypatch.setattr(cli_module, "trajectory_from_key", leaky)
         code, text = run_to_file(
             tmp_path,
             ["speed", "--model", "closed-1q", "--alpha", "0.6",
