@@ -14,6 +14,10 @@ the transcendental equation
     Gamma tan(kappa t / 2) = kappa tanh(Gamma t / 2),
 
 found by bisection on the tangent branch (2 n pi / kappa, (2n+1) pi / kappa).
+All ``n_max`` branches are bisected together, as arrays: each step halves
+every bracket that is still open, and a branch freezes at the first midpoint
+whose residual is within ROOT_RESIDUAL_TOL - the stopping rule and midpoint
+arithmetic of a one-branch bisection, so the roots agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RootBracketError
-from .models import OpenSystemParams, population_factor
+from .models import OpenSystemParams, _libm, population_factor
 
 MARKOVIAN_THRESHOLD = 2.0
 CRITICAL_RATIO_TOL = 1e-12
@@ -92,18 +96,20 @@ def _oscillation_rates(p: OpenSystemParams) -> tuple[float, float]:
     return ratio, math.sqrt(2.0 * ratio - ratio * ratio)
 
 
-def memory_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, float]]:
-    """First ``n_max`` memory intervals (tau_n, tau_n') in gamma0*t units."""
+def _branches(n_max: int) -> np.ndarray:
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
+    return np.arange(1.0, n_max + 1.0)
+
+
+def memory_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, float]]:
+    """First ``n_max`` memory intervals (tau_n, tau_n') in gamma0*t units."""
+    n = _branches(n_max)
     gamma, kappa = _oscillation_rates(p)
     offset = math.atan(kappa / gamma)
-    out = []
-    for n in range(1, n_max + 1):
-        tau = 2.0 * (n * math.pi - offset) / kappa
-        tau_prime = 2.0 * n * math.pi / kappa
-        out.append((tau, tau_prime))
-    return out
+    tau = 2.0 * (n * math.pi - offset) / kappa
+    tau_prime = 2.0 * n * math.pi / kappa
+    return list(zip(tau.tolist(), tau_prime.tolist()))
 
 
 def speedup_equation(p: OpenSystemParams, t: float) -> float:
@@ -112,46 +118,52 @@ def speedup_equation(p: OpenSystemParams, t: float) -> float:
     return gamma * math.tan(0.5 * kappa * t) - kappa * math.tanh(0.5 * gamma * t)
 
 
-def _bisect_speedup_end(p: OpenSystemParams, n: int) -> float:
-    _, kappa = _oscillation_rates(p)
-    low = 2.0 * n * math.pi / kappa
-    high = (2.0 * n + 1.0) * math.pi / kappa - _POLE_PAD
-    g_low = speedup_equation(p, low)
-    g_high = speedup_equation(p, high)
-    if g_low >= 0.0 or g_high <= 0.0:
-        raise RootBracketError(
-            f"no sign change for the speedup-end equation on "
-            f"({low:.6g}, {high:.6g}): g = ({g_low:.3e}, {g_high:.3e})"
-        )
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (low + high)
-        g_mid = speedup_equation(p, mid)
-        if abs(g_mid) <= ROOT_RESIDUAL_TOL:
-            return mid
-        if (g_mid < 0.0) == (g_low < 0.0):
-            low, g_low = mid, g_mid
-        else:
-            high = mid
-    raise RootBracketError(
-        f"bisection failed to reach residual {ROOT_RESIDUAL_TOL:.1e} on "
-        f"branch n = {n}"
-    )
+_tan, _tanh = _libm(math.tan), _libm(math.tanh)
 
 
 def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, float]]:
     """First ``n_max`` speedup intervals (tau_n', tau_n'') in gamma0*t units.
 
     Each right endpoint is bisected to |residual| <= ROOT_RESIDUAL_TOL on the
-    branch where the tangent rises from zero toward its pole.
+    branch where the tangent rises from zero toward its pole; all branches
+    are bisected together.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
-    _, kappa = _oscillation_rates(p)
-    out = []
-    for n in range(1, n_max + 1):
-        tau_prime = 2.0 * n * math.pi / kappa
-        out.append((tau_prime, _bisect_speedup_end(p, n)))
-    return out
+    n = _branches(n_max)
+    gamma, kappa = _oscillation_rates(p)
+
+    def residual(t: np.ndarray) -> np.ndarray:
+        # libm's tan and tanh, as in speedup_equation: every comparison of
+        # the bisection, and so every root, is the scalar one's
+        return gamma * _tan(0.5 * kappa * t) - kappa * _tanh(0.5 * gamma * t)
+
+    tau_prime = 2.0 * n * math.pi / kappa
+    low, high = tau_prime, (2.0 * n + 1.0) * math.pi / kappa - _POLE_PAD
+    g_low, g_high = residual(low), residual(high)
+    unbracketed = np.flatnonzero((g_low >= 0.0) | (g_high <= 0.0))
+    if unbracketed.size:
+        i = unbracketed[0]
+        raise RootBracketError(
+            f"no sign change for the speedup-end equation on branch n = {i + 1}, "
+            f"({low[i]:.6g}, {high[i]:.6g}): g = ({g_low[i]:.3e}, {g_high[i]:.3e})"
+        )
+    roots = np.empty_like(low)
+    open_ = np.arange(n_max)  # branches still bisected; low, high, g_low follow
+    for _ in range(_MAX_BISECTIONS):
+        mid = 0.5 * (low + high)
+        g_mid = residual(mid)
+        done = np.abs(g_mid) <= ROOT_RESIDUAL_TOL
+        roots[open_[done]] = mid[done]
+        to_low = (g_mid < 0.0) == (g_low < 0.0)
+        low, g_low = np.where(to_low, mid, low), np.where(to_low, g_mid, g_low)
+        high = np.where(to_low, high, mid)
+        keep = ~done
+        open_, low, high, g_low = open_[keep], low[keep], high[keep], g_low[keep]
+        if not open_.size:
+            return list(zip(tau_prime.tolist(), roots.tolist()))
+    raise RootBracketError(
+        f"bisection failed to reach residual {ROOT_RESIDUAL_TOL:.1e} on "
+        f"branch n = {open_[0] + 1}"
+    )
 
 
 def region_report(p: OpenSystemParams, n_max: int) -> RegionReport:

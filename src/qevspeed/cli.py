@@ -9,6 +9,7 @@ and serialization. Exit codes: 0 success, 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -31,6 +32,13 @@ from .models import (
 from .speed import SpeedBatch, Trajectory, speed_curve, speedup_measures, speeds_at
 
 SWEEP_PARAMS = ("t", "alpha", "C", "Omega", "Gamma_over_gamma0")
+
+# ``detect`` flags a speedup where dS/dxi > SLOPE_NOISE_TOL * |S|. The slope
+# is a central difference over 2h >= 2e-5 (h = DEFAULT_TIME_STEP * max(1, |xi|))
+# of speeds with a relative error of a few eps, so rounding alone reaches
+# about 2e-11 |S| - the whole slope of a constant-speed closed model. The
+# floor leaves a margin of 50.
+SLOPE_NOISE_TOL = 1e-9
 
 # Config-file key -> RunConfig attribute: the same name, except "format".
 _CONFIG_ATTRS = {
@@ -139,7 +147,11 @@ class TableResult:
 # Configuration
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs more
+    than parsing. ``parse_args`` fills a fresh namespace on every call, so
+    nothing carries over from one ``main`` call to the next."""
     parser = argparse.ArgumentParser(
         prog="qevspeed",
         description="Quantum evolution speed, speedup detection and "
@@ -186,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp, with_model=False)
     sp.add_argument("--n-max", type=int, dest="n_max", help="intervals to list")
 
-    sp = sub.add_parser("detect", help="sweep a parameter and flag dS/dxi > 0")
+    sp = sub.add_parser(
+        "detect", help="sweep a parameter and flag dS/dxi > 0 above rounding noise"
+    )
     add_common(sp)
     sp.add_argument(
         "--sweep", help="parameter sweep as <param>:<min>:<max>:<points>, "
@@ -512,7 +526,7 @@ def run_detect(config: RunConfig) -> TableResult:
         header.append(("alpha", _format_value(config.alpha)))
 
     speeds, slopes, failures = speedup_measures(evaluate, grid)
-    flags = np.where(slopes > 0.0, 1.0, 0.0)
+    flags = np.where(slopes > SLOPE_NOISE_TOL * np.abs(speeds), 1.0, 0.0)
     flags[list(failures)] = math.nan
     rows = _rows(grid, speeds, slopes, flags)
     return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], rows, _skipped(name, grid, failures))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qevspeed import analysis
 from qevspeed.analysis import (
     Regime,
     memory_boundaries,
@@ -12,6 +13,7 @@ from qevspeed.analysis import (
     speedup_boundaries,
     speedup_equation,
 )
+from qevspeed.errors import RootBracketError
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     OpenSystemParams,
@@ -20,6 +22,7 @@ from qevspeed.models import (
     population_factor_dot,
 )
 from qevspeed.speed import speed_at, speedup_measure
+from util import bisect_speedup_end
 
 MEMORY_PARAMS = OpenSystemParams(alpha=1.0, Gamma=0.1)
 KAPPA = math.sqrt(0.19)
@@ -121,6 +124,45 @@ class TestSpeedupBoundaries:
         midpoint = 0.5 * (tau_prime + tau_dprime)
         assert speedup_measure(speed_of, midpoint) > 0.0
         assert speedup_measure(speed_of, tau_dprime + 0.1) < 0.0
+
+
+# Seeded width ratios across the whole memory regime (0, 2).
+ORACLE_RATIOS = np.random.default_rng(3).uniform(0.01, 1.999, 50).tolist()
+
+
+class TestBatchedBoundaries:
+    """The all-branch bisection against the one-branch scalar bisection."""
+
+    @pytest.mark.parametrize("ratio", ORACLE_RATIOS)
+    def test_speedup_ends_equal_scalar_bisection(self, ratio):
+        p = OpenSystemParams(alpha=1.0, Gamma=ratio)
+        _, kappa = analysis._oscillation_rates(p)
+        expected = [
+            (2.0 * n * math.pi / kappa, bisect_speedup_end(p, n)) for n in range(1, 301)
+        ]
+        assert speedup_boundaries(p, 300) == expected
+
+    @pytest.mark.parametrize("ratio", ORACLE_RATIOS[:10])
+    def test_memory_boundaries_equal_scalar_formulas(self, ratio):
+        p = OpenSystemParams(alpha=1.0, Gamma=ratio)
+        gamma, kappa = analysis._oscillation_rates(p)
+        offset = math.atan(kappa / gamma)
+        expected = [
+            (2.0 * (n * math.pi - offset) / kappa, 2.0 * n * math.pi / kappa)
+            for n in range(1, 301)
+        ]
+        assert memory_boundaries(p, 300) == expected
+
+    def test_unconverged_branch_named(self, monkeypatch):
+        monkeypatch.setattr(analysis, "_MAX_BISECTIONS", 1)
+        with pytest.raises(RootBracketError, match=r"residual 1\.0e-10 on branch n = 1$"):
+            speedup_boundaries(MEMORY_PARAMS, 3)
+
+    def test_missing_sign_change_named(self, monkeypatch):
+        # a pad of most of the branch puts its right end below the root
+        monkeypatch.setattr(analysis, "_POLE_PAD", 0.99 * math.pi / KAPPA)
+        with pytest.raises(RootBracketError, match=r"no sign change .* branch n = 1,"):
+            speedup_boundaries(MEMORY_PARAMS, 3)
 
 
 class TestRegionReport:

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import qevspeed.cli as cli
+from qevspeed import analysis
+from qevspeed.analysis import speedup_boundaries
 from qevspeed.errors import RootBracketError
-from qevspeed.models import markovian_two_qubit_speed
+from qevspeed.models import OpenSystemParams, markovian_two_qubit_speed
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -263,6 +265,36 @@ class TestDetectCommand:
         _, _, rows = parse_csv(text)
         assert np.any(rows[:, 3] == 1.0)
 
+    def test_constant_speed_time_sweep_flags_nothing(self, tmp_path):
+        # closed-model slopes in time are rounding noise
+        code, text = run_to_file(
+            tmp_path,
+            [
+                "detect", "--model", "closed-2q-aligned", "--metric", "wy",
+                "--alpha", "0.72", "--sweep", "t:0.3:29.7:30",
+            ],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert np.all(np.abs(rows[:, 2]) <= 0.1 * cli.SLOPE_NOISE_TOL * rows[:, 1])
+        assert np.all(rows[:, 3] == 0.0)
+
+    def test_memory_time_sweep_flags_its_speedup_interval(self, tmp_path):
+        code, text = run_to_file(
+            tmp_path,
+            [
+                "detect", "--model", "open-1q", "--alpha", "1", "--gamma-ratio", "0.1",
+                "--sweep", "t:1:30:59",
+            ],
+        )
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        t = rows[:, 0]
+        intervals = speedup_boundaries(OpenSystemParams(alpha=1.0, Gamma=0.1), 2)
+        inside = np.any([(t > start) & (t < end) for start, end in intervals], axis=0)
+        assert inside[t < 25.0].sum() >= 4 and inside[t > 25.0].any()
+        np.testing.assert_array_equal(rows[:, 3], np.where(inside, 1.0, 0.0))
+
     def test_unknown_sweep_parameter(self, capsys):
         code = cli.main(
             ["detect", "--model", "open-1q", "--gamma-ratio", "1", "--sweep", "beta:0:1:5"]
@@ -358,3 +390,43 @@ class TestErrors:
 
     def test_missing_subcommand_is_usage_error(self):
         assert cli.main([]) == 2
+
+    def test_unconverged_bisection_exits_three(self, monkeypatch, capsys):
+        monkeypatch.setattr(analysis, "_MAX_BISECTIONS", 1)
+        assert cli.main(["regions", "--gamma-ratio", "0.1"]) == 3
+        assert "branch n = 1" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """One parser serves every ``main`` call of a process."""
+
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_flags_do_not_carry_over(self, tmp_path):
+        code, text = run_to_file(
+            tmp_path,
+            [
+                "detect", "--model", "open-1q", "--gamma-ratio", "0.3",
+                "--sweep", "alpha:0.2:0.8:3", "--time", "2",
+            ],
+        )
+        assert code == 0
+        assert parse_csv(text)[0]["Gamma_over_gamma0"] == "0.3"
+        code, text = run_to_file(
+            tmp_path, ["detect", "--model", "closed-1q", "--sweep", "t:0.1:1:3"]
+        )
+        assert code == 0
+        header, _, _ = parse_csv(text)
+        assert "Gamma_over_gamma0" not in header
+        assert header["alpha"] == "1"
+
+    def test_usage_error_after_success(self, tmp_path, capsys):
+        assert run_to_file(tmp_path, ["regions", "--gamma-ratio", "0.5"])[0] == 0
+        assert cli.main(["speed", "--points", "many"]) == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_version_after_success(self, tmp_path, capsys):
+        assert run_to_file(tmp_path, ["regions", "--gamma-ratio", "0.5"])[0] == 0
+        assert cli.main(["--version"]) == 0
+        assert capsys.readouterr().out.strip() == cli.__version__

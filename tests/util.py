@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
+from qevspeed import analysis
+from qevspeed.errors import RootBracketError
+from qevspeed.models import OpenSystemParams
 from qevspeed.speed import Trajectory
 
 
@@ -44,3 +48,31 @@ def conjugate_trajectory(traj: Trajectory, unitary: np.ndarray) -> Trajectory:
 
 def without_analytic_derivative(traj: Trajectory) -> Trajectory:
     return dataclasses.replace(traj, derivative_at=None)
+
+
+def bisect_speedup_end(p: OpenSystemParams, n: int) -> float:
+    """Oracle for ``analysis.speedup_boundaries``: the root on branch ``n``,
+    bisected one branch at a time on the scalar ``speedup_equation``."""
+    _, kappa = analysis._oscillation_rates(p)
+    low = 2.0 * n * math.pi / kappa
+    high = (2.0 * n + 1.0) * math.pi / kappa - analysis._POLE_PAD
+    g_low = analysis.speedup_equation(p, low)
+    g_high = analysis.speedup_equation(p, high)
+    if g_low >= 0.0 or g_high <= 0.0:
+        raise RootBracketError(
+            f"no sign change for the speedup-end equation on "
+            f"({low:.6g}, {high:.6g}): g = ({g_low:.3e}, {g_high:.3e})"
+        )
+    for _ in range(analysis._MAX_BISECTIONS):
+        mid = 0.5 * (low + high)
+        g_mid = analysis.speedup_equation(p, mid)
+        if abs(g_mid) <= analysis.ROOT_RESIDUAL_TOL:
+            return mid
+        if (g_mid < 0.0) == (g_low < 0.0):
+            low, g_low = mid, g_mid
+        else:
+            high = mid
+    raise RootBracketError(
+        f"bisection failed to reach residual {analysis.ROOT_RESIDUAL_TOL:.1e} on "
+        f"branch n = {n}"
+    )
