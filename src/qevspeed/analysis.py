@@ -23,6 +23,7 @@ arithmetic of a one-branch bisection, so the roots agree with it bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -112,13 +113,22 @@ def memory_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, floa
     return list(zip(tau.tolist(), tau_prime.tolist()))
 
 
-def speedup_equation(p: OpenSystemParams, t: float) -> float:
-    """Residual Gamma tan(kappa t / 2) - kappa tanh(Gamma t / 2) at gamma0*t = t."""
-    gamma, kappa = _oscillation_rates(p)
-    return gamma * math.tan(0.5 * kappa * t) - kappa * math.tanh(0.5 * gamma * t)
-
-
 _tan, _tanh = _libm(math.tan), _libm(math.tanh)
+
+
+def _speedup_residual(gamma: float, kappa: float, t):
+    # libm's tan and tanh for floats and arrays alike: an array element is
+    # the scalar residual bit for bit, so every bisection step is the
+    # scalar one's
+    return gamma * _tan(0.5 * kappa * t) - kappa * _tanh(0.5 * gamma * t)
+
+
+def speedup_equation(p: OpenSystemParams, t):
+    """Residual Gamma tan(kappa t / 2) - kappa tanh(Gamma t / 2) at gamma0*t = t.
+
+    ``t`` may be an array; each element equals the call at that float."""
+    gamma, kappa = _oscillation_rates(p)
+    return _speedup_residual(gamma, kappa, t)
 
 
 def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, float]]:
@@ -130,12 +140,7 @@ def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, flo
     """
     n = _branches(n_max)
     gamma, kappa = _oscillation_rates(p)
-
-    def residual(t: np.ndarray) -> np.ndarray:
-        # libm's tan and tanh, as in speedup_equation: every comparison of
-        # the bisection, and so every root, is the scalar one's
-        return gamma * _tan(0.5 * kappa * t) - kappa * _tanh(0.5 * gamma * t)
-
+    residual = functools.partial(_speedup_residual, gamma, kappa)
     tau_prime = 2.0 * n * math.pi / kappa
     low, high = tau_prime, (2.0 * n + 1.0) * math.pi / kappa - _POLE_PAD
     g_low, g_high = residual(low), residual(high)

@@ -40,17 +40,22 @@ SWEEP_PARAMS = ("t", "alpha", "C", "Omega", "Gamma_over_gamma0")
 # floor leaves a margin of 50.
 SLOPE_NOISE_TOL = 1e-9
 
-# Config-file key -> RunConfig attribute: the same name, except "format".
-_CONFIG_ATTRS = {
-    **{
-        key: key
-        for key in (
-            "model", "metric", "alpha", "omega", "gamma_ratio", "markovian_limit",
-            "tmin", "tmax", "points", "time", "sweep", "n_max", "out",
-        )
-    },
-    "format": "fmt",
+# Config-file key -> the JSON type its value must have. JSON true and false
+# load as Python bools, which are ints too, so numbers exclude them.
+_CONFIG_TYPES = {
+    **dict.fromkeys(("alpha", "omega", "gamma_ratio", "tmin", "tmax", "time"), "a number"),
+    **dict.fromkeys(("points", "n_max"), "an integer"),
+    "markovian_limit": "true or false",
+    **dict.fromkeys(("model", "metric", "sweep", "out", "format"), "a string"),
 }
+_JSON_TYPE_CHECKS = {
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "true or false": lambda v: isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+}
+# Config-file key -> RunConfig attribute: the same name, except "format".
+_CONFIG_ATTRS = {key: "fmt" if key == "format" else key for key in _CONFIG_TYPES}
 
 
 class UsageError(ValueError):
@@ -139,7 +144,7 @@ class RunConfig:
 class TableResult:
     header: list[tuple[str, str]]
     columns: list[str]
-    rows: list[list[float]]
+    rows: np.ndarray  # float, shape (number of rows, len(columns))
     notes: list[str] = field(default_factory=list)
 
 
@@ -228,6 +233,12 @@ def _load_config_file(path: str) -> dict:
             f"unknown config keys: {', '.join(sorted(unknown))}; "
             f"valid keys: {', '.join(sorted(_CONFIG_ATTRS))}"
         )
+    for key, value in data.items():
+        expected = _CONFIG_TYPES[key]
+        if not _JSON_TYPE_CHECKS[expected](value):
+            raise UsageError(
+                f"config key '{key}' must be {expected}, got {json.dumps(value)}"
+            )
     return data
 
 
@@ -396,8 +407,8 @@ def run_figure(config: RunConfig) -> TableResult:
     return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes))
 
 
-def _rows(*columns: np.ndarray) -> list[list[float]]:
-    return np.column_stack(columns).tolist()
+def _rows(*columns: np.ndarray) -> np.ndarray:
+    return np.column_stack(columns)
 
 
 def run_regions(config: RunConfig) -> TableResult:
@@ -415,15 +426,11 @@ def run_regions(config: RunConfig) -> TableResult:
     header.append(("n_max", str(config.n_max)))
 
     columns = ["n", "tau_n", "tau_n_prime", "tau_n_dprime", "residual"]
-    rows = []
-    for i, (memory, speedup) in enumerate(
-        zip(report.memory_intervals, report.speedup_intervals), start=1
-    ):
-        tau, tau_prime = memory
-        _, tau_dprime = speedup
-        rows.append(
-            [float(i), tau, tau_prime, tau_dprime, speedup_equation(params, tau_dprime)]
-        )
+    tau, tau_prime = np.reshape(report.memory_intervals, (-1, 2)).T
+    tau_dprime = np.reshape(report.speedup_intervals, (-1, 2))[:, 1]
+    # no intervals outside the non-Markovian regime, and no residual to take
+    residual = speedup_equation(params, tau_dprime) if tau_dprime.size else tau_dprime
+    rows = _rows(np.arange(1.0, tau.size + 1.0), tau, tau_prime, tau_dprime, residual)
     notes = []
     if report.regime is not Regime.NON_MARKOVIAN:
         notes.append(f"{report.regime.value} regime: no memory or speedup intervals")
@@ -536,32 +543,53 @@ def run_detect(config: RunConfig) -> TableResult:
 # Serialization
 
 
+# Every table value is printed as "%.12g", the bytes of f"{v:.12g}" also for
+# nan, inf and -0. A table body is one "%" operation: a template with one
+# cell per value, applied to the flat tuple of the values in row order.
+
+
 def _format_value(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
 
 
+def _values(result: TableResult) -> tuple[float, ...]:
+    return tuple(result.rows.ravel().tolist())
+
+
 def render_csv(result: TableResult) -> str:
     lines = [f"# {key}: {value}" for key, value in result.header]
     lines.extend(f"# note: {note}" for note in result.notes)
     lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_format_value(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.12g"] * len(result.columns)) + "\n"
+    return "\n".join(lines) + "\n" + (row * len(result.rows)) % _values(result)
 
 
 def render_json(result: TableResult) -> str:
-    def rounded(value: float) -> float:
-        return float(f"{float(value):.12g}")
-
-    payload = {
-        "config": {key: value for key, value in result.header},
-        "columns": result.columns,
-        "rows": [[rounded(v) for v in row] for row in result.rows],
-        "notes": result.notes,
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """The ``json.dumps(..., indent=2)`` text of config, columns, rows and
+    notes, with each row value rounded to its 12 printed digits."""
+    text = json.dumps(
+        {
+            "config": dict(result.header),
+            "columns": result.columns,
+            "rows": None,
+            "notes": result.notes,
+        },
+        indent=2,
+    )
+    rows = "[]"
+    if len(result.rows):
+        # Each value read back from its %.12g text and printed as the
+        # encoder prints a float: its repr, but NaN, Infinity and -Infinity
+        # where the repr is nan, inf and -inf. No finite repr holds an "n".
+        rounded = tuple(map(float, (("%.12g " * result.rows.size) % _values(result)).split()))
+        row = "    [\n      " + ",\n      ".join(["%r"] * len(result.columns)) + "\n    ]"
+        block = ",\n".join([row] * len(result.rows)) % rounded
+        rows = "[\n" + block.replace("nan", "NaN").replace("inf", "Infinity") + "\n  ]"
+    # keys and string values escape their quotes, so the placeholder is the
+    # only unescaped '"rows": null' in the text
+    return text.replace('"rows": null', '"rows": ' + rows, 1) + "\n"
 
 
 _RUNNERS = {
@@ -591,10 +619,14 @@ def main(argv: list[str] | None = None) -> int:
         return 3
 
     text = render_csv(result) if config.fmt == "csv" else render_json(result)
-    if config.out:
-        Path(config.out).write_text(text)
-    else:
+    if not config.out:
         sys.stdout.write(text)
+        return 0
+    try:
+        Path(config.out).write_text(text)
+    except OSError as exc:
+        print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -153,6 +153,16 @@ class TestBatchedBoundaries:
         ]
         assert memory_boundaries(p, 300) == expected
 
+    @pytest.mark.parametrize("ratio", ORACLE_RATIOS[:10])
+    def test_array_residual_equals_scalar_calls(self, ratio):
+        p = OpenSystemParams(alpha=1.0, Gamma=ratio)
+        roots = np.array(speedup_boundaries(p, 300))[:, 1]
+        t = np.concatenate([[0.0, 1e-300], np.linspace(1e-3, 2e3, 2001), roots])
+        assert np.array_equal(
+            speedup_equation(p, t), [speedup_equation(p, x) for x in t.tolist()]
+        )
+        assert speedup_equation(p, t[:2300].reshape(23, 100)).shape == (23, 100)
+
     def test_unconverged_branch_named(self, monkeypatch):
         monkeypatch.setattr(analysis, "_MAX_BISECTIONS", 1)
         with pytest.raises(RootBracketError, match=r"residual 1\.0e-10 on branch n = 1$"):

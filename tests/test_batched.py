@@ -37,7 +37,7 @@ from qevspeed.speed import (
     speedup_measure,
     speedup_measures,
 )
-from util import conjugate_trajectory, random_unitary
+from util import conjugate_trajectory, random_unitary, rank_leaking_trajectory
 
 SLD = MetricKind.SLD
 
@@ -247,21 +247,7 @@ def test_no_floating_point_exceptions():
 
 
 def test_figure_and_detect_annotate_failed_rows(monkeypatch):
-    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-
-    def derivative(t):
-        d = np.zeros((4, 4), dtype=complex)
-        if 1.9 < t < 2.1:
-            d[2, 3] = d[3, 2] = 1e-3
-        return d
-
-    def leaky(key, **kwargs):
-        return Trajectory(
-            dim=4, horizon=kwargs.get("horizon") or 50.0, state_at=lambda t: rho.copy(),
-            derivative_at=derivative, speed_at_zero=1.0,
-        )
-
-    monkeypatch.setattr(cli, "trajectory_from_key", leaky)
+    monkeypatch.setattr(cli, "trajectory_from_key", rank_leaking_trajectory)
     for argv, note, failed_row in (
         # the grid point t = 2.0000933 and its stencil fail
         (["figure", "fig3b", "--points", "16"], "t=2.00009333333", ["2.00009333333", "nan", "nan"]),

@@ -346,6 +346,34 @@ class TestConfigAndOutput:
         assert cli.main(["speed", "--config", str(config)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "values, code",
+        [
+            ({"markovian_limit": "false"}, 2),
+            ({"alpha": "0.5"}, 2),
+            ({"points": 2.5}, 2),
+            ({"n_max": True}, 2),
+            ({"gamma_ratio": False}, 2),
+            ({"format": None}, 2),
+            ({"out": 1}, 2),
+            ({"markovian_limit": False, "n_max": 2}, 0),
+            ({"gamma_ratio": 1, "alpha": 0.5, "tmin": 0}, 0),
+        ],
+    )
+    def test_config_value_types(self, tmp_path, capsys, values, code):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"gamma_ratio": 0.5, **values}))
+        assert cli.main(["regions", "--config", str(config)]) == code
+        if code:
+            key = next(iter(values))
+            assert f"error: config key '{key}' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", [".", "missing/out.csv"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        assert cli.main(["regions", "--gamma-ratio", "0.5", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
     def test_json_mirrors_csv(self, tmp_path):
         args = ["regions", "--gamma-ratio", "0.1", "--n-max", "2"]
         _, csv_text = run_to_file(tmp_path, args, "r.csv")

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
 
 from qevspeed import analysis
+from qevspeed.cli import TableResult
 from qevspeed.errors import RootBracketError
 from qevspeed.models import OpenSystemParams
 from qevspeed.speed import Trajectory
@@ -50,6 +52,24 @@ def without_analytic_derivative(traj: Trajectory) -> Trajectory:
     return dataclasses.replace(traj, derivative_at=None)
 
 
+def rank_leaking_trajectory(key: str, **kwargs) -> Trajectory:
+    """A stand-in for ``trajectory_from_key`` whose derivative leaves the
+    support of its rank-2 state for 1.9 < t < 2.1, where every evaluation
+    fails with a ``RankIncreaseError``."""
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+
+    def derivative(t):
+        d = np.zeros((4, 4), dtype=complex)
+        if 1.9 < t < 2.1:
+            d[2, 3] = d[3, 2] = 1e-3
+        return d
+
+    return Trajectory(
+        dim=4, horizon=kwargs.get("horizon") or 50.0, state_at=lambda t: rho.copy(),
+        derivative_at=derivative, speed_at_zero=1.0,
+    )
+
+
 def bisect_speedup_end(p: OpenSystemParams, n: int) -> float:
     """Oracle for ``analysis.speedup_boundaries``: the root on branch ``n``,
     bisected one branch at a time on the scalar ``speedup_equation``."""
@@ -76,3 +96,33 @@ def bisect_speedup_end(p: OpenSystemParams, n: int) -> float:
         f"bisection failed to reach residual {analysis.ROOT_RESIDUAL_TOL:.1e} on "
         f"branch n = {n}"
     )
+
+
+def _format_cell(value: float) -> str:
+    return f"{value:.12g}"
+
+
+def render_csv(result: TableResult) -> str:
+    """Oracle for ``cli.render_csv``: the table formatted one value at a time."""
+    lines = [f"# {key}: {value}" for key, value in result.header]
+    lines.extend(f"# note: {note}" for note in result.notes)
+    lines.append(",".join(result.columns))
+    for row in result.rows:
+        lines.append(",".join(_format_cell(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def render_json(result: TableResult) -> str:
+    """Oracle for ``cli.render_json``: every value rounded to its printed
+    digits one at a time, the whole payload through the ``json`` encoder."""
+
+    def rounded(value: float) -> float:
+        return float(f"{float(value):.12g}")
+
+    payload = {
+        "config": {key: value for key, value in result.header},
+        "columns": result.columns,
+        "rows": [[rounded(v) for v in row] for row in result.rows],
+        "notes": result.notes,
+    }
+    return json.dumps(payload, indent=2) + "\n"
