@@ -20,26 +20,22 @@ from .analysis import (
     speedup_equation,
 )
 from .errors import (
-    BoundarySingularityError,
-    DegenerateSpectrumError,
     DivergenceError,
     MetricRejectionError,
     NumericalFailure,
     RankIncreaseError,
     RootBracketError,
 )
-from .linalg import EigenSystem, eigh, eigh_stack, hermitian_check, hs_inner, tensor
-from .metrics import MetricKind, mc_function, mc_kernel, pure_state_speed, resolve_metric
+from .linalg import eigh_stack, hermitian_check, tensor
+from .metrics import MetricKind, mc_kernel, pure_state_speed, resolve_metric
 from .models import (
     MODEL_KEYS,
     ClosedQubitParams,
     OpenSystemParams,
     alpha_from_concurrence,
-    amplitude_damping_evolve,
     amplitude_factor,
     amplitude_factor_dot,
     concurrence,
-    local_damping_evolve,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
     open_qubit_trajectory,
@@ -60,9 +56,7 @@ from .speed import (
     rho_dot,
     speed_at,
     speed_curve,
-    speed_spectral_form,
     speeds_at,
-    speedup_measure,
     speedup_measures,
     stencil_step,
     vectorized,
@@ -78,21 +72,15 @@ __all__ = [
     "region_report",
     "speedup_boundaries",
     "speedup_equation",
-    "BoundarySingularityError",
-    "DegenerateSpectrumError",
     "DivergenceError",
     "MetricRejectionError",
     "NumericalFailure",
     "RankIncreaseError",
     "RootBracketError",
-    "EigenSystem",
-    "eigh",
     "eigh_stack",
     "hermitian_check",
-    "hs_inner",
     "tensor",
     "MetricKind",
-    "mc_function",
     "mc_kernel",
     "pure_state_speed",
     "resolve_metric",
@@ -100,11 +88,9 @@ __all__ = [
     "ClosedQubitParams",
     "OpenSystemParams",
     "alpha_from_concurrence",
-    "amplitude_damping_evolve",
     "amplitude_factor",
     "amplitude_factor_dot",
     "concurrence",
-    "local_damping_evolve",
     "markovian_two_qubit_speed",
     "open_qubit_speed_analytic",
     "open_qubit_trajectory",
@@ -123,9 +109,7 @@ __all__ = [
     "rho_dot",
     "speed_at",
     "speed_curve",
-    "speed_spectral_form",
     "speeds_at",
-    "speedup_measure",
     "speedup_measures",
     "stencil_step",
     "vectorized",

@@ -142,7 +142,10 @@ def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, flo
     gamma, kappa = _oscillation_rates(p)
     residual = functools.partial(_speedup_residual, gamma, kappa)
     tau_prime = 2.0 * n * math.pi / kappa
-    low, high = tau_prime, (2.0 * n + 1.0) * math.pi / kappa - _POLE_PAD
+    pole = (2.0 * n + 1.0) * math.pi / kappa
+    # beyond a pole of about 2e6, _POLE_PAD is about one ulp of it: pad by 4
+    # ulps there, so the bracket end never rounds onto the pole
+    low, high = tau_prime, pole - np.maximum(_POLE_PAD, 4.0 * np.spacing(pole))
     g_low, g_high = residual(low), residual(high)
     unbracketed = np.flatnonzero((g_low >= 0.0) | (g_high <= 0.0))
     if unbracketed.size:

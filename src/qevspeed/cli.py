@@ -365,46 +365,40 @@ def run_figure(config: RunConfig) -> TableResult:
         header.append(("gamma0_t", _format_value(spec.fixed_time)))
     header.append(("grid", f"min={lo:.12g} max={hi:.12g} points={points}"))
 
-    if spec.kind == "time_curve":
-        traj = trajectory_from_key(
-            spec.model, alpha=spec.alpha, Gamma_over_gamma0=spec.gamma_ratio,
-            horizon=max(50.0, hi + 1.0),
-        )
-        s0 = traj.speed_at_zero
-        speeds, slopes, failures = speedup_measures(
-            lambda times: speeds_at(traj, times, metric), grid
-        )
-        columns = ["t", "S_over_S0"]
-        values = [grid, speeds / s0]
-        if spec.model == "open-1q":
-            witness_params = OpenSystemParams(alpha=spec.alpha, Gamma=spec.gamma_ratio)
-            columns.append("sqrt_P")
-            values.append(memory_witness(witness_params, grid))
-        columns.append("dS_dt_over_S0")
-        values.append(slopes / s0)
-        return TableResult(header, columns, _rows(*values), _skipped("t", grid, failures))
-
-    if spec.kind == "omega_sweep":
+    if spec.kind == "concurrence_sweep":  # in the Markovian limit, a closed form
         t_fix = spec.fixed_time
+        speeds, slopes, _ = speedup_measures(
+            lambda cs: SpeedBatch(markovian_two_qubit_speed(cs, t_fix)), grid
+        )
+        return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes))
 
-        def speeds_of_omega(omega_ratios: np.ndarray):
-            family = trajectory_from_key(
-                spec.model, alpha=spec.alpha, Gamma_over_gamma0=1.0 / omega_ratios
-            )
-            return speeds_at(family, t_fix, metric)
-
-        speeds, slopes, failures = speedup_measures(speeds_of_omega, grid)
-        band = np.where(grid < 0.5, 1.0, 0.0)
-        rows = _rows(grid, speeds, slopes, band)
-        notes = _skipped("Omega", grid, failures)
-        return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows, notes)
-
-    # concurrence sweep in the Markovian limit, a closed form
-    t_fix = spec.fixed_time
-    speeds, slopes, _ = speedup_measures(
-        lambda cs: SpeedBatch(markovian_two_qubit_speed(cs, t_fix)), grid
+    # time curves and Omega sweeps are the ``detect`` sweeps of their model
+    name = "t" if spec.kind == "time_curve" else "Omega"
+    sweep_config = RunConfig(
+        command="figure",
+        model=spec.model,
+        alpha=spec.alpha,
+        gamma_ratio=spec.gamma_ratio,
+        markovian_limit=spec.markovian_limit,
+        # a time sweep's horizon is max(50, time): it covers the grid
+        time=hi if spec.fixed_time is None else spec.fixed_time,
     )
-    return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes))
+    evaluate, _ = _sweep_evaluator(sweep_config, name, metric)
+    speeds, slopes, failures = speedup_measures(evaluate, grid)
+    notes = _skipped(name, grid, failures)
+    if name == "Omega":
+        rows = _rows(grid, speeds, slopes, np.where(grid < 0.5, 1.0, 0.0))
+        return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows, notes)
+    s0 = float(evaluate(0.0).speeds)  # the trajectory's t = 0 limit
+    columns = ["t", "S_over_S0"]
+    values = [grid, speeds / s0]
+    if spec.model == "open-1q":
+        witness_params = OpenSystemParams(alpha=spec.alpha, Gamma=spec.gamma_ratio)
+        columns.append("sqrt_P")
+        values.append(memory_witness(witness_params, grid))
+    columns.append("dS_dt_over_S0")
+    values.append(slopes / s0)
+    return TableResult(header, columns, _rows(*values), notes)
 
 
 def _rows(*columns: np.ndarray) -> np.ndarray:

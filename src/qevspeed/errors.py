@@ -28,15 +28,6 @@ class RankIncreaseError(NumericalFailure):
         )
 
 
-class DegenerateSpectrumError(NumericalFailure):
-    """Eigenvalue degeneracy makes eigenvector derivatives ill-defined.
-
-    Raised by the spectral-derivative form of the speed; the direct
-    Morozova-Chentsov sum remains valid at degeneracies and should be used
-    instead.
-    """
-
-
 class RootBracketError(NumericalFailure):
     """Root finding failed: no sign change on the bracket, or no convergence."""
 
@@ -47,7 +38,3 @@ class DivergenceError(NumericalFailure):
 
 class MetricRejectionError(ValueError):
     """The requested metric cannot be used (no continuous boundary extension)."""
-
-
-class BoundarySingularityError(ValueError):
-    """Metric kernel evaluated at the singular boundary point x = y = 0."""

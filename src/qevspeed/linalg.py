@@ -8,8 +8,6 @@ determinism win over asymptotic performance. Matrices are plain complex
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EigenSolverError
@@ -18,13 +16,7 @@ from .errors import EigenSolverError
 # and exactly Hermitian up to rounding, so this can be tight.
 HERM_TOL = 1e-10
 
-# Eigenvalues closer than this are flagged degenerate; consumers that need
-# eigenvector derivatives must check the flag.
-EIG_DEGENERACY_TOL = 1e-9
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def hermitian_deviation(matrix: np.ndarray) -> float:
@@ -43,64 +35,13 @@ def hermitian_check(matrix: np.ndarray, tol: float = HERM_TOL) -> bool:
     return hermitian_deviation(m) <= tol
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are ascending; column ``k`` of ``eigenvectors`` pairs with
-    ``eigenvalues[k]``. Each eigenvector carries a fixed gauge: its
-    largest-magnitude component is real and positive, which keeps
-    finite-difference eigenvector derivatives well-defined away from
-    degeneracies. ``degenerate`` is set when any eigenvalue gap is below
-    ``EIG_DEGENERACY_TOL``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    degenerate: bool
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
-    out = np.array(vectors, dtype=complex, copy=True)
-    for k in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, k])))
-        pivot = out[idx, k]
-        out[:, k] *= abs(pivot) / pivot
-    return out
-
-
-def eigh(matrix: np.ndarray, tol: float = HERM_TOL) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix with a deterministic gauge.
-
-    Raises ``ValueError`` for non-Hermitian input and ``EigenSolverError``
-    when the underlying solver fails to converge.
-    """
-    m = np.asarray(matrix, dtype=complex)
-    if not hermitian_check(m, tol):
-        raise ValueError(
-            f"matrix is not Hermitian within {tol:.1e} "
-            f"(deviation {hermitian_deviation(m):.3e})"
-        )
-    try:
-        values, vectors = np.linalg.eigh(m)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
-    degenerate = bool(values.size > 1 and np.min(np.diff(values)) < EIG_DEGENERACY_TOL)
-    return EigenSystem(values, _fix_phases(vectors), degenerate)
-
-
 def eigh_stack(matrices: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a stack of Hermitian
     matrices, shape (N, d, d), in one LAPACK call.
 
-    Unlike ``eigh`` no gauge is fixed: callers that only use the projectors
-    (such as the speed kernel sum) do not need one. Raises ``ValueError``
-    for non-finite or non-Hermitian input and ``EigenSolverError`` when the
-    solver fails to converge.
+    No gauge is fixed: the speed kernel sum only uses the projectors. Raises
+    ``ValueError`` for non-finite or non-Hermitian input and
+    ``EigenSolverError`` when the solver fails to converge.
     """
     m = np.asarray(matrices, dtype=complex)
     if not np.isfinite(m).all():
@@ -116,15 +57,6 @@ def eigh_stack(matrices: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray,
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
-
-
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product trace(adjoint(a) @ b)."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,9 +21,11 @@ import math
 
 import numpy as np
 
-from .errors import BoundarySingularityError, MetricRejectionError
+from .errors import MetricRejectionError
 
-# A state is treated as pure when its second-largest eigenvalue is below this.
+# A state is treated as pure when its second-largest eigenvalue is below this:
+# about 1e4 times eigh's eigenvalue rounding on a unit-trace state, and the
+# same cut as speed.RANK_TOL, below which the kernel sum drops a pair.
 PURE_STATE_TOL = 1e-12
 
 _NORM_TOL = 1e-10
@@ -78,21 +80,6 @@ def mc_kernel(kind: MetricKind, x, y, where=True) -> np.ndarray:
         return 2.0 / np.where(where, np.add(x, y), np.inf)
     root = np.where(where, np.sqrt(x) + np.sqrt(y), np.inf)
     return 4.0 / (root * root)
-
-
-def mc_function(kind: MetricKind, x: float, y: float) -> float:
-    """Symmetric metric kernel c(x, y) on one eigenvalue pair.
-
-    Requires x, y >= 0 with x + y > 0.
-    """
-    if x < 0.0 or y < 0.0:
-        raise ValueError(f"eigenvalues must be nonnegative, got ({x}, {y})")
-    if x + y <= 0.0:
-        raise BoundarySingularityError(
-            "c(x, y) diverges at x = y = 0; filter boundary eigenvalue pairs "
-            "before evaluating the kernel"
-        )
-    return float(mc_kernel(kind, x, y))
 
 
 def pure_state_speed(psi: np.ndarray, psi_dot: np.ndarray, kind: MetricKind):

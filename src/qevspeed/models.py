@@ -289,62 +289,6 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Channels
-
-
-def amplitude_damping_evolve(rho0: np.ndarray, P: float) -> np.ndarray:
-    """Single-qubit amplitude damping at population factor P.
-
-    Maps [[r11, r10], [r01, r00]] to [[r11 P, r10 sqrt(P)],
-    [r01 sqrt(P), 1 - r11 P]]; trace-preserving and completely positive for
-    P in [0, 1].
-    """
-    if not 0.0 <= P <= 1.0:
-        raise ValueError(f"population factor must lie in [0, 1], got {P}")
-    rho = np.asarray(rho0, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 state, got shape {rho.shape}")
-    root = math.sqrt(P)
-    return np.array(
-        [
-            [rho[0, 0] * P, rho[0, 1] * root],
-            [rho[1, 0] * root, 1.0 - rho[0, 0] * P],
-        ],
-        dtype=complex,
-    )
-
-
-def _damping_elements(g: float) -> list[np.ndarray]:
-    """Single-qubit operation elements at coherence amplitude g (P = g^2)."""
-    keep = np.array([[g, 0.0], [0.0, 1.0]], dtype=complex)
-    decay = np.array(
-        [[0.0, 0.0], [math.sqrt(max(1.0 - g * g, 0.0)), 0.0]], dtype=complex
-    )
-    return [keep, decay]
-
-
-def local_damping_evolve(rho0: np.ndarray, P: float, n: int = 1) -> np.ndarray:
-    """Amplitude damping applied locally to each of n qubits (n in {1, 2})."""
-    if n not in (1, 2):
-        raise ValueError(f"local damping supports 1 or 2 qubits, got n = {n}")
-    if not 0.0 <= P <= 1.0:
-        raise ValueError(f"population factor must lie in [0, 1], got {P}")
-    rho = np.asarray(rho0, dtype=complex)
-    expected = 2**n
-    if rho.shape != (expected, expected):
-        raise ValueError(f"expected a {expected}x{expected} state for n = {n}")
-    single = _damping_elements(math.sqrt(P))
-    if n == 1:
-        elements = single
-    else:
-        elements = [tensor(a, b) for a in single for b in single]
-    out = np.zeros_like(rho)
-    for e in elements:
-        out += e @ rho @ e.conj().T
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Trajectories
 #
 # Each model has one array-valued builder: its state and derivative callables
@@ -421,8 +365,9 @@ def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) 
 
     The entries are closed forms in the signed amplitude G_t (one qubit) or
     in P_t = min(G_t^2, 1) (pairs). The pair entries are the local
-    operation elements of ``local_damping_evolve`` multiplied out, in the
-    same order of floating-point operations, so both give the same bits.
+    operation elements {[[sqrt P, 0], [0, 1]], [[0, 0], [sqrt(1 - P), 0]]}
+    of each qubit multiplied out, in the order of floating-point operations
+    of the Kraus sum with ``np.kron``, so both give the same bits.
     """
     if horizon is None:
         horizon = 50.0 / gamma0
@@ -510,8 +455,8 @@ def open_qubit_trajectory(
 
     The state keeps the signed coherence amplitude G_t (the exact reduced
     dynamics), so the trajectory is smooth through the zeros of P_t; the
-    unsigned channel ``amplitude_damping_evolve`` agrees with it wherever
-    G_t >= 0. The speed limit at t = 0, where the evaluation is 0/0, is
+    amplitude-damping channel at P_t, whose coherence factor is sqrt(P_t),
+    agrees with it wherever G_t >= 0. The speed limit at t = 0, where the evaluation is 0/0, is
     alpha^2 sqrt(Gamma gamma0 / 2); in the Markovian limit it diverges.
     """
     return _open_trajectory("1q", p.alpha, p.gamma0, _width(p), horizon)
@@ -525,7 +470,8 @@ def open_two_qubit_trajectory(
     ``kind='aligned'`` starts from alpha|11> + beta|00>; ``kind='anti'`` from
     alpha|10> + beta|01>, whose evolved state P_t|phi0><phi0| +
     (1-P_t)|00><00| has constant eigenvectors and an alpha-independent speed.
-    The states equal ``local_damping_evolve`` of the initial state.
+    The states equal the local amplitude-damping channel applied to each
+    qubit of the initial state.
     """
     if kind not in ("aligned", "anti"):
         raise ValueError(f"kind must be 'aligned' or 'anti', got '{kind}'")

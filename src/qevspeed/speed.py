@@ -4,16 +4,11 @@ The speed at time t is
 
     S = (1/2) * sqrt( sum_{k,l} c(p_k, p_l) |<Phi_k| drho/dt |Phi_l>|^2 )
 
-over the eigensystem {p_k, Phi_k} of rho_t, with c the metric kernel. An
-equivalent spectral form splits the sum into eigenvalue motion and
-eigenvector rotation,
-
-    S = sqrt( sum_k qdot_k^2
-              + sum_{k != l} c(p_k, p_l) p_k (p_k - p_l)/2 |<Phi_l|Phidot_k>|^2 )
-
-with q_k = sqrt(p_k). Both are provided; the first is the primary path (its
-diagonal kernel c(p, p) = 1/p is continuous through degeneracies), the second
-needs a non-degenerate spectrum and is useful as an independent cross-check.
+over the eigensystem {p_k, Phi_k} of rho_t, with c the metric kernel. The
+sum needs no eigenvector derivatives, so it stays valid through
+degeneracies (its diagonal kernel is c(p, p) = 1/p). The test suite checks
+it against the spectral form built from eigenvalue and eigenvector
+derivatives.
 
 The kernel sum is evaluated in batches: ``speeds_at`` takes an array of
 times (and a model family built on arrays of parameters), builds all states
@@ -30,8 +25,8 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateSpectrumError, NumericalFailure, RankIncreaseError
-from .metrics import PURE_STATE_TOL, MetricKind, mc_function, mc_kernel, pure_state_speed
+from .errors import NumericalFailure, RankIncreaseError
+from .metrics import PURE_STATE_TOL, MetricKind, mc_kernel, pure_state_speed
 
 # Eigenvalue-pair sums below RANK_TOL are boundary terms: dropped when the
 # corresponding derivative element is below ELEM_TOL, an error otherwise
@@ -267,108 +262,15 @@ def speed_at(
     return float(result.speeds.reshape(-1)[0])
 
 
-def speed_spectral_form(
-    traj: Trajectory,
-    t: float,
-    metric: MetricKind = MetricKind.SLD,
-    step: float = DEFAULT_TIME_STEP,
-) -> float:
-    """Speed from eigenvalue/eigenvector derivatives (non-degenerate spectra).
-
-    Eigen-derivatives come from phase-aligned central differences of the
-    eigensystems at t -/+ step. Eigenvalues below ``RANK_TOL`` are inert: their
-    sum terms vanish identically, so they are excluded rather than estimated
-    from finite-difference noise. Degeneracy among the remaining eigenvalues
-    raises ``DegenerateSpectrumError`` (use ``speed_at`` there instead).
-    """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    if t - step < 0.0 or t + step > traj.horizon:
-        raise ValueError(
-            f"t = {t} leaves no room for the central-difference stencil "
-            f"of half-width {step}"
-        )
-    center = linalg.eigh(np.asarray(traj.state_at(t), dtype=complex))
-    minus = linalg.eigh(np.asarray(traj.state_at(t - step), dtype=complex))
-    plus = linalg.eigh(np.asarray(traj.state_at(t + step), dtype=complex))
-
-    p = np.clip(center.eigenvalues, 0.0, None)
-    active = np.flatnonzero(center.eigenvalues >= RANK_TOL)
-    act_vals = center.eigenvalues[active]
-    if act_vals.size > 1 and np.min(np.diff(act_vals)) < linalg.EIG_DEGENERACY_TOL:
-        raise DegenerateSpectrumError(
-            f"eigenvalues degenerate within {linalg.EIG_DEGENERACY_TOL:.1e} at "
-            f"t = {t:.6g}; the Morozova-Chentsov sum (speed_at) is valid there"
-        )
-
-    base = center.eigenvectors
-
-    def aligned(system: linalg.EigenSystem) -> np.ndarray:
-        vectors = np.array(system.eigenvectors, copy=True)
-        for k in active:
-            z = np.vdot(base[:, k], vectors[:, k])
-            if abs(z) < 0.9:
-                raise DegenerateSpectrumError(
-                    f"eigenvector pairing unstable across the stencil at "
-                    f"t = {t:.6g} (overlap {abs(z):.3f}); likely an eigenvalue "
-                    "crossing within the step"
-                )
-            vectors[:, k] *= z.conjugate() / abs(z)
-        return vectors
-
-    vectors_minus = aligned(minus)
-    vectors_plus = aligned(plus)
-
-    q_minus = np.sqrt(np.clip(minus.eigenvalues, 0.0, None))
-    q_plus = np.sqrt(np.clip(plus.eigenvalues, 0.0, None))
-    q_dot = (q_plus - q_minus) / (2.0 * step)
-    dead = (
-        (center.eigenvalues < RANK_TOL)
-        & (minus.eigenvalues < RANK_TOL)
-        & (plus.eigenvalues < RANK_TOL)
-    )
-    q_dot[dead] = 0.0
-
-    total = float(np.sum(q_dot * q_dot))
-    for k in active:
-        phi_dot = (vectors_plus[:, k] - vectors_minus[:, k]) / (2.0 * step)
-        overlaps = base.conj().T @ phi_dot
-        for l in range(traj.dim):
-            if l == k:
-                continue
-            total += (
-                mc_function(metric, p[k], p[l])
-                * p[k]
-                * (p[k] - p[l])
-                / 2.0
-                * abs(overlaps[l]) ** 2
-            )
-    return math.sqrt(max(total, 0.0))
-
-
-def speedup_measure(
-    speed_of: Callable[[float], float], xi0: float, step: float | None = None
-) -> float:
-    """Central-difference estimate of dS/dxi at xi0.
-
-    A positive value detects dynamical speedup in the swept parameter; any
-    evaluation failure of ``speed_of`` propagates.
-    """
-    if step is None:
-        step = float(stencil_step(xi0))
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    return (speed_of(xi0 + step) - speed_of(xi0 - step)) / (2.0 * step)
-
-
 def stencil_step(xi) -> np.ndarray:
     """Central-difference half-width DEFAULT_TIME_STEP * max(1, |xi|)."""
     return DEFAULT_TIME_STEP * np.maximum(1.0, np.abs(xi))
 
 
 def speedup_measures(evaluate: Callable[[np.ndarray], SpeedBatch], xi) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Speeds and ``speedup_measure`` slopes at every xi from one batch.
+    """Speeds and central-difference slopes dS/dxi at every xi, one batch.
 
+    A positive slope detects dynamical speedup in the swept parameter.
     ``evaluate`` receives the stencil (xi, xi + h, xi - h) stacked as an
     array of shape (3, N) and returns its ``SpeedBatch``. Returns the speeds
     at xi, the slopes dS/dxi and the failures by row; a row with any failed
@@ -403,11 +305,6 @@ def speed_curve(
         raise ValueError("grid must be a 1-d array with at least two points")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("grid must be strictly increasing")
-    if times[0] < 0.0 or times[-1] > traj.horizon:
-        raise ValueError(
-            f"grid [{times[0]}, {times[-1]}] outside trajectory range "
-            f"[0, {traj.horizon}]"
-        )
     result = speeds_at(traj, times, metric)
     speeds = result.speeds
     slopes = np.empty_like(speeds)

@@ -9,14 +9,12 @@ import math
 import numpy as np
 import pytest
 
-from qevspeed.errors import DegenerateSpectrumError
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     ClosedQubitParams,
     OpenSystemParams,
     alpha_from_concurrence,
     concurrence,
-    local_damping_evolve,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
     open_qubit_trajectory,
@@ -30,13 +28,16 @@ from qevspeed.models import (
     two_qubit_closed_trajectory,
 )
 from qevspeed.analysis import memory_boundaries, speedup_boundaries, speedup_equation
-from qevspeed.speed import (
-    speed_at,
-    speed_curve,
+from qevspeed.speed import speed_at, speed_curve
+from util import (
+    DegenerateSpectrumError,
+    conjugate_trajectory,
+    local_damping_evolve,
+    random_unitary,
     speed_spectral_form,
     speedup_measure,
+    without_analytic_derivative,
 )
-from util import conjugate_trajectory, random_unitary, without_analytic_derivative
 
 SLD = MetricKind.SLD
 WY = MetricKind.WY

@@ -21,8 +21,8 @@ from qevspeed.models import (
     population_factor,
     population_factor_dot,
 )
-from qevspeed.speed import speed_at, speedup_measure
-from util import bisect_speedup_end
+from qevspeed.speed import speed_at
+from util import bisect_speedup_end, speedup_measure
 
 MEMORY_PARAMS = OpenSystemParams(alpha=1.0, Gamma=0.1)
 KAPPA = math.sqrt(0.19)
@@ -173,6 +173,19 @@ class TestBatchedBoundaries:
         monkeypatch.setattr(analysis, "_POLE_PAD", 0.99 * math.pi / KAPPA)
         with pytest.raises(RootBracketError, match=r"no sign change .* branch n = 1,"):
             speedup_boundaries(MEMORY_PARAMS, 3)
+
+    @pytest.mark.parametrize("ratio", [1.99999999, 1.9999999999, 1.99999999999])
+    def test_bracket_end_stays_below_far_poles(self, ratio):
+        # near the critical width the poles of branches 172..300 lie beyond
+        # 7e6, where 1e-9 is about one ulp: the bracket end must still sit
+        # below the pole, on the branch it belongs to
+        p = OpenSystemParams(alpha=1.0, Gamma=ratio)
+        _, kappa = analysis._oscillation_rates(p)
+        ends = np.array(speedup_boundaries(p, 300))[:, 1]
+        assert np.abs(speedup_equation(p, ends)).max() <= analysis.ROOT_RESIDUAL_TOL
+        n = np.arange(1, 301)
+        assert np.all((2 * n * math.pi / kappa < ends) & (ends < (2 * n + 1) * math.pi / kappa))
+        assert [bisect_speedup_end(p, k) for k in (1, 172, 300)] == ends[[0, 171, 299]].tolist()
 
 
 class TestRegionReport:

@@ -21,7 +21,6 @@ from qevspeed.models import (
     OpenSystemParams,
     amplitude_factor,
     amplitude_factor_dot,
-    local_damping_evolve,
     open_two_qubit_speed_analytic,
     open_two_qubit_trajectory,
     population_factor,
@@ -34,10 +33,15 @@ from qevspeed.speed import (
     speed_at,
     speed_curve,
     speeds_at,
-    speedup_measure,
     speedup_measures,
 )
-from util import conjugate_trajectory, random_unitary, rank_leaking_trajectory
+from util import (
+    conjugate_trajectory,
+    local_damping_evolve,
+    random_unitary,
+    rank_leaking_trajectory,
+    speedup_measure,
+)
 
 SLD = MetricKind.SLD
 

@@ -8,7 +8,7 @@ import qevspeed.cli as cli
 from qevspeed import analysis
 from qevspeed.analysis import speedup_boundaries
 from qevspeed.errors import RootBracketError
-from qevspeed.models import OpenSystemParams, markovian_two_qubit_speed
+from qevspeed.models import OpenSystemParams, markovian_two_qubit_speed, trajectory_from_key
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -18,6 +18,12 @@ def run_to_file(tmp_path, args, name="out.csv"):
     code = cli.main([*args, "--out", str(path)])
     text = path.read_text() if path.exists() else ""
     return code, text
+
+
+def table(argv):
+    """The ``TableResult`` a command computes, before it is rendered."""
+    config = cli.merge_config(cli.build_parser().parse_args(argv))
+    return cli._RUNNERS[config.command](config)
 
 
 def parse_csv(text):
@@ -169,6 +175,29 @@ class TestFigureCommand:
             assert slope > 0.0
         assert np.all(np.diff(rows[:, 1]) > 0.0)
 
+    def test_omega_sweep_is_the_detect_sweep(self):
+        figure = table(["figure", "fig2b"])
+        detect = table(
+            ["detect", "--model", "open-1q", "--alpha", "1", "--sweep", "Omega:0.02:3:300", "--time", "1"]
+        )
+        assert figure.columns[:3] == detect.columns[:3] == ["Omega", "S", "dS_dOmega"]
+        assert np.array_equal(figure.rows[:, :3], detect.rows[:, :3])
+
+    @pytest.mark.parametrize("figure_id", ["fig1b", "fig3b"])
+    def test_time_curve_is_the_detect_sweep_over_s0(self, figure_id):
+        spec = cli.FIGURES[figure_id]
+        figure = table(["figure", figure_id])
+        detect = table(
+            ["detect", "--model", spec.model, "--alpha", repr(spec.alpha),
+             "--gamma-ratio", repr(spec.gamma_ratio), "--sweep", "t:0.0001:30:400"]
+        )
+        s0 = trajectory_from_key(
+            spec.model, alpha=spec.alpha, Gamma_over_gamma0=spec.gamma_ratio
+        ).speed_at_zero
+        assert np.array_equal(figure.rows[:, 0], detect.rows[:, 0])
+        assert np.array_equal(figure.rows[:, 1], detect.rows[:, 1] / s0)
+        assert np.array_equal(figure.rows[:, -1], detect.rows[:, 2] / s0)
+
     def test_unknown_figure_rejected(self, tmp_path, capsys):
         assert cli.main(["figure", "fig9z"]) == 2
         assert "valid ids" in capsys.readouterr().err
@@ -202,6 +231,15 @@ class TestRegionsCommand:
         assert header["regime"] == "markovian"
         assert rows.size == 0
         assert "no memory or speedup intervals" in text
+
+    def test_far_branches_near_the_critical_width(self, tmp_path):
+        code, text = run_to_file(
+            tmp_path, ["regions", "--gamma-ratio", "1.99999999", "--n-max", "300"]
+        )
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert rows.shape == (300, 5)
+        assert np.abs(rows[:, 4]).max() <= 1e-10
 
     def test_critical_ratio(self, tmp_path):
         code, text = run_to_file(tmp_path, ["regions", "--gamma-ratio", "2"])

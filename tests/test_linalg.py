@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from qevspeed.linalg import (
-    EIG_DEGENERACY_TOL,
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    assert_density,
-    eigh,
-    hermitian_check,
-    hs_inner,
-    tensor,
-)
+from qevspeed.linalg import assert_density, eigh_stack, hermitian_check, tensor
 from util import random_density, random_hermitian
+
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+def eigh(matrix):
+    """``eigh_stack`` on one matrix: its eigenvalues and eigenvectors."""
+    values, vectors = eigh_stack(np.asarray(matrix)[None])
+    return values[0], vectors[0]
 
 
 class TestHermitianCheck:
@@ -44,86 +43,45 @@ class TestHermitianCheck:
 
 class TestEigh:
     def test_identity(self):
-        system = eigh(np.eye(2, dtype=complex))
-        np.testing.assert_allclose(system.eigenvalues, [1.0, 1.0])
-        assert system.degenerate
+        values, _ = eigh(np.eye(2, dtype=complex))
+        np.testing.assert_allclose(values, [1.0, 1.0])
 
     def test_diagonal(self):
-        system = eigh(np.diag([0.3, 0.7]).astype(complex))
-        np.testing.assert_allclose(system.eigenvalues, [0.3, 0.7])
-        np.testing.assert_allclose(np.abs(system.eigenvectors), np.eye(2), atol=1e-14)
-        assert not system.degenerate
+        values, vectors = eigh(np.diag([0.3, 0.7]).astype(complex))
+        np.testing.assert_allclose(values, [0.3, 0.7])
+        np.testing.assert_allclose(np.abs(vectors), np.eye(2), atol=1e-14)
 
     def test_bloch_x_state(self):
         # (I + r sx)/2 has eigenvalues (1 -/+ r)/2
-        rho = 0.5 * (np.eye(2) + 0.6 * PAULI_X)
-        system = eigh(rho)
-        np.testing.assert_allclose(system.eigenvalues, [0.2, 0.8], atol=1e-14)
+        values, _ = eigh(0.5 * (np.eye(2) + 0.6 * PAULI_X))
+        np.testing.assert_allclose(values, [0.2, 0.8], atol=1e-14)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             eigh(np.array([[0.0, 1.0], [0.0, 0.0]], complex))
-
-    def test_degeneracy_flag_threshold(self):
-        assert eigh(np.diag([0.5, 0.5 + 0.5 * EIG_DEGENERACY_TOL]).astype(complex)).degenerate
-        assert not eigh(np.diag([0.3, 0.7]).astype(complex)).degenerate
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_reconstruction_and_orthonormality(self, dim):
         rng = np.random.default_rng(7)
         for _ in range(500):
             m = random_hermitian(rng, dim)
-            system = eigh(m)
-            rebuilt = (system.eigenvectors * system.eigenvalues) @ system.eigenvectors.conj().T
+            values, vectors = eigh(m)
+            rebuilt = (vectors * values) @ vectors.conj().T
             assert np.linalg.norm(rebuilt - m) <= 1e-12 * dim * max(
                 1.0, np.linalg.norm(m)
             )
-            gram = system.eigenvectors.conj().T @ system.eigenvectors
+            gram = vectors.conj().T @ vectors
             assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
-            assert np.all(np.diff(system.eigenvalues) >= 0.0)
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_phase_convention(self, dim):
-        rng = np.random.default_rng(11)
-        for _ in range(200):
-            system = eigh(random_hermitian(rng, dim))
-            for k in range(dim):
-                column = system.eigenvectors[:, k]
-                pivot = column[int(np.argmax(np.abs(column)))]
-                assert abs(pivot.imag) <= 1e-12
-                assert pivot.real > 0.0
+            assert np.all(np.diff(values) >= 0.0)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_density_eigenvalue_bounds(self, dim):
         rng = np.random.default_rng(13)
         for _ in range(300):
-            system = eigh(random_density(rng, dim))
-            assert system.eigenvalues[0] >= -1e-12
-            assert system.eigenvalues[-1] <= 1.0 + 1e-12
-            assert abs(np.sum(system.eigenvalues) - 1.0) <= 1e-12
-
-
-class TestHsInner:
-    def test_identity(self):
-        assert hs_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-
-    def test_pauli_orthogonality(self):
-        assert hs_inner(PAULI_Z, PAULI_X) == pytest.approx(0.0)
-        assert hs_inner(PAULI_Z, PAULI_Z) == pytest.approx(2.0)
-        assert hs_inner(PAULI_Y, PAULI_Y) == pytest.approx(2.0)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            hs_inner(np.eye(2), np.eye(3))
-
-    def test_self_inner_is_real_nonnegative(self):
-        rng = np.random.default_rng(3)
-        for dim in (2, 4):
-            for _ in range(100):
-                a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-                value = hs_inner(a, a)
-                assert value.imag == pytest.approx(0.0, abs=1e-12)
-                assert value.real >= 0.0
+            values, _ = eigh(random_density(rng, dim))
+            assert values[0] >= -1e-12
+            assert values[-1] <= 1.0 + 1e-12
+            assert abs(np.sum(values) - 1.0) <= 1e-12
 
 
 class TestTensor:

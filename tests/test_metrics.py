@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qevspeed.errors import BoundarySingularityError, MetricRejectionError
-from qevspeed.metrics import MetricKind, mc_function, pure_state_speed, resolve_metric
+from qevspeed.errors import MetricRejectionError
+from qevspeed.metrics import MetricKind, mc_kernel, pure_state_speed, resolve_metric
 
 EIGENVALUE_GRID = np.linspace(0.02, 1.0, 15)
 
@@ -14,16 +14,16 @@ EIGENVALUE_GRID = np.linspace(0.02, 1.0, 15)
 class TestMcFunction:
     def test_sld_diagonal_half(self):
         # c(p, p) = 1/p
-        assert mc_function(MetricKind.SLD, 0.5, 0.5) == pytest.approx(2.0)
+        assert mc_kernel(MetricKind.SLD, 0.5, 0.5) == pytest.approx(2.0)
 
     def test_wy_boundary_value(self):
-        assert mc_function(MetricKind.WY, 1.0, 0.0) == pytest.approx(4.0)
+        assert mc_kernel(MetricKind.WY, 1.0, 0.0) == pytest.approx(4.0)
 
     def test_sld_unit_sum(self):
-        assert mc_function(MetricKind.SLD, 0.2, 0.8) == pytest.approx(2.0)
+        assert mc_kernel(MetricKind.SLD, 0.2, 0.8) == pytest.approx(2.0)
 
     def test_wy_diagonal_quarter(self):
-        assert mc_function(MetricKind.WY, 0.25, 0.25) == pytest.approx(4.0)
+        assert mc_kernel(MetricKind.WY, 0.25, 0.25) == pytest.approx(4.0)
 
     @given(
         st.sampled_from([MetricKind.SLD, MetricKind.WY]),
@@ -31,28 +31,28 @@ class TestMcFunction:
         st.floats(1e-12, 1.0),
     )
     def test_symmetry(self, kind, x, y):
-        assert mc_function(kind, x, y) == mc_function(kind, y, x)
+        assert mc_kernel(kind, x, y) == mc_kernel(kind, y, x)
 
     @given(st.sampled_from([MetricKind.SLD, MetricKind.WY]), st.floats(1e-12, 1.0))
     def test_diagonal_law(self, kind, p):
-        assert abs(mc_function(kind, p, p) * p - 1.0) <= 1e-14
+        assert abs(mc_kernel(kind, p, p) * p - 1.0) <= 1e-14
 
     def test_wy_dominates_sld_off_diagonal(self):
         for x in EIGENVALUE_GRID:
             for y in EIGENVALUE_GRID:
                 if x == y:
                     continue
-                assert mc_function(MetricKind.WY, x, y) >= mc_function(
+                assert mc_kernel(MetricKind.WY, x, y) >= mc_kernel(
                     MetricKind.SLD, x, y
                 )
 
     def test_double_boundary_is_singular(self):
-        with pytest.raises(BoundarySingularityError):
-            mc_function(MetricKind.SLD, 0.0, 0.0)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            mc_function(MetricKind.WY, -0.1, 0.5)
+        # c(x, y) diverges at x = y = 0; a masked pair reads 0 instead
+        with np.errstate(divide="ignore"):
+            assert mc_kernel(MetricKind.SLD, 0.0, 0.0) == math.inf
+            assert mc_kernel(MetricKind.WY, 0.0, 0.0) == math.inf
+        for kind in MetricKind:
+            assert mc_kernel(kind, 0.0, 0.0, where=False) == 0.0
 
 
 class TestResolveMetric:

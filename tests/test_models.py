@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from qevspeed.errors import DivergenceError
-from qevspeed.linalg import eigh
+from qevspeed.linalg import eigh_stack
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     ClosedQubitParams,
     OpenSystemParams,
     alpha_from_concurrence,
-    amplitude_damping_evolve,
     amplitude_factor,
     concurrence,
-    local_damping_evolve,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
     open_qubit_trajectory,
@@ -27,7 +25,7 @@ from qevspeed.models import (
     two_qubit_closed_trajectory,
 )
 from qevspeed.speed import speed_at
-from util import random_density
+from util import local_damping_evolve, random_density
 
 SLD = MetricKind.SLD
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -209,17 +207,17 @@ class TestChannels:
     def test_identity_at_unit_population(self):
         rng = np.random.default_rng(41)
         rho = random_density(rng, 2)
-        np.testing.assert_allclose(amplitude_damping_evolve(rho, 1.0), rho, atol=1e-14)
+        np.testing.assert_allclose(local_damping_evolve(rho, 1.0), rho, atol=1e-14)
 
     def test_excited_state_half_damped(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         np.testing.assert_allclose(
-            amplitude_damping_evolve(rho, 0.5), np.diag([0.5, 0.5]), atol=1e-14
+            local_damping_evolve(rho, 0.5), np.diag([0.5, 0.5]), atol=1e-14
         )
 
     def test_coherence_scales_with_root(self):
         rho = np.array([[0.5, 0.3], [0.3, 0.5]], dtype=complex)
-        evolved = amplitude_damping_evolve(rho, 0.25)
+        evolved = local_damping_evolve(rho, 0.25)
         assert evolved[0, 1] == pytest.approx(0.15, abs=1e-14)
 
     def test_trace_and_positivity_preserved(self):
@@ -227,26 +225,27 @@ class TestChannels:
         for _ in range(1000):
             rho = random_density(rng, 2)
             for pop in np.linspace(0.0, 1.0, 5):
-                evolved = amplitude_damping_evolve(rho, float(pop))
+                evolved = local_damping_evolve(rho, float(pop))
                 assert np.trace(evolved).real == pytest.approx(1.0, abs=1e-14)
                 assert np.linalg.eigvalsh(evolved)[0] >= -1e-12
 
     def test_rejects_population_outside_range(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="0, 1"):
-            amplitude_damping_evolve(rho, 1.5)
+            local_damping_evolve(rho, 1.5)
         with pytest.raises(ValueError, match="0, 1"):
             local_damping_evolve(np.eye(4) / 4, -0.1, n=2)
 
     def test_single_qubit_reduction(self):
+        # [[r11, r10], [r01, r00]] -> [[r11 P, r10 sqrt(P)], [r01 sqrt(P), 1 - r11 P]]
         rng = np.random.default_rng(47)
         rho = random_density(rng, 2)
         for pop in (0.0, 0.3, 0.8, 1.0):
-            np.testing.assert_allclose(
-                local_damping_evolve(rho, pop, n=1),
-                amplitude_damping_evolve(rho, pop),
-                atol=1e-14,
+            root = math.sqrt(pop)
+            expected = np.array(
+                [[rho[0, 0] * pop, rho[0, 1] * root], [rho[1, 0] * root, 1 - rho[0, 0] * pop]]
             )
+            np.testing.assert_allclose(local_damping_evolve(rho, pop, n=1), expected, atol=1e-14)
 
     def test_rejects_three_qubits(self):
         with pytest.raises(ValueError, match="1 or 2"):
@@ -288,8 +287,8 @@ class TestChannels:
         rho0 = np.outer(vec, vec)
         for pop in (0.2, 0.5, 0.9):
             evolved = local_damping_evolve(rho0, pop, n=2)
-            system = eigh(evolved)
-            nonzero = sorted(v for v in system.eigenvalues if v > 1e-12)
+            values = eigh_stack(evolved[None])[0][0]
+            nonzero = sorted(v for v in values if v > 1e-12)
             assert nonzero == pytest.approx(sorted([pop, 1 - pop]), abs=1e-12)
             direct = pop * rho0
             direct[3, 3] += 1 - pop
@@ -346,7 +345,7 @@ class TestOpenTrajectories:
             assert amplitude_factor(params, t) >= 0.0
             np.testing.assert_allclose(
                 traj.state_at(t),
-                amplitude_damping_evolve(rho0, population_factor(params, t)),
+                local_damping_evolve(rho0, population_factor(params, t)),
                 atol=1e-12,
             )
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qevspeed.errors import DegenerateSpectrumError, RankIncreaseError
+from qevspeed.errors import RankIncreaseError
 from qevspeed.metrics import MetricKind, pure_state_speed
 from qevspeed.models import (
     ClosedQubitParams,
@@ -14,15 +14,16 @@ from qevspeed.models import (
     precession_trajectory,
     two_qubit_closed_trajectory,
 )
-from qevspeed.speed import (
-    Trajectory,
-    rho_dot,
-    speed_at,
-    speed_curve,
+from qevspeed.metrics import PURE_STATE_TOL
+from qevspeed.speed import ELEM_TOL, RANK_TOL, Trajectory, kernel_speeds, rho_dot, speed_at, speed_curve
+from util import (
+    DegenerateSpectrumError,
+    conjugate_trajectory,
+    random_unitary,
     speed_spectral_form,
     speedup_measure,
+    without_analytic_derivative,
 )
-from util import conjugate_trajectory, random_unitary, without_analytic_derivative
 
 SLD = MetricKind.SLD
 WY = MetricKind.WY
@@ -160,6 +161,60 @@ class TestSpeedAt:
         )
         with pytest.raises(RankIncreaseError, match="rank"):
             speed_at(traj, 1.0, SLD)
+
+
+class TestTolerances:
+    """Hand-built states on each side of each threshold of ``kernel_speeds``."""
+
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_pure_state_route(self, side):
+        # a diagonal drho on the small eigenvalue is invisible to the
+        # Fubini-Study speed of the top eigenvector; the kernel sum weights it
+        # by c(p, p) = 1/p
+        small = side * PURE_STATE_TOL
+        rho = np.diag([1.0 - small, small]).astype(complex)
+        drho = np.diag([-1e-9, 1e-9]).astype(complex)
+        speed = kernel_speeds(rho[None], drho[None], SLD).speeds[0]
+        if side < 1.0:
+            assert speed == 0.0
+        else:
+            expected = 0.5 * 1e-9 * math.sqrt(1.0 / (1.0 - small) + 1.0 / small)
+            assert speed == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_rank_cut(self, side):
+        # a pair summing to side * RANK_TOL, coupled far above ELEM_TOL: kept
+        # with weight 2 / (x + y) above the cut, a rank increase below it
+        x = 0.5 * RANK_TOL
+        y = (side - 0.5) * RANK_TOL
+        rho = np.diag([x, y, 0.4, 0.6 - x - y]).astype(complex)
+        drho = np.zeros((4, 4), dtype=complex)
+        drho[0, 1] = drho[1, 0] = 1e-3
+        result = kernel_speeds(rho[None], drho[None], SLD, times=np.array([2.5]))
+        if side < 1.0:
+            assert isinstance(result.failures[0], RankIncreaseError)
+            assert result.failures[0].pair == (0, 1)
+            assert math.isnan(result.speeds[0])
+        else:
+            assert not result.failures
+            assert result.speeds[0] == pytest.approx(1e-3 / math.sqrt(x + y), rel=1e-9)
+
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_element_cut(self, side):
+        # a boundary pair (both eigenvalues 0) with a derivative element of
+        # side * ELEM_TOL: dropped below the cut, a rank increase above it
+        rho = np.diag([0.0, 0.0, 0.3, 0.7]).astype(complex)
+        drho = np.diag([0.0, 0.0, -0.01, 0.01]).astype(complex)
+        drho[0, 1] = drho[1, 0] = side * ELEM_TOL
+        result = kernel_speeds(rho[None], drho[None], SLD)
+        if side < 1.0:
+            assert not result.failures
+            assert result.speeds[0] == pytest.approx(
+                0.5 * 0.01 * math.sqrt(1.0 / 0.3 + 1.0 / 0.7), rel=1e-12
+            )
+        else:
+            assert isinstance(result.failures[0], RankIncreaseError)
+            assert math.isnan(result.speeds[0])
 
 
 class TestSpectralForm:

@@ -10,9 +10,14 @@ import numpy as np
 
 from qevspeed import analysis
 from qevspeed.cli import TableResult
-from qevspeed.errors import RootBracketError
+from qevspeed.errors import NumericalFailure, RootBracketError
+from qevspeed.metrics import MetricKind, mc_kernel
 from qevspeed.models import OpenSystemParams
-from qevspeed.speed import Trajectory
+from qevspeed.speed import DEFAULT_TIME_STEP, RANK_TOL, Trajectory, stencil_step
+
+# Eigenvalues closer than this make the spectral form's eigenvector
+# derivatives ill-defined.
+EIG_DEGENERACY_TOL = 1e-9
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -70,12 +75,122 @@ def rank_leaking_trajectory(key: str, **kwargs) -> Trajectory:
     )
 
 
+class DegenerateSpectrumError(NumericalFailure):
+    """Eigenvalue degeneracy makes eigenvector derivatives ill-defined; the
+    kernel sum (``speed_at``) stays valid there."""
+
+
+def speed_spectral_form(
+    traj: Trajectory,
+    t: float,
+    metric: MetricKind = MetricKind.SLD,
+    step: float = DEFAULT_TIME_STEP,
+) -> float:
+    """Reference speed from eigenvalue and eigenvector derivatives,
+    independent of the kernel sum:
+
+        S = sqrt( sum_k qdot_k^2
+                  + sum_{k != l} c(p_k, p_l) p_k (p_k - p_l)/2 |<Phi_l|Phidot_k>|^2 )
+
+    with q_k = sqrt(p_k). The derivatives are central differences of the
+    eigensystems at t -/+ step, each eigenvector phase-aligned with its
+    partner at t. Eigenvalues below ``RANK_TOL`` are inert: their terms
+    vanish identically, so they are excluded rather than estimated from
+    finite-difference noise. Degeneracy among the remaining eigenvalues
+    raises ``DegenerateSpectrumError``.
+    """
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    if t - step < 0.0 or t + step > traj.horizon:
+        raise ValueError(
+            f"t = {t} leaves no room for the central-difference stencil "
+            f"of half-width {step}"
+        )
+    values, base = np.linalg.eigh(np.asarray(traj.state_at(t), dtype=complex))
+    values_minus, minus = np.linalg.eigh(np.asarray(traj.state_at(t - step), dtype=complex))
+    values_plus, plus = np.linalg.eigh(np.asarray(traj.state_at(t + step), dtype=complex))
+
+    p = np.clip(values, 0.0, None)
+    active = np.flatnonzero(values >= RANK_TOL)
+    if active.size > 1 and np.min(np.diff(values[active])) < EIG_DEGENERACY_TOL:
+        raise DegenerateSpectrumError(
+            f"eigenvalues degenerate within {EIG_DEGENERACY_TOL:.1e} at t = {t:.6g}"
+        )
+
+    def aligned(vectors: np.ndarray) -> np.ndarray:
+        vectors = vectors.copy()
+        for k in active:
+            z = np.vdot(base[:, k], vectors[:, k])
+            if abs(z) < 0.9:
+                raise DegenerateSpectrumError(
+                    f"eigenvector pairing unstable across the stencil at "
+                    f"t = {t:.6g} (overlap {abs(z):.3f}); likely an eigenvalue "
+                    "crossing within the step"
+                )
+            vectors[:, k] *= z.conjugate() / abs(z)
+        return vectors
+
+    vectors_minus, vectors_plus = aligned(minus), aligned(plus)
+    q_plus, q_minus = (np.sqrt(np.clip(v, 0.0, None)) for v in (values_plus, values_minus))
+    q_dot = (q_plus - q_minus) / (2.0 * step)
+    q_dot[(values < RANK_TOL) & (values_minus < RANK_TOL) & (values_plus < RANK_TOL)] = 0.0
+
+    total = float(np.sum(q_dot * q_dot))
+    for k in active:
+        overlaps = base.conj().T @ ((vectors_plus[:, k] - vectors_minus[:, k]) / (2.0 * step))
+        for l in range(traj.dim):
+            if l != k:
+                weight = float(mc_kernel(metric, p[k], p[l]))
+                total += weight * p[k] * (p[k] - p[l]) / 2.0 * abs(overlaps[l]) ** 2
+    return math.sqrt(max(total, 0.0))
+
+
+def speedup_measure(speed_of, xi0: float, step: float | None = None) -> float:
+    """Scalar oracle for ``speedup_measures``: the central difference
+    (S(xi0 + h) - S(xi0 - h)) / 2h, h = ``stencil_step(xi0)`` by default."""
+    if step is None:
+        step = float(stencil_step(xi0))
+    if step <= 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    return (speed_of(xi0 + step) - speed_of(xi0 - step)) / (2.0 * step)
+
+
+def _damping_elements(g: float) -> list[np.ndarray]:
+    """Single-qubit operation elements at coherence amplitude g (P = g^2)."""
+    keep = np.array([[g, 0.0], [0.0, 1.0]], dtype=complex)
+    decay = np.array(
+        [[0.0, 0.0], [math.sqrt(max(1.0 - g * g, 0.0)), 0.0]], dtype=complex
+    )
+    return [keep, decay]
+
+
+def local_damping_evolve(rho0: np.ndarray, P: float, n: int = 1) -> np.ndarray:
+    """Oracle for the open-model states: amplitude damping at population
+    factor P applied locally to each of n qubits (n in {1, 2}), as a Kraus
+    sum. The pair builders equal it bit for bit."""
+    if n not in (1, 2):
+        raise ValueError(f"local damping supports 1 or 2 qubits, got n = {n}")
+    if not 0.0 <= P <= 1.0:
+        raise ValueError(f"population factor must lie in [0, 1], got {P}")
+    rho = np.asarray(rho0, dtype=complex)
+    expected = 2**n
+    if rho.shape != (expected, expected):
+        raise ValueError(f"expected a {expected}x{expected} state for n = {n}")
+    single = _damping_elements(math.sqrt(P))
+    elements = single if n == 1 else [np.kron(a, b) for a in single for b in single]
+    out = np.zeros_like(rho)
+    for e in elements:
+        out += e @ rho @ e.conj().T
+    return out
+
+
 def bisect_speedup_end(p: OpenSystemParams, n: int) -> float:
     """Oracle for ``analysis.speedup_boundaries``: the root on branch ``n``,
     bisected one branch at a time on the scalar ``speedup_equation``."""
     _, kappa = analysis._oscillation_rates(p)
     low = 2.0 * n * math.pi / kappa
-    high = (2.0 * n + 1.0) * math.pi / kappa - analysis._POLE_PAD
+    pole = (2.0 * n + 1.0) * math.pi / kappa
+    high = pole - max(analysis._POLE_PAD, 4.0 * math.ulp(pole))
     g_low = analysis.speedup_equation(p, low)
     g_high = analysis.speedup_equation(p, high)
     if g_low >= 0.0 or g_high <= 0.0:
