@@ -59,7 +59,6 @@ from .speed import (
     speeds_at,
     speedup_measures,
     stencil_step,
-    vectorized,
 )
 
 __all__ = [
@@ -112,5 +111,4 @@ __all__ = [
     "speeds_at",
     "speedup_measures",
     "stencil_step",
-    "vectorized",
 ]

@@ -32,8 +32,6 @@ import numpy as np
 from .errors import RootBracketError
 from .models import OpenSystemParams, _libm, population_factor
 
-MARKOVIAN_THRESHOLD = 2.0
-CRITICAL_RATIO_TOL = 1e-12
 ROOT_RESIDUAL_TOL = 1e-10
 _POLE_PAD = 1e-9
 _MAX_BISECTIONS = 200
@@ -56,25 +54,24 @@ class RegionReport:
     n_max: int
 
 
+# The regime of each branch of the amplitude factor: the critical branch
+# is the boundary, the hyperbolic one (Gamma > 2 gamma0) is memoryless.
+_REGIMES = {
+    "markovian": Regime.MARKOVIAN,
+    "hyperbolic": Regime.MARKOVIAN,
+    "critical": Regime.CRITICAL,
+    "oscillatory": Regime.NON_MARKOVIAN,
+}
+
+
 def regime_classify(gamma_ratio: float) -> Regime:
     """Classify the bath by its width ratio Gamma / gamma0.
 
     Above 2 the environment is memoryless (Markovian), below 2 it carries
-    memory; the boundary itself is reported as critical.
+    memory; the boundary itself is reported as critical, within the window
+    that ``OpenSystemParams.branch`` takes as the critical branch.
     """
-    if not gamma_ratio > 0.0:
-        raise ValueError(f"Gamma / gamma0 must be positive, got {gamma_ratio}")
-    if abs(gamma_ratio - MARKOVIAN_THRESHOLD) <= CRITICAL_RATIO_TOL:
-        return Regime.CRITICAL
-    if gamma_ratio > MARKOVIAN_THRESHOLD:
-        return Regime.MARKOVIAN
-    return Regime.NON_MARKOVIAN
-
-
-def _classify_params(p: OpenSystemParams) -> Regime:
-    if p.markovian_limit:
-        return Regime.MARKOVIAN
-    return regime_classify(p.Gamma / p.gamma0)
+    return _REGIMES[OpenSystemParams(Gamma=gamma_ratio).branch()]
 
 
 def memory_witness(p: OpenSystemParams, t):
@@ -87,7 +84,7 @@ def memory_witness(p: OpenSystemParams, t):
 
 def _oscillation_rates(p: OpenSystemParams) -> tuple[float, float]:
     """(Gamma, kappa) in units of gamma0, for the non-Markovian regime only."""
-    regime = _classify_params(p)
+    regime = _REGIMES[p.branch()]
     if regime is not Regime.NON_MARKOVIAN:
         raise ValueError(
             f"memory/speedup boundaries exist only in the non-Markovian regime "
@@ -182,7 +179,7 @@ def region_report(p: OpenSystemParams, n_max: int) -> RegionReport:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    regime = _classify_params(p)
+    regime = _REGIMES[p.branch()]
     if regime is not Regime.NON_MARKOVIAN or n_max == 0:
         return RegionReport(regime, (), (), n_max)
     memory = tuple(memory_boundaries(p, n_max))

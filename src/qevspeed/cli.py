@@ -252,6 +252,11 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(config, attr, flag)
         elif key in file_values:
             setattr(config, attr, file_values[key])
+    for key, kind in _CONFIG_TYPES.items():
+        value = getattr(config, _CONFIG_ATTRS[key])
+        if kind == "a number" and value is not None and not math.isfinite(value):
+            hint = "; for an infinite width use --markovian-limit" if key == "gamma_ratio" else ""
+            raise UsageError(f"{key} must be a finite number, got {value}{hint}")
     if args.command == "figure":
         config.figure_id = args.figure_id
     return config
@@ -268,7 +273,9 @@ def _resolve_metric(config: RunConfig) -> MetricKind:
         raise UsageError(str(exc)) from exc
 
 
-def _build_trajectory(config: RunConfig, **overrides) -> Trajectory:
+def _build_trajectory(config: RunConfig, until: float, **overrides) -> Trajectory:
+    """The configured model, defined at least up to time ``until``: on
+    [0, max(50, until)]."""
     if config.model is None:
         raise UsageError(f"--model is required; valid keys: {', '.join(MODEL_KEYS)}")
     kwargs = dict(
@@ -276,6 +283,7 @@ def _build_trajectory(config: RunConfig, **overrides) -> Trajectory:
         omega=config.omega,
         Gamma_over_gamma0=config.gamma_ratio,
         markovian_limit=config.markovian_limit,
+        horizon=max(50.0, until),
     )
     kwargs.update(overrides)
     try:
@@ -316,7 +324,7 @@ def _skipped(name: str, points: np.ndarray, failures: dict) -> list[str]:
 
 def run_speed(config: RunConfig) -> TableResult:
     metric = _resolve_metric(config)
-    traj = _build_trajectory(config, horizon=max(50.0, config.tmax))
+    traj = _build_trajectory(config, config.tmax)
     grid = _time_grid(config)
     if grid[0] < 0.0:
         raise UsageError("tmin must be nonnegative")
@@ -332,7 +340,7 @@ def run_speed(config: RunConfig) -> TableResult:
     )
     columns = ["t", "S", "dS_dt"]
     values = [grid, curve.speeds, curve.slopes]
-    if traj.speed_at_zero is not None:
+    if traj.speed_at_zero is not None and 0.0 < traj.speed_at_zero < math.inf:
         columns.append("S_over_S0")
         values.append(curve.speeds / traj.speed_at_zero)
     return TableResult(header, columns, _rows(*values), _skipped("t", grid, curve.failures))
@@ -380,7 +388,7 @@ def run_figure(config: RunConfig) -> TableResult:
         alpha=spec.alpha,
         gamma_ratio=spec.gamma_ratio,
         markovian_limit=spec.markovian_limit,
-        # a time sweep's horizon is max(50, time): it covers the grid
+        # the sweep's trajectory reaches ``time``: for a time curve, the grid's end
         time=hi if spec.fixed_time is None else spec.fixed_time,
     )
     evaluate, _ = _sweep_evaluator(sweep_config, name, metric)
@@ -448,6 +456,8 @@ def _parse_sweep(sweep: str | None) -> tuple[str, float, float, int]:
         raise UsageError(f"malformed sweep '{sweep}': {exc}") from exc
     if n < 2:
         raise UsageError(f"sweep needs at least 2 points, got {n}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"sweep bounds must be finite numbers, got [{lo}, {hi}]")
     if not lo < hi:
         raise UsageError(f"sweep min must be below max, got [{lo}, {hi}]")
     return name, lo, hi, n
@@ -466,7 +476,7 @@ def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
     margin = 2e-4  # room for the central-difference probes
 
     if name == "t":
-        traj = _build_trajectory(config, horizon=max(50.0, t_eval))
+        traj = _build_trajectory(config, t_eval)
         return (lambda times: speeds_at(traj, times, metric)), "longitudinal"
 
     if name == "C" and config.model not in (
@@ -486,7 +496,7 @@ def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
                 f"[{margin}, {1 - margin}]",
             )
             alphas = values if name == "alpha" else alpha_from_concurrence(values)
-            return speeds_at(_build_trajectory(config, alpha=alphas), t_eval, metric)
+            return speeds_at(_build_trajectory(config, t_eval, alpha=alphas), t_eval, metric)
 
         return evaluate, "transverse"
 
@@ -501,7 +511,7 @@ def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
     def evaluate(values: np.ndarray):
         _inside(values, values > 0.0, f"{label} must stay positive, got {{:.6g}}")
         ratios = 1.0 / values if name == "Omega" else values
-        return speeds_at(_build_trajectory(config, Gamma_over_gamma0=ratios), t_eval, metric)
+        return speeds_at(_build_trajectory(config, t_eval, Gamma_over_gamma0=ratios), t_eval, metric)
 
     return evaluate, "transverse"
 
@@ -528,7 +538,7 @@ def run_detect(config: RunConfig) -> TableResult:
 
     speeds, slopes, failures = speedup_measures(evaluate, grid)
     flags = np.where(slopes > SLOPE_NOISE_TOL * np.abs(speeds), 1.0, 0.0)
-    flags[list(failures)] = math.nan
+    flags[np.isnan(slopes)] = math.nan  # failed rows, and divergent speeds
     rows = _rows(grid, speeds, slopes, flags)
     return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], rows, _skipped(name, grid, failures))
 

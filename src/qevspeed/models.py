@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .linalg import PAULI_Y, assert_density, tensor
-from .speed import Trajectory, vectorized
+from .speed import Trajectory
 
 # Width of the window around Gamma = 2 gamma0 treated as the degenerate
 # (kappa = 0) branch, measured on kappa in units of gamma0.
@@ -321,12 +321,10 @@ def _closed_trajectory(kind: str, a, b, w: float, horizon: float) -> Trajectory:
         dv[..., 0], dv[..., last] = -spin * w * a * phase, spin * w * b / phase
         return v, dv
 
-    @vectorized
     def state(t) -> np.ndarray:
         v, _ = vectors(t)
         return _outer(v, v)
 
-    @vectorized
     def derivative(t) -> np.ndarray:
         v, dv = vectors(t)
         return _outer(dv, v) + _outer(v, dv)
@@ -377,7 +375,6 @@ def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) 
     def shape_of(g) -> tuple[int, ...]:
         return np.shape(g) if np.ndim(a) == 0 else np.broadcast_shapes(np.shape(g), np.shape(a))
 
-    @vectorized
     def state(t) -> np.ndarray:
         g, _ = _amplitudes(t, Gamma, gamma0)
         out = np.zeros(shape_of(g) + (dim, dim), dtype=complex)
@@ -402,7 +399,6 @@ def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) 
             out[..., 3, 3] = decay * (b * b) * decay + decay * (a * a) * decay
         return out
 
-    @vectorized
     def derivative(t) -> np.ndarray:
         g, dg = _amplitudes(t, Gamma, gamma0)
         out = np.zeros(shape_of(g) + (dim, dim), dtype=complex)
@@ -427,16 +423,16 @@ def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) 
     record = {"alpha": a, "gamma0": gamma0}
     if np.isinf(Gamma).all():
         record["markovian_limit"] = 1.0
-        limit = None
     else:
         record["Gamma_over_gamma0"] = Gamma / gamma0
-        if kind == "1q":
-            limit = a * a * np.sqrt(0.5 * Gamma * gamma0)
-        elif kind == "aligned":
-            limit = a * np.sqrt(Gamma * gamma0)
-        else:
-            limit = np.sqrt(0.5 * Gamma * gamma0)
-        limit = _scalar_or_array(np.broadcast_to(limit, np.broadcast_shapes(np.shape(a), np.shape(Gamma))))
+    # The speed at t = 0, where the kernel sum is 0/0: the amplitude scale
+    # times a rate that diverges in the Markovian limit. A zero scale is a
+    # state at rest, whose limit is 0 at every width.
+    scale = {"1q": a * a, "aligned": a, "anti": 1.0}[kind]
+    rate = np.sqrt((1.0 if kind == "aligned" else 0.5) * Gamma * gamma0)
+    with np.errstate(invalid="ignore"):  # 0 * inf
+        limit = np.where(scale == 0.0, 0.0, scale * rate)
+    limit = _scalar_or_array(np.broadcast_to(limit, np.broadcast_shapes(np.shape(a), np.shape(Gamma))))
     return Trajectory(
         dim=dim,
         horizon=horizon,
@@ -444,7 +440,6 @@ def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) 
         derivative_at=derivative,
         params=record,
         speed_at_zero=limit,
-        boundary_at_zero=True,
     )
 
 

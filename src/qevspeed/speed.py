@@ -34,50 +34,34 @@ from .metrics import PURE_STATE_TOL, MetricKind, mc_kernel, pure_state_speed
 RANK_TOL = 1e-12
 ELEM_TOL = 1e-8
 
-# Default central-difference step for time derivatives; parameter derivatives
-# scale it by max(1, |xi|).
+# Half-width of the slope stencil per unit max(1, |xi|) (``stencil_step``).
+# The truncation error of a central difference grows as h^2 and its rounding
+# error as eps/h; they balance near eps^(1/3), about 6e-6.
 DEFAULT_TIME_STEP = 1e-5
-
-# Trajectories that start on the state-space boundary with a divergent or
-# undefined speed at t = 0 are evaluated at this clamped time instead.
-ZERO_TIME_CLAMP = 1e-8
-
-
-def vectorized(func: Callable) -> Callable:
-    """Mark a state or derivative callable as array-valued.
-
-    A marked callable also accepts an array of times and returns the
-    matrices stacked along the leading axes. The mark is a function
-    attribute, so wrappers made with ``functools.wraps`` keep it; any other
-    replacement of ``state_at`` is evaluated one time at a time.
-    """
-    func.vectorized = True
-    return func
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """A differentiable curve t -> rho_t of density operators on [0, horizon].
 
-    ``state_at`` must return a Hermitian, trace-one, positive-semidefinite
-    matrix of size ``dim`` for every t in range. ``derivative_at`` is the
-    analytic time derivative when available; otherwise central differences of
-    ``state_at`` are used. Callables marked with ``vectorized`` also take
-    arrays of times; the built-in models mark theirs, and may carry arrays
-    of parameters (a family of curves evaluated together). ``params``
-    records the numbers the trajectory was built from. ``speed_at_zero``
-    carries the analytic limit of the speed for trajectories whose t = 0
-    state sits on the manifold boundary (where the naive evaluation is 0/0);
-    ``boundary_at_zero`` marks such trajectories when no finite limit exists.
+    ``state_at`` takes an array of times and returns rho_t at each, stacked
+    along the leading axes: Hermitian, trace-one, positive-semidefinite
+    matrices of size ``dim``. ``derivative_at`` returns their analytic time
+    derivatives, stacked the same way. The built-in models broadcast the
+    times against arrays of parameters (a family of curves evaluated
+    together). ``params`` records the numbers the trajectory was built from.
+    ``speed_at_zero`` is the limit of the speed at t = 0, returned there in
+    place of an evaluation, for trajectories that start on the boundary of
+    the state space (where the kernel sum is 0/0); it is ``inf`` where the
+    speed diverges.
     """
 
     dim: int
     horizon: float
-    state_at: Callable[[float], np.ndarray]
-    derivative_at: Callable[[float], np.ndarray] | None = None
+    state_at: Callable[[np.ndarray], np.ndarray]
+    derivative_at: Callable[[np.ndarray], np.ndarray]
     params: dict[str, float] = field(default_factory=dict)
-    speed_at_zero: float | None = None
-    boundary_at_zero: bool = False
+    speed_at_zero: float | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -103,36 +87,10 @@ class SpeedCurve:
     failures: dict[int, NumericalFailure] = field(default_factory=dict)
 
 
-def _stacked(func: Callable, times: np.ndarray, dim: int) -> np.ndarray:
-    """``func`` at every time, stacked; one call when it is vectorized."""
-    if getattr(func, "vectorized", False):
-        return np.asarray(func(times), dtype=complex)
-    out = np.empty(times.shape + (dim, dim), dtype=complex)
-    for index in np.ndindex(times.shape):
-        out[index] = func(float(times[index]))
-    return out
-
-
-def rho_dot(traj: Trajectory, t, step: float = DEFAULT_TIME_STEP) -> np.ndarray:
-    """Time derivative of the state, Hermitian-symmetrized.
-
-    Uses the trajectory's analytic derivative when present, otherwise a
-    central difference with one-sided fallback at the interval endpoints.
-    ``t`` may be an array; the derivatives are then stacked.
-    """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    t = np.asarray(t, dtype=float)
-    if traj.derivative_at is not None:
-        d = _stacked(traj.derivative_at, t, traj.dim)
-    else:
-        forward = t - step < 0.0
-        backward = ~forward & (t + step > traj.horizon)
-        plus = np.where(backward, t, t + step)
-        minus = np.where(forward, t, t - step)
-        width = np.where(forward | backward, step, 2.0 * step)
-        d = _stacked(traj.state_at, plus, traj.dim) - _stacked(traj.state_at, minus, traj.dim)
-        d /= width[..., None, None]
+def rho_dot(traj: Trajectory, t) -> np.ndarray:
+    """The trajectory's time derivative, Hermitian-symmetrized; ``t`` may be
+    an array, and the derivatives are then stacked."""
+    d = np.asarray(traj.derivative_at(np.asarray(t, dtype=float)), dtype=complex)
     return 0.5 * (d + d.conj().swapaxes(-2, -1))
 
 
@@ -205,20 +163,13 @@ def kernel_speeds(
     return SpeedBatch(speeds.reshape(batch), failures)
 
 
-def speeds_at(
-    traj: Trajectory,
-    times,
-    metric: MetricKind = MetricKind.SLD,
-    step: float = DEFAULT_TIME_STEP,
-) -> SpeedBatch:
+def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> SpeedBatch:
     """Speeds along a trajectory at an array of times, in one batch.
 
-    States and derivatives come from one call of each builder when they are
-    vectorized; the kernel sum is ``kernel_speeds``. At t = 0 a trajectory's
-    ``speed_at_zero`` limit is returned, and a boundary trajectory without
-    one is evaluated at ``ZERO_TIME_CLAMP``. Times outside [0, horizon]
-    raise ``ValueError``; a failed point is nan with its error in
-    ``failures``.
+    States and derivatives come from one call of each builder; the kernel
+    sum is ``kernel_speeds``. At t = 0 a trajectory's ``speed_at_zero``
+    limit is returned. Times outside [0, horizon] raise ``ValueError``; a
+    failed point is nan with its error in ``failures``.
     """
     t = np.asarray(times, dtype=float)
     first, last = (float(t), float(t)) if t.ndim == 0 else (t.min(), t.max())
@@ -226,35 +177,26 @@ def speeds_at(
         bad = t[~((t >= 0.0) & (t <= traj.horizon))].flat[0]
         raise ValueError(f"t = {bad} outside trajectory range [0, {traj.horizon}]")
     limit = traj.speed_at_zero
-    clamp = first == 0.0 and (limit is not None or traj.boundary_at_zero)
-    if clamp:
-        if limit is not None and last == 0.0:  # every point takes the limit
-            return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
-        at_zero = t == 0.0
-        t = np.where(at_zero, ZERO_TIME_CLAMP, t)
+    if limit is not None and last == 0.0:  # every point takes the limit
+        return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
     with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
-        rho = _stacked(traj.state_at, t, traj.dim)
-        result = kernel_speeds(rho, rho_dot(traj, t, step), metric, t)
-    if not (clamp and limit is not None):
+        rho = np.asarray(traj.state_at(t), dtype=complex)
+        result = kernel_speeds(rho, rho_dot(traj, t), metric, t)
+    if limit is None or first > 0.0:
         return result
-    at_zero = np.broadcast_to(at_zero, result.speeds.shape)
+    at_zero = np.broadcast_to(t == 0.0, result.speeds.shape)
     speeds = np.where(at_zero, limit, result.speeds)
     failures = {i: e for i, e in result.failures.items() if not at_zero.flat[i]}
     return SpeedBatch(speeds, failures)
 
 
-def speed_at(
-    traj: Trajectory,
-    t: float,
-    metric: MetricKind = MetricKind.SLD,
-    step: float = DEFAULT_TIME_STEP,
-) -> float:
+def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) -> float:
     """Instantaneous speed at one time: the one-point case of ``speeds_at``.
 
     A failed evaluation raises its error (``RankIncreaseError`` when a
     boundary eigenvalue pair carries a non-negligible derivative element).
     """
-    result = speeds_at(traj, t, metric, step)
+    result = speeds_at(traj, t, metric)
     if result.speeds.size != 1:
         raise ValueError("speed_at evaluates one point; use speeds_at for a family")
     if result.failures:
@@ -281,7 +223,8 @@ def speedup_measures(evaluate: Callable[[np.ndarray], SpeedBatch], xi) -> tuple[
     result = evaluate(np.stack([xi, xi + h, xi - h]))
     s = result.speeds
     speeds = s[0].copy()
-    slopes = (s[1] - s[2]) / (2.0 * h)
+    with np.errstate(invalid="ignore"):  # inf - inf: a divergent speed has no slope
+        slopes = (s[1] - s[2]) / (2.0 * h)
     failures = {}
     for index, error in sorted(result.failures.items()):
         failures.setdefault(index % xi.size, error)
@@ -296,9 +239,9 @@ def speed_curve(
     """Sample the speed over a strictly increasing time grid, in one batch.
 
     Slopes are central differences of the sampled speeds (one-sided at the
-    endpoints), so they converge with the grid spacing rather than the
-    internal step size. A failed sample is nan (so are the slopes next to
-    it), with its error in ``failures``.
+    endpoints), so they converge with the grid spacing. A failed sample is
+    nan (so are the slopes next to it), with its error in ``failures``; an
+    infinite t = 0 limit makes the slopes next to it infinite.
     """
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:

@@ -47,6 +47,14 @@ class TestRegimeClassify:
         with pytest.raises(ValueError, match="positive"):
             regime_classify(0.0)
 
+    @pytest.mark.parametrize("ratio", [1.9999999999995, 1.9999999999999996, 2.0000000000005])
+    def test_near_critical_ratio_takes_the_model_branch(self, ratio):
+        # the critical window is the one the amplitude factor uses: a ratio
+        # that the models evaluate on a non-degenerate branch is not critical
+        assert OpenSystemParams(Gamma=ratio).branch() != "critical"
+        expected = Regime.NON_MARKOVIAN if ratio < 2.0 else Regime.MARKOVIAN
+        assert regime_classify(ratio) is expected
+
 
 class TestMemoryWitness:
     def test_starts_at_one(self):
@@ -174,7 +182,9 @@ class TestBatchedBoundaries:
         with pytest.raises(RootBracketError, match=r"no sign change .* branch n = 1,"):
             speedup_boundaries(MEMORY_PARAMS, 3)
 
-    @pytest.mark.parametrize("ratio", [1.99999999, 1.9999999999, 1.99999999999])
+    @pytest.mark.parametrize(
+        "ratio", [1.99999999, 1.9999999999, 1.99999999999, 1.9999999999995, 1.9999999999999996]
+    )
     def test_bracket_end_stays_below_far_poles(self, ratio):
         # near the critical width the poles of branches 172..300 lie beyond
         # 7e6, where 1e-9 is about one ulp: the bracket end must still sit

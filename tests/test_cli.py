@@ -9,6 +9,7 @@ from qevspeed import analysis
 from qevspeed.analysis import speedup_boundaries
 from qevspeed.errors import RootBracketError
 from qevspeed.models import OpenSystemParams, markovian_two_qubit_speed, trajectory_from_key
+from util import leaking_trajectory
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -103,26 +104,12 @@ class TestSpeedCommand:
             assert s == pytest.approx(speed_at(traj, t, MetricKind.SLD), rel=1e-11)
 
     def test_singular_rows_annotated_and_run_continues(self, tmp_path, monkeypatch):
-        from qevspeed.speed import Trajectory
-        import qevspeed.cli as cli_module
-
         # A rank-2 state whose derivative couples its null space near t = 1:
         # the kernel sum fails there with RankIncreaseError.
-        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-
-        def derivative(t):
-            d = np.zeros((4, 4), dtype=complex)
-            if 0.9 < t < 1.1:
-                d[2, 3] = d[3, 2] = 1e-3
-            return d
-
         def leaky(key, **kwargs):
-            return Trajectory(
-                dim=4, horizon=kwargs["horizon"], state_at=lambda t: rho.copy(),
-                derivative_at=derivative,
-            )
+            return leaking_trajectory(0.9, 1.1, kwargs["horizon"])
 
-        monkeypatch.setattr(cli_module, "trajectory_from_key", leaky)
+        monkeypatch.setattr(cli, "trajectory_from_key", leaky)
         code, text = run_to_file(
             tmp_path,
             ["speed", "--model", "closed-1q", "--alpha", "0.6",
@@ -241,6 +228,24 @@ class TestRegionsCommand:
         assert rows.shape == (300, 5)
         assert np.abs(rows[:, 4]).max() <= 1e-10
 
+    @pytest.mark.parametrize(
+        "ratio, regime, count",
+        [
+            ("1.9999999999995", "non_markovian", 300),
+            ("1.9999999999999996", "non_markovian", 300),
+            ("2.0000000000005", "markovian", 0),
+        ],
+    )
+    def test_regime_is_the_branch_speed_evaluates(self, tmp_path, ratio, regime, count):
+        code, text = run_to_file(tmp_path, ["regions", "--gamma-ratio", ratio, "--n-max", "300"])
+        assert code == 0
+        header, _, rows = parse_csv(text)
+        branch = OpenSystemParams(Gamma=float(ratio)).branch()
+        assert header["regime"] == regime == {"oscillatory": "non_markovian"}.get(branch, "markovian")
+        assert len(rows) == count
+        if count:
+            assert np.abs(rows[:, 4]).max() <= 1e-10
+
     def test_critical_ratio(self, tmp_path):
         code, text = run_to_file(tmp_path, ["regions", "--gamma-ratio", "2"])
         assert code == 0
@@ -333,6 +338,29 @@ class TestDetectCommand:
         assert inside[t < 25.0].sum() >= 4 and inside[t > 25.0].any()
         np.testing.assert_array_equal(rows[:, 3], np.where(inside, 1.0, 0.0))
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--model", "closed-1q", "--sweep", "alpha:0.1:0.9:3", "--time", "60"],
+            ["--model", "closed-1q", "--omega", "2", "--sweep", "alpha:0.1:0.9:3", "--time", "30"],
+            ["--model", "open-2q-aligned", "--gamma-ratio", "0.5", "--sweep", "C:0.1:0.9:3", "--time", "60"],
+            ["--model", "open-1q", "--sweep", "Omega:0.5:2:3", "--time", "60"],
+            ["--model", "open-1q", "--sweep", "Gamma_over_gamma0:0.5:2:3", "--time", "60"],
+        ],
+    )
+    def test_transverse_sweep_past_the_default_horizon(self, tmp_path, argv):
+        code, text = run_to_file(tmp_path, ["detect", *argv])
+        assert code == 0
+        _, _, rows = parse_csv(text)
+        assert rows.shape == (3, 4) and np.isfinite(rows).all()
+
+    def test_time_sweep_past_its_horizon_is_rejected(self, capsys):
+        # the horizon of a time sweep is max(50, --time), and --time
+        # defaults to 1
+        argv = ["detect", "--model", "open-1q", "--gamma-ratio", "0.5", "--sweep", "t:1:60:5"]
+        assert cli.main(argv) == 2
+        assert "outside trajectory range [0, 50.0]" in capsys.readouterr().err
+
     def test_unknown_sweep_parameter(self, capsys):
         code = cli.main(
             ["detect", "--model", "open-1q", "--gamma-ratio", "1", "--sweep", "beta:0:1:5"]
@@ -405,6 +433,29 @@ class TestConfigAndOutput:
         if code:
             key = next(iter(values))
             assert f"error: config key '{key}' must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["alpha", "omega", "gamma_ratio", "tmin", "tmax", "time"])
+    def test_non_finite_numbers_rejected(self, tmp_path, capsys, key, value, source):
+        command = ["detect", "--sweep", "alpha:0.1:0.9:3"] if key == "time" else ["speed"]
+        argv = [*command, "--model", "open-1q"]
+        if source == "flag":
+            flag = "--" + key.replace("_", "-")
+            argv += ["--gamma-ratio", "0.5", f"{flag}={value!r}"]
+        else:
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps({"gamma_ratio": 0.5, key: value}))
+            argv += ["--config", str(config)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a finite number, got {value!r}")
+        assert ("--markovian-limit" in err) == (key == "gamma_ratio")
+
+    @pytest.mark.parametrize("sweep", ["alpha:0.1:inf:3", "alpha:-inf:0.5:3", "t:nan:2:3"])
+    def test_non_finite_sweep_bounds_rejected(self, capsys, sweep):
+        assert cli.main(["detect", "--model", "open-1q", "--gamma-ratio", "0.5", "--sweep", sweep]) == 2
+        assert "sweep bounds must be finite numbers" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", [".", "missing/out.csv"])
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys, target):

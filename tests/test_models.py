@@ -538,5 +538,4 @@ class TestTrajectoryRegistry:
 
     def test_markovian_flag(self):
         traj = trajectory_from_key("open-1q", alpha=1.0, markovian_limit=True)
-        assert traj.speed_at_zero is None
-        assert traj.boundary_at_zero
+        assert traj.speed_at_zero == math.inf

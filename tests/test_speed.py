@@ -8,20 +8,34 @@ from qevspeed.metrics import MetricKind, pure_state_speed
 from qevspeed.models import (
     ClosedQubitParams,
     OpenSystemParams,
+    open_qubit_speed_analytic,
     open_qubit_trajectory,
+    open_two_qubit_speed_analytic,
     open_two_qubit_trajectory,
     population_factor,
     precession_trajectory,
     two_qubit_closed_trajectory,
 )
 from qevspeed.metrics import PURE_STATE_TOL
-from qevspeed.speed import ELEM_TOL, RANK_TOL, Trajectory, kernel_speeds, rho_dot, speed_at, speed_curve
+from qevspeed.speed import (
+    ELEM_TOL,
+    RANK_TOL,
+    Trajectory,
+    kernel_speeds,
+    rho_dot,
+    speed_at,
+    speed_curve,
+    speeds_at,
+    speedup_measures,
+)
 from util import (
     DegenerateSpectrumError,
     conjugate_trajectory,
+    leaking_trajectory,
     random_unitary,
     speed_spectral_form,
     speedup_measure,
+    stacked,
     without_analytic_derivative,
 )
 
@@ -31,7 +45,9 @@ WY = MetricKind.WY
 
 def stationary_trajectory() -> Trajectory:
     rho = np.diag([0.3, 0.7]).astype(complex)
-    return Trajectory(dim=2, horizon=10.0, state_at=lambda t: rho.copy())
+    return Trajectory(
+        dim=2, horizon=10.0, state_at=stacked(lambda t: rho), derivative_at=stacked(lambda t: 0.0 * rho)
+    )
 
 
 def diagonal_trajectory() -> Trajectory:
@@ -43,11 +59,14 @@ def diagonal_trajectory() -> Trajectory:
     def state(t):
         return np.diag([p(t), 1.0 - p(t)]).astype(complex)
 
-    return Trajectory(dim=2, horizon=10.0, state_at=state)
+    def derivative(t):
+        return np.diag([0.1 * math.cos(t), -0.1 * math.cos(t)]).astype(complex)
+
+    return Trajectory(dim=2, horizon=10.0, state_at=stacked(state), derivative_at=stacked(derivative))
 
 
 def rotating_mixed_trajectory() -> Trajectory:
-    """Moving eigenvalues and rotating eigenvectors; no analytic derivative."""
+    """Moving eigenvalues and rotating eigenvectors."""
     axis = np.array([0.3, 0.5, 0.8])
     axis /= np.linalg.norm(axis)
     sigma = np.array(
@@ -61,13 +80,21 @@ def rotating_mixed_trajectory() -> Trajectory:
     generator = np.tensordot(axis, sigma, axes=1)
     rate = 0.9
 
-    def state(t):
-        angle = rate * t
-        u = math.cos(angle) * np.eye(2) - 1j * math.sin(angle) * generator
-        d = 0.3 + 0.1 * math.sin(0.7 * t)
-        return u @ np.diag([d, 1.0 - d]).astype(complex) @ u.conj().T
+    def rotation(t):
+        return math.cos(rate * t) * np.eye(2) - 1j * math.sin(rate * t) * generator
 
-    return Trajectory(dim=2, horizon=10.0, state_at=state)
+    def state(t):
+        d = 0.3 + 0.1 * math.sin(0.7 * t)
+        return rotation(t) @ np.diag([d, 1.0 - d]).astype(complex) @ rotation(t).conj().T
+
+    def derivative(t):
+        # d/dt U D U^dagger = -i rate [generator, rho] + U (dD/dt) U^dagger
+        rho = state(t)
+        d_dot = 0.07 * math.cos(0.7 * t)
+        moving = rotation(t) @ np.diag([d_dot, -d_dot]).astype(complex) @ rotation(t).conj().T
+        return -1j * rate * (generator @ rho - rho @ generator) + moving
+
+    return Trajectory(dim=2, horizon=10.0, state_at=stacked(state), derivative_at=stacked(derivative))
 
 
 class TestRhoDot:
@@ -77,11 +104,9 @@ class TestRhoDot:
 
     def test_finite_difference_matches_analytic_closed(self):
         traj = precession_trajectory(ClosedQubitParams.from_alpha(0.6, omega=1.3))
-        numeric = without_analytic_derivative(traj)
+        numeric = without_analytic_derivative(traj, 1e-5)
         for t in (0.3, 1.7, 4.0):
-            np.testing.assert_allclose(
-                rho_dot(numeric, t, 1e-5), rho_dot(traj, t), atol=1e-8
-            )
+            np.testing.assert_allclose(rho_dot(numeric, t), rho_dot(traj, t), atol=1e-8)
 
     def test_open_population_rate(self):
         # d/dt of the excited-population entry equals rho_11(0) * dP/dt
@@ -97,10 +122,10 @@ class TestRhoDot:
 
     def test_endpoints_use_one_sided_differences(self):
         traj = without_analytic_derivative(
-            precession_trajectory(ClosedQubitParams.from_alpha(0.6), horizon=1.0)
+            precession_trajectory(ClosedQubitParams.from_alpha(0.6), horizon=1.0), 1e-6
         )
-        left = rho_dot(traj, 0.0, 1e-6)
-        right = rho_dot(traj, 1.0, 1e-6)
+        left = rho_dot(traj, 0.0)
+        right = rho_dot(traj, 1.0)
         exact = precession_trajectory(ClosedQubitParams.from_alpha(0.6), horizon=1.0)
         np.testing.assert_allclose(left, rho_dot(exact, 0.0), atol=1e-5)
         np.testing.assert_allclose(right, rho_dot(exact, 1.0), atol=1e-5)
@@ -109,10 +134,6 @@ class TestRhoDot:
         traj = rotating_mixed_trajectory()
         d = rho_dot(traj, 1.3)
         np.testing.assert_allclose(d, d.conj().T, atol=1e-14)
-
-    def test_rejects_nonpositive_step(self):
-        with pytest.raises(ValueError, match="positive"):
-            rho_dot(stationary_trajectory(), 1.0, 0.0)
 
 
 class TestSpeedAt:
@@ -150,17 +171,73 @@ class TestSpeedAt:
                 assert speed_at(traj, float(t), SLD) >= 0.0
 
     def test_rank_increase_raises(self):
-        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-        coupling = np.zeros((4, 4), dtype=complex)
-        coupling[2, 3] = coupling[3, 2] = 1e-3
-        traj = Trajectory(
-            dim=4,
-            horizon=10.0,
-            state_at=lambda t: rho.copy(),
-            derivative_at=lambda t: coupling.copy(),
-        )
+        traj = leaking_trajectory(-math.inf, math.inf, horizon=10.0)
         with pytest.raises(RankIncreaseError, match="rank"):
             speed_at(traj, 1.0, SLD)
+
+
+WIDTHS = [{"Gamma": 0.1}, {"Gamma": 2.0}, {"Gamma": 10.0}, {"markovian_limit": True}]
+
+
+class TestZeroTimeLimit:
+    """At t = 0 the open models start on the boundary of the state space and
+    return their ``speed_at_zero`` limit, ``inf`` in the Markovian limit."""
+
+    @pytest.mark.parametrize("bath", WIDTHS)
+    @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
+    def test_equals_closed_form_exactly(self, alpha, bath):
+        p = OpenSystemParams(alpha=alpha, **bath)
+        assert speed_at(open_qubit_trajectory(p), 0.0) == open_qubit_speed_analytic(p, 0.0)
+        pair = open_two_qubit_trajectory(p, "aligned")
+        assert speed_at(pair, 0.0) == open_two_qubit_speed_analytic(p, 0.0)
+
+    @pytest.mark.parametrize("bath", WIDTHS)
+    def test_anti_aligned_pair(self, bath):
+        p = OpenSystemParams(alpha=0.6, **bath)
+        expected = math.inf if p.markovian_limit else math.sqrt(p.Gamma * p.gamma0 / 2.0)
+        assert speed_at(open_two_qubit_trajectory(p, "anti"), 0.0) == expected
+
+    @pytest.mark.parametrize("bath", WIDTHS)
+    @pytest.mark.parametrize("kind", ["1q", "aligned", "anti"])
+    def test_batch_through_zero(self, kind, bath):
+        p = OpenSystemParams(alpha=0.6, **bath)
+        traj = open_qubit_trajectory(p) if kind == "1q" else open_two_qubit_trajectory(p, kind)
+        times = np.array([0.0, 1e-6, 0.5, 3.0])
+        for metric in (SLD, WY):
+            with_zero = speeds_at(traj, times, metric).speeds
+            assert with_zero[0] == traj.speed_at_zero
+            without = speeds_at(traj, times[1:], metric).speeds
+            assert with_zero[1:].tobytes() == without.tobytes()
+
+
+class TestDefaultTimeStep:
+    """The slope stencil's half-width DEFAULT_TIME_STEP against the exact
+    slope of the Markovian qubit with alpha = 1, S = e^{-t/2} / (2 sqrt(1 - e^{-t})),
+    which is dS/dt = -S / (2 (1 - e^{-t}))."""
+
+    TIMES = (0.5, 1.0, 3.0, 8.0)
+    TRAJ = open_qubit_trajectory(OpenSystemParams(alpha=1.0, markovian_limit=True))
+
+    @staticmethod
+    def exact_slope(t):
+        complement = -math.expm1(-t)
+        return -math.exp(-0.5 * t) / (4.0 * complement * math.sqrt(complement))
+
+    def relative_errors(self, slopes):
+        return [abs(slope / self.exact_slope(t) - 1.0) for t, slope in zip(self.TIMES, slopes)]
+
+    def test_default_step_reaches_1e_9(self):
+        _, slopes, failures = speedup_measures(lambda t: speeds_at(self.TRAJ, t), self.TIMES)
+        assert not failures
+        assert max(self.relative_errors(slopes)) <= 1e-9
+
+    def test_longer_and_shorter_steps_miss_1e_9(self):
+        def slopes(step):
+            return [speedup_measure(lambda x: speed_at(self.TRAJ, x), t, step) for t in self.TIMES]
+
+        # truncation error at every t, rounding error at some
+        assert min(self.relative_errors(slopes(1e-3))) > 1e-9
+        assert max(self.relative_errors(slopes(1e-8))) > 1e-9
 
 
 class TestTolerances:

@@ -42,37 +42,66 @@ def conjugate_trajectory(traj: Trajectory, unitary: np.ndarray) -> Trajectory:
     """The trajectory t -> U rho_t U^dagger with everything else carried over."""
     u = np.asarray(unitary, dtype=complex)
     u_dag = u.conj().T
-    state = traj.state_at
-    derivative = traj.derivative_at
+    state, derivative = traj.state_at, traj.derivative_at
     return dataclasses.replace(
         traj,
         state_at=lambda t: u @ state(t) @ u_dag,
-        derivative_at=(
-            None if derivative is None else (lambda t: u @ derivative(t) @ u_dag)
-        ),
+        derivative_at=lambda t: u @ derivative(t) @ u_dag,
     )
 
 
-def without_analytic_derivative(traj: Trajectory) -> Trajectory:
-    return dataclasses.replace(traj, derivative_at=None)
+def stacked(func):
+    """An array-valued trajectory callable from ``func``, which takes one
+    time: its matrices at every time of an array, stacked along its axes."""
+
+    def at(times):
+        times = np.asarray(times, dtype=float)
+        values = [np.asarray(func(float(t)), dtype=complex) for t in times.ravel()]
+        return np.stack(values).reshape(times.shape + values[0].shape)
+
+    return at
+
+
+def without_analytic_derivative(traj: Trajectory, step: float = DEFAULT_TIME_STEP) -> Trajectory:
+    """Oracle for the analytic derivatives: the trajectory with its
+    derivative replaced by central differences of its states, of half-width
+    ``step`` (one-sided at the ends of [0, horizon])."""
+    state = traj.state_at
+
+    def derivative(t):
+        t = np.asarray(t, dtype=float)
+        forward = t - step < 0.0
+        backward = ~forward & (t + step > traj.horizon)
+        plus = np.where(backward, t, t + step)
+        minus = np.where(forward, t, t - step)
+        width = np.where(forward | backward, step, 2.0 * step)
+        return (state(plus) - state(minus)) / width[..., None, None]
+
+    return dataclasses.replace(traj, derivative_at=derivative)
+
+
+def leaking_trajectory(low: float, high: float, horizon: float = 50.0, **fields) -> Trajectory:
+    """A constant rank-2 state whose derivative leaves its support for
+    low < t < high, where every evaluation fails with a
+    ``RankIncreaseError``; ``fields`` are further ``Trajectory`` fields."""
+    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    leak = np.zeros((4, 4), dtype=complex)
+    leak[2, 3] = leak[3, 2] = 1e-3
+
+    def state(t):
+        return np.broadcast_to(rho, np.shape(t) + (4, 4)).copy()
+
+    def derivative(t):
+        inside = (low < np.asarray(t)) & (np.asarray(t) < high)
+        return np.where(inside[..., None, None], leak, 0.0)
+
+    return Trajectory(dim=4, horizon=horizon, state_at=state, derivative_at=derivative, **fields)
 
 
 def rank_leaking_trajectory(key: str, **kwargs) -> Trajectory:
-    """A stand-in for ``trajectory_from_key`` whose derivative leaves the
-    support of its rank-2 state for 1.9 < t < 2.1, where every evaluation
-    fails with a ``RankIncreaseError``."""
-    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-
-    def derivative(t):
-        d = np.zeros((4, 4), dtype=complex)
-        if 1.9 < t < 2.1:
-            d[2, 3] = d[3, 2] = 1e-3
-        return d
-
-    return Trajectory(
-        dim=4, horizon=kwargs.get("horizon") or 50.0, state_at=lambda t: rho.copy(),
-        derivative_at=derivative, speed_at_zero=1.0,
-    )
+    """A stand-in for ``trajectory_from_key`` that leaks for 1.9 < t < 2.1,
+    with a speed limit of 1 at t = 0."""
+    return leaking_trajectory(1.9, 2.1, kwargs.get("horizon") or 50.0, speed_at_zero=1.0)
 
 
 class DegenerateSpectrumError(NumericalFailure):
