@@ -20,7 +20,6 @@ from .analysis import (
     speedup_equation,
 )
 from .errors import (
-    DivergenceError,
     MetricRejectionError,
     NumericalFailure,
     RankIncreaseError,
@@ -71,7 +70,6 @@ __all__ = [
     "region_report",
     "speedup_boundaries",
     "speedup_equation",
-    "DivergenceError",
     "MetricRejectionError",
     "NumericalFailure",
     "RankIncreaseError",

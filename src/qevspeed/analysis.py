@@ -83,15 +83,14 @@ def memory_witness(p: OpenSystemParams, t):
 
 
 def _oscillation_rates(p: OpenSystemParams) -> tuple[float, float]:
-    """(Gamma, kappa) in units of gamma0, for the non-Markovian regime only."""
+    """(Gamma, kappa) for the non-Markovian regime only."""
     regime = _REGIMES[p.branch()]
     if regime is not Regime.NON_MARKOVIAN:
         raise ValueError(
             f"memory/speedup boundaries exist only in the non-Markovian regime "
             f"(Gamma / gamma0 < 2); got the {regime.value} regime"
         )
-    ratio = p.Gamma / p.gamma0
-    return ratio, math.sqrt(2.0 * ratio - ratio * ratio)
+    return p.Gamma, p.kappa
 
 
 def _branches(n_max: int) -> np.ndarray:

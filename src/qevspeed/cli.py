@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import Regime, memory_witness, region_report, speedup_equation
-from .errors import MetricRejectionError, NumericalFailure
+from .errors import NumericalFailure
 from .metrics import MetricKind, resolve_metric
 from .models import (
     MODEL_KEYS,
@@ -266,13 +266,6 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 # Command implementations
 
 
-def _resolve_metric(config: RunConfig) -> MetricKind:
-    try:
-        return resolve_metric(config.metric)
-    except MetricRejectionError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _build_trajectory(config: RunConfig, until: float, **overrides) -> Trajectory:
     """The configured model, defined at least up to time ``until``: on
     [0, max(50, until)]."""
@@ -286,10 +279,7 @@ def _build_trajectory(config: RunConfig, until: float, **overrides) -> Trajector
         horizon=max(50.0, until),
     )
     kwargs.update(overrides)
-    try:
-        return trajectory_from_key(config.model, **kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return trajectory_from_key(config.model, **kwargs)
 
 
 def _open_params(config: RunConfig) -> OpenSystemParams:
@@ -297,10 +287,7 @@ def _open_params(config: RunConfig) -> OpenSystemParams:
         return OpenSystemParams(alpha=config.alpha, markovian_limit=True)
     if config.gamma_ratio is None:
         raise UsageError("open-system analysis needs --gamma-ratio or --markovian-limit")
-    try:
-        return OpenSystemParams(alpha=config.alpha, Gamma=config.gamma_ratio)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return OpenSystemParams(alpha=config.alpha, Gamma=config.gamma_ratio)
 
 
 def _base_header(config: RunConfig) -> list[tuple[str, str]]:
@@ -323,7 +310,7 @@ def _skipped(name: str, points: np.ndarray, failures: dict) -> list[str]:
 
 
 def run_speed(config: RunConfig) -> TableResult:
-    metric = _resolve_metric(config)
+    metric = resolve_metric(config.metric)
     traj = _build_trajectory(config, config.tmax)
     grid = _time_grid(config)
     if grid[0] < 0.0:
@@ -353,8 +340,15 @@ def run_figure(config: RunConfig) -> TableResult:
             f"valid ids: {', '.join(sorted(FIGURES))}"
         )
     spec = FIGURES[config.figure_id]
-    metric = _resolve_metric(config)
+    metric = resolve_metric(config.metric)
     lo, hi, default_points = spec.grid
+    if spec.kind == "concurrence_sweep" and metric is not MetricKind.SLD:
+        raise UsageError(
+            f"figure {spec.figure_id} is the closed-form SLD speed; for the {metric.value} "
+            f"metric run detect --model {spec.model} --markovian-limit "
+            f"--sweep C:{lo:g}:{hi:g}:{default_points} --time {spec.fixed_time:g} "
+            f"--metric {metric.value}"
+        )
     points = default_points if config.points is None else config.points
     if points < 2:
         raise UsageError(f"grid needs at least 2 points, got {points}")
@@ -423,7 +417,7 @@ def run_regions(config: RunConfig) -> TableResult:
     if params.markovian_limit:
         header.append(("markovian_limit", "true"))
     else:
-        header.append(("Gamma_over_gamma0", _format_value(params.Gamma / params.gamma0)))
+        header.append(("Gamma_over_gamma0", _format_value(params.Gamma)))
     header.append(("regime", report.regime.value))
     header.append(("n_max", str(config.n_max)))
 
@@ -517,7 +511,7 @@ def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
 
 
 def run_detect(config: RunConfig) -> TableResult:
-    metric = _resolve_metric(config)
+    metric = resolve_metric(config.metric)
     name, lo, hi, n = _parse_sweep(config.sweep)
     evaluate, classification = _sweep_evaluator(config, name, metric)
     grid = np.linspace(lo, hi, n)

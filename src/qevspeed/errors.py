@@ -32,9 +32,5 @@ class RootBracketError(NumericalFailure):
     """Root finding failed: no sign change on the bracket, or no convergence."""
 
 
-class DivergenceError(NumericalFailure):
-    """The requested quantity is unbounded at the evaluation point."""
-
-
 class MetricRejectionError(ValueError):
     """The requested metric cannot be used (no continuous boundary extension)."""

@@ -35,22 +35,22 @@ def hermitian_check(matrix: np.ndarray, tol: float = HERM_TOL) -> bool:
     return hermitian_deviation(m) <= tol
 
 
-def eigh_stack(matrices: np.ndarray, tol: float = HERM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors of a stack of Hermitian
     matrices, shape (N, d, d), in one LAPACK call.
 
     No gauge is fixed: the speed kernel sum only uses the projectors. Raises
-    ``ValueError`` for non-finite or non-Hermitian input and
-    ``EigenSolverError`` when the solver fails to converge.
+    ``ValueError`` for non-finite input or input more than ``HERM_TOL`` from
+    Hermitian, and ``EigenSolverError`` when the solver fails to converge.
     """
     m = np.asarray(matrices, dtype=complex)
     if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     deviation = np.abs(m - m.conj().swapaxes(-2, -1))
-    if deviation.max() > tol:
+    if deviation.max() > HERM_TOL:
         index, *_ = np.unravel_index(np.argmax(deviation), deviation.shape)
         raise ValueError(
-            f"matrix {index} of the stack is not Hermitian within {tol:.1e} "
+            f"matrix {index} of the stack is not Hermitian within {HERM_TOL:.1e} "
             f"(deviation {deviation.max():.3e})"
         )
     try:

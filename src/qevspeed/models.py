@@ -9,19 +9,19 @@ excited state first, so density matrices read
 and the two-qubit product basis is (|11>, |10>, |01>, |00>).
 
 Closed models: one or two non-interacting spins precessing under
-H = (omega/2) sigma_z per spin. Open models: each qubit couples to its own
-leaky vacuum cavity with a Lorentzian coupling spectrum of width Gamma and
-Markovian-limit rate gamma0. The exact reduced dynamics scales the excited
-population by P_t = G_t^2 and the coherence by G_t, where
+H = (omega/2) sigma_z per spin; times are in units of 1/omega. Open models:
+each qubit couples to its own leaky vacuum cavity with a Lorentzian coupling
+spectrum of width Gamma and Markovian-limit rate gamma0. Their times and
+rates are in units of gamma0: t stands for gamma0 t and Gamma for
+Gamma / gamma0. The exact reduced dynamics scales the excited population by
+P_t = G_t^2 and the coherence by G_t, where
 
     G_t = exp(-Gamma t / 2) [cos(kappa t / 2) + (Gamma/kappa) sin(kappa t / 2)]
 
-with kappa = sqrt(2 gamma0 Gamma - Gamma^2) for Gamma < 2 gamma0 (the
-oscillatory, memory-carrying regime), the analytic continuation with
-hyperbolic functions for Gamma > 2 gamma0, the degenerate form
-exp(-Gamma t / 2)(1 + Gamma t / 2) at kappa = 0, and exp(-gamma0 t / 2) in
-the Markovian limit Gamma -> infinity. Times and rates are dimensionless in
-units of gamma0 (closed models: units of omega) once gamma0 = 1.
+with kappa = sqrt(2 Gamma - Gamma^2) for Gamma < 2 (the oscillatory,
+memory-carrying regime), the analytic continuation with hyperbolic
+functions for Gamma > 2, the degenerate form exp(-Gamma t / 2)(1 + Gamma t / 2)
+at kappa = 0, and exp(-t / 2) in the Markovian limit Gamma -> infinity.
 """
 
 from __future__ import annotations
@@ -31,12 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
 from .linalg import PAULI_Y, assert_density, tensor
 from .speed import Trajectory
 
-# Width of the window around Gamma = 2 gamma0 treated as the degenerate
-# (kappa = 0) branch, measured on kappa in units of gamma0.
+# Width of the window around Gamma = 2 treated as the degenerate (kappa = 0)
+# branch, measured on kappa.
 CRITICAL_KAPPA_TOL = 1e-12
 
 _NORM_TOL = 1e-12
@@ -76,47 +75,41 @@ class ClosedQubitParams:
 
 @dataclass(frozen=True)
 class OpenSystemParams:
-    """Damped-qubit bath parameters.
+    """Damped-qubit bath parameters, in units of gamma0.
 
-    Exactly one of ``Gamma`` (finite spectral width) or ``markovian_limit``
-    must be set. ``alpha`` is the real initial excited amplitude.
+    Exactly one of ``Gamma`` (the finite spectral width Gamma / gamma0) or
+    ``markovian_limit`` (the width taken to infinity) must be set.
+    ``alpha`` is the real initial excited amplitude.
     """
 
     alpha: float = 1.0
-    gamma0: float = 1.0
     Gamma: float | None = None
     markovian_limit: bool = False
 
     def __post_init__(self):
-        if not self.gamma0 > 0.0:
-            raise ValueError(f"gamma0 must be positive, got {self.gamma0}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.markovian_limit == (self.Gamma is not None):
             raise ValueError("set exactly one of Gamma or markovian_limit")
         if self.Gamma is not None and not self.Gamma > 0.0:
             raise ValueError(f"Gamma must be positive, got {self.Gamma}")
-
-    @property
-    def Omega(self) -> float:
-        """Inverse width ratio gamma0 / Gamma (0 in the Markovian limit)."""
-        return 0.0 if self.markovian_limit else self.gamma0 / self.Gamma
+        if self.Gamma == math.inf:
+            raise ValueError("Gamma must be finite; for an infinite width, set markovian_limit")
 
     @property
     def kappa(self) -> float:
-        """|2 gamma0 Gamma - Gamma^2|^(1/2); real oscillation rate when
-        Gamma < 2 gamma0."""
+        """|2 Gamma - Gamma^2|^(1/2); real oscillation rate when Gamma < 2."""
         if self.markovian_limit:
             raise ValueError("kappa is undefined in the Markovian limit")
-        return math.sqrt(abs(2.0 * self.gamma0 * self.Gamma - self.Gamma**2))
+        return math.sqrt(abs(2.0 * self.Gamma - self.Gamma**2))
 
     def branch(self) -> str:
         """One of 'markovian', 'oscillatory', 'critical', 'hyperbolic'."""
         if self.markovian_limit:
             return "markovian"
-        if self.kappa <= CRITICAL_KAPPA_TOL * self.gamma0:
+        if self.kappa <= CRITICAL_KAPPA_TOL:
             return "critical"
-        return "oscillatory" if self.Gamma < 2.0 * self.gamma0 else "hyperbolic"
+        return "oscillatory" if self.Gamma < 2.0 else "hyperbolic"
 
 
 def _check_time(t) -> None:
@@ -150,45 +143,45 @@ def _libm(func):
 _exp, _cos, _sin, _cosh, _sinh = map(_libm, (math.exp, math.cos, math.sin, math.cosh, math.sinh))
 
 
-def _markovian(t, g, k, gamma0):
-    decay = _exp(-0.5 * gamma0 * t)
-    return decay, -0.5 * gamma0 * decay
+def _markovian(t, g, k):
+    decay = _exp(-0.5 * t)
+    return decay, -0.5 * decay
 
 
-def _critical(t, g, k, gamma0):
+def _critical(t, g, k):
     decay = _exp(-0.5 * g * t)
     return decay * (1.0 + 0.5 * g * t), -0.25 * g * g * t * decay
 
 
-def _oscillatory(t, g, k, gamma0):
+def _oscillatory(t, g, k):
     half = 0.5 * k * t
     decay, sine = _exp(-0.5 * g * t), _sin(half)
-    return decay * (_cos(half) + (g / k) * sine), -(gamma0 * g / k) * decay * sine
+    return decay * (_cos(half) + (g / k) * sine), -(g / k) * decay * sine
 
 
-def _hyperbolic(t, g, k, gamma0):
+def _hyperbolic(t, g, k):
     # For small arguments keep cosh/sinh (the split form below cancels badly
     # when Gamma/kappa is huge near the critical point).
     half = 0.5 * k * t
     decay, sinh = _exp(-0.5 * g * t), _sinh(half)
-    return decay * (_cosh(half) + (g / k) * sinh), -(gamma0 * g / k) * decay * sinh
+    return decay * (_cosh(half) + (g / k) * sinh), -(g / k) * decay * sinh
 
 
-def _hyperbolic_split(t, g, k, gamma0):
+def _hyperbolic_split(t, g, k):
     # For large arguments expand into decaying exponentials (kappa < Gamma)
     # to avoid cosh overflow.
     up = _exp(0.5 * (k - g) * t)
     down = _exp(-0.5 * (k + g) * t)
     return (
         0.5 * ((1.0 + g / k) * up + (1.0 - g / k) * down),
-        -(gamma0 * g / (2.0 * k)) * (up - down),
+        -(g / (2.0 * k)) * (up - down),
     )
 
 
 _BRANCHES = (_markovian, _critical, _oscillatory, _hyperbolic, _hyperbolic_split)
 
 
-def _amplitudes(t, Gamma, gamma0: float):
+def _amplitudes(t, Gamma):
     """G_t and dG_t/dt elementwise over broadcast times and widths.
 
     ``Gamma = inf`` is the Markovian limit. Each element takes the branch
@@ -202,22 +195,20 @@ def _amplitudes(t, Gamma, gamma0: float):
         if t < 0.0:
             raise ValueError(f"time must be nonnegative, got {t}")
         if math.isinf(g):
-            return _markovian(t, g, 0.0, gamma0)
-        k = math.sqrt(abs(2.0 * gamma0 * g - g**2))
-        if k <= CRITICAL_KAPPA_TOL * gamma0:
-            return _critical(t, g, k, gamma0)
-        if g < 2.0 * gamma0:
-            return _oscillatory(t, g, k, gamma0)
-        return (_hyperbolic if 0.5 * k * t < 20.0 else _hyperbolic_split)(t, g, k, gamma0)
+            return _markovian(t, g, 0.0)
+        k = math.sqrt(abs(2.0 * g - g**2))
+        if k <= CRITICAL_KAPPA_TOL:
+            return _critical(t, g, k)
+        if g < 2.0:
+            return _oscillatory(t, g, k)
+        return (_hyperbolic if 0.5 * k * t < 20.0 else _hyperbolic_split)(t, g, k)
     _check_time(t)
     t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
     markovian = np.isinf(g)
     finite = np.where(markovian, 0.0, g)
-    k = np.sqrt(np.abs(2.0 * gamma0 * finite - finite**2))
+    k = np.sqrt(np.abs(2.0 * finite - finite**2))
     code = np.where(
-        k <= CRITICAL_KAPPA_TOL * gamma0,
-        1,
-        np.where(finite < 2.0 * gamma0, 2, np.where(0.5 * k * t < 20.0, 3, 4)),
+        k <= CRITICAL_KAPPA_TOL, 1, np.where(finite < 2.0, 2, np.where(0.5 * k * t < 20.0, 3, 4))
     )
     code[markovian] = 0
     value, slope = np.empty(t.shape), np.empty(t.shape)
@@ -225,7 +216,7 @@ def _amplitudes(t, Gamma, gamma0: float):
         for branch, formula in enumerate(_BRANCHES):
             mask = code == branch
             if mask.any():
-                value[mask], slope[mask] = formula(t[mask], g[mask], k[mask], gamma0)
+                value[mask], slope[mask] = formula(t[mask], g[mask], k[mask])
     return value, slope
 
 
@@ -240,12 +231,12 @@ def amplitude_factor(p: OpenSystemParams, t):
     the coherences; the population factor is insensitive to the sign. ``t``
     may be an array.
     """
-    return _scalar_or_array(np.asarray(_amplitudes(t, _width(p), p.gamma0)[0]))
+    return _scalar_or_array(np.asarray(_amplitudes(t, _width(p))[0]))
 
 
 def amplitude_factor_dot(p: OpenSystemParams, t):
     """Closed-form time derivative of the coherence amplitude G_t."""
-    return _scalar_or_array(np.asarray(_amplitudes(t, _width(p), p.gamma0)[1]))
+    return _scalar_or_array(np.asarray(_amplitudes(t, _width(p))[1]))
 
 
 def population_factor(p: OpenSystemParams, t):
@@ -256,7 +247,7 @@ def population_factor(p: OpenSystemParams, t):
 
 def population_factor_dot(p: OpenSystemParams, t):
     """Closed-form dP/dt = 2 G_t dG/dt."""
-    g, dg = _amplitudes(t, _width(p), p.gamma0)
+    g, dg = _amplitudes(t, _width(p))
     return _scalar_or_array(np.asarray(2.0 * g * dg))
 
 
@@ -269,7 +260,7 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
     _check_time(t)
     branch = p.branch()
     if branch == "markovian":
-        return -math.expm1(-p.gamma0 * t)
+        return -math.expm1(-t)
     value = population_factor(p, t)
     if value < 0.5:
         return 1.0 - value
@@ -357,7 +348,7 @@ def two_qubit_closed_trajectory(
     return _closed_trajectory(kind, complex(p.alpha), complex(p.beta), p.omega, horizon)
 
 
-def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) -> Trajectory:
+def _open_trajectory(kind: str, a, Gamma, horizon: float | None) -> Trajectory:
     """Locally damped qubit (``kind='1q'``) or pair from real amplitude ``a``;
     ``a`` and ``Gamma`` broadcast, ``Gamma = inf`` is the Markovian limit.
 
@@ -368,7 +359,7 @@ def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) 
     of the Kraus sum with ``np.kron``, so both give the same bits.
     """
     if horizon is None:
-        horizon = 50.0 / gamma0
+        horizon = 50.0
     b = np.sqrt(1.0 - a * a)
     dim = 2 if kind == "1q" else 4
 
@@ -376,7 +367,7 @@ def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) 
         return np.shape(g) if np.ndim(a) == 0 else np.broadcast_shapes(np.shape(g), np.shape(a))
 
     def state(t) -> np.ndarray:
-        g, _ = _amplitudes(t, Gamma, gamma0)
+        g, _ = _amplitudes(t, Gamma)
         out = np.zeros(shape_of(g) + (dim, dim), dtype=complex)
         if kind == "1q":
             pop = g * g
@@ -400,7 +391,7 @@ def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) 
         return out
 
     def derivative(t) -> np.ndarray:
-        g, dg = _amplitudes(t, Gamma, gamma0)
+        g, dg = _amplitudes(t, Gamma)
         out = np.zeros(shape_of(g) + (dim, dim), dtype=complex)
         dpop = 2.0 * g * dg
         if kind == "1q":
@@ -420,16 +411,17 @@ def _open_trajectory(kind: str, a, gamma0: float, Gamma, horizon: float | None) 
             out[..., 3, 3] = -dpop
         return out
 
-    record = {"alpha": a, "gamma0": gamma0}
+    # "gamma0": 1.0 states the unit of every time and rate
+    record = {"alpha": a, "gamma0": 1.0}
     if np.isinf(Gamma).all():
         record["markovian_limit"] = 1.0
     else:
-        record["Gamma_over_gamma0"] = Gamma / gamma0
+        record["Gamma_over_gamma0"] = Gamma
     # The speed at t = 0, where the kernel sum is 0/0: the amplitude scale
     # times a rate that diverges in the Markovian limit. A zero scale is a
     # state at rest, whose limit is 0 at every width.
     scale = {"1q": a * a, "aligned": a, "anti": 1.0}[kind]
-    rate = np.sqrt((1.0 if kind == "aligned" else 0.5) * Gamma * gamma0)
+    rate = np.sqrt((1.0 if kind == "aligned" else 0.5) * Gamma)
     with np.errstate(invalid="ignore"):  # 0 * inf
         limit = np.where(scale == 0.0, 0.0, scale * rate)
     limit = _scalar_or_array(np.broadcast_to(limit, np.broadcast_shapes(np.shape(a), np.shape(Gamma))))
@@ -452,9 +444,9 @@ def open_qubit_trajectory(
     dynamics), so the trajectory is smooth through the zeros of P_t; the
     amplitude-damping channel at P_t, whose coherence factor is sqrt(P_t),
     agrees with it wherever G_t >= 0. The speed limit at t = 0, where the evaluation is 0/0, is
-    alpha^2 sqrt(Gamma gamma0 / 2); in the Markovian limit it diverges.
+    alpha^2 sqrt(Gamma / 2); in the Markovian limit it diverges.
     """
-    return _open_trajectory("1q", p.alpha, p.gamma0, _width(p), horizon)
+    return _open_trajectory("1q", p.alpha, _width(p), horizon)
 
 
 def open_two_qubit_trajectory(
@@ -470,7 +462,7 @@ def open_two_qubit_trajectory(
     """
     if kind not in ("aligned", "anti"):
         raise ValueError(f"kind must be 'aligned' or 'anti', got '{kind}'")
-    return _open_trajectory(kind, p.alpha, p.gamma0, _width(p), horizon)
+    return _open_trajectory(kind, p.alpha, _width(p), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +475,7 @@ def open_qubit_speed_analytic(p: OpenSystemParams, t: float) -> float:
     Evaluated as alpha |dG/dt| sqrt((1 - (1-alpha^2) P) / (1 - P)), which is
     the standard |dP/dt| form with the removable sqrt(P) singularity
     cancelled, so the zeros of P_t need no special handling. At t = 0 the
-    limit alpha^2 sqrt(Gamma gamma0 / 2) is returned (infinite in the
+    limit alpha^2 sqrt(Gamma / 2) is returned (infinite in the
     Markovian limit).
     """
     _check_time(t)
@@ -493,7 +485,7 @@ def open_qubit_speed_analytic(p: OpenSystemParams, t: float) -> float:
     if t == 0.0:
         if p.markovian_limit:
             return math.inf
-        return a * a * math.sqrt(0.5 * p.Gamma * p.gamma0)
+        return a * a * math.sqrt(0.5 * p.Gamma)
     pop = population_factor(p, t)
     comp = population_complement(p, t)
     dg = amplitude_factor_dot(p, t)
@@ -504,7 +496,7 @@ def open_two_qubit_speed_analytic(p: OpenSystemParams, t: float) -> float:
     """Closed-form speed of the locally damped aligned pair (SLD metric).
 
     Same sqrt(P) cancellation as the single-qubit form; the t = 0 limit is
-    alpha sqrt(Gamma gamma0).
+    alpha sqrt(Gamma).
     """
     _check_time(t)
     a = p.alpha
@@ -513,7 +505,7 @@ def open_two_qubit_speed_analytic(p: OpenSystemParams, t: float) -> float:
     if t == 0.0:
         if p.markovian_limit:
             return math.inf
-        return a * math.sqrt(p.Gamma * p.gamma0)
+        return a * math.sqrt(p.Gamma)
     pop = population_factor(p, t)
     comp = population_complement(p, t)
     dg = amplitude_factor_dot(p, t)
@@ -536,18 +528,14 @@ def markovian_two_qubit_speed(C, t: float):
     parameterized by the initial concurrence C = 2 alpha sqrt(1 - alpha^2).
 
     S = (1/2) sqrt( x P (1 - 2P + 2P^2) / ((1-P) [1 - x P (1-P)]) ) with
-    x = 1 - sqrt(1 - C^2) and P = exp(-t). Diverges at t = 0. ``C`` may be
-    an array.
+    x = 1 - sqrt(1 - C^2) and P = exp(-t). At t = 0 it is inf, like every
+    Markovian-limit speed there, except 0 for the product state C = 0, which
+    is at rest. ``C`` may be an array.
     """
     x = _concurrence_factor(C)
     _check_time(t)
     if t == 0.0:
-        if not (x == 0.0).all():
-            raise DivergenceError(
-                "the Markovian-limit speed is unbounded at t = 0 "
-                "(the spectral width has been taken to infinity)"
-            )
-        return _scalar_or_array(np.zeros_like(x))
+        return _scalar_or_array(np.where(x == 0.0, 0.0, math.inf))
     pop = math.exp(-t)
     comp = -math.expm1(-t)
     numerator = x * pop * (1.0 - 2.0 * pop * comp)
@@ -597,14 +585,14 @@ def trajectory_from_key(
     *,
     alpha=1.0,
     omega: float = 1.0,
-    gamma0: float = 1.0,
     Gamma_over_gamma0=None,
     markovian_limit: bool = False,
     horizon: float | None = None,
 ) -> Trajectory:
     """Build a model trajectory from its string key and real parameters.
 
-    Open models need either ``Gamma_over_gamma0`` or ``markovian_limit``.
+    Open models need either ``Gamma_over_gamma0`` (a finite width) or
+    ``markovian_limit``; their times are in units of gamma0.
     ``alpha`` and ``Gamma_over_gamma0`` may be arrays: the result is then a
     family of trajectories whose states broadcast time against them, for a
     parameter sweep evaluated in one batch.
@@ -630,17 +618,12 @@ def trajectory_from_key(
     widths = (None,) if markovian_limit else _extremes(Gamma_over_gamma0)
     for a in _extremes(alpha):
         for ratio in widths:
-            OpenSystemParams(
-                alpha=a,
-                gamma0=gamma0,
-                Gamma=None if ratio is None else ratio * gamma0,
-                markovian_limit=markovian_limit,
-            )
+            OpenSystemParams(alpha=a, Gamma=ratio, markovian_limit=markovian_limit)
     if markovian_limit:
         Gamma = math.inf
     elif np.ndim(Gamma_over_gamma0):
-        Gamma = np.asarray(Gamma_over_gamma0, dtype=float) * gamma0
+        Gamma = np.asarray(Gamma_over_gamma0, dtype=float)
     else:
-        Gamma = Gamma_over_gamma0 * gamma0
+        Gamma = float(Gamma_over_gamma0)
     kind = "1q" if key == "open-1q" else key.removeprefix("open-2q-")
-    return _open_trajectory(kind, alpha, gamma0, Gamma, horizon)
+    return _open_trajectory(kind, alpha, Gamma, horizon)

@@ -189,6 +189,20 @@ class TestFigureCommand:
         assert cli.main(["figure", "fig9z"]) == 2
         assert "valid ids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("figure_id", ["fig4a", "fig4b"])
+    def test_concurrence_figures_reject_wy(self, figure_id, capsys):
+        # the figure is the closed-form SLD speed; the error names the WY route
+        assert cli.main(["figure", figure_id, "--metric", "wy"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        route = captured.err.partition(" run ")[2].split()
+        assert route[:4] == ["detect", "--model", "open-2q-aligned", "--markovian-limit"]
+        assert route[-2:] == ["--metric", "wy"]
+        assert cli.main(route) == 0
+        header, columns, _ = parse_csv(capsys.readouterr().out)
+        assert header["metric"] == "wy" and columns[0] == "C"
+        assert float(header["gamma0_t"]) == cli.FIGURES[figure_id].fixed_time
+
     def test_default_grid_sizes(self, tmp_path):
         for figure_id, expected in (("fig1a", 400), ("fig2a", 300), ("fig4a", 200)):
             _, text = run_to_file(tmp_path, ["figure", figure_id], f"{figure_id}.csv")

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qevspeed.errors import DivergenceError
 from qevspeed.linalg import eigh_stack
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
@@ -51,16 +50,17 @@ class TestParams:
             OpenSystemParams(alpha=1.2, Gamma=1.0)
 
     def test_kappa_relation_oscillatory(self):
-        # kappa^2 + Gamma^2 = 2 gamma0 Gamma in the oscillatory branch
-        p = OpenSystemParams(alpha=1.0, Gamma=0.7, gamma0=1.3)
+        # kappa^2 + Gamma^2 = 2 Gamma (in units of gamma0) in the oscillatory branch
+        p = OpenSystemParams(alpha=1.0, Gamma=0.7)
         assert p.branch() == "oscillatory"
-        assert p.kappa**2 + p.Gamma**2 == pytest.approx(
-            2 * p.gamma0 * p.Gamma, abs=1e-10
-        )
+        assert p.kappa**2 + p.Gamma**2 == pytest.approx(2 * p.Gamma, abs=1e-10)
 
-    def test_omega_gamma_product(self):
-        p = OpenSystemParams(alpha=0.5, Gamma=2.7, gamma0=0.9)
-        assert p.Omega * p.Gamma == pytest.approx(p.gamma0, abs=1e-12)
+    def test_width_must_be_positive_and_finite(self):
+        with pytest.raises(ValueError, match=r"^Gamma must be positive, got -1\.0$"):
+            OpenSystemParams(Gamma=-1.0)
+        # an infinite width has one spelling, the Markovian-limit flag
+        with pytest.raises(ValueError, match="markovian_limit"):
+            OpenSystemParams(Gamma=math.inf)
 
     def test_branch_selection(self):
         assert OpenSystemParams(Gamma=0.5).branch() == "oscillatory"
@@ -196,7 +196,7 @@ class TestPopulationComplement:
 
     @pytest.mark.parametrize("gamma_ratio", [0.1, 2.0, 7.0])
     def test_accurate_where_subtraction_cancels(self, gamma_ratio):
-        # 1 - P ~ gamma0 Gamma t^2 / 2 as t -> 0
+        # 1 - P ~ Gamma t^2 / 2 as t -> 0 (units of gamma0)
         p = OpenSystemParams(Gamma=gamma_ratio)
         t = 1e-7
         leading = 0.5 * gamma_ratio * t * t
@@ -444,8 +444,12 @@ class TestMarkovianTwoQubitSpeed:
         )
 
     def test_diverges_at_time_zero(self):
-        with pytest.raises(DivergenceError):
-            markovian_two_qubit_speed(0.5, 0.0)
+        # inf like every Markovian-limit speed at t = 0, but 0 for the
+        # product state C = 0, which is at rest
+        assert markovian_two_qubit_speed(0.5, 0.0) == math.inf
+        assert markovian_two_qubit_speed(0.0, 0.0) == 0.0
+        values = markovian_two_qubit_speed(np.array([0.0, 0.5]), 0.0)
+        np.testing.assert_array_equal(values, [0.0, math.inf])
 
     def test_rejects_bad_concurrence(self):
         with pytest.raises(ValueError, match="concurrence"):
@@ -539,3 +543,8 @@ class TestTrajectoryRegistry:
     def test_markovian_flag(self):
         traj = trajectory_from_key("open-1q", alpha=1.0, markovian_limit=True)
         assert traj.speed_at_zero == math.inf
+
+    @pytest.mark.parametrize("width", [math.inf, np.array([0.5, math.inf])])
+    def test_infinite_width_names_the_markovian_flag(self, width):
+        with pytest.raises(ValueError, match="markovian_limit"):
+            trajectory_from_key("open-1q", Gamma_over_gamma0=width)

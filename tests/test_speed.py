@@ -194,7 +194,7 @@ class TestZeroTimeLimit:
     @pytest.mark.parametrize("bath", WIDTHS)
     def test_anti_aligned_pair(self, bath):
         p = OpenSystemParams(alpha=0.6, **bath)
-        expected = math.inf if p.markovian_limit else math.sqrt(p.Gamma * p.gamma0 / 2.0)
+        expected = math.inf if p.markovian_limit else math.sqrt(p.Gamma / 2.0)
         assert speed_at(open_two_qubit_trajectory(p, "anti"), 0.0) == expected
 
     @pytest.mark.parametrize("bath", WIDTHS)
