@@ -29,7 +29,6 @@ from .linalg import eigh_stack, hermitian_check, tensor
 from .metrics import MetricKind, mc_kernel, pure_state_speed, resolve_metric
 from .models import (
     MODEL_KEYS,
-    ClosedQubitParams,
     OpenSystemParams,
     alpha_from_concurrence,
     amplitude_factor,
@@ -37,15 +36,11 @@ from .models import (
     concurrence,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
-    open_qubit_trajectory,
     open_two_qubit_speed_analytic,
-    open_two_qubit_trajectory,
     population_complement,
     population_factor,
     population_factor_dot,
-    precession_trajectory,
     trajectory_from_key,
-    two_qubit_closed_trajectory,
 )
 from .speed import (
     SpeedBatch,
@@ -82,7 +77,6 @@ __all__ = [
     "pure_state_speed",
     "resolve_metric",
     "MODEL_KEYS",
-    "ClosedQubitParams",
     "OpenSystemParams",
     "alpha_from_concurrence",
     "amplitude_factor",
@@ -90,15 +84,11 @@ __all__ = [
     "concurrence",
     "markovian_two_qubit_speed",
     "open_qubit_speed_analytic",
-    "open_qubit_trajectory",
     "open_two_qubit_speed_analytic",
-    "open_two_qubit_trajectory",
     "population_complement",
     "population_factor",
     "population_factor_dot",
-    "precession_trajectory",
     "trajectory_from_key",
-    "two_qubit_closed_trajectory",
     "SpeedBatch",
     "SpeedCurve",
     "Trajectory",

@@ -16,8 +16,9 @@ the transcendental equation
 found by bisection on the tangent branch (2 n pi / kappa, (2n+1) pi / kappa).
 All ``n_max`` branches are bisected together, as arrays: each step halves
 every bracket that is still open, and a branch freezes at the first midpoint
-whose residual is within ROOT_RESIDUAL_TOL - the stopping rule and midpoint
-arithmetic of a one-branch bisection, so the roots agree with it bit for bit.
+whose residual is within ROOT_RESIDUAL_TOL min(1, Gamma), or once its bracket
+is two adjacent floats - the stopping rule and midpoint arithmetic of a
+one-branch bisection, so the roots agree with it bit for bit.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ import numpy as np
 from .errors import RootBracketError
 from .models import OpenSystemParams, _libm, population_factor
 
+# Near a root both terms of the residual are of order Gamma, so below
+# Gamma = 1 the stopping rule is ROOT_RESIDUAL_TOL * Gamma: an absolute 1e-10
+# would stop far from the root at small widths (13% off at Gamma = 1e-12).
 ROOT_RESIDUAL_TOL = 1e-10
 _POLE_PAD = 1e-9
 _MAX_BISECTIONS = 200
@@ -68,8 +72,7 @@ def regime_classify(gamma_ratio: float) -> Regime:
     """Classify the bath by its width ratio Gamma / gamma0.
 
     Above 2 the environment is memoryless (Markovian), below 2 it carries
-    memory; the boundary itself is reported as critical, within the window
-    that ``OpenSystemParams.branch`` takes as the critical branch.
+    memory; the boundary 2 itself is reported as critical.
     """
     return _REGIMES[OpenSystemParams(Gamma=gamma_ratio).branch()]
 
@@ -130,13 +133,15 @@ def speedup_equation(p: OpenSystemParams, t):
 def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, float]]:
     """First ``n_max`` speedup intervals (tau_n', tau_n'') in gamma0*t units.
 
-    Each right endpoint is bisected to |residual| <= ROOT_RESIDUAL_TOL on the
+    Each right endpoint is bisected to |residual| <= ROOT_RESIDUAL_TOL
+    min(1, Gamma), or until its bracket is two adjacent floats, on the
     branch where the tangent rises from zero toward its pole; all branches
     are bisected together.
     """
     n = _branches(n_max)
     gamma, kappa = _oscillation_rates(p)
     residual = functools.partial(_speedup_residual, gamma, kappa)
+    tol = ROOT_RESIDUAL_TOL * min(1.0, gamma)
     tau_prime = 2.0 * n * math.pi / kappa
     pole = (2.0 * n + 1.0) * math.pi / kappa
     # beyond a pole of about 2e6, _POLE_PAD is about one ulp of it: pad by 4
@@ -155,7 +160,9 @@ def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, flo
     for _ in range(_MAX_BISECTIONS):
         mid = 0.5 * (low + high)
         g_mid = residual(mid)
-        done = np.abs(g_mid) <= ROOT_RESIDUAL_TOL
+        # a bracket of two adjacent floats holds the root to the last bit;
+        # on far branches of a small width rounding keeps |g| above tol there
+        done = (np.abs(g_mid) <= tol) | (mid == low) | (mid == high)
         roots[open_[done]] = mid[done]
         to_low = (g_mid < 0.0) == (g_low < 0.0)
         low, g_low = np.where(to_low, mid, low), np.where(to_low, g_mid, g_low)
@@ -165,7 +172,7 @@ def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, flo
         if not open_.size:
             return list(zip(tau_prime.tolist(), roots.tolist()))
     raise RootBracketError(
-        f"bisection failed to reach residual {ROOT_RESIDUAL_TOL:.1e} on "
+        f"bisection failed to reach residual {tol:.1e} on "
         f"branch n = {open_[0] + 1}"
     )
 

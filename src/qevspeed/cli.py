@@ -527,7 +527,7 @@ def run_detect(config: RunConfig) -> TableResult:
         header.append(("markovian_limit", "true"))
     elif config.gamma_ratio is not None and name not in ("Omega", "Gamma_over_gamma0"):
         header.append(("Gamma_over_gamma0", _format_value(config.gamma_ratio)))
-    if name != "alpha":
+    if name not in ("alpha", "C"):  # a C sweep runs at alpha_from_concurrence(C)
         header.append(("alpha", _format_value(config.alpha)))
 
     speeds, slopes, failures = speedup_measures(evaluate, grid)

@@ -34,12 +34,6 @@ import numpy as np
 from .linalg import PAULI_Y, assert_density, tensor
 from .speed import Trajectory
 
-# Width of the window around Gamma = 2 treated as the degenerate (kappa = 0)
-# branch, measured on kappa.
-CRITICAL_KAPPA_TOL = 1e-12
-
-_NORM_TOL = 1e-12
-
 MODEL_KEYS = (
     "closed-1q",
     "closed-2q-aligned",
@@ -48,29 +42,6 @@ MODEL_KEYS = (
     "open-2q-aligned",
     "open-2q-anti",
 )
-
-
-@dataclass(frozen=True)
-class ClosedQubitParams:
-    """Level splitting and initial amplitudes alpha|1> + beta|0> per spin."""
-
-    omega: float
-    alpha: complex
-    beta: complex
-
-    def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(norm - 1.0) > _NORM_TOL:
-            raise ValueError(f"|alpha|^2 + |beta|^2 must be 1, got {norm:.12g}")
-
-    @staticmethod
-    def from_alpha(alpha: float, omega: float = 1.0) -> "ClosedQubitParams":
-        """Real-amplitude parameterization with beta = sqrt(1 - alpha^2)."""
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-        return ClosedQubitParams(omega, alpha, math.sqrt(1.0 - alpha * alpha))
 
 
 @dataclass(frozen=True)
@@ -107,7 +78,7 @@ class OpenSystemParams:
         """One of 'markovian', 'oscillatory', 'critical', 'hyperbolic'."""
         if self.markovian_limit:
             return "markovian"
-        if self.kappa <= CRITICAL_KAPPA_TOL:
+        if self.Gamma == 2.0:
             return "critical"
         return "oscillatory" if self.Gamma < 2.0 else "hyperbolic"
 
@@ -197,7 +168,7 @@ def _amplitudes(t, Gamma):
         if math.isinf(g):
             return _markovian(t, g, 0.0)
         k = math.sqrt(abs(2.0 * g - g**2))
-        if k <= CRITICAL_KAPPA_TOL:
+        if g == 2.0:
             return _critical(t, g, k)
         if g < 2.0:
             return _oscillatory(t, g, k)
@@ -208,7 +179,7 @@ def _amplitudes(t, Gamma):
     finite = np.where(markovian, 0.0, g)
     k = np.sqrt(np.abs(2.0 * finite - finite**2))
     code = np.where(
-        k <= CRITICAL_KAPPA_TOL, 1, np.where(finite < 2.0, 2, np.where(0.5 * k * t < 20.0, 3, 4))
+        finite == 2.0, 1, np.where(finite < 2.0, 2, np.where(0.5 * k * t < 20.0, 3, 4))
     )
     code[markovian] = 0
     value, slope = np.empty(t.shape), np.empty(t.shape)
@@ -292,9 +263,16 @@ def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., :, None] * v[..., None, :].conj()
 
 
-def _closed_trajectory(kind: str, a, b, w: float, horizon: float) -> Trajectory:
-    """Pure precessing states of one qubit (``kind='1q'``) or of the
-    aligned/anti-aligned pair, for amplitudes ``a``, ``b`` that broadcast."""
+def _closed_trajectory(kind: str, a, w: float, horizon: float) -> Trajectory:
+    """Pure precessing states from real amplitude ``a`` (which may be an
+    array) and beta = sqrt(1 - a^2).
+
+    ``kind='1q'``: one spin, alpha e^{-i omega t/2}|1> + beta e^{i omega t/2}|0>.
+    ``kind='aligned'``: two spins from alpha|11> + beta|00>, which accumulates
+    the phases of both. ``kind='anti'``: two spins from alpha|10> + beta|01>,
+    whose components are degenerate in energy, so the state never moves.
+    """
+    b = np.sqrt(1.0 - a * a)
     dim = 2 if kind == "1q" else 4
     last = dim - 1
     spin = 0.5j if kind == "1q" else 1j  # phase rate per unit omega
@@ -329,28 +307,18 @@ def _closed_trajectory(kind: str, a, b, w: float, horizon: float) -> Trajectory:
     )
 
 
-def precession_trajectory(p: ClosedQubitParams, horizon: float = 50.0) -> Trajectory:
-    """Pure-state precession alpha e^{-i omega t/2}|1> + beta e^{i omega t/2}|0>."""
-    return _closed_trajectory("1q", complex(p.alpha), complex(p.beta), p.omega, horizon)
-
-
-def two_qubit_closed_trajectory(
-    p: ClosedQubitParams, kind: str, horizon: float = 50.0
-) -> Trajectory:
-    """Two non-interacting precessing spins.
-
-    ``kind='aligned'`` starts from alpha|11> + beta|00>, which accumulates the
-    phases of both spins; ``kind='anti'`` starts from alpha|10> + beta|01>,
-    whose components are degenerate in energy, so the state never moves.
-    """
-    if kind not in ("aligned", "anti"):
-        raise ValueError(f"kind must be 'aligned' or 'anti', got '{kind}'")
-    return _closed_trajectory(kind, complex(p.alpha), complex(p.beta), p.omega, horizon)
-
-
-def _open_trajectory(kind: str, a, Gamma, horizon: float | None) -> Trajectory:
+def _open_trajectory(kind: str, a, Gamma, horizon: float) -> Trajectory:
     """Locally damped qubit (``kind='1q'``) or pair from real amplitude ``a``;
     ``a`` and ``Gamma`` broadcast, ``Gamma = inf`` is the Markovian limit.
+
+    ``kind='1q'`` starts from alpha|1> + sqrt(1-alpha^2)|0> and keeps the
+    signed coherence amplitude G_t (the exact reduced dynamics), so the
+    trajectory is smooth through the zeros of P_t; the amplitude-damping
+    channel at P_t, whose coherence factor is sqrt(P_t), agrees with it
+    wherever G_t >= 0. ``kind='aligned'`` starts from alpha|11> + beta|00>;
+    ``kind='anti'`` from alpha|10> + beta|01>, whose evolved state
+    P_t|phi0><phi0| + (1-P_t)|00><00| has constant eigenvectors and an
+    alpha-independent speed.
 
     The entries are closed forms in the signed amplitude G_t (one qubit) or
     in P_t = min(G_t^2, 1) (pairs). The pair entries are the local
@@ -358,8 +326,6 @@ def _open_trajectory(kind: str, a, Gamma, horizon: float | None) -> Trajectory:
     of each qubit multiplied out, in the order of floating-point operations
     of the Kraus sum with ``np.kron``, so both give the same bits.
     """
-    if horizon is None:
-        horizon = 50.0
     b = np.sqrt(1.0 - a * a)
     dim = 2 if kind == "1q" else 4
 
@@ -418,8 +384,10 @@ def _open_trajectory(kind: str, a, Gamma, horizon: float | None) -> Trajectory:
     else:
         record["Gamma_over_gamma0"] = Gamma
     # The speed at t = 0, where the kernel sum is 0/0: the amplitude scale
-    # times a rate that diverges in the Markovian limit. A zero scale is a
-    # state at rest, whose limit is 0 at every width.
+    # times a rate that diverges in the Markovian limit, so alpha^2
+    # sqrt(Gamma / 2) for one qubit, alpha sqrt(Gamma) for the aligned pair
+    # and sqrt(Gamma / 2) for the anti pair. A zero scale is a state at
+    # rest, whose limit is 0 at every width.
     scale = {"1q": a * a, "aligned": a, "anti": 1.0}[kind]
     rate = np.sqrt((1.0 if kind == "aligned" else 0.5) * Gamma)
     with np.errstate(invalid="ignore"):  # 0 * inf
@@ -433,36 +401,6 @@ def _open_trajectory(kind: str, a, Gamma, horizon: float | None) -> Trajectory:
         params=record,
         speed_at_zero=limit,
     )
-
-
-def open_qubit_trajectory(
-    p: OpenSystemParams, horizon: float | None = None
-) -> Trajectory:
-    """Amplitude-damped qubit starting from alpha|1> + sqrt(1-alpha^2)|0>.
-
-    The state keeps the signed coherence amplitude G_t (the exact reduced
-    dynamics), so the trajectory is smooth through the zeros of P_t; the
-    amplitude-damping channel at P_t, whose coherence factor is sqrt(P_t),
-    agrees with it wherever G_t >= 0. The speed limit at t = 0, where the evaluation is 0/0, is
-    alpha^2 sqrt(Gamma / 2); in the Markovian limit it diverges.
-    """
-    return _open_trajectory("1q", p.alpha, _width(p), horizon)
-
-
-def open_two_qubit_trajectory(
-    p: OpenSystemParams, kind: str, horizon: float | None = None
-) -> Trajectory:
-    """Two qubits, each locally amplitude-damped by its own cavity.
-
-    ``kind='aligned'`` starts from alpha|11> + beta|00>; ``kind='anti'`` from
-    alpha|10> + beta|01>, whose evolved state P_t|phi0><phi0| +
-    (1-P_t)|00><00| has constant eigenvectors and an alpha-independent speed.
-    The states equal the local amplitude-damping channel applied to each
-    qubit of the initial state.
-    """
-    if kind not in ("aligned", "anti"):
-        raise ValueError(f"kind must be 'aligned' or 'anti', got '{kind}'")
-    return _open_trajectory(kind, p.alpha, _width(p), horizon)
 
 
 # ---------------------------------------------------------------------------
@@ -587,12 +525,14 @@ def trajectory_from_key(
     omega: float = 1.0,
     Gamma_over_gamma0=None,
     markovian_limit: bool = False,
-    horizon: float | None = None,
+    horizon: float = 50.0,
 ) -> Trajectory:
-    """Build a model trajectory from its string key and real parameters.
+    """Build a model trajectory, defined on [0, ``horizon``], from its string
+    key and real parameters.
 
-    Open models need either ``Gamma_over_gamma0`` (a finite width) or
-    ``markovian_limit``; their times are in units of gamma0.
+    Closed models precess at ``omega``. Open models need either
+    ``Gamma_over_gamma0`` (a finite width) or ``markovian_limit``; their
+    times are in units of gamma0.
     ``alpha`` and ``Gamma_over_gamma0`` may be arrays: the result is then a
     family of trajectories whose states broadcast time against them, for a
     parameter sweep evaluated in one batch.
@@ -601,16 +541,15 @@ def trajectory_from_key(
         raise ValueError(
             f"unknown model '{key}'; valid keys: {', '.join(MODEL_KEYS)}"
         )
-    if np.ndim(alpha):
-        alpha = np.asarray(alpha, dtype=float)
+    alpha = np.asarray(alpha, dtype=float) if np.ndim(alpha) else float(alpha)
     if key.startswith("closed"):
         for a in _extremes(alpha):
-            params = ClosedQubitParams.from_alpha(a, omega)
-        h = 50.0 / omega if horizon is None else horizon
+            if not 0.0 <= a <= 1.0:
+                raise ValueError(f"alpha must lie in [0, 1], got {a}")
+        if not omega > 0.0:
+            raise ValueError(f"omega must be positive, got {omega}")
         kind = "1q" if key == "closed-1q" else key.removeprefix("closed-2q-")
-        if np.ndim(alpha) == 0:
-            return _closed_trajectory(kind, complex(params.alpha), complex(params.beta), omega, h)
-        return _closed_trajectory(kind, alpha, np.sqrt(1.0 - alpha * alpha), omega, h)
+        return _closed_trajectory(kind, alpha, omega, horizon)
     if Gamma_over_gamma0 is None and not markovian_limit:
         raise ValueError(
             f"model '{key}' needs Gamma_over_gamma0 or markovian_limit"

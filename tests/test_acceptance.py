@@ -11,21 +11,16 @@ import pytest
 
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
-    ClosedQubitParams,
     OpenSystemParams,
     alpha_from_concurrence,
     concurrence,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
-    open_qubit_trajectory,
     open_two_qubit_speed_analytic,
-    open_two_qubit_trajectory,
     population_complement,
     population_factor,
     population_factor_dot,
-    precession_trajectory,
     trajectory_from_key,
-    two_qubit_closed_trajectory,
 )
 from qevspeed.analysis import memory_boundaries, speedup_boundaries, speedup_equation
 from qevspeed.speed import speed_at, speed_curve
@@ -33,6 +28,7 @@ from util import (
     DegenerateSpectrumError,
     conjugate_trajectory,
     local_damping_evolve,
+    open_model,
     random_unitary,
     speed_spectral_form,
     speedup_measure,
@@ -57,7 +53,7 @@ def test_c01_closed_qubit_speed_and_uniformity():
     for alpha in ALPHA_GRID_10:
         beta = math.sqrt(1.0 - alpha * alpha)
         for omega in OMEGA_GRID_10:
-            traj = precession_trajectory(ClosedQubitParams.from_alpha(alpha, omega))
+            traj = trajectory_from_key("closed-1q", alpha=alpha, omega=omega)
             expected = alpha * beta * omega
             for t in TIME_GRID_10:
                 value = speed_at(traj, float(t), SLD)
@@ -73,9 +69,7 @@ def test_c02_aligned_pair_speed_and_concurrence_response():
     for alpha in np.linspace(0.1, 0.9, 6):
         beta = math.sqrt(1.0 - alpha * alpha)
         for omega in (0.7, 1.0, 2.0):
-            traj = two_qubit_closed_trajectory(
-                ClosedQubitParams.from_alpha(alpha, omega), "aligned"
-            )
+            traj = trajectory_from_key("closed-2q-aligned", alpha=alpha, omega=omega)
             expected = 2.0 * alpha * beta * omega
             for t in np.linspace(0.0, 6.0, 6):
                 value = speed_at(traj, float(t), SLD)
@@ -84,9 +78,8 @@ def test_c02_aligned_pair_speed_and_concurrence_response():
 
     def detector(omega):
         def speed_of_c(c):
-            traj = two_qubit_closed_trajectory(
-                ClosedQubitParams.from_alpha(alpha_from_concurrence(c), omega),
-                "aligned",
+            traj = trajectory_from_key(
+                "closed-2q-aligned", alpha=alpha_from_concurrence(c), omega=omega
             )
             return speed_at(traj, 1.2, SLD)
 
@@ -101,9 +94,7 @@ def test_c02_aligned_pair_speed_and_concurrence_response():
 
 def test_c03_anti_aligned_pair_never_moves():
     for alpha in np.linspace(0.0, 1.0, 11):
-        traj = two_qubit_closed_trajectory(
-            ClosedQubitParams.from_alpha(alpha, 1.3), "anti"
-        )
+        traj = trajectory_from_key("closed-2q-anti", alpha=alpha, omega=1.3)
         for t in np.linspace(0.0, 8.0, 9):
             assert speed_at(traj, float(t), SLD) <= 1e-10
     _report(3, "anti-aligned pair speed <= 1e-10 for all alpha, t")
@@ -111,9 +102,9 @@ def test_c03_anti_aligned_pair_never_moves():
 
 def test_c04_wy_to_sld_ratio_on_pure_trajectories():
     cases = [
-        precession_trajectory(ClosedQubitParams.from_alpha(0.6, 1.0)),
-        precession_trajectory(ClosedQubitParams.from_alpha(0.35, 2.1)),
-        two_qubit_closed_trajectory(ClosedQubitParams.from_alpha(0.8, 0.9), "aligned"),
+        trajectory_from_key("closed-1q", alpha=0.6, omega=1.0),
+        trajectory_from_key("closed-1q", alpha=0.35, omega=2.1),
+        trajectory_from_key("closed-2q-aligned", alpha=0.8, omega=0.9),
     ]
     for traj in cases:
         for t in np.linspace(0.0, 5.0, 11):
@@ -129,7 +120,7 @@ def test_c05_open_qubit_speed_matches_closed_form():
     for gamma_ratio in (0.1, 1.0, 10.0):
         for alpha in (0.3, 0.7, 1.0):
             params = OpenSystemParams(alpha=alpha, Gamma=gamma_ratio)
-            traj = open_qubit_trajectory(params)
+            traj = open_model("open-1q", params)
             for t in np.linspace(0.01, 10.0, 200):
                 t = float(t)
                 pop = population_factor(params, t)
@@ -148,14 +139,12 @@ def test_c06_initial_speed_limits_by_extrapolation():
     h = 1e-3
     for gamma_ratio in (0.1, 1.0, 10.0):
         for alpha in (0.3, 0.7, 1.0):
-            traj = open_qubit_trajectory(OpenSystemParams(alpha=alpha, Gamma=gamma_ratio))
+            traj = open_model("open-1q", OpenSystemParams(alpha=alpha, Gamma=gamma_ratio))
             extrapolated = 2.0 * speed_at(traj, h, SLD) - speed_at(traj, 2.0 * h, SLD)
             expected = alpha * alpha * math.sqrt(gamma_ratio / 2.0)
             assert extrapolated == pytest.approx(expected, rel=1e-3)
         for alpha in (0.5, SQRT_HALF, 0.9):
-            traj = open_two_qubit_trajectory(
-                OpenSystemParams(alpha=alpha, Gamma=gamma_ratio), "aligned"
-            )
+            traj = open_model("open-2q-aligned", OpenSystemParams(alpha=alpha, Gamma=gamma_ratio))
             extrapolated = 2.0 * speed_at(traj, h, SLD) - speed_at(traj, 2.0 * h, SLD)
             expected = alpha * math.sqrt(gamma_ratio)
             assert extrapolated == pytest.approx(expected, rel=1e-3)
@@ -163,7 +152,7 @@ def test_c06_initial_speed_limits_by_extrapolation():
 
 
 def test_c07_memoryless_regime_decelerates_monotonically():
-    traj = open_qubit_trajectory(OpenSystemParams(alpha=1.0, Gamma=10.0))
+    traj = open_model("open-1q", OpenSystemParams(alpha=1.0, Gamma=10.0))
     curve = speed_curve(traj, np.linspace(0.025, 10.0, 400), SLD)
     assert np.all(curve.slopes[1:-1] < 0.0)
     _report(7, "Gamma/gamma0 = 10: dS/dt < 0 at every interior grid point")
@@ -180,7 +169,7 @@ def test_c08_memory_regime_region_boundaries():
     assert start == pytest.approx(tau_prime, abs=1e-12)
     assert abs(speedup_equation(params, tau_dprime)) <= 1e-10
 
-    traj = open_qubit_trajectory(params, horizon=60.0)
+    traj = open_model("open-1q", params, horizon=60.0)
 
     def slope(t):
         return speedup_measure(lambda x: speed_at(traj, x, SLD), t)
@@ -240,7 +229,7 @@ def test_c10_locally_damped_pair_matrix_and_speed():
     for gamma_ratio in (0.1, 1.0, 10.0):
         for alpha in (0.3, SQRT_HALF, 0.95):
             params = OpenSystemParams(alpha=alpha, Gamma=gamma_ratio)
-            traj = open_two_qubit_trajectory(params, "aligned")
+            traj = open_model("open-2q-aligned", params)
             numeric = without_analytic_derivative(traj)
             for t in np.linspace(0.1, 10.0, 34):
                 t = float(t)
@@ -279,7 +268,7 @@ def test_c12_anti_aligned_pair_entanglement_blind():
     }
     speeds = []
     for alpha, params in params_by_alpha.items():
-        traj = open_two_qubit_trajectory(params, "anti")
+        traj = open_model("open-2q-anti", params)
         speeds.append(speed_at(traj, t, SLD))
     assert max(speeds) - min(speeds) <= 1e-10
 

@@ -17,12 +17,11 @@ from qevspeed.errors import RootBracketError
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     OpenSystemParams,
-    open_qubit_trajectory,
     population_factor,
     population_factor_dot,
 )
 from qevspeed.speed import speed_at
-from util import bisect_speedup_end, speedup_measure
+from util import bisect_speedup_end, open_model, speedup_measure
 
 MEMORY_PARAMS = OpenSystemParams(alpha=1.0, Gamma=0.1)
 KAPPA = math.sqrt(0.19)
@@ -36,6 +35,10 @@ TAU_1_PRIME = 14.414615682913359
 class TestRegimeClassify:
     def test_wide_spectrum_is_markovian(self):
         assert regime_classify(10.0) is Regime.MARKOVIAN
+
+    @pytest.mark.parametrize("ratio", [1e-30, 5e-25])
+    def test_tiny_widths_carry_memory(self, ratio):
+        assert regime_classify(ratio) is Regime.NON_MARKOVIAN
 
     def test_narrow_spectrum_is_non_markovian(self):
         assert regime_classify(0.1) is Regime.NON_MARKOVIAN
@@ -122,9 +125,18 @@ class TestSpeedupBoundaries:
         assert 2 * math.pi / KAPPA < tau_dprime < 3 * math.pi / KAPPA
         assert abs(speedup_equation(MEMORY_PARAMS, tau_dprime)) <= 1e-10
 
+    @pytest.mark.parametrize("ratio", [1e-6, 1e-9, 1e-12])
+    def test_ends_at_small_widths_are_tight(self, ratio):
+        # the residual scales with Gamma, and so does the stopping rule: an
+        # absolute 1e-10 stops 13% short of tau_1'' at Gamma = 1e-12
+        p = OpenSystemParams(alpha=1.0, Gamma=ratio)
+        ends = [end for _, end in speedup_boundaries(p, 3)]
+        tight = [bisect_speedup_end(p, n, tol=0.0) for n in (1, 2, 3)]
+        np.testing.assert_allclose(ends, tight, rtol=1e-10, atol=0.0)
+
     def test_speed_slope_signs_around_interval(self):
         (tau_prime, tau_dprime), = speedup_boundaries(MEMORY_PARAMS, 1)
-        traj = open_qubit_trajectory(MEMORY_PARAMS, horizon=60.0)
+        traj = open_model("open-1q", MEMORY_PARAMS, horizon=60.0)
 
         def speed_of(t):
             return speed_at(traj, t, MetricKind.SLD)
@@ -150,6 +162,19 @@ class TestBatchedBoundaries:
         ]
         assert speedup_boundaries(p, 300) == expected
 
+    @pytest.mark.parametrize("ratio", [1e-30, 1e-12, 1e-6])
+    def test_far_branches_of_small_widths(self, ratio):
+        # beyond about branch 30 rounding keeps the residual above
+        # 1e-10 Gamma: those ends stop where the bracket is two adjacent floats
+        p = OpenSystemParams(alpha=1.0, Gamma=ratio)
+        _, kappa = analysis._oscillation_rates(p)
+        ends = np.array(speedup_boundaries(p, 300))[:, 1]
+        n = np.arange(1, 301)
+        assert np.all((2 * n * math.pi / kappa < ends) & (ends < (2 * n + 1) * math.pi / kappa))
+        assert np.abs(speedup_equation(p, ends[:3])).max() <= 1e-10 * ratio
+        assert [bisect_speedup_end(p, k) for k in (1, 40, 300)] == ends[[0, 39, 299]].tolist()
+        assert bisect_speedup_end(p, 300, tol=0.0) == pytest.approx(ends[299], rel=1e-15)
+
     @pytest.mark.parametrize("ratio", ORACLE_RATIOS[:10])
     def test_memory_boundaries_equal_scalar_formulas(self, ratio):
         p = OpenSystemParams(alpha=1.0, Gamma=ratio)
@@ -173,7 +198,7 @@ class TestBatchedBoundaries:
 
     def test_unconverged_branch_named(self, monkeypatch):
         monkeypatch.setattr(analysis, "_MAX_BISECTIONS", 1)
-        with pytest.raises(RootBracketError, match=r"residual 1\.0e-10 on branch n = 1$"):
+        with pytest.raises(RootBracketError, match=r"residual 1\.0e-11 on branch n = 1$"):
             speedup_boundaries(MEMORY_PARAMS, 3)
 
     def test_missing_sign_change_named(self, monkeypatch):
@@ -258,7 +283,7 @@ class TestInterleaving:
         # sign changes of dS/dt on a dense grid, refined by bisection, land on
         # tau_1' and tau_1''
         (tau_prime, tau_dprime), = speedup_boundaries(MEMORY_PARAMS, 1)
-        traj = open_qubit_trajectory(MEMORY_PARAMS, horizon=60.0)
+        traj = open_model("open-1q", MEMORY_PARAMS, horizon=60.0)
 
         def slope(t):
             return speedup_measure(lambda x: speed_at(traj, x, MetricKind.SLD), t)

@@ -21,7 +21,6 @@ from qevspeed.models import (
     amplitude_factor,
     amplitude_factor_dot,
     open_two_qubit_speed_analytic,
-    open_two_qubit_trajectory,
     population_factor,
     trajectory_from_key,
 )
@@ -38,6 +37,7 @@ from util import (
     conjugate_trajectory,
     leaking_trajectory,
     local_damping_evolve,
+    open_model,
     random_unitary,
     rank_leaking_trajectory,
     speedup_measure,
@@ -100,7 +100,7 @@ def test_amplitudes_match_per_element(bath):
 def test_pair_states_are_the_local_channel_to_the_last_bit(kind):
     params = OpenSystemParams(alpha=0.6, Gamma=0.3)
     vec = np.array([0.6, 0, 0, 0.8] if kind == "aligned" else [0, 0.6, 0.8, 0], dtype=complex)
-    states = open_two_qubit_trajectory(params, kind).state_at(TIMES)
+    states = open_model(f"open-2q-{kind}", params).state_at(TIMES)
     for t, rho in zip(TIMES, states):
         channel = local_damping_evolve(np.outer(vec, vec.conj()), population_factor(params, t), 2)
         np.testing.assert_array_max_ulp(rho.view(float), channel.view(float), maxulp=1)
@@ -218,7 +218,7 @@ def test_stencil_slopes_match_speedup_measure():
 def test_no_floating_point_exceptions():
     with np.errstate(all="raise"):
         for key, bath in model_cases():
-            for horizon in (None, 700.0):
+            for horizon in (50.0, 700.0):
                 traj = trajectory_from_key(key, alpha=0.7, horizon=horizon, **bath)
                 times = np.concatenate([[0.0, 1e-8, 1e-4], np.linspace(0.01, traj.horizon, 301)])
                 for metric in MetricKind:
@@ -253,7 +253,7 @@ def test_figure_and_detect_annotate_failed_rows(monkeypatch):
 )
 def test_two_qubit_speed_near_zero_matches_closed_form():
     params = OpenSystemParams(alpha=1.0 / math.sqrt(2.0), Gamma=0.1)
-    traj = open_two_qubit_trajectory(params, "aligned")
+    traj = open_model("open-2q-aligned", params)
     closed = open_two_qubit_speed_analytic(params, 1e-4)
     assert closed == pytest.approx(0.223606052341, rel=1e-11)
     assert speed_at(traj, 1e-4) == pytest.approx(closed, rel=1e-9)

@@ -267,6 +267,18 @@ class TestRegionsCommand:
         assert header["regime"] == "critical"
         assert rows.size == 0
 
+    @pytest.mark.parametrize("ratio", ["1e-30", "5e-25"])
+    def test_tiny_widths_carry_memory(self, tmp_path, ratio):
+        # only Gamma/gamma0 = 2 is critical, and the residual of each end is
+        # within 1e-10 Gamma/gamma0, the scale of the residual itself
+        code, text = run_to_file(tmp_path, ["regions", "--gamma-ratio", ratio, "--n-max", "3"])
+        assert code == 0
+        header, _, rows = parse_csv(text)
+        assert header["regime"] == "non_markovian"
+        assert rows.shape == (3, 5)
+        assert np.all(rows[:, 2] < rows[:, 3])
+        assert np.abs(rows[:, 4]).max() <= 1e-10 * float(ratio)
+
 
 class TestDetectCommand:
     def test_aligned_pair_concurrence_sweep(self, tmp_path):
@@ -283,6 +295,22 @@ class TestDetectCommand:
         assert columns == ["C", "S", "dS_dC", "speedup"]
         np.testing.assert_allclose(rows[:, 2], 1.0, atol=1e-6)
         assert np.all(rows[:, 3] == 1.0)
+
+    @pytest.mark.parametrize(
+        "sweep, echoed",
+        [("C:0.1:0.9:3", False), ("alpha:0.1:0.9:3", False), ("t:1:2:3", True)],
+    )
+    def test_header_echoes_alpha_only_where_the_rows_use_it(self, sweep, echoed):
+        # a C sweep evaluates each row at alpha_from_concurrence(C), so --alpha
+        # is not a parameter of its rows
+        argv = [
+            "detect", "--model", "open-2q-aligned", "--gamma-ratio", "1", "--alpha", "0.3",
+            "--sweep", sweep, "--time", "1",
+        ]
+        header = dict(table(argv).header)
+        assert ("alpha" in header) is echoed
+        if echoed:
+            assert header["alpha"] == "0.3"
 
     def test_anti_aligned_pair_is_insensitive(self, tmp_path):
         code, text = run_to_file(

@@ -6,38 +6,36 @@ import pytest
 from qevspeed.linalg import eigh_stack
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
-    ClosedQubitParams,
     OpenSystemParams,
     alpha_from_concurrence,
     amplitude_factor,
     concurrence,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
-    open_qubit_trajectory,
     open_two_qubit_speed_analytic,
-    open_two_qubit_trajectory,
     population_complement,
     population_factor,
     population_factor_dot,
-    precession_trajectory,
     trajectory_from_key,
-    two_qubit_closed_trajectory,
 )
 from qevspeed.speed import speed_at
-from util import local_damping_evolve, random_density
+from util import local_damping_evolve, open_model, random_density
 
 SLD = MetricKind.SLD
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class TestParams:
-    def test_closed_requires_normalization(self):
-        with pytest.raises(ValueError, match="must be 1"):
-            ClosedQubitParams(1.0, 0.9, 0.9)
-
     def test_closed_requires_positive_omega(self):
-        with pytest.raises(ValueError, match="omega"):
-            ClosedQubitParams(-1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"^omega must be positive, got -1\.0$"):
+            trajectory_from_key("closed-1q", omega=-1.0)
+
+    def test_closed_alpha_range(self):
+        for key in ("closed-1q", "closed-2q-aligned", "closed-2q-anti"):
+            with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1\.2$"):
+                trajectory_from_key(key, alpha=1.2)
+            with pytest.raises(ValueError, match=r"got -0\.5$"):
+                trajectory_from_key(key, alpha=np.array([-0.5, 0.5]))
 
     def test_open_requires_exactly_one_width_choice(self):
         with pytest.raises(ValueError, match="exactly one"):
@@ -68,45 +66,55 @@ class TestParams:
         assert OpenSystemParams(Gamma=2.0).branch() == "critical"
         assert OpenSystemParams(markovian_limit=True).branch() == "markovian"
 
+    @pytest.mark.parametrize("width", [1e-30, 5e-25])
+    def test_only_two_is_critical(self, width):
+        # kappa = sqrt(2 Gamma - Gamma^2) is about 1e-15 here, yet the width
+        # is far from 2: the oscillatory branch holds, and the closed form
+        # takes its small-width value sqrt(Gamma / 2) (alpha = 1)
+        p = OpenSystemParams(alpha=1.0, Gamma=width)
+        assert p.branch() == "oscillatory"
+        assert open_qubit_speed_analytic(p, 10.0) == pytest.approx(math.sqrt(width / 2), rel=1e-9)
+        assert amplitude_factor(p, np.array([10.0]))[0] == amplitude_factor(p, 10.0)
+        critical = OpenSystemParams(alpha=1.0, Gamma=2.0)
+        assert critical.branch() == "critical"
+        assert math.isfinite(open_qubit_speed_analytic(critical, 10.0))
+        assert math.isfinite(open_qubit_speed_analytic(critical, 1e-3))
+
 
 class TestClosedTrajectories:
     def test_excited_state_never_moves(self):
-        traj = precession_trajectory(ClosedQubitParams.from_alpha(1.0))
+        traj = trajectory_from_key("closed-1q", alpha=1.0)
         expected = np.diag([1.0, 0.0]).astype(complex)
         for t in (0.0, 1.0, 5.0):
             np.testing.assert_allclose(traj.state_at(t), expected, atol=1e-14)
 
     def test_balanced_superposition_at_time_zero(self):
-        traj = precession_trajectory(ClosedQubitParams.from_alpha(SQRT_HALF))
+        traj = trajectory_from_key("closed-1q", alpha=SQRT_HALF)
         np.testing.assert_allclose(traj.state_at(0.0), 0.5 * np.ones((2, 2)), atol=1e-14)
 
     def test_speed_oracle(self):
         for alpha, omega in [(0.6, 1.0), (0.3, 2.5), (SQRT_HALF, 0.7)]:
-            traj = precession_trajectory(ClosedQubitParams.from_alpha(alpha, omega))
+            traj = trajectory_from_key("closed-1q", alpha=alpha, omega=omega)
             expected = alpha * math.sqrt(1 - alpha * alpha) * omega
             assert speed_at(traj, 1.1, SLD) == pytest.approx(expected, rel=1e-10)
 
     def test_aligned_pair_speed(self):
-        traj = two_qubit_closed_trajectory(
-            ClosedQubitParams.from_alpha(SQRT_HALF, 1.0), "aligned"
-        )
+        traj = trajectory_from_key("closed-2q-aligned", alpha=SQRT_HALF, omega=1.0)
         assert speed_at(traj, 0.7, SLD) == pytest.approx(1.0, rel=1e-10)
 
     def test_anti_aligned_pair_is_frozen(self):
-        traj = two_qubit_closed_trajectory(
-            ClosedQubitParams.from_alpha(0.6, 1.0), "anti"
-        )
+        traj = trajectory_from_key("closed-2q-anti", alpha=0.6, omega=1.0)
         for t in (0.0, 1.3, 6.0):
             np.testing.assert_allclose(traj.state_at(t), traj.state_at(0.0), atol=1e-14)
             assert speed_at(traj, t, SLD) <= 1e-12
 
     def test_aligned_basis_state_is_frozen(self):
-        traj = two_qubit_closed_trajectory(ClosedQubitParams.from_alpha(0.0), "aligned")
+        traj = trajectory_from_key("closed-2q-aligned", alpha=0.0)
         assert speed_at(traj, 2.0, SLD) <= 1e-12
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="aligned"):
-            two_qubit_closed_trajectory(ClosedQubitParams.from_alpha(0.5), "sideways")
+        with pytest.raises(ValueError, match="unknown model 'closed-2q-sideways'"):
+            trajectory_from_key("closed-2q-sideways", alpha=0.5)
 
 
 class TestPopulationFactor:
@@ -298,12 +306,12 @@ class TestChannels:
 class TestOpenTrajectories:
     def test_states_are_valid_densities(self):
         cases = [
-            precession_trajectory(ClosedQubitParams.from_alpha(0.6, 1.3)),
-            two_qubit_closed_trajectory(ClosedQubitParams.from_alpha(0.7), "aligned"),
-            open_qubit_trajectory(OpenSystemParams(alpha=0.7, Gamma=0.3)),
-            open_qubit_trajectory(OpenSystemParams(alpha=0.4, markovian_limit=True)),
-            open_two_qubit_trajectory(OpenSystemParams(alpha=0.8, Gamma=4.0), "aligned"),
-            open_two_qubit_trajectory(OpenSystemParams(alpha=0.5, Gamma=0.6), "anti"),
+            trajectory_from_key("closed-1q", alpha=0.6, omega=1.3),
+            trajectory_from_key("closed-2q-aligned", alpha=0.7),
+            open_model("open-1q", OpenSystemParams(alpha=0.7, Gamma=0.3)),
+            open_model("open-1q", OpenSystemParams(alpha=0.4, markovian_limit=True)),
+            open_model("open-2q-aligned", OpenSystemParams(alpha=0.8, Gamma=4.0)),
+            open_model("open-2q-anti", OpenSystemParams(alpha=0.5, Gamma=0.6)),
         ]
         for traj in cases:
             for t in np.linspace(0.0, 20.0, 21):
@@ -314,11 +322,11 @@ class TestOpenTrajectories:
 
     def test_derivatives_are_traceless(self):
         cases = [
-            precession_trajectory(ClosedQubitParams.from_alpha(0.6, 1.3)),
-            two_qubit_closed_trajectory(ClosedQubitParams.from_alpha(0.7), "aligned"),
-            open_qubit_trajectory(OpenSystemParams(alpha=0.7, Gamma=0.3)),
-            open_two_qubit_trajectory(OpenSystemParams(alpha=0.8, Gamma=4.0), "aligned"),
-            open_two_qubit_trajectory(OpenSystemParams(alpha=0.5, Gamma=0.6), "anti"),
+            trajectory_from_key("closed-1q", alpha=0.6, omega=1.3),
+            trajectory_from_key("closed-2q-aligned", alpha=0.7),
+            open_model("open-1q", OpenSystemParams(alpha=0.7, Gamma=0.3)),
+            open_model("open-2q-aligned", OpenSystemParams(alpha=0.8, Gamma=4.0)),
+            open_model("open-2q-anti", OpenSystemParams(alpha=0.5, Gamma=0.6)),
         ]
         for traj in cases:
             for t in np.linspace(0.0, 12.0, 13):
@@ -326,9 +334,9 @@ class TestOpenTrajectories:
 
     def test_derivative_matches_finite_difference(self):
         cases = [
-            open_qubit_trajectory(OpenSystemParams(alpha=0.7, Gamma=0.3)),
-            open_two_qubit_trajectory(OpenSystemParams(alpha=0.8, Gamma=4.0), "aligned"),
-            open_two_qubit_trajectory(OpenSystemParams(alpha=0.5, Gamma=0.6), "anti"),
+            open_model("open-1q", OpenSystemParams(alpha=0.7, Gamma=0.3)),
+            open_model("open-2q-aligned", OpenSystemParams(alpha=0.8, Gamma=4.0)),
+            open_model("open-2q-anti", OpenSystemParams(alpha=0.5, Gamma=0.6)),
         ]
         h = 1e-6
         for traj in cases:
@@ -338,7 +346,7 @@ class TestOpenTrajectories:
 
     def test_single_qubit_matches_channel_while_amplitude_positive(self):
         params = OpenSystemParams(alpha=0.6, Gamma=0.1)
-        traj = open_qubit_trajectory(params)
+        traj = open_model("open-1q", params)
         beta = 0.8
         rho0 = np.array([[0.36, 0.6 * beta], [0.6 * beta, 0.64]], dtype=complex)
         for t in (0.0, 1.0, 4.0):  # all below the first zero of the amplitude
@@ -352,7 +360,7 @@ class TestOpenTrajectories:
     def test_two_qubit_states_come_from_local_channel(self):
         params = OpenSystemParams(alpha=0.6, Gamma=1.5)
         vec = np.array([0.6, 0, 0, 0.8], dtype=complex)
-        traj = open_two_qubit_trajectory(params, "aligned")
+        traj = open_model("open-2q-aligned", params)
         for t in (0.5, 2.0):
             np.testing.assert_allclose(
                 traj.state_at(t),
@@ -418,7 +426,7 @@ class TestAnalyticSpeeds:
 
         for gamma_ratio in (0.1, 1.0, 10.0):
             params = OpenSystemParams(alpha=0.7, Gamma=gamma_ratio)
-            traj = without_analytic_derivative(open_qubit_trajectory(params))
+            traj = without_analytic_derivative(open_model("open-1q", params))
             for t in np.linspace(0.05, 8.0, 40):
                 t = float(t)
                 pop = population_factor(params, t)
@@ -475,15 +483,13 @@ class TestAntiAlignedOpenPair:
         t = 1.3
         values = []
         for alpha in np.linspace(0.1, 0.9, 9):
-            traj = open_two_qubit_trajectory(
-                OpenSystemParams(alpha=float(alpha), Gamma=0.5), "anti"
-            )
+            traj = open_model("open-2q-anti", OpenSystemParams(alpha=float(alpha), Gamma=0.5))
             values.append(speed_at(traj, t, SLD))
         assert max(values) - min(values) <= 1e-10
 
     def test_speed_matches_population_form(self):
         params = OpenSystemParams(alpha=0.4, Gamma=0.5)
-        traj = open_two_qubit_trajectory(params, "anti")
+        traj = open_model("open-2q-anti", params)
         for t in (0.5, 1.3, 3.0):
             pop = population_factor(params, t)
             slope = population_factor_dot(params, t)

@@ -6,15 +6,11 @@ import pytest
 from qevspeed.errors import RankIncreaseError
 from qevspeed.metrics import MetricKind, pure_state_speed
 from qevspeed.models import (
-    ClosedQubitParams,
     OpenSystemParams,
     open_qubit_speed_analytic,
-    open_qubit_trajectory,
     open_two_qubit_speed_analytic,
-    open_two_qubit_trajectory,
     population_factor,
-    precession_trajectory,
-    two_qubit_closed_trajectory,
+    trajectory_from_key,
 )
 from qevspeed.metrics import PURE_STATE_TOL
 from qevspeed.speed import (
@@ -32,6 +28,7 @@ from util import (
     DegenerateSpectrumError,
     conjugate_trajectory,
     leaking_trajectory,
+    open_model,
     random_unitary,
     speed_spectral_form,
     speedup_measure,
@@ -103,7 +100,7 @@ class TestRhoDot:
         np.testing.assert_allclose(d, np.zeros((2, 2)), atol=1e-12)
 
     def test_finite_difference_matches_analytic_closed(self):
-        traj = precession_trajectory(ClosedQubitParams.from_alpha(0.6, omega=1.3))
+        traj = trajectory_from_key("closed-1q", alpha=0.6, omega=1.3)
         numeric = without_analytic_derivative(traj, 1e-5)
         for t in (0.3, 1.7, 4.0):
             np.testing.assert_allclose(rho_dot(numeric, t), rho_dot(traj, t), atol=1e-8)
@@ -111,7 +108,7 @@ class TestRhoDot:
     def test_open_population_rate(self):
         # d/dt of the excited-population entry equals rho_11(0) * dP/dt
         params = OpenSystemParams(alpha=0.8, Gamma=0.5)
-        traj = open_qubit_trajectory(params)
+        traj = open_model("open-1q", params)
         h = 1e-6
         for t in (0.4, 1.1, 3.0):
             fd = (population_factor(params, t + h) - population_factor(params, t - h)) / (
@@ -122,11 +119,11 @@ class TestRhoDot:
 
     def test_endpoints_use_one_sided_differences(self):
         traj = without_analytic_derivative(
-            precession_trajectory(ClosedQubitParams.from_alpha(0.6), horizon=1.0), 1e-6
+            trajectory_from_key("closed-1q", alpha=0.6, horizon=1.0), 1e-6
         )
         left = rho_dot(traj, 0.0)
         right = rho_dot(traj, 1.0)
-        exact = precession_trajectory(ClosedQubitParams.from_alpha(0.6), horizon=1.0)
+        exact = trajectory_from_key("closed-1q", alpha=0.6, horizon=1.0)
         np.testing.assert_allclose(left, rho_dot(exact, 0.0), atol=1e-5)
         np.testing.assert_allclose(right, rho_dot(exact, 1.0), atol=1e-5)
 
@@ -138,7 +135,7 @@ class TestRhoDot:
 
 class TestSpeedAt:
     def test_closed_qubit_uniform_speed(self):
-        traj = precession_trajectory(ClosedQubitParams.from_alpha(0.6, omega=1.0))
+        traj = trajectory_from_key("closed-1q", alpha=0.6, omega=1.0)
         for t in (0.0, 0.5, 2.0, 7.3):
             assert speed_at(traj, t, SLD) == pytest.approx(0.48, rel=1e-12)
 
@@ -147,13 +144,13 @@ class TestSpeedAt:
 
     def test_markovian_qubit_value(self):
         # S = 1 / (2 sqrt(e - 1)) at t = 1 for alpha = 1
-        traj = open_qubit_trajectory(OpenSystemParams(alpha=1.0, markovian_limit=True))
+        traj = open_model("open-1q", OpenSystemParams(alpha=1.0, markovian_limit=True))
         expected = 0.5 / math.sqrt(math.e - 1.0)
         assert speed_at(traj, 1.0, SLD) == pytest.approx(expected, rel=1e-10)
 
     def test_zero_time_returns_advertised_limit(self):
         params = OpenSystemParams(alpha=1.0, Gamma=0.1)
-        traj = open_qubit_trajectory(params)
+        traj = open_model("open-1q", params)
         assert speed_at(traj, 0.0, SLD) == pytest.approx(math.sqrt(0.05), rel=1e-12)
 
     def test_out_of_range_rejected(self):
@@ -162,9 +159,9 @@ class TestSpeedAt:
 
     def test_nonnegative_on_models(self):
         trajectories = [
-            precession_trajectory(ClosedQubitParams.from_alpha(0.4)),
-            open_qubit_trajectory(OpenSystemParams(alpha=0.7, Gamma=0.5)),
-            open_two_qubit_trajectory(OpenSystemParams(alpha=0.6, Gamma=2.5), "aligned"),
+            trajectory_from_key("closed-1q", alpha=0.4),
+            open_model("open-1q", OpenSystemParams(alpha=0.7, Gamma=0.5)),
+            open_model("open-2q-aligned", OpenSystemParams(alpha=0.6, Gamma=2.5)),
         ]
         for traj in trajectories:
             for t in np.linspace(0.1, 8.0, 25):
@@ -187,21 +184,21 @@ class TestZeroTimeLimit:
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
     def test_equals_closed_form_exactly(self, alpha, bath):
         p = OpenSystemParams(alpha=alpha, **bath)
-        assert speed_at(open_qubit_trajectory(p), 0.0) == open_qubit_speed_analytic(p, 0.0)
-        pair = open_two_qubit_trajectory(p, "aligned")
+        assert speed_at(open_model("open-1q", p), 0.0) == open_qubit_speed_analytic(p, 0.0)
+        pair = open_model("open-2q-aligned", p)
         assert speed_at(pair, 0.0) == open_two_qubit_speed_analytic(p, 0.0)
 
     @pytest.mark.parametrize("bath", WIDTHS)
     def test_anti_aligned_pair(self, bath):
         p = OpenSystemParams(alpha=0.6, **bath)
         expected = math.inf if p.markovian_limit else math.sqrt(p.Gamma / 2.0)
-        assert speed_at(open_two_qubit_trajectory(p, "anti"), 0.0) == expected
+        assert speed_at(open_model("open-2q-anti", p), 0.0) == expected
 
     @pytest.mark.parametrize("bath", WIDTHS)
     @pytest.mark.parametrize("kind", ["1q", "aligned", "anti"])
     def test_batch_through_zero(self, kind, bath):
         p = OpenSystemParams(alpha=0.6, **bath)
-        traj = open_qubit_trajectory(p) if kind == "1q" else open_two_qubit_trajectory(p, kind)
+        traj = open_model("open-1q" if kind == "1q" else f"open-2q-{kind}", p)
         times = np.array([0.0, 1e-6, 0.5, 3.0])
         for metric in (SLD, WY):
             with_zero = speeds_at(traj, times, metric).speeds
@@ -216,7 +213,7 @@ class TestDefaultTimeStep:
     which is dS/dt = -S / (2 (1 - e^{-t}))."""
 
     TIMES = (0.5, 1.0, 3.0, 8.0)
-    TRAJ = open_qubit_trajectory(OpenSystemParams(alpha=1.0, markovian_limit=True))
+    TRAJ = open_model("open-1q", OpenSystemParams(alpha=1.0, markovian_limit=True))
 
     @staticmethod
     def exact_slope(t):
@@ -306,7 +303,7 @@ class TestSpectralForm:
     def test_anti_aligned_open_pair(self):
         # constant eigenvectors, eigenvalues {P, 1-P}: S = |dP/dt| / (2 sqrt(P(1-P)))
         params = OpenSystemParams(alpha=0.6, Gamma=0.5)
-        traj = open_two_qubit_trajectory(params, "anti")
+        traj = open_model("open-2q-anti", params)
         h = 1e-7
         for t in (0.5, 1.0, 2.5):
             pop = population_factor(params, t)
@@ -327,12 +324,12 @@ class TestSpectralForm:
             )
 
     def test_degenerate_spectrum_raises(self):
-        traj = open_qubit_trajectory(OpenSystemParams(alpha=1.0, markovian_limit=True))
+        traj = open_model("open-1q", OpenSystemParams(alpha=1.0, markovian_limit=True))
         with pytest.raises(DegenerateSpectrumError):
             speed_spectral_form(traj, math.log(2.0), SLD)
 
     def test_crossing_inside_stencil_raises(self):
-        traj = open_qubit_trajectory(OpenSystemParams(alpha=1.0, markovian_limit=True))
+        traj = open_model("open-1q", OpenSystemParams(alpha=1.0, markovian_limit=True))
         with pytest.raises(DegenerateSpectrumError):
             speed_spectral_form(traj, math.log(2.0) - 0.5e-5, SLD, step=1e-5)
 
@@ -343,7 +340,7 @@ class TestSpectralForm:
 
 class TestSpeedupMeasure:
     def test_closed_qubit_no_longitudinal_speedup(self):
-        traj = precession_trajectory(ClosedQubitParams.from_alpha(0.6))
+        traj = trajectory_from_key("closed-1q", alpha=0.6)
         value = speedup_measure(lambda t: speed_at(traj, t, SLD), 2.0)
         assert abs(value) <= 1e-10
 
@@ -351,7 +348,7 @@ class TestSpeedupMeasure:
         # S(alpha) = omega alpha sqrt(1 - alpha^2) peaks at alpha = 1/sqrt2
 
         def speed_of_alpha(alpha):
-            traj = precession_trajectory(ClosedQubitParams.from_alpha(alpha, 1.0))
+            traj = trajectory_from_key("closed-1q", alpha=alpha, omega=1.0)
             return speed_at(traj, 1.0, SLD)
 
         assert abs(speedup_measure(speed_of_alpha, 1.0 / math.sqrt(2.0))) <= 1e-8
@@ -373,24 +370,24 @@ class TestSpeedupMeasure:
 
 class TestSpeedCurve:
     def test_closed_constant_column(self):
-        traj = precession_trajectory(ClosedQubitParams.from_alpha(0.6, omega=1.0))
+        traj = trajectory_from_key("closed-1q", alpha=0.6, omega=1.0)
         curve = speed_curve(traj, np.linspace(0.0, 5.0, 11), SLD)
         np.testing.assert_allclose(curve.speeds, 0.48, rtol=1e-12)
         np.testing.assert_allclose(curve.slopes, 0.0, atol=1e-10)
 
     def test_two_point_grid_one_sided(self):
-        traj = precession_trajectory(ClosedQubitParams.from_alpha(0.6))
+        traj = trajectory_from_key("closed-1q", alpha=0.6)
         curve = speed_curve(traj, np.array([1.0, 2.0]), SLD)
         assert curve.speeds.shape == (2,)
         assert np.all(np.isfinite(curve.slopes))
 
     def test_memoryless_regime_decelerates_throughout(self):
-        traj = open_qubit_trajectory(OpenSystemParams(alpha=1.0, Gamma=10.0))
+        traj = open_model("open-1q", OpenSystemParams(alpha=1.0, Gamma=10.0))
         curve = speed_curve(traj, np.linspace(0.025, 10.0, 200), SLD)
         assert np.all(curve.slopes[1:-1] < 0.0)
 
     def test_grid_validation(self):
-        traj = precession_trajectory(ClosedQubitParams.from_alpha(0.6))
+        traj = trajectory_from_key("closed-1q", alpha=0.6)
         with pytest.raises(ValueError, match="two points"):
             speed_curve(traj, np.array([1.0]), SLD)
         with pytest.raises(ValueError, match="increasing"):
@@ -403,9 +400,9 @@ class TestInvariants:
     def test_unitary_covariance(self):
         rng = np.random.default_rng(31)
         cases = [
-            precession_trajectory(ClosedQubitParams.from_alpha(0.6)),
-            open_qubit_trajectory(OpenSystemParams(alpha=0.8, Gamma=0.4)),
-            open_two_qubit_trajectory(OpenSystemParams(alpha=0.6, Gamma=3.0), "aligned"),
+            trajectory_from_key("closed-1q", alpha=0.6),
+            open_model("open-1q", OpenSystemParams(alpha=0.8, Gamma=0.4)),
+            open_model("open-2q-aligned", OpenSystemParams(alpha=0.6, Gamma=3.0)),
         ]
         for traj in cases:
             u = random_unitary(rng, traj.dim)
@@ -419,7 +416,7 @@ class TestInvariants:
     def test_pure_state_consistency_closed_models(self):
         a, w = 0.6, 1.4
         b = math.sqrt(1 - a * a)
-        traj = precession_trajectory(ClosedQubitParams.from_alpha(a, w))
+        traj = trajectory_from_key("closed-1q", alpha=a, omega=w)
         for t in (0.3, 1.9, 4.4):
             phase = np.exp(-0.5j * w * t)
             psi = np.array([a * phase, b / phase])
@@ -430,8 +427,8 @@ class TestInvariants:
 
     def test_wy_ratio_on_pure_trajectories(self):
         cases = [
-            precession_trajectory(ClosedQubitParams.from_alpha(0.6, 1.2)),
-            two_qubit_closed_trajectory(ClosedQubitParams.from_alpha(0.8, 0.7), "aligned"),
+            trajectory_from_key("closed-1q", alpha=0.6, omega=1.2),
+            trajectory_from_key("closed-2q-aligned", alpha=0.8, omega=0.7),
         ]
         for traj in cases:
             for t in (0.2, 1.5, 3.3):
@@ -441,7 +438,7 @@ class TestInvariants:
 
     def test_curve_integral_second_order_in_grid(self):
         # cumulative trapezoid length converges at order >= 1.9 under refinement
-        traj = open_qubit_trajectory(OpenSystemParams(alpha=1.0, Gamma=10.0))
+        traj = open_model("open-1q", OpenSystemParams(alpha=1.0, Gamma=10.0))
 
         def integral(points):
             curve = speed_curve(traj, np.linspace(0.5, 8.0, points), SLD)

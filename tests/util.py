@@ -12,7 +12,7 @@ from qevspeed import analysis
 from qevspeed.cli import TableResult
 from qevspeed.errors import NumericalFailure, RootBracketError
 from qevspeed.metrics import MetricKind, mc_kernel
-from qevspeed.models import OpenSystemParams
+from qevspeed.models import OpenSystemParams, trajectory_from_key
 from qevspeed.speed import DEFAULT_TIME_STEP, RANK_TOL, Trajectory, stencil_step
 
 # Eigenvalues closer than this make the spectral form's eigenvector
@@ -47,6 +47,14 @@ def conjugate_trajectory(traj: Trajectory, unitary: np.ndarray) -> Trajectory:
         traj,
         state_at=lambda t: u @ state(t) @ u_dag,
         derivative_at=lambda t: u @ derivative(t) @ u_dag,
+    )
+
+
+def open_model(key: str, p: OpenSystemParams, **kwargs) -> Trajectory:
+    """``trajectory_from_key`` for the open model ``key`` at the alpha and
+    width of ``p``; ``kwargs`` (such as ``horizon``) are passed on."""
+    return trajectory_from_key(
+        key, alpha=p.alpha, Gamma_over_gamma0=p.Gamma, markovian_limit=p.markovian_limit, **kwargs
     )
 
 
@@ -213,10 +221,14 @@ def local_damping_evolve(rho0: np.ndarray, P: float, n: int = 1) -> np.ndarray:
     return out
 
 
-def bisect_speedup_end(p: OpenSystemParams, n: int) -> float:
+def bisect_speedup_end(p: OpenSystemParams, n: int, tol: float | None = None) -> float:
     """Oracle for ``analysis.speedup_boundaries``: the root on branch ``n``,
-    bisected one branch at a time on the scalar ``speedup_equation``."""
-    _, kappa = analysis._oscillation_rates(p)
+    bisected one branch at a time on the scalar ``speedup_equation``, to
+    residual ``tol`` (by default the package's rule) or, with ``tol = 0``,
+    until the bracket is two adjacent floats."""
+    gamma, kappa = analysis._oscillation_rates(p)
+    if tol is None:
+        tol = analysis.ROOT_RESIDUAL_TOL * min(1.0, gamma)
     low = 2.0 * n * math.pi / kappa
     pole = (2.0 * n + 1.0) * math.pi / kappa
     high = pole - max(analysis._POLE_PAD, 4.0 * math.ulp(pole))
@@ -230,14 +242,14 @@ def bisect_speedup_end(p: OpenSystemParams, n: int) -> float:
     for _ in range(analysis._MAX_BISECTIONS):
         mid = 0.5 * (low + high)
         g_mid = analysis.speedup_equation(p, mid)
-        if abs(g_mid) <= analysis.ROOT_RESIDUAL_TOL:
+        if abs(g_mid) <= tol or mid in (low, high):
             return mid
         if (g_mid < 0.0) == (g_low < 0.0):
             low, g_low = mid, g_mid
         else:
             high = mid
     raise RootBracketError(
-        f"bisection failed to reach residual {analysis.ROOT_RESIDUAL_TOL:.1e} on "
+        f"bisection failed to reach residual {tol:.1e} on "
         f"branch n = {n}"
     )
 
