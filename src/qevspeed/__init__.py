@@ -25,8 +25,8 @@ from .errors import (
     RankIncreaseError,
     RootBracketError,
 )
-from .linalg import eigh_stack, hermitian_check, tensor
-from .metrics import MetricKind, mc_kernel, pure_state_speed, resolve_metric
+from .linalg import eigh_stack
+from .metrics import MetricKind, mc_kernel, resolve_metric
 from .models import (
     MODEL_KEYS,
     OpenSystemParams,
@@ -70,11 +70,8 @@ __all__ = [
     "RankIncreaseError",
     "RootBracketError",
     "eigh_stack",
-    "hermitian_check",
-    "tensor",
     "MetricKind",
     "mc_kernel",
-    "pure_state_speed",
     "resolve_metric",
     "MODEL_KEYS",
     "OpenSystemParams",

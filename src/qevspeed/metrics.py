@@ -23,13 +23,6 @@ import numpy as np
 
 from .errors import MetricRejectionError
 
-# A state is treated as pure when its second-largest eigenvalue is below this:
-# about 1e4 times eigh's eigenvalue rounding on a unit-trace state, and the
-# same cut as speed.RANK_TOL, below which the kernel sum drops a pair.
-PURE_STATE_TOL = 1e-12
-
-_NORM_TOL = 1e-10
-
 
 class MetricKind(enum.Enum):
     SLD = "sld"
@@ -80,30 +73,3 @@ def mc_kernel(kind: MetricKind, x, y, where=True) -> np.ndarray:
         return 2.0 / np.where(where, np.add(x, y), np.inf)
     root = np.where(where, np.sqrt(x) + np.sqrt(y), np.inf)
     return 4.0 / (root * root)
-
-
-def pure_state_speed(psi: np.ndarray, psi_dot: np.ndarray, kind: MetricKind):
-    """Evolution speed of a pure state from its time-derivative vector.
-
-    Computes epsilon * || psi_dot_perp ||, the norm of the component of
-    ``psi_dot`` orthogonal to ``psi``, i.e. the Fubini-Study speed scaled by
-    the metric's pure-state prefactor. A stack of vectors (the last axis
-    indexes the components) gives an array of speeds.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    psi_dot = np.asarray(psi_dot, dtype=complex)
-    if psi.shape != psi_dot.shape:
-        raise ValueError("state and derivative must have equal dimension")
-    norm = np.sqrt(_inner(psi, psi).real)
-    unnormalized = np.abs(norm - 1.0) > _NORM_TOL
-    if unnormalized.any():
-        bad = float(norm[unnormalized].flat[0]) if norm.ndim else float(norm)
-        raise ValueError(f"state vector must be normalized, got |psi| = {bad:.12g}")
-    squared = _inner(psi_dot, psi_dot).real - np.abs(_inner(psi, psi_dot)) ** 2
-    speed = kind.epsilon * np.sqrt(np.maximum(squared, 0.0))
-    return float(speed) if speed.ndim == 0 else speed
-
-
-def _inner(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """<u|v> over the last axis, for stacks of vectors."""
-    return (u.conj()[..., None, :] @ v[..., :, None])[..., 0, 0]

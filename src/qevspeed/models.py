@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PAULI_Y, assert_density, tensor
+from .linalg import eigh_stack
 from .speed import Trajectory
 
 MODEL_KEYS = (
@@ -487,22 +487,36 @@ def alpha_from_concurrence(C):
     return _scalar_or_array(np.sqrt(0.5 * _concurrence_factor(C)))
 
 
+# Trace and positivity tolerance of a state given to ``concurrence``. Such
+# states may come from outside the package (data, other solvers), so the
+# check is looser than the ~1e-16 rounding of eigh; a state off by more is
+# rejected rather than clipped into a concurrence.
+DENSITY_TOL = 1e-8
+
+# sigma_y (x) sigma_y in the product basis (|11>, |10>, |01>, |00>)
+_SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
+
+
 def concurrence(rho: np.ndarray) -> float:
     """Wootters concurrence of a two-qubit density operator.
 
     C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
     eigenvalues of rho (sy x sy) conj(rho) (sy x sy). Those roots equal the
     singular values of sqrt(rho_tilde) sqrt(rho), which is how they are
-    computed here (no precision loss from squaring).
+    computed here (no precision loss from squaring). One ``eigh_stack`` call
+    checks and decomposes rho; its trace and eigenvalues are held to
+    ``DENSITY_TOL``.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"concurrence needs a two-qubit (4x4) state, got {rho.shape}")
-    assert_density(rho)
-    values, vectors = np.linalg.eigh(rho)
+    (values,), (vectors,) = eigh_stack(rho[None])
+    if abs(values.sum() - 1.0) > DENSITY_TOL:
+        raise ValueError(f"density operator must have unit trace, got {values.sum():.6g}")
+    if values[0] < -DENSITY_TOL:
+        raise ValueError(f"density operator has negative eigenvalue {values[0]:.3e}")
     root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
-    flip = tensor(PAULI_Y, PAULI_Y)
-    root_tilde = flip @ root.conj() @ flip
+    root_tilde = _SPIN_FLIP @ root.conj() @ _SPIN_FLIP
     lam = np.linalg.svd(root_tilde @ root, compute_uv=False)
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
@@ -548,6 +562,8 @@ def trajectory_from_key(
                 raise ValueError(f"alpha must lie in [0, 1], got {a}")
         if not omega > 0.0:
             raise ValueError(f"omega must be positive, got {omega}")
+        if omega == math.inf:
+            raise ValueError(f"omega must be finite, got {omega}")
         kind = "1q" if key == "closed-1q" else key.removeprefix("closed-2q-")
         return _closed_trajectory(kind, alpha, omega, horizon)
     if Gamma_over_gamma0 is None and not markovian_limit:

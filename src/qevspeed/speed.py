@@ -26,13 +26,18 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalFailure, RankIncreaseError
-from .metrics import PURE_STATE_TOL, MetricKind, mc_kernel, pure_state_speed
+from .metrics import MetricKind, mc_kernel
 
 # Eigenvalue-pair sums below RANK_TOL are boundary terms: dropped when the
 # corresponding derivative element is below ELEM_TOL, an error otherwise
 # (the dynamics would be increasing the state rank).
 RANK_TOL = 1e-12
 ELEM_TOL = 1e-8
+
+# A state is treated as pure when its second-largest eigenvalue is below this:
+# about 1e4 times eigh's eigenvalue rounding on a unit-trace state, and the
+# same cut as RANK_TOL.
+PURE_STATE_TOL = 1e-12
 
 # Half-width of the slope stencil per unit max(1, |xi|) (``stencil_step``).
 # The truncation error of a central difference grows as h^2 and its rounding
@@ -95,9 +100,13 @@ def rho_dot(traj: Trajectory, t) -> np.ndarray:
 
 
 def _pure_speeds(vectors, drho, metric: MetricKind) -> np.ndarray:
-    """Fubini-Study speeds of the top eigenvectors."""
+    """Fubini-Study speeds of the top (unit) eigenvectors psi: epsilon times
+    the norm of the part of drho psi orthogonal to psi."""
     psi = vectors[..., -1]
-    return pure_state_speed(psi, (drho @ psi[..., None])[..., 0], metric)
+    moved = (drho @ psi[..., None])[..., 0]
+    squared_norm = (moved.conj()[..., None, :] @ moved[..., :, None])[..., 0, 0].real
+    overlap = (psi.conj()[..., None, :] @ moved[..., :, None])[..., 0, 0]
+    return metric.epsilon * np.sqrt(np.maximum(squared_norm - np.abs(overlap) ** 2, 0.0))
 
 
 def _kernel_sums(p, vectors, drho, metric: MetricKind):
@@ -168,10 +177,13 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
 
     States and derivatives come from one call of each builder; the kernel
     sum is ``kernel_speeds``. At t = 0 a trajectory's ``speed_at_zero``
-    limit is returned. Times outside [0, horizon] raise ``ValueError``; a
-    failed point is nan with its error in ``failures``.
+    limit is returned. Times outside [0, horizon] and states of a size other
+    than ``traj.dim`` raise ``ValueError``; a failed point is nan with its
+    error in ``failures``. No times give an empty batch.
     """
     t = np.asarray(times, dtype=float)
+    if t.size == 0:
+        return SpeedBatch(np.empty(t.shape))
     first, last = (float(t), float(t)) if t.ndim == 0 else (t.min(), t.max())
     if not (first >= 0.0 and last <= traj.horizon):
         bad = t[~((t >= 0.0) & (t <= traj.horizon))].flat[0]
@@ -181,6 +193,8 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
         return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
     with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
         rho = np.asarray(traj.state_at(t), dtype=complex)
+        if rho.shape[-2:] != (traj.dim, traj.dim):
+            raise ValueError(f"trajectory declares dim={traj.dim} but its states have shape {rho.shape[-2:]}")
         result = kernel_speeds(rho, rho_dot(traj, t), metric, t)
     if limit is None or first > 0.0:
         return result

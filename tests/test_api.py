@@ -21,12 +21,9 @@ PUBLIC_NAMES = (
     "RootBracketError",
     # linalg
     "eigh_stack",
-    "hermitian_check",
-    "tensor",
     # metrics
     "MetricKind",
     "mc_kernel",
-    "pure_state_speed",
     "resolve_metric",
     # models: trajectory_from_key is the one way to build a model
     "MODEL_KEYS",

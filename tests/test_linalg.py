@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from qevspeed.linalg import assert_density, eigh_stack, hermitian_check, tensor
+from qevspeed.linalg import HERM_TOL, eigh_stack
+from qevspeed.models import DENSITY_TOL, concurrence
 from util import random_density, random_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def eigh(matrix):
@@ -15,12 +15,15 @@ def eigh(matrix):
 
 
 class TestHermitianCheck:
+    """``eigh_stack`` is the one finite and Hermitian check."""
+
     def test_identity(self):
-        assert hermitian_check(np.eye(2, dtype=complex), 1e-12)
+        eigh(np.eye(2, dtype=complex))
 
     def test_symmetric_but_not_hermitian(self):
         m = np.array([[0.0, 1.0j], [1.0j, 0.0]])
-        assert not hermitian_check(m, 1e-12)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigh(m)
 
     @pytest.mark.parametrize("pop", [0.0, 0.25, 0.5, 1.0])
     def test_damped_qubit_matrix_shape(self, pop):
@@ -29,16 +32,37 @@ class TestHermitianCheck:
         r11, r10 = 0.4, 0.25
         root = np.sqrt(pop)
         m = np.array([[r11 * pop, r10 * root], [r10 * root, 1 - r11 * pop]], complex)
-        assert hermitian_check(m, 1e-12)
+        eigh(m)
 
     def test_rejects_nonfinite(self):
         m = np.array([[np.nan, 0.0], [0.0, 1.0]], complex)
         with pytest.raises(ValueError, match="NaN"):
-            hermitian_check(m)
+            eigh(m)
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
-            hermitian_check(np.zeros((2, 3)))
+        for shape in ((1, 2, 3), (2, 3), (2,)):
+            with pytest.raises(ValueError, match=r"square matrices \(N, d, d\), got shape"):
+                eigh_stack(np.zeros(shape))
+
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_tolerance(self, side):
+        # an antisymmetric real part of side * HERM_TOL on one pair of entries
+        m = np.diag([0.3, 0.7]).astype(complex)
+        m[0, 1] = side * HERM_TOL
+        if side < 1.0:
+            eigh(m)
+        else:
+            with pytest.raises(ValueError, match="matrix 0 of the stack is not Hermitian"):
+                eigh(m)
+
+    def test_names_the_matrix(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.triu(np.ones((2, 2)))])
+        with pytest.raises(ValueError, match="matrix 2 of the stack"):
+            eigh_stack(stack)
+
+    def test_empty_stack(self):
+        values, vectors = eigh_stack(np.zeros((0, 2, 2)))
+        assert values.shape == (0, 2) and vectors.shape == (0, 2, 2)
 
 
 class TestEigh:
@@ -84,43 +108,54 @@ class TestEigh:
             assert abs(np.sum(values) - 1.0) <= 1e-12
 
 
-class TestTensor:
-    def test_identity(self):
-        np.testing.assert_array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_pauli_z_with_identity(self):
-        np.testing.assert_array_equal(
-            tensor(PAULI_Z, np.eye(2)), np.diag([1.0, 1.0, -1.0, -1.0])
-        )
-
-    def test_basis_projector(self):
-        # |1><1| x |0><0| = |10><10| in the (|11>,|10>,|01>,|00>) ordering
-        excited = np.diag([1.0, 0.0])
-        ground = np.diag([0.0, 1.0])
-        np.testing.assert_array_equal(
-            tensor(excited, ground), np.diag([0.0, 1.0, 0.0, 0.0])
-        )
-
-    def test_associativity_integer_matrices(self):
-        rng = np.random.default_rng(5)
-        for _ in range(50):
-            a = rng.integers(-3, 4, (2, 2))
-            b = rng.integers(-3, 4, (2, 2))
-            c = rng.integers(-3, 4, (2, 2))
-            np.testing.assert_array_equal(
-                tensor(tensor(a, b), c), tensor(a, tensor(b, c))
-            )
-
-
 class TestAssertDensity:
+    """The density-operator checks of ``concurrence``: finite and Hermitian
+    through ``eigh_stack``, trace and positivity on its eigenvalues."""
+
     def test_accepts_valid(self):
         rng = np.random.default_rng(17)
-        assert_density(random_density(rng, 4))
+        concurrence(random_density(rng, 4))
 
     def test_rejects_traceless(self):
         with pytest.raises(ValueError, match="trace"):
-            assert_density(np.diag([0.7, 0.7]).astype(complex))
+            concurrence(np.diag([0.7, 0.7, 0.0, 0.0]).astype(complex))
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
-            assert_density(np.diag([1.5, -0.5]).astype(complex))
+            concurrence(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(ValueError, match="NaN"):
+            concurrence(np.diag([np.inf, 0.0, 0.0, 0.0]).astype(complex))
+
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_trace_tolerance(self, side):
+        rho = np.diag([0.25, 0.25, 0.25, 0.25 + side * DENSITY_TOL]).astype(complex)
+        if side < 1.0:
+            assert concurrence(rho) == 0.0
+        else:
+            with pytest.raises(ValueError, match="unit trace"):
+                concurrence(rho)
+
+    @pytest.mark.parametrize("side", [0.99, 1.01])
+    def test_positivity_tolerance(self, side):
+        small = side * DENSITY_TOL
+        rho = np.diag([-small, 0.5, 0.25, 0.25 + small]).astype(complex)
+        if side < 1.0:
+            assert concurrence(rho) == 0.0
+        else:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                concurrence(rho)
+
+    @pytest.mark.parametrize("side", [0.99, 1.01, 10.0])
+    def test_hermitian_tolerance_is_herm_tol(self, side):
+        # 10 * HERM_TOL passed the 1e-8 Hermitian check concurrence used to
+        # make on its own; it now fails the package's one check
+        vec = np.array([0.6, 0, 0, 0.8], dtype=complex)
+        rho = np.outer(vec, vec)
+        rho[1, 2] = side * HERM_TOL
+        if side < 1.0:
+            assert concurrence(rho) == pytest.approx(0.96, abs=1e-9)
+        else:
+            with pytest.raises(ValueError, match="not Hermitian"):
+                concurrence(rho)

@@ -30,6 +30,10 @@ class TestParams:
         with pytest.raises(ValueError, match=r"^omega must be positive, got -1\.0$"):
             trajectory_from_key("closed-1q", omega=-1.0)
 
+    def test_closed_requires_finite_omega(self):
+        with pytest.raises(ValueError, match=r"^omega must be finite, got inf$"):
+            trajectory_from_key("closed-1q", omega=math.inf)
+
     def test_closed_alpha_range(self):
         for key in ("closed-1q", "closed-2q-aligned", "closed-2q-anti"):
             with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1\.2$"):

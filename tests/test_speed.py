@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qevspeed.errors import RankIncreaseError
-from qevspeed.metrics import MetricKind, pure_state_speed
+from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     OpenSystemParams,
     open_qubit_speed_analytic,
@@ -12,9 +12,9 @@ from qevspeed.models import (
     population_factor,
     trajectory_from_key,
 )
-from qevspeed.metrics import PURE_STATE_TOL
 from qevspeed.speed import (
     ELEM_TOL,
+    PURE_STATE_TOL,
     RANK_TOL,
     Trajectory,
     kernel_speeds,
@@ -27,6 +27,7 @@ from qevspeed.speed import (
 from util import (
     DegenerateSpectrumError,
     conjugate_trajectory,
+    fubini_study_speed,
     leaking_trajectory,
     open_model,
     random_unitary,
@@ -156,6 +157,27 @@ class TestSpeedAt:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             speed_at(stationary_trajectory(), 11.0, SLD)
+
+    def test_states_must_match_declared_dim(self):
+        rho = stationary_trajectory()
+        traj = Trajectory(dim=4, horizon=10.0, state_at=rho.state_at, derivative_at=rho.derivative_at)
+        with pytest.raises(ValueError, match=r"declares dim=4 but its states have shape \(2, 2\)"):
+            speeds_at(traj, np.array([1.0, 2.0]), SLD)
+
+    @pytest.mark.parametrize(
+        "traj",
+        [
+            stationary_trajectory(),
+            trajectory_from_key("closed-2q-aligned", alpha=0.6),
+            trajectory_from_key("open-1q", alpha=0.6, Gamma_over_gamma0=0.1),
+        ],
+        ids=["hand-written", "closed", "open"],
+    )
+    def test_empty_batches(self, traj):
+        result = speeds_at(traj, np.array([]), SLD)
+        assert result.speeds.shape == (0,) and not result.failures
+        speeds, slopes, failures = speedup_measures(lambda t: speeds_at(traj, t, SLD), [])
+        assert speeds.shape == slopes.shape == (0,) and failures == {}
 
     def test_nonnegative_on_models(self):
         trajectories = [
@@ -422,7 +444,7 @@ class TestInvariants:
             psi = np.array([a * phase, b / phase])
             psi_dot = np.array([-0.5j * w * a * phase, 0.5j * w * b / phase])
             assert speed_at(traj, t, SLD) == pytest.approx(
-                pure_state_speed(psi, psi_dot, SLD), abs=1e-8
+                fubini_study_speed(psi, psi_dot), abs=1e-8
             )
 
     def test_wy_ratio_on_pure_trajectories(self):

@@ -31,6 +31,13 @@ def random_density(rng: np.random.Generator, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def fubini_study_speed(psi: np.ndarray, psi_dot: np.ndarray) -> float:
+    """The Fubini-Study speed of a unit vector psi moving at psi_dot: the norm
+    of the part of psi_dot orthogonal to psi (the SLD speed of |psi><psi|)."""
+    squared = np.vdot(psi_dot, psi_dot).real - abs(np.vdot(psi, psi_dot)) ** 2
+    return math.sqrt(max(squared, 0.0))
+
+
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
