@@ -69,10 +69,13 @@ class OpenSystemParams:
 
     @property
     def kappa(self) -> float:
-        """|2 Gamma - Gamma^2|^(1/2); real oscillation rate when Gamma < 2."""
+        """|2 Gamma - Gamma^2|^(1/2); real oscillation rate when Gamma < 2.
+
+        Evaluated as sqrt(Gamma) sqrt(|2 - Gamma|), which neither overflows
+        nor loses the 2 Gamma next to Gamma^2 at large widths."""
         if self.markovian_limit:
             raise ValueError("kappa is undefined in the Markovian limit")
-        return math.sqrt(abs(2.0 * self.Gamma - self.Gamma**2))
+        return math.sqrt(self.Gamma) * math.sqrt(abs(2.0 - self.Gamma))
 
     def branch(self) -> str:
         """One of 'markovian', 'oscillatory', 'critical', 'hyperbolic'."""
@@ -140,8 +143,9 @@ def _hyperbolic(t, g, k):
 
 def _hyperbolic_split(t, g, k):
     # For large arguments expand into decaying exponentials (kappa < Gamma)
-    # to avoid cosh overflow.
-    up = _exp(0.5 * (k - g) * t)
+    # to avoid cosh overflow. kappa - Gamma = -2 Gamma / (kappa + Gamma)
+    # without the cancellation of the difference at large widths.
+    up = _exp(-g / (k + g) * t)
     down = _exp(-0.5 * (k + g) * t)
     return (
         0.5 * ((1.0 + g / k) * up + (1.0 - g / k) * down),
@@ -167,7 +171,7 @@ def _amplitudes(t, Gamma):
             raise ValueError(f"time must be nonnegative, got {t}")
         if math.isinf(g):
             return _markovian(t, g, 0.0)
-        k = math.sqrt(abs(2.0 * g - g**2))
+        k = math.sqrt(g) * math.sqrt(abs(2.0 - g))
         if g == 2.0:
             return _critical(t, g, k)
         if g < 2.0:
@@ -177,7 +181,7 @@ def _amplitudes(t, Gamma):
     t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
     markovian = np.isinf(g)
     finite = np.where(markovian, 0.0, g)
-    k = np.sqrt(np.abs(2.0 * finite - finite**2))
+    k = np.sqrt(finite) * np.sqrt(np.abs(2.0 - finite))
     code = np.where(
         finite == 2.0, 1, np.where(finite < 2.0, 2, np.where(0.5 * k * t < 20.0, 3, 4))
     )

@@ -12,12 +12,19 @@ derivatives.
 
 The kernel sum is evaluated in batches: ``speeds_at`` takes an array of
 times (and a model family built on arrays of parameters), builds all states
-in one call and sums the kernel over one stacked eigendecomposition
-(``kernel_speeds``). ``speed_at`` is its one-point case.
+in one call and sums the kernel block by block (``kernel_speeds``). The
+stack splits into the diagonal blocks that its sparsity pattern allows;
+cross-block elements of drho vanish, so each block contributes its own
+terms. Blocks of one and two indices, which are all the blocks of the six
+built-in models, have closed-form eigensystems (``linalg.pair_block``), so
+those models need no LAPACK call; larger blocks go through one stacked
+``linalg.eigh_stack``. ``speed_at`` is the one-point case, evaluated on
+Python floats by the same formulas and equal to the batch bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -26,7 +33,7 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalFailure, RankIncreaseError
-from .metrics import MetricKind, mc_kernel
+from .metrics import MetricKind, kernel_value, mc_kernel
 
 # Eigenvalue-pair sums below RANK_TOL are boundary terms: dropped when the
 # corresponding derivative element is below ELEM_TOL, an error otherwise
@@ -99,28 +106,143 @@ def rho_dot(traj: Trajectory, t) -> np.ndarray:
     return 0.5 * (d + d.conj().swapaxes(-2, -1))
 
 
-def _pure_speeds(vectors, drho, metric: MetricKind) -> np.ndarray:
-    """Fubini-Study speeds of the top (unit) eigenvectors psi: epsilon times
-    the norm of the part of drho psi orthogonal to psi."""
-    psi = vectors[..., -1]
-    moved = (drho @ psi[..., None])[..., 0]
-    squared_norm = (moved.conj()[..., None, :] @ moved[..., :, None])[..., 0, 0].real
-    overlap = (psi.conj()[..., None, :] @ moved[..., :, None])[..., 0, 0]
-    return metric.epsilon * np.sqrt(np.maximum(squared_norm - np.abs(overlap) ** 2, 0.0))
+@functools.lru_cache(maxsize=256)
+def _components(dim: int, pattern: bytes) -> tuple[tuple[int, ...], ...]:
+    """The diagonal blocks a d x d sparsity pattern (row-major bytes of a
+    boolean array) allows: the connected components of its nonzero entries,
+    each ascending, ordered by their first index."""
+    blocks, seen = [], [False] * dim
+    for start in range(dim):
+        if seen[start]:
+            continue
+        seen[start] = True
+        block, stack = [], [start]
+        while stack:
+            i = stack.pop()
+            block.append(i)
+            for j in range(dim):
+                if (pattern[i * dim + j] or pattern[j * dim + i]) and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        blocks.append(tuple(sorted(block)))
+    return tuple(blocks)
 
 
-def _kernel_sums(p, vectors, drho, metric: MetricKind):
-    """Kernel-sum speeds, and the derivative-element magnitudes with the
-    mask of boundary pairs whose element is not negligible (None when no
-    pair is on the boundary)."""
-    magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ drho @ vectors)
-    pk, pl = p[:, :, None], p[:, None, :]
-    kept = pk + pl >= RANK_TOL
-    weight = mc_kernel(metric, pk, pl, where=kept)
-    with np.errstate(under="ignore"):  # negligible terms flush to zero
-        total = (weight * magnitude * magnitude).sum(axis=(1, 2))
-    escaping = None if kept.all() else ~kept & (magnitude >= ELEM_TOL)
-    return 0.5 * np.sqrt(np.maximum(total, 0.0)), magnitude, escaping
+def _binary_scale(peak):
+    """(2^-e, 2^e) with 2^e <= ``peak`` < 2^(e+1), for a Python float or
+    elementwise. Derivatives are multiplied by 2^-e before they are squared
+    and the speeds by 2^e after, both exactly; e is clipped to keep both
+    factors normal floats."""
+    if isinstance(peak, float):
+        e = min(max(math.frexp(peak)[1] - 1, -1021), 1022)
+        return math.ldexp(1.0, -e), math.ldexp(1.0, e)
+    e = np.clip(np.frexp(peak)[1] - 1, -1021, 1022)
+    return np.ldexp(1.0, -e), np.ldexp(1.0, e)
+
+
+def _block_terms(blocks, rho_at, drho_at, shrink):
+    """The eigenvalue columns of every block, and the kernel-sum terms
+    (k, l, |<k| shrink * drho |l>|) over the pairs of columns within a block
+    (the elements between blocks vanish).
+
+    ``rho_at(i, j)`` and ``drho_at(i, j)`` read an entry of one point (Python
+    numbers) or of every point of a batch (arrays). A block of one index is
+    its own eigensystem, a block of two takes ``linalg.pair_block``, and a
+    larger one (batches only) ``linalg.eigh_stack``.
+    """
+    values, terms = [], []
+    for block in blocks:
+        k = len(values)
+        if len(block) == 1:
+            (i,) = block
+            d = drho_at(i, i).real * shrink
+            values.append(rho_at(i, i).real)
+            terms.append((k, k, abs(d)))
+        elif len(block) == 2:
+            i, j = block
+            w, dw = rho_at(i, j), drho_at(i, j)
+            low, high, d_low, d_high, d_cross = linalg.pair_block(
+                rho_at(i, i).real, rho_at(j, j).real, w.real, w.imag,
+                drho_at(i, i).real * shrink, drho_at(j, j).real * shrink, dw.real * shrink, dw.imag * shrink,
+            )
+            values += [low, high]
+            terms += [(k, k, d_low), (k + 1, k + 1, d_high), (k, k + 1, d_cross), (k + 1, k, d_cross)]
+        else:
+            rows = np.array(block)
+            p, vectors = linalg.eigh_stack(rho_at(rows[:, None], rows))
+            moved = drho_at(rows[:, None], rows) * shrink[:, None, None]
+            magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ moved @ vectors)
+            values += list(p.T)
+            size = len(block)
+            terms += [(k + a, k + b, magnitude[:, a, b]) for a in range(size) for b in range(size)]
+    return values, terms
+
+
+def _point_speed(metric: MetricKind, values, terms, grow: float):
+    """``_batch_speeds`` at one point, on Python floats by the same
+    operations: its speed, and the terms that escape (nan speed) or None."""
+    p = [max(v, 0.0) for v in values]
+    order = sorted(p)
+    if order[-2] < PURE_STATE_TOL:
+        top = p.index(order[-1])
+        squared = 0.0
+        for k, l, m in terms:
+            if l == top and k != l:
+                squared = squared + m * m
+        return metric.epsilon * math.sqrt(squared) * grow, None
+    total = 0.0
+    escaping = []
+    for k, l, m in terms:
+        if p[k] + p[l] >= RANK_TOL:
+            total = total + kernel_value(metric, p[k], p[l]) * m * m
+        elif m * grow >= ELEM_TOL:
+            escaping.append((k, l, m))
+    if escaping:
+        return math.nan, escaping
+    return 0.5 * math.sqrt(total) * grow, None
+
+
+def _batch_speeds(metric: MetricKind, values, terms, grow: np.ndarray):
+    """Speeds from the eigenvalue columns and terms of ``_block_terms``, and
+    the terms that escape at each failed point (whose speed is nan).
+
+    A point whose second-largest eigenvalue is below ``PURE_STATE_TOL`` takes
+    the Fubini-Study reduction: epsilon times the root of the terms into the
+    top eigenvalue's column. Any other takes the kernel sum, where terms
+    whose eigenvalues sum below ``RANK_TOL`` are dropped when their element
+    is below ``ELEM_TOL`` and escape otherwise.
+    """
+    p = np.maximum(np.stack(values, axis=-1), 0.0)
+    top = p.argmax(axis=-1)
+    pure = np.sort(p, axis=-1)[:, -2] < PURE_STATE_TOL
+    total = squared = 0.0
+    escapes = []
+    for k, l, m in terms:
+        x, y = p[:, k], p[:, l]
+        kept = x + y >= RANK_TOL
+        total = total + mc_kernel(metric, x, y, where=kept) * m * m
+        if k != l:
+            squared = squared + np.where(top == l, m * m, 0.0)
+        if not kept.all():
+            escapes.append((k, l, m, ~kept & ~pure & (m * grow >= ELEM_TOL)))
+    speeds = np.where(pure, metric.epsilon * np.sqrt(squared) * grow, 0.5 * np.sqrt(total) * grow)
+    failed = np.logical_or.reduce([flags for *_, flags in escapes], initial=False)
+    speeds[failed] = math.nan
+    escaping = {
+        int(i): [(k, l, float(m[i])) for k, l, m, flags in escapes if flags[i]] for i in np.flatnonzero(failed)
+    }
+    return speeds, escaping
+
+
+def _rank_increase(values, escaping, grow: float, time: float) -> RankIncreaseError:
+    """The error of a point whose terms (k, l, |D_kl|) escape, at the first
+    pair in the order of a dense eigensolver: eigenvalues ascending, ties in
+    column order."""
+    rank = [0] * len(values)
+    for position, column in enumerate(sorted(range(len(values)), key=values.__getitem__)):
+        rank[column] = position
+    k, l, m = min(escaping, key=lambda term: (rank[term[0]], rank[term[1]]))
+    return RankIncreaseError(time, (rank[k], rank[l]), m * grow)
 
 
 def kernel_speeds(
@@ -129,47 +251,49 @@ def kernel_speeds(
     metric: MetricKind = MetricKind.SLD,
     times: np.ndarray | None = None,
 ) -> SpeedBatch:
-    """Speeds of stacked states ``rho`` moving at ``drho`` (shape (..., d, d)).
+    """Speeds of stacked states ``rho`` moving at ``drho`` (shape (..., d, d));
+    ``drho`` is Hermitian, as ``rho_dot`` returns it.
 
-    One stacked eigendecomposition, then per point: the Fubini-Study
-    reduction for pure states (second-largest eigenvalue below
+    The stack splits into the diagonal blocks its union sparsity pattern
+    allows: the connected components of the entries that are nonzero in
+    ``rho`` or ``drho`` at any point. Blocks of one and two indices have
+    closed-form eigensystems; larger ones go through ``eigh_stack``. Each
+    point's ``drho`` is scaled by a power of two near its largest entry
+    before it is squared (``_binary_scale``). Then per point: the
+    Fubini-Study reduction for pure states (second-largest eigenvalue below
     ``PURE_STATE_TOL``), else the kernel sum, where eigenvalue pairs summing
-    below ``RANK_TOL`` are dropped when their derivative elements are
-    negligible and fail the point with ``RankIncreaseError`` otherwise.
-    ``times`` only labels those errors. Non-finite or non-Hermitian states
-    raise ``ValueError`` for the whole batch.
+    below ``RANK_TOL`` are dropped when their derivative elements are below
+    ``ELEM_TOL`` and fail the point with ``RankIncreaseError`` otherwise. A
+    one-point stack runs the same formulas on Python floats. ``times`` only
+    labels the errors. Non-finite or non-Hermitian states raise
+    ``ValueError`` for the whole batch.
     """
     rho = np.asarray(rho, dtype=complex)
     batch, dim = rho.shape[:-2], rho.shape[-1]
-    rho = rho.reshape(-1, dim, dim)
-    drho = np.asarray(drho, dtype=complex).reshape(rho.shape)
-    values, vectors = linalg.eigh_stack(rho)
-    p = np.maximum(values, 0.0)
-
-    pure = p[:, -2] < PURE_STATE_TOL
-    mixed = ~pure
-    n_pure = np.count_nonzero(pure)
-    if n_pure == len(rho):
-        return SpeedBatch(_pure_speeds(vectors, drho, metric).reshape(batch))
-    if n_pure == 0:
-        speeds, magnitude, escaping = _kernel_sums(p, vectors, drho, metric)
+    rho = linalg.hermitian_stack(rho.reshape(-1, dim, dim))
+    drho = np.ascontiguousarray(drho, dtype=complex).reshape(rho.shape)
+    parts = drho.view(float)  # real and imaginary parts, side by side
+    blocks = _components(dim, ((rho != 0.0) | (drho != 0.0)).any(axis=0).tobytes())
+    if len(rho) == 1 and max(map(len, blocks)) <= 2:
+        entries, moves = rho[0].tolist(), drho[0].tolist()
+        shrink, grow = _binary_scale(max(map(abs, parts.ravel().tolist())))
+        values, terms = _block_terms(blocks, lambda i, j: entries[i][j], lambda i, j: moves[i][j], shrink)
+        speed, escaping = _point_speed(metric, values, terms, grow)
+        speeds, escaping = np.full(batch, speed), {} if escaping is None else {0: escaping}
     else:
-        speeds = np.empty(len(rho))
-        speeds[pure] = _pure_speeds(vectors[pure], drho[pure], metric)
-        speeds[mixed], magnitude, escaping = _kernel_sums(
-            p[mixed], vectors[mixed], drho[mixed], metric
-        )
-
+        shrink, grow = _binary_scale(np.abs(parts).max(axis=(1, 2), initial=0.0))
+        with np.errstate(under="ignore"):  # negligible terms flush to zero
+            values, terms = _block_terms(blocks, lambda i, j: rho[:, i, j], lambda i, j: drho[:, i, j], shrink)
+            speeds, escaping = _batch_speeds(metric, values, terms, grow)
+        speeds = speeds.reshape(batch)
     failures: dict[int, NumericalFailure] = {}
-    if escaping is not None and escaping.any():
+    if escaping:
         labels = np.broadcast_to(math.nan if times is None else times, batch).ravel()
-        index = np.flatnonzero(mixed)
-        for row in np.flatnonzero(escaping.any(axis=(1, 2))):
-            k, l = divmod(int(np.argmax(escaping[row])), dim)
-            i = int(index[row])
-            failures[i] = RankIncreaseError(float(labels[i]), (k, l), float(magnitude[row, k, l]))
-            speeds[i] = math.nan
-    return SpeedBatch(speeds.reshape(batch), failures)
+        for i, out in escaping.items():
+            column = [float(np.ravel(v)[i]) for v in values]
+            scale = float(np.ravel(grow)[i])
+            failures[i] = _rank_increase(column, out, scale, float(labels[i]))
+    return SpeedBatch(speeds, failures)
 
 
 def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> SpeedBatch:

@@ -122,6 +122,27 @@ class TestSpeedCommand:
         assert np.isfinite(rows[0, 1]) and np.isfinite(rows[-1, 1])
 
 
+    @pytest.mark.parametrize("ratio", ["1e17", "1e200", "1e300"])
+    def test_large_widths_print_the_markovian_speeds(self, tmp_path, ratio):
+        grid = ["speed", "--model", "open-1q", "--tmin", "1", "--tmax", "2", "--points", "2"]
+        code, text = run_to_file(tmp_path, [*grid, "--gamma-ratio", ratio])
+        assert code == 0
+        rows = parse_csv(text)[2]
+        code, markovian = run_to_file(tmp_path, [*grid, "--markovian-limit"], name="limit.csv")
+        assert code == 0
+        np.testing.assert_allclose(rows[:, :3], parse_csv(markovian)[2], rtol=1e-11)
+        assert rows[0, 1] == pytest.approx(0.381436989183, rel=1e-11)
+
+    def test_huge_frequency_prints_the_precession_speed(self, tmp_path):
+        # the derivative's squares would overflow: S = alpha beta omega = 4.8e299
+        code, text = run_to_file(
+            tmp_path, ["speed", "--model", "closed-1q", "--alpha", "0.6", "--omega", "1e300", "--points", "3"]
+        )
+        assert code == 0
+        assert "# note:" not in text
+        np.testing.assert_allclose(parse_csv(text)[2][:, 1], 0.6 * 0.8 * 1e300, rtol=1e-12)
+
+
 class TestFigureCommand:
     def test_specs_match_bound_parameters(self):
         specs = cli.FIGURES

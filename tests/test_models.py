@@ -18,7 +18,7 @@ from qevspeed.models import (
     population_factor_dot,
     trajectory_from_key,
 )
-from qevspeed.speed import speed_at
+from qevspeed.speed import speed_at, speeds_at
 from util import local_damping_evolve, open_model, random_density
 
 SLD = MetricKind.SLD
@@ -83,6 +83,42 @@ class TestParams:
         assert critical.branch() == "critical"
         assert math.isfinite(open_qubit_speed_analytic(critical, 10.0))
         assert math.isfinite(open_qubit_speed_analytic(critical, 1e-3))
+
+
+    @pytest.mark.parametrize("width", [1e17, 1e200, 1e300])
+    def test_kappa_at_large_widths(self, width):
+        # kappa^2 = Gamma^2 - 2 Gamma: neither overflow nor a lost 2 Gamma
+        kappa = OpenSystemParams(Gamma=width).kappa
+        assert kappa == pytest.approx(width * math.sqrt(1.0 - 2.0 / width), rel=1e-15)
+
+
+class TestLargeWidths:
+    """A finite width far above gamma0 is the Markovian limit to rounding."""
+
+    TIMES = np.array([0.5, 1.0, 2.0, 7.0, 30.0])
+
+    def test_amplitude_decays_like_the_markovian_limit(self):
+        limit = OpenSystemParams(markovian_limit=True)
+        for width in (1e17, 1e200, 1e300):
+            wide = OpenSystemParams(Gamma=width)
+            np.testing.assert_allclose(
+                population_factor(wide, self.TIMES), population_factor(limit, self.TIMES), rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                population_factor_dot(wide, self.TIMES), population_factor_dot(limit, self.TIMES), rtol=1e-12
+            )
+
+    @pytest.mark.parametrize("key", ["open-1q", "open-2q-aligned", "open-2q-anti"])
+    def test_speeds_match_the_markovian_limit(self, key):
+        limit = trajectory_from_key(key, alpha=0.8, markovian_limit=True)
+        for width in (1e17, 1e200, 1e300):
+            wide = trajectory_from_key(key, alpha=0.8, Gamma_over_gamma0=width)
+            for metric in MetricKind:
+                np.testing.assert_allclose(
+                    speeds_at(wide, self.TIMES, metric).speeds,
+                    speeds_at(limit, self.TIMES, metric).speeds,
+                    rtol=1e-12,
+                )
 
 
 class TestClosedTrajectories:

@@ -10,10 +10,18 @@ import numpy as np
 
 from qevspeed import analysis
 from qevspeed.cli import TableResult
-from qevspeed.errors import NumericalFailure, RootBracketError
+from qevspeed.errors import NumericalFailure, RankIncreaseError, RootBracketError
 from qevspeed.metrics import MetricKind, mc_kernel
 from qevspeed.models import OpenSystemParams, trajectory_from_key
-from qevspeed.speed import DEFAULT_TIME_STEP, RANK_TOL, Trajectory, stencil_step
+from qevspeed.speed import (
+    DEFAULT_TIME_STEP,
+    ELEM_TOL,
+    PURE_STATE_TOL,
+    RANK_TOL,
+    SpeedBatch,
+    Trajectory,
+    stencil_step,
+)
 
 # Eigenvalues closer than this make the spectral form's eigenvector
 # derivatives ill-defined.
@@ -117,6 +125,38 @@ def rank_leaking_trajectory(key: str, **kwargs) -> Trajectory:
     """A stand-in for ``trajectory_from_key`` that leaks for 1.9 < t < 2.1,
     with a speed limit of 1 at t = 0."""
     return leaking_trajectory(1.9, 2.1, kwargs.get("horizon") or 50.0, speed_at_zero=1.0)
+
+
+def dense_kernel_speeds(rho, drho, metric: MetricKind = MetricKind.SLD, times=None) -> SpeedBatch:
+    """Oracle for ``kernel_speeds``: one dense ``np.linalg.eigh`` of every
+    state, whatever its sparsity, and the derivative elements
+    |V^dagger drho V| in that eigenbasis. The same rules follow: the
+    Fubini-Study reduction when the second-largest eigenvalue is below
+    ``PURE_STATE_TOL`` (summed over the top eigenvector's column), else the
+    kernel sum with the ``RANK_TOL``/``ELEM_TOL`` masks; a failed point
+    names its first escaping pair in ascending eigenvalue order."""
+    rho = np.asarray(rho, dtype=complex)
+    batch, dim = rho.shape[:-2], rho.shape[-1]
+    rho = rho.reshape(-1, dim, dim)
+    drho = np.asarray(drho, dtype=complex).reshape(rho.shape)
+    values, vectors = np.linalg.eigh(rho)
+    p = np.maximum(values, 0.0)
+    magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ drho @ vectors)
+    pure = p[:, -2] < PURE_STATE_TOL
+    into_top = magnitude[:, :-1, -1]
+    fubini_study = metric.epsilon * np.sqrt((into_top * into_top).sum(axis=1))
+    pk, pl = p[:, :, None], p[:, None, :]
+    kept = pk + pl >= RANK_TOL
+    total = (mc_kernel(metric, pk, pl, where=kept) * magnitude * magnitude).sum(axis=(1, 2))
+    speeds = np.where(pure, fubini_study, 0.5 * np.sqrt(total))
+    escaping = ~kept & (magnitude >= ELEM_TOL) & ~pure[:, None, None]
+    labels = np.broadcast_to(math.nan if times is None else times, batch).ravel()
+    failures = {}
+    for row in np.flatnonzero(escaping.any(axis=(1, 2))):
+        k, l = divmod(int(np.argmax(escaping[row])), dim)
+        failures[int(row)] = RankIncreaseError(float(labels[row]), (k, l), float(magnitude[row, k, l]))
+        speeds[row] = math.nan
+    return SpeedBatch(speeds.reshape(batch), failures)
 
 
 class DegenerateSpectrumError(NumericalFailure):
