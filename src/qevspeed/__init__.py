@@ -33,7 +33,6 @@ from .models import (
     alpha_from_concurrence,
     amplitude_factor,
     amplitude_factor_dot,
-    concurrence,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
     open_two_qubit_speed_analytic,
@@ -78,7 +77,6 @@ __all__ = [
     "alpha_from_concurrence",
     "amplitude_factor",
     "amplitude_factor_dot",
-    "concurrence",
     "markovian_two_qubit_speed",
     "open_qubit_speed_analytic",
     "open_two_qubit_speed_analytic",

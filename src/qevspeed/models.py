@@ -26,12 +26,12 @@ at kappa = 0, and exp(-t / 2) in the Markovian limit Gamma -> infinity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import eigh_stack
 from .speed import Trajectory
 
 MODEL_KEYS = (
@@ -103,7 +103,7 @@ def _libm(func):
     numpy's SIMD exp, cosh and sinh differ from libm in the last bit for a
     few percent of arguments. Near t = 0 one bit of G_t is a relative error
     of 1e-7 in 1 - P_t, so the amplitudes keep libm's values: the batched
-    builders then agree with the scalar closed forms bit for bit.
+    blocks then agree with the scalar closed forms bit for bit.
     """
 
     def apply(x):
@@ -257,14 +257,36 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
 # ---------------------------------------------------------------------------
 # Trajectories
 #
-# Each model has one array-valued builder: its state and derivative callables
-# take a time or an array of times, broadcast it against the model's
-# parameters (which may be arrays too) and return the matrices stacked along
-# the leading axes, so a whole grid is built in one call.
+# Every model is an X state. Its block function takes a time or an array of
+# times, broadcasts it against the model's parameters (which may be arrays
+# too) and returns the diagonal blocks in the layout ``speed._block_terms``
+# reads, so a whole grid is built in one call. ``state_at`` and
+# ``derivative_at`` scatter the blocks into dense matrices.
 
 
-def _outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return u[..., :, None] * v[..., None, :].conj()
+def _cells(indices: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The (row, column) of each entry a block holds, in its order."""
+    return [(i, i) for i in indices] + ([indices] if len(indices) == 2 else [])
+
+
+def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
+    """The dense state (``part`` 1) or derivative (2) matrices of the blocks
+    at times ``t``, stacked along their broadcast shape."""
+    cells = [(cell, x) for block in blocks(t) for cell, x in zip(_cells(block[0]), block[part])]
+    out = np.zeros(np.broadcast_shapes(*(np.shape(x) for _, x in cells)) + (dim, dim), dtype=complex)
+    for (i, j), x in cells:
+        out[..., j, i] = np.conj(x)
+        out[..., i, j] = x  # a diagonal entry keeps x
+    return out
+
+
+def _block_trajectory(dim: int, blocks, horizon: float, params: dict, limit=None) -> Trajectory:
+    """A model from its block function, which ``state_at`` and
+    ``derivative_at`` scatter and both carry as ``blocks`` for the speed
+    kernel (a ``functools.wraps`` wrapper keeps it, a replacement drops it)."""
+    state, derivative = (functools.partial(_scatter, dim, blocks, part) for part in (1, 2))
+    state.blocks = derivative.blocks = blocks
+    return Trajectory(dim, horizon, state, derivative, params, limit)
 
 
 def _closed_trajectory(kind: str, a, w: float, horizon: float) -> Trajectory:
@@ -278,37 +300,29 @@ def _closed_trajectory(kind: str, a, w: float, horizon: float) -> Trajectory:
     """
     b = np.sqrt(1.0 - a * a)
     dim = 2 if kind == "1q" else 4
-    last = dim - 1
     spin = 0.5j if kind == "1q" else 1j  # phase rate per unit omega
+    pair = {"1q": (0, 1), "aligned": (0, 3), "anti": (1, 2)}[kind]  # the other components stay empty
+    at_rest = [((k,), [0.0], [0.0]) for k in range(dim) if k not in pair]
 
-    def vectors(t) -> tuple[np.ndarray, np.ndarray]:
+    def blocks(t):
         t = np.asarray(t, dtype=float)
         shape = t.shape if np.ndim(a) == 0 else np.broadcast_shapes(t.shape, np.shape(a))
-        v = np.zeros(shape + (dim,), dtype=complex)
+        v = np.zeros((2,) + shape, dtype=complex)  # the pair's components
         dv = np.zeros_like(v)
         if kind == "anti":
-            v[..., 1], v[..., 2] = a, b
-            return v, dv
-        phase = np.exp(-spin * w * t)
-        v[..., 0], v[..., last] = a * phase, b / phase
-        dv[..., 0], dv[..., last] = -spin * w * a * phase, spin * w * b / phase
-        return v, dv
+            v[0], v[1] = a, b
+        else:
+            phase = np.exp(-spin * w * t)
+            v[0], v[1] = a * phase, b / phase
+            dv[0], dv[1] = -spin * w * a * phase, spin * w * b / phase
+        # the pair's block of |v><v| and the Hermitian part of its derivative, on
+        # arrays even at one point, so that a point and a batch share their bits
+        state = v[:, None] * v[None, :].conj()
+        move = dv[:, None] * v[None, :].conj() + v[:, None] * dv[None, :].conj()
+        move = 0.5 * (move + move.conj().swapaxes(0, 1))
+        return [(pair, [state[0, 0], state[1, 1], state[0, 1]], [move[0, 0], move[1, 1], move[0, 1]]), *at_rest]
 
-    def state(t) -> np.ndarray:
-        v, _ = vectors(t)
-        return _outer(v, v)
-
-    def derivative(t) -> np.ndarray:
-        v, dv = vectors(t)
-        return _outer(dv, v) + _outer(v, dv)
-
-    return Trajectory(
-        dim=dim,
-        horizon=horizon,
-        state_at=state,
-        derivative_at=derivative,
-        params={"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)},
-    )
+    return _block_trajectory(dim, blocks, horizon, {"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)})
 
 
 def _open_trajectory(kind: str, a, Gamma, horizon: float) -> Trajectory:
@@ -325,61 +339,36 @@ def _open_trajectory(kind: str, a, Gamma, horizon: float) -> Trajectory:
     alpha-independent speed.
 
     The entries are closed forms in the signed amplitude G_t (one qubit) or
-    in P_t = min(G_t^2, 1) (pairs). The pair entries are the local
-    operation elements {[[sqrt P, 0], [0, 1]], [[0, 0], [sqrt(1 - P), 0]]}
-    of each qubit multiplied out, in the order of floating-point operations
-    of the Kraus sum with ``np.kron``, so both give the same bits.
+    in P_t = min(G_t^2, 1) (pairs), Python floats at one point of scalar
+    parameters. The pair entries are the local operation elements
+    {[[sqrt P, 0], [0, 1]], [[0, 0], [sqrt(1 - P), 0]]} of each qubit
+    multiplied out, in the order of floating-point operations of the Kraus
+    sum with ``np.kron``, so both give the same bits.
     """
-    b = np.sqrt(1.0 - a * a)
+    b = math.sqrt(1.0 - a * a) if isinstance(a, float) else np.sqrt(1.0 - a * a)
     dim = 2 if kind == "1q" else 4
 
-    def shape_of(g) -> tuple[int, ...]:
-        return np.shape(g) if np.ndim(a) == 0 else np.broadcast_shapes(np.shape(g), np.shape(a))
-
-    def state(t) -> np.ndarray:
-        g, _ = _amplitudes(t, Gamma)
-        out = np.zeros(shape_of(g) + (dim, dim), dtype=complex)
-        if kind == "1q":
-            pop = g * g
-            out[..., 0, 0] = a * a * pop
-            out[..., 0, 1] = out[..., 1, 0] = a * b * g
-            out[..., 1, 1] = 1.0 - a * a * pop
-            return out
-        root = np.sqrt(np.minimum(g * g, 1.0))
-        decay = np.sqrt(np.maximum(1.0 - root * root, 0.0))
-        if kind == "aligned":
-            kept, moved, lost = root * root, root * decay, decay * decay
-            out[..., 0, 0] = kept * (a * a) * kept
-            out[..., 1, 1] = out[..., 2, 2] = moved * (a * a) * moved
-            out[..., 3, 3] = b * b + lost * (a * a) * lost
-            out[..., 0, 3] = out[..., 3, 0] = kept * (a * b)
-        else:
-            out[..., 1, 1] = root * (a * a) * root
-            out[..., 1, 2] = out[..., 2, 1] = root * (a * b) * root
-            out[..., 2, 2] = root * (b * b) * root
-            out[..., 3, 3] = decay * (b * b) * decay + decay * (a * a) * decay
-        return out
-
-    def derivative(t) -> np.ndarray:
+    def blocks(t):
         g, dg = _amplitudes(t, Gamma)
-        out = np.zeros(shape_of(g) + (dim, dim), dtype=complex)
         dpop = 2.0 * g * dg
         if kind == "1q":
-            out[..., 0, 0] = a * a * dpop
-            out[..., 0, 1] = out[..., 1, 0] = a * b * dg
-            out[..., 1, 1] = -a * a * dpop
-        elif kind == "aligned":
-            pop = np.minimum(g * g, 1.0)
-            out[..., 0, 0] = 2.0 * a * a * pop * dpop
-            out[..., 1, 1] = out[..., 2, 2] = a * a * dpop * (1.0 - 2.0 * pop)
-            out[..., 3, 3] = -2.0 * a * a * dpop * (1.0 - pop)
-            out[..., 0, 3] = out[..., 3, 0] = a * b * dpop
-        else:
-            out[..., 1, 1] = dpop * (a * a)
-            out[..., 1, 2] = out[..., 2, 1] = dpop * (a * b)
-            out[..., 2, 2] = dpop * (b * b)
-            out[..., 3, 3] = -dpop
-        return out
+            pop = g * g
+            state = [a * a * pop, 1.0 - a * a * pop, a * b * g]
+            return [((0, 1), state, [a * a * dpop, -a * a * dpop, a * b * dg])]
+        sqrt, lower, upper = (math.sqrt, min, max) if isinstance(g, float) else (np.sqrt, np.minimum, np.maximum)
+        pop = lower(g * g, 1.0)
+        root = sqrt(pop)
+        decay = sqrt(upper(1.0 - root * root, 0.0))
+        if kind == "aligned":
+            kept, moved, lost = root * root, root * decay, decay * decay
+            corners = [kept * (a * a) * kept, b * b + lost * (a * a) * lost, kept * (a * b)]
+            middle = [moved * (a * a) * moved], [a * a * dpop * (1.0 - 2.0 * pop)]
+            moves = [2.0 * a * a * pop * dpop, -2.0 * a * a * dpop * (1.0 - pop), a * b * dpop]
+            return [((0, 3), corners, moves), ((1,), *middle), ((2,), *middle)]
+        pair = [root * (a * a) * root, root * (b * b) * root, root * (a * b) * root]
+        moves = [dpop * (a * a), dpop * (b * b), dpop * (a * b)]
+        lost = decay * (b * b) * decay + decay * (a * a) * decay
+        return [((0,), [0.0], [0.0]), ((1, 2), pair, moves), ((3,), [lost], [-dpop])]
 
     # "gamma0": 1.0 states the unit of every time and rate
     record = {"alpha": a, "gamma0": 1.0}
@@ -397,14 +386,7 @@ def _open_trajectory(kind: str, a, Gamma, horizon: float) -> Trajectory:
     with np.errstate(invalid="ignore"):  # 0 * inf
         limit = np.where(scale == 0.0, 0.0, scale * rate)
     limit = _scalar_or_array(np.broadcast_to(limit, np.broadcast_shapes(np.shape(a), np.shape(Gamma))))
-    return Trajectory(
-        dim=dim,
-        horizon=horizon,
-        state_at=state,
-        derivative_at=derivative,
-        params=record,
-        speed_at_zero=limit,
-    )
+    return _block_trajectory(dim, blocks, horizon, record, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -489,40 +471,6 @@ def alpha_from_concurrence(C):
     """Excited amplitude (<= 1/sqrt(2) branch) of an aligned pair with
     initial concurrence C = 2 alpha sqrt(1 - alpha^2); C may be an array."""
     return _scalar_or_array(np.sqrt(0.5 * _concurrence_factor(C)))
-
-
-# Trace and positivity tolerance of a state given to ``concurrence``. Such
-# states may come from outside the package (data, other solvers), so the
-# check is looser than the ~1e-16 rounding of eigh; a state off by more is
-# rejected rather than clipped into a concurrence.
-DENSITY_TOL = 1e-8
-
-# sigma_y (x) sigma_y in the product basis (|11>, |10>, |01>, |00>)
-_SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
-
-
-def concurrence(rho: np.ndarray) -> float:
-    """Wootters concurrence of a two-qubit density operator.
-
-    C = max(0, l1 - l2 - l3 - l4) with l_i the descending square roots of the
-    eigenvalues of rho (sy x sy) conj(rho) (sy x sy). Those roots equal the
-    singular values of sqrt(rho_tilde) sqrt(rho), which is how they are
-    computed here (no precision loss from squaring). One ``eigh_stack`` call
-    checks and decomposes rho; its trace and eigenvalues are held to
-    ``DENSITY_TOL``.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"concurrence needs a two-qubit (4x4) state, got {rho.shape}")
-    (values,), (vectors,) = eigh_stack(rho[None])
-    if abs(values.sum() - 1.0) > DENSITY_TOL:
-        raise ValueError(f"density operator must have unit trace, got {values.sum():.6g}")
-    if values[0] < -DENSITY_TOL:
-        raise ValueError(f"density operator has negative eigenvalue {values[0]:.3e}")
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
-    root_tilde = _SPIN_FLIP @ root.conj() @ _SPIN_FLIP
-    lam = np.linalg.svd(root_tilde @ root, compute_uv=False)
-    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
 # ---------------------------------------------------------------------------

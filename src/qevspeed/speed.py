@@ -11,20 +11,19 @@ it against the spectral form built from eigenvalue and eigenvector
 derivatives.
 
 The kernel sum is evaluated in batches: ``speeds_at`` takes an array of
-times (and a model family built on arrays of parameters), builds all states
-in one call and sums the kernel block by block (``kernel_speeds``). The
-stack splits into the diagonal blocks that its sparsity pattern allows;
-cross-block elements of drho vanish, so each block contributes its own
-terms. Blocks of one and two indices, which are all the blocks of the six
-built-in models, have closed-form eigensystems (``linalg.pair_block``), so
-those models need no LAPACK call; larger blocks go through one stacked
-``linalg.eigh_stack``. ``speed_at`` is the one-point case, evaluated on
+times (and a model family built on arrays of parameters) and sums the
+kernel block by block; cross-block elements of drho vanish, so each
+diagonal block contributes its own terms. The six built-in models are X
+states and state their blocks themselves, of one and two indices, whose
+eigensystems are closed forms (``linalg.pair_block``): those models need
+no LAPACK call. Any other trajectory is one dense block, ``pair_block``
+for d <= 2 and one stacked ``linalg.eigh_stack`` otherwise
+(``kernel_speeds``). ``speed_at`` is the one-point case, evaluated on
 Python floats by the same formulas and equal to the batch bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -61,11 +60,13 @@ class Trajectory:
     matrices of size ``dim``. ``derivative_at`` returns their analytic time
     derivatives, stacked the same way. The built-in models broadcast the
     times against arrays of parameters (a family of curves evaluated
-    together). ``params`` records the numbers the trajectory was built from.
-    ``speed_at_zero`` is the limit of the speed at t = 0, returned there in
-    place of an evaluation, for trajectories that start on the boundary of
-    the state space (where the kernel sum is 0/0); it is ``inf`` where the
-    speed diverges.
+    together), and both their callables carry the model's block function as
+    an attribute ``blocks``, which ``speeds_at`` evaluates in place of the
+    dense matrices. ``params`` records the numbers the trajectory was built
+    from. ``speed_at_zero`` is the limit of the speed at t = 0, returned
+    there in place of an evaluation, for trajectories that start on the
+    boundary of the state space (where the kernel sum is 0/0); it is
+    ``inf`` where the speed diverges.
     """
 
     dim: int
@@ -106,28 +107,6 @@ def rho_dot(traj: Trajectory, t) -> np.ndarray:
     return 0.5 * (d + d.conj().swapaxes(-2, -1))
 
 
-@functools.lru_cache(maxsize=256)
-def _components(dim: int, pattern: bytes) -> tuple[tuple[int, ...], ...]:
-    """The diagonal blocks a d x d sparsity pattern (row-major bytes of a
-    boolean array) allows: the connected components of its nonzero entries,
-    each ascending, ordered by their first index."""
-    blocks, seen = [], [False] * dim
-    for start in range(dim):
-        if seen[start]:
-            continue
-        seen[start] = True
-        block, stack = [], [start]
-        while stack:
-            i = stack.pop()
-            block.append(i)
-            for j in range(dim):
-                if (pattern[i * dim + j] or pattern[j * dim + i]) and not seen[j]:
-                    seen[j] = True
-                    stack.append(j)
-        blocks.append(tuple(sorted(block)))
-    return tuple(blocks)
-
-
 def _binary_scale(peak):
     """(2^-e, 2^e) with 2^e <= ``peak`` < 2^(e+1), for a Python float or
     elementwise. Derivatives are multiplied by 2^-e before they are squared
@@ -140,40 +119,38 @@ def _binary_scale(peak):
     return np.ldexp(1.0, -e), np.ldexp(1.0, e)
 
 
-def _block_terms(blocks, rho_at, drho_at, shrink):
+def _block_terms(blocks, shrink):
     """The eigenvalue columns of every block, and the kernel-sum terms
     (k, l, |<k| shrink * drho |l>|) over the pairs of columns within a block
     (the elements between blocks vanish).
 
-    ``rho_at(i, j)`` and ``drho_at(i, j)`` read an entry of one point (Python
-    numbers) or of every point of a batch (arrays). A block of one index is
-    its own eigensystem, a block of two takes ``linalg.pair_block``, and a
-    larger one (batches only) ``linalg.eigh_stack``.
+    A block is (indices, state entries, derivative entries), Python numbers
+    at one point or arrays over a batch. A block of one index holds (p,) and
+    (dp,) and is its own eigensystem; a block of two holds its diagonal and
+    upper entries (a, c, w) and (da, dc, dw) and takes ``linalg.pair_block``;
+    a larger one (batches only) holds its (N, d, d) stacks and takes
+    ``linalg.eigh_stack``.
     """
     values, terms = [], []
-    for block in blocks:
+    for indices, state, move in blocks:
         k = len(values)
-        if len(block) == 1:
-            (i,) = block
-            d = drho_at(i, i).real * shrink
-            values.append(rho_at(i, i).real)
-            terms.append((k, k, abs(d)))
-        elif len(block) == 2:
-            i, j = block
-            w, dw = rho_at(i, j), drho_at(i, j)
+        if len(indices) == 1:
+            values.append(state[0].real)
+            terms.append((k, k, abs(move[0].real * shrink)))
+        elif len(indices) == 2:
+            (a, c, w), (da, dc, dw) = state, move
             low, high, d_low, d_high, d_cross = linalg.pair_block(
-                rho_at(i, i).real, rho_at(j, j).real, w.real, w.imag,
-                drho_at(i, i).real * shrink, drho_at(j, j).real * shrink, dw.real * shrink, dw.imag * shrink,
+                a.real, c.real, w.real, w.imag,
+                da.real * shrink, dc.real * shrink, dw.real * shrink, dw.imag * shrink,
             )
             values += [low, high]
             terms += [(k, k, d_low), (k + 1, k + 1, d_high), (k, k + 1, d_cross), (k + 1, k, d_cross)]
         else:
-            rows = np.array(block)
-            p, vectors = linalg.eigh_stack(rho_at(rows[:, None], rows))
-            moved = drho_at(rows[:, None], rows) * shrink[:, None, None]
+            p, vectors = linalg.eigh_stack(state[0])
+            moved = move[0] * shrink[:, None, None]
             magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ moved @ vectors)
             values += list(p.T)
-            size = len(block)
+            size = len(indices)
             terms += [(k + a, k + b, magnitude[:, a, b]) for a in range(size) for b in range(size)]
     return values, terms
 
@@ -245,45 +222,42 @@ def _rank_increase(values, escaping, grow: float, time: float) -> RankIncreaseEr
     return RankIncreaseError(time, (rank[k], rank[l]), m * grow)
 
 
-def kernel_speeds(
-    rho: np.ndarray,
-    drho: np.ndarray,
-    metric: MetricKind = MetricKind.SLD,
-    times: np.ndarray | None = None,
-) -> SpeedBatch:
-    """Speeds of stacked states ``rho`` moving at ``drho`` (shape (..., d, d));
-    ``drho`` is Hermitian, as ``rho_dot`` returns it.
+def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind, times) -> SpeedBatch:
+    """``kernel_speeds`` of diagonal blocks laid out as ``_block_terms`` reads
+    them, with entries that broadcast to ``batch`` (``batch + (d, d)`` for a
+    block of d > 2 indices). A pair whose coherence is zero in the state and
+    the derivative at every point is two blocks of one index, and blocks
+    are taken in the order of their first index."""
+    point = math.prod(batch) == 1 and all(len(indices) <= 2 for indices, *_ in blocks)
 
-    The stack splits into the diagonal blocks its union sparsity pattern
-    allows: the connected components of the entries that are nonzero in
-    ``rho`` or ``drho`` at any point. Blocks of one and two indices have
-    closed-form eigensystems; larger ones go through ``eigh_stack``. Each
-    point's ``drho`` is scaled by a power of two near its largest entry
-    before it is squared (``_binary_scale``). Then per point: the
-    Fubini-Study reduction for pure states (second-largest eigenvalue below
-    ``PURE_STATE_TOL``), else the kernel sum, where eigenvalue pairs summing
-    below ``RANK_TOL`` are dropped when their derivative elements are below
-    ``ELEM_TOL`` and fail the point with ``RankIncreaseError`` otherwise. A
-    one-point stack runs the same formulas on Python floats. ``times`` only
-    labels the errors. Non-finite or non-Hermitian states raise
-    ``ValueError`` for the whole batch.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    batch, dim = rho.shape[:-2], rho.shape[-1]
-    rho = linalg.hermitian_stack(rho.reshape(-1, dim, dim))
-    drho = np.ascontiguousarray(drho, dtype=complex).reshape(rho.shape)
-    parts = drho.view(float)  # real and imaginary parts, side by side
-    blocks = _components(dim, ((rho != 0.0) | (drho != 0.0)).any(axis=0).tobytes())
-    if len(rho) == 1 and max(map(len, blocks)) <= 2:
-        entries, moves = rho[0].tolist(), drho[0].tolist()
-        shrink, grow = _binary_scale(max(map(abs, parts.ravel().tolist())))
-        values, terms = _block_terms(blocks, lambda i, j: entries[i][j], lambda i, j: moves[i][j], shrink)
+    def flat(x, size: int):
+        if point:
+            return x if type(x) in (float, complex) else x.item()
+        if size > 2:
+            return np.reshape(x, (-1, size, size))
+        return (x if np.shape(x) == batch else np.broadcast_to(x, batch)).reshape(-1)
+
+    moving = bool if point else np.any
+    split = []
+    for indices, state, move in blocks:
+        size = len(indices)
+        state, move = [flat(x, size) for x in state], [flat(x, size) for x in move]
+        if size == 2 and not (moving(state[2]) or moving(move[2])):
+            split += [((i,), [x], [dx]) for i, x, dx in zip(indices, state, move)]
+        else:
+            split.append((indices, state, move))
+    blocks = sorted(split, key=lambda block: block[0][0])
+    parts = [part for *_, move in blocks for x in move for part in (x.real, x.imag)]
+    if point:
+        shrink, grow = _binary_scale(max(map(abs, parts)))
+        values, terms = _block_terms(blocks, shrink)
         speed, escaping = _point_speed(metric, values, terms, grow)
         speeds, escaping = np.full(batch, speed), {} if escaping is None else {0: escaping}
     else:
-        shrink, grow = _binary_scale(np.abs(parts).max(axis=(1, 2), initial=0.0))
+        peak = np.max([np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0) for x in parts], axis=0)
+        shrink, grow = _binary_scale(peak)
         with np.errstate(under="ignore"):  # negligible terms flush to zero
-            values, terms = _block_terms(blocks, lambda i, j: rho[:, i, j], lambda i, j: drho[:, i, j], shrink)
+            values, terms = _block_terms(blocks, shrink)
             speeds, escaping = _batch_speeds(metric, values, terms, grow)
         speeds = speeds.reshape(batch)
     failures: dict[int, NumericalFailure] = {}
@@ -296,14 +270,47 @@ def kernel_speeds(
     return SpeedBatch(speeds, failures)
 
 
+def kernel_speeds(
+    rho: np.ndarray,
+    drho: np.ndarray,
+    metric: MetricKind = MetricKind.SLD,
+    times: np.ndarray | None = None,
+) -> SpeedBatch:
+    """Speeds of stacked states ``rho`` moving at ``drho`` (shape (..., d, d));
+    ``drho`` is Hermitian, as ``rho_dot`` returns it.
+
+    The matrices are one block: ``pair_block`` for d <= 2, one stacked
+    ``eigh_stack`` otherwise. Each point's ``drho`` is scaled by a power of
+    two near its largest entry before it is squared (``_binary_scale``);
+    then each point takes the rules of ``_batch_speeds`` (on Python floats
+    at one point with d <= 2), failing with ``RankIncreaseError``. ``times``
+    only labels the errors. Non-finite or non-Hermitian states raise
+    ``ValueError`` for the whole batch.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    batch, dim = rho.shape[:-2], rho.shape[-1]
+    drho = np.asarray(drho, dtype=complex).reshape(rho.shape)
+    indices = tuple(range(dim))
+    if dim > 2:  # eigh_stack checks the stack
+        block = (indices, [rho], [drho])
+    else:
+        linalg.hermitian_stack(rho.reshape(-1, dim, dim))
+        cells = [(i, i) for i in indices] + ([(0, 1)] if dim == 2 else [])
+        block = (indices, [rho[..., i, j] for i, j in cells], [drho[..., i, j] for i, j in cells])
+    return _block_speeds([block], batch, metric, times)
+
+
 def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> SpeedBatch:
     """Speeds along a trajectory at an array of times, in one batch.
 
-    States and derivatives come from one call of each builder; the kernel
-    sum is ``kernel_speeds``. At t = 0 a trajectory's ``speed_at_zero``
-    limit is returned. Times outside [0, horizon] and states of a size other
-    than ``traj.dim`` raise ``ValueError``; a failed point is nan with its
-    error in ``failures``. No times give an empty batch.
+    A built-in model states its diagonal blocks: ``state_at`` and
+    ``derivative_at`` carry one block function as ``blocks``, called once
+    and summed block by block. Any other trajectory (including a model with
+    either callable replaced) is one dense block: one call of each callable,
+    then ``kernel_speeds``. At t = 0 a trajectory's ``speed_at_zero`` limit
+    is returned. Times outside [0, horizon] and dense states of a size
+    other than ``traj.dim`` raise ``ValueError``; a failed point is nan with
+    its error in ``failures``. No times give an empty batch.
     """
     t = np.asarray(times, dtype=float)
     if t.size == 0:
@@ -315,11 +322,17 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
     limit = traj.speed_at_zero
     if limit is not None and last == 0.0:  # every point takes the limit
         return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
+    blocks = getattr(traj.state_at, "blocks", None)
     with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
-        rho = np.asarray(traj.state_at(t), dtype=complex)
-        if rho.shape[-2:] != (traj.dim, traj.dim):
-            raise ValueError(f"trajectory declares dim={traj.dim} but its states have shape {rho.shape[-2:]}")
-        result = kernel_speeds(rho, rho_dot(traj, t), metric, t)
+        if blocks is not None and blocks is getattr(traj.derivative_at, "blocks", None):
+            blocks = blocks(t)
+            shapes = [x.shape for _, state, move in blocks for x in state + move if isinstance(x, np.ndarray)]
+            result = _block_speeds(blocks, np.broadcast_shapes(*shapes), metric, t)
+        else:
+            rho = np.asarray(traj.state_at(t), dtype=complex)
+            if rho.shape[-2:] != (traj.dim, traj.dim):
+                raise ValueError(f"trajectory declares dim={traj.dim} but its states have shape {rho.shape[-2:]}")
+            result = kernel_speeds(rho, rho_dot(traj, t), metric, t)
     if limit is None or first > 0.0:
         return result
     at_zero = np.broadcast_to(t == 0.0, result.speeds.shape)

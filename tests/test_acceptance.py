@@ -13,7 +13,6 @@ from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     OpenSystemParams,
     alpha_from_concurrence,
-    concurrence,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
     open_two_qubit_speed_analytic,
@@ -26,6 +25,7 @@ from qevspeed.analysis import memory_boundaries, speedup_boundaries, speedup_equ
 from qevspeed.speed import speed_at, speed_curve
 from util import (
     DegenerateSpectrumError,
+    concurrence,
     conjugate_trajectory,
     local_damping_evolve,
     open_model,

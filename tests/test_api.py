@@ -31,7 +31,6 @@ PUBLIC_NAMES = (
     "alpha_from_concurrence",
     "amplitude_factor",
     "amplitude_factor_dot",
-    "concurrence",
     "markovian_two_qubit_speed",
     "open_qubit_speed_analytic",
     "open_two_qubit_speed_analytic",

@@ -5,6 +5,7 @@ at a time.
 """
 
 import dataclasses
+import functools
 import io
 import math
 from contextlib import redirect_stdout
@@ -41,6 +42,7 @@ from util import (
     random_unitary,
     rank_leaking_trajectory,
     speedup_measure,
+    without_analytic_derivative,
 )
 
 SLD = MetricKind.SLD
@@ -189,6 +191,30 @@ def test_replaced_callables_are_the_ones_evaluated():
     batched = speeds_at(counted, times, SLD).speeds
     assert len(calls) == 1 and np.array_equal(calls[0], times)
     assert_close(batched, speeds_at(base, times, SLD).speeds, rel=1e-10)
+
+    # only derivative_at replaced, as without_analytic_derivative does
+    numeric = without_analytic_derivative(base)
+    doubled = dataclasses.replace(numeric, derivative_at=lambda t: 2.0 * numeric.derivative_at(t))
+    assert_close(speeds_at(doubled, times, SLD).speeds, 2.0 * speeds_at(base, times, SLD).speeds, rel=1e-8)
+
+    # both callables wrapped with functools.wraps, as bench/tracer.py wraps
+    # them: the wrappers carry the model's blocks, evaluated in their place
+    wrapped = []
+
+    def traced(func):
+        @functools.wraps(func)
+        def wrapper(t):
+            wrapped.append(t)
+            return func(t)
+
+        return wrapper
+
+    for traj in (base, other):
+        traced_traj = dataclasses.replace(traj, state_at=traced(traj.state_at), derivative_at=traced(traj.derivative_at))
+        for metric in MetricKind:
+            assert speeds_at(traced_traj, times, metric).speeds.tobytes() == speeds_at(traj, times, metric).speeds.tobytes()
+            assert speed_at(traced_traj, 2.5, metric) == speed_at(traj, 2.5, metric)
+    assert wrapped == []
 
 
 def test_speed_curve_is_one_batch_with_neighbour_slopes():

@@ -5,12 +5,14 @@ The dense ``np.linalg.eigh`` kernel in util.py is the oracle.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qevspeed import linalg, speed
 from qevspeed.linalg import pair_block
 from qevspeed.metrics import MetricKind, kernel_value, mc_kernel
 from qevspeed.models import MODEL_KEYS, trajectory_from_key
@@ -193,6 +195,33 @@ def test_built_in_models_run_no_eigensolver(monkeypatch):
     turned = conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4))
     speeds_at(turned, times)
     assert calls == [(50, 4, 4)]
+
+
+def test_built_in_models_skip_the_dense_adapter(monkeypatch):
+    calls = Counter()
+    for module, name in ((linalg, "hermitian_stack"), (speed, "rho_dot")):
+
+        def counted(*args, original=getattr(module, name), name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    times = np.linspace(0.0, 20.0, 50)
+    for key, bath in MODEL_CASES:
+        traj = trajectory_from_key(key, alpha=0.7, **bath)
+        for metric in MetricKind:
+            speeds_at(traj, times, metric)
+            speed_at(traj, 2.5, metric)
+    assert calls == {}
+    # a dense trajectory is checked once and differentiated once
+    pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
+    speeds_at(conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4)), times)
+    assert calls == {"hermitian_stack": 1, "rho_dot": 1}
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_empty_stack_is_an_empty_batch(dim):
+    assert kernel_speeds(np.zeros((0, dim, dim)), np.zeros((0, dim, dim))).speeds.shape == (0,)
 
 
 @pytest.mark.parametrize("points", [1, 5])

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qevspeed.linalg import HERM_TOL, eigh_stack
-from qevspeed.models import DENSITY_TOL, concurrence
 from util import random_density, random_hermitian
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -106,56 +105,3 @@ class TestEigh:
             assert values[0] >= -1e-12
             assert values[-1] <= 1.0 + 1e-12
             assert abs(np.sum(values) - 1.0) <= 1e-12
-
-
-class TestAssertDensity:
-    """The density-operator checks of ``concurrence``: finite and Hermitian
-    through ``eigh_stack``, trace and positivity on its eigenvalues."""
-
-    def test_accepts_valid(self):
-        rng = np.random.default_rng(17)
-        concurrence(random_density(rng, 4))
-
-    def test_rejects_traceless(self):
-        with pytest.raises(ValueError, match="trace"):
-            concurrence(np.diag([0.7, 0.7, 0.0, 0.0]).astype(complex))
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="negative"):
-            concurrence(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError, match="NaN"):
-            concurrence(np.diag([np.inf, 0.0, 0.0, 0.0]).astype(complex))
-
-    @pytest.mark.parametrize("side", [0.99, 1.01])
-    def test_trace_tolerance(self, side):
-        rho = np.diag([0.25, 0.25, 0.25, 0.25 + side * DENSITY_TOL]).astype(complex)
-        if side < 1.0:
-            assert concurrence(rho) == 0.0
-        else:
-            with pytest.raises(ValueError, match="unit trace"):
-                concurrence(rho)
-
-    @pytest.mark.parametrize("side", [0.99, 1.01])
-    def test_positivity_tolerance(self, side):
-        small = side * DENSITY_TOL
-        rho = np.diag([-small, 0.5, 0.25, 0.25 + small]).astype(complex)
-        if side < 1.0:
-            assert concurrence(rho) == 0.0
-        else:
-            with pytest.raises(ValueError, match="negative eigenvalue"):
-                concurrence(rho)
-
-    @pytest.mark.parametrize("side", [0.99, 1.01, 10.0])
-    def test_hermitian_tolerance_is_herm_tol(self, side):
-        # 10 * HERM_TOL passed the 1e-8 Hermitian check concurrence used to
-        # make on its own; it now fails the package's one check
-        vec = np.array([0.6, 0, 0, 0.8], dtype=complex)
-        rho = np.outer(vec, vec)
-        rho[1, 2] = side * HERM_TOL
-        if side < 1.0:
-            assert concurrence(rho) == pytest.approx(0.96, abs=1e-9)
-        else:
-            with pytest.raises(ValueError, match="not Hermitian"):
-                concurrence(rho)

@@ -9,7 +9,6 @@ from qevspeed.models import (
     OpenSystemParams,
     alpha_from_concurrence,
     amplitude_factor,
-    concurrence,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
     open_two_qubit_speed_analytic,
@@ -19,7 +18,7 @@ from qevspeed.models import (
     trajectory_from_key,
 )
 from qevspeed.speed import speed_at, speeds_at
-from util import local_damping_evolve, open_model, random_density
+from util import concurrence, local_damping_evolve, open_model, random_density
 
 SLD = MetricKind.SLD
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -516,6 +515,8 @@ class TestMarkovianTwoQubitSpeed:
             assert 2 * alpha * math.sqrt(1 - alpha * alpha) == pytest.approx(
                 float(c), abs=1e-12
             )
+            vec = np.array([alpha, 0, 0, math.sqrt(1 - alpha * alpha)], dtype=complex)
+            assert concurrence(np.outer(vec, vec)) == pytest.approx(float(c), abs=1e-12)
 
 
 class TestAntiAlignedOpenPair:
@@ -557,12 +558,6 @@ class TestConcurrence:
             assert concurrence(np.outer(vec, vec)) == pytest.approx(
                 2 * alpha * beta, abs=1e-10
             )
-
-    def test_rejects_non_density(self):
-        with pytest.raises(ValueError):
-            concurrence(np.eye(4, dtype=complex))  # trace 4
-        with pytest.raises(ValueError, match="4x4"):
-            concurrence(np.eye(2, dtype=complex) / 2)
 
 
 class TestTrajectoryRegistry:

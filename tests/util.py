@@ -239,6 +239,21 @@ def speedup_measure(speed_of, xi0: float, step: float | None = None) -> float:
     return (speed_of(xi0 + step) - speed_of(xi0 - step)) / (2.0 * step)
 
 
+# sigma_y (x) sigma_y in the product basis (|11>, |10>, |01>, |00>)
+SPIN_FLIP = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]], dtype=complex)
+
+
+def concurrence(rho: np.ndarray) -> float:
+    """Oracle for ``alpha_from_concurrence``: the Wootters concurrence of a
+    two-qubit state, max(0, l1 - l2 - l3 - l4) with l_i the descending
+    singular values of sqrt(rho~) sqrt(rho), rho~ = (sy x sy) conj(rho) (sy x sy)."""
+    values, vectors = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
+    root_tilde = SPIN_FLIP @ root.conj() @ SPIN_FLIP
+    lam = np.linalg.svd(root_tilde @ root, compute_uv=False)
+    return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
+
+
 def _damping_elements(g: float) -> list[np.ndarray]:
     """Single-qubit operation elements at coherence amplitude g (P = g^2)."""
     keep = np.array([[g, 0.0], [0.0, 1.0]], dtype=complex)
