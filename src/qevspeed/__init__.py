@@ -23,7 +23,6 @@ from .errors import (
     MetricRejectionError,
     NumericalFailure,
     RankIncreaseError,
-    RootBracketError,
 )
 from .linalg import eigh_stack
 from .metrics import MetricKind, mc_kernel, resolve_metric
@@ -67,7 +66,6 @@ __all__ = [
     "MetricRejectionError",
     "NumericalFailure",
     "RankIncreaseError",
-    "RootBracketError",
     "eigh_stack",
     "MetricKind",
     "mc_kernel",

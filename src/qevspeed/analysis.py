@@ -11,34 +11,28 @@ increases exactly on (tau_n, tau_n'). Each memory interval hands over to a
 longitudinal-speedup interval (tau_n', tau_n'') whose right endpoint solves
 the transcendental equation
 
-    Gamma tan(kappa t / 2) = kappa tanh(Gamma t / 2),
+    Gamma tan(kappa t / 2) = kappa tanh(Gamma t / 2).
 
-found by bisection on the tangent branch (2 n pi / kappa, (2n+1) pi / kappa).
-All ``n_max`` branches are bisected together, as arrays: each step halves
-every bracket that is still open, and a branch freezes at the first midpoint
-whose residual is within ROOT_RESIDUAL_TOL min(1, Gamma), or once its bracket
-is two adjacent floats - the stopping rule and midpoint arithmetic of a
-one-branch bisection, so the roots agree with it bit for bit.
+On branch n put kappa t / 2 = n pi + u with u in (0, pi / 2) and r = kappa /
+Gamma: the equation is the fixed point u = arctan(r tanh((n pi + u) / r)),
+and tau_n'' = 2 (n pi + u) / kappa. The map's slope, sech^2(s) / (1 + r^2
+tanh^2(s)) at s = Gamma t / 2, stays below 1 / (1 + pi^2) < 0.1 for n >= 1,
+so each step gains more than a digit. From u = arctan(r), the n -> infinity
+limit, the iterates fall monotonically onto the root, since tanh < 1; all
+branches iterate together, and a branch stops when its next iterate does not
+fall. That stopping rule is where rounding takes over, so it needs no
+tolerance.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RootBracketError
 from .models import OpenSystemParams, _libm, population_factor
-
-# Near a root both terms of the residual are of order Gamma, so below
-# Gamma = 1 the stopping rule is ROOT_RESIDUAL_TOL * Gamma: an absolute 1e-10
-# would stop far from the root at small widths (13% off at Gamma = 1e-12).
-ROOT_RESIDUAL_TOL = 1e-10
-_POLE_PAD = 1e-9
-_MAX_BISECTIONS = 200
 
 
 class Regime(enum.Enum):
@@ -115,66 +109,36 @@ def memory_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, floa
 _tan, _tanh = _libm(math.tan), _libm(math.tanh)
 
 
-def _speedup_residual(gamma: float, kappa: float, t):
-    # libm's tan and tanh for floats and arrays alike: an array element is
-    # the scalar residual bit for bit, so every bisection step is the
-    # scalar one's
-    return gamma * _tan(0.5 * kappa * t) - kappa * _tanh(0.5 * gamma * t)
-
-
 def speedup_equation(p: OpenSystemParams, t):
     """Residual Gamma tan(kappa t / 2) - kappa tanh(Gamma t / 2) at gamma0*t = t.
 
-    ``t`` may be an array; each element equals the call at that float."""
+    ``t`` may be an array; through libm's tan and tanh each element equals
+    the call at that float."""
     gamma, kappa = _oscillation_rates(p)
-    return _speedup_residual(gamma, kappa, t)
+    return gamma * _tan(0.5 * kappa * t) - kappa * _tanh(0.5 * gamma * t)
 
 
 def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, float]]:
     """First ``n_max`` speedup intervals (tau_n', tau_n'') in gamma0*t units.
 
-    Each right endpoint is bisected to |residual| <= ROOT_RESIDUAL_TOL
-    min(1, Gamma), or until its bracket is two adjacent floats, on the
-    branch where the tangent rises from zero toward its pole; all branches
-    are bisected together.
+    Each right endpoint is 2 (n pi + u) / kappa, with u the fixed point of
+    u = arctan(r tanh((n pi + u) / r)), r = kappa / Gamma. The map contracts
+    by at least 1 + pi^2 per step; from u = arctan(r) the iterates fall onto
+    the root, and a branch stops when its next iterate does not fall.
     """
     n = _branches(n_max)
     gamma, kappa = _oscillation_rates(p)
-    residual = functools.partial(_speedup_residual, gamma, kappa)
-    tol = ROOT_RESIDUAL_TOL * min(1.0, gamma)
-    tau_prime = 2.0 * n * math.pi / kappa
-    pole = (2.0 * n + 1.0) * math.pi / kappa
-    # beyond a pole of about 2e6, _POLE_PAD is about one ulp of it: pad by 4
-    # ulps there, so the bracket end never rounds onto the pole
-    low, high = tau_prime, pole - np.maximum(_POLE_PAD, 4.0 * np.spacing(pole))
-    g_low, g_high = residual(low), residual(high)
-    unbracketed = np.flatnonzero((g_low >= 0.0) | (g_high <= 0.0))
-    if unbracketed.size:
-        i = unbracketed[0]
-        raise RootBracketError(
-            f"no sign change for the speedup-end equation on branch n = {i + 1}, "
-            f"({low[i]:.6g}, {high[i]:.6g}): g = ({g_low[i]:.3e}, {g_high[i]:.3e})"
-        )
-    roots = np.empty_like(low)
-    open_ = np.arange(n_max)  # branches still bisected; low, high, g_low follow
-    for _ in range(_MAX_BISECTIONS):
-        mid = 0.5 * (low + high)
-        g_mid = residual(mid)
-        # a bracket of two adjacent floats holds the root to the last bit;
-        # on far branches of a small width rounding keeps |g| above tol there
-        done = (np.abs(g_mid) <= tol) | (mid == low) | (mid == high)
-        roots[open_[done]] = mid[done]
-        to_low = (g_mid < 0.0) == (g_low < 0.0)
-        low, g_low = np.where(to_low, mid, low), np.where(to_low, g_mid, g_low)
-        high = np.where(to_low, high, mid)
-        keep = ~done
-        open_, low, high, g_low = open_[keep], low[keep], high[keep], g_low[keep]
-        if not open_.size:
-            return list(zip(tau_prime.tolist(), roots.tolist()))
-    raise RootBracketError(
-        f"bisection failed to reach residual {tol:.1e} on "
-        f"branch n = {open_[0] + 1}"
-    )
+    r = kappa / gamma
+    turns = n * math.pi
+    u = np.full(n_max, math.atan(r))
+    while True:
+        step = np.arctan(r * np.tanh((turns + u) / r))
+        falling = step < u
+        if not falling.any():
+            break
+        u = np.where(falling, step, u)
+    tau_prime = 2.0 * turns / kappa
+    return list(zip(tau_prime.tolist(), (2.0 * (turns + u) / kappa).tolist()))
 
 
 def region_report(p: OpenSystemParams, n_max: int) -> RegionReport:

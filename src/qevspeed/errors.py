@@ -28,9 +28,5 @@ class RankIncreaseError(NumericalFailure):
         )
 
 
-class RootBracketError(NumericalFailure):
-    """Root finding failed: no sign change on the bracket, or no convergence."""
-
-
 class MetricRejectionError(ValueError):
     """The requested metric cannot be used (no continuous boundary extension)."""

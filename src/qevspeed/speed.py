@@ -160,7 +160,7 @@ def _point_speed(metric: MetricKind, values, terms, grow: float):
     operations: its speed, and the terms that escape (nan speed) or None."""
     p = [max(v, 0.0) for v in values]
     order = sorted(p)
-    if order[-2] < PURE_STATE_TOL:
+    if len(order) < 2 or order[-2] < PURE_STATE_TOL:
         top = p.index(order[-1])
         squared = 0.0
         for k, l, m in terms:
@@ -183,15 +183,16 @@ def _batch_speeds(metric: MetricKind, values, terms, grow: np.ndarray):
     """Speeds from the eigenvalue columns and terms of ``_block_terms``, and
     the terms that escape at each failed point (whose speed is nan).
 
-    A point whose second-largest eigenvalue is below ``PURE_STATE_TOL`` takes
-    the Fubini-Study reduction: epsilon times the root of the terms into the
-    top eigenvalue's column. Any other takes the kernel sum, where terms
-    whose eigenvalues sum below ``RANK_TOL`` are dropped when their element
-    is below ``ELEM_TOL`` and escape otherwise.
+    A point whose second-largest eigenvalue is below ``PURE_STATE_TOL`` (or
+    that has one eigenvalue, whose speed is then 0) takes the Fubini-Study
+    reduction: epsilon times the root of the terms into the top eigenvalue's
+    column. Any other takes the kernel sum, where terms whose eigenvalues
+    sum below ``RANK_TOL`` are dropped when their element is below
+    ``ELEM_TOL`` and escape otherwise.
     """
     p = np.maximum(np.stack(values, axis=-1), 0.0)
     top = p.argmax(axis=-1)
-    pure = np.sort(p, axis=-1)[:, -2] < PURE_STATE_TOL
+    pure = np.sort(p, axis=-1)[:, :-1].max(axis=-1, initial=0.0) < PURE_STATE_TOL
     total = squared = 0.0
     escapes = []
     for k, l, m in terms:

@@ -18,7 +18,6 @@ PUBLIC_NAMES = (
     "MetricRejectionError",
     "NumericalFailure",
     "RankIncreaseError",
-    "RootBracketError",
     # linalg
     "eigh_stack",
     # metrics

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import qevspeed.cli as cli
-from qevspeed import analysis
 from qevspeed.analysis import speedup_boundaries
-from qevspeed.errors import RootBracketError
+from qevspeed.errors import RankIncreaseError
 from qevspeed.models import OpenSystemParams, markovian_two_qubit_speed, trajectory_from_key
 from util import leaking_trajectory
 
@@ -562,7 +561,7 @@ class TestErrors:
 
     def test_numerical_failure_maps_to_exit_three(self, monkeypatch, capsys):
         def boom(config):
-            raise RootBracketError("no sign change")
+            raise RankIncreaseError(0.0, (0, 1), 1.0)
 
         monkeypatch.setitem(cli._RUNNERS, "regions", boom)
         assert cli.main(["regions", "--gamma-ratio", "0.1"]) == 3
@@ -570,11 +569,6 @@ class TestErrors:
 
     def test_missing_subcommand_is_usage_error(self):
         assert cli.main([]) == 2
-
-    def test_unconverged_bisection_exits_three(self, monkeypatch, capsys):
-        monkeypatch.setattr(analysis, "_MAX_BISECTIONS", 1)
-        assert cli.main(["regions", "--gamma-ratio", "0.1"]) == 3
-        assert "branch n = 1" in capsys.readouterr().err
 
 
 class TestParserReuse:

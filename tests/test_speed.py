@@ -194,6 +194,22 @@ class TestSpeedAt:
         with pytest.raises(RankIncreaseError, match="rank"):
             speed_at(traj, 1.0, SLD)
 
+    # a state with one eigenvalue is pure: its speed is 0 on both paths
+    def test_one_by_one_batch(self):
+        result = kernel_speeds(np.ones((3, 1, 1)), np.zeros((3, 1, 1)), SLD)
+        assert result.speeds.tolist() == [0.0, 0.0, 0.0] and not result.failures
+
+    def test_one_by_one_point(self):
+        result = kernel_speeds(np.ones((1, 1)), np.zeros((1, 1)), WY)
+        assert result.speeds.shape == () and result.speeds == 0.0 and not result.failures
+
+    def test_one_dimensional_trajectory(self):
+        traj = Trajectory(
+            dim=1, horizon=10.0, state_at=stacked(lambda t: [[1.0]]), derivative_at=stacked(lambda t: [[0.0]])
+        )
+        assert speeds_at(traj, np.array([0.5, 2.0]), SLD).speeds.tolist() == [0.0, 0.0]
+        assert speed_at(traj, 1.0, SLD) == 0.0
+
 
 WIDTHS = [{"Gamma": 0.1}, {"Gamma": 2.0}, {"Gamma": 10.0}, {"markovian_limit": True}]
 

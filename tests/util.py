@@ -10,7 +10,7 @@ import numpy as np
 
 from qevspeed import analysis
 from qevspeed.cli import TableResult
-from qevspeed.errors import NumericalFailure, RankIncreaseError, RootBracketError
+from qevspeed.errors import NumericalFailure, RankIncreaseError
 from qevspeed.metrics import MetricKind, mc_kernel
 from qevspeed.models import OpenSystemParams, trajectory_from_key
 from qevspeed.speed import (
@@ -283,37 +283,38 @@ def local_damping_evolve(rho0: np.ndarray, P: float, n: int = 1) -> np.ndarray:
     return out
 
 
-def bisect_speedup_end(p: OpenSystemParams, n: int, tol: float | None = None) -> float:
-    """Oracle for ``analysis.speedup_boundaries``: the root on branch ``n``,
-    bisected one branch at a time on the scalar ``speedup_equation``, to
-    residual ``tol`` (by default the package's rule) or, with ``tol = 0``,
-    until the bracket is two adjacent floats."""
+# The oracle's bracket ends this far below the pole, or 4 ulps below it
+# where that is more, so the end never rounds onto the pole; and a bracket
+# of floats near 1e7 reaches two adjacent floats in about 60 halvings.
+_ORACLE_POLE_PAD = 1e-9
+_ORACLE_MAX_STEPS = 200
+
+
+def bisect_speedup_end(p: OpenSystemParams, n: int) -> float:
+    """Last-bit oracle for ``analysis.speedup_boundaries``: the root on
+    branch ``n``, bisected one branch at a time on the scalar
+    ``speedup_equation`` until its bracket is two adjacent floats."""
     gamma, kappa = analysis._oscillation_rates(p)
-    if tol is None:
-        tol = analysis.ROOT_RESIDUAL_TOL * min(1.0, gamma)
     low = 2.0 * n * math.pi / kappa
     pole = (2.0 * n + 1.0) * math.pi / kappa
-    high = pole - max(analysis._POLE_PAD, 4.0 * math.ulp(pole))
+    high = pole - max(_ORACLE_POLE_PAD, 4.0 * math.ulp(pole))
     g_low = analysis.speedup_equation(p, low)
     g_high = analysis.speedup_equation(p, high)
     if g_low >= 0.0 or g_high <= 0.0:
-        raise RootBracketError(
+        raise AssertionError(
             f"no sign change for the speedup-end equation on "
             f"({low:.6g}, {high:.6g}): g = ({g_low:.3e}, {g_high:.3e})"
         )
-    for _ in range(analysis._MAX_BISECTIONS):
+    for _ in range(_ORACLE_MAX_STEPS):
         mid = 0.5 * (low + high)
-        g_mid = analysis.speedup_equation(p, mid)
-        if abs(g_mid) <= tol or mid in (low, high):
+        if mid in (low, high):
             return mid
+        g_mid = analysis.speedup_equation(p, mid)
         if (g_mid < 0.0) == (g_low < 0.0):
             low, g_low = mid, g_mid
         else:
             high = mid
-    raise RootBracketError(
-        f"bisection failed to reach residual {tol:.1e} on "
-        f"branch n = {n}"
-    )
+    raise AssertionError(f"bisection on branch n = {n} did not reach adjacent floats")
 
 
 def _format_cell(value: float) -> str:
