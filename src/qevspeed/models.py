@@ -117,6 +117,15 @@ def _libm(func):
 _exp, _cos, _sin, _cosh, _sinh = map(_libm, (math.exp, math.cos, math.sin, math.cosh, math.sinh))
 
 
+def _complex(re, im):
+    """re + i im without rounding: a Python complex, or a complex array."""
+    if not isinstance(re, np.ndarray):
+        return complex(re, im)
+    out = re.astype(complex)
+    out.imag = im
+    return out
+
+
 def _markovian(t, g, k):
     decay = _exp(-0.5 * t)
     return decay, -0.5 * decay
@@ -297,30 +306,23 @@ def _closed_trajectory(kind: str, a, w: float, horizon: float) -> Trajectory:
     ``kind='aligned'``: two spins from alpha|11> + beta|00>, which accumulates
     the phases of both. ``kind='anti'``: two spins from alpha|10> + beta|01>,
     whose components are degenerate in energy, so the state never moves.
+
+    The pair's block is alpha^2, beta^2 and alpha beta e^{-i rate t}, moving
+    at 0, 0 and -i rate alpha beta e^{-i rate t}, in real arithmetic on libm:
+    Python numbers at one point of a scalar ``a``, with a batch's bits.
     """
-    b = np.sqrt(1.0 - a * a)
+    b = math.sqrt(1.0 - a * a) if isinstance(a, float) else np.sqrt(1.0 - a * a)
+    ab = a * b
     dim = 2 if kind == "1q" else 4
-    spin = 0.5j if kind == "1q" else 1j  # phase rate per unit omega
+    rate = {"1q": 1.0, "aligned": 2.0, "anti": 0.0}[kind] * w  # phase rate of the pair's coherence
     pair = {"1q": (0, 1), "aligned": (0, 3), "anti": (1, 2)}[kind]  # the other components stay empty
     at_rest = [((k,), [0.0], [0.0]) for k in range(dim) if k not in pair]
+    turn = -rate * ab
 
     def blocks(t):
-        t = np.asarray(t, dtype=float)
-        shape = t.shape if np.ndim(a) == 0 else np.broadcast_shapes(t.shape, np.shape(a))
-        v = np.zeros((2,) + shape, dtype=complex)  # the pair's components
-        dv = np.zeros_like(v)
-        if kind == "anti":
-            v[0], v[1] = a, b
-        else:
-            phase = np.exp(-spin * w * t)
-            v[0], v[1] = a * phase, b / phase
-            dv[0], dv[1] = -spin * w * a * phase, spin * w * b / phase
-        # the pair's block of |v><v| and the Hermitian part of its derivative, on
-        # arrays even at one point, so that a point and a batch share their bits
-        state = v[:, None] * v[None, :].conj()
-        move = dv[:, None] * v[None, :].conj() + v[:, None] * dv[None, :].conj()
-        move = 0.5 * (move + move.conj().swapaxes(0, 1))
-        return [(pair, [state[0, 0], state[1, 1], state[0, 1]], [move[0, 0], move[1, 1], move[0, 1]]), *at_rest]
+        cos, sin = _cos(rate * t), _sin(rate * t)
+        cross, move = _complex(ab * cos, -(ab * sin)), _complex(turn * sin, turn * cos)
+        return [(pair, [a * a, b * b, cross], [0.0, 0.0, move]), *at_rest]
 
     return _block_trajectory(dim, blocks, horizon, {"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)})
 

@@ -10,16 +10,17 @@ degeneracies (its diagonal kernel is c(p, p) = 1/p). The test suite checks
 it against the spectral form built from eigenvalue and eigenvector
 derivatives.
 
-The kernel sum is evaluated in batches: ``speeds_at`` takes an array of
-times (and a model family built on arrays of parameters) and sums the
+The batch path, ``speeds_at``, takes an array of times (and a model
+family built on arrays of parameters) and sums the
 kernel block by block; cross-block elements of drho vanish, so each
 diagonal block contributes its own terms. The six built-in models are X
 states and state their blocks themselves, of one and two indices, whose
 eigensystems are closed forms (``linalg.pair_block``): those models need
 no LAPACK call. Any other trajectory is one dense block, ``pair_block``
 for d <= 2 and one stacked ``linalg.eigh_stack`` otherwise
-(``kernel_speeds``). ``speed_at`` is the one-point case, evaluated on
-Python floats by the same formulas and equal to the batch bit for bit.
+(``kernel_speeds``). The point path, ``speed_at``, runs a built-in model
+with scalar parameters on Python floats by the batch's formulas, equal to
+it bit for bit, and hands anything else to ``speeds_at``.
 """
 
 from __future__ import annotations
@@ -223,52 +224,42 @@ def _rank_increase(values, escaping, grow: float, time: float) -> RankIncreaseEr
     return RankIncreaseError(time, (rank[k], rank[l]), m * grow)
 
 
-def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind, times) -> SpeedBatch:
-    """``kernel_speeds`` of diagonal blocks laid out as ``_block_terms`` reads
-    them, with entries that broadcast to ``batch`` (``batch + (d, d)`` for a
-    block of d > 2 indices). A pair whose coherence is zero in the state and
-    the derivative at every point is two blocks of one index, and blocks
-    are taken in the order of their first index."""
-    point = math.prod(batch) == 1 and all(len(indices) <= 2 for indices, *_ in blocks)
-
-    def flat(x, size: int):
-        if point:
-            return x if type(x) in (float, complex) else x.item()
-        if size > 2:
-            return np.reshape(x, (-1, size, size))
-        return (x if np.shape(x) == batch else np.broadcast_to(x, batch)).reshape(-1)
-
-    moving = bool if point else np.any
+def _split(blocks, moving):
+    """The blocks in the order of their first index, a pair whose coherence
+    rests at zero (``moving`` tests an entry) as two blocks of one index."""
     split = []
     for indices, state, move in blocks:
-        size = len(indices)
-        state, move = [flat(x, size) for x in state], [flat(x, size) for x in move]
-        if size == 2 and not (moving(state[2]) or moving(move[2])):
+        if len(indices) == 2 and not (moving(state[2]) or moving(move[2])):
             split += [((i,), [x], [dx]) for i, x, dx in zip(indices, state, move)]
         else:
             split.append((indices, state, move))
-    blocks = sorted(split, key=lambda block: block[0][0])
+    return sorted(split, key=lambda block: block[0][0])
+
+
+def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind, times) -> SpeedBatch:
+    """``kernel_speeds`` of diagonal blocks laid out as ``_block_terms`` reads
+    them, with entries that broadcast to ``batch`` (``batch + (d, d)`` for a
+    block of d > 2 indices), split as ``_split`` splits them."""
+
+    def flat(x, size: int):
+        if size > 2:
+            return np.reshape(x, (-1, size, size))
+        return np.reshape(x if np.shape(x) == batch else np.broadcast_to(x, batch), -1)
+
+    blocks = _split([(i, [flat(x, len(i)) for x in s], [flat(x, len(i)) for x in m]) for i, s, m in blocks], np.any)
     parts = [part for *_, move in blocks for x in move for part in (x.real, x.imag)]
-    if point:
-        shrink, grow = _binary_scale(max(map(abs, parts)))
+    peak = np.max([np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0) for x in parts], axis=0)
+    shrink, grow = _binary_scale(peak)
+    with np.errstate(under="ignore"):  # negligible terms flush to zero
         values, terms = _block_terms(blocks, shrink)
-        speed, escaping = _point_speed(metric, values, terms, grow)
-        speeds, escaping = np.full(batch, speed), {} if escaping is None else {0: escaping}
-    else:
-        peak = np.max([np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0) for x in parts], axis=0)
-        shrink, grow = _binary_scale(peak)
-        with np.errstate(under="ignore"):  # negligible terms flush to zero
-            values, terms = _block_terms(blocks, shrink)
-            speeds, escaping = _batch_speeds(metric, values, terms, grow)
-        speeds = speeds.reshape(batch)
-    failures: dict[int, NumericalFailure] = {}
-    if escaping:
+        speeds, escaping = _batch_speeds(metric, values, terms, grow)
+    if escaping:  # each failure is labelled with its time
         labels = np.broadcast_to(math.nan if times is None else times, batch).ravel()
-        for i, out in escaping.items():
-            column = [float(np.ravel(v)[i]) for v in values]
-            scale = float(np.ravel(grow)[i])
-            failures[i] = _rank_increase(column, out, scale, float(labels[i]))
-    return SpeedBatch(speeds, failures)
+    failures = {
+        i: _rank_increase([float(v[i]) for v in values], out, float(grow[i]), float(labels[i]))
+        for i, out in escaping.items()
+    }
+    return SpeedBatch(speeds.reshape(batch), failures)
 
 
 def kernel_speeds(
@@ -283,10 +274,9 @@ def kernel_speeds(
     The matrices are one block: ``pair_block`` for d <= 2, one stacked
     ``eigh_stack`` otherwise. Each point's ``drho`` is scaled by a power of
     two near its largest entry before it is squared (``_binary_scale``);
-    then each point takes the rules of ``_batch_speeds`` (on Python floats
-    at one point with d <= 2), failing with ``RankIncreaseError``. ``times``
-    only labels the errors. Non-finite or non-Hermitian states raise
-    ``ValueError`` for the whole batch.
+    then each point takes the rules of ``_batch_speeds``, failing with
+    ``RankIncreaseError``. ``times`` only labels the errors. Non-finite or
+    non-Hermitian states raise ``ValueError`` for the whole batch.
     """
     rho = np.asarray(rho, dtype=complex)
     batch, dim = rho.shape[:-2], rho.shape[-1]
@@ -301,32 +291,41 @@ def kernel_speeds(
     return _block_speeds([block], batch, metric, times)
 
 
-def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> SpeedBatch:
-    """Speeds along a trajectory at an array of times, in one batch.
+def _blocks_at(traj: Trajectory, t):
+    """The blocks at ``t`` of the block function both callables carry, or None."""
+    blocks = getattr(traj.state_at, "blocks", None)
+    return blocks(t) if blocks is not None and blocks is getattr(traj.derivative_at, "blocks", None) else None
 
-    A built-in model states its diagonal blocks: ``state_at`` and
-    ``derivative_at`` carry one block function as ``blocks``, called once
-    and summed block by block. Any other trajectory (including a model with
-    either callable replaced) is one dense block: one call of each callable,
-    then ``kernel_speeds``. At t = 0 a trajectory's ``speed_at_zero`` limit
-    is returned. Times outside [0, horizon] and dense states of a size
-    other than ``traj.dim`` raise ``ValueError``; a failed point is nan with
-    its error in ``failures``. No times give an empty batch.
+
+def _check_range(traj: Trajectory, first, last, times) -> None:
+    """Raise ``ValueError`` for the first of ``times`` outside [0, horizon]."""
+    if not (first >= 0.0 and last <= traj.horizon):
+        bad = next(x for x in np.ravel(times) if not 0.0 <= x <= traj.horizon)
+        raise ValueError(f"t = {bad} outside trajectory range [0, {traj.horizon}]")
+
+
+def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> SpeedBatch:
+    """Speeds along a trajectory at an array of times: the batch path.
+
+    A built-in model's block function (``blocks`` on both callables) is
+    called once and summed block by block; any other trajectory is one
+    dense block (``kernel_speeds``). At t = 0 a trajectory's
+    ``speed_at_zero`` limit is returned. Times outside [0, horizon] and
+    dense states of a size other than ``traj.dim`` raise ``ValueError``; a
+    failed point is nan with its error in ``failures``. No times give an
+    empty batch.
     """
     t = np.asarray(times, dtype=float)
     if t.size == 0:
         return SpeedBatch(np.empty(t.shape))
-    first, last = (float(t), float(t)) if t.ndim == 0 else (t.min(), t.max())
-    if not (first >= 0.0 and last <= traj.horizon):
-        bad = t[~((t >= 0.0) & (t <= traj.horizon))].flat[0]
-        raise ValueError(f"t = {bad} outside trajectory range [0, {traj.horizon}]")
+    first, last = t.min(), t.max()
+    _check_range(traj, first, last, t)
     limit = traj.speed_at_zero
     if limit is not None and last == 0.0:  # every point takes the limit
         return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
-    blocks = getattr(traj.state_at, "blocks", None)
     with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
-        if blocks is not None and blocks is getattr(traj.derivative_at, "blocks", None):
-            blocks = blocks(t)
+        blocks = _blocks_at(traj, t)
+        if blocks is not None:
             shapes = [x.shape for _, state, move in blocks for x in state + move if isinstance(x, np.ndarray)]
             result = _block_speeds(blocks, np.broadcast_shapes(*shapes), metric, t)
         else:
@@ -343,11 +342,25 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
 
 
 def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) -> float:
-    """Instantaneous speed at one time: the one-point case of ``speeds_at``.
-
-    A failed evaluation raises its error (``RankIncreaseError`` when a
-    boundary eigenvalue pair carries a non-negligible derivative element).
-    """
+    """Instantaneous speed at one time: the point path. It runs on Python
+    floats where the block function gives them (a built-in model with
+    scalar parameters), by the batch's operations and with its bits, and is
+    one point of ``speeds_at`` otherwise. A failure raises its error."""
+    if isinstance(t, (int, float)):  # numpy's float64 is a float
+        t = float(t)
+        _check_range(traj, t, t, t)
+        if t == 0.0 and isinstance(traj.speed_at_zero, (int, float)):
+            return float(traj.speed_at_zero)
+        blocks = _blocks_at(traj, t)
+        if blocks is not None and {type(x) for _, state, move in blocks for x in state + move} <= {float, complex}:
+            blocks = _split(blocks, bool)
+            parts = [part for *_, move in blocks for x in move for part in (x.real, x.imag)]
+            shrink, grow = _binary_scale(max(map(abs, parts)))
+            values, terms = _block_terms(blocks, shrink)
+            speed, escaping = _point_speed(metric, values, terms, grow)
+            if escaping:
+                raise _rank_increase(values, escaping, grow, t)
+            return speed
     result = speeds_at(traj, t, metric)
     if result.speeds.size != 1:
         raise ValueError("speed_at evaluates one point; use speeds_at for a family")

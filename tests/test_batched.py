@@ -22,7 +22,9 @@ from qevspeed.models import (
     amplitude_factor,
     amplitude_factor_dot,
     open_two_qubit_speed_analytic,
+    population_complement,
     population_factor,
+    population_factor_dot,
     trajectory_from_key,
 )
 from qevspeed.speed import (
@@ -283,3 +285,21 @@ def test_two_qubit_speed_near_zero_matches_closed_form():
     closed = open_two_qubit_speed_analytic(params, 1e-4)
     assert closed == pytest.approx(0.223606052341, rel=1e-11)
     assert speed_at(traj, 1e-4) == pytest.approx(closed, rel=1e-9)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="1 - P_t is below PURE_STATE_TOL, so the state counts as pure and "
+    "the Fubini-Study route drops the moving (3, 3) population: the speed reads 0",
+)
+@pytest.mark.parametrize(
+    "Gamma,t,expected", [(0.5, 1e-7, 0.5), (0.5, 1e-6, 0.5), (10.0, 1e-8, math.sqrt(5.0))]
+)
+def test_anti_pair_speed_near_zero(Gamma, t, expected):
+    # the anti pair's eigenvalues are P_t and 1 - P_t on fixed eigenvectors
+    params = OpenSystemParams(alpha=0.6, Gamma=Gamma)
+    closed = abs(population_factor_dot(params, t)) / (
+        2.0 * math.sqrt(population_factor(params, t) * population_complement(params, t))
+    )
+    assert closed == pytest.approx(expected, rel=1e-6)
+    assert speed_at(open_model("open-2q-anti", params), t) == pytest.approx(closed, rel=1e-6)

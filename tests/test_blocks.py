@@ -1,5 +1,5 @@
 """The per-block kernel sum: closed-form 2x2 blocks, the block split of a
-stack, and the one-point path on Python floats.
+stack, and the point path of ``speed_at`` on Python floats.
 
 The dense ``np.linalg.eigh`` kernel in util.py is the oracle.
 """
@@ -13,10 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qevspeed import linalg, speed
+from qevspeed.errors import RankIncreaseError
 from qevspeed.linalg import pair_block
 from qevspeed.metrics import MetricKind, kernel_value, mc_kernel
 from qevspeed.models import MODEL_KEYS, trajectory_from_key
-from qevspeed.speed import ELEM_TOL, kernel_speeds, speed_at, speeds_at
+from qevspeed.speed import ELEM_TOL, Trajectory, kernel_speeds, speed_at, speeds_at
 from util import conjugate_trajectory, dense_kernel_speeds, random_hermitian, random_unitary
 
 # every branch of the amplitude factor: oscillatory, critical, hyperbolic
@@ -174,6 +175,109 @@ def test_speed_at_is_the_batch_to_the_last_bit(key, bath, metric):
         assert one.tobytes() == batch.tobytes()
 
 
+@pytest.mark.parametrize("key", [key for key in MODEL_KEYS if key.startswith("closed")])
+def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(key):
+    times = np.concatenate([[0.0, 1e-6], np.random.default_rng(61).uniform(0.0, 50.0, 30)])
+    for alpha in (0.0, 0.3, 1.0):
+        for omega in (0.7, 1e300):
+            blocks = trajectory_from_key(key, alpha=alpha, omega=omega).state_at.blocks
+            batch = blocks(times)
+            for i, t in enumerate(times):
+                one = blocks(float(t))
+                for (indices, state, move), (same, states, moves) in zip(one, batch):
+                    assert indices == same
+                    for x, column in zip(state + move, states + moves):
+                        assert type(x) in (float, complex)
+                        y = complex(np.broadcast_to(column, times.shape)[i])
+                        assert (x.real.hex(), x.imag.hex()) == (y.real.hex(), y.imag.hex())
+                pair_move = one[0][2]
+                assert pair_move[0] == pair_move[1] == 0.0
+            assert all(np.all(np.asarray(x) == 0.0) for x in batch[0][2][:2])
+
+
+def count_calls(monkeypatch, *targets) -> Counter:
+    """Calls of each (module, name) function by name, from now on."""
+    calls = Counter()
+    for module, name in targets:
+
+        def counted(*args, original=getattr(module, name), name=name):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_speed_at_takes_the_float_path(monkeypatch):
+    calls = count_calls(monkeypatch, (speed, "speeds_at"), (speed, "_block_speeds"))
+    for key, bath in MODEL_CASES:
+        traj = trajectory_from_key(key, alpha=0.7, **bath)
+        for metric in MetricKind:
+            for t in (0.0, 1e-3, 2.5):
+                assert isinstance(speed_at(traj, t, metric), float)
+    assert calls == {}
+    # a family of one member and a dense trajectory take the batch
+    family = trajectory_from_key("open-2q-aligned", alpha=np.array([0.7]), Gamma_over_gamma0=0.5)
+    speed_at(family, 2.5)
+    assert calls == {"speeds_at": 1, "_block_speeds": 1}
+    turned = conjugate_trajectory(family, random_unitary(np.random.default_rng(53), 4))
+    speed_at(turned, 2.5)
+    assert calls == {"speeds_at": 2, "_block_speeds": 2}
+
+
+def leaking_pair_trajectory() -> Trajectory:
+    """diag(1/2, 0, 1/2), whose empty level fills while its pair's cross
+    element moves: a hand-written trajectory carrying its block function."""
+
+    def blocks(t):
+        one = 1.0 + 0.0 * t  # a float at a float time, an array at an array
+        pair = ((0, 1), [0.5 * one, 0.0 * one, 0j * one], [-0.1 * one, 0.1 * one, 0.2j * one])
+        return [pair, ((2,), [0.5 * one], [0.0 * one])]
+
+    def state_at(t):
+        return np.broadcast_to(np.diag([0.5, 0.0, 0.5]).astype(complex), np.shape(t) + (3, 3))
+
+    def derivative_at(t):
+        return np.broadcast_to(np.array([[-0.1, 0.2j, 0.0], [-0.2j, 0.1, 0.0], [0.0, 0.0, 0.0]]), np.shape(t) + (3, 3))
+
+    state_at.blocks = derivative_at.blocks = blocks
+    return Trajectory(3, 50.0, state_at, derivative_at)
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+def test_speed_at_raises_the_batch_failure(monkeypatch, metric):
+    traj = leaking_pair_trajectory()
+    want = speeds_at(traj, np.array([2.0]), metric).failures[0]
+    calls = count_calls(monkeypatch, (speed, "speeds_at"))
+    with pytest.raises(RankIncreaseError) as caught:
+        speed_at(traj, 2.0, metric)
+    assert calls == {}
+    got = caught.value
+    assert (got.time, got.pair, got.magnitude) == (want.time, want.pair, want.magnitude)
+    assert got.pair == (0, 0)
+
+
+@pytest.mark.parametrize("key,bath", MODEL_CASES)
+def test_speed_at_takes_any_number(key, bath):
+    traj = trajectory_from_key(key, alpha=0.7, **bath)
+    for metric in MetricKind:
+        want = speed_at(traj, 2.0, metric).hex()
+        assert speed_at(traj, 2, metric).hex() == want
+        assert speed_at(traj, np.float64(2.0), metric).hex() == want
+        assert speed_at(traj, np.array(2.0), metric).hex() == want
+
+
+@pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, 50.5, math.inf])
+def test_speed_at_checks_the_range_as_the_batch(t):
+    for traj in (trajectory_from_key("closed-1q"), trajectory_from_key("open-1q", markovian_limit=True)):
+        with pytest.raises(ValueError) as batch:
+            speeds_at(traj, t)
+        with pytest.raises(ValueError) as one:
+            speed_at(traj, t)
+        assert str(one.value) == str(batch.value)
+        assert str(one.value).startswith(f"t = {t} outside trajectory range [0, 50.0]")
+
+
 def test_built_in_models_run_no_eigensolver(monkeypatch):
     calls = []
     dense_solver = np.linalg.eigh
@@ -198,14 +302,7 @@ def test_built_in_models_run_no_eigensolver(monkeypatch):
 
 
 def test_built_in_models_skip_the_dense_adapter(monkeypatch):
-    calls = Counter()
-    for module, name in ((linalg, "hermitian_stack"), (speed, "rho_dot")):
-
-        def counted(*args, original=getattr(module, name), name=name):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(module, name, counted)
+    calls = count_calls(monkeypatch, (linalg, "hermitian_stack"), (speed, "rho_dot"))
     times = np.linspace(0.0, 20.0, 50)
     for key, bath in MODEL_CASES:
         traj = trajectory_from_key(key, alpha=0.7, **bath)
