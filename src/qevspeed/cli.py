@@ -473,12 +473,7 @@ def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
         traj = _build_trajectory(config, t_eval)
         return (lambda times: speeds_at(traj, times, metric)), "longitudinal"
 
-    if name == "C" and config.model not in (
-        "closed-2q-aligned",
-        "closed-2q-anti",
-        "open-2q-aligned",
-        "open-2q-anti",
-    ):
+    if name == "C" and "-2q-" not in (config.model or ""):
         raise UsageError(f"concurrence sweep needs a two-qubit model, got '{config.model}'")
     if name in ("alpha", "C"):
 

@@ -22,6 +22,9 @@ with kappa = sqrt(2 Gamma - Gamma^2) for Gamma < 2 (the oscillatory,
 memory-carrying regime), the analytic continuation with hyperbolic
 functions for Gamma > 2, the degenerate form exp(-Gamma t / 2)(1 + Gamma t / 2)
 at kappa = 0, and exp(-t / 2) in the Markovian limit Gamma -> infinity.
+
+One builder makes all six: a closed model is the damped one with the bath
+switched off (G_t = 1) and the precession phase on its coherence.
 """
 
 from __future__ import annotations
@@ -115,15 +118,6 @@ def _libm(func):
 
 
 _exp, _cos, _sin, _cosh, _sinh = map(_libm, (math.exp, math.cos, math.sin, math.cosh, math.sinh))
-
-
-def _complex(re, im):
-    """re + i im without rounding: a Python complex, or a complex array."""
-    if not isinstance(re, np.ndarray):
-        return complex(re, im)
-    out = re.astype(complex)
-    out.imag = im
-    return out
 
 
 def _markovian(t, g, k):
@@ -266,112 +260,90 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
 # ---------------------------------------------------------------------------
 # Trajectories
 #
-# Every model is an X state. Its block function takes a time or an array of
-# times, broadcasts it against the model's parameters (which may be arrays
-# too) and returns the diagonal blocks in the layout ``speed._block_terms``
-# reads, so a whole grid is built in one call. ``state_at`` and
-# ``derivative_at`` scatter the blocks into dense matrices.
-
-
-def _cells(indices: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The (row, column) of each entry a block holds, in its order."""
-    return [(i, i) for i in indices] + ([indices] if len(indices) == 2 else [])
+# Every model is an X state, built by one block function (a closed model at
+# G_t = 1). It takes a time or an array of times, broadcasts it against the
+# model's parameters (which may be arrays too) and returns the diagonal
+# blocks in the real layout ``speed._block_terms`` reads, so a whole grid is
+# built in one call. ``state_at`` and ``derivative_at`` scatter the blocks.
 
 
 def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
     """The dense state (``part`` 1) or derivative (2) matrices of the blocks
     at times ``t``, stacked along their broadcast shape."""
-    cells = [(cell, x) for block in blocks(t) for cell, x in zip(_cells(block[0]), block[part])]
-    out = np.zeros(np.broadcast_shapes(*(np.shape(x) for _, x in cells)) + (dim, dim), dtype=complex)
-    for (i, j), x in cells:
-        out[..., j, i] = np.conj(x)
-        out[..., i, j] = x  # a diagonal entry keeps x
+    entries = [(block[0], block[part]) for block in blocks(t)]
+    shape = np.broadcast_shapes(np.shape(t), *(np.shape(x) for _, xs in entries for x in xs))
+    out = np.zeros(shape + (dim, dim), dtype=complex)
+    for indices, xs in entries:
+        for i, x in zip(indices, xs):
+            out.real[..., i, i] = x
+        if len(indices) == 2:
+            (i, j), (re, im) = indices, xs[2:]
+            out.real[..., i, j] = out.real[..., j, i] = re
+            out.imag[..., i, j], out.imag[..., j, i] = im, -im
     return out
 
 
-def _block_trajectory(dim: int, blocks, horizon: float, params: dict, limit=None) -> Trajectory:
-    """A model from its block function, which ``state_at`` and
-    ``derivative_at`` scatter and both carry as ``blocks`` for the speed
-    kernel (a ``functools.wraps`` wrapper keeps it, a replacement drops it)."""
-    state, derivative = (functools.partial(_scatter, dim, blocks, part) for part in (1, 2))
-    state.blocks = derivative.blocks = blocks
-    return Trajectory(dim, horizon, state, derivative, params, limit)
+def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
+    """The model ``kind`` from real amplitude ``a`` (which may be an array)
+    and beta = sqrt(1 - a^2): '1q' starts from alpha|1> + beta|0>, 'aligned'
+    from alpha|11> + beta|00> and 'anti' from alpha|10> + beta|01>.
 
-
-def _closed_trajectory(kind: str, a, w: float, horizon: float) -> Trajectory:
-    """Pure precessing states from real amplitude ``a`` (which may be an
-    array) and beta = sqrt(1 - a^2).
-
-    ``kind='1q'``: one spin, alpha e^{-i omega t/2}|1> + beta e^{i omega t/2}|0>.
-    ``kind='aligned'``: two spins from alpha|11> + beta|00>, which accumulates
-    the phases of both. ``kind='anti'``: two spins from alpha|10> + beta|01>,
-    whose components are degenerate in energy, so the state never moves.
-
-    The pair's block is alpha^2, beta^2 and alpha beta e^{-i rate t}, moving
-    at 0, 0 and -i rate alpha beta e^{-i rate t}, in real arithmetic on libm:
-    Python numbers at one point of a scalar ``a``, with a batch's bits.
+    ``Gamma is None`` is a closed model, G_t = 1, whose spins precess at
+    ``w``: the coherence turns at w, at 2w (the aligned pair accumulates
+    both phases) or not at all (the anti pair's components are degenerate
+    in energy). Otherwise each qubit is damped at width ``Gamma`` (``inf``
+    is the Markovian limit), which broadcasts against ``a``, and ``w`` is 0.
+    One qubit keeps the signed G_t, so it is smooth through the zeros of
+    P_t (the amplitude-damping channel agrees wherever G_t >= 0). The pairs
+    take P_t = min(G_t^2, 1) and multiply out the local operation elements
+    {[[sqrt P, 0], [0, 1]], [[0, 0], [sqrt(1 - P), 0]]} of each qubit in the
+    order of the Kraus sum with ``np.kron``, so both give the same bits; the
+    damped anti pair, P_t|phi0><phi0| + (1-P_t)|00><00|, has constant
+    eigenvectors and an alpha-independent speed.
+    The phase is real arithmetic on libm's cos and sin: the entries are
+    Python floats at one point of scalar parameters, with a batch's bits.
     """
     b = math.sqrt(1.0 - a * a) if isinstance(a, float) else np.sqrt(1.0 - a * a)
     ab = a * b
     dim = 2 if kind == "1q" else 4
-    rate = {"1q": 1.0, "aligned": 2.0, "anti": 0.0}[kind] * w  # phase rate of the pair's coherence
-    pair = {"1q": (0, 1), "aligned": (0, 3), "anti": (1, 2)}[kind]  # the other components stay empty
-    at_rest = [((k,), [0.0], [0.0]) for k in range(dim) if k not in pair]
+    rate = {"1q": 1.0, "aligned": 2.0, "anti": 0.0}[kind] * w  # phase rate of the coherence
     turn = -rate * ab
 
     def blocks(t):
-        cos, sin = _cos(rate * t), _sin(rate * t)
-        cross, move = _complex(ab * cos, -(ab * sin)), _complex(turn * sin, turn * cos)
-        return [(pair, [a * a, b * b, cross], [0.0, 0.0, move]), *at_rest]
-
-    return _block_trajectory(dim, blocks, horizon, {"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)})
-
-
-def _open_trajectory(kind: str, a, Gamma, horizon: float) -> Trajectory:
-    """Locally damped qubit (``kind='1q'``) or pair from real amplitude ``a``;
-    ``a`` and ``Gamma`` broadcast, ``Gamma = inf`` is the Markovian limit.
-
-    ``kind='1q'`` starts from alpha|1> + sqrt(1-alpha^2)|0> and keeps the
-    signed coherence amplitude G_t (the exact reduced dynamics), so the
-    trajectory is smooth through the zeros of P_t; the amplitude-damping
-    channel at P_t, whose coherence factor is sqrt(P_t), agrees with it
-    wherever G_t >= 0. ``kind='aligned'`` starts from alpha|11> + beta|00>;
-    ``kind='anti'`` from alpha|10> + beta|01>, whose evolved state
-    P_t|phi0><phi0| + (1-P_t)|00><00| has constant eigenvectors and an
-    alpha-independent speed.
-
-    The entries are closed forms in the signed amplitude G_t (one qubit) or
-    in P_t = min(G_t^2, 1) (pairs), Python floats at one point of scalar
-    parameters. The pair entries are the local operation elements
-    {[[sqrt P, 0], [0, 1]], [[0, 0], [sqrt(1 - P), 0]]} of each qubit
-    multiplied out, in the order of floating-point operations of the Kraus
-    sum with ``np.kron``, so both give the same bits.
-    """
-    b = math.sqrt(1.0 - a * a) if isinstance(a, float) else np.sqrt(1.0 - a * a)
-    dim = 2 if kind == "1q" else 4
-
-    def blocks(t):
-        g, dg = _amplitudes(t, Gamma)
+        g, dg = (1.0, 0.0) if Gamma is None else _amplitudes(t, Gamma)
+        cos, sin = (_cos(rate * t), _sin(rate * t)) if rate else (1.0, 0.0)
         dpop = 2.0 * g * dg
         if kind == "1q":
             pop = g * g
-            state = [a * a * pop, 1.0 - a * a * pop, a * b * g]
-            return [((0, 1), state, [a * a * dpop, -a * a * dpop, a * b * dg])]
+            state = [a * a * pop, 1.0 - a * a * pop, g * (ab * cos), -(g * (ab * sin))]
+            move = [a * a * dpop, -a * a * dpop]
+            move += [dg * (ab * cos) + g * (turn * sin), g * (turn * cos) - dg * (ab * sin)]
+            return [((0, 1), state, move)]
         sqrt, lower, upper = (math.sqrt, min, max) if isinstance(g, float) else (np.sqrt, np.minimum, np.maximum)
         pop = lower(g * g, 1.0)
         root = sqrt(pop)
         decay = sqrt(upper(1.0 - root * root, 0.0))
         if kind == "aligned":
             kept, moved, lost = root * root, root * decay, decay * decay
-            corners = [kept * (a * a) * kept, b * b + lost * (a * a) * lost, kept * (a * b)]
+            corners = [kept * (a * a) * kept, b * b + lost * (a * a) * lost]
+            corners += [kept * (ab * cos), -(kept * (ab * sin))]
             middle = [moved * (a * a) * moved], [a * a * dpop * (1.0 - 2.0 * pop)]
-            moves = [2.0 * a * a * pop * dpop, -2.0 * a * a * dpop * (1.0 - pop), a * b * dpop]
+            moves = [2.0 * a * a * pop * dpop, -2.0 * a * a * dpop * (1.0 - pop)]
+            moves += [dpop * (ab * cos) + kept * (turn * sin), kept * (turn * cos) - dpop * (ab * sin)]
             return [((0, 3), corners, moves), ((1,), *middle), ((2,), *middle)]
-        pair = [root * (a * a) * root, root * (b * b) * root, root * (a * b) * root]
-        moves = [dpop * (a * a), dpop * (b * b), dpop * (a * b)]
+        pair = [root * (a * a) * root, root * (b * b) * root, root * ab * root, 0.0]
+        moves = [dpop * (a * a), dpop * (b * b), dpop * ab, 0.0]
         lost = decay * (b * b) * decay + decay * (a * a) * decay
         return [((0,), [0.0], [0.0]), ((1, 2), pair, moves), ((3,), [lost], [-dpop])]
 
+    # ``state_at`` and ``derivative_at`` carry the block function for the
+    # speed kernel (a ``functools.wraps`` wrapper keeps it, a replacement
+    # drops it)
+    state, derivative = (functools.partial(_scatter, dim, blocks, part) for part in (1, 2))
+    state.blocks = derivative.blocks = blocks
+    if Gamma is None:
+        record = {"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)}
+        return Trajectory(dim, horizon, state, derivative, record)
     # "gamma0": 1.0 states the unit of every time and rate
     record = {"alpha": a, "gamma0": 1.0}
     if np.isinf(Gamma).all():
@@ -384,11 +356,11 @@ def _open_trajectory(kind: str, a, Gamma, horizon: float) -> Trajectory:
     # and sqrt(Gamma / 2) for the anti pair. A zero scale is a state at
     # rest, whose limit is 0 at every width.
     scale = {"1q": a * a, "aligned": a, "anti": 1.0}[kind]
-    rate = np.sqrt((1.0 if kind == "aligned" else 0.5) * Gamma)
+    escape = np.sqrt((1.0 if kind == "aligned" else 0.5) * Gamma)
     with np.errstate(invalid="ignore"):  # 0 * inf
-        limit = np.where(scale == 0.0, 0.0, scale * rate)
+        limit = np.where(scale == 0.0, 0.0, scale * escape)
     limit = _scalar_or_array(np.broadcast_to(limit, np.broadcast_shapes(np.shape(a), np.shape(Gamma))))
-    return _block_trajectory(dim, blocks, horizon, record, limit)
+    return Trajectory(dim, horizon, state, derivative, record, limit)
 
 
 # ---------------------------------------------------------------------------
@@ -509,30 +481,24 @@ def trajectory_from_key(
         raise ValueError(
             f"unknown model '{key}'; valid keys: {', '.join(MODEL_KEYS)}"
         )
+    closed = key.startswith("closed")
+    if not closed and Gamma_over_gamma0 is None and not markovian_limit:
+        raise ValueError(
+            f"model '{key}' needs Gamma_over_gamma0 or markovian_limit"
+        )
     alpha = np.asarray(alpha, dtype=float) if np.ndim(alpha) else float(alpha)
-    if key.startswith("closed"):
-        for a in _extremes(alpha):
-            if not 0.0 <= a <= 1.0:
-                raise ValueError(f"alpha must lie in [0, 1], got {a}")
+    for a in _extremes(alpha):
+        if not 0.0 <= a <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {a}")
+    kind = key.split("-")[-1]
+    if closed:
         if not omega > 0.0:
             raise ValueError(f"omega must be positive, got {omega}")
         if omega == math.inf:
             raise ValueError(f"omega must be finite, got {omega}")
-        kind = "1q" if key == "closed-1q" else key.removeprefix("closed-2q-")
-        return _closed_trajectory(kind, alpha, omega, horizon)
-    if Gamma_over_gamma0 is None and not markovian_limit:
-        raise ValueError(
-            f"model '{key}' needs Gamma_over_gamma0 or markovian_limit"
-        )
-    widths = (None,) if markovian_limit else _extremes(Gamma_over_gamma0)
-    for a in _extremes(alpha):
-        for ratio in widths:
-            OpenSystemParams(alpha=a, Gamma=ratio, markovian_limit=markovian_limit)
-    if markovian_limit:
-        Gamma = math.inf
-    elif np.ndim(Gamma_over_gamma0):
-        Gamma = np.asarray(Gamma_over_gamma0, dtype=float)
-    else:
-        Gamma = float(Gamma_over_gamma0)
-    kind = "1q" if key == "open-1q" else key.removeprefix("open-2q-")
-    return _open_trajectory(kind, alpha, Gamma, horizon)
+        return _x_trajectory(kind, alpha, omega, None, horizon)
+    for ratio in (None,) if markovian_limit else _extremes(Gamma_over_gamma0):
+        OpenSystemParams(Gamma=ratio, markovian_limit=markovian_limit)
+    Gamma = math.inf if markovian_limit else Gamma_over_gamma0
+    Gamma = np.asarray(Gamma, dtype=float) if np.ndim(Gamma) else float(Gamma)
+    return _x_trajectory(kind, alpha, 0.0, Gamma, horizon)

@@ -63,7 +63,9 @@ class Trajectory:
     times against arrays of parameters (a family of curves evaluated
     together), and both their callables carry the model's block function as
     an attribute ``blocks``, which ``speeds_at`` evaluates in place of the
-    dense matrices. ``params`` records the numbers the trajectory was built
+    dense matrices: real entries, (p,) and (dp,) for a block of one index
+    and (a, c, wr, wi) and (da, dc, dwr, dwi) for a pair [[a, w], [w*, c]],
+    w = wr + i wi (``_block_terms``). ``params`` records the numbers the trajectory was built
     from. ``speed_at_zero`` is the limit of the speed at t = 0, returned
     there in place of an evaluation, for trajectories that start on the
     boundary of the state space (where the kernel sum is 0/0); it is
@@ -125,24 +127,24 @@ def _block_terms(blocks, shrink):
     (k, l, |<k| shrink * drho |l>|) over the pairs of columns within a block
     (the elements between blocks vanish).
 
-    A block is (indices, state entries, derivative entries), Python numbers
-    at one point or arrays over a batch. A block of one index holds (p,) and
-    (dp,) and is its own eigensystem; a block of two holds its diagonal and
-    upper entries (a, c, w) and (da, dc, dw) and takes ``linalg.pair_block``;
-    a larger one (batches only) holds its (N, d, d) stacks and takes
-    ``linalg.eigh_stack``.
+    A block is (indices, state entries, derivative entries), real Python
+    floats at one point or real arrays over a batch. A block of one index
+    holds (p,) and (dp,) and is its own eigensystem; a block of two holds
+    its diagonal and the real and imaginary parts of its upper entry,
+    (a, c, wr, wi) and (da, dc, dwr, dwi), and takes ``linalg.pair_block``;
+    a larger one (batches only) holds its complex (N, d, d) stacks and
+    takes ``linalg.eigh_stack``.
     """
     values, terms = [], []
     for indices, state, move in blocks:
         k = len(values)
         if len(indices) == 1:
-            values.append(state[0].real)
-            terms.append((k, k, abs(move[0].real * shrink)))
+            values.append(state[0])
+            terms.append((k, k, abs(move[0] * shrink)))
         elif len(indices) == 2:
-            (a, c, w), (da, dc, dw) = state, move
+            (a, c, wr, wi), (da, dc, dwr, dwi) = state, move
             low, high, d_low, d_high, d_cross = linalg.pair_block(
-                a.real, c.real, w.real, w.imag,
-                da.real * shrink, dc.real * shrink, dw.real * shrink, dw.imag * shrink,
+                a, c, wr, wi, da * shrink, dc * shrink, dwr * shrink, dwi * shrink
             )
             values += [low, high]
             terms += [(k, k, d_low), (k + 1, k + 1, d_high), (k, k + 1, d_cross), (k + 1, k, d_cross)]
@@ -226,10 +228,15 @@ def _rank_increase(values, escaping, grow: float, time: float) -> RankIncreaseEr
 
 def _split(blocks, moving):
     """The blocks in the order of their first index, a pair whose coherence
-    rests at zero (``moving`` tests an entry) as two blocks of one index."""
+    rests at zero (``moving`` tests an entry) as two blocks of one index.
+    ``pair_block`` would take the pair too, but more slowly (``speeds_at`` on
+    ``open-1q`` at alpha = 1, the fig1 and fig2 model, about 1.5 times) and
+    with other roundings (the slopes of those figures, up to 2.5e-10)."""
     split = []
     for indices, state, move in blocks:
-        if len(indices) == 2 and not (moving(state[2]) or moving(move[2])):
+        if len(indices) == 2 and not (
+            moving(state[2]) or moving(state[3]) or moving(move[2]) or moving(move[3])
+        ):
             split += [((i,), [x], [dx]) for i, x, dx in zip(indices, state, move)]
         else:
             split.append((indices, state, move))
@@ -247,7 +254,7 @@ def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind, times) -> 
         return np.reshape(x if np.shape(x) == batch else np.broadcast_to(x, batch), -1)
 
     blocks = _split([(i, [flat(x, len(i)) for x in s], [flat(x, len(i)) for x in m]) for i, s, m in blocks], np.any)
-    parts = [part for *_, move in blocks for x in move for part in (x.real, x.imag)]
+    parts = [x for *_, move in blocks for x in move]
     peak = np.max([np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0) for x in parts], axis=0)
     shrink, grow = _binary_scale(peak)
     with np.errstate(under="ignore"):  # negligible terms flush to zero
@@ -286,8 +293,11 @@ def kernel_speeds(
         block = (indices, [rho], [drho])
     else:
         linalg.hermitian_stack(rho.reshape(-1, dim, dim))
-        cells = [(i, i) for i in indices] + ([(0, 1)] if dim == 2 else [])
-        block = (indices, [rho[..., i, j] for i, j in cells], [drho[..., i, j] for i, j in cells])
+        state, move = ([m[..., i, i].real for i in indices] for m in (rho, drho))
+        if dim == 2:  # and the real and imaginary parts of the upper entry
+            state += [rho[..., 0, 1].real, rho[..., 0, 1].imag]
+            move += [drho[..., 0, 1].real, drho[..., 0, 1].imag]
+        block = (indices, state, move)
     return _block_speeds([block], batch, metric, times)
 
 
@@ -327,7 +337,7 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
         blocks = _blocks_at(traj, t)
         if blocks is not None:
             shapes = [x.shape for _, state, move in blocks for x in state + move if isinstance(x, np.ndarray)]
-            result = _block_speeds(blocks, np.broadcast_shapes(*shapes), metric, t)
+            result = _block_speeds(blocks, np.broadcast_shapes(t.shape, *shapes), metric, t)
         else:
             rho = np.asarray(traj.state_at(t), dtype=complex)
             if rho.shape[-2:] != (traj.dim, traj.dim):
@@ -352,9 +362,9 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
         if t == 0.0 and isinstance(traj.speed_at_zero, (int, float)):
             return float(traj.speed_at_zero)
         blocks = _blocks_at(traj, t)
-        if blocks is not None and {type(x) for _, state, move in blocks for x in state + move} <= {float, complex}:
+        if blocks is not None and {type(x) for _, state, move in blocks for x in state + move} <= {float}:
             blocks = _split(blocks, bool)
-            parts = [part for *_, move in blocks for x in move for part in (x.real, x.imag)]
+            parts = [x for *_, move in blocks for x in move]
             shrink, grow = _binary_scale(max(map(abs, parts)))
             values, terms = _block_terms(blocks, shrink)
             speed, escaping = _point_speed(metric, values, terms, grow)

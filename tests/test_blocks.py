@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevspeed import linalg, speed
+from qevspeed import linalg, models, speed
 from qevspeed.errors import RankIncreaseError
 from qevspeed.linalg import pair_block
 from qevspeed.metrics import MetricKind, kernel_value, mc_kernel
@@ -187,12 +187,12 @@ def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(key):
                 for (indices, state, move), (same, states, moves) in zip(one, batch):
                     assert indices == same
                     for x, column in zip(state + move, states + moves):
-                        assert type(x) in (float, complex)
-                        y = complex(np.broadcast_to(column, times.shape)[i])
-                        assert (x.real.hex(), x.imag.hex()) == (y.real.hex(), y.imag.hex())
-                pair_move = one[0][2]
+                        assert type(x) is float
+                        assert x.hex() == float(np.broadcast_to(column, times.shape)[i]).hex()
+                (pair_move,) = [move for indices, _, move in one if len(indices) == 2]
                 assert pair_move[0] == pair_move[1] == 0.0
-            assert all(np.all(np.asarray(x) == 0.0) for x in batch[0][2][:2])
+            (pair_moves,) = [moves for indices, _, moves in batch if len(indices) == 2]
+            assert all(np.all(np.asarray(x) == 0.0) for x in pair_moves[:2])
 
 
 def count_calls(monkeypatch, *targets) -> Counter:
@@ -225,13 +225,41 @@ def test_speed_at_takes_the_float_path(monkeypatch):
     assert calls == {"speeds_at": 2, "_block_speeds": 2}
 
 
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+@pytest.mark.parametrize("key,bath", MODEL_CASES)
+def test_results_take_the_shape_of_the_times(key, bath, shape):
+    # the anti pair's blocks are Python floats at any time, for a scalar alpha
+    traj = trajectory_from_key(key, alpha=0.7, **bath)
+    times = np.linspace(0.5, 3.0, math.prod(shape)).reshape(shape)
+    assert traj.state_at(times).shape == shape + (traj.dim, traj.dim)
+    assert traj.derivative_at(times).shape == shape + (traj.dim, traj.dim)
+    for metric in MetricKind:
+        assert speeds_at(traj, times, metric).speeds.shape == shape
+
+
+@pytest.mark.parametrize("key,bath", MODEL_CASES)
+def test_only_a_turning_coherence_calls_the_phase(monkeypatch, key, bath):
+    """libm's cos and sin are called once each per evaluation for the phase
+    of the closed one-spin and aligned models, and for an oscillatory G_t;
+    never for the anti pair or the other widths of the open models."""
+    traj = trajectory_from_key(key, alpha=0.7, omega=1.3, **bath)
+    calls = count_calls(monkeypatch, (models, "_cos"), (models, "_sin"))
+    for metric in MetricKind:
+        speeds_at(traj, np.linspace(0.1, 20.0, 50), metric)
+        speed_at(traj, 2.5, metric)
+    turning = key in ("closed-1q", "closed-2q-aligned")
+    oscillatory = bath.get("Gamma_over_gamma0", 2.0) < 2.0
+    evaluations = 2 * len(MetricKind) * (turning + oscillatory)
+    assert calls == ({"_cos": evaluations, "_sin": evaluations} if evaluations else {})
+
+
 def leaking_pair_trajectory() -> Trajectory:
     """diag(1/2, 0, 1/2), whose empty level fills while its pair's cross
     element moves: a hand-written trajectory carrying its block function."""
 
     def blocks(t):
         one = 1.0 + 0.0 * t  # a float at a float time, an array at an array
-        pair = ((0, 1), [0.5 * one, 0.0 * one, 0j * one], [-0.1 * one, 0.1 * one, 0.2j * one])
+        pair = ((0, 1), [0.5 * one, 0.0 * one, 0.0 * one, 0.0 * one], [-0.1 * one, 0.1 * one, 0.0 * one, 0.2 * one])
         return [pair, ((2,), [0.5 * one], [0.0 * one])]
 
     def state_at(t):

@@ -11,6 +11,7 @@ from qevspeed.models import OpenSystemParams, markovian_two_qubit_speed, traject
 from util import leaking_trajectory
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+OPEN_AT_ONE = ("--model", "open-1q", "--gamma-ratio", "0.5", "--time", "1")
 
 
 def run_to_file(tmp_path, args, name="out.csv"):
@@ -569,6 +570,46 @@ class TestErrors:
 
     def test_missing_subcommand_is_usage_error(self):
         assert cli.main([]) == 2
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["regions", "--config", "missing.json"], "cannot read config file"),
+            (["regions", "--config", "bad.json"], "not valid JSON"),
+            (["regions", "--config", "list.json"], "must hold a JSON object"),
+            (["regions", "--config", "xml.json"], "unknown format 'xml'"),
+            (["speed"], "--model is required"),
+            (["regions"], "needs --gamma-ratio or --markovian-limit"),
+            (["speed", "--model", "closed-1q", "--points", "1"], "grid needs at least 2 points"),
+            (["speed", "--model", "closed-1q", "--tmin", "2", "--tmax", "1"], "tmin must be below tmax"),
+            (["speed", "--model", "closed-1q", "--tmin", "-1"], "tmin must be nonnegative"),
+            (["figure", "fig1a", "--points", "1"], "grid needs at least 2 points"),
+            (["regions", "--gamma-ratio", "0.5", "--n-max", "-1"], "--n-max must be nonnegative"),
+            (["detect", "--model", "closed-1q"], "detect needs --sweep"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "alpha:0:1"], "malformed sweep"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "alpha:a:1:5"], "malformed sweep"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "alpha:0.1:0.9:1"], "at least 2 points"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "alpha:0.9:0.1:5"], "min must be below max"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "alpha:0:1:5"], "alpha sweep left [0, 1] at -1e-05"),
+            (
+                ["detect", "--model", "closed-1q", "--time", "1", "--sweep", "Omega:0.5:2:5"],
+                "needs an open-system model",
+            ),
+            (
+                ["detect", "--model", "open-1q", "--markovian-limit", "--time", "1",
+                 "--sweep", "Gamma_over_gamma0:0.5:2:5"],
+                "drop --markovian-limit",
+            ),
+            (["detect", *OPEN_AT_ONE, "--sweep", "Omega:0:2:5"], "Omega must stay positive"),
+        ],
+    )
+    def test_usage_error_names_its_cause(self, tmp_path, capsys, argv, fragment):
+        files = {"bad.json": "{bad", "list.json": "[1]", "xml.json": '{"format": "xml", "gamma_ratio": 0.5}'}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / arg) if arg.endswith(".json") else arg for arg in argv]
+        assert cli.main(argv) == 2
+        assert fragment in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -84,6 +84,14 @@ class TestParams:
         assert math.isfinite(open_qubit_speed_analytic(critical, 1e-3))
 
 
+    def test_kappa_needs_a_finite_width(self):
+        with pytest.raises(ValueError, match="^kappa is undefined in the Markovian limit$"):
+            OpenSystemParams(markovian_limit=True).kappa
+
+    def test_negative_time_in_an_array_is_named(self):
+        with pytest.raises(ValueError, match=r"^time must be nonnegative, got -2\.0$"):
+            amplitude_factor(OpenSystemParams(Gamma=0.5), np.array([1.0, -2.0]))
+
     @pytest.mark.parametrize("width", [1e17, 1e200, 1e300])
     def test_kappa_at_large_widths(self, width):
         # kappa^2 = Gamma^2 - 2 Gamma: neither overflow nor a lost 2 Gamma
