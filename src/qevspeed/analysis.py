@@ -90,19 +90,35 @@ def _oscillation_rates(p: OpenSystemParams) -> tuple[float, float]:
     return p.Gamma, p.kappa
 
 
-def _branches(n_max: int) -> np.ndarray:
+def _boundaries(p: OpenSystemParams, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """tau_n, tau_n' and tau_n'' for n = 1 .. ``n_max``, as float arrays in
+    gamma0*t units: the columns of every interval this module reports.
+
+    With r = kappa / Gamma, tau_n = 2 (n pi - arctan(r)) / kappa and each
+    right end tau_n'' = 2 (n pi + u) / kappa, with u the fixed point of
+    u = arctan(r tanh((n pi + u) / r)). The map contracts by at least
+    1 + pi^2 per step; from u = arctan(r) the iterates fall onto the root,
+    and a branch stops when its next iterate does not fall.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be at least 1, got {n_max}")
-    return np.arange(1.0, n_max + 1.0)
+    gamma, kappa = _oscillation_rates(p)
+    r = kappa / gamma
+    turns = np.arange(1.0, n_max + 1.0) * math.pi
+    offset = math.atan(r)
+    u = np.full(n_max, offset)
+    while True:
+        step = np.arctan(r * np.tanh((turns + u) / r))
+        falling = step < u
+        if not falling.any():
+            break
+        u = np.where(falling, step, u)
+    return 2.0 * (turns - offset) / kappa, 2.0 * turns / kappa, 2.0 * (turns + u) / kappa
 
 
 def memory_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, float]]:
     """First ``n_max`` memory intervals (tau_n, tau_n') in gamma0*t units."""
-    n = _branches(n_max)
-    gamma, kappa = _oscillation_rates(p)
-    offset = math.atan(kappa / gamma)
-    tau = 2.0 * (n * math.pi - offset) / kappa
-    tau_prime = 2.0 * n * math.pi / kappa
+    tau, tau_prime, _ = _boundaries(p, n_max)
     return list(zip(tau.tolist(), tau_prime.tolist()))
 
 
@@ -119,26 +135,21 @@ def speedup_equation(p: OpenSystemParams, t):
 
 
 def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, float]]:
-    """First ``n_max`` speedup intervals (tau_n', tau_n'') in gamma0*t units.
+    """First ``n_max`` speedup intervals (tau_n', tau_n'') in gamma0*t units;
+    each right end is a branch-angle fixed point (``_boundaries``)."""
+    _, tau_prime, tau_dprime = _boundaries(p, n_max)
+    return list(zip(tau_prime.tolist(), tau_dprime.tolist()))
 
-    Each right endpoint is 2 (n pi + u) / kappa, with u the fixed point of
-    u = arctan(r tanh((n pi + u) / r)), r = kappa / Gamma. The map contracts
-    by at least 1 + pi^2 per step; from u = arctan(r) the iterates fall onto
-    the root, and a branch stops when its next iterate does not fall.
-    """
-    n = _branches(n_max)
-    gamma, kappa = _oscillation_rates(p)
-    r = kappa / gamma
-    turns = n * math.pi
-    u = np.full(n_max, math.atan(r))
-    while True:
-        step = np.arctan(r * np.tanh((turns + u) / r))
-        falling = step < u
-        if not falling.any():
-            break
-        u = np.where(falling, step, u)
-    tau_prime = 2.0 * turns / kappa
-    return list(zip(tau_prime.tolist(), (2.0 * (turns + u) / kappa).tolist()))
+
+def _region_columns(p: OpenSystemParams, n_max: int) -> tuple[Regime, np.ndarray, np.ndarray, np.ndarray]:
+    """``region_report``'s regime, and its tau_n, tau_n' and tau_n'' as the
+    arrays of ``_boundaries``: empty where it lists no interval."""
+    if n_max < 0:
+        raise ValueError(f"n_max must be nonnegative, got {n_max}")
+    regime = _REGIMES[p.branch()]
+    if regime is not Regime.NON_MARKOVIAN or n_max == 0:
+        return regime, *[np.empty(0)] * 3
+    return regime, *_boundaries(p, n_max)
 
 
 def region_report(p: OpenSystemParams, n_max: int) -> RegionReport:
@@ -147,11 +158,7 @@ def region_report(p: OpenSystemParams, n_max: int) -> RegionReport:
     Markovian and critical parameters yield empty interval lists (there is no
     oscillation to bound); so does ``n_max = 0``.
     """
-    if n_max < 0:
-        raise ValueError(f"n_max must be nonnegative, got {n_max}")
-    regime = _REGIMES[p.branch()]
-    if regime is not Regime.NON_MARKOVIAN or n_max == 0:
-        return RegionReport(regime, (), (), n_max)
-    memory = tuple(memory_boundaries(p, n_max))
-    speedup = tuple(speedup_boundaries(p, n_max))
+    regime, tau, tau_prime, tau_dprime = _region_columns(p, n_max)
+    memory = tuple(zip(tau.tolist(), tau_prime.tolist()))
+    speedup = tuple(zip(tau_prime.tolist(), tau_dprime.tolist()))
     return RegionReport(regime, memory, speedup, n_max)

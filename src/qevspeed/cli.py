@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import Regime, memory_witness, region_report, speedup_equation
+from .analysis import Regime, _region_columns, memory_witness, speedup_equation
 from .errors import NumericalFailure
 from .metrics import MetricKind, resolve_metric
 from .models import (
@@ -411,25 +411,23 @@ def run_regions(config: RunConfig) -> TableResult:
     if config.n_max < 0:
         raise UsageError(f"--n-max must be nonnegative, got {config.n_max}")
     params = _open_params(config)
-    report = region_report(params, config.n_max)
+    regime, tau, tau_prime, tau_dprime = _region_columns(params, config.n_max)
 
     header = _base_header(config)
     if params.markovian_limit:
         header.append(("markovian_limit", "true"))
     else:
         header.append(("Gamma_over_gamma0", _format_value(params.Gamma)))
-    header.append(("regime", report.regime.value))
+    header.append(("regime", regime.value))
     header.append(("n_max", str(config.n_max)))
 
     columns = ["n", "tau_n", "tau_n_prime", "tau_n_dprime", "residual"]
-    tau, tau_prime = np.reshape(report.memory_intervals, (-1, 2)).T
-    tau_dprime = np.reshape(report.speedup_intervals, (-1, 2))[:, 1]
     # no intervals outside the non-Markovian regime, and no residual to take
     residual = speedup_equation(params, tau_dprime) if tau_dprime.size else tau_dprime
     rows = _rows(np.arange(1.0, tau.size + 1.0), tau, tau_prime, tau_dprime, residual)
     notes = []
-    if report.regime is not Regime.NON_MARKOVIAN:
-        notes.append(f"{report.regime.value} regime: no memory or speedup intervals")
+    if regime is not Regime.NON_MARKOVIAN:
+        notes.append(f"{regime.value} regime: no memory or speedup intervals")
     return TableResult(header, columns, rows, notes)
 
 
@@ -537,8 +535,9 @@ def run_detect(config: RunConfig) -> TableResult:
 
 
 # Every table value is printed as "%.12g", the bytes of f"{v:.12g}" also for
-# nan, inf and -0. A table body is one "%" operation: a template with one
-# cell per value, applied to the flat tuple of the values in row order.
+# nan, inf and -0. A table formats its values with one "%" operation: a
+# template with one cell per value, applied to the flat tuple of the values
+# in row order.
 
 
 def _format_value(value) -> str:
@@ -559,9 +558,23 @@ def render_csv(result: TableResult) -> str:
     return "\n".join(lines) + "\n" + (row * len(result.rows)) % _values(result)
 
 
+_JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def render_json(result: TableResult) -> str:
     """The ``json.dumps(..., indent=2)`` text of config, columns, rows and
-    notes, with each row value rounded to its 12 printed digits."""
+    notes, with each row value rounded to its 12 printed digits: the
+    encoder's spelling of the float its CSV text reads back as.
+
+    The cells come from one %.12g operation, as in ``render_csv``. A decimal
+    of at most 12 significant digits reads back to a double whose repr has
+    those digits, so the text is already the encoder's spelling except for
+    integral values ("3" for 3.0), |x| in [1e12, 1e16) (an exponent in %g,
+    none in repr), subnormals (more digits than they hold) and nan/inf
+    (NaN, Infinity, -Infinity). A mask selects a superset of those cells,
+    each value within 1e-11 relative of an integer (so every |x| >= 5e10),
+    each subnormal and each non-finite value, and only they are respelled.
+    """
     text = json.dumps(
         {
             "config": dict(result.header),
@@ -573,13 +586,16 @@ def render_json(result: TableResult) -> str:
     )
     rows = "[]"
     if len(result.rows):
-        # Each value read back from its %.12g text and printed as the
-        # encoder prints a float: its repr, but NaN, Infinity and -Infinity
-        # where the repr is nan, inf and -inf. No finite repr holds an "n".
-        rounded = tuple(map(float, (("%.12g " * result.rows.size) % _values(result)).split()))
-        row = "    [\n      " + ",\n      ".join(["%r"] * len(result.columns)) + "\n    ]"
-        block = ",\n".join([row] * len(result.rows)) % rounded
-        rows = "[\n" + block.replace("nan", "NaN").replace("inf", "Infinity") + "\n  ]"
+        x = result.rows.ravel()
+        cells = (" ".join(["%.12g"] * x.size) % _values(result)).split(" ")
+        scale = np.abs(x)
+        with np.errstate(invalid="ignore"):  # inf - inf
+            odd = ~(np.abs(x - np.rint(x)) > 1e-11 * scale) | (scale < sys.float_info.min)
+        for i in np.flatnonzero(odd).tolist():
+            cell = cells[i]
+            cells[i] = cell + ".0" if cell.isdigit() else _JSON_SPELLING.get(cell) or repr(float(cell))
+        lines = map(",\n      ".join, zip(*[iter(cells)] * len(result.columns)))
+        rows = "[\n    [\n      " + "\n    ],\n    [\n      ".join(lines) + "\n    ]\n  ]"
     # keys and string values escape their quotes, so the placeholder is the
     # only unescaped '"rows": null' in the text
     return text.replace('"rows": null', '"rows": ' + rows, 1) + "\n"

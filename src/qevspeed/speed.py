@@ -334,16 +334,22 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
     if limit is not None and last == 0.0:  # every point takes the limit
         return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
     with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
-        blocks = _blocks_at(traj, t)
-        if blocks is not None:
-            shapes = [x.shape for _, state, move in blocks for x in state + move if isinstance(x, np.ndarray)]
-            result = _block_speeds(blocks, np.broadcast_shapes(t.shape, *shapes), metric, t)
-        else:
-            rho = np.asarray(traj.state_at(t), dtype=complex)
-            if rho.shape[-2:] != (traj.dim, traj.dim):
-                raise ValueError(f"trajectory declares dim={traj.dim} but its states have shape {rho.shape[-2:]}")
-            result = kernel_speeds(rho, rho_dot(traj, t), metric, t)
-    if limit is None or first > 0.0:
+        return _batch_at(traj, t, metric, _blocks_at(traj, t))
+
+
+def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks) -> SpeedBatch:
+    """``speeds_at`` past its checks, from the ``blocks`` of the block function
+    at ``t`` (None for a dense trajectory)."""
+    if blocks is not None:
+        shapes = [x.shape for _, state, move in blocks for x in state + move if isinstance(x, np.ndarray)]
+        result = _block_speeds(blocks, np.broadcast_shapes(t.shape, *shapes), metric, t)
+    else:
+        rho = np.asarray(traj.state_at(t), dtype=complex)
+        if rho.shape[-2:] != (traj.dim, traj.dim):
+            raise ValueError(f"trajectory declares dim={traj.dim} but its states have shape {rho.shape[-2:]}")
+        result = kernel_speeds(rho, rho_dot(traj, t), metric, t)
+    limit = traj.speed_at_zero
+    if limit is None or t.min() > 0.0:
         return result
     at_zero = np.broadcast_to(t == 0.0, result.speeds.shape)
     speeds = np.where(at_zero, limit, result.speeds)
@@ -355,13 +361,17 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
     """Instantaneous speed at one time: the point path. It runs on Python
     floats where the block function gives them (a built-in model with
     scalar parameters), by the batch's operations and with its bits, and is
-    one point of ``speeds_at`` otherwise. A failure raises its error."""
+    one point of ``speeds_at`` otherwise; a block function is called once
+    either way. A failure raises its error."""
+    blocks = None
     if isinstance(t, (int, float)):  # numpy's float64 is a float
         t = float(t)
         _check_range(traj, t, t, t)
-        if t == 0.0 and isinstance(traj.speed_at_zero, (int, float)):
-            return float(traj.speed_at_zero)
-        blocks = _blocks_at(traj, t)
+        limit = traj.speed_at_zero
+        if t == 0.0 and isinstance(limit, (int, float)):
+            return float(limit)
+        if t > 0.0 or limit is None:  # speeds_at returns an array limit unevaluated
+            blocks = _blocks_at(traj, t)
         if blocks is not None and {type(x) for _, state, move in blocks for x in state + move} <= {float}:
             blocks = _split(blocks, bool)
             parts = [x for *_, move in blocks for x in move]
@@ -371,7 +381,11 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
             if escaping:
                 raise _rank_increase(values, escaping, grow, t)
             return speed
-    result = speeds_at(traj, t, metric)
+    if blocks is None:
+        result = speeds_at(traj, t, metric)
+    else:  # a family: the batch takes the blocks at hand
+        with np.errstate(under="ignore"):
+            result = _batch_at(traj, np.asarray(t), metric, blocks)
     if result.speeds.size != 1:
         raise ValueError("speed_at evaluates one point; use speeds_at for a family")
     if result.failures:

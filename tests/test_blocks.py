@@ -209,7 +209,7 @@ def count_calls(monkeypatch, *targets) -> Counter:
 
 
 def test_speed_at_takes_the_float_path(monkeypatch):
-    calls = count_calls(monkeypatch, (speed, "speeds_at"), (speed, "_block_speeds"))
+    calls = count_calls(monkeypatch, (speed, "_batch_at"), (speed, "_block_speeds"))
     for key, bath in MODEL_CASES:
         traj = trajectory_from_key(key, alpha=0.7, **bath)
         for metric in MetricKind:
@@ -219,10 +219,24 @@ def test_speed_at_takes_the_float_path(monkeypatch):
     # a family of one member and a dense trajectory take the batch
     family = trajectory_from_key("open-2q-aligned", alpha=np.array([0.7]), Gamma_over_gamma0=0.5)
     speed_at(family, 2.5)
-    assert calls == {"speeds_at": 1, "_block_speeds": 1}
+    assert calls == {"_batch_at": 1, "_block_speeds": 1}
     turned = conjugate_trajectory(family, random_unitary(np.random.default_rng(53), 4))
     speed_at(turned, 2.5)
-    assert calls == {"speeds_at": 2, "_block_speeds": 2}
+    assert calls == {"_batch_at": 2, "_block_speeds": 2}
+
+
+@pytest.mark.parametrize("alpha", [np.array([0.7]), np.array(0.7)], ids=["family", "0-d"])
+@pytest.mark.parametrize("t", [0.0, 2.5])
+def test_speed_at_calls_the_block_function_once(monkeypatch, alpha, t):
+    """A one-member family takes the batch and parameters of shape () the
+    float path; either way the blocks at ``t`` are built once (none at the
+    t = 0 limit), and the speed is the batch's."""
+    traj = trajectory_from_key("open-2q-aligned", alpha=alpha, Gamma_over_gamma0=0.5)
+    want = speeds_at(traj, t).speeds.item()
+    calls = count_calls(monkeypatch, (traj.state_at, "blocks"))
+    monkeypatch.setattr(traj.derivative_at, "blocks", traj.state_at.blocks)
+    assert speed_at(traj, t).hex() == want.hex()
+    assert calls == ({} if t == 0.0 else {"blocks": 1})
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])

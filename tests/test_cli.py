@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qevspeed.cli as cli
-from qevspeed.analysis import speedup_boundaries
+from qevspeed.analysis import region_report, speedup_boundaries, speedup_equation
 from qevspeed.errors import RankIncreaseError
 from qevspeed.models import OpenSystemParams, markovian_two_qubit_speed, trajectory_from_key
 from util import leaking_trajectory
@@ -280,6 +280,43 @@ class TestRegionsCommand:
         assert len(rows) == count
         if count:
             assert np.abs(rows[:, 4]).max() <= 1e-10
+
+    @pytest.mark.parametrize("n_max", [1, 2, 300])
+    @pytest.mark.parametrize("ratio", [0.05, 0.37, 1.5, 1.999])
+    def test_table_is_the_report_bit_for_bit(self, ratio, n_max):
+        params = OpenSystemParams(Gamma=ratio)
+        report = region_report(params, n_max)
+        memory, speedup = np.array(report.memory_intervals), np.array(report.speedup_intervals)
+        assert speedup[:, 0].tobytes() == memory[:, 1].tobytes()
+        residuals = [speedup_equation(params, end) for end in speedup[:, 1].tolist()]
+        want = np.column_stack([np.arange(1.0, n_max + 1.0), memory, speedup[:, 1], residuals])
+        result = table(["regions", "--gamma-ratio", repr(ratio), "--n-max", str(n_max)])
+        assert result.rows.shape == (n_max, 5)
+        assert result.rows.tobytes() == want.tobytes()
+        assert result.notes == []
+
+    @pytest.mark.parametrize(
+        "argv, regime",
+        [
+            (["--gamma-ratio", "0.5", "--n-max", "0"], "non_markovian"),
+            (["--markovian-limit", "--n-max", "3"], "markovian"),
+            (["--gamma-ratio", "2", "--n-max", "3"], "critical"),
+        ],
+    )
+    def test_empty_tables(self, argv, regime):
+        result = table(["regions", *argv])
+        assert result.rows.shape == (0, 5)
+        assert dict(result.header)["regime"] == regime
+        notes = [] if regime == "non_markovian" else [f"{regime} regime: no memory or speedup intervals"]
+        assert result.notes == notes
+        lines = cli.render_csv(result).splitlines()
+        assert [line for line in lines if line.startswith("# note: ")] == [f"# note: {note}" for note in notes]
+        assert lines[-1] == ",".join(result.columns)
+        assert json.loads(cli.render_json(result))["rows"] == []
+
+    def test_negative_n_max_is_a_usage_error(self, capsys):
+        assert cli.main(["regions", "--gamma-ratio", "0.5", "--n-max", "-1"]) == 2
+        assert "--n-max must be nonnegative, got -1" in capsys.readouterr().err
 
     def test_critical_ratio(self, tmp_path):
         code, text = run_to_file(tmp_path, ["regions", "--gamma-ratio", "2"])

@@ -83,6 +83,9 @@ SPECIAL_VALUES = [
     math.nan, math.inf, -math.inf, -math.nan,
     5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308,
     math.pi, -math.e, 1 / 3, 2.0 ** 53, 2.0 ** 53 + 1,
+    # near-integers that round to one, and the edges of the respelled classes
+    0.49999999999999, 0.5, -0.5, 2.9999999999999, -0.99999999999999,
+    99999999999.99999, 1e15 + 0.3, 9.99999999999e15, -1e-310, 1e-300,
 ]
 
 
@@ -116,5 +119,28 @@ def test_any_floats(values, n_columns):
         header=[("artifact", "test")],
         columns=[f"c{i}" for i in range(n_columns)],
         rows=np.array(values).reshape(-1, n_columns),
+    )
+    assert_renders_as_oracle(result)
+
+
+# values whose %.12g text is not their JSON spelling, or nearly: within 5e-11
+# of an integer, and |x| around [1e12, 1e16), where %g takes an exponent
+NEAR_INTEGERS = st.builds(
+    lambda whole, offset: whole + offset,
+    st.integers(min_value=-10**6, max_value=10**6).map(float),
+    st.floats(min_value=-5e-11, max_value=5e-11),
+)
+WIDE_MAGNITUDES = st.builds(
+    lambda sign, exponent: sign * 10.0 ** exponent,
+    st.sampled_from([1.0, -1.0]),
+    st.floats(min_value=11.0, max_value=17.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(NEAR_INTEGERS, WIDE_MAGNITUDES, st.floats()), min_size=1, max_size=40))
+def test_near_integers_and_wide_magnitudes(values):
+    result = cli.TableResult(
+        header=[("artifact", "test")], columns=["c"], rows=np.array(values).reshape(-1, 1)
     )
     assert_renders_as_oracle(result)
