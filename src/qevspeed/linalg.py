@@ -5,13 +5,12 @@ determinism win over asymptotic performance. Matrices are plain complex
 ``numpy`` arrays; an operator tagged Hermitian must satisfy
 ``max_ij |M_ij - conj(M_ji)| <= HERM_TOL``. ``hermitian_stack`` is the
 package's one finite and Hermitian check. ``pair_block`` is the closed-form
-eigensystem of a 2x2 Hermitian block; ``eigh_stack``, the one LAPACK
-eigensolver, takes larger blocks.
+eigensystem of a 2x2 Hermitian stack; ``eigh_stack``, the one LAPACK
+eigensolver, takes larger ones. Both serve the dense adapter
+(``speed.kernel_speeds``) only: the built-in models take no eigensystem.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -58,16 +57,6 @@ def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
 
 
-def _sqrt(x):
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
-
-
-def _where(condition, x, y):
-    if isinstance(condition, bool):
-        return x if condition else y
-    return np.where(condition, x, y)
-
-
 def pair_block(a, c, wr, wi, da, dc, dwr, dwi):
     """Closed-form eigensystem of the Hermitian block [[a, w], [w*, c]],
     w = wr + i wi, moving at D = [[da, dw], [dw*, dc]], dw = dwr + i dwi.
@@ -81,21 +70,22 @@ def pair_block(a, c, wr, wi, da, dc, dwr, dwi):
     first and second index. The small eigenvalue is det / high, which stays
     accurate where m - r cancels.
 
-    The arguments are Python floats or arrays that broadcast; floats give
-    floats by the same operations, so both agree to the last bit.
+    The arguments are arrays that broadcast. Only the dense adapter
+    (``speed.kernel_speeds``) takes this eigensystem; the built-in models
+    state their blocks with the roots of their determinants and need none.
     """
     coherence = wr * wr + wi * wi
     h = 0.5 * (a - c)
     squared = h * h + coherence  # r^2
-    radius = _sqrt(squared)
+    radius = np.sqrt(squared)
     mean = 0.5 * (a + c)
     high = mean + radius
     positive = high > 0.0
-    low = _where(positive, (a * c - coherence) / _where(positive, high, 1.0), mean - radius)
+    low = np.where(positive, (a * c - coherence) / np.where(positive, high, 1.0), mean - radius)
     # r n = (wr, -wi, h) and dv = (dwr, -dwi, dh); -e_z on a degenerate block
     flat = squared == 0.0
-    h = _where(flat, -1.0, h)
-    radius = _where(flat, 1.0, radius)
+    h = np.where(flat, -1.0, h)
+    radius = np.where(flat, 1.0, radius)
     dh = 0.5 * (da - dc)
     along = (h * dh + wr * dwr + wi * dwi) / radius
     x = dh * wi - dwi * h
@@ -103,4 +93,4 @@ def pair_block(a, c, wr, wi, da, dc, dwr, dwi):
     z = dwi * wr - dwr * wi
     moved = 0.5 * (da + dc)
     d_low, d_high = moved - along, moved + along
-    return low, high, abs(d_low), abs(d_high), _sqrt(x * x + y * y + z * z) / radius
+    return low, high, abs(d_low), abs(d_high), np.sqrt(x * x + y * y + z * z) / radius

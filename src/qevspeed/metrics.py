@@ -74,11 +74,3 @@ def mc_kernel(kind: MetricKind, x, y, where=True) -> np.ndarray:
     root = np.where(where, np.sqrt(x) + np.sqrt(y), np.inf)
     return 4.0 / (root * root)
 
-
-def kernel_value(kind: MetricKind, x: float, y: float) -> float:
-    """c(x, y) at one pair of Python floats with x + y > 0, by the same
-    operations as ``mc_kernel``, so the two agree to the last bit."""
-    if kind is MetricKind.SLD:
-        return 2.0 / (x + y)
-    root = math.sqrt(x) + math.sqrt(y)
-    return 4.0 / (root * root)

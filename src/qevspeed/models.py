@@ -263,8 +263,19 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
 # Every model is an X state, built by one block function (a closed model at
 # G_t = 1). It takes a time or an array of times, broadcasts it against the
 # model's parameters (which may be arrays too) and returns the diagonal
-# blocks in the real layout ``speed._block_terms`` reads, so a whole grid is
-# built in one call. ``state_at`` and ``derivative_at`` scatter the blocks.
+# blocks in the real layout ``speed.Trajectory`` states, each with the
+# smooth signed root s of its determinant, so a whole grid is built in one
+# call. ``state_at`` and ``derivative_at`` scatter the blocks.
+
+
+def _decay_slope(g, dg, decay):
+    """c' = -G G' / c of the complement c = sqrt(1 - G^2), and 0 where c
+    is 0: at t = 0, where the speed takes its limit, and where 1 - P_t
+    rounds to 0 (t below about 1e-8 at Gamma/gamma0 = 0.1). Python floats
+    or arrays, by the same operations."""
+    if isinstance(decay, float):
+        return -(g * dg) / decay if decay else 0.0
+    return np.divide(-(g * dg), decay, out=np.zeros(np.shape(decay)), where=decay != 0.0)
 
 
 def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
@@ -277,7 +288,7 @@ def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
         for i, x in zip(indices, xs):
             out.real[..., i, i] = x
         if len(indices) == 2:
-            (i, j), (re, im) = indices, xs[2:]
+            (i, j), (re, im) = indices, xs[2:4]
             out.real[..., i, j] = out.real[..., j, i] = re
             out.imag[..., i, j], out.imag[..., j, i] = im, -im
     return out
@@ -300,6 +311,11 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
     order of the Kraus sum with ``np.kron``, so both give the same bits; the
     damped anti pair, P_t|phi0><phi0| + (1-P_t)|00><00|, has constant
     eigenvectors and an alpha-independent speed.
+    Each block also states the root s of its determinant (p = s^2 for one
+    index) through c_t = sqrt(1 - P_t): alpha^2 G_t c_t for one qubit,
+    alpha^2 P_t (1 - P_t) and alpha G_t c_t for the aligned pair's corner
+    block and middle indices, c_t for the anti pair's |00> population and
+    0 for its rank-one pair; every closed-model root is 0 (c_t = 0).
     The phase is real arithmetic on libm's cos and sin: the entries are
     Python floats at one point of scalar parameters, with a batch's bits.
     """
@@ -313,28 +329,31 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
         g, dg = (1.0, 0.0) if Gamma is None else _amplitudes(t, Gamma)
         cos, sin = (_cos(rate * t), _sin(rate * t)) if rate else (1.0, 0.0)
         dpop = 2.0 * g * dg
-        if kind == "1q":
-            pop = g * g
-            state = [a * a * pop, 1.0 - a * a * pop, g * (ab * cos), -(g * (ab * sin))]
-            move = [a * a * dpop, -a * a * dpop]
-            move += [dg * (ab * cos) + g * (turn * sin), g * (turn * cos) - dg * (ab * sin)]
-            return [((0, 1), state, move)]
         sqrt, lower, upper = (math.sqrt, min, max) if isinstance(g, float) else (np.sqrt, np.minimum, np.maximum)
         pop = lower(g * g, 1.0)
         root = sqrt(pop)
-        decay = sqrt(upper(1.0 - root * root, 0.0))
+        decay = sqrt(upper(1.0 - root * root, 0.0))  # c_t = sqrt(1 - P_t)
+        ddecay = _decay_slope(g, dg, decay)
+        if kind == "1q":
+            square = g * g
+            state = [a * a * square, 1.0 - a * a * square, g * (ab * cos), -(g * (ab * sin)), a * a * (g * decay)]
+            move = [a * a * dpop, -a * a * dpop]
+            move += [dg * (ab * cos) + g * (turn * sin), g * (turn * cos) - dg * (ab * sin)]
+            move.append(a * a * (dg * decay + g * ddecay))
+            return [((0, 1), state, move)]
         if kind == "aligned":
             kept, moved, lost = root * root, root * decay, decay * decay
+            inner = a * a * dpop * (1.0 - 2.0 * pop)  # d(alpha^2 P (1 - P)) / dt
             corners = [kept * (a * a) * kept, b * b + lost * (a * a) * lost]
-            corners += [kept * (ab * cos), -(kept * (ab * sin))]
-            middle = [moved * (a * a) * moved], [a * a * dpop * (1.0 - 2.0 * pop)]
+            corners += [kept * (ab * cos), -(kept * (ab * sin)), (a * a) * kept * lost]
             moves = [2.0 * a * a * pop * dpop, -2.0 * a * a * dpop * (1.0 - pop)]
-            moves += [dpop * (ab * cos) + kept * (turn * sin), kept * (turn * cos) - dpop * (ab * sin)]
+            moves += [dpop * (ab * cos) + kept * (turn * sin), kept * (turn * cos) - dpop * (ab * sin), inner]
+            middle = [moved * (a * a) * moved, a * (g * decay)], [inner, a * (dg * decay + g * ddecay)]
             return [((0, 3), corners, moves), ((1,), *middle), ((2,), *middle)]
-        pair = [root * (a * a) * root, root * (b * b) * root, root * ab * root, 0.0]
-        moves = [dpop * (a * a), dpop * (b * b), dpop * ab, 0.0]
+        pair = [root * (a * a) * root, root * (b * b) * root, root * ab * root, 0.0, 0.0]
+        moves = [dpop * (a * a), dpop * (b * b), dpop * ab, 0.0, 0.0]
         lost = decay * (b * b) * decay + decay * (a * a) * decay
-        return [((0,), [0.0], [0.0]), ((1, 2), pair, moves), ((3,), [lost], [-dpop])]
+        return [((0,), [0.0, 0.0], [0.0, 0.0]), ((1, 2), pair, moves), ((3,), [lost, decay], [-dpop, ddecay])]
 
     # ``state_at`` and ``derivative_at`` carry the block function for the
     # speed kernel (a ``functools.wraps`` wrapper keeps it, a replacement

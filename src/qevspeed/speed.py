@@ -1,30 +1,40 @@
 """Instantaneous speed of evolution along a density-operator trajectory.
 
-The speed at time t is
+The speed at time t is S = (1/2) sqrt(F), with
 
-    S = (1/2) * sqrt( sum_{k,l} c(p_k, p_l) |<Phi_k| drho/dt |Phi_l>|^2 )
+    F = sum_{k,l} c(p_k, p_l) |<Phi_k| drho/dt |Phi_l>|^2
 
-over the eigensystem {p_k, Phi_k} of rho_t, with c the metric kernel. The
-sum needs no eigenvector derivatives, so it stays valid through
-degeneracies (its diagonal kernel is c(p, p) = 1/p). The test suite checks
-it against the spectral form built from eigenvalue and eigenvector
-derivatives.
+over the eigensystem {p_k, Phi_k} of rho_t and c the metric kernel.
 
-The batch path, ``speeds_at``, takes an array of times (and a model
-family built on arrays of parameters) and sums the
-kernel block by block; cross-block elements of drho vanish, so each
-diagonal block contributes its own terms. The six built-in models are X
-states and state their blocks themselves, of one and two indices, whose
-eigensystems are closed forms (``linalg.pair_block``): those models need
-no LAPACK call. Any other trajectory is one dense block, ``pair_block``
-for d <= 2 and one stacked ``linalg.eigh_stack`` otherwise
-(``kernel_speeds``). The point path, ``speed_at``, runs a built-in model
-with scalar parameters on Python floats by the batch's formulas, equal to
-it bit for bit, and hands anything else to ``speeds_at``.
+The six built-in models are X states and state their diagonal blocks
+themselves, of one and two indices, each with the smooth signed root s of
+its determinant (``Trajectory``). Their F takes no eigensystem and no
+tolerance: a block of one index, p = s^2, adds 4 s'^2 under both metrics,
+and a 2x2 block M with trace T adds
+
+    SLD:  (2 tr(dM^2) - (dT)^2 + 4 s'^2) / T
+    WY:   4 tr((d sqrt M)^2),  sqrt M = (M + |s| I) / sqrt(T + 2 |s|).
+
+The SLD form is the kernel sum with its diagonal 0/0, (d det)^2 / det,
+written as 4 s'^2; the WY form is the sqrt(rho) embedding of that metric
+(Gibilisco and Isola, J. Math. Phys. 44, 3752 (2003)). Both stay exact
+where an eigenvalue touches zero, the rank discontinuity analysed by
+Safranek (PRA 95, 052320 (2017)). ``speeds_at`` evaluates them over a batch
+of times (and a model family built on arrays of parameters); ``speed_at``
+runs a model with scalar parameters on Python floats by the same
+expression, equal to the batch bit for bit, and hands anything else to
+``speeds_at``.
+
+Any other trajectory is one dense block (``kernel_speeds``): the kernel
+sum over the closed-form eigensystem ``linalg.pair_block`` for d = 2 and
+one stacked ``linalg.eigh_stack`` for d > 2. That adapter holds the
+package's tolerances, ``PURE_STATE_TOL``, ``RANK_TOL`` and ``ELEM_TOL``, and
+its failures, ``RankIncreaseError``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -33,17 +43,18 @@ import numpy as np
 
 from . import linalg
 from .errors import NumericalFailure, RankIncreaseError
-from .metrics import MetricKind, kernel_value, mc_kernel
+from .metrics import MetricKind, mc_kernel
 
-# Eigenvalue-pair sums below RANK_TOL are boundary terms: dropped when the
-# corresponding derivative element is below ELEM_TOL, an error otherwise
-# (the dynamics would be increasing the state rank).
+# The dense adapter (``kernel_speeds``) drops eigenvalue-pair sums below
+# RANK_TOL as boundary terms when the corresponding derivative element is
+# below ELEM_TOL, and fails otherwise (the dynamics would be increasing the
+# state rank).
 RANK_TOL = 1e-12
 ELEM_TOL = 1e-8
 
-# A state is treated as pure when its second-largest eigenvalue is below this:
-# about 1e4 times eigh's eigenvalue rounding on a unit-trace state, and the
-# same cut as RANK_TOL.
+# The dense adapter treats a state as pure when its second-largest
+# eigenvalue is below this: about 1e4 times eigh's eigenvalue rounding on a
+# unit-trace state, and the same cut as RANK_TOL.
 PURE_STATE_TOL = 1e-12
 
 # Half-width of the slope stencil per unit max(1, |xi|) (``stencil_step``).
@@ -63,13 +74,15 @@ class Trajectory:
     times against arrays of parameters (a family of curves evaluated
     together), and both their callables carry the model's block function as
     an attribute ``blocks``, which ``speeds_at`` evaluates in place of the
-    dense matrices: real entries, (p,) and (dp,) for a block of one index
-    and (a, c, wr, wi) and (da, dc, dwr, dwi) for a pair [[a, w], [w*, c]],
-    w = wr + i wi (``_block_terms``). ``params`` records the numbers the trajectory was built
-    from. ``speed_at_zero`` is the limit of the speed at t = 0, returned
-    there in place of an evaluation, for trajectories that start on the
-    boundary of the state space (where the kernel sum is 0/0); it is
-    ``inf`` where the speed diverges.
+    dense matrices. Its entries are real: (p, s) and (dp, ds) for a block of
+    one index, and (a, c, wr, wi, s) and (da, dc, dwr, dwi, ds) for a pair
+    [[a, w], [w*, c]], w = wr + i wi, where s is a smooth signed root of the
+    block's determinant (p = s^2, ac - |w|^2 = s^2) and ds its derivative.
+    ``params`` records the numbers the trajectory was built from.
+    ``speed_at_zero`` is the limit of the speed at t = 0, returned there in
+    place of an evaluation, for trajectories that start on the boundary of
+    the state space (where the speed is a 0/0 limit); it is ``inf`` where the
+    speed diverges.
     """
 
     dim: int
@@ -122,68 +135,75 @@ def _binary_scale(peak):
     return np.ldexp(1.0, -e), np.ldexp(1.0, e)
 
 
-def _block_terms(blocks, shrink):
-    """The eigenvalue columns of every block, and the kernel-sum terms
-    (k, l, |<k| shrink * drho |l>|) over the pairs of columns within a block
-    (the elements between blocks vanish).
+def _fisher(metric: MetricKind, blocks, shrink, xp):
+    """F = 4 S^2 of the built-in blocks (``Trajectory``), their derivatives
+    scaled by ``shrink``: Python floats with ``xp = math``, arrays that
+    broadcast with ``xp = np``, by the same operations.
 
-    A block is (indices, state entries, derivative entries), real Python
-    floats at one point or real arrays over a batch. A block of one index
-    holds (p,) and (dp,) and is its own eigensystem; a block of two holds
-    its diagonal and the real and imaginary parts of its upper entry,
-    (a, c, wr, wi) and (da, dc, dwr, dwi), and takes ``linalg.pair_block``;
-    a larger one (batches only) holds its complex (N, d, d) stacks and
-    takes ``linalg.eigh_stack``.
+    A block of one index adds 4 ds^2. A pair of trace T adds, under SLD,
+    ((da - dc)^2 + 4 |dw|^2 + 4 ds^2) / T, and under WY 4 tr(X^2) with
+    X = d sqrt M = (dM + d|s| I - (M + |s| I) q) / r, r^2 = T + 2 |s| and
+    q = r'/r = (dT + 2 d|s|) / (2 r^2). The principal root needs |s|, and
+    d|s| = copysign(1, s) ds takes either one-sided derivative at s = 0,
+    which give the same F. A pair of zero trace is divided by 1 in place of
+    0: in a built-in model it is the anti pair's at an exact zero of G_t,
+    which rests there too, so it adds 0.
     """
-    values, terms = [], []
-    for indices, state, move in blocks:
-        k = len(values)
-        if len(indices) == 1:
-            values.append(state[0])
-            terms.append((k, k, abs(move[0] * shrink)))
-        elif len(indices) == 2:
-            (a, c, wr, wi), (da, dc, dwr, dwi) = state, move
-            low, high, d_low, d_high, d_cross = linalg.pair_block(
-                a, c, wr, wi, da * shrink, dc * shrink, dwr * shrink, dwi * shrink
-            )
-            values += [low, high]
-            terms += [(k, k, d_low), (k + 1, k + 1, d_high), (k, k + 1, d_cross), (k + 1, k, d_cross)]
-        else:
-            p, vectors = linalg.eigh_stack(state[0])
-            moved = move[0] * shrink[:, None, None]
-            magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ moved @ vectors)
-            values += list(p.T)
-            size = len(indices)
-            terms += [(k + a, k + b, magnitude[:, a, b]) for a in range(size) for b in range(size)]
-    return values, terms
-
-
-def _point_speed(metric: MetricKind, values, terms, grow: float):
-    """``_batch_speeds`` at one point, on Python floats by the same
-    operations: its speed, and the terms that escape (nan speed) or None."""
-    p = [max(v, 0.0) for v in values]
-    order = sorted(p)
-    if len(order) < 2 or order[-2] < PURE_STATE_TOL:
-        top = p.index(order[-1])
-        squared = 0.0
-        for k, l, m in terms:
-            if l == top and k != l:
-                squared = squared + m * m
-        return metric.epsilon * math.sqrt(squared) * grow, None
     total = 0.0
-    escaping = []
-    for k, l, m in terms:
-        if p[k] + p[l] >= RANK_TOL:
-            total = total + kernel_value(metric, p[k], p[l]) * m * m
-        elif m * grow >= ELEM_TOL:
-            escaping.append((k, l, m))
-    if escaping:
-        return math.nan, escaping
-    return 0.5 * math.sqrt(total) * grow, None
+    for indices, state, move in blocks:
+        ds = move[-1] * shrink
+        if len(indices) == 1:
+            total = total + 4.0 * (ds * ds)
+            continue
+        a, c, wr, wi, s = state
+        da, dc, dwr, dwi = (x * shrink for x in move[:4])
+        if metric is MetricKind.SLD:
+            trace = a + c
+            diff = da - dc
+            moved = diff * diff + 4.0 * (dwr * dwr + dwi * dwi) + 4.0 * (ds * ds)
+            total = total + moved / (trace + (trace == 0.0))
+        else:
+            root = abs(s)
+            droot = xp.copysign(1.0, s) * ds
+            r2 = a + c + 2.0 * root
+            r2 = r2 + (r2 == 0.0)
+            q = (da + dc + 2.0 * droot) / (2.0 * r2)
+            x = da + droot - (a + root) * q
+            z = dc + droot - (c + root) * q
+            yr, yi = dwr - wr * q, dwi - wi * q
+            total = total + 4.0 * (x * x + z * z + 2.0 * (yr * yr + yi * yi)) / r2
+    return total
+
+
+def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBatch:
+    """Speeds of built-in blocks whose entries broadcast to ``batch``. Each
+    point's derivatives, ``ds`` among them, are scaled by a power of two
+    near their largest before they are squared (``_binary_scale``)."""
+    parts = [x for *_, move in blocks for x in move]
+    shrink, grow = _binary_scale(functools.reduce(np.maximum, map(np.abs, parts)))
+    speeds = 0.5 * np.sqrt(_fisher(metric, blocks, shrink, np)) * grow
+    return SpeedBatch(np.broadcast_to(speeds, batch).copy())
+
+
+def _dense_terms(rho: np.ndarray, drho: np.ndarray):
+    """The eigenvalue columns of a stack of states (N, d, d) and the
+    kernel-sum terms (k, l, |<k| drho |l>|) over their pairs: one index is
+    its own eigensystem, two take ``linalg.pair_block`` and more take
+    ``linalg.eigh_stack``."""
+    dim = rho.shape[-1]
+    if dim == 1:
+        return [rho[:, 0, 0].real], [(0, 0, np.abs(drho[:, 0, 0].real))]
+    if dim == 2:
+        state, move = ([m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real, m[:, 0, 1].imag] for m in (rho, drho))
+        low, high, d_low, d_high, d_cross = linalg.pair_block(*state, *move)
+        return [low, high], [(0, 0, d_low), (1, 1, d_high), (0, 1, d_cross), (1, 0, d_cross)]
+    p, vectors = linalg.eigh_stack(rho)
+    magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ drho @ vectors)
+    return list(p.T), [(k, l, magnitude[:, k, l]) for k in range(dim) for l in range(dim)]
 
 
 def _batch_speeds(metric: MetricKind, values, terms, grow: np.ndarray):
-    """Speeds from the eigenvalue columns and terms of ``_block_terms``, and
+    """Speeds from the eigenvalue columns and terms of ``_dense_terms``, and
     the terms that escape at each failed point (whose speed is nan).
 
     A point whose second-largest eigenvalue is below ``PURE_STATE_TOL`` (or
@@ -226,39 +246,32 @@ def _rank_increase(values, escaping, grow: float, time: float) -> RankIncreaseEr
     return RankIncreaseError(time, (rank[k], rank[l]), m * grow)
 
 
-def _split(blocks, moving):
-    """The blocks in the order of their first index, a pair whose coherence
-    rests at zero (``moving`` tests an entry) as two blocks of one index.
-    ``pair_block`` would take the pair too, but more slowly (``speeds_at`` on
-    ``open-1q`` at alpha = 1, the fig1 and fig2 model, about 1.5 times) and
-    with other roundings (the slopes of those figures, up to 2.5e-10)."""
-    split = []
-    for indices, state, move in blocks:
-        if len(indices) == 2 and not (
-            moving(state[2]) or moving(state[3]) or moving(move[2]) or moving(move[3])
-        ):
-            split += [((i,), [x], [dx]) for i, x, dx in zip(indices, state, move)]
-        else:
-            split.append((indices, state, move))
-    return sorted(split, key=lambda block: block[0][0])
+def kernel_speeds(
+    rho: np.ndarray,
+    drho: np.ndarray,
+    metric: MetricKind = MetricKind.SLD,
+    times: np.ndarray | None = None,
+) -> SpeedBatch:
+    """Speeds of stacked states ``rho`` moving at ``drho`` (shape (..., d, d));
+    ``drho`` is Hermitian, as ``rho_dot`` returns it. This is the dense
+    adapter, for trajectories without a block function.
 
-
-def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind, times) -> SpeedBatch:
-    """``kernel_speeds`` of diagonal blocks laid out as ``_block_terms`` reads
-    them, with entries that broadcast to ``batch`` (``batch + (d, d)`` for a
-    block of d > 2 indices), split as ``_split`` splits them."""
-
-    def flat(x, size: int):
-        if size > 2:
-            return np.reshape(x, (-1, size, size))
-        return np.reshape(x if np.shape(x) == batch else np.broadcast_to(x, batch), -1)
-
-    blocks = _split([(i, [flat(x, len(i)) for x in s], [flat(x, len(i)) for x in m]) for i, s, m in blocks], np.any)
-    parts = [x for *_, move in blocks for x in move]
-    peak = np.max([np.abs(x).max(axis=tuple(range(1, x.ndim)), initial=0.0) for x in parts], axis=0)
-    shrink, grow = _binary_scale(peak)
+    The matrices are one block (``_dense_terms``). Each point's ``drho`` is
+    scaled by a power of two near its largest entry before it is squared
+    (``_binary_scale``); then each point takes the rules of
+    ``_batch_speeds``, failing with ``RankIncreaseError``. ``times`` only
+    labels the errors. Non-finite or non-Hermitian states raise
+    ``ValueError`` for the whole batch.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    batch, dim = rho.shape[:-2], rho.shape[-1]
+    rho = rho.reshape(-1, dim, dim)
+    drho = np.asarray(drho, dtype=complex).reshape(rho.shape)
+    if dim <= 2:  # eigh_stack checks the larger stacks
+        linalg.hermitian_stack(rho)
+    shrink, grow = _binary_scale(np.abs(drho).max(axis=(1, 2), initial=0.0))
     with np.errstate(under="ignore"):  # negligible terms flush to zero
-        values, terms = _block_terms(blocks, shrink)
+        values, terms = _dense_terms(rho, drho * shrink[:, None, None])
         speeds, escaping = _batch_speeds(metric, values, terms, grow)
     if escaping:  # each failure is labelled with its time
         labels = np.broadcast_to(math.nan if times is None else times, batch).ravel()
@@ -267,38 +280,6 @@ def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind, times) -> 
         for i, out in escaping.items()
     }
     return SpeedBatch(speeds.reshape(batch), failures)
-
-
-def kernel_speeds(
-    rho: np.ndarray,
-    drho: np.ndarray,
-    metric: MetricKind = MetricKind.SLD,
-    times: np.ndarray | None = None,
-) -> SpeedBatch:
-    """Speeds of stacked states ``rho`` moving at ``drho`` (shape (..., d, d));
-    ``drho`` is Hermitian, as ``rho_dot`` returns it.
-
-    The matrices are one block: ``pair_block`` for d <= 2, one stacked
-    ``eigh_stack`` otherwise. Each point's ``drho`` is scaled by a power of
-    two near its largest entry before it is squared (``_binary_scale``);
-    then each point takes the rules of ``_batch_speeds``, failing with
-    ``RankIncreaseError``. ``times`` only labels the errors. Non-finite or
-    non-Hermitian states raise ``ValueError`` for the whole batch.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    batch, dim = rho.shape[:-2], rho.shape[-1]
-    drho = np.asarray(drho, dtype=complex).reshape(rho.shape)
-    indices = tuple(range(dim))
-    if dim > 2:  # eigh_stack checks the stack
-        block = (indices, [rho], [drho])
-    else:
-        linalg.hermitian_stack(rho.reshape(-1, dim, dim))
-        state, move = ([m[..., i, i].real for i in indices] for m in (rho, drho))
-        if dim == 2:  # and the real and imaginary parts of the upper entry
-            state += [rho[..., 0, 1].real, rho[..., 0, 1].imag]
-            move += [drho[..., 0, 1].real, drho[..., 0, 1].imag]
-        block = (indices, state, move)
-    return _block_speeds([block], batch, metric, times)
 
 
 def _blocks_at(traj: Trajectory, t):
@@ -318,12 +299,12 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
     """Speeds along a trajectory at an array of times: the batch path.
 
     A built-in model's block function (``blocks`` on both callables) is
-    called once and summed block by block; any other trajectory is one
-    dense block (``kernel_speeds``). At t = 0 a trajectory's
-    ``speed_at_zero`` limit is returned. Times outside [0, horizon] and
-    dense states of a size other than ``traj.dim`` raise ``ValueError``; a
-    failed point is nan with its error in ``failures``. No times give an
-    empty batch.
+    called once and its blocks take the formulas of ``_fisher``; any other
+    trajectory is one dense block (``kernel_speeds``). At t = 0 a
+    trajectory's ``speed_at_zero`` limit is returned. Times outside
+    [0, horizon] and dense states of a size other than ``traj.dim`` raise
+    ``ValueError``; a failed point is nan with its error in ``failures``.
+    No times give an empty batch.
     """
     t = np.asarray(times, dtype=float)
     if t.size == 0:
@@ -342,7 +323,7 @@ def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks) -> Sp
     at ``t`` (None for a dense trajectory)."""
     if blocks is not None:
         shapes = [x.shape for _, state, move in blocks for x in state + move if isinstance(x, np.ndarray)]
-        result = _block_speeds(blocks, np.broadcast_shapes(t.shape, *shapes), metric, t)
+        result = _block_speeds(blocks, np.broadcast_shapes(t.shape, *shapes), metric)
     else:
         rho = np.asarray(traj.state_at(t), dtype=complex)
         if rho.shape[-2:] != (traj.dim, traj.dim):
@@ -373,14 +354,8 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
         if t > 0.0 or limit is None:  # speeds_at returns an array limit unevaluated
             blocks = _blocks_at(traj, t)
         if blocks is not None and {type(x) for _, state, move in blocks for x in state + move} <= {float}:
-            blocks = _split(blocks, bool)
-            parts = [x for *_, move in blocks for x in move]
-            shrink, grow = _binary_scale(max(map(abs, parts)))
-            values, terms = _block_terms(blocks, shrink)
-            speed, escaping = _point_speed(metric, values, terms, grow)
-            if escaping:
-                raise _rank_increase(values, escaping, grow, t)
-            return speed
+            shrink, grow = _binary_scale(max(abs(x) for *_, move in blocks for x in move))
+            return 0.5 * math.sqrt(_fisher(metric, blocks, shrink, math)) * grow
     if blocks is None:
         result = speeds_at(traj, t, metric)
     else:  # a family: the batch takes the blocks at hand

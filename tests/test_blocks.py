@@ -1,5 +1,5 @@
-"""The per-block kernel sum: closed-form 2x2 blocks, the block split of a
-stack, and the point path of ``speed_at`` on Python floats.
+"""The block formulas of the built-in models, their point path on Python
+floats, and the dense adapter's closed-form 2x2 eigensystem.
 
 The dense ``np.linalg.eigh`` kernel in util.py is the oracle.
 """
@@ -13,11 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qevspeed import linalg, models, speed
+from qevspeed.analysis import memory_boundaries
 from qevspeed.errors import RankIncreaseError
 from qevspeed.linalg import pair_block
-from qevspeed.metrics import MetricKind, kernel_value, mc_kernel
-from qevspeed.models import MODEL_KEYS, trajectory_from_key
-from qevspeed.speed import ELEM_TOL, Trajectory, kernel_speeds, speed_at, speeds_at
+from qevspeed.metrics import MetricKind
+from qevspeed.models import (
+    MODEL_KEYS,
+    OpenSystemParams,
+    amplitude_factor,
+    open_qubit_speed_analytic,
+    open_two_qubit_speed_analytic,
+    trajectory_from_key,
+)
+from qevspeed.speed import ELEM_TOL, Trajectory, kernel_speeds, rho_dot, speed_at, speeds_at
 from util import conjugate_trajectory, dense_kernel_speeds, random_hermitian, random_unitary
 
 # every branch of the amplitude factor: oscillatory, critical, hyperbolic
@@ -75,26 +83,6 @@ class TestPairBlock:
 
     def test_zero_block(self):
         assert pair_block(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0) == (0.0, 0.0, 0.0, 0.0, 1.0)
-
-    def test_floats_and_arrays_agree_to_the_last_bit(self):
-        rng = np.random.default_rng(43)
-        args = [rng.standard_normal(50) for _ in range(8)]
-        args[0], args[1] = np.abs(args[0]) + 1.0, np.abs(args[1]) + 1.0
-        batched = pair_block(*args)
-        for i in range(50):
-            one = pair_block(*(float(a[i]) for a in args))
-            assert all(isinstance(value, float) for value in one)
-            assert [value.hex() for value in one] == [float(column[i]).hex() for column in batched]
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    st.sampled_from(list(MetricKind)),
-    st.floats(1e-300, 1.0),
-    st.floats(1e-300, 1.0),
-)
-def test_kernel_value_is_mc_kernel_on_floats(kind, x, y):
-    assert kernel_value(kind, x, y) == float(mc_kernel(kind, x, y))
 
 
 def random_block(rng, kind: str, size: int) -> np.ndarray:
@@ -195,6 +183,70 @@ def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(key):
             assert all(np.all(np.asarray(x) == 0.0) for x in pair_moves[:2])
 
 
+@pytest.mark.parametrize("key,bath", MODEL_CASES)
+def test_blocks_state_the_root_of_their_determinant(key, bath):
+    """Every block's last state entry s has s^2 = p (one index) or
+    s^2 = ac - |w|^2 (a pair), and its last derivative entry is ds/dt."""
+    blocks = trajectory_from_key(key, alpha=0.7, omega=1.3, **bath).state_at.blocks
+    times = np.concatenate([[0.0, 1e-3], np.linspace(0.1, 45.0, 60)])
+    for indices, state, _ in blocks(times):
+        if len(indices) == 1:
+            det = state[0]
+        else:
+            a, c, wr, wi = state[:4]
+            det = a * c - wr * wr - wi * wi
+        np.testing.assert_allclose(det, state[-1] * state[-1], rtol=0.0, atol=1e-15)
+    h, inner = 1e-6, times[2:]
+    for (_, _, move), (_, up, _), (_, down, _) in zip(blocks(inner), blocks(inner + h), blocks(inner - h)):
+        np.testing.assert_allclose(move[-1], (up[-1] - down[-1]) / (2.0 * h), rtol=1e-6, atol=1e-8)
+
+
+TAU_1 = memory_boundaries(OpenSystemParams(Gamma=0.1), 1)[0][0]
+
+
+@pytest.mark.parametrize(
+    "key,alpha,ratio,t",
+    [
+        ("open-1q", 1.0, 0.1, TAU_1),
+        ("open-1q", 0.6, 0.1, TAU_1),
+        ("open-2q-aligned", 0.7, 0.1, TAU_1),
+        ("open-1q", 1.0, 10.0, 27.0),
+        ("open-1q", 1.0, 10.0, 40.0),
+        ("open-2q-aligned", 1.0, 20.0, 13.86),
+        ("open-2q-aligned", 1.0, 20.0, 15.76),
+    ],
+)
+def test_boundary_speeds_match_the_closed_forms(key, alpha, ratio, t):
+    """Where an eigenvalue touches 0 (tau_1) or falls below 1e-12 (the tails
+    at Gamma/gamma0 = 10 and 20), the SLD speed is the closed form's. A
+    kernel sum over eigenvalues drops those terms there."""
+    params = OpenSystemParams(alpha=alpha, Gamma=ratio)
+    closed = (open_qubit_speed_analytic if key == "open-1q" else open_two_qubit_speed_analytic)(params, t)
+    traj = trajectory_from_key(key, alpha=alpha, Gamma_over_gamma0=ratio)
+    assert speed_at(traj, t) == pytest.approx(closed, rel=1e-13, abs=0.0)
+    assert speeds_at(traj, [t]).speeds[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+def test_wy_takes_the_principal_root():
+    """Past tau_1, G_t < 0 and so is open-1q's root s = alpha^2 G_t c_t: WY
+    needs |s| to take the principal sqrt(rho). It equals the dense kernel
+    sum away from tau_1 and is continuous through it, and through an exact
+    zero of s, where the dense sum drops a term."""
+    wy = MetricKind.WY
+    traj = trajectory_from_key("open-1q", alpha=0.6, Gamma_over_gamma0=0.1)
+    times = np.array([9.0, 10.0, 12.0, 20.0, TAU_1 - 1e-3, TAU_1 + 1e-3])
+    want = dense_kernel_speeds(traj.state_at(times), rho_dot(traj, times), wy).speeds
+    np.testing.assert_allclose(speeds_at(traj, times, wy).speeds, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose([speed_at(traj, float(t), wy) for t in times], want, rtol=1e-12, atol=0.0)
+    zero = OpenSystemParams(Gamma=0.1691959798994975), 6.705124740062843
+    assert amplitude_factor(*zero) == 0.0
+    for ratio, t in ((0.1, TAU_1), (zero[0].Gamma, zero[1])):
+        traj = trajectory_from_key("open-1q", alpha=0.6, Gamma_over_gamma0=ratio)
+        at = speed_at(traj, t, wy)
+        for side in (-1e-6, 1e-6):
+            assert speed_at(traj, t + side, wy) == pytest.approx(at, rel=1e-6)
+
+
 def count_calls(monkeypatch, *targets) -> Counter:
     """Calls of each (module, name) function by name, from now on."""
     calls = Counter()
@@ -222,7 +274,7 @@ def test_speed_at_takes_the_float_path(monkeypatch):
     assert calls == {"_batch_at": 1, "_block_speeds": 1}
     turned = conjugate_trajectory(family, random_unitary(np.random.default_rng(53), 4))
     speed_at(turned, 2.5)
-    assert calls == {"_batch_at": 2, "_block_speeds": 2}
+    assert calls == {"_batch_at": 2, "_block_speeds": 1}
 
 
 @pytest.mark.parametrize("alpha", [np.array([0.7]), np.array(0.7)], ids=["family", "0-d"])
@@ -269,12 +321,7 @@ def test_only_a_turning_coherence_calls_the_phase(monkeypatch, key, bath):
 
 def leaking_pair_trajectory() -> Trajectory:
     """diag(1/2, 0, 1/2), whose empty level fills while its pair's cross
-    element moves: a hand-written trajectory carrying its block function."""
-
-    def blocks(t):
-        one = 1.0 + 0.0 * t  # a float at a float time, an array at an array
-        pair = ((0, 1), [0.5 * one, 0.0 * one, 0.0 * one, 0.0 * one], [-0.1 * one, 0.1 * one, 0.0 * one, 0.2 * one])
-        return [pair, ((2,), [0.5 * one], [0.0 * one])]
+    element moves: a rank increase, which the dense adapter reports."""
 
     def state_at(t):
         return np.broadcast_to(np.diag([0.5, 0.0, 0.5]).astype(complex), np.shape(t) + (3, 3))
@@ -282,18 +329,15 @@ def leaking_pair_trajectory() -> Trajectory:
     def derivative_at(t):
         return np.broadcast_to(np.array([[-0.1, 0.2j, 0.0], [-0.2j, 0.1, 0.0], [0.0, 0.0, 0.0]]), np.shape(t) + (3, 3))
 
-    state_at.blocks = derivative_at.blocks = blocks
     return Trajectory(3, 50.0, state_at, derivative_at)
 
 
 @pytest.mark.parametrize("metric", list(MetricKind))
-def test_speed_at_raises_the_batch_failure(monkeypatch, metric):
+def test_speed_at_raises_the_batch_failure(metric):
     traj = leaking_pair_trajectory()
     want = speeds_at(traj, np.array([2.0]), metric).failures[0]
-    calls = count_calls(monkeypatch, (speed, "speeds_at"))
     with pytest.raises(RankIncreaseError) as caught:
         speed_at(traj, 2.0, metric)
-    assert calls == {}
     got = caught.value
     assert (got.time, got.pair, got.magnitude) == (want.time, want.pair, want.magnitude)
     assert got.pair == (0, 0)
@@ -329,18 +373,24 @@ def test_built_in_models_run_no_eigensolver(monkeypatch):
         return dense_solver(matrices)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    pairs = count_calls(monkeypatch, (linalg, "pair_block"))
     times = np.linspace(0.0, 20.0, 50)
     for key, bath in MODEL_CASES:
         traj = trajectory_from_key(key, alpha=0.7, **bath)
         for metric in MetricKind:
             speeds_at(traj, times, metric)
             speed_at(traj, 2.5, metric)
-    assert calls == []
+            speeds_at(trajectory_from_key(key, alpha=np.array([0.3, 0.7]), **bath), 2.5, metric)
+    assert calls == [] and pairs == {}
     # a dense trajectory is one block, which the eigensolver takes
     pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
     turned = conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4))
     speeds_at(turned, times)
     assert calls == [(50, 4, 4)]
+    # and a dense qubit the closed-form pair
+    qubit = trajectory_from_key("open-1q", alpha=0.7, Gamma_over_gamma0=0.5)
+    speeds_at(conjugate_trajectory(qubit, random_unitary(np.random.default_rng(53), 2)), times)
+    assert pairs == {"pair_block": 1}
 
 
 def test_built_in_models_skip_the_dense_adapter(monkeypatch):

@@ -7,7 +7,12 @@ import pytest
 import qevspeed.cli as cli
 from qevspeed.analysis import region_report, speedup_boundaries, speedup_equation
 from qevspeed.errors import RankIncreaseError
-from qevspeed.models import OpenSystemParams, markovian_two_qubit_speed, trajectory_from_key
+from qevspeed.models import (
+    OpenSystemParams,
+    markovian_two_qubit_speed,
+    open_qubit_speed_analytic,
+    trajectory_from_key,
+)
 from util import leaking_trajectory
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -71,6 +76,24 @@ class TestSpeedCommand:
         middle = rows[1]
         assert middle[0] == pytest.approx(1.0)
         assert middle[1] == pytest.approx(0.5 / math.sqrt(math.e - 1.0), rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "model", [("open-1q", "--alpha", "0.6", "--gamma-ratio", "0.1"), ("open-2q-anti", "--gamma-ratio", "0.5")]
+    )
+    def test_rows_where_the_complement_rounds_to_zero(self, tmp_path, model):
+        """At t = 0 the float 1 - P_t is 0, so the roots' derivative -G G'/c
+        is 0/0 and taken as 0; the rows are finite. Past t = 0 the open qubit
+        is within 1e-3 of its closed form, the error of that float 1 - P_t."""
+        code, text = run_to_file(
+            tmp_path, ["speed", "--model", *model, "--tmin", "0", "--tmax", "1e-5", "--points", "5"]
+        )
+        assert code == 0
+        _, columns, rows = parse_csv(text)
+        assert columns[:2] == ["t", "S"] and np.isfinite(rows).all()
+        if model[0] == "open-1q":
+            params = OpenSystemParams(alpha=0.6, Gamma=0.1)
+            for t, speed in rows[1:, :2]:
+                assert speed == pytest.approx(open_qubit_speed_analytic(params, t), rel=1e-3)
 
     def test_memoryless_regime_decelerates(self, tmp_path):
         code, text = run_to_file(
@@ -353,6 +376,15 @@ class TestDetectCommand:
         assert columns == ["C", "S", "dS_dC", "speedup"]
         np.testing.assert_allclose(rows[:, 2], 1.0, atol=1e-6)
         assert np.all(rows[:, 3] == 1.0)
+
+    def test_markovian_concurrence_sweep_is_the_closed_form(self):
+        """The aligned pair's speeds at t = 10 match ``markovian_two_qubit_speed``
+        in every row, also at small C, where its eigenvalues alpha^2 P (1 - P)
+        fall below 1e-12."""
+        argv = ["detect", "--model", "open-2q-aligned", "--markovian-limit", "--sweep", "C:0.005:0.999:200"]
+        result = table([*argv, "--time", "10"])
+        concurrence, speeds = result.rows[:, 0], result.rows[:, 1]
+        np.testing.assert_allclose(speeds, markovian_two_qubit_speed(concurrence, 10.0), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize(
         "sweep, echoed",
