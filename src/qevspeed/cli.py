@@ -26,10 +26,9 @@ from .models import (
     MODEL_KEYS,
     OpenSystemParams,
     alpha_from_concurrence,
-    markovian_two_qubit_speed,
     trajectory_from_key,
 )
-from .speed import SpeedBatch, Trajectory, speed_curve, speedup_measures, speeds_at
+from .speed import Trajectory, speed_curve, speedup_measures, speeds_at
 
 SWEEP_PARAMS = ("t", "alpha", "C", "Omega", "Gamma_over_gamma0")
 
@@ -67,7 +66,7 @@ class FigureSpec:
     """Bound parameters and grid for one reproducible data set."""
 
     figure_id: str
-    kind: str  # 'time_curve' | 'omega_sweep' | 'concurrence_sweep'
+    sweep: str  # the ``detect`` parameter: 't' | 'Omega' | 'C'
     model: str
     alpha: float
     gamma_ratio: float | None = None
@@ -79,29 +78,29 @@ class FigureSpec:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 FIGURES: dict[str, FigureSpec] = {
-    "fig1a": FigureSpec("fig1a", "time_curve", "open-1q", 1.0, gamma_ratio=10.0),
-    "fig1b": FigureSpec("fig1b", "time_curve", "open-1q", 1.0, gamma_ratio=0.1),
+    "fig1a": FigureSpec("fig1a", "t", "open-1q", 1.0, gamma_ratio=10.0),
+    "fig1b": FigureSpec("fig1b", "t", "open-1q", 1.0, gamma_ratio=0.1),
     "fig2a": FigureSpec(
-        "fig2a", "omega_sweep", "open-1q", 1.0, fixed_time=0.0, grid=(0.02, 3.0, 300)
+        "fig2a", "Omega", "open-1q", 1.0, fixed_time=0.0, grid=(0.02, 3.0, 300)
     ),
     "fig2b": FigureSpec(
-        "fig2b", "omega_sweep", "open-1q", 1.0, fixed_time=1.0, grid=(0.02, 3.0, 300)
+        "fig2b", "Omega", "open-1q", 1.0, fixed_time=1.0, grid=(0.02, 3.0, 300)
     ),
     "fig2c": FigureSpec(
-        "fig2c", "omega_sweep", "open-1q", 1.0, fixed_time=5.0, grid=(0.02, 3.0, 300)
+        "fig2c", "Omega", "open-1q", 1.0, fixed_time=5.0, grid=(0.02, 3.0, 300)
     ),
     "fig2d": FigureSpec(
-        "fig2d", "omega_sweep", "open-1q", 1.0, fixed_time=10.0, grid=(0.02, 3.0, 300)
+        "fig2d", "Omega", "open-1q", 1.0, fixed_time=10.0, grid=(0.02, 3.0, 300)
     ),
     "fig3a": FigureSpec(
-        "fig3a", "time_curve", "open-2q-aligned", _SQRT_HALF, gamma_ratio=10.0
+        "fig3a", "t", "open-2q-aligned", _SQRT_HALF, gamma_ratio=10.0
     ),
     "fig3b": FigureSpec(
-        "fig3b", "time_curve", "open-2q-aligned", _SQRT_HALF, gamma_ratio=0.1
+        "fig3b", "t", "open-2q-aligned", _SQRT_HALF, gamma_ratio=0.1
     ),
     "fig4a": FigureSpec(
         "fig4a",
-        "concurrence_sweep",
+        "C",
         "open-2q-aligned",
         _SQRT_HALF,
         markovian_limit=True,
@@ -110,7 +109,7 @@ FIGURES: dict[str, FigureSpec] = {
     ),
     "fig4b": FigureSpec(
         "fig4b",
-        "concurrence_sweep",
+        "C",
         "open-2q-aligned",
         _SQRT_HALF,
         markovian_limit=True,
@@ -340,15 +339,9 @@ def run_figure(config: RunConfig) -> TableResult:
             f"valid ids: {', '.join(sorted(FIGURES))}"
         )
     spec = FIGURES[config.figure_id]
+    name = spec.sweep  # every figure is the ``detect`` sweep of its model
     metric = resolve_metric(config.metric)
     lo, hi, default_points = spec.grid
-    if spec.kind == "concurrence_sweep" and metric is not MetricKind.SLD:
-        raise UsageError(
-            f"figure {spec.figure_id} is the closed-form SLD speed; for the {metric.value} "
-            f"metric run detect --model {spec.model} --markovian-limit "
-            f"--sweep C:{lo:g}:{hi:g}:{default_points} --time {spec.fixed_time:g} "
-            f"--metric {metric.value}"
-        )
     points = default_points if config.points is None else config.points
     if points < 2:
         raise UsageError(f"grid needs at least 2 points, got {points}")
@@ -358,7 +351,8 @@ def run_figure(config: RunConfig) -> TableResult:
     header.append(("figure", spec.figure_id))
     header.append(("model", spec.model))
     header.append(("metric", metric.value))
-    header.append(("alpha", _format_value(spec.alpha)))
+    if name != "C":  # a C sweep runs at alpha_from_concurrence(C), as in detect
+        header.append(("alpha", _format_value(spec.alpha)))
     if spec.markovian_limit:
         header.append(("markovian_limit", "true"))
     if spec.gamma_ratio is not None:
@@ -367,15 +361,6 @@ def run_figure(config: RunConfig) -> TableResult:
         header.append(("gamma0_t", _format_value(spec.fixed_time)))
     header.append(("grid", f"min={lo:.12g} max={hi:.12g} points={points}"))
 
-    if spec.kind == "concurrence_sweep":  # in the Markovian limit, a closed form
-        t_fix = spec.fixed_time
-        speeds, slopes, _ = speedup_measures(
-            lambda cs: SpeedBatch(markovian_two_qubit_speed(cs, t_fix)), grid
-        )
-        return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes))
-
-    # time curves and Omega sweeps are the ``detect`` sweeps of their model
-    name = "t" if spec.kind == "time_curve" else "Omega"
     sweep_config = RunConfig(
         command="figure",
         model=spec.model,
@@ -388,6 +373,8 @@ def run_figure(config: RunConfig) -> TableResult:
     evaluate, _ = _sweep_evaluator(sweep_config, name, metric)
     speeds, slopes, failures = speedup_measures(evaluate, grid)
     notes = _skipped(name, grid, failures)
+    if name == "C":
+        return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes), notes)
     if name == "Omega":
         rows = _rows(grid, speeds, slopes, np.where(grid < 0.5, 1.0, 0.0))
         return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows, notes)

@@ -4,9 +4,8 @@ Everything here targets dimensions <= 8 (one to three qubits), so clarity and
 determinism win over asymptotic performance. Matrices are plain complex
 ``numpy`` arrays; an operator tagged Hermitian must satisfy
 ``max_ij |M_ij - conj(M_ji)| <= HERM_TOL``. ``hermitian_stack`` is the
-package's one finite and Hermitian check. ``pair_block`` is the closed-form
-eigensystem of a 2x2 Hermitian stack; ``eigh_stack``, the one LAPACK
-eigensolver, takes larger ones. Both serve the dense adapter
+package's one finite and Hermitian check, and ``eigh_stack`` its one
+eigensolver, for stacks of any size. It serves the dense adapter
 (``speed.kernel_speeds``) only: the built-in models take no eigensystem.
 """
 
@@ -55,42 +54,3 @@ def eigh_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigenSolverError(f"eigendecomposition did not converge: {exc}") from exc
-
-
-def pair_block(a, c, wr, wi, da, dc, dwr, dwi):
-    """Closed-form eigensystem of the Hermitian block [[a, w], [w*, c]],
-    w = wr + i wi, moving at D = [[da, dw], [dw*, dc]], dw = dwr + i dwi.
-
-    Returns the eigenvalues (low, high) and the magnitudes of the elements
-    of D in their eigenbasis: |D_low,low|, |D_high,high| and |D_low,high|.
-    In Bloch form rho = m I + r n.sigma and D = dm I + dv.sigma, the
-    diagonal elements are dm -/+ dv.n, and |D_low,high|^2 is
-    |dv|^2 - (dv.n)^2, computed as |dv x n|^2 without its cancellation.
-    A degenerate block (r = 0) takes n = -e_z, so that low and high are its
-    first and second index. The small eigenvalue is det / high, which stays
-    accurate where m - r cancels.
-
-    The arguments are arrays that broadcast. Only the dense adapter
-    (``speed.kernel_speeds``) takes this eigensystem; the built-in models
-    state their blocks with the roots of their determinants and need none.
-    """
-    coherence = wr * wr + wi * wi
-    h = 0.5 * (a - c)
-    squared = h * h + coherence  # r^2
-    radius = np.sqrt(squared)
-    mean = 0.5 * (a + c)
-    high = mean + radius
-    positive = high > 0.0
-    low = np.where(positive, (a * c - coherence) / np.where(positive, high, 1.0), mean - radius)
-    # r n = (wr, -wi, h) and dv = (dwr, -dwi, dh); -e_z on a degenerate block
-    flat = squared == 0.0
-    h = np.where(flat, -1.0, h)
-    radius = np.where(flat, 1.0, radius)
-    dh = 0.5 * (da - dc)
-    along = (h * dh + wr * dwr + wi * dwi) / radius
-    x = dh * wi - dwi * h
-    y = dh * wr - dwr * h
-    z = dwi * wr - dwr * wi
-    moved = 0.5 * (da + dc)
-    d_low, d_high = moved - along, moved + along
-    return low, high, abs(d_low), abs(d_high), np.sqrt(x * x + y * y + z * z) / radius

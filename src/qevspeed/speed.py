@@ -26,10 +26,9 @@ expression, equal to the batch bit for bit, and hands anything else to
 ``speeds_at``.
 
 Any other trajectory is one dense block (``kernel_speeds``): the kernel
-sum over the closed-form eigensystem ``linalg.pair_block`` for d = 2 and
-one stacked ``linalg.eigh_stack`` for d > 2. That adapter holds the
-package's tolerances, ``PURE_STATE_TOL``, ``RANK_TOL`` and ``ELEM_TOL``, and
-its failures, ``RankIncreaseError``.
+sum over one stacked ``linalg.eigh_stack``, whatever its size. That
+adapter holds the package's tolerances, ``PURE_STATE_TOL``, ``RANK_TOL``
+and ``ELEM_TOL``, and its failures, ``RankIncreaseError``.
 """
 
 from __future__ import annotations
@@ -185,65 +184,29 @@ def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBa
     return SpeedBatch(np.broadcast_to(speeds, batch).copy())
 
 
-def _dense_terms(rho: np.ndarray, drho: np.ndarray):
-    """The eigenvalue columns of a stack of states (N, d, d) and the
-    kernel-sum terms (k, l, |<k| drho |l>|) over their pairs: one index is
-    its own eigensystem, two take ``linalg.pair_block`` and more take
-    ``linalg.eigh_stack``."""
-    dim = rho.shape[-1]
-    if dim == 1:
-        return [rho[:, 0, 0].real], [(0, 0, np.abs(drho[:, 0, 0].real))]
-    if dim == 2:
-        state, move = ([m[:, 0, 0].real, m[:, 1, 1].real, m[:, 0, 1].real, m[:, 0, 1].imag] for m in (rho, drho))
-        low, high, d_low, d_high, d_cross = linalg.pair_block(*state, *move)
-        return [low, high], [(0, 0, d_low), (1, 1, d_high), (0, 1, d_cross), (1, 0, d_cross)]
-    p, vectors = linalg.eigh_stack(rho)
-    magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ drho @ vectors)
-    return list(p.T), [(k, l, magnitude[:, k, l]) for k in range(dim) for l in range(dim)]
-
-
-def _batch_speeds(metric: MetricKind, values, terms, grow: np.ndarray):
-    """Speeds from the eigenvalue columns and terms of ``_dense_terms``, and
-    the terms that escape at each failed point (whose speed is nan).
+def _batch_speeds(metric: MetricKind, p: np.ndarray, magnitude: np.ndarray, grow: np.ndarray):
+    """Speeds from the ascending eigenvalues ``p`` (N, d) of a stack and the
+    magnitudes |<k| drho |l>| (N, d, d) in their eigenbasis, and a mask
+    (N, d, d) of the terms that escape at each failed point (whose speed is
+    nan).
 
     A point whose second-largest eigenvalue is below ``PURE_STATE_TOL`` (or
     that has one eigenvalue, whose speed is then 0) takes the Fubini-Study
     reduction: epsilon times the root of the terms into the top eigenvalue's
-    column. Any other takes the kernel sum, where terms whose eigenvalues
-    sum below ``RANK_TOL`` are dropped when their element is below
-    ``ELEM_TOL`` and escape otherwise.
+    column, the last. Any other takes the kernel sum, where terms whose
+    eigenvalues sum below ``RANK_TOL`` are dropped when their element is
+    below ``ELEM_TOL`` and escape otherwise.
     """
-    p = np.maximum(np.stack(values, axis=-1), 0.0)
-    top = p.argmax(axis=-1)
-    pure = np.sort(p, axis=-1)[:, :-1].max(axis=-1, initial=0.0) < PURE_STATE_TOL
-    total = squared = 0.0
-    escapes = []
-    for k, l, m in terms:
-        x, y = p[:, k], p[:, l]
-        kept = x + y >= RANK_TOL
-        total = total + mc_kernel(metric, x, y, where=kept) * m * m
-        if k != l:
-            squared = squared + np.where(top == l, m * m, 0.0)
-        if not kept.all():
-            escapes.append((k, l, m, ~kept & ~pure & (m * grow >= ELEM_TOL)))
-    speeds = np.where(pure, metric.epsilon * np.sqrt(squared) * grow, 0.5 * np.sqrt(total) * grow)
-    failed = np.logical_or.reduce([flags for *_, flags in escapes], initial=False)
-    speeds[failed] = math.nan
-    escaping = {
-        int(i): [(k, l, float(m[i])) for k, l, m, flags in escapes if flags[i]] for i in np.flatnonzero(failed)
-    }
+    p = np.maximum(p, 0.0)
+    pure = p[:, :-1].max(axis=-1, initial=0.0) < PURE_STATE_TOL
+    into_top = magnitude[:, :-1, -1]
+    pk, pl = p[:, :, None], p[:, None, :]
+    kept = pk + pl >= RANK_TOL
+    total = (mc_kernel(metric, pk, pl, where=kept) * magnitude * magnitude).sum(axis=(1, 2))
+    speeds = np.where(pure, metric.epsilon * np.sqrt((into_top * into_top).sum(axis=1)), 0.5 * np.sqrt(total)) * grow
+    escaping = ~kept & ~pure[:, None, None] & (magnitude * grow[:, None, None] >= ELEM_TOL)
+    speeds[escaping.any(axis=(1, 2))] = math.nan
     return speeds, escaping
-
-
-def _rank_increase(values, escaping, grow: float, time: float) -> RankIncreaseError:
-    """The error of a point whose terms (k, l, |D_kl|) escape, at the first
-    pair in the order of a dense eigensolver: eigenvalues ascending, ties in
-    column order."""
-    rank = [0] * len(values)
-    for position, column in enumerate(sorted(range(len(values)), key=values.__getitem__)):
-        rank[column] = position
-    k, l, m = min(escaping, key=lambda term: (rank[term[0]], rank[term[1]]))
-    return RankIncreaseError(time, (rank[k], rank[l]), m * grow)
 
 
 def kernel_speeds(
@@ -256,29 +219,30 @@ def kernel_speeds(
     ``drho`` is Hermitian, as ``rho_dot`` returns it. This is the dense
     adapter, for trajectories without a block function.
 
-    The matrices are one block (``_dense_terms``). Each point's ``drho`` is
-    scaled by a power of two near its largest entry before it is squared
-    (``_binary_scale``); then each point takes the rules of
-    ``_batch_speeds``, failing with ``RankIncreaseError``. ``times`` only
-    labels the errors. Non-finite or non-Hermitian states raise
-    ``ValueError`` for the whole batch.
+    The matrices are one block, whose eigensystem ``linalg.eigh_stack``
+    takes. Each point's ``drho`` is scaled by a power of two near its
+    largest entry before it is squared (``_binary_scale``); then each point
+    takes the rules of ``_batch_speeds``, failing with
+    ``RankIncreaseError`` at its first escaping pair (k, l) of eigenvalue
+    ranks. ``times`` only labels the errors. Non-finite or non-Hermitian
+    states raise ``ValueError`` for the whole batch.
     """
     rho = np.asarray(rho, dtype=complex)
     batch, dim = rho.shape[:-2], rho.shape[-1]
     rho = rho.reshape(-1, dim, dim)
     drho = np.asarray(drho, dtype=complex).reshape(rho.shape)
-    if dim <= 2:  # eigh_stack checks the larger stacks
-        linalg.hermitian_stack(rho)
+    p, vectors = linalg.eigh_stack(rho)
     shrink, grow = _binary_scale(np.abs(drho).max(axis=(1, 2), initial=0.0))
     with np.errstate(under="ignore"):  # negligible terms flush to zero
-        values, terms = _dense_terms(rho, drho * shrink[:, None, None])
-        speeds, escaping = _batch_speeds(metric, values, terms, grow)
-    if escaping:  # each failure is labelled with its time
+        magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ (drho * shrink[:, None, None]) @ vectors)
+        speeds, escaping = _batch_speeds(metric, p, magnitude, grow)
+    failures = {}
+    failed = np.flatnonzero(escaping.any(axis=(1, 2))).tolist()
+    if failed:  # each failure is labelled with its time
         labels = np.broadcast_to(math.nan if times is None else times, batch).ravel()
-    failures = {
-        i: _rank_increase([float(v[i]) for v in values], out, float(grow[i]), float(labels[i]))
-        for i, out in escaping.items()
-    }
+    for i in failed:
+        k, l = divmod(int(np.argmax(escaping[i])), dim)  # the first pair in row-major order
+        failures[i] = RankIncreaseError(float(labels[i]), (k, l), float(magnitude[i, k, l] * grow[i]))
     return SpeedBatch(speeds.reshape(batch), failures)
 
 

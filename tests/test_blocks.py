@@ -1,5 +1,5 @@
 """The block formulas of the built-in models, their point path on Python
-floats, and the dense adapter's closed-form 2x2 eigensystem.
+floats, and the dense adapter on their conjugated states.
 
 The dense ``np.linalg.eigh`` kernel in util.py is the oracle.
 """
@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from qevspeed import linalg, models, speed
 from qevspeed.analysis import memory_boundaries
 from qevspeed.errors import RankIncreaseError
-from qevspeed.linalg import pair_block
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     MODEL_KEYS,
@@ -23,6 +22,7 @@ from qevspeed.models import (
     amplitude_factor,
     open_qubit_speed_analytic,
     open_two_qubit_speed_analytic,
+    population_factor,
     trajectory_from_key,
 )
 from qevspeed.speed import ELEM_TOL, Trajectory, kernel_speeds, rho_dot, speed_at, speeds_at
@@ -39,50 +39,6 @@ BRANCHES = [
 MODEL_CASES = [
     (key, bath) for key in MODEL_KEYS for bath in ([{}] if key.startswith("closed") else BRANCHES)
 ]
-
-
-def block_eigensystem(rho, drho):
-    """``pair_block`` of one 2x2 block, from its matrices."""
-    return pair_block(
-        rho[0, 0].real, rho[1, 1].real, rho[0, 1].real, rho[0, 1].imag,
-        drho[0, 0].real, drho[1, 1].real, drho[0, 1].real, drho[0, 1].imag,
-    )
-
-
-class TestPairBlock:
-    def test_matches_the_dense_eigensystem(self):
-        rng = np.random.default_rng(41)
-        for _ in range(200):
-            rho, drho = random_hermitian(rng, 2), random_hermitian(rng, 2)
-            low, high, d_low, d_high, d_cross = block_eigensystem(rho, drho)
-            values, vectors = np.linalg.eigh(rho)
-            elements = np.abs(vectors.conj().T @ drho @ vectors)
-            np.testing.assert_allclose([low, high], values, rtol=1e-13, atol=1e-14)
-            np.testing.assert_allclose(
-                [d_low, d_high, d_cross], [elements[0, 0], elements[1, 1], elements[0, 1]], atol=1e-13
-            )
-
-    def test_small_eigenvalue_from_the_determinant(self):
-        # m - r would lose seven digits of the eigenvalue 1e-9
-        low, high, *_ = pair_block(1.0 - 1e-9, 1e-9, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-        assert low == pytest.approx(1e-9, rel=1e-15)
-        assert high == 1.0 - 1e-9
-
-    def test_cross_element_without_cancellation(self):
-        # n = e_x and dv = (1, 0, delta): |dv|^2 - (dv.n)^2 rounds to 0, the
-        # cross product keeps |D_low,high| = delta
-        delta = 1e-9
-        *_, d_cross = pair_block(0.5, 0.5, 0.5, 0.0, delta, -delta, 1.0, 0.0)
-        assert d_cross == pytest.approx(delta, rel=1e-12)
-
-    def test_degenerate_block_takes_the_standard_basis_in_index_order(self):
-        low, high, d_low, d_high, d_cross = pair_block(0.5, 0.5, 0.0, 0.0, 0.3, -0.7, 0.2, -0.1)
-        assert low == high == 0.5
-        assert (d_low, d_high) == (pytest.approx(0.3, rel=1e-15), pytest.approx(0.7, rel=1e-15))
-        assert d_cross == pytest.approx(math.hypot(0.2, 0.1), rel=1e-15)
-
-    def test_zero_block(self):
-        assert pair_block(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0) == (0.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def random_block(rng, kind: str, size: int) -> np.ndarray:
@@ -373,7 +329,6 @@ def test_built_in_models_run_no_eigensolver(monkeypatch):
         return dense_solver(matrices)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
-    pairs = count_calls(monkeypatch, (linalg, "pair_block"))
     times = np.linspace(0.0, 20.0, 50)
     for key, bath in MODEL_CASES:
         traj = trajectory_from_key(key, alpha=0.7, **bath)
@@ -381,16 +336,33 @@ def test_built_in_models_run_no_eigensolver(monkeypatch):
             speeds_at(traj, times, metric)
             speed_at(traj, 2.5, metric)
             speeds_at(trajectory_from_key(key, alpha=np.array([0.3, 0.7]), **bath), 2.5, metric)
-    assert calls == [] and pairs == {}
+    assert calls == []
     # a dense trajectory is one block, which the eigensolver takes
     pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
     turned = conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4))
     speeds_at(turned, times)
     assert calls == [(50, 4, 4)]
-    # and a dense qubit the closed-form pair
+    # and so does a dense qubit
     qubit = trajectory_from_key("open-1q", alpha=0.7, Gamma_over_gamma0=0.5)
     speeds_at(conjugate_trajectory(qubit, random_unitary(np.random.default_rng(53), 2)), times)
-    assert pairs == {"pair_block": 1}
+    assert calls == [(50, 4, 4), (50, 2, 2)]
+
+
+def test_dense_qubit_matches_the_closed_form():
+    """The eigensolver recovers a dense qubit's small eigenvalue less
+    accurately than its block formula; wherever 1e-3 < alpha^2 P_t < 1 - 1e-3,
+    a conjugated open-1q still reads the closed-form SLD speed to 1e-8."""
+    rng = np.random.default_rng(67)
+    times = np.linspace(0.01, 40.0, 400)
+    for alpha in (0.3, 0.6, 1.0):
+        for ratio in (0.1, 0.5, 1.9, 3.0, 10.0):
+            params = OpenSystemParams(alpha=alpha, Gamma=ratio)
+            traj = trajectory_from_key("open-1q", alpha=alpha, Gamma_over_gamma0=ratio)
+            turned = conjugate_trajectory(traj, random_unitary(rng, 2))
+            excited = alpha * alpha * population_factor(params, times)
+            inside = (1e-3 < excited) & (excited < 1.0 - 1e-3)
+            closed = [open_qubit_speed_analytic(params, float(t)) for t in times[inside]]
+            np.testing.assert_allclose(speeds_at(turned, times[inside]).speeds, closed, rtol=1e-8, atol=0.0)
 
 
 def test_built_in_models_skip_the_dense_adapter(monkeypatch):

@@ -178,6 +178,7 @@ class TestFigureCommand:
         assert specs["fig3a"].alpha == pytest.approx(SQRT_HALF)
         assert specs["fig4a"].markovian_limit and specs["fig4a"].fixed_time == 1.0
         assert specs["fig4b"].markovian_limit and specs["fig4b"].fixed_time == 10.0
+        assert [specs[f].sweep for f in sorted(specs)] == ["t"] * 2 + ["Omega"] * 4 + ["t"] * 2 + ["C"] * 2
 
     def test_fig1b_normalized_speed_starts_at_one(self, tmp_path):
         code, text = run_to_file(tmp_path, ["figure", "fig1b", "--points", "40"])
@@ -233,19 +234,23 @@ class TestFigureCommand:
         assert cli.main(["figure", "fig9z"]) == 2
         assert "valid ids" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric", ["sld", "wy"])
     @pytest.mark.parametrize("figure_id", ["fig4a", "fig4b"])
-    def test_concurrence_figures_reject_wy(self, figure_id, capsys):
-        # the figure is the closed-form SLD speed; the error names the WY route
-        assert cli.main(["figure", figure_id, "--metric", "wy"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        route = captured.err.partition(" run ")[2].split()
-        assert route[:4] == ["detect", "--model", "open-2q-aligned", "--markovian-limit"]
-        assert route[-2:] == ["--metric", "wy"]
-        assert cli.main(route) == 0
-        header, columns, _ = parse_csv(capsys.readouterr().out)
-        assert header["metric"] == "wy" and columns[0] == "C"
-        assert float(header["gamma0_t"]) == cli.FIGURES[figure_id].fixed_time
+    def test_concurrence_figure_is_the_detect_sweep(self, figure_id, metric, tmp_path):
+        t = cli.FIGURES[figure_id].fixed_time
+        assert run_to_file(tmp_path, ["figure", figure_id, "--metric", metric])[0] == 0
+        figure = table(["figure", figure_id, "--metric", metric])
+        detect = table(
+            ["detect", "--model", "open-2q-aligned", "--markovian-limit", "--sweep", "C:0.005:0.999:200",
+             "--time", f"{t:g}", "--metric", metric]
+        )
+        assert figure.columns == ["C", "S_over_gamma0", "dS_dC_over_gamma0"]
+        assert np.array_equal(figure.rows, detect.rows[:, :3])
+        # the rows run at alpha_from_concurrence(C), so no alpha is printed
+        assert "alpha" not in dict(figure.header)
+        if metric == "sld":
+            concurrence, speeds = figure.rows[:, 0], figure.rows[:, 1]
+            np.testing.assert_allclose(speeds, markovian_two_qubit_speed(concurrence, t), rtol=1e-13, atol=0.0)
 
     def test_default_grid_sizes(self, tmp_path):
         for figure_id, expected in (("fig1a", 400), ("fig2a", 300), ("fig4a", 200)):

@@ -24,13 +24,7 @@ def assert_renders_as_oracle(result: cli.TableResult) -> None:
     assert cli.render_json(result) == render_json(result)
 
 
-# fig4a and fig4b are closed-form SLD speeds and reject the WY metric
-FIGURE_CASES = [
-    (figure_id, metric)
-    for figure_id, spec in sorted(cli.FIGURES.items())
-    for metric in ("sld", "wy")
-    if spec.kind != "concurrence_sweep" or metric == "sld"
-]
+FIGURE_CASES = [(figure_id, metric) for figure_id in sorted(cli.FIGURES) for metric in ("sld", "wy")]
 
 
 @pytest.mark.parametrize("figure_id, metric", FIGURE_CASES)
