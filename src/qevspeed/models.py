@@ -164,22 +164,20 @@ def _amplitudes(t, Gamma):
 
     ``Gamma = inf`` is the Markovian limit. Each element takes the branch
     that ``OpenSystemParams.branch`` names for its width, and the
-    hyperbolic branch splits at kappa t / 2 = 20. Scalars give floats.
+    hyperbolic branch splits at kappa t / 2 = 20. A ``t`` and ``Gamma``
+    that are each an int, a float or a 0-d array give Python floats, by the
+    same operations and with no numpy call on a number; anything else gives
+    arrays.
     """
-    if np.ndim(t) == 0 and np.ndim(Gamma) == 0:
-        # One point (every speed_at call): the same choice of branch in
-        # Python floats, several times faster than numpy on 0-d arrays.
+    if (isinstance(t, (int, float)) or getattr(t, "ndim", None) == 0) and (
+        isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0
+    ):  # one point: every speed_at call, and a family's batch at one time
         t, g = float(t), float(Gamma)
         if t < 0.0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        if math.isinf(g):
-            return _markovian(t, g, 0.0)
-        k = math.sqrt(g) * math.sqrt(abs(2.0 - g))
-        if g == 2.0:
-            return _critical(t, g, k)
-        if g < 2.0:
-            return _oscillatory(t, g, k)
-        return (_hyperbolic if 0.5 * k * t < 20.0 else _hyperbolic_split)(t, g, k)
+        k = math.sqrt(g) * math.sqrt(abs(2.0 - g))  # inf in the Markovian limit
+        code = 0 if math.isinf(g) else 1 if g == 2.0 else 2 if g < 2.0 else 3 if 0.5 * k * t < 20.0 else 4
+        return _BRANCHES[code](t, g, k)
     _check_time(t)
     t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
     markovian = np.isinf(g)
@@ -209,12 +207,12 @@ def amplitude_factor(p: OpenSystemParams, t):
     the coherences; the population factor is insensitive to the sign. ``t``
     may be an array.
     """
-    return _scalar_or_array(np.asarray(_amplitudes(t, _width(p))[0]))
+    return _amplitudes(t, _width(p))[0]
 
 
 def amplitude_factor_dot(p: OpenSystemParams, t):
     """Closed-form time derivative of the coherence amplitude G_t."""
-    return _scalar_or_array(np.asarray(_amplitudes(t, _width(p))[1]))
+    return _amplitudes(t, _width(p))[1]
 
 
 def population_factor(p: OpenSystemParams, t):
@@ -226,7 +224,7 @@ def population_factor(p: OpenSystemParams, t):
 def population_factor_dot(p: OpenSystemParams, t):
     """Closed-form dP/dt = 2 G_t dG/dt."""
     g, dg = _amplitudes(t, _width(p))
-    return _scalar_or_array(np.asarray(2.0 * g * dg))
+    return 2.0 * g * dg
 
 
 def population_complement(p: OpenSystemParams, t: float) -> float:

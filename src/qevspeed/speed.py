@@ -146,7 +146,8 @@ def _fisher(metric: MetricKind, blocks, shrink, xp):
     d|s| = copysign(1, s) ds takes either one-sided derivative at s = 0,
     which give the same F. A pair of zero trace is divided by 1 in place of
     0: in a built-in model it is the anti pair's at an exact zero of G_t,
-    which rests there too, so it adds 0.
+    whose entries rest there too, so it adds 0, though the speed there is
+    |G'_t| / c_t (a known defect: the block cannot carry that limit).
     """
     total = 0.0
     for indices, state, move in blocks:

@@ -20,8 +20,10 @@ from qevspeed.models import (
     MODEL_KEYS,
     OpenSystemParams,
     amplitude_factor,
+    amplitude_factor_dot,
     open_qubit_speed_analytic,
     open_two_qubit_speed_analytic,
+    population_complement,
     population_factor,
     trajectory_from_key,
 )
@@ -245,6 +247,65 @@ def test_speed_at_calls_the_block_function_once(monkeypatch, alpha, t):
     monkeypatch.setattr(traj.derivative_at, "blocks", traj.state_at.blocks)
     assert speed_at(traj, t).hex() == want.hex()
     assert calls == ({} if t == 0.0 else {"blocks": 1})
+
+
+class NoNumpy:
+    """Stands in for the ``np`` name of a module: any use of it fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the point path called numpy ({name})")
+
+
+def test_point_path_calls_no_numpy(monkeypatch):
+    """With scalar parameters, ``speed_at`` runs from the block function to
+    the speed on Python floats: every branch of G_t (Gamma/gamma0 = 10 at
+    t = 40 is past the hyperbolic split), both metrics and the t = 0 limit
+    give their bits with numpy gone from ``models`` and ``speed``."""
+    wide = [(key, {"Gamma_over_gamma0": 10.0}) for key in MODEL_KEYS if key.startswith("open")]
+    points = []
+    for key, bath in MODEL_CASES + wide:
+        traj = trajectory_from_key(key, alpha=0.7, **bath)
+        for metric in MetricKind:
+            for t in (0.0, 1e-3, 2.5, 40.0):
+                points.append((traj, t, metric, speed_at(traj, t, metric).hex()))
+    for module in (models, speed):
+        monkeypatch.setattr(module, "np", NoNumpy())
+    for traj, t, metric, want in points:
+        assert speed_at(traj, t, metric).hex() == want
+
+
+@pytest.mark.parametrize("Gamma", [0.4, 2.0, 7.0, math.inf])
+def test_zero_d_time_takes_the_float_branch(monkeypatch, Gamma):
+    """A 0-d time (``speeds_at`` makes one of a scalar time) gives Python
+    floats with the bits of a float time, on every branch (t = 40 at
+    Gamma/gamma0 = 7 is past the hyperbolic split); so a family at one time
+    never takes the masked array path."""
+    for t in (0.0, 1e-3, 2.5, 40.0):
+        want = [x.hex() for x in models._amplitudes(t, Gamma)]
+        for args in ((np.asarray(t), Gamma), (np.asarray(t), np.asarray(Gamma))):
+            got = models._amplitudes(*args)
+            assert [type(x) for x in got] == [float, float]
+            assert [x.hex() for x in got] == want
+    bath = {"markovian_limit": True} if Gamma == math.inf else {"Gamma_over_gamma0": Gamma}
+    family = trajectory_from_key("open-2q-aligned", alpha=np.linspace(0.1, 0.9, 5), **bath)
+    calls = count_calls(monkeypatch, (models, "_check_time"))
+    assert speeds_at(family, 4.4).speeds.shape == (5,)
+    assert calls == {}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="at an exact zero of the float G_t the anti pair's rank-one block "
+    "and its derivative are the zero matrix, so it cannot carry the limit "
+    "4 G'_t^2 and speed_at reads 0",
+)
+def test_anti_pair_speed_at_an_exact_zero_of_the_amplitude():
+    params, t = OpenSystemParams(alpha=0.6, Gamma=0.1691959798994975), 6.705124740062843
+    assert amplitude_factor(params, t) == 0.0
+    closed = abs(amplitude_factor_dot(params, t)) / math.sqrt(population_complement(params, t))
+    assert closed == pytest.approx(0.164942, abs=1e-6)
+    traj = trajectory_from_key("open-2q-anti", alpha=0.6, Gamma_over_gamma0=params.Gamma)
+    assert [speed_at(traj, t, metric) for metric in MetricKind] == pytest.approx([closed, closed], rel=1e-6)
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
