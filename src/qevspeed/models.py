@@ -164,20 +164,34 @@ def _amplitudes(t, Gamma):
 
     ``Gamma = inf`` is the Markovian limit. Each element takes the branch
     that ``OpenSystemParams.branch`` names for its width, and the
-    hyperbolic branch splits at kappa t / 2 = 20. A ``t`` and ``Gamma``
-    that are each an int, a float or a 0-d array give Python floats, by the
-    same operations and with no numpy call on a number; anything else gives
-    arrays.
+    hyperbolic branch splits at kappa t / 2 = 20 (NaN times take the split
+    form). Three selections give the same bits. A ``Gamma`` that is an int,
+    a float or a 0-d array is one width, whose branch and kappa are taken
+    once on Python floats: a ``t`` of the same kinds then gives Python
+    floats with no numpy call on a number (every ``speed_at`` call), and
+    any other ``t`` runs the branch on the whole time array (a curve). An
+    array of widths routes each element to its branch by mask.
     """
-    if (isinstance(t, (int, float)) or getattr(t, "ndim", None) == 0) and (
-        isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0
-    ):  # one point: every speed_at call, and a family's batch at one time
-        t, g = float(t), float(Gamma)
-        if t < 0.0:
-            raise ValueError(f"time must be nonnegative, got {t}")
+    if isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0:
+        g = float(Gamma)
         k = math.sqrt(g) * math.sqrt(abs(2.0 - g))  # inf in the Markovian limit
-        code = 0 if math.isinf(g) else 1 if g == 2.0 else 2 if g < 2.0 else 3 if 0.5 * k * t < 20.0 else 4
-        return _BRANCHES[code](t, g, k)
+        code = 0 if math.isinf(g) else 1 if g == 2.0 else 2 if g < 2.0 else 3
+        if isinstance(t, (int, float)) or getattr(t, "ndim", None) == 0:
+            t = float(t)
+            if t < 0.0:
+                raise ValueError(f"time must be nonnegative, got {t}")
+            return _BRANCHES[code if code < 3 or 0.5 * k * t < 20.0 else 4](t, g, k)
+        _check_time(t)
+        t = np.asarray(t, dtype=float)
+        with np.errstate(under="ignore"):  # decaying terms may flush to zero
+            if code == 3 and not (near := 0.5 * k * t < 20.0).all():
+                if not near.any():
+                    return _hyperbolic_split(t, g, k)
+                value, slope = np.empty(t.shape), np.empty(t.shape)
+                value[near], slope[near] = _hyperbolic(t[near], g, k)
+                value[~near], slope[~near] = _hyperbolic_split(t[~near], g, k)
+                return value, slope
+            return _BRANCHES[code](t, g, k)
     _check_time(t)
     t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
     markovian = np.isinf(g)

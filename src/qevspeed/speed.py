@@ -130,7 +130,7 @@ def _binary_scale(peak):
     if isinstance(peak, float):
         e = min(max(math.frexp(peak)[1] - 1, -1021), 1022)
         return math.ldexp(1.0, -e), math.ldexp(1.0, e)
-    e = np.clip(np.frexp(peak)[1] - 1, -1021, 1022)
+    e = np.minimum(np.maximum(np.frexp(peak)[1] - 1, -1021), 1022)
     return np.ldexp(1.0, -e), np.ldexp(1.0, e)
 
 
@@ -182,7 +182,9 @@ def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBa
     parts = [x for *_, move in blocks for x in move]
     shrink, grow = _binary_scale(functools.reduce(np.maximum, map(np.abs, parts)))
     speeds = 0.5 * np.sqrt(_fisher(metric, blocks, shrink, np)) * grow
-    return SpeedBatch(np.broadcast_to(speeds, batch).copy())
+    if not (isinstance(speeds, np.ndarray) and speeds.shape == batch):
+        speeds = np.broadcast_to(speeds, batch).copy()
+    return SpeedBatch(speeds)
 
 
 def _batch_speeds(metric: MetricKind, p: np.ndarray, magnitude: np.ndarray, grow: np.ndarray):
@@ -280,14 +282,14 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
     if limit is not None and last == 0.0:  # every point takes the limit
         return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
     with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
-        return _batch_at(traj, t, metric, _blocks_at(traj, t))
+        return _batch_at(traj, t, metric, _blocks_at(traj, t), first)
 
 
-def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks) -> SpeedBatch:
+def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first) -> SpeedBatch:
     """``speeds_at`` past its checks, from the ``blocks`` of the block function
-    at ``t`` (None for a dense trajectory)."""
+    at ``t`` (None for a dense trajectory), whose earliest time is ``first``."""
     if blocks is not None:
-        shapes = [x.shape for _, state, move in blocks for x in state + move if isinstance(x, np.ndarray)]
+        shapes = {x.shape for _, state, move in blocks for x in state + move if isinstance(x, np.ndarray)}
         result = _block_speeds(blocks, np.broadcast_shapes(t.shape, *shapes), metric)
     else:
         rho = np.asarray(traj.state_at(t), dtype=complex)
@@ -295,7 +297,7 @@ def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks) -> Sp
             raise ValueError(f"trajectory declares dim={traj.dim} but its states have shape {rho.shape[-2:]}")
         result = kernel_speeds(rho, rho_dot(traj, t), metric, t)
     limit = traj.speed_at_zero
-    if limit is None or t.min() > 0.0:
+    if limit is None or first > 0.0:
         return result
     at_zero = np.broadcast_to(t == 0.0, result.speeds.shape)
     speeds = np.where(at_zero, limit, result.speeds)
@@ -325,7 +327,7 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
         result = speeds_at(traj, t, metric)
     else:  # a family: the batch takes the blocks at hand
         with np.errstate(under="ignore"):
-            result = _batch_at(traj, np.asarray(t), metric, blocks)
+            result = _batch_at(traj, np.asarray(t), metric, blocks, t)
     if result.speeds.size != 1:
         raise ValueError("speed_at evaluates one point; use speeds_at for a family")
     if result.failures:

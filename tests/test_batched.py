@@ -19,6 +19,7 @@ from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     MODEL_KEYS,
     OpenSystemParams,
+    _amplitudes,
     amplitude_factor,
     amplitude_factor_dot,
     open_two_qubit_speed_analytic,
@@ -35,6 +36,7 @@ from qevspeed.speed import (
     speed_curve,
     speeds_at,
     speedup_measures,
+    stencil_step,
 )
 from util import (
     conjugate_trajectory,
@@ -100,6 +102,40 @@ def test_amplitudes_match_per_element(bath):
         assert np.array_equal(batched, [func(params, float(t)) for t in TIMES])
 
 
+@pytest.mark.parametrize(
+    "width",
+    [0.1, 2, 10.0, np.float64(10.0), np.asarray(10.0), math.inf],
+    ids=["0.1", "int-2", "10.0", "float64-10.0", "0-d-10.0", "inf"],
+)
+def test_one_width_is_the_per_element_path_to_the_last_bit(width):
+    """One width takes its branch once, on Python floats, over the whole time
+    array; an array of that width routes each element by mask. Both give
+    the same bits, errors and NaNs (a NaN time takes the split form)."""
+    xi = np.linspace(0.5, 30.0, 12)
+    times = [
+        TIMES,
+        np.stack([xi, xi + stencil_step(xi), xi - stencil_step(xi)]),
+        np.linspace(4.4, 4.55, 16),  # kappa t / 2 = 20 at t = 4.47 for Gamma/gamma0 = 10
+        [0.0, 0.5, 4.46, 4.48, 20.0],
+        np.array([]),
+    ]
+    for t in times:
+        one, each = _amplitudes(t, width), _amplitudes(t, np.full(np.shape(t), width))
+        for x, y in zip(one, each):
+            assert x.shape == y.shape == np.shape(t) and x.tobytes() == y.tobytes()
+    messages = []
+    for w in (width, np.full(3, width)):
+        with pytest.raises(ValueError, match="nonnegative") as error:
+            _amplitudes(np.array([1.0, -0.5, 2.0]), w)
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+    t = np.array([1.0, math.nan, 5.0, math.nan])
+    one, each = _amplitudes(t, width), _amplitudes(t, np.full(4, width))
+    for x, y in zip(one, each):
+        assert np.isnan(x).tolist() == np.isnan(y).tolist() == [False, True, False, True]
+        assert x[::2].tobytes() == y[::2].tobytes()
+
+
 @pytest.mark.parametrize("kind", ["aligned", "anti"])
 def test_pair_states_are_the_local_channel_to_the_last_bit(kind):
     params = OpenSystemParams(alpha=0.6, Gamma=0.3)
@@ -149,13 +185,21 @@ def test_parameter_arrays_broadcast_like_separate_trajectories(key):
     alphas = np.array([0.2, 0.55, 0.9])
     ratios = np.array([0.1, 2.0, 10.0, 0.7])
     family = trajectory_from_key(key, alpha=alphas[:, None], Gamma_over_gamma0=ratios)
-    for t in (0.0, 0.8, 6.0):
-        batched = speeds_at(family, t, SLD).speeds
-        assert batched.shape == (3, 4)
-        for i, alpha in enumerate(alphas):
-            for j, ratio in enumerate(ratios):
-                single = trajectory_from_key(key, alpha=alpha, Gamma_over_gamma0=ratio)
-                assert batched[i, j] == pytest.approx(speed_at(single, t), rel=1e-12)
+    # 4.4 and 4.6 straddle the hyperbolic split at Gamma/gamma0 = 10 (t = 4.47)
+    for metric in MetricKind:
+        for t in (0.0, 0.8, 4.4, 4.6, 6.0, 31.0):
+            batched = speeds_at(family, t, metric).speeds
+            assert batched.shape == (3, 4)
+            for i, alpha in enumerate(alphas):
+                for j, ratio in enumerate(ratios):
+                    single = trajectory_from_key(key, alpha=alpha, Gamma_over_gamma0=ratio)
+                    assert batched[i, j].hex() == speed_at(single, t, metric).hex()
+        # a time-by-width grid: each width's column is its own curve
+        grid = np.array([0.3, 4.4, 4.6, 31.0])[:, None]
+        columns = speeds_at(trajectory_from_key(key, alpha=0.55, Gamma_over_gamma0=ratios), grid, metric).speeds
+        for j, ratio in enumerate(ratios):
+            single = trajectory_from_key(key, alpha=0.55, Gamma_over_gamma0=ratio)
+            assert columns[:, j].tobytes() == speeds_at(single, grid[:, 0], metric).speeds.tobytes()
 
 
 def test_closed_alpha_family():
