@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import OpenSystemParams, _libm, population_factor
+from .models import OpenSystemParams, population_factor
 
 
 class Regime(enum.Enum):
@@ -122,21 +122,21 @@ def memory_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, floa
     return list(zip(tau.tolist(), tau_prime.tolist()))
 
 
-_tan, _tanh = _libm(math.tan), _libm(math.tanh)
-
-
 def speedup_equation(p: OpenSystemParams, t):
     """Residual Gamma tan(kappa t / 2) - kappa tanh(Gamma t / 2) at gamma0*t = t.
 
-    ``t`` may be an array; through libm's tan and tanh each element equals
-    the call at that float."""
+    ``t`` may be an array, which takes numpy's tan and tanh; a number takes
+    libm's."""
     gamma, kappa = _oscillation_rates(p)
-    return gamma * _tan(0.5 * kappa * t) - kappa * _tanh(0.5 * gamma * t)
+    xp = math if isinstance(t, (int, float)) else np
+    return gamma * xp.tan(0.5 * kappa * t) - kappa * xp.tanh(0.5 * gamma * t)
 
 
 def speedup_boundaries(p: OpenSystemParams, n_max: int) -> list[tuple[float, float]]:
     """First ``n_max`` speedup intervals (tau_n', tau_n'') in gamma0*t units;
-    each right end is a branch-angle fixed point (``_boundaries``)."""
+    each right end is a branch-angle fixed point (``_boundaries``), where the
+    speed of ``open-1q`` at alpha = 1 and of ``open-2q-anti`` stops rising
+    (at other amplitudes, and for ``open-2q-aligned``, speedups end later)."""
     _, tau_prime, tau_dprime = _boundaries(p, n_max)
     return list(zip(tau_prime.tolist(), tau_dprime.tolist()))
 

@@ -198,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
     sp.add_argument("--out", help="output path (default: stdout)")
 
-    sp = sub.add_parser("regions", help="memory and speedup interval report")
+    ends = "the speedup ends are those of open-1q at alpha = 1 and of open-2q-anti"
+    sp = sub.add_parser("regions", help=f"memory and speedup interval report; {ends}")
     add_common(sp, with_model=False)
     sp.add_argument("--n-max", type=int, dest="n_max", help="intervals to list")
 

@@ -100,56 +100,36 @@ def _scalar_or_array(value: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
 
-def _libm(func):
-    """Apply a ``math`` function elementwise to a float array.
-
-    numpy's SIMD exp, cosh and sinh differ from libm in the last bit for a
-    few percent of arguments. Near t = 0 one bit of G_t is a relative error
-    of 1e-7 in 1 - P_t, so the amplitudes keep libm's values: the batched
-    blocks then agree with the scalar closed forms bit for bit.
-    """
-
-    def apply(x):
-        if isinstance(x, float):
-            return func(x)
-        return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-    return apply
-
-
-_exp, _cos, _sin, _cosh, _sinh = map(_libm, (math.exp, math.cos, math.sin, math.cosh, math.sinh))
-
-
-def _markovian(t, g, k):
-    decay = _exp(-0.5 * t)
+def _markovian(xp, t, g, k):
+    decay = xp.exp(-0.5 * t)
     return decay, -0.5 * decay
 
 
-def _critical(t, g, k):
-    decay = _exp(-0.5 * g * t)
+def _critical(xp, t, g, k):
+    decay = xp.exp(-0.5 * g * t)
     return decay * (1.0 + 0.5 * g * t), -0.25 * g * g * t * decay
 
 
-def _oscillatory(t, g, k):
+def _oscillatory(xp, t, g, k):
     half = 0.5 * k * t
-    decay, sine = _exp(-0.5 * g * t), _sin(half)
-    return decay * (_cos(half) + (g / k) * sine), -(g / k) * decay * sine
+    decay, sine = xp.exp(-0.5 * g * t), xp.sin(half)
+    return decay * (xp.cos(half) + (g / k) * sine), -(g / k) * decay * sine
 
 
-def _hyperbolic(t, g, k):
+def _hyperbolic(xp, t, g, k):
     # For small arguments keep cosh/sinh (the split form below cancels badly
     # when Gamma/kappa is huge near the critical point).
     half = 0.5 * k * t
-    decay, sinh = _exp(-0.5 * g * t), _sinh(half)
-    return decay * (_cosh(half) + (g / k) * sinh), -(g / k) * decay * sinh
+    decay, sinh = xp.exp(-0.5 * g * t), xp.sinh(half)
+    return decay * (xp.cosh(half) + (g / k) * sinh), -(g / k) * decay * sinh
 
 
-def _hyperbolic_split(t, g, k):
+def _hyperbolic_split(xp, t, g, k):
     # For large arguments expand into decaying exponentials (kappa < Gamma)
     # to avoid cosh overflow. kappa - Gamma = -2 Gamma / (kappa + Gamma)
     # without the cancellation of the difference at large widths.
-    up = _exp(-g / (k + g) * t)
-    down = _exp(-0.5 * (k + g) * t)
+    up = xp.exp(-g / (k + g) * t)
+    down = xp.exp(-0.5 * (k + g) * t)
     return (
         0.5 * ((1.0 + g / k) * up + (1.0 - g / k) * down),
         -(g / (2.0 * k)) * (up - down),
@@ -165,12 +145,13 @@ def _amplitudes(t, Gamma):
     ``Gamma = inf`` is the Markovian limit. Each element takes the branch
     that ``OpenSystemParams.branch`` names for its width, and the
     hyperbolic branch splits at kappa t / 2 = 20 (NaN times take the split
-    form). Three selections give the same bits. A ``Gamma`` that is an int,
-    a float or a 0-d array is one width, whose branch and kappa are taken
-    once on Python floats: a ``t`` of the same kinds then gives Python
-    floats with no numpy call on a number (every ``speed_at`` call), and
-    any other ``t`` runs the branch on the whole time array (a curve). An
-    array of widths routes each element to its branch by mask.
+    form). A ``Gamma`` that is an int, a float or a 0-d array is one width,
+    whose branch and kappa are taken once on Python floats: a ``t`` of the
+    same kinds then gives Python floats on libm (``xp = math``) with no
+    numpy call (every ``speed_at`` call), and any other ``t`` runs the
+    branch on the whole time array. An array of widths routes each element
+    by mask. Arrays take numpy's ufuncs (``xp = np``): the two array
+    selections give the same bits, within a few ulp of the point path's.
     """
     if isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0:
         g = float(Gamma)
@@ -180,18 +161,18 @@ def _amplitudes(t, Gamma):
             t = float(t)
             if t < 0.0:
                 raise ValueError(f"time must be nonnegative, got {t}")
-            return _BRANCHES[code if code < 3 or 0.5 * k * t < 20.0 else 4](t, g, k)
+            return _BRANCHES[code if code < 3 or 0.5 * k * t < 20.0 else 4](math, t, g, k)
         _check_time(t)
         t = np.asarray(t, dtype=float)
         with np.errstate(under="ignore"):  # decaying terms may flush to zero
             if code == 3 and not (near := 0.5 * k * t < 20.0).all():
                 if not near.any():
-                    return _hyperbolic_split(t, g, k)
+                    return _hyperbolic_split(np, t, g, k)
                 value, slope = np.empty(t.shape), np.empty(t.shape)
-                value[near], slope[near] = _hyperbolic(t[near], g, k)
-                value[~near], slope[~near] = _hyperbolic_split(t[~near], g, k)
+                value[near], slope[near] = _hyperbolic(np, t[near], g, k)
+                value[~near], slope[~near] = _hyperbolic_split(np, t[~near], g, k)
                 return value, slope
-            return _BRANCHES[code](t, g, k)
+            return _BRANCHES[code](np, t, g, k)
     _check_time(t)
     t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
     markovian = np.isinf(g)
@@ -206,7 +187,7 @@ def _amplitudes(t, Gamma):
         for branch, formula in enumerate(_BRANCHES):
             mask = code == branch
             if mask.any():
-                value[mask], slope[mask] = formula(t[mask], g[mask], k[mask])
+                value[mask], slope[mask] = formula(np, t[mask], g[mask], k[mask])
     return value, slope
 
 
@@ -245,7 +226,8 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
     """1 - P_t without cancellation near P_t = 1.
 
     Computed from expm1/log1p of the amplitude factor when P_t >= 1/2; the
-    direct subtraction is already accurate below that.
+    direct subtraction is already accurate below that, and where G_t < 0
+    (P_t stays below about 0.64 there for widths of at least 0.01).
     """
     _check_time(t)
     branch = p.branch()
@@ -264,7 +246,14 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
         um1 = -2.0 * math.sin(quarter) ** 2 + (g / k) * math.sin(0.5 * k * t)
     else:
         quarter = 0.25 * k * t
-        um1 = 2.0 * math.sinh(quarter) ** 2 + (g / k) * math.sinh(0.5 * k * t)
+        try:
+            um1 = 2.0 * math.sinh(quarter) ** 2 + (g / k) * math.sinh(0.5 * k * t)
+        except OverflowError:
+            um1 = math.inf
+        if um1 == math.inf:  # no sinh: u = exp(kappa t / 2) (1 - Gamma expm1(-kappa t) / (kappa (kappa + Gamma)))
+            return -math.expm1(2.0 * math.log1p(-g / (k * (k + g)) * math.expm1(-k * t)) - 2.0 * g * t / (g + k))
+    if um1 <= -1.0:  # u <= 0: G_t < 0 has no logarithm
+        return 1.0 - value
     log_p = -g * t + 2.0 * math.log1p(um1)
     return -math.expm1(log_p)
 
@@ -328,8 +317,8 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
     alpha^2 P_t (1 - P_t) and alpha G_t c_t for the aligned pair's corner
     block and middle indices, c_t for the anti pair's |00> population and
     0 for its rank-one pair; every closed-model root is 0 (c_t = 0).
-    The phase is real arithmetic on libm's cos and sin: the entries are
-    Python floats at one point of scalar parameters, with a batch's bits.
+    The phase is real arithmetic on libm's cos and sin at one point of
+    scalar parameters (Python floats), on numpy's over a batch.
     """
     b = math.sqrt(1.0 - a * a) if isinstance(a, float) else np.sqrt(1.0 - a * a)
     ab = a * b
@@ -339,7 +328,10 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
 
     def blocks(t):
         g, dg = (1.0, 0.0) if Gamma is None else _amplitudes(t, Gamma)
-        cos, sin = (_cos(rate * t), _sin(rate * t)) if rate else (1.0, 0.0)
+        cos, sin = 1.0, 0.0
+        if rate:  # numpy's float64 (a 0-d time's phase) is a float
+            xp = math if isinstance(phase := rate * t, float) else np
+            cos, sin = xp.cos(phase), xp.sin(phase)
         dpop = 2.0 * g * dg
         sqrt, lower, upper = (math.sqrt, min, max) if isinstance(g, float) else (np.sqrt, np.minimum, np.maximum)
         pop = lower(g * g, 1.0)

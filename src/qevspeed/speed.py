@@ -22,8 +22,8 @@ where an eigenvalue touches zero, the rank discontinuity analysed by
 Safranek (PRA 95, 052320 (2017)). ``speeds_at`` evaluates them over a batch
 of times (and a model family built on arrays of parameters); ``speed_at``
 runs a model with scalar parameters on Python floats by the same
-expression, equal to the batch bit for bit, and hands anything else to
-``speeds_at``.
+expression (on libm where the batch takes numpy's ufuncs), and hands
+anything else to ``speeds_at``.
 
 Any other trajectory is one dense block (``kernel_speeds``): the kernel
 sum over one stacked ``linalg.eigh_stack``, whatever its size. That
@@ -308,7 +308,7 @@ def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first
 def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) -> float:
     """Instantaneous speed at one time: the point path. It runs on Python
     floats where the block function gives them (a built-in model with
-    scalar parameters), by the batch's operations and with its bits, and is
+    scalar parameters), by the batch's operations, and is
     one point of ``speeds_at`` otherwise; a block function is called once
     either way. A failure raises its error."""
     blocks = None

@@ -22,7 +22,7 @@ from qevspeed.models import (
     population_factor_dot,
 )
 from qevspeed.speed import speed_at
-from util import bisect_speedup_end, open_model, speedup_measure
+from util import bisect_speedup_end, on_libm, open_model, speedup_measure
 
 MEMORY_PARAMS = OpenSystemParams(alpha=1.0, Gamma=0.1)
 KAPPA = math.sqrt(0.19)
@@ -239,7 +239,10 @@ class TestBatchedBoundaries:
         assert memory_boundaries(p, 300) == expected
 
     @pytest.mark.parametrize("ratio", ORACLE_RATIOS[:10])
-    def test_array_residual_equals_scalar_calls(self, ratio):
+    def test_array_residual_equals_scalar_calls(self, monkeypatch, ratio):
+        # an array takes numpy's tan and tanh: on libm's, the scalar
+        # calls', each element is the call at that float
+        on_libm(monkeypatch, analysis)
         p = OpenSystemParams(alpha=1.0, Gamma=ratio)
         roots = np.array(speedup_boundaries(p, 300))[:, 1]
         t = np.concatenate([[0.0, 1e-300], np.linspace(1e-3, 2e3, 2001), roots])

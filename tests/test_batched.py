@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import qevspeed.cli as cli
+import qevspeed.models as models
 from qevspeed.errors import RankIncreaseError
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
@@ -42,6 +43,7 @@ from util import (
     conjugate_trajectory,
     leaking_trajectory,
     local_damping_evolve,
+    on_libm,
     open_model,
     random_unitary,
     rank_leaking_trajectory,
@@ -91,12 +93,19 @@ def test_batch_matches_scalar_fallback(key, bath, metric):
 
 
 @pytest.mark.parametrize("bath", BATHS)
-def test_amplitudes_match_per_element(bath):
+def test_amplitudes_match_per_element(monkeypatch, bath):
+    """Each element of the batch is the batch of its one time; with the
+    batch on libm's functions, the point path's, it is the call at that
+    float."""
     params = OpenSystemParams(
         alpha=0.5,
         Gamma=bath.get("Gamma_over_gamma0"),
         markovian_limit=bath.get("markovian_limit", False),
     )
+    for func in (amplitude_factor, amplitude_factor_dot):
+        each = [func(params, TIMES[i : i + 1]) for i in range(TIMES.size)]
+        assert func(params, TIMES).tobytes() == np.concatenate(each).tobytes()
+    on_libm(monkeypatch, models)
     for func in (amplitude_factor, amplitude_factor_dot):
         batched = func(params, TIMES)
         assert np.array_equal(batched, [func(params, float(t)) for t in TIMES])
@@ -141,8 +150,8 @@ def test_pair_states_are_the_local_channel_to_the_last_bit(kind):
     params = OpenSystemParams(alpha=0.6, Gamma=0.3)
     vec = np.array([0.6, 0, 0, 0.8] if kind == "aligned" else [0, 0.6, 0.8, 0], dtype=complex)
     states = open_model(f"open-2q-{kind}", params).state_at(TIMES)
-    for t, rho in zip(TIMES, states):
-        channel = local_damping_evolve(np.outer(vec, vec.conj()), population_factor(params, t), 2)
+    for pop, rho in zip(population_factor(params, TIMES).tolist(), states):
+        channel = local_damping_evolve(np.outer(vec, vec.conj()), pop, 2)
         np.testing.assert_array_max_ulp(rho.view(float), channel.view(float), maxulp=1)
 
 
@@ -193,7 +202,7 @@ def test_parameter_arrays_broadcast_like_separate_trajectories(key):
             for i, alpha in enumerate(alphas):
                 for j, ratio in enumerate(ratios):
                     single = trajectory_from_key(key, alpha=alpha, Gamma_over_gamma0=ratio)
-                    assert batched[i, j].hex() == speed_at(single, t, metric).hex()
+                    assert batched[i, j].hex() == speeds_at(single, np.array([t]), metric).speeds[0].hex()
         # a time-by-width grid: each width's column is its own curve
         grid = np.array([0.3, 4.4, 4.6, 31.0])[:, None]
         columns = speeds_at(trajectory_from_key(key, alpha=0.55, Gamma_over_gamma0=ratios), grid, metric).speeds

@@ -4,7 +4,9 @@ floats, and the dense adapter on their conjugated states.
 The dense ``np.linalg.eigh`` kernel in util.py is the oracle.
 """
 
+import importlib
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -28,7 +30,7 @@ from qevspeed.models import (
     trajectory_from_key,
 )
 from qevspeed.speed import ELEM_TOL, Trajectory, kernel_speeds, rho_dot, speed_at, speeds_at
-from util import conjugate_trajectory, dense_kernel_speeds, random_hermitian, random_unitary
+from util import conjugate_trajectory, dense_kernel_speeds, on_libm, random_hermitian, random_unitary
 
 # every branch of the amplitude factor: oscillatory, critical, hyperbolic
 # (split at kappa t / 2 = 20, near t = 6.8 for Gamma = 7) and Markovian
@@ -111,7 +113,10 @@ def test_block_kernel_matches_the_dense_kernel(stack, metric):
 
 @pytest.mark.parametrize("metric", list(MetricKind))
 @pytest.mark.parametrize("key,bath", MODEL_CASES)
-def test_speed_at_is_the_batch_to_the_last_bit(key, bath, metric):
+def test_speed_at_is_the_batch_to_the_last_bit(monkeypatch, key, bath, metric):
+    """One expression on floats and arrays: with the batch on libm's
+    functions, as the point path is, the two agree to the last bit."""
+    on_libm(monkeypatch, models)
     rng = np.random.default_rng(47)
     times = np.concatenate([[0.0, 1e-6, 1e-3], rng.uniform(0.0, 45.0, 40)])
     for alpha in (0.0, *rng.uniform(0.05, 0.99, 2), 1.0):
@@ -122,7 +127,8 @@ def test_speed_at_is_the_batch_to_the_last_bit(key, bath, metric):
 
 
 @pytest.mark.parametrize("key", [key for key in MODEL_KEYS if key.startswith("closed")])
-def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(key):
+def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(monkeypatch, key):
+    on_libm(monkeypatch, models)
     times = np.concatenate([[0.0, 1e-6], np.random.default_rng(61).uniform(0.0, 50.0, 30)])
     for alpha in (0.0, 0.3, 1.0):
         for omega in (0.7, 1e300):
@@ -322,18 +328,86 @@ def test_results_take_the_shape_of_the_times(key, bath, shape):
 
 @pytest.mark.parametrize("key,bath", MODEL_CASES)
 def test_only_a_turning_coherence_calls_the_phase(monkeypatch, key, bath):
-    """libm's cos and sin are called once each per evaluation for the phase
-    of the closed one-spin and aligned models, and for an oscillatory G_t;
-    never for the anti pair or the other widths of the open models."""
+    """cos and sin (numpy's over a batch, libm's at a point) are called once
+    each per evaluation for the phase of the closed one-spin and aligned
+    models, and for an oscillatory G_t; never for the anti pair or the
+    other widths of the open models."""
     traj = trajectory_from_key(key, alpha=0.7, omega=1.3, **bath)
-    calls = count_calls(monkeypatch, (models, "_cos"), (models, "_sin"))
+    calls = count_calls(monkeypatch, *((module, name) for module in (math, np) for name in ("cos", "sin")))
     for metric in MetricKind:
         speeds_at(traj, np.linspace(0.1, 20.0, 50), metric)
         speed_at(traj, 2.5, metric)
     turning = key in ("closed-1q", "closed-2q-aligned")
     oscillatory = bath.get("Gamma_over_gamma0", 2.0) < 2.0
     evaluations = 2 * len(MetricKind) * (turning + oscillatory)
-    assert calls == ({"_cos": evaluations, "_sin": evaluations} if evaluations else {})
+    assert calls == ({"cos": evaluations, "sin": evaluations} if evaluations else {})
+
+
+def test_the_batch_calls_libm_a_fixed_number_of_times(monkeypatch):
+    """``speeds_at`` over 1,000 times calls the ``math`` functions behind
+    G_t and the phase as often as over 10 times: on every model and branch
+    under both metrics, and on a family of widths across the branches. So
+    does ``speedup_equation``. The package is imported afresh with the
+    counters in place, so they count its calls however it holds these
+    functions; they see the point path's."""
+    names = ("exp", "cos", "sin", "cosh", "sinh", "tan", "tanh")
+    calls = count_calls(monkeypatch, *((math, name) for name in names))
+    for name in [name for name in sys.modules if name.partition(".")[0] == "qevspeed"]:
+        monkeypatch.delitem(sys.modules, name)
+    fresh = importlib.import_module("qevspeed")
+
+    def count(run, *args) -> dict:
+        calls.clear()
+        run(*args)
+        return dict(calls)
+
+    def grid(n):  # a column, to broadcast against a family's widths
+        return np.linspace(0.0, 45.0, n)[:, None]
+
+    family = ("open-2q-aligned", {"Gamma_over_gamma0": np.array([0.4, 2.0, 7.0, 20.0])})
+    for key, bath in MODEL_CASES + [family]:
+        traj = fresh.trajectory_from_key(key, alpha=0.7, omega=1.3, **bath)
+        for metric in fresh.MetricKind:
+            few, many = (count(fresh.speeds_at, traj, grid(n), metric) for n in (10, 1000))
+            assert few == many
+    params = fresh.OpenSystemParams(Gamma=0.4)
+    few, many = (count(fresh.speedup_equation, params, np.linspace(0.1, 50.0, n)) for n in (10, 1000))
+    assert few == many
+    traj = fresh.trajectory_from_key("open-1q", alpha=0.7, Gamma_over_gamma0=0.4)
+    assert count(fresh.speed_at, traj, 2.5) == {"exp": 1, "sin": 1, "cos": 1}
+    assert count(fresh.speedup_equation, params, 2.5) == {"tan": 1, "tanh": 1}
+
+
+# ROADMAP item 2's widths and times, and a dense time grid
+ULP_WIDTHS = [1e-12, 1e-6, 0.01, 0.1, 0.5, 1.9, 2.0 - 1e-12, 2.0, 2.0 + 1e-12, 2.1, 10.0, 20.0, 1e6, 1e17, math.inf]
+ULP_TIMES = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.3, 1.0, 3.0, 8.0, 20.0, 49.0], np.linspace(1e-12, 50.0, 8001)])
+# numpy's SIMD exp, sin, cos, sinh and cosh differ from libm in the last
+# bits for some arguments; the largest difference measured on this grid
+# was 4 ulp for G_t and G'_t (AVX-512, numpy 2.4) and 0 for the phase
+ULP_BOUND = 8
+
+
+def test_numpy_amplitudes_are_within_ulps_of_libm(monkeypatch):
+    """The batch's G_t and G'_t, on numpy's ufuncs, and the closed models'
+    phase entries stay within ``ULP_BOUND`` ulp of the same expressions on
+    libm's functions (the point path's), at every width and time."""
+
+    def numpy_and_libm(run):
+        with monkeypatch.context() as patch:
+            on_libm(patch, models)
+            oracle = run()
+        return zip(run(), oracle)
+
+    for width in ULP_WIDTHS:
+        for x, y in numpy_and_libm(lambda: models._amplitudes(ULP_TIMES, width)):
+            np.testing.assert_array_max_ulp(x, y, maxulp=ULP_BOUND)
+    for key in ("closed-1q", "closed-2q-aligned"):
+        blocks = trajectory_from_key(key, alpha=0.3, omega=1.3).state_at.blocks
+        for (_, state, move), (_, states, moves) in numpy_and_libm(lambda: blocks(ULP_TIMES)):
+            for x, y in zip(state + move, states + moves):
+                np.testing.assert_array_max_ulp(
+                    np.broadcast_to(x, ULP_TIMES.shape), np.broadcast_to(y, ULP_TIMES.shape), maxulp=ULP_BOUND
+                )
 
 
 def leaking_pair_trajectory() -> Trajectory:

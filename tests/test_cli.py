@@ -316,7 +316,7 @@ class TestRegionsCommand:
         report = region_report(params, n_max)
         memory, speedup = np.array(report.memory_intervals), np.array(report.speedup_intervals)
         assert speedup[:, 0].tobytes() == memory[:, 1].tobytes()
-        residuals = [speedup_equation(params, end) for end in speedup[:, 1].tolist()]
+        residuals = speedup_equation(params, speedup[:, 1].copy())
         want = np.column_stack([np.arange(1.0, n_max + 1.0), memory, speedup[:, 1], residuals])
         result = table(["regions", "--gamma-ratio", repr(ratio), "--n-max", str(n_max)])
         assert result.rows.shape == (n_max, 5)

@@ -257,6 +257,30 @@ class TestPopulationComplement:
         leading = 0.5 * gamma_ratio * t * t
         assert population_complement(p, t) == pytest.approx(leading, rel=1e-5)
 
+    @pytest.mark.parametrize(
+        "width", [1e-12, 1e-6, 0.01, 0.1, 0.5, 1.9, 2.0 - 1e-12, 2.0, 2.0 + 1e-12, 2.1, 10.0, 20.0, 1e6, 1e17, None]
+    )
+    def test_in_the_unit_interval_on_the_whole_grid(self, width):
+        """ROADMAP item 2's widths and times (None is Markovian). A negative
+        bracket (G_t < 0 at P_t >= 1/2: Gamma/gamma0 = 0.01, t = 49) takes
+        1 - P_t directly, and an argument past sinh's overflow (1e6 and
+        1e17) the split form of the bracket; nothing raises, and the direct
+        subtraction agrees wherever it is at least 0.01."""
+        p = OpenSystemParams(Gamma=width, markovian_limit=width is None)
+        for t in (1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.3, 1.0, 3.0, 8.0, 20.0, 49.0):
+            value = population_complement(p, t)
+            assert 0.0 < value <= 1.0
+            direct = 1.0 - population_factor(p, t)
+            if direct >= 0.01:
+                assert value == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+    def test_closed_forms_at_a_negative_bracket(self):
+        p = OpenSystemParams(alpha=0.6, Gamma=0.01)
+        assert amplitude_factor(p, 49.0) < 0.0 and population_factor(p, 49.0) > 0.5
+        assert population_complement(p, 49.0) == 1.0 - population_factor(p, 49.0)
+        for closed_form in (open_qubit_speed_analytic, open_two_qubit_speed_analytic):
+            assert 0.0 < closed_form(p, 49.0) < math.inf
+
 
 class TestChannels:
     def test_identity_at_unit_population(self):

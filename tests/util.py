@@ -28,6 +28,39 @@ from qevspeed.speed import (
 EIG_DEGENERACY_TOL = 1e-9
 
 
+def libm(func):
+    """Oracle for numpy's transcendental ufuncs: the ``math`` function
+    ``func`` on a float, or elementwise on an array, one libm call at a
+    time."""
+
+    def apply(x):
+        if isinstance(x, float):
+            return func(x)
+        x = np.asarray(x, dtype=float)
+        return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+    return apply
+
+
+class LibmNumpy:
+    """Stands in for the ``np`` name of a module: numpy, with exp, cos, sin,
+    cosh, sinh, tan and tanh taken from libm (``libm``)."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+for _name in ("exp", "cos", "sin", "cosh", "sinh", "tan", "tanh"):
+    setattr(LibmNumpy, _name, staticmethod(libm(getattr(math, _name))))
+
+
+def on_libm(monkeypatch, *modules) -> None:
+    """Run the batch of each of ``modules`` on libm's transcendental
+    functions, the point path's: both then give the same bits."""
+    for module in modules:
+        monkeypatch.setattr(module, "np", LibmNumpy())
+
+
 def random_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return 0.5 * (m + m.conj().T)
