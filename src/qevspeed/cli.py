@@ -153,9 +153,16 @@ class TableResult:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: building it costs more
-    than parsing. ``parse_args`` fills a fresh namespace on every call, so
-    nothing carries over from one ``main`` call to the next."""
+    """The top-level argument parser, built once per process: building it
+    costs more than parsing. Its ``commands`` maps each command name to that
+    command's own parser, which sets ``command`` by default.
+
+    ``main`` parses a command line once. One that starts with a command name
+    goes to that command's parser, and what it leaves over is this parser's
+    "unrecognized arguments" error, as this parser's ``parse_args`` reports
+    it. This parser takes any other (``--version``, ``-h``, none, an unknown
+    command, a leading ``--``). Each parse fills a fresh namespace, so nothing
+    carries over from one ``main`` call to the next."""
     parser = argparse.ArgumentParser(
         prog="qevspeed",
         description="Quantum evolution speed, speedup detection and "
@@ -163,6 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def add_common(sp: argparse.ArgumentParser, with_model: bool = True) -> None:
         if with_model:
@@ -215,6 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--time", type=float, help="evaluation time for transverse sweeps"
     )
 
+    for name, command in parser.commands.items():
+        command.set_defaults(command=name)
     return parser
 
 
@@ -254,7 +264,14 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
             setattr(config, attr, file_values[key])
     for key, kind in _CONFIG_TYPES.items():
         value = getattr(config, _CONFIG_ATTRS[key])
-        if kind == "a number" and value is not None and not math.isfinite(value):
+        if kind not in ("a number", "an integer") or value is None:
+            continue
+        try:
+            finite = math.isfinite(value)
+        except OverflowError:  # an int, from a flag of type int or from JSON
+            digits = len(str(abs(value)))
+            raise UsageError(f"{key} must fit in a float, got an integer of {digits} digits") from None
+        if not finite:
             hint = "; for an infinite width use --markovian-limit" if key == "gamma_ratio" else ""
             raise UsageError(f"{key} must be a finite number, got {value}{hint}")
     if args.command == "figure":
@@ -599,8 +616,16 @@ _RUNNERS = {
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    command = parser.commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -17,6 +17,7 @@ from util import leaking_trajectory
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 OPEN_AT_ONE = ("--model", "open-1q", "--gamma-ratio", "0.5", "--time", "1")
+HUGE = 10**400  # an integer that no float holds
 
 
 def run_to_file(tmp_path, args, name="out.csv"):
@@ -589,6 +590,24 @@ class TestConfigAndOutput:
         assert err.startswith(f"error: {key} must be a finite number, got {value!r}")
         assert ("--markovian-limit" in err) == (key == "gamma_ratio")
 
+    @pytest.mark.parametrize(
+        "key, argv, config",
+        [
+            ("n_max", ["--gamma-ratio", "0.5", "--n-max", str(HUGE)], None),
+            ("alpha", [], {"alpha": HUGE}),
+            ("time", [], {"time": HUGE}),
+            ("n_max", [], {"n_max": HUGE, "gamma_ratio": 0.5}),
+            ("gamma_ratio", [], {"gamma_ratio": -HUGE}),
+        ],
+    )
+    def test_integers_beyond_the_float_range_rejected(self, tmp_path, capsys, key, argv, config):
+        if config is not None:
+            path = tmp_path / "run.json"
+            path.write_text(json.dumps(config))
+            argv = [*argv, "--config", str(path)]
+        assert cli.main(["regions", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {key} must fit in a float, got an integer of 401 digits\n"
+
     @pytest.mark.parametrize("sweep", ["alpha:0.1:inf:3", "alpha:-inf:0.5:3", "t:nan:2:3"])
     def test_non_finite_sweep_bounds_rejected(self, capsys, sweep):
         assert cli.main(["detect", "--model", "open-1q", "--gamma-ratio", "0.5", "--sweep", sweep]) == 2
@@ -719,3 +738,68 @@ class TestParserReuse:
         assert run_to_file(tmp_path, ["regions", "--gamma-ratio", "0.5"])[0] == 0
         assert cli.main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == cli.__version__
+
+    def test_a_command_line_is_parsed_once(self, monkeypatch, capsys):
+        """A command line that starts with a command name goes to that
+        command's parser alone, also where ``main()`` reads ``sys.argv``, as
+        the console script of ``[project.scripts]`` calls it."""
+        argv = ["regions", "--gamma-ratio", "0.5", "--n-max", "2"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr()
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", None)  # the top level's
+        monkeypatch.setattr("sys.argv", ["qevspeed", *argv])
+        assert cli.main() == 0
+        assert capsys.readouterr() == expected
+        assert cli.main(argv) == 0
+
+
+PARITY_ARGVS = [
+    *([command, "-h"] for command in ("speed", "figure", "regions", "detect")),
+    ["speed", "--bogus"],
+    ["figure", "fig1a", "--bogus"],
+    ["figure", "fig1a", "extra"],
+    ["figure", "--bogus"],
+    ["regions", "--bogus", "1", "--n-max", "2", "-x"],
+    ["detect", "--bogus=1"],
+    ["speed", "--model"],
+    ["speed", "--points", "many"],
+    ["regions", "--format", "xml"],
+    ["figure", "fig1a", "--gamma", "0.5"],
+    ["regions", "--gamma", "0.5"],
+    ["speed", "--version"],
+    ["--version"],
+    ["-h"],
+    [],
+    ["spread"],
+    ["--", "speed", "--model", "closed-1q"],
+]
+
+
+@pytest.mark.parametrize("argv", PARITY_ARGVS, ids=" ".join)
+def test_main_parses_as_the_top_level_parser(argv, monkeypatch, capsys):
+    """``main`` parses a command with that command's own parser, and the top
+    level parses the rest. Where the top level's ``parse_args`` exits, ``main``
+    returns its exit code with its stdout and stderr; where it returns,
+    ``main`` runs the command on an equal namespace."""
+    try:
+        expected = vars(cli.build_parser().parse_args(argv))
+        code = None
+    except SystemExit as exc:
+        expected, code = None, int(exc.code or 0)
+    out, err = capsys.readouterr()
+
+    parsed = []
+    merge_config = cli.merge_config
+
+    def record(args):
+        parsed.append(vars(args))
+        return merge_config(args)
+
+    monkeypatch.setattr(cli, "merge_config", record)
+    if code is None:
+        assert cli.main(argv) == 0
+        assert parsed == [expected] and capsys.readouterr().err == ""
+    else:
+        assert cli.main(argv) == code
+        assert capsys.readouterr() == (out, err) and parsed == []
+
