@@ -78,44 +78,25 @@ class FigureSpec:
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 FIGURES: dict[str, FigureSpec] = {
-    "fig1a": FigureSpec("fig1a", "t", "open-1q", 1.0, gamma_ratio=10.0),
-    "fig1b": FigureSpec("fig1b", "t", "open-1q", 1.0, gamma_ratio=0.1),
-    "fig2a": FigureSpec(
-        "fig2a", "Omega", "open-1q", 1.0, fixed_time=0.0, grid=(0.02, 3.0, 300)
-    ),
-    "fig2b": FigureSpec(
-        "fig2b", "Omega", "open-1q", 1.0, fixed_time=1.0, grid=(0.02, 3.0, 300)
-    ),
-    "fig2c": FigureSpec(
-        "fig2c", "Omega", "open-1q", 1.0, fixed_time=5.0, grid=(0.02, 3.0, 300)
-    ),
-    "fig2d": FigureSpec(
-        "fig2d", "Omega", "open-1q", 1.0, fixed_time=10.0, grid=(0.02, 3.0, 300)
-    ),
-    "fig3a": FigureSpec(
-        "fig3a", "t", "open-2q-aligned", _SQRT_HALF, gamma_ratio=10.0
-    ),
-    "fig3b": FigureSpec(
-        "fig3b", "t", "open-2q-aligned", _SQRT_HALF, gamma_ratio=0.1
-    ),
-    "fig4a": FigureSpec(
-        "fig4a",
-        "C",
-        "open-2q-aligned",
-        _SQRT_HALF,
-        markovian_limit=True,
-        fixed_time=1.0,
-        grid=(0.005, 0.999, 200),
-    ),
-    "fig4b": FigureSpec(
-        "fig4b",
-        "C",
-        "open-2q-aligned",
-        _SQRT_HALF,
-        markovian_limit=True,
-        fixed_time=10.0,
-        grid=(0.005, 0.999, 200),
-    ),
+    spec.figure_id: spec
+    for spec in (
+        FigureSpec("fig1a", "t", "open-1q", 1.0, gamma_ratio=10.0),
+        FigureSpec("fig1b", "t", "open-1q", 1.0, gamma_ratio=0.1),
+        FigureSpec("fig2a", "Omega", "open-1q", 1.0, fixed_time=0.0, grid=(0.02, 3.0, 300)),
+        FigureSpec("fig2b", "Omega", "open-1q", 1.0, fixed_time=1.0, grid=(0.02, 3.0, 300)),
+        FigureSpec("fig2c", "Omega", "open-1q", 1.0, fixed_time=5.0, grid=(0.02, 3.0, 300)),
+        FigureSpec("fig2d", "Omega", "open-1q", 1.0, fixed_time=10.0, grid=(0.02, 3.0, 300)),
+        FigureSpec("fig3a", "t", "open-2q-aligned", _SQRT_HALF, gamma_ratio=10.0),
+        FigureSpec("fig3b", "t", "open-2q-aligned", _SQRT_HALF, gamma_ratio=0.1),
+        FigureSpec(
+            "fig4a", "C", "open-2q-aligned", _SQRT_HALF,
+            markovian_limit=True, fixed_time=1.0, grid=(0.005, 0.999, 200),
+        ),
+        FigureSpec(
+            "fig4b", "C", "open-2q-aligned", _SQRT_HALF,
+            markovian_limit=True, fixed_time=10.0, grid=(0.005, 0.999, 200),
+        ),
+    )
 }
 
 
@@ -318,7 +299,16 @@ def _time_grid(config: RunConfig) -> np.ndarray:
         raise UsageError(f"grid needs at least 2 points, got {points}")
     if not config.tmin < config.tmax:
         raise UsageError(f"tmin must be below tmax, got [{config.tmin}, {config.tmax}]")
-    return np.linspace(config.tmin, config.tmax, points)
+    return _allocated("points", points, np.linspace, config.tmin, config.tmax, points)
+
+
+def _allocated(key: str, count: int, build, *args):
+    """``build(*args)``, which allocates ``count`` values; numpy's refusal of
+    a count too large to allocate is a usage error that names ``key``."""
+    try:
+        return build(*args)
+    except (ValueError, MemoryError) as exc:
+        raise UsageError(f"{key} must be small enough to allocate, got {count} ({exc})") from None
 
 
 def _skipped(name: str, points: np.ndarray, failures: dict) -> list[str]:
@@ -363,7 +353,7 @@ def run_figure(config: RunConfig) -> TableResult:
     points = default_points if config.points is None else config.points
     if points < 2:
         raise UsageError(f"grid needs at least 2 points, got {points}")
-    grid = np.linspace(lo, hi, points)
+    grid = _allocated("points", points, np.linspace, lo, hi, points)
 
     header = _base_header(config)
     header.append(("figure", spec.figure_id))
@@ -416,7 +406,7 @@ def run_regions(config: RunConfig) -> TableResult:
     if config.n_max < 0:
         raise UsageError(f"--n-max must be nonnegative, got {config.n_max}")
     params = _open_params(config)
-    regime, tau, tau_prime, tau_dprime = _region_columns(params, config.n_max)
+    regime, tau, tau_prime, tau_dprime = _allocated("n_max", config.n_max, _region_columns, params, config.n_max)
 
     header = _base_header(config)
     if params.markovian_limit:
@@ -512,7 +502,7 @@ def run_detect(config: RunConfig) -> TableResult:
     metric = resolve_metric(config.metric)
     name, lo, hi, n = _parse_sweep(config.sweep)
     evaluate, classification = _sweep_evaluator(config, name, metric)
-    grid = np.linspace(lo, hi, n)
+    grid = _allocated("sweep points", n, np.linspace, lo, hi, n)
 
     header = _base_header(config)
     header.append(("model", config.model or ""))

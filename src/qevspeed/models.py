@@ -366,7 +366,7 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
     state.blocks = derivative.blocks = blocks
     if Gamma is None:
         record = {"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)}
-        return Trajectory(dim, horizon, state, derivative, record)
+        return Trajectory(dim, horizon, state, derivative, record, shape=getattr(a, "shape", ()))
     # "gamma0": 1.0 states the unit of every time and rate
     record = {"alpha": a, "gamma0": 1.0}
     if np.isinf(Gamma).all():
@@ -382,8 +382,9 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
     escape = np.sqrt((1.0 if kind == "aligned" else 0.5) * Gamma)
     with np.errstate(invalid="ignore"):  # 0 * inf
         limit = np.where(scale == 0.0, 0.0, scale * escape)
-    limit = _scalar_or_array(np.broadcast_to(limit, np.broadcast_shapes(np.shape(a), np.shape(Gamma))))
-    return Trajectory(dim, horizon, state, derivative, record, limit)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(Gamma))
+    limit = _scalar_or_array(np.broadcast_to(limit, shape))
+    return Trajectory(dim, horizon, state, derivative, record, limit, shape)
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,11 @@ written as 4 s'^2; the WY form is the sqrt(rho) embedding of that metric
 (Gibilisco and Isola, J. Math. Phys. 44, 3752 (2003)). Both stay exact
 where an eigenvalue touches zero, the rank discontinuity analysed by
 Safranek (PRA 95, 052320 (2017)). ``speeds_at`` evaluates them over a batch
-of times (and a model family built on arrays of parameters); ``speed_at``
-runs a model with scalar parameters on Python floats by the same
-expression (on libm where the batch takes numpy's ufuncs), and hands
-anything else to ``speeds_at``.
+of times (and a model family built on arrays of parameters). ``speed_at``
+routes by the family shape that each trajectory states when it is built
+(``Trajectory.shape``): a block function of shape () runs on Python floats
+by the same expression (on libm where the batch takes numpy's ufuncs), and
+anything else is one point of ``speeds_at``.
 
 Any other trajectory is one dense block (``kernel_speeds``): the kernel
 sum over one stacked ``linalg.eigh_stack``, whatever its size. That
@@ -77,7 +78,11 @@ class Trajectory:
     one index, and (a, c, wr, wi, s) and (da, dc, dwr, dwi, ds) for a pair
     [[a, w], [w*, c]], w = wr + i wi, where s is a smooth signed root of the
     block's determinant (p = s^2, ac - |w|^2 = s^2) and ds its derivative.
-    ``params`` records the numbers the trajectory was built from.
+    ``params`` records the numbers the trajectory was built from, and
+    ``shape`` the family's shape: the broadcast shape of the parameters, ()
+    (the default) for one curve. The evaluators read it in place of
+    inspecting the blocks: ``speed_at`` runs the blocks on Python floats
+    where it is (), and ``speeds_at`` broadcasts it against the times.
     ``speed_at_zero`` is the limit of the speed at t = 0, returned there in
     place of an evaluation, for trajectories that start on the boundary of
     the state space (where the speed is a 0/0 limit); it is ``inf`` where the
@@ -90,6 +95,7 @@ class Trajectory:
     derivative_at: Callable[[np.ndarray], np.ndarray]
     params: dict[str, float] = field(default_factory=dict)
     speed_at_zero: float | np.ndarray | None = None
+    shape: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,8 @@ def _binary_scale(peak):
     and the speeds by 2^e after, both exactly; e is clipped to keep both
     factors normal floats."""
     if isinstance(peak, float):
-        e = min(max(math.frexp(peak)[1] - 1, -1021), 1022)
+        e = math.frexp(peak)[1] - 1
+        e = -1021 if e < -1021 else 1022 if e > 1022 else e
         return math.ldexp(1.0, -e), math.ldexp(1.0, e)
     e = np.minimum(np.maximum(np.frexp(peak)[1] - 1, -1021), 1022)
     return np.ldexp(1.0, -e), np.ldexp(1.0, e)
@@ -156,7 +163,7 @@ def _fisher(metric: MetricKind, blocks, shrink, xp):
             total = total + 4.0 * (ds * ds)
             continue
         a, c, wr, wi, s = state
-        da, dc, dwr, dwi = (x * shrink for x in move[:4])
+        da, dc, dwr, dwi = move[0] * shrink, move[1] * shrink, move[2] * shrink, move[3] * shrink
         if metric is MetricKind.SLD:
             trace = a + c
             diff = da - dc
@@ -289,8 +296,7 @@ def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first
     """``speeds_at`` past its checks, from the ``blocks`` of the block function
     at ``t`` (None for a dense trajectory), whose earliest time is ``first``."""
     if blocks is not None:
-        shapes = {x.shape for _, state, move in blocks for x in state + move if isinstance(x, np.ndarray)}
-        result = _block_speeds(blocks, np.broadcast_shapes(t.shape, *shapes), metric)
+        result = _block_speeds(blocks, np.broadcast_shapes(t.shape, traj.shape), metric)
     else:
         rho = np.asarray(traj.state_at(t), dtype=complex)
         if rho.shape[-2:] != (traj.dim, traj.dim):
@@ -306,11 +312,11 @@ def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first
 
 
 def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) -> float:
-    """Instantaneous speed at one time: the point path. It runs on Python
-    floats where the block function gives them (a built-in model with
-    scalar parameters), by the batch's operations, and is
-    one point of ``speeds_at`` otherwise; a block function is called once
-    either way. A failure raises its error."""
+    """Instantaneous speed at one time: the point path. A block function of
+    stated shape () (a built-in model with scalar parameters) runs on
+    Python floats, by the batch's operations; anything else is one point of
+    ``speeds_at``. A block function is called once either way. A failure
+    raises its error."""
     blocks = None
     if isinstance(t, (int, float)):  # numpy's float64 is a float
         t = float(t)
@@ -320,8 +326,8 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
             return float(limit)
         if t > 0.0 or limit is None:  # speeds_at returns an array limit unevaluated
             blocks = _blocks_at(traj, t)
-        if blocks is not None and {type(x) for _, state, move in blocks for x in state + move} <= {float}:
-            shrink, grow = _binary_scale(max(abs(x) for *_, move in blocks for x in move))
+        if blocks is not None and not traj.shape:
+            shrink, grow = _binary_scale(max([abs(x) for _, _, move in blocks for x in move]))
             return 0.5 * math.sqrt(_fisher(metric, blocks, shrink, math)) * grow
     if blocks is None:
         result = speeds_at(traj, t, metric)

@@ -241,6 +241,62 @@ def test_speed_at_takes_the_float_path(monkeypatch):
     assert calls == {"_batch_at": 2, "_block_speeds": 1}
 
 
+# parameters of each shape a family can take; a 0-d array is one curve
+ALPHAS = {"()": 0.6, "0-d": np.array(0.6), "(1,)": np.array([0.6]), "(3,)": np.array([0.2, 0.6, 0.9])}
+ALPHAS["(2, 3)"] = np.array([[0.2, 0.6, 0.9], [0.0, 0.5, 1.0]])
+RATIOS = {"()": 0.5, "0-d": np.array(0.5), "(1,)": np.array([0.5]), "(3,)": np.array([0.4, 2.0, 7.0])}
+RATIOS["(2, 3)"] = np.array([[0.4, 2.0, 7.0], [0.1, 3.0, 10.0]])
+FAMILY_CASES = [
+    (key, alpha, bath)
+    for key in MODEL_KEYS
+    for alpha in ALPHAS
+    for bath in ([None] if key.startswith("closed") else [*RATIOS, "markovian"])
+]
+
+
+@pytest.mark.parametrize("key,alpha,bath", FAMILY_CASES)
+def test_a_trajectory_states_its_family_shape(monkeypatch, key, alpha, bath):
+    """The stated shape is the broadcast shape of the parameters, () for a
+    0-d one; the batch takes it, and ``speed_at`` takes the batch exactly
+    when it is not ()."""
+    kwargs = {"alpha": ALPHAS[alpha]}
+    if bath == "markovian":
+        kwargs["markovian_limit"] = True
+    elif bath is not None:
+        kwargs["Gamma_over_gamma0"] = RATIOS[bath]
+    traj = trajectory_from_key(key, **kwargs)
+    shape = np.broadcast_shapes(*(np.shape(value) for value in kwargs.values()))
+    assert traj.shape == shape
+    assert speeds_at(traj, 2.5).speeds.shape == shape
+    times = np.linspace(0.5, 4.0, 4).reshape((4,) + (1,) * len(shape))
+    for metric in MetricKind:
+        assert speeds_at(traj, times, metric).speeds.shape == (4, *shape)
+    calls = count_calls(monkeypatch, (speed, "_batch_at"))
+    if math.prod(shape) == 1:
+        assert isinstance(speed_at(traj, 2.5), float)
+    else:
+        with pytest.raises(ValueError, match="one point"):
+            speed_at(traj, 2.5)
+    assert calls == ({} if shape == () else {"_batch_at": 1})
+
+
+# peaks at and beyond both ends of the clip, subnormal, normal and not finite
+PEAKS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.75, 1.0, 2.0**1023, 1.7976931348623157e308, math.inf, math.nan]
+
+
+def test_binary_scale_clips_floats_and_arrays_alike():
+    """The float branch and the array branch give the same two factors, each
+    a normal power of two, the one the inverse of the other."""
+    shrink, grow = speed._binary_scale(np.array(PEAKS))
+    for peak, want in zip(PEAKS, zip(shrink.tolist(), grow.tolist())):
+        got = speed._binary_scale(peak)
+        assert [type(x) for x in got] == [float, float]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        assert got[0] * got[1] == 1.0 and -1021 <= math.frexp(got[1])[1] - 1 <= 1022
+    assert [speed._binary_scale(peak)[1] for peak in PEAKS[:6]] == [0.5, 2.0**-1021, 2.0**-1021, 2.0**-1021, 0.5, 1.0]
+    assert speed._binary_scale(2.0**1023) == speed._binary_scale(1.7976931348623157e308) == (2.0**-1022, 2.0**1022)
+
+
 @pytest.mark.parametrize("alpha", [np.array([0.7]), np.array(0.7)], ids=["family", "0-d"])
 @pytest.mark.parametrize("t", [0.0, 2.5])
 def test_speed_at_calls_the_block_function_once(monkeypatch, alpha, t):

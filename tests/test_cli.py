@@ -608,6 +608,23 @@ class TestConfigAndOutput:
         assert cli.main(["regions", *argv]) == 2
         assert capsys.readouterr().err == f"error: {key} must fit in a float, got an integer of 401 digits\n"
 
+    @pytest.mark.parametrize(
+        "key, argv",
+        [
+            ("points", ["speed", "--model", "closed-1q", "--points", "100000000000000000000"]),
+            ("points", ["figure", "fig1a", "--points", "100000000000000000000"]),
+            ("n_max", ["regions", "--gamma-ratio", "0.5", "--n-max", "100000000000000000000"]),
+            ("sweep points", ["detect", "--model", "closed-1q", "--sweep", "t:0.1:1:100000000000000000000"]),
+        ],
+    )
+    def test_counts_too_large_to_allocate_rejected(self, capsys, key, argv):
+        """A count that fits in a float but that numpy refuses to allocate is
+        a usage error naming its key, with numpy's reason."""
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be small enough to allocate, got 100000000000000000000 (")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("sweep", ["alpha:0.1:inf:3", "alpha:-inf:0.5:3", "t:nan:2:3"])
     def test_non_finite_sweep_bounds_rejected(self, capsys, sweep):
         assert cli.main(["detect", "--model", "open-1q", "--gamma-ratio", "0.5", "--sweep", sweep]) == 2
