@@ -289,8 +289,7 @@ def _open_params(config: RunConfig) -> OpenSystemParams:
 
 
 def _base_header(config: RunConfig) -> list[tuple[str, str]]:
-    header = [("artifact", f"qevspeed v{__version__}"), ("command", config.command)]
-    return header
+    return [("artifact", f"qevspeed v{__version__}"), ("command", config.command)]
 
 
 def _time_grid(config: RunConfig) -> np.ndarray:
@@ -511,7 +510,9 @@ def run_detect(config: RunConfig) -> TableResult:
     header.append(("sweep", f"{name}:{lo:.12g}:{hi:.12g}:{n}"))
     if name != "t":
         header.append(("gamma0_t", _format_value(config.time)))
-    if config.markovian_limit:
+    if (config.model or "").startswith("closed"):  # precesses at omega, with no bath
+        header.append(("omega", _format_value(config.omega)))
+    elif config.markovian_limit:
         header.append(("markovian_limit", "true"))
     elif config.gamma_ratio is not None and name not in ("Omega", "Gamma_over_gamma0"):
         header.append(("Gamma_over_gamma0", _format_value(config.gamma_ratio)))

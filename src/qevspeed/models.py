@@ -282,10 +282,13 @@ def _decay_slope(g, dg, decay):
 def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
     """The dense state (``part`` 1) or derivative (2) matrices of the blocks
     at times ``t``, stacked along their broadcast shape."""
-    entries = [(block[0], block[part]) for block in blocks(t)]
-    shape = np.broadcast_shapes(np.shape(t), *(np.shape(x) for _, xs in entries for x in xs))
+    entries = [(block[0], block[part], *block[3:]) for block in blocks(t)]
+    shape = np.broadcast_shapes(np.shape(t), *(np.shape(x) for _, *lists in entries for xs in lists for x in xs))
     out = np.zeros(shape + (dim, dim), dtype=complex)
-    for indices, xs in entries:
+    for indices, xs, *ray in entries:
+        for u, v in ray:  # a ray's vector: p phi phi^T in np.kron's order, root (phi_i phi_j) root, root = sqrt(p)
+            left, right = (np.sqrt(xs[0]),) * 2 if part == 1 else (xs[0], 1.0)
+            xs = [left * (u * u) * right, left * (v * v) * right, left * (u * v) * right, 0.0]
         for i, x in zip(indices, xs):
             out.real[..., i, i] = x
         if len(indices) == 2:
@@ -309,14 +312,13 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
     P_t (the amplitude-damping channel agrees wherever G_t >= 0). The pairs
     take P_t = min(G_t^2, 1) and multiply out the local operation elements
     {[[sqrt P, 0], [0, 1]], [[0, 0], [sqrt(1 - P), 0]]} of each qubit in the
-    order of the Kraus sum with ``np.kron``, so both give the same bits; the
-    damped anti pair, P_t|phi0><phi0| + (1-P_t)|00><00|, has constant
-    eigenvectors and an alpha-independent speed.
-    Each block also states the root s of its determinant (p = s^2 for one
-    index) through c_t = sqrt(1 - P_t): alpha^2 G_t c_t for one qubit,
-    alpha^2 P_t (1 - P_t) and alpha G_t c_t for the aligned pair's corner
-    block and middle indices, c_t for the anti pair's |00> population and
-    0 for its rank-one pair; every closed-model root is 0 (c_t = 0).
+    order of the Kraus sum with ``np.kron``, so both give the same bits.
+    Each block also states the root s of its determinant through
+    c_t = sqrt(1 - P_t): alpha^2 G_t c_t for one qubit, alpha^2 P_t (1 - P_t)
+    and alpha G_t c_t for the aligned pair's corner block and middle
+    indices, and G_t and c_t for the anti pair, P_t|phi0><phi0| +
+    (1-P_t)|00><00|, whose P_t along phi0 is a ray: its speed is |G'_t| / c_t
+    at any alpha. Every closed-model root is 0 (c_t = 0) but the ray's.
     The phase is real arithmetic on libm's cos and sin at one point of
     scalar parameters (Python floats), on numpy's over a batch.
     """
@@ -354,10 +356,8 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
             moves += [dpop * (ab * cos) + kept * (turn * sin), kept * (turn * cos) - dpop * (ab * sin), inner]
             middle = [moved * (a * a) * moved, a * (g * decay)], [inner, a * (dg * decay + g * ddecay)]
             return [((0, 3), corners, moves), ((1,), *middle), ((2,), *middle)]
-        pair = [root * (a * a) * root, root * (b * b) * root, root * ab * root, 0.0, 0.0]
-        moves = [dpop * (a * a), dpop * (b * b), dpop * ab, 0.0, 0.0]
         lost = decay * (b * b) * decay + decay * (a * a) * decay
-        return [((0,), [0.0, 0.0], [0.0, 0.0]), ((1, 2), pair, moves), ((3,), [lost, decay], [-dpop, ddecay])]
+        return [((1, 2), [pop, g], [dpop, dg], (a, b)), ((3,), [lost, decay], [-dpop, ddecay])]
 
     # ``state_at`` and ``derivative_at`` carry the block function for the
     # speed kernel (a ``functools.wraps`` wrapper keeps it, a replacement

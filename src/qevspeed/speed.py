@@ -7,10 +7,10 @@ The speed at time t is S = (1/2) sqrt(F), with
 over the eigensystem {p_k, Phi_k} of rho_t and c the metric kernel.
 
 The six built-in models are X states and state their diagonal blocks
-themselves, of one and two indices, each with the smooth signed root s of
-its determinant (``Trajectory``). Their F takes no eigensystem and no
-tolerance: a block of one index, p = s^2, adds 4 s'^2 under both metrics,
-and a 2x2 block M with trace T adds
+themselves, each a ray (one eigenvalue along a constant unit vector) or a
+pair, with the smooth signed root s of its determinant (``Trajectory``).
+Their F takes no eigensystem and no tolerance: a ray, p = s^2, adds 4 s'^2
+under both metrics, and a pair, a 2x2 block M with trace T, adds
 
     SLD:  (2 tr(dM^2) - (dT)^2 + 4 s'^2) / T
     WY:   4 tr((d sqrt M)^2),  sqrt M = (M + |s| I) / sqrt(T + 2 |s|).
@@ -74,8 +74,9 @@ class Trajectory:
     times against arrays of parameters (a family of curves evaluated
     together), and both their callables carry the model's block function as
     an attribute ``blocks``, which ``speeds_at`` evaluates in place of the
-    dense matrices. Its entries are real: (p, s) and (dp, ds) for a block of
-    one index, and (a, c, wr, wi, s) and (da, dc, dwr, dwi, ds) for a pair
+    dense matrices. Its entries are real: (p, s) and (dp, ds) for a ray (one
+    eigenvalue p along a constant unit vector, stated as a fourth item past
+    one index), and (a, c, wr, wi, s) and (da, dc, dwr, dwi, ds) for a pair
     [[a, w], [w*, c]], w = wr + i wi, where s is a smooth signed root of the
     block's determinant (p = s^2, ac - |w|^2 = s^2) and ds its derivative.
     ``params`` records the numbers the trajectory was built from, and
@@ -146,34 +147,31 @@ def _fisher(metric: MetricKind, blocks, shrink, xp):
     scaled by ``shrink``: Python floats with ``xp = math``, arrays that
     broadcast with ``xp = np``, by the same operations.
 
-    A block of one index adds 4 ds^2. A pair of trace T adds, under SLD,
+    A ray adds 4 ds^2. A pair of trace T adds, under SLD,
     ((da - dc)^2 + 4 |dw|^2 + 4 ds^2) / T, and under WY 4 tr(X^2) with
     X = d sqrt M = (dM + d|s| I - (M + |s| I) q) / r, r^2 = T + 2 |s| and
     q = r'/r = (dT + 2 d|s|) / (2 r^2). The principal root needs |s|, and
     d|s| = copysign(1, s) ds takes either one-sided derivative at s = 0,
-    which give the same F. A pair of zero trace is divided by 1 in place of
-    0: in a built-in model it is the anti pair's at an exact zero of G_t,
-    whose entries rest there too, so it adds 0, though the speed there is
-    |G'_t| / c_t (a known defect: the block cannot carry that limit).
+    which give the same F. No built-in pair has zero trace: the aligned
+    corner's is at least beta^2 + alpha^2 / 2, the others' 1.
     """
     total = 0.0
-    for indices, state, move in blocks:
+    for block in blocks:  # indexed: a star-unpacking of the ray's fourth item costs more
+        state, move = block[1], block[2]
         ds = move[-1] * shrink
-        if len(indices) == 1:
+        if len(state) == 2:
             total = total + 4.0 * (ds * ds)
             continue
         a, c, wr, wi, s = state
         da, dc, dwr, dwi = move[0] * shrink, move[1] * shrink, move[2] * shrink, move[3] * shrink
         if metric is MetricKind.SLD:
-            trace = a + c
             diff = da - dc
             moved = diff * diff + 4.0 * (dwr * dwr + dwi * dwi) + 4.0 * (ds * ds)
-            total = total + moved / (trace + (trace == 0.0))
+            total = total + moved / (a + c)
         else:
             root = abs(s)
             droot = xp.copysign(1.0, s) * ds
             r2 = a + c + 2.0 * root
-            r2 = r2 + (r2 == 0.0)
             q = (da + dc + 2.0 * droot) / (2.0 * r2)
             x = da + droot - (a + root) * q
             z = dc + droot - (c + root) * q
@@ -186,7 +184,7 @@ def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBa
     """Speeds of built-in blocks whose entries broadcast to ``batch``. Each
     point's derivatives, ``ds`` among them, are scaled by a power of two
     near their largest before they are squared (``_binary_scale``)."""
-    parts = [x for *_, move in blocks for x in move]
+    parts = [x for block in blocks for x in block[2]]
     shrink, grow = _binary_scale(functools.reduce(np.maximum, map(np.abs, parts)))
     speeds = 0.5 * np.sqrt(_fisher(metric, blocks, shrink, np)) * grow
     if not (isinstance(speeds, np.ndarray) and speeds.shape == batch):
@@ -327,7 +325,7 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
         if t > 0.0 or limit is None:  # speeds_at returns an array limit unevaluated
             blocks = _blocks_at(traj, t)
         if blocks is not None and not traj.shape:
-            shrink, grow = _binary_scale(max([abs(x) for _, _, move in blocks for x in move]))
+            shrink, grow = _binary_scale(max([abs(x) for block in blocks for x in block[2]]))
             return 0.5 * math.sqrt(_fisher(metric, blocks, shrink, math)) * grow
     if blocks is None:
         result = speeds_at(traj, t, metric)

@@ -15,6 +15,10 @@ qevspeed figure fig4b --metric wy --points 3 | python -c "import math, sys; rows
 qevspeed detect --model open-1q --gamma-ratio 10 --sweep t:1:10:30 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 30 and all(math.isfinite(float(row[1])) for row in rows), rows"
 # an array of widths across every finite branch, routed element by element
 qevspeed detect --model open-2q-aligned --time 5 --sweep Gamma_over_gamma0:0.5:12:30 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 30 and all(math.isfinite(float(row[1])) for row in rows), rows"
+# at an exact zero of the float G_t the anti pair still moves, at |G'_t| / c_t, under both metrics
+for metric in sld wy; do
+    qevspeed detect --model open-2q-anti --gamma-ratio 0.1691959798994975 --metric "$metric" --sweep t:6.705124740062843:7:2 | python -c "import sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert abs(float(rows[0][1]) - 0.164941821962) <= 1e-9, rows"
+done
 # a flag that no command takes is a usage error that names it
 bogus="$(mktemp)"
 status=0; qevspeed speed --bogus 2> "$bogus" || status=$?

@@ -155,6 +155,28 @@ def test_pair_states_are_the_local_channel_to_the_last_bit(kind):
         np.testing.assert_array_max_ulp(rho.view(float), channel.view(float), maxulp=1)
 
 
+@pytest.mark.parametrize("kind", ["aligned", "anti"])
+def test_pair_families_are_the_local_channel_exactly(kind):
+    """Each member of a family of amplitudes, on a grid through the zeros of
+    G_t, has the local channel's values exactly, and the derivatives of the
+    same model built alone: the anti pair's ray is multiplied out in the
+    channel's order, and takes alpha's axes from its vector alone."""
+    alphas = [0.0, 0.3, 0.6, 1.0]
+    times = np.linspace(0.01, 45.0, 300)
+    family = trajectory_from_key(f"open-2q-{kind}", alpha=np.array(alphas), Gamma_over_gamma0=0.3)
+    states = family.state_at(times[:, None])
+    assert states.shape == (300, 4, 4, 4)
+    pops = population_factor(OpenSystemParams(Gamma=0.3), times).tolist()
+    moves = family.derivative_at(times[:, None])
+    for k, alpha in enumerate(alphas):
+        beta = math.sqrt(1.0 - alpha * alpha)
+        vec = np.array([alpha, 0, 0, beta] if kind == "aligned" else [0, alpha, beta, 0], dtype=complex)
+        for pop, rho in zip(pops, states[:, k]):
+            np.testing.assert_array_equal(rho, local_damping_evolve(np.outer(vec, vec.conj()), pop, 2))
+        member = trajectory_from_key(f"open-2q-{kind}", alpha=alpha, Gamma_over_gamma0=0.3)
+        np.testing.assert_array_equal(moves[:, k], member.derivative_at(times))
+
+
 def test_pure_states_take_the_fubini_study_route():
     traj = trajectory_from_key("closed-2q-aligned", alpha=0.6, omega=1.3)
     result = speeds_at(traj, TIMES[TIMES < traj.horizon], SLD)

@@ -5,6 +5,7 @@ The dense ``np.linalg.eigh`` kernel in util.py is the oracle.
 """
 
 import importlib
+import itertools
 import math
 import sys
 from collections import Counter
@@ -136,33 +137,35 @@ def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(monkeypatch, k
             batch = blocks(times)
             for i, t in enumerate(times):
                 one = blocks(float(t))
-                for (indices, state, move), (same, states, moves) in zip(one, batch):
+                # the anti pair's ray carries its vector (alpha, beta) as a fourth item
+                for (indices, *entries), (same, *columns) in zip(one, batch):
                     assert indices == same
-                    for x, column in zip(state + move, states + moves):
+                    for x, column in zip(itertools.chain(*entries), itertools.chain(*columns)):
                         assert type(x) is float
                         assert x.hex() == float(np.broadcast_to(column, times.shape)[i]).hex()
-                (pair_move,) = [move for indices, _, move in one if len(indices) == 2]
+                (pair_move,) = [block[2] for block in one if len(block[0]) == 2]
                 assert pair_move[0] == pair_move[1] == 0.0
-            (pair_moves,) = [moves for indices, _, moves in batch if len(indices) == 2]
+            (pair_moves,) = [block[2] for block in batch if len(block[0]) == 2]
             assert all(np.all(np.asarray(x) == 0.0) for x in pair_moves[:2])
 
 
 @pytest.mark.parametrize("key,bath", MODEL_CASES)
 def test_blocks_state_the_root_of_their_determinant(key, bath):
-    """Every block's last state entry s has s^2 = p (one index) or
-    s^2 = ac - |w|^2 (a pair), and its last derivative entry is ds/dt."""
+    """Every block's last state entry s has s^2 = p (a ray, on one index or,
+    for the anti pair, along (alpha, beta)) or s^2 = ac - |w|^2 (a pair),
+    and its last derivative entry is ds/dt."""
     blocks = trajectory_from_key(key, alpha=0.7, omega=1.3, **bath).state_at.blocks
     times = np.concatenate([[0.0, 1e-3], np.linspace(0.1, 45.0, 60)])
-    for indices, state, _ in blocks(times):
-        if len(indices) == 1:
+    for _, state, *_ in blocks(times):
+        if len(state) == 2:
             det = state[0]
         else:
             a, c, wr, wi = state[:4]
             det = a * c - wr * wr - wi * wi
         np.testing.assert_allclose(det, state[-1] * state[-1], rtol=0.0, atol=1e-15)
     h, inner = 1e-6, times[2:]
-    for (_, _, move), (_, up, _), (_, down, _) in zip(blocks(inner), blocks(inner + h), blocks(inner - h)):
-        np.testing.assert_allclose(move[-1], (up[-1] - down[-1]) / (2.0 * h), rtol=1e-6, atol=1e-8)
+    for block, up, down in zip(blocks(inner), blocks(inner + h), blocks(inner - h)):
+        np.testing.assert_allclose(block[2][-1], (up[1][-1] - down[1][-1]) / (2.0 * h), rtol=1e-6, atol=1e-8)
 
 
 TAU_1 = memory_boundaries(OpenSystemParams(Gamma=0.1), 1)[0][0]
@@ -355,19 +358,52 @@ def test_zero_d_time_takes_the_float_branch(monkeypatch, Gamma):
     assert calls == {}
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="at an exact zero of the float G_t the anti pair's rank-one block "
-    "and its derivative are the zero matrix, so it cannot carry the limit "
-    "4 G'_t^2 and speed_at reads 0",
-)
+# the tau_n (n <= 6) of 200 widths in [0.01, 1.99] where the float G_t is
+# exactly 0.0: 68 of the 1,200 on x86-64 Linux, some past t = 50
+EXACT_ZEROS = [
+    (width, tau)
+    for width in np.linspace(0.01, 1.99, 200).tolist()
+    for tau, _ in memory_boundaries(OpenSystemParams(Gamma=width), 6)
+    if amplitude_factor(OpenSystemParams(Gamma=width), tau) == 0.0
+]
+
+
 def test_anti_pair_speed_at_an_exact_zero_of_the_amplitude():
+    """Where the float G_t is exactly 0, the anti pair's ray still carries
+    4 G'_t^2, so both metrics read |G'_t| / c_t on the point and batch paths."""
     params, t = OpenSystemParams(alpha=0.6, Gamma=0.1691959798994975), 6.705124740062843
     assert amplitude_factor(params, t) == 0.0
     closed = abs(amplitude_factor_dot(params, t)) / math.sqrt(population_complement(params, t))
     assert closed == pytest.approx(0.164942, abs=1e-6)
     traj = trajectory_from_key("open-2q-anti", alpha=0.6, Gamma_over_gamma0=params.Gamma)
-    assert [speed_at(traj, t, metric) for metric in MetricKind] == pytest.approx([closed, closed], rel=1e-6)
+    assert [speed_at(traj, t, metric) for metric in MetricKind] == pytest.approx([closed, closed], rel=1e-13)
+    assert EXACT_ZEROS
+    for width, tau in EXACT_ZEROS:
+        params = OpenSystemParams(Gamma=width)
+        closed = abs(amplitude_factor_dot(params, tau)) / math.sqrt(population_complement(params, tau))
+        traj = trajectory_from_key("open-2q-anti", alpha=0.6, Gamma_over_gamma0=width, horizon=60.0)
+        for metric in MetricKind:
+            assert speed_at(traj, tau, metric) == pytest.approx(closed, rel=1e-13, abs=0.0)
+            assert speeds_at(traj, [tau], metric).speeds[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("width", [0.1, 0.5, 1.9, 2.0, 10.0])
+def test_anti_pair_speed_does_not_depend_on_alpha(width):
+    """The anti pair's vector (alpha, beta) is constant, so its speed is
+    |G'_t| / c_t at any alpha: bit-identical over a family of amplitudes,
+    and that of open-1q at alpha = 1, whose speedup ends ``regions`` reports."""
+    family = trajectory_from_key("open-2q-anti", alpha=np.array([0.0, 0.3, 0.6, 1.0]), Gamma_over_gamma0=width)
+    qubit = trajectory_from_key("open-1q", alpha=1.0, Gamma_over_gamma0=width)
+    one = trajectory_from_key("open-2q-anti", alpha=0.6, Gamma_over_gamma0=width)
+    for metric in MetricKind:
+        speeds = speeds_at(family, np.linspace(1.0, 45.0, 2000)[:, None], metric).speeds
+        assert all(column.tobytes() == speeds[:, 0].tobytes() for column in speeds.T)
+        times = np.linspace(1e-3, 45.0, 2000)
+        want = speeds_at(qubit, times, metric).speeds
+        got = speeds_at(family, times[:, None], metric).speeds
+        np.testing.assert_allclose(got, np.broadcast_to(want[:, None], got.shape), rtol=1e-14, atol=0.0)
+        points = [speed_at(one, t, metric) for t in times[::50].tolist()]
+        np.testing.assert_allclose(points, want[::50], rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])

@@ -13,6 +13,7 @@ from qevspeed.models import (
     open_qubit_speed_analytic,
     trajectory_from_key,
 )
+from qevspeed.speed import speed_at
 from util import leaking_trajectory
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -407,6 +408,37 @@ class TestDetectCommand:
         assert ("alpha" in header) is echoed
         if echoed:
             assert header["alpha"] == "0.3"
+
+    @pytest.mark.parametrize("bath", [[], ["--markovian-limit"], ["--gamma-ratio", "0.5"]])
+    @pytest.mark.parametrize("sweep", ["t:1:2:2", "alpha:0.1:0.9:3"])
+    def test_closed_header_echoes_omega_and_no_bath(self, sweep, bath, tmp_path):
+        """A closed model precesses at omega and has no bath: the header
+        echoes the one and not the other, so the rows reproduce from it."""
+        argv = ["detect", "--model", "closed-1q", "--alpha", "0.6", "--omega", "2.5", *bath, "--sweep", sweep]
+        code, text = run_to_file(tmp_path, argv)
+        assert code == 0
+        header, _, rows = parse_csv(text)
+        assert header["omega"] == "2.5"
+        assert "markovian_limit" not in header and "Gamma_over_gamma0" not in header
+        omega = float(header["omega"])
+        if sweep.startswith("t:"):
+            traj = trajectory_from_key("closed-1q", alpha=float(header["alpha"]), omega=omega)
+            want = [speed_at(traj, t) for t in rows[:, 0]]
+        else:
+            t = float(header["gamma0_t"])
+            want = [speed_at(trajectory_from_key("closed-1q", alpha=a, omega=omega), t) for a in rows[:, 0]]
+        np.testing.assert_allclose(rows[:, 1], want, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("sweep", ["alpha:0.01:0.99:50", "C:0.01:0.99:50"])
+    def test_anti_pair_transverse_slopes_are_exactly_zero(self, sweep, tmp_path):
+        """The damped anti pair's speed is |G'_t| / c_t at any alpha, so a sweep
+        of alpha or of C prints a slope of exactly 0 on every row."""
+        argv = ["detect", "--model", "open-2q-anti", "--gamma-ratio", "0.37", "--time", "5.1", "--sweep", sweep]
+        code, text = run_to_file(tmp_path, argv)
+        assert code == 0
+        cells = [line.split(",") for line in text.splitlines() if not line.startswith("#")][1:]
+        assert len(cells) == 50
+        assert {row[2] for row in cells} == {row[3] for row in cells} == {"0"}
 
     def test_anti_aligned_pair_is_insensitive(self, tmp_path):
         code, text = run_to_file(
