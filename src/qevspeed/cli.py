@@ -200,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--sweep", help="parameter sweep as <param>:<min>:<max>:<points>, "
         f"param in {{{', '.join(SWEEP_PARAMS)}}}"
     )
-    sp.add_argument(
-        "--time", type=float, help="evaluation time for transverse sweeps"
-    )
+    sp.add_argument("--time", type=float, help="time of a transverse sweep, in units of 1/gamma0 (1/omega if closed)")
 
     for name, command in parser.commands.items():
         command.set_defaults(command=name)
@@ -508,9 +506,10 @@ def run_detect(config: RunConfig) -> TableResult:
     header.append(("metric", metric.value))
     header.append(("classification", classification))
     header.append(("sweep", f"{name}:{lo:.12g}:{hi:.12g}:{n}"))
-    if name != "t":
-        header.append(("gamma0_t", _format_value(config.time)))
-    if (config.model or "").startswith("closed"):  # precesses at omega, with no bath
+    closed = (config.model or "").startswith("closed")  # precesses at omega, with no bath
+    if name != "t":  # a closed model's times are in units of 1/omega
+        header.append(("omega_t" if closed else "gamma0_t", _format_value(config.time)))
+    if closed:
         header.append(("omega", _format_value(config.omega)))
     elif config.markovian_limit:
         header.append(("markovian_limit", "true"))
@@ -531,9 +530,9 @@ def run_detect(config: RunConfig) -> TableResult:
 
 
 # Every table value is printed as "%.12g", the bytes of f"{v:.12g}" also for
-# nan, inf and -0. A table formats its values with one "%" operation: a
+# nan, inf and -0. A table formats its values with one "%" operation: a bytes
 # template with one cell per value, applied to the flat tuple of the values
-# in row order.
+# in row order and decoded once (bytes % formats as str % does, faster).
 
 
 def _format_value(value) -> str:
@@ -542,19 +541,24 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _values(result: TableResult) -> tuple[float, ...]:
-    return tuple(result.rows.ravel().tolist())
-
-
 def render_csv(result: TableResult) -> str:
     lines = [f"# {key}: {value}" for key, value in result.header]
     lines.extend(f"# note: {note}" for note in result.notes)
     lines.append(",".join(result.columns))
-    row = ",".join(["%.12g"] * len(result.columns)) + "\n"
-    return "\n".join(lines) + "\n" + (row * len(result.rows)) % _values(result)
+    row = (",".join(["%.12g"] * len(result.columns)) + "\n").encode()
+    return "\n".join(lines) + "\n" + ((row * len(result.rows)) % tuple(result.rows.ravel().tolist())).decode()
 
 
 _JSON_SPELLING = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# A JSON cell's format by its kind: the %.12g text, a whole number's "%.1f",
+# and the spelling of any other respelled value, made beforehand
+_JSON_SPECS = (b"%.12g", b"%.1f", b"%s")
+
+
+def _json_block(brackets: str, items) -> str:
+    """An object or array one level deep, as ``json.dumps(indent=2)`` lays it out."""
+    inner = ",\n    ".join(items)
+    return f"{brackets[0]}\n    {inner}\n  {brackets[1]}" if inner else brackets
 
 
 def render_json(result: TableResult) -> str:
@@ -562,39 +566,37 @@ def render_json(result: TableResult) -> str:
     notes, with each row value rounded to its 12 printed digits: the
     encoder's spelling of the float its CSV text reads back as.
 
-    The cells come from one %.12g operation, as in ``render_csv``. A decimal
-    of at most 12 significant digits reads back to a double whose repr has
-    those digits, so the text is already the encoder's spelling except for
-    integral values ("3" for 3.0), |x| in [1e12, 1e16) (an exponent in %g,
-    none in repr), subnormals (more digits than they hold) and nan/inf
-    (NaN, Infinity, -Infinity). A mask selects a superset of those cells,
-    each value within 1e-11 relative of an integer (so every |x| >= 5e10),
-    each subnormal and each non-finite value, and only they are respelled.
+    A decimal of at most 12 significant digits reads back to a double whose
+    repr has those digits, so the %.12g text is already the encoder's
+    spelling except for integral values ("3" for 3.0), |x| in [1e12, 1e16)
+    (an exponent in %g, none in repr), subnormals (more digits than they
+    hold) and nan/inf (NaN, Infinity, -Infinity). A mask selects a superset
+    of those cells, each value within 1e-11 relative of an integer (so every
+    |x| >= 5e10), each subnormal and each non-finite value, and only they
+    are respelled: "%.1f" spells a whole number below 1e12 (at most 12
+    digits, and "-0.0" for -0, as repr), and any other is spelled alone.
+    The rows are then one bytes template, formatted as in ``render_csv``.
     """
-    text = json.dumps(
-        {
-            "config": dict(result.header),
-            "columns": result.columns,
-            "rows": None,
-            "notes": result.notes,
-        },
-        indent=2,
-    )
     rows = "[]"
     if len(result.rows):
         x = result.rows.ravel()
-        cells = (" ".join(["%.12g"] * x.size) % _values(result)).split(" ")
-        scale = np.abs(x)
+        values = x.tolist()
+        scale, nearest = np.abs(x), np.rint(x)
         with np.errstate(invalid="ignore"):  # inf - inf
-            odd = ~(np.abs(x - np.rint(x)) > 1e-11 * scale) | (scale < sys.float_info.min)
-        for i in np.flatnonzero(odd).tolist():
-            cell = cells[i]
-            cells[i] = cell + ".0" if cell.isdigit() else _JSON_SPELLING.get(cell) or repr(float(cell))
-        lines = map(",\n      ".join, zip(*[iter(cells)] * len(result.columns)))
-        rows = "[\n    [\n      " + "\n    ],\n    [\n      ".join(lines) + "\n    ]\n  ]"
-    # keys and string values escape their quotes, so the placeholder is the
-    # only unescaped '"rows": null' in the text
-    return text.replace('"rows": null', '"rows": ' + rows, 1) + "\n"
+            odd = ~(np.abs(x - nearest) > 1e-11 * scale) | (scale < sys.float_info.min)
+        respelled = odd & ~((x == nearest) & (scale < 1e12))
+        for i in np.flatnonzero(respelled).tolist():
+            cell = "%.12g" % values[i]
+            values[i] = (_JSON_SPELLING.get(cell) or repr(float(cell))).encode()
+        kinds = (odd.view(np.int8) + respelled).reshape(result.rows.shape)
+        keys = kinds.view(f"V{kinds.shape[1]}").ravel().tolist()  # a row's kinds, as bytes
+        templates = {key: b",\n      ".join([_JSON_SPECS[kind] for kind in key]) for key in set(keys)}
+        body = b"\n    ],\n    [\n      ".join([templates[key] for key in keys])
+        rows = ((b"[\n    [\n      " + body + b"\n    ]\n  ]") % tuple(values)).decode()
+    string = json.encoder.encode_basestring_ascii  # the encoder's own, under ensure_ascii
+    config = _json_block("{}", [f"{string(key)}: {string(value)}" for key, value in dict(result.header).items()])
+    columns, notes = (_json_block("[]", map(string, items)) for items in (result.columns, result.notes))
+    return f'{{\n  "config": {config},\n  "columns": {columns},\n  "rows": {rows},\n  "notes": {notes}\n}}\n'
 
 
 _RUNNERS = {

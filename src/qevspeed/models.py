@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,12 +328,18 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
     dim = 2 if kind == "1q" else 4
     rate = {"1q": 1.0, "aligned": 2.0, "anti": 0.0}[kind] * w  # phase rate of the coherence
     turn = -rate * ab
+    # the last time of finite phase rate * t, whose phase later times take: no speed depends on it
+    wrap = sys.float_info.max / max(rate, 1.0)
+    wrap = math.nextafter(wrap, 0.0) if rate * wrap == math.inf else wrap
 
     def blocks(t):
         g, dg = (1.0, 0.0) if Gamma is None else _amplitudes(t, Gamma)
         cos, sin = 1.0, 0.0
-        if rate:  # numpy's float64 (a 0-d time's phase) is a float
-            xp = math if isinstance(phase := rate * t, float) else np
+        if rate and isinstance(t, float):  # one point, on libm
+            phase = rate * (t if t <= wrap else wrap)
+            cos, sin = math.cos(phase), math.sin(phase)
+        elif rate:  # numpy's float64 (a 0-d time's phase) is a float
+            xp = math if isinstance(phase := rate * np.minimum(t, wrap), float) else np
             cos, sin = xp.cos(phase), xp.sin(phase)
         dpop = 2.0 * g * dg
         sqrt, lower, upper = (math.sqrt, min, max) if isinstance(g, float) else (np.sqrt, np.minimum, np.maximum)
@@ -520,7 +527,7 @@ def trajectory_from_key(
             raise ValueError(f"omega must be positive, got {omega}")
         if omega == math.inf:
             raise ValueError(f"omega must be finite, got {omega}")
-        return _x_trajectory(kind, alpha, omega, None, horizon)
+        return _x_trajectory(kind, alpha, float(omega), None, horizon)
     for ratio in (None,) if markovian_limit else _extremes(Gamma_over_gamma0):
         OpenSystemParams(Gamma=ratio, markovian_limit=markovian_limit)
     Gamma = math.inf if markovian_limit else Gamma_over_gamma0

@@ -19,6 +19,23 @@ qevspeed detect --model open-2q-aligned --time 5 --sweep Gamma_over_gamma0:0.5:1
 for metric in sld wy; do
     qevspeed detect --model open-2q-anti --gamma-ratio 0.1691959798994975 --metric "$metric" --sweep t:6.705124740062843:7:2 | python -c "import sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert abs(float(rows[0][1]) - 0.164941821962) <= 1e-9, rows"
 done
+# CSV and JSON print the same numbers: each JSON value is float() of its CSV cell, nan where it is nan
+csv="$(mktemp)"; json="$(mktemp)"
+for command in "figure fig1a" "regions --gamma-ratio 0.37 --n-max 300"; do
+    qevspeed $command > "$csv"
+    qevspeed $command --format json > "$json"
+    python - "$csv" "$json" <<'PY'
+import json, math, sys
+cells = [line.strip().split(",") for line in open(sys.argv[1]) if not line.startswith("#")][1:]
+rows = json.load(open(sys.argv[2]))["rows"]
+assert rows and [len(row) for row in rows] == [len(row) for row in cells], (len(rows), len(cells))
+for value, cell in zip(sum(rows, []), sum(cells, [])):
+    want = float(cell)
+    same = math.isnan(want) if math.isnan(value) else value == want and math.copysign(1.0, value) == math.copysign(1.0, want)
+    assert same, (value, cell)
+PY
+done
+rm -f "$csv" "$json"
 # a flag that no command takes is a usage error that names it
 bogus="$(mktemp)"
 status=0; qevspeed speed --bogus 2> "$bogus" || status=$?

@@ -149,6 +149,30 @@ def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(monkeypatch, k
             assert all(np.all(np.asarray(x) == 0.0) for x in pair_moves[:2])
 
 
+@pytest.mark.parametrize("omega", [0.3, 1.0, 3.0, 7.1e299, 8.9e307])
+@pytest.mark.parametrize("key, turns", [("closed-1q", 1.0), ("closed-2q-aligned", 2.0)])
+def test_the_phase_keeps_its_bits_up_to_its_overflow(monkeypatch, key, turns, omega):
+    """At the last time whose phase rate * t is finite, the coherence has
+    that phase's bits; a later time takes a finite phase, and floats and
+    arrays agree at both."""
+    on_libm(monkeypatch, models)
+    rate = turns * omega
+    last = min(sys.float_info.max / rate, sys.float_info.max)
+    while rate * last == math.inf:
+        last = math.nextafter(last, 0.0)
+    while last < sys.float_info.max and rate * math.nextafter(last, math.inf) < math.inf:
+        last = math.nextafter(last, math.inf)
+    times = [last, math.nextafter(last, math.inf)]
+    blocks = trajectory_from_key(key, alpha=0.6, omega=omega, horizon=math.inf).state_at.blocks
+    ab = 0.6 * math.sqrt(1.0 - 0.6 * 0.6)
+    assert blocks(last)[0][1][2] == ab * math.cos(rate * last)
+    batch = blocks(np.array(times))
+    for i, t in enumerate(times):
+        for (indices, *entries), (_, *columns) in zip(blocks(t), batch):
+            for x, column in zip(itertools.chain(*entries), itertools.chain(*columns)):
+                assert math.isfinite(x) and x.hex() == float(np.broadcast_to(column, (2,))[i]).hex()
+
+
 @pytest.mark.parametrize("key,bath", MODEL_CASES)
 def test_blocks_state_the_root_of_their_determinant(key, bath):
     """Every block's last state entry s has s^2 = p (a ray, on one index or,

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from qevspeed.models import (
     open_qubit_speed_analytic,
     trajectory_from_key,
 )
-from qevspeed.speed import speed_at
+from qevspeed.speed import speed_at, speeds_at
 from util import leaking_trajectory
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -166,6 +167,29 @@ class TestSpeedCommand:
         assert code == 0
         assert "# note:" not in text
         np.testing.assert_allclose(parse_csv(text)[2][:, 1], 0.6 * 0.8 * 1e300, rtol=1e-12)
+
+    def test_overflowing_phase_keeps_the_precession_speed(self, capsys):
+        """Where omega t overflows, the phase is the last finite one's: no
+        closed-model speed depends on it. Under warnings as errors, the
+        rows are the closed forms, with no note and nothing on stderr."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            detect = ["detect", "--model", "closed-1q", "--alpha", "0.6", "--omega", "1e308", "--time", "5"]
+            assert cli.main([*detect, "--sweep", "alpha:0.1:0.9:3"]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and "# note:" not in out
+            rows = parse_csv(out)[2]
+            alpha = rows[:, 0]
+            np.testing.assert_allclose(rows[:, 1], alpha * np.sqrt(1.0 - alpha * alpha) * 1e308, rtol=1e-12)
+            speed = ["speed", "--model", "closed-2q-aligned", "--alpha", "0.5", "--tmin", "0", "--tmax", "1e308"]
+            assert cli.main([*speed, "--points", "3"]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and "# note:" not in out
+            closed_form = 2.0 * 0.5 * math.sqrt(0.75)
+            np.testing.assert_allclose(parse_csv(out)[2][:, 1:], [[closed_form, 0.0]] * 3, rtol=1e-12, atol=1e-300)
+            traj = trajectory_from_key("closed-2q-aligned", alpha=0.5, horizon=2e308)
+            assert speed_at(traj, 1e308) == pytest.approx(closed_form, rel=1e-12)
+            assert speeds_at(traj, [1e308, 1.7e308]).speeds == pytest.approx([closed_form] * 2, rel=1e-12)
 
 
 class TestFigureCommand:
@@ -425,9 +449,44 @@ class TestDetectCommand:
             traj = trajectory_from_key("closed-1q", alpha=float(header["alpha"]), omega=omega)
             want = [speed_at(traj, t) for t in rows[:, 0]]
         else:
-            t = float(header["gamma0_t"])
+            t = float(header["omega_t"])
             want = [speed_at(trajectory_from_key("closed-1q", alpha=a, omega=omega), t) for a in rows[:, 0]]
         np.testing.assert_allclose(rows[:, 1], want, rtol=1e-11, atol=0.0)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "model, bath, keys",
+        [
+            ("closed-1q", [], ["omega_t", "omega"]),
+            ("closed-2q-aligned", ["--gamma-ratio", "0.5"], ["omega_t", "omega"]),
+            ("open-1q", ["--gamma-ratio", "0.5"], ["gamma0_t", "Gamma_over_gamma0"]),
+            ("open-2q-aligned", ["--markovian-limit"], ["gamma0_t", "markovian_limit"]),
+        ],
+    )
+    def test_fixed_time_is_named_by_its_unit(self, model, bath, keys, fmt, tmp_path):
+        """A closed model's times are in units of 1/omega and an open
+        model's in units of 1/gamma0: a transverse sweep's fixed time is
+        ``omega_t`` or ``gamma0_t``, and the rows reproduce from the header.
+        An open model's header is what it was."""
+        argv = ["detect", "--model", model, "--omega", "2.5", *bath, "--time", "3.5", "--sweep", "alpha:0.1:0.9:5"]
+        code, text = run_to_file(tmp_path, [*argv, "--format", fmt])
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(text)
+            header, rows = payload["config"], np.array(payload["rows"])
+        else:
+            header, _, rows = parse_csv(text)
+        base = ["artifact", "command", "model", "metric", "classification", "sweep"]
+        assert list(header) == base + keys
+        if model.startswith("closed"):
+            t, params = float(header["omega_t"]), {"omega": float(header["omega"])}
+        elif "markovian_limit" in header:
+            t, params = float(header["gamma0_t"]), {"markovian_limit": header["markovian_limit"] == "true"}
+        else:
+            t, params = float(header["gamma0_t"]), {"Gamma_over_gamma0": float(header["Gamma_over_gamma0"])}
+        want = [speed_at(trajectory_from_key(model, alpha=a, **params), t) for a in rows[:, 0]]
+        np.testing.assert_allclose(rows[:, 1], want, rtol=1e-11, atol=0.0)
+        assert dict(table(["figure", "fig2b"]).header)["gamma0_t"] == "1"
 
     @pytest.mark.parametrize("sweep", ["alpha:0.01:0.99:50", "C:0.01:0.99:50"])
     def test_anti_pair_transverse_slopes_are_exactly_zero(self, sweep, tmp_path):

@@ -138,3 +138,68 @@ def test_near_integers_and_wide_magnitudes(values):
         header=[("artifact", "test")], columns=["c"], rows=np.array(values).reshape(-1, 1)
     )
     assert_renders_as_oracle(result)
+
+
+# The JSON cells take one of three formats: "%.12g", "%.1f" for a whole
+# number below 1e12 in magnitude, or a spelling made beforehand. These
+# tables sit on the edges of those classes.
+
+
+def table_of(rows) -> cli.TableResult:
+    rows = np.array(rows, dtype=float).reshape(len(rows), -1)
+    return cli.TableResult([("artifact", "test")], [f"c{i}" for i in range(rows.shape[1])], rows)
+
+
+def test_whole_number_columns():
+    n = np.arange(-150.0, 150.0)
+    assert_renders_as_oracle(table_of(np.column_stack([n, n * 1e9, n / 7.0, (n % 2.0) * -1.0])))
+
+
+@pytest.mark.parametrize("breaker", [math.nan, -0.0, 0.0, math.inf, -math.inf, 2.5])
+@pytest.mark.parametrize("row", [0, 17, 299])
+def test_a_whole_column_broken_by_one_row(breaker, row):
+    n = np.arange(1.0, 301.0)
+    n[row] = breaker
+    result = table_of(np.column_stack([n, n + 0.25]))
+    assert_renders_as_oracle(result)
+    assert json.loads(cli.render_json(result))["rows"][row][0] == pytest.approx(breaker, nan_ok=True)
+
+
+# 1e11 and 999999999999 print all their digits under %.12g; 1e12 + 1 and
+# 1234567890123 do not, so only repr of the rounded value spells them; and
+# a near-integer that is not whole keeps its %.12g digits
+EDGES = [
+    1e11, -1e11, 999999999999.0, -999999999999.0, 1e12, -1e12, 1e12 + 1.0, 1234567890123.0,
+    -9999999999999.0, 1e13, 0.0, -0.0, 5.00000000004, -7.00000000005, 9.99999999996,
+    123456.000001, 2.9999999999999, 99999999999.99998,
+]
+
+
+@pytest.mark.parametrize("value", EDGES)
+def test_edges_of_the_whole_number_format(value):
+    for rows in ([[value]], [[value, 1.5], [2.0, value]]):
+        assert_renders_as_oracle(table_of(rows))
+
+
+def test_long_tables_with_uniform_and_mixed_formats():
+    rng = np.random.default_rng(29)
+    n = 320
+    uniform = np.column_stack([np.arange(1.0, n + 1.0), rng.uniform(0.1, 40.0, n), np.full(n, math.nan), -rng.integers(0, 10**11, n)])
+    assert_renders_as_oracle(table_of(uniform))
+    pool = np.array([*EDGES, math.nan, math.inf, -math.inf, 5e-324, 0.1, -3.75, 1e15 + 0.5])
+    mixed = rng.choice(pool, size=(n, 5))
+    assert_renders_as_oracle(table_of(mixed))
+    # the mixed rows differ in which cells are whole numbers below 1e12
+    whole = (mixed == np.rint(mixed)) & (np.abs(mixed) < 1e12)
+    assert len({row.tobytes() for row in whole}) > 10
+
+
+WHOLE_NUMBERS = st.integers(min_value=-10**13, max_value=10**13).map(float)
+SPECIALS = st.sampled_from([math.nan, 0.0, -0.0, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(WHOLE_NUMBERS, SPECIALS), min_size=1, max_size=60), st.integers(min_value=1, max_value=3))
+def test_whole_numbers_and_specials(values, n_columns):
+    values = values * n_columns
+    assert_renders_as_oracle(table_of(np.array(values).reshape(-1, n_columns)))
