@@ -262,9 +262,8 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 # Command implementations
 
 
-def _build_trajectory(config: RunConfig, until: float, **overrides) -> Trajectory:
-    """The configured model, defined at least up to time ``until``: on
-    [0, max(50, until)]."""
+def _build_trajectory(config: RunConfig, **overrides) -> Trajectory:
+    """The configured model, with ``overrides`` of its parameters."""
     if config.model is None:
         raise UsageError(f"--model is required; valid keys: {', '.join(MODEL_KEYS)}")
     kwargs = dict(
@@ -272,7 +271,6 @@ def _build_trajectory(config: RunConfig, until: float, **overrides) -> Trajector
         omega=config.omega,
         Gamma_over_gamma0=config.gamma_ratio,
         markovian_limit=config.markovian_limit,
-        horizon=max(50.0, until),
     )
     kwargs.update(overrides)
     return trajectory_from_key(config.model, **kwargs)
@@ -315,7 +313,7 @@ def _skipped(name: str, points: np.ndarray, failures: dict) -> list[str]:
 
 def run_speed(config: RunConfig) -> TableResult:
     metric = resolve_metric(config.metric)
-    traj = _build_trajectory(config, config.tmax)
+    traj = _build_trajectory(config)
     grid = _time_grid(config)
     if grid[0] < 0.0:
         raise UsageError("tmin must be nonnegative")
@@ -372,9 +370,9 @@ def run_figure(config: RunConfig) -> TableResult:
         alpha=spec.alpha,
         gamma_ratio=spec.gamma_ratio,
         markovian_limit=spec.markovian_limit,
-        # the sweep's trajectory reaches ``time``: for a time curve, the grid's end
-        time=hi if spec.fixed_time is None else spec.fixed_time,
     )
+    if spec.fixed_time is not None:  # a transverse sweep's time
+        sweep_config.time = spec.fixed_time
     evaluate, _ = _sweep_evaluator(sweep_config, name, metric)
     speeds, slopes, failures = speedup_measures(evaluate, grid)
     notes = _skipped(name, grid, failures)
@@ -460,7 +458,7 @@ def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
     margin = 2e-4  # room for the central-difference probes
 
     if name == "t":
-        traj = _build_trajectory(config, t_eval)
+        traj = _build_trajectory(config)
         return (lambda times: speeds_at(traj, times, metric)), "longitudinal"
 
     if name == "C" and "-2q-" not in (config.model or ""):
@@ -475,7 +473,7 @@ def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
                 f"[{margin}, {1 - margin}]",
             )
             alphas = values if name == "alpha" else alpha_from_concurrence(values)
-            return speeds_at(_build_trajectory(config, t_eval, alpha=alphas), t_eval, metric)
+            return speeds_at(_build_trajectory(config, alpha=alphas), t_eval, metric)
 
         return evaluate, "transverse"
 
@@ -490,7 +488,7 @@ def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
     def evaluate(values: np.ndarray):
         _inside(values, values > 0.0, f"{label} must stay positive, got {{:.6g}}")
         ratios = 1.0 / values if name == "Omega" else values
-        return speeds_at(_build_trajectory(config, t_eval, Gamma_over_gamma0=ratios), t_eval, metric)
+        return speeds_at(_build_trajectory(config, Gamma_over_gamma0=ratios), t_eval, metric)
 
     return evaluate, "transverse"
 

@@ -153,6 +153,9 @@ def _amplitudes(t, Gamma):
     branch on the whole time array. An array of widths routes each element
     by mask. Arrays take numpy's ufuncs (``xp = np``): the two array
     selections give the same bits, within a few ulp of the point path's.
+    Their decaying terms may flush to zero, and their kappa t / 2 may
+    overflow to inf at late times, which takes the split form, where
+    exp(-inf) is the 0 it rounds to: neither raises a warning.
     """
     if isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0:
         g = float(Gamma)
@@ -165,7 +168,7 @@ def _amplitudes(t, Gamma):
             return _BRANCHES[code if code < 3 or 0.5 * k * t < 20.0 else 4](math, t, g, k)
         _check_time(t)
         t = np.asarray(t, dtype=float)
-        with np.errstate(under="ignore"):  # decaying terms may flush to zero
+        with np.errstate(under="ignore", over="ignore"):
             if code == 3 and not (near := 0.5 * k * t < 20.0).all():
                 if not near.any():
                     return _hyperbolic_split(np, t, g, k)
@@ -179,12 +182,10 @@ def _amplitudes(t, Gamma):
     markovian = np.isinf(g)
     finite = np.where(markovian, 0.0, g)
     k = np.sqrt(finite) * np.sqrt(np.abs(2.0 - finite))
-    code = np.where(
-        finite == 2.0, 1, np.where(finite < 2.0, 2, np.where(0.5 * k * t < 20.0, 3, 4))
-    )
-    code[markovian] = 0
     value, slope = np.empty(t.shape), np.empty(t.shape)
-    with np.errstate(under="ignore"):  # decaying terms may flush to zero
+    with np.errstate(under="ignore", over="ignore"):
+        code = np.where(finite == 2.0, 1, np.where(finite < 2.0, 2, np.where(0.5 * k * t < 20.0, 3, 4)))
+        code[markovian] = 0
         for branch, formula in enumerate(_BRANCHES):
             mask = code == branch
             if mask.any():
@@ -299,7 +300,7 @@ def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
     return out
 
 
-def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
+def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
     """The model ``kind`` from real amplitude ``a`` (which may be an array)
     and beta = sqrt(1 - a^2): '1q' starts from alpha|1> + beta|0>, 'aligned'
     from alpha|11> + beta|00> and 'anti' from alpha|10> + beta|01>.
@@ -326,20 +327,20 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
     b = math.sqrt(1.0 - a * a) if isinstance(a, float) else np.sqrt(1.0 - a * a)
     ab = a * b
     dim = 2 if kind == "1q" else 4
-    rate = {"1q": 1.0, "aligned": 2.0, "anti": 0.0}[kind] * w  # phase rate of the coherence
-    turn = -rate * ab
-    # the last time of finite phase rate * t, whose phase later times take: no speed depends on it
-    wrap = sys.float_info.max / max(rate, 1.0)
-    wrap = math.nextafter(wrap, 0.0) if rate * wrap == math.inf else wrap
+    turns = {"1q": 1.0, "aligned": 2.0, "anti": 0.0}[kind] if w else 0.0  # the coherence's phase is turns (w t)
+    turn = -turns * (w * ab)  # the phase's rate times -alpha beta, finite where turns w is not
+    # the last time of finite phase, whose phase later times take: no speed depends on it
+    wrap = sys.float_info.max / turns / max(w, 1.0 / turns) if turns else 0.0
+    wrap = math.nextafter(wrap, 0.0) if turns * (w * wrap) == math.inf else wrap
 
     def blocks(t):
         g, dg = (1.0, 0.0) if Gamma is None else _amplitudes(t, Gamma)
         cos, sin = 1.0, 0.0
-        if rate and isinstance(t, float):  # one point, on libm
-            phase = rate * (t if t <= wrap else wrap)
+        if turns and isinstance(t, float):  # one point, on libm
+            phase = turns * (w * (t if t <= wrap else wrap))
             cos, sin = math.cos(phase), math.sin(phase)
-        elif rate:  # numpy's float64 (a 0-d time's phase) is a float
-            xp = math if isinstance(phase := rate * np.minimum(t, wrap), float) else np
+        elif turns:  # numpy's float64 (a 0-d time's phase) is a float
+            xp = math if isinstance(phase := turns * (w * np.minimum(t, wrap)), float) else np
             cos, sin = xp.cos(phase), xp.sin(phase)
         dpop = 2.0 * g * dg
         sqrt, lower, upper = (math.sqrt, min, max) if isinstance(g, float) else (np.sqrt, np.minimum, np.maximum)
@@ -366,14 +367,10 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
         lost = decay * (b * b) * decay + decay * (a * a) * decay
         return [((1, 2), [pop, g], [dpop, dg], (a, b)), ((3,), [lost, decay], [-dpop, ddecay])]
 
-    # ``state_at`` and ``derivative_at`` carry the block function for the
-    # speed kernel (a ``functools.wraps`` wrapper keeps it, a replacement
-    # drops it)
     state, derivative = (functools.partial(_scatter, dim, blocks, part) for part in (1, 2))
-    state.blocks = derivative.blocks = blocks
     if Gamma is None:
         record = {"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)}
-        return Trajectory(dim, horizon, state, derivative, record, shape=getattr(a, "shape", ()))
+        return Trajectory(dim, state, derivative, record, shape=getattr(a, "shape", ()), blocks=blocks)
     # "gamma0": 1.0 states the unit of every time and rate
     record = {"alpha": a, "gamma0": 1.0}
     if np.isinf(Gamma).all():
@@ -391,7 +388,7 @@ def _x_trajectory(kind: str, a, w: float, Gamma, horizon: float) -> Trajectory:
         limit = np.where(scale == 0.0, 0.0, scale * escape)
     shape = np.broadcast_shapes(np.shape(a), np.shape(Gamma))
     limit = _scalar_or_array(np.broadcast_to(limit, shape))
-    return Trajectory(dim, horizon, state, derivative, record, limit, shape)
+    return Trajectory(dim, state, derivative, record, limit, shape, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +493,8 @@ def trajectory_from_key(
     omega: float = 1.0,
     Gamma_over_gamma0=None,
     markovian_limit: bool = False,
-    horizon: float = 50.0,
 ) -> Trajectory:
-    """Build a model trajectory, defined on [0, ``horizon``], from its string
+    """Build a model trajectory, defined for every t >= 0, from its string
     key and real parameters.
 
     Closed models precess at ``omega``. Open models need either
@@ -527,9 +523,9 @@ def trajectory_from_key(
             raise ValueError(f"omega must be positive, got {omega}")
         if omega == math.inf:
             raise ValueError(f"omega must be finite, got {omega}")
-        return _x_trajectory(kind, alpha, float(omega), None, horizon)
+        return _x_trajectory(kind, alpha, float(omega), None)
     for ratio in (None,) if markovian_limit else _extremes(Gamma_over_gamma0):
         OpenSystemParams(Gamma=ratio, markovian_limit=markovian_limit)
     Gamma = math.inf if markovian_limit else Gamma_over_gamma0
     Gamma = np.asarray(Gamma, dtype=float) if np.ndim(Gamma) else float(Gamma)
-    return _x_trajectory(kind, alpha, 0.0, Gamma, horizon)
+    return _x_trajectory(kind, alpha, 0.0, Gamma)

@@ -65,20 +65,23 @@ DEFAULT_TIME_STEP = 1e-5
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A differentiable curve t -> rho_t of density operators on [0, horizon].
+    """A differentiable curve t -> rho_t of density operators, for t >= 0.
 
     ``state_at`` takes an array of times and returns rho_t at each, stacked
     along the leading axes: Hermitian, trace-one, positive-semidefinite
     matrices of size ``dim``. ``derivative_at`` returns their analytic time
     derivatives, stacked the same way. The built-in models broadcast the
     times against arrays of parameters (a family of curves evaluated
-    together), and both their callables carry the model's block function as
-    an attribute ``blocks``, which ``speeds_at`` evaluates in place of the
-    dense matrices. Its entries are real: (p, s) and (dp, ds) for a ray (one
-    eigenvalue p along a constant unit vector, stated as a fourth item past
-    one index), and (a, c, wr, wi, s) and (da, dc, dwr, dwi, ds) for a pair
-    [[a, w], [w*, c]], w = wr + i wi, where s is a smooth signed root of the
-    block's determinant (p = s^2, ac - |w|^2 = s^2) and ds its derivative.
+    together) and state their block function as ``blocks``, which the
+    evaluators call in place of the dense matrices; ``None`` (the default)
+    is the dense path. The block function takes what ``state_at`` takes and
+    returns the diagonal blocks, whose entries are real: (p, s) and (dp, ds)
+    for a ray (one eigenvalue p along a constant unit vector, stated as a
+    fourth item past one index), and (a, c, wr, wi, s) and
+    (da, dc, dwr, dwi, ds) for a pair [[a, w], [w*, c]], w = wr + i wi,
+    where s is a smooth signed root of the block's determinant (p = s^2,
+    ac - |w|^2 = s^2) and ds its derivative. ``dataclasses.replace`` keeps
+    ``blocks``: a trajectory whose states change takes ``blocks=None``.
     ``params`` records the numbers the trajectory was built from, and
     ``shape`` the family's shape: the broadcast shape of the parameters, ()
     (the default) for one curve. The evaluators read it in place of
@@ -91,12 +94,12 @@ class Trajectory:
     """
 
     dim: int
-    horizon: float
     state_at: Callable[[np.ndarray], np.ndarray]
     derivative_at: Callable[[np.ndarray], np.ndarray]
     params: dict[str, float] = field(default_factory=dict)
     speed_at_zero: float | np.ndarray | None = None
     shape: tuple[int, ...] = ()
+    blocks: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -254,27 +257,21 @@ def kernel_speeds(
     return SpeedBatch(speeds.reshape(batch), failures)
 
 
-def _blocks_at(traj: Trajectory, t):
-    """The blocks at ``t`` of the block function both callables carry, or None."""
-    blocks = getattr(traj.state_at, "blocks", None)
-    return blocks(t) if blocks is not None and blocks is getattr(traj.derivative_at, "blocks", None) else None
-
-
-def _check_range(traj: Trajectory, first, last, times) -> None:
-    """Raise ``ValueError`` for the first of ``times`` outside [0, horizon]."""
-    if not (first >= 0.0 and last <= traj.horizon):
-        bad = next(x for x in np.ravel(times) if not 0.0 <= x <= traj.horizon)
-        raise ValueError(f"t = {bad} outside trajectory range [0, {traj.horizon}]")
+def _check_range(first, last, times) -> None:
+    """Raise ``ValueError`` for the first of ``times`` outside [0, inf)."""
+    if not (first >= 0.0 and last < math.inf):
+        bad = next(x for x in np.ravel(times) if not 0.0 <= x < math.inf)
+        raise ValueError(f"t = {bad} outside trajectory range [0, inf)")
 
 
 def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> SpeedBatch:
     """Speeds along a trajectory at an array of times: the batch path.
 
-    A built-in model's block function (``blocks`` on both callables) is
-    called once and its blocks take the formulas of ``_fisher``; any other
-    trajectory is one dense block (``kernel_speeds``). At t = 0 a
-    trajectory's ``speed_at_zero`` limit is returned. Times outside
-    [0, horizon] and dense states of a size other than ``traj.dim`` raise
+    A trajectory's block function (``traj.blocks``) is called once and its
+    blocks take the formulas of ``_fisher``; a trajectory without one is
+    one dense block (``kernel_speeds``). At t = 0 a trajectory's
+    ``speed_at_zero`` limit is returned. Negative, NaN and infinite times
+    and dense states of a size other than ``traj.dim`` raise
     ``ValueError``; a failed point is nan with its error in ``failures``.
     No times give an empty batch.
     """
@@ -282,12 +279,12 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
     if t.size == 0:
         return SpeedBatch(np.empty(t.shape))
     first, last = t.min(), t.max()
-    _check_range(traj, first, last, t)
+    _check_range(first, last, t)
     limit = traj.speed_at_zero
     if limit is not None and last == 0.0:  # every point takes the limit
         return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
     with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
-        return _batch_at(traj, t, metric, _blocks_at(traj, t), first)
+        return _batch_at(traj, t, metric, None if traj.blocks is None else traj.blocks(t), first)
 
 
 def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first) -> SpeedBatch:
@@ -318,12 +315,12 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
     blocks = None
     if isinstance(t, (int, float)):  # numpy's float64 is a float
         t = float(t)
-        _check_range(traj, t, t, t)
+        _check_range(t, t, t)
         limit = traj.speed_at_zero
         if t == 0.0 and isinstance(limit, (int, float)):
             return float(limit)
-        if t > 0.0 or limit is None:  # speeds_at returns an array limit unevaluated
-            blocks = _blocks_at(traj, t)
+        if traj.blocks is not None and (t > 0.0 or limit is None):  # speeds_at returns an array limit unevaluated
+            blocks = traj.blocks(t)
         if blocks is not None and not traj.shape:
             shrink, grow = _binary_scale(max([abs(x) for block in blocks for x in block[2]]))
             return 0.5 * math.sqrt(_fisher(metric, blocks, shrink, math)) * grow

@@ -15,6 +15,13 @@ qevspeed figure fig4b --metric wy --points 3 | python -c "import math, sys; rows
 qevspeed detect --model open-1q --gamma-ratio 10 --sweep t:1:10:30 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 30 and all(math.isfinite(float(row[1])) for row in rows), rows"
 # an array of widths across every finite branch, routed element by element
 qevspeed detect --model open-2q-aligned --time 5 --sweep Gamma_over_gamma0:0.5:12:30 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 30 and all(math.isfinite(float(row[1])) for row in rows), rows"
+# every model is defined for all t >= 0: a time sweep past t = 50
+qevspeed detect --model open-1q --gamma-ratio 0.5 --sweep t:1:60:5 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 5 and all(math.isfinite(float(row[1])) for row in rows), rows"
+# at the largest times kappa t overflows with no warning on stderr
+late="$(mktemp)"
+qevspeed speed --model open-1q --gamma-ratio 10 --tmin 1e300 --tmax 1e308 --points 2 > /dev/null 2> "$late"
+test ! -s "$late"
+rm -f "$late"
 # at an exact zero of the float G_t the anti pair still moves, at |G'_t| / c_t, under both metrics
 for metric in sld wy; do
     qevspeed detect --model open-2q-anti --gamma-ratio 0.1691959798994975 --metric "$metric" --sweep t:6.705124740062843:7:2 | python -c "import sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert abs(float(rows[0][1]) - 0.164941821962) <= 1e-9, rows"

@@ -169,7 +169,7 @@ def test_c08_memory_regime_region_boundaries():
     assert start == pytest.approx(tau_prime, abs=1e-12)
     assert abs(speedup_equation(params, tau_dprime)) <= 1e-10
 
-    traj = open_model("open-1q", params, horizon=60.0)
+    traj = open_model("open-1q", params)
 
     def slope(t):
         return speedup_measure(lambda x: speed_at(traj, x, SLD), t)

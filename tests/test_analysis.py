@@ -190,7 +190,7 @@ class TestSpeedupBoundaries:
 
     def test_speed_slope_signs_around_interval(self):
         (tau_prime, tau_dprime), = speedup_boundaries(MEMORY_PARAMS, 1)
-        traj = open_model("open-1q", MEMORY_PARAMS, horizon=60.0)
+        traj = open_model("open-1q", MEMORY_PARAMS)
 
         def speed_of(t):
             return speed_at(traj, t, MetricKind.SLD)
@@ -323,7 +323,7 @@ class TestInterleaving:
         # sign changes of dS/dt on a dense grid, refined by bisection, land on
         # tau_1' and tau_1''
         (tau_prime, tau_dprime), = speedup_boundaries(MEMORY_PARAMS, 1)
-        traj = open_model("open-1q", MEMORY_PARAMS, horizon=60.0)
+        traj = open_model("open-1q", MEMORY_PARAMS)
 
         def slope(t):
             return speedup_measure(lambda x: speed_at(traj, x, MetricKind.SLD), t)

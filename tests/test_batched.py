@@ -8,6 +8,8 @@ import dataclasses
 import functools
 import io
 import math
+import sys
+import warnings
 from contextlib import redirect_stdout
 
 import numpy as np
@@ -15,6 +17,7 @@ import pytest
 
 import qevspeed.cli as cli
 import qevspeed.models as models
+from qevspeed import linalg
 from qevspeed.errors import RankIncreaseError
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
@@ -179,7 +182,7 @@ def test_pair_families_are_the_local_channel_exactly(kind):
 
 def test_pure_states_take_the_fubini_study_route():
     traj = trajectory_from_key("closed-2q-aligned", alpha=0.6, omega=1.3)
-    result = speeds_at(traj, TIMES[TIMES < traj.horizon], SLD)
+    result = speeds_at(traj, TIMES, SLD)
     # S = 2 omega alpha beta for the aligned pair
     np.testing.assert_allclose(result.speeds, 2 * 1.3 * 0.6 * 0.8, rtol=1e-12)
 
@@ -208,7 +211,7 @@ def test_rank_increase_fails_only_its_point():
     assert result.speeds[0] == 0.0 and result.speeds[2] > 0.0
 
     with pytest.raises(RankIncreaseError, match="rank"):
-        speed_at(leaking_trajectory(-math.inf, math.inf, horizon=10.0), 1.0, SLD)
+        speed_at(leaking_trajectory(-math.inf, math.inf), 1.0, SLD)
 
 
 @pytest.mark.parametrize("key", ["open-1q", "open-2q-aligned", "open-2q-anti"])
@@ -251,13 +254,20 @@ def test_family_validation_reports_bad_elements():
 
 
 def test_replaced_callables_are_the_ones_evaluated():
+    """A trajectory's ``blocks`` is what the evaluators call: a replaced
+    block function is the one evaluated, callables replaced under a kept
+    one are not, and ``blocks=None`` is the dense path over the callables."""
     base = trajectory_from_key("open-2q-aligned", alpha=0.6, Gamma_over_gamma0=3.0)
     other = trajectory_from_key("open-1q", alpha=0.9, Gamma_over_gamma0=0.4)
-    swapped = dataclasses.replace(
-        base, dim=2, state_at=other.state_at, derivative_at=other.derivative_at
-    )
     times = np.linspace(0.1, 8.0, 11)
-    assert_close(speeds_at(swapped, times, SLD).speeds, speeds_at(other, times, SLD).speeds)
+    want = speeds_at(other, times, SLD).speeds
+    replaced = dataclasses.replace(base, blocks=other.blocks)
+    assert speeds_at(replaced, times, SLD).speeds.tobytes() == want.tobytes()
+    assert speed_at(replaced, 2.5) == speed_at(other, 2.5)
+    kept = dataclasses.replace(base, dim=2, state_at=other.state_at, derivative_at=other.derivative_at)
+    assert speeds_at(kept, times, SLD).speeds.tobytes() == speeds_at(base, times, SLD).speeds.tobytes()
+    swapped = dataclasses.replace(kept, blocks=None)
+    assert_close(speeds_at(swapped, times, SLD).speeds, want)
 
     calls = []
     u = random_unitary(np.random.default_rng(5), 4)
@@ -274,8 +284,8 @@ def test_replaced_callables_are_the_ones_evaluated():
     doubled = dataclasses.replace(numeric, derivative_at=lambda t: 2.0 * numeric.derivative_at(t))
     assert_close(speeds_at(doubled, times, SLD).speeds, 2.0 * speeds_at(base, times, SLD).speeds, rel=1e-8)
 
-    # both callables wrapped with functools.wraps, as bench/tracer.py wraps
-    # them: the wrappers carry the model's blocks, evaluated in their place
+    # both callables wrapped, as bench/tracer.py wraps them: the trajectory
+    # keeps its blocks, evaluated in their place
     wrapped = []
 
     def traced(func):
@@ -292,6 +302,53 @@ def test_replaced_callables_are_the_ones_evaluated():
             assert speeds_at(traced_traj, times, metric).speeds.tobytes() == speeds_at(traj, times, metric).speeds.tobytes()
             assert speed_at(traced_traj, 2.5, metric) == speed_at(traj, 2.5, metric)
     assert wrapped == []
+
+
+@pytest.mark.parametrize("key,bath", list(model_cases()))
+def test_dense_helpers_take_one_eigensolver_per_batch(monkeypatch, key, bath):
+    """A built-in model runs no eigensolver; ``conjugate_trajectory`` and
+    ``without_analytic_derivative`` drop its block function, so each of
+    their batches is one ``linalg.eigh_stack`` call, of the same speeds."""
+    solver, calls = linalg.eigh_stack, []
+    monkeypatch.setattr(linalg, "eigh_stack", lambda rho: calls.append(rho.shape) or solver(rho))
+    traj = trajectory_from_key(key, alpha=0.7, **bath)
+    times = np.linspace(0.5, 8.0, 7)
+    for metric in MetricKind:
+        want = speeds_at(traj, times, metric).speeds
+        speed_at(traj, 2.5, metric)
+        assert calls == []
+        rotated = conjugate_trajectory(traj, random_unitary(np.random.default_rng(7), traj.dim))
+        assert_close(speeds_at(rotated, times, metric).speeds, want, rel=1e-9)
+        assert calls == [(7, traj.dim, traj.dim)]
+        assert_close(speeds_at(without_analytic_derivative(traj), times, metric).speeds, want, rel=1e-6)
+        assert calls == [(7, traj.dim, traj.dim)] * 2
+        calls.clear()
+
+
+# every branch of G_t, and widths whose kappa t / 2 overflows at late times
+LATE_WIDTHS = [0.1, 0.5, 2.0, 10.0, 1e6]
+LATE_BATHS = [{"Gamma_over_gamma0": width} for width in LATE_WIDTHS] + [{"markovian_limit": True}]
+LATE_TIMES = [60.0, 1e3, 1e100, 1e308, sys.float_info.max]
+
+
+@pytest.mark.parametrize("key", MODEL_KEYS)
+def test_late_times_give_finite_speeds_without_warnings(key):
+    """Every model is defined for all t >= 0: at late times, up to the
+    largest float, each width's speed is finite on the point path, on a
+    time array and on a family of widths, under warnings as errors."""
+    baths = [{}] if key.startswith("closed") else LATE_BATHS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bath in baths:
+            traj = trajectory_from_key(key, alpha=0.7, **bath)
+            for metric in MetricKind:
+                speeds = speeds_at(traj, LATE_TIMES, metric).speeds
+                assert np.isfinite(speeds).all()
+                assert all(math.isfinite(speed_at(traj, t, metric)) for t in LATE_TIMES)
+        if key.startswith("open"):
+            family = trajectory_from_key(key, alpha=0.7, Gamma_over_gamma0=np.array(LATE_WIDTHS))
+            for metric in MetricKind:
+                assert np.isfinite(speeds_at(family, np.array(LATE_TIMES)[:, None], metric).speeds).all()
 
 
 def test_speed_curve_is_one_batch_with_neighbour_slopes():
@@ -323,9 +380,9 @@ def test_no_floating_point_exceptions():
     # Gamma/gamma0 = 0.1, where c_t = sqrt(1 - P_t) has the derivative 0/0
     with np.errstate(all="raise"):
         for key, bath in model_cases():
-            for horizon in (50.0, 700.0):
-                traj = trajectory_from_key(key, alpha=0.7, horizon=horizon, **bath)
-                times = np.concatenate([[0.0, 1e-12, 1e-10, 1e-8, 1e-4], np.linspace(0.01, traj.horizon, 301)])
+            traj = trajectory_from_key(key, alpha=0.7, **bath)
+            for end in (50.0, 700.0):
+                times = np.concatenate([[0.0, 1e-12, 1e-10, 1e-8, 1e-4], np.linspace(0.01, end, 301)])
                 for metric in MetricKind:
                     result = speeds_at(traj, times, metric)
                     assert not result.failures and np.isfinite(result.speeds[1:]).all()

@@ -4,6 +4,7 @@ floats, and the dense adapter on their conjugated states.
 The dense ``np.linalg.eigh`` kernel in util.py is the oracle.
 """
 
+import dataclasses
 import importlib
 import itertools
 import math
@@ -133,7 +134,7 @@ def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(monkeypatch, k
     times = np.concatenate([[0.0, 1e-6], np.random.default_rng(61).uniform(0.0, 50.0, 30)])
     for alpha in (0.0, 0.3, 1.0):
         for omega in (0.7, 1e300):
-            blocks = trajectory_from_key(key, alpha=alpha, omega=omega).state_at.blocks
+            blocks = trajectory_from_key(key, alpha=alpha, omega=omega).blocks
             batch = blocks(times)
             for i, t in enumerate(times):
                 one = blocks(float(t))
@@ -149,23 +150,26 @@ def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(monkeypatch, k
             assert all(np.all(np.asarray(x) == 0.0) for x in pair_moves[:2])
 
 
-@pytest.mark.parametrize("omega", [0.3, 1.0, 3.0, 7.1e299, 8.9e307])
+@pytest.mark.parametrize("omega", [0.3, 1.0, 3.0, 7.1e299, 8.9e307, 1e308, sys.float_info.max])
 @pytest.mark.parametrize("key, turns", [("closed-1q", 1.0), ("closed-2q-aligned", 2.0)])
 def test_the_phase_keeps_its_bits_up_to_its_overflow(monkeypatch, key, turns, omega):
-    """At the last time whose phase rate * t is finite, the coherence has
-    that phase's bits; a later time takes a finite phase, and floats and
-    arrays agree at both."""
+    """At the last time whose phase turns (omega t) is finite, the
+    coherence has that phase's bits, also where turns omega overflows; a
+    later time takes a finite phase, and floats and arrays agree at both."""
     on_libm(monkeypatch, models)
-    rate = turns * omega
-    last = min(sys.float_info.max / rate, sys.float_info.max)
-    while rate * last == math.inf:
+
+    def phase(t):
+        return turns * (omega * t)
+
+    last = min(sys.float_info.max / turns / omega, sys.float_info.max)
+    while phase(last) == math.inf:
         last = math.nextafter(last, 0.0)
-    while last < sys.float_info.max and rate * math.nextafter(last, math.inf) < math.inf:
+    while last < sys.float_info.max and phase(math.nextafter(last, math.inf)) < math.inf:
         last = math.nextafter(last, math.inf)
     times = [last, math.nextafter(last, math.inf)]
-    blocks = trajectory_from_key(key, alpha=0.6, omega=omega, horizon=math.inf).state_at.blocks
+    blocks = trajectory_from_key(key, alpha=0.6, omega=omega).blocks
     ab = 0.6 * math.sqrt(1.0 - 0.6 * 0.6)
-    assert blocks(last)[0][1][2] == ab * math.cos(rate * last)
+    assert blocks(last)[0][1][2] == ab * math.cos(phase(last))
     batch = blocks(np.array(times))
     for i, t in enumerate(times):
         for (indices, *entries), (_, *columns) in zip(blocks(t), batch):
@@ -178,7 +182,7 @@ def test_blocks_state_the_root_of_their_determinant(key, bath):
     """Every block's last state entry s has s^2 = p (a ray, on one index or,
     for the anti pair, along (alpha, beta)) or s^2 = ac - |w|^2 (a pair),
     and its last derivative entry is ds/dt."""
-    blocks = trajectory_from_key(key, alpha=0.7, omega=1.3, **bath).state_at.blocks
+    blocks = trajectory_from_key(key, alpha=0.7, omega=1.3, **bath).blocks
     times = np.concatenate([[0.0, 1e-3], np.linspace(0.1, 45.0, 60)])
     for _, state, *_ in blocks(times):
         if len(state) == 2:
@@ -326,16 +330,16 @@ def test_binary_scale_clips_floats_and_arrays_alike():
 
 @pytest.mark.parametrize("alpha", [np.array([0.7]), np.array(0.7)], ids=["family", "0-d"])
 @pytest.mark.parametrize("t", [0.0, 2.5])
-def test_speed_at_calls_the_block_function_once(monkeypatch, alpha, t):
+def test_speed_at_calls_the_block_function_once(alpha, t):
     """A one-member family takes the batch and parameters of shape () the
-    float path; either way the blocks at ``t`` are built once (none at the
-    t = 0 limit), and the speed is the batch's."""
+    float path; either way the trajectory's ``blocks`` at ``t`` are built
+    once (none at the t = 0 limit), and the speed is the batch's."""
     traj = trajectory_from_key("open-2q-aligned", alpha=alpha, Gamma_over_gamma0=0.5)
     want = speeds_at(traj, t).speeds.item()
-    calls = count_calls(monkeypatch, (traj.state_at, "blocks"))
-    monkeypatch.setattr(traj.derivative_at, "blocks", traj.state_at.blocks)
-    assert speed_at(traj, t).hex() == want.hex()
-    assert calls == ({} if t == 0.0 else {"blocks": 1})
+    calls = []
+    counted = dataclasses.replace(traj, blocks=lambda times: calls.append(times) or traj.blocks(times))
+    assert speed_at(counted, t).hex() == want.hex()
+    assert calls == ([] if t == 0.0 else [t])
 
 
 class NoNumpy:
@@ -405,7 +409,7 @@ def test_anti_pair_speed_at_an_exact_zero_of_the_amplitude():
     for width, tau in EXACT_ZEROS:
         params = OpenSystemParams(Gamma=width)
         closed = abs(amplitude_factor_dot(params, tau)) / math.sqrt(population_complement(params, tau))
-        traj = trajectory_from_key("open-2q-anti", alpha=0.6, Gamma_over_gamma0=width, horizon=60.0)
+        traj = trajectory_from_key("open-2q-anti", alpha=0.6, Gamma_over_gamma0=width)
         for metric in MetricKind:
             assert speed_at(traj, tau, metric) == pytest.approx(closed, rel=1e-13, abs=0.0)
             assert speeds_at(traj, [tau], metric).speeds[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
@@ -518,7 +522,7 @@ def test_numpy_amplitudes_are_within_ulps_of_libm(monkeypatch):
         for x, y in numpy_and_libm(lambda: models._amplitudes(ULP_TIMES, width)):
             np.testing.assert_array_max_ulp(x, y, maxulp=ULP_BOUND)
     for key in ("closed-1q", "closed-2q-aligned"):
-        blocks = trajectory_from_key(key, alpha=0.3, omega=1.3).state_at.blocks
+        blocks = trajectory_from_key(key, alpha=0.3, omega=1.3).blocks
         for (_, state, move), (_, states, moves) in numpy_and_libm(lambda: blocks(ULP_TIMES)):
             for x, y in zip(state + move, states + moves):
                 np.testing.assert_array_max_ulp(
@@ -536,7 +540,7 @@ def leaking_pair_trajectory() -> Trajectory:
     def derivative_at(t):
         return np.broadcast_to(np.array([[-0.1, 0.2j, 0.0], [-0.2j, 0.1, 0.0], [0.0, 0.0, 0.0]]), np.shape(t) + (3, 3))
 
-    return Trajectory(3, 50.0, state_at, derivative_at)
+    return Trajectory(3, state_at, derivative_at)
 
 
 @pytest.mark.parametrize("metric", list(MetricKind))
@@ -560,15 +564,26 @@ def test_speed_at_takes_any_number(key, bath):
         assert speed_at(traj, np.array(2.0), metric).hex() == want
 
 
-@pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, 50.5, math.inf])
-def test_speed_at_checks_the_range_as_the_batch(t):
+@pytest.mark.parametrize("t", [-1.0, -1e-300, math.nan, 50.5, 1e3, math.inf])
+def test_speed_at_checks_the_range_as_the_batch(monkeypatch, t):
+    """Every model is defined for t >= 0: a finite time evaluates to the
+    batch's bits (on the same libm), and a negative, NaN or infinite one
+    raises the batch's error on the point path."""
+    on_libm(monkeypatch, models)
     for traj in (trajectory_from_key("closed-1q"), trajectory_from_key("open-1q", markovian_limit=True)):
+        if 0.0 <= t < math.inf:
+            assert speed_at(traj, t).hex() == speeds_at(traj, t).speeds.item().hex()
+            continue
         with pytest.raises(ValueError) as batch:
             speeds_at(traj, t)
         with pytest.raises(ValueError) as one:
             speed_at(traj, t)
-        assert str(one.value) == str(batch.value)
-        assert str(one.value).startswith(f"t = {t} outside trajectory range [0, 50.0]")
+        assert str(one.value) == str(batch.value) == f"t = {t} outside trajectory range [0, inf)"
+
+
+def test_a_model_takes_no_end_time():
+    with pytest.raises(TypeError, match="horizon"):
+        trajectory_from_key("open-1q", Gamma_over_gamma0=0.5, horizon=50.0)
 
 
 def test_built_in_models_run_no_eigensolver(monkeypatch):

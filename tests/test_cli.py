@@ -133,7 +133,7 @@ class TestSpeedCommand:
         # A rank-2 state whose derivative couples its null space near t = 1:
         # the kernel sum fails there with RankIncreaseError.
         def leaky(key, **kwargs):
-            return leaking_trajectory(0.9, 1.1, kwargs["horizon"])
+            return leaking_trajectory(0.9, 1.1)
 
         monkeypatch.setattr(cli, "trajectory_from_key", leaky)
         code, text = run_to_file(
@@ -187,9 +187,43 @@ class TestSpeedCommand:
             assert err == "" and "# note:" not in out
             closed_form = 2.0 * 0.5 * math.sqrt(0.75)
             np.testing.assert_allclose(parse_csv(out)[2][:, 1:], [[closed_form, 0.0]] * 3, rtol=1e-12, atol=1e-300)
-            traj = trajectory_from_key("closed-2q-aligned", alpha=0.5, horizon=2e308)
+            traj = trajectory_from_key("closed-2q-aligned", alpha=0.5)
             assert speed_at(traj, 1e308) == pytest.approx(closed_form, rel=1e-12)
             assert speeds_at(traj, [1e308, 1.7e308]).speeds == pytest.approx([closed_form] * 2, rel=1e-12)
+
+
+    @pytest.mark.parametrize("metric, factor", [("sld", 1.0), ("wy", math.sqrt(2.0))], ids=["sld", "wy"])
+    def test_overflowing_pair_rate_keeps_the_precession_speed(self, capsys, metric, factor):
+        """At omega = 1e308 the aligned pair's phase rate 2 omega overflows,
+        but its speed 2 omega alpha beta (sqrt 2 times that under WY) is a
+        float: every row prints it, with no note and nothing on stderr."""
+        closed_form = 2.0 * (1e308 * (0.5 * math.sqrt(0.75))) * factor
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["speed", "--model", "closed-2q-aligned", "--alpha", "0.5", "--omega", "1e308", "--metric", metric]
+            assert cli.main([*argv, "--tmax", "3", "--points", "3"]) == 0
+            out, err = capsys.readouterr()
+            assert err == "" and "# note:" not in out
+            np.testing.assert_allclose(parse_csv(out)[2][:, 1:], [[closed_form, 0.0]] * 3, rtol=1e-11, atol=0.0)
+            traj = trajectory_from_key("closed-2q-aligned", alpha=0.5, omega=1e308)
+            assert speed_at(traj, 1.0, cli.resolve_metric(metric)) == pytest.approx(closed_form, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["speed", "--model", "open-1q", "--gamma-ratio", "10", "--tmin", "1e300", "--tmax", "1e308", "--points", "2"], 2),
+            (["detect", "--model", "open-1q", "--time", "1e308", "--sweep", "Gamma_over_gamma0:3:12:3"], 3),
+        ],
+        ids=["speed", "detect"],
+    )
+    def test_late_times_print_zero_speeds_without_warnings(self, capsys, argv, count):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = parse_csv(out)[2]
+        assert len(rows) == count and (rows[:, 1:] == 0.0).all()
 
 
 class TestFigureCommand:
@@ -583,12 +617,17 @@ class TestDetectCommand:
         _, _, rows = parse_csv(text)
         assert rows.shape == (3, 4) and np.isfinite(rows).all()
 
-    def test_time_sweep_past_its_horizon_is_rejected(self, capsys):
-        # the horizon of a time sweep is max(50, --time), and --time
-        # defaults to 1
+    def test_time_sweep_runs_past_t_50(self, capsys):
+        # every model is defined for all t >= 0, whatever --time (default 1)
         argv = ["detect", "--model", "open-1q", "--gamma-ratio", "0.5", "--sweep", "t:1:60:5"]
-        assert cli.main(argv) == 2
-        assert "outside trajectory range [0, 50.0]" in capsys.readouterr().err
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        rows = parse_csv(out)[2]
+        np.testing.assert_array_equal(rows[:, 0], np.linspace(1.0, 60.0, 5))
+        params = OpenSystemParams(alpha=1.0, Gamma=0.5)
+        for t, s, *_ in rows:
+            assert s == pytest.approx(open_qubit_speed_analytic(params, t), rel=1e-9, abs=0.0)
 
     def test_unknown_sweep_parameter(self, capsys):
         code = cli.main(

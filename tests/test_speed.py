@@ -44,7 +44,7 @@ WY = MetricKind.WY
 def stationary_trajectory() -> Trajectory:
     rho = np.diag([0.3, 0.7]).astype(complex)
     return Trajectory(
-        dim=2, horizon=10.0, state_at=stacked(lambda t: rho), derivative_at=stacked(lambda t: 0.0 * rho)
+        dim=2, state_at=stacked(lambda t: rho), derivative_at=stacked(lambda t: 0.0 * rho)
     )
 
 
@@ -60,7 +60,7 @@ def diagonal_trajectory() -> Trajectory:
     def derivative(t):
         return np.diag([0.1 * math.cos(t), -0.1 * math.cos(t)]).astype(complex)
 
-    return Trajectory(dim=2, horizon=10.0, state_at=stacked(state), derivative_at=stacked(derivative))
+    return Trajectory(dim=2, state_at=stacked(state), derivative_at=stacked(derivative))
 
 
 def rotating_mixed_trajectory() -> Trajectory:
@@ -92,7 +92,7 @@ def rotating_mixed_trajectory() -> Trajectory:
         moving = rotation(t) @ np.diag([d_dot, -d_dot]).astype(complex) @ rotation(t).conj().T
         return -1j * rate * (generator @ rho - rho @ generator) + moving
 
-    return Trajectory(dim=2, horizon=10.0, state_at=stacked(state), derivative_at=stacked(derivative))
+    return Trajectory(dim=2, state_at=stacked(state), derivative_at=stacked(derivative))
 
 
 class TestRhoDot:
@@ -119,12 +119,13 @@ class TestRhoDot:
             assert analytic == pytest.approx(0.64 * fd, abs=1e-8)
 
     def test_endpoints_use_one_sided_differences(self):
+        # one-sided at t = 0, the start; central at any later time
         traj = without_analytic_derivative(
-            trajectory_from_key("closed-1q", alpha=0.6, horizon=1.0), 1e-6
+            trajectory_from_key("closed-1q", alpha=0.6), 1e-6
         )
         left = rho_dot(traj, 0.0)
         right = rho_dot(traj, 1.0)
-        exact = trajectory_from_key("closed-1q", alpha=0.6, horizon=1.0)
+        exact = trajectory_from_key("closed-1q", alpha=0.6)
         np.testing.assert_allclose(left, rho_dot(exact, 0.0), atol=1e-5)
         np.testing.assert_allclose(right, rho_dot(exact, 1.0), atol=1e-5)
 
@@ -155,12 +156,14 @@ class TestSpeedAt:
         assert speed_at(traj, 0.0, SLD) == pytest.approx(math.sqrt(0.05), rel=1e-12)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            speed_at(stationary_trajectory(), 11.0, SLD)
+        # a trajectory is defined for every t >= 0, a hand-written one too
+        with pytest.raises(ValueError, match=r"^t = -1.0 outside trajectory range \[0, inf\)$"):
+            speed_at(stationary_trajectory(), -1.0, SLD)
+        assert speed_at(stationary_trajectory(), 1e3, SLD) == pytest.approx(0.0, abs=1e-10)
 
     def test_states_must_match_declared_dim(self):
         rho = stationary_trajectory()
-        traj = Trajectory(dim=4, horizon=10.0, state_at=rho.state_at, derivative_at=rho.derivative_at)
+        traj = Trajectory(dim=4, state_at=rho.state_at, derivative_at=rho.derivative_at)
         with pytest.raises(ValueError, match=r"declares dim=4 but its states have shape \(2, 2\)"):
             speeds_at(traj, np.array([1.0, 2.0]), SLD)
 
@@ -190,7 +193,7 @@ class TestSpeedAt:
                 assert speed_at(traj, float(t), SLD) >= 0.0
 
     def test_rank_increase_raises(self):
-        traj = leaking_trajectory(-math.inf, math.inf, horizon=10.0)
+        traj = leaking_trajectory(-math.inf, math.inf)
         with pytest.raises(RankIncreaseError, match="rank"):
             speed_at(traj, 1.0, SLD)
 
@@ -205,7 +208,7 @@ class TestSpeedAt:
 
     def test_one_dimensional_trajectory(self):
         traj = Trajectory(
-            dim=1, horizon=10.0, state_at=stacked(lambda t: [[1.0]]), derivative_at=stacked(lambda t: [[0.0]])
+            dim=1, state_at=stacked(lambda t: [[1.0]]), derivative_at=stacked(lambda t: [[0.0]])
         )
         assert speeds_at(traj, np.array([0.5, 2.0]), SLD).speeds.tolist() == [0.0, 0.0]
         assert speed_at(traj, 1.0, SLD) == 0.0
@@ -431,7 +434,8 @@ class TestSpeedCurve:
         with pytest.raises(ValueError, match="increasing"):
             speed_curve(traj, np.array([1.0, 1.0]), SLD)
         with pytest.raises(ValueError, match="outside"):
-            speed_curve(traj, np.array([1.0, 99.0]), SLD)
+            speed_curve(traj, np.array([-1.0, 1.0]), SLD)
+        np.testing.assert_allclose(speed_curve(traj, np.array([1.0, 99.0]), SLD).speeds, 0.48, rtol=1e-12)
 
 
 class TestInvariants:

@@ -87,7 +87,8 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def conjugate_trajectory(traj: Trajectory, unitary: np.ndarray) -> Trajectory:
-    """The trajectory t -> U rho_t U^dagger with everything else carried over."""
+    """The trajectory t -> U rho_t U^dagger with everything else carried
+    over but the block function: it is dense."""
     u = np.asarray(unitary, dtype=complex)
     u_dag = u.conj().T
     state, derivative = traj.state_at, traj.derivative_at
@@ -95,12 +96,13 @@ def conjugate_trajectory(traj: Trajectory, unitary: np.ndarray) -> Trajectory:
         traj,
         state_at=lambda t: u @ state(t) @ u_dag,
         derivative_at=lambda t: u @ derivative(t) @ u_dag,
+        blocks=None,
     )
 
 
 def open_model(key: str, p: OpenSystemParams, **kwargs) -> Trajectory:
     """``trajectory_from_key`` for the open model ``key`` at the alpha and
-    width of ``p``; ``kwargs`` (such as ``horizon``) are passed on."""
+    width of ``p``; ``kwargs`` are passed on."""
     return trajectory_from_key(
         key, alpha=p.alpha, Gamma_over_gamma0=p.Gamma, markovian_limit=p.markovian_limit, **kwargs
     )
@@ -119,24 +121,22 @@ def stacked(func):
 
 
 def without_analytic_derivative(traj: Trajectory, step: float = DEFAULT_TIME_STEP) -> Trajectory:
-    """Oracle for the analytic derivatives: the trajectory with its
+    """Oracle for the analytic derivatives: the dense trajectory with its
     derivative replaced by central differences of its states, of half-width
-    ``step`` (one-sided at the ends of [0, horizon])."""
+    ``step`` (one-sided at t = 0)."""
     state = traj.state_at
 
     def derivative(t):
         t = np.asarray(t, dtype=float)
         forward = t - step < 0.0
-        backward = ~forward & (t + step > traj.horizon)
-        plus = np.where(backward, t, t + step)
         minus = np.where(forward, t, t - step)
-        width = np.where(forward | backward, step, 2.0 * step)
-        return (state(plus) - state(minus)) / width[..., None, None]
+        width = np.where(forward, step, 2.0 * step)
+        return (state(t + step) - state(minus)) / width[..., None, None]
 
-    return dataclasses.replace(traj, derivative_at=derivative)
+    return dataclasses.replace(traj, derivative_at=derivative, blocks=None)
 
 
-def leaking_trajectory(low: float, high: float, horizon: float = 50.0, **fields) -> Trajectory:
+def leaking_trajectory(low: float, high: float, **fields) -> Trajectory:
     """A constant rank-2 state whose derivative leaves its support for
     low < t < high, where every evaluation fails with a
     ``RankIncreaseError``; ``fields`` are further ``Trajectory`` fields."""
@@ -151,13 +151,13 @@ def leaking_trajectory(low: float, high: float, horizon: float = 50.0, **fields)
         inside = (low < np.asarray(t)) & (np.asarray(t) < high)
         return np.where(inside[..., None, None], leak, 0.0)
 
-    return Trajectory(dim=4, horizon=horizon, state_at=state, derivative_at=derivative, **fields)
+    return Trajectory(dim=4, state_at=state, derivative_at=derivative, **fields)
 
 
 def rank_leaking_trajectory(key: str, **kwargs) -> Trajectory:
     """A stand-in for ``trajectory_from_key`` that leaks for 1.9 < t < 2.1,
     with a speed limit of 1 at t = 0."""
-    return leaking_trajectory(1.9, 2.1, kwargs.get("horizon") or 50.0, speed_at_zero=1.0)
+    return leaking_trajectory(1.9, 2.1, speed_at_zero=1.0)
 
 
 def dense_kernel_speeds(rho, drho, metric: MetricKind = MetricKind.SLD, times=None) -> SpeedBatch:
@@ -218,7 +218,7 @@ def speed_spectral_form(
     """
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    if t - step < 0.0 or t + step > traj.horizon:
+    if t - step < 0.0:
         raise ValueError(
             f"t = {t} leaves no room for the central-difference stencil "
             f"of half-width {step}"
