@@ -505,8 +505,9 @@ def run_detect(config: RunConfig) -> TableResult:
     header.append(("classification", classification))
     header.append(("sweep", f"{name}:{lo:.12g}:{hi:.12g}:{n}"))
     closed = (config.model or "").startswith("closed")  # precesses at omega, with no bath
-    if name != "t":  # a closed model's times are in units of 1/omega
-        header.append(("omega_t" if closed else "gamma0_t", _format_value(config.time)))
+    at = ("t", lo) if name == "t" else ("omega_t" if closed else "gamma0_t", config.time)  # 1/omega if closed
+    if name != "t":
+        header.append((at[0], _format_value(at[1])))
     if closed:
         header.append(("omega", _format_value(config.omega)))
     elif config.markovian_limit:
@@ -519,8 +520,10 @@ def run_detect(config: RunConfig) -> TableResult:
     speeds, slopes, failures = speedup_measures(evaluate, grid)
     flags = np.where(slopes > SLOPE_NOISE_TOL * np.abs(speeds), 1.0, 0.0)
     flags[np.isnan(slopes)] = math.nan  # failed rows, and divergent speeds
-    rows = _rows(grid, speeds, slopes, flags)
-    return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], rows, _skipped(name, grid, failures))
+    notes = _skipped(name, grid, failures)
+    if np.isinf(speeds).any():  # only at time 0, the first point of a t sweep; a failed row's speed is nan
+        notes.append(f"slope undefined: S diverges at {at[0]} = {_format_value(at[1])}")
+    return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], _rows(grid, speeds, slopes, flags), notes)
 
 
 # ---------------------------------------------------------------------------

@@ -140,43 +140,48 @@ def _hyperbolic_split(xp, t, g, k):
 _BRANCHES = (_markovian, _critical, _oscillatory, _hyperbolic, _hyperbolic_split)
 
 
-def _amplitudes(t, Gamma):
-    """G_t and dG_t/dt elementwise over broadcast times and widths.
+def _one_width(Gamma):
+    """``_amplitudes`` at one width, a function of t whose kappa and branch are taken once."""
+    g = float(Gamma)
+    k = math.sqrt(g) * math.sqrt(abs(2.0 - g))  # inf in the Markovian limit
+    code = 0 if math.isinf(g) else 1 if g == 2.0 else 2 if g < 2.0 else 3
 
-    ``Gamma = inf`` is the Markovian limit. Each element takes the branch
-    that ``OpenSystemParams.branch`` names for its width, and the
-    hyperbolic branch splits at kappa t / 2 = 20 (NaN times take the split
-    form). A ``Gamma`` that is an int, a float or a 0-d array is one width,
-    whose branch and kappa are taken once on Python floats: a ``t`` of the
-    same kinds then gives Python floats on libm (``xp = math``) with no
-    numpy call (every ``speed_at`` call), and any other ``t`` runs the
-    branch on the whole time array. An array of widths routes each element
-    by mask. Arrays take numpy's ufuncs (``xp = np``): the two array
-    selections give the same bits, within a few ulp of the point path's.
-    Their decaying terms may flush to zero, and their kappa t / 2 may
-    overflow to inf at late times, which takes the split form, where
-    exp(-inf) is the 0 it rounds to: neither raises a warning.
-    """
-    if isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0:
-        g = float(Gamma)
-        k = math.sqrt(g) * math.sqrt(abs(2.0 - g))  # inf in the Markovian limit
-        code = 0 if math.isinf(g) else 1 if g == 2.0 else 2 if g < 2.0 else 3
+    def amplitudes(t):
         if isinstance(t, (int, float)) or getattr(t, "ndim", None) == 0:
-            t = float(t)
-            if t < 0.0:
+            if (t := float(t)) < 0.0:
                 raise ValueError(f"time must be nonnegative, got {t}")
             return _BRANCHES[code if code < 3 or 0.5 * k * t < 20.0 else 4](math, t, g, k)
         _check_time(t)
         t = np.asarray(t, dtype=float)
         with np.errstate(under="ignore", over="ignore"):
             if code == 3 and not (near := 0.5 * k * t < 20.0).all():
-                if not near.any():
-                    return _hyperbolic_split(np, t, g, k)
-                value, slope = np.empty(t.shape), np.empty(t.shape)
-                value[near], slope[near] = _hyperbolic(np, t[near], g, k)
-                value[~near], slope[~near] = _hyperbolic_split(np, t[~near], g, k)
+                value, slope = _hyperbolic_split(np, t, g, k)
+                if near.any():
+                    value[near], slope[near] = _hyperbolic(np, t[near], g, k)
                 return value, slope
             return _BRANCHES[code](np, t, g, k)
+
+    return amplitudes
+
+
+def _amplitudes(t, Gamma):
+    """G_t and dG_t/dt elementwise over broadcast times and widths.
+
+    ``Gamma = inf`` is the Markovian limit. Each element takes the branch
+    that ``OpenSystemParams.branch`` names for its width, and the
+    hyperbolic branch splits at kappa t / 2 = 20 (NaN times take the split
+    form). One width (an int, a float or a 0-d array) takes ``_one_width``'s
+    function, which a model binds once: a ``t`` of the same kinds then gives
+    Python floats on libm (``xp = math``) with no numpy call, and any other
+    ``t`` runs the branch on the whole time array. An array of widths routes
+    each element by mask. Arrays take numpy's ufuncs (``xp = np``): the two
+    array selections give the same bits, within a few ulp of the point
+    path's. Their decaying terms may flush to zero, and their kappa t / 2
+    may overflow to inf at late times, which takes the split form, where
+    exp(-inf) is the 0 it rounds to: neither raises a warning.
+    """
+    if isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0:
+        return _one_width(Gamma)(t)
     _check_time(t)
     t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
     markovian = np.isinf(g)
@@ -271,16 +276,6 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
 # call. ``state_at`` and ``derivative_at`` scatter the blocks.
 
 
-def _decay_slope(g, dg, decay):
-    """c' = -G G' / c of the complement c = sqrt(1 - G^2), and 0 where c
-    is 0: at t = 0, where the speed takes its limit, and where 1 - P_t
-    rounds to 0 (t below about 1e-8 at Gamma/gamma0 = 0.1). Python floats
-    or arrays, by the same operations."""
-    if isinstance(decay, float):
-        return -(g * dg) / decay if decay else 0.0
-    return np.divide(-(g * dg), decay, out=np.zeros(np.shape(decay)), where=decay != 0.0)
-
-
 def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
     """The dense state (``part`` 1) or derivative (2) matrices of the blocks
     at times ``t``, stacked along their broadcast shape."""
@@ -333,8 +328,11 @@ def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
     wrap = sys.float_info.max / turns / max(w, 1.0 / turns) if turns else 0.0
     wrap = math.nextafter(wrap, 0.0) if turns * (w * wrap) == math.inf else wrap
 
+    if Gamma is not None:  # t -> (G_t, G'_t), bound once
+        amplitudes = _one_width(Gamma) if np.ndim(Gamma) == 0 else functools.partial(_amplitudes, Gamma=Gamma)
+
     def blocks(t):
-        g, dg = (1.0, 0.0) if Gamma is None else _amplitudes(t, Gamma)
+        g, dg = (1.0, 0.0) if Gamma is None else amplitudes(t)
         cos, sin = 1.0, 0.0
         if turns and isinstance(t, float):  # one point, on libm
             phase = turns * (w * (t if t <= wrap else wrap))
@@ -343,11 +341,16 @@ def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
             xp = math if isinstance(phase := turns * (w * np.minimum(t, wrap)), float) else np
             cos, sin = xp.cos(phase), xp.sin(phase)
         dpop = 2.0 * g * dg
-        sqrt, lower, upper = (math.sqrt, min, max) if isinstance(g, float) else (np.sqrt, np.minimum, np.maximum)
-        pop = lower(g * g, 1.0)
-        root = sqrt(pop)
-        decay = sqrt(upper(1.0 - root * root, 0.0))  # c_t = sqrt(1 - P_t)
-        ddecay = _decay_slope(g, dg, decay)
+        # c_t = sqrt(1 - P_t) of P_t = min(G^2, 1), whose root is at most 1, and c' = -G G' / c, or 0 where c is
+        # 0: at t = 0, where the speed takes its limit, and where 1 - P_t rounds to 0 (t < 1e-8 at Gamma 0.1)
+        if isinstance(g, float):  # one point, or a closed model
+            root = math.sqrt(pop := min(g * g, 1.0))
+            decay = math.sqrt(1.0 - root * root)
+            ddecay = -(g * dg) / decay if decay else 0.0
+        else:
+            root = np.sqrt(pop := np.minimum(g * g, 1.0))
+            decay = np.sqrt(1.0 - root * root)
+            ddecay = np.divide(-(g * dg), decay, out=np.zeros(np.shape(decay)), where=decay != 0.0)
         if kind == "1q":
             square = g * g
             state = [a * a * square, 1.0 - a * a * square, g * (ab * cos), -(g * (ab * sin)), a * a * (g * decay)]

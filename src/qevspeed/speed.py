@@ -57,6 +57,11 @@ ELEM_TOL = 1e-8
 # unit-trace state, and the same cut as RANK_TOL.
 PURE_STATE_TOL = 1e-12
 
+# The block formulas keep their F unscaled inside this window. There a finite F has no overflowed term, and
+# an underflowed one is below 2^-1022 unscaled, or 2^-1022 times the largest derivative squared (at most
+# about F) scaled: below 2^-122 F either way, which both sums absorb. The upper end mirrors the lower.
+FISHER_WINDOW = (2.0**-900, 2.0**900)
+
 # Half-width of the slope stencil per unit max(1, |xi|) (``stencil_step``).
 # The truncation error of a central difference grows as h^2 and its rounding
 # error as eps/h; they balance near eps^(1/3), about 6e-6.
@@ -136,10 +141,9 @@ def _binary_scale(peak):
     """(2^-e, 2^e) with 2^e <= ``peak`` < 2^(e+1), for a Python float or
     elementwise. Derivatives are multiplied by 2^-e before they are squared
     and the speeds by 2^e after, both exactly; e is clipped to keep both
-    factors normal floats."""
+    factors normal floats. The block formulas scale only outside ``FISHER_WINDOW``."""
     if isinstance(peak, float):
-        e = math.frexp(peak)[1] - 1
-        e = -1021 if e < -1021 else 1022 if e > 1022 else e
+        e = min(max(math.frexp(peak)[1] - 1, -1021), 1022)
         return math.ldexp(1.0, -e), math.ldexp(1.0, e)
     e = np.minimum(np.maximum(np.frexp(peak)[1] - 1, -1021), 1022)
     return np.ldexp(1.0, -e), np.ldexp(1.0, e)
@@ -184,12 +188,15 @@ def _fisher(metric: MetricKind, blocks, shrink, xp):
 
 
 def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBatch:
-    """Speeds of built-in blocks whose entries broadcast to ``batch``. Each
-    point's derivatives, ``ds`` among them, are scaled by a power of two
-    near their largest before they are squared (``_binary_scale``)."""
-    parts = [x for block in blocks for x in block[2]]
-    shrink, grow = _binary_scale(functools.reduce(np.maximum, map(np.abs, parts)))
-    speeds = 0.5 * np.sqrt(_fisher(metric, blocks, shrink, np)) * grow
+    """Speeds of built-in blocks whose entries broadcast to ``batch``. Points
+    whose F leaves ``FISHER_WINDOW`` sum it again, with their derivatives,
+    ``ds`` among them, scaled by ``_binary_scale`` before they are squared."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan F is summed again, scaled
+        fisher = _fisher(metric, blocks, 1.0, np)
+    speeds = 0.5 * np.sqrt(fisher)
+    if not np.all(inside := (fisher >= FISHER_WINDOW[0]) & (fisher <= FISHER_WINDOW[1])):
+        shrink, grow = _binary_scale(functools.reduce(np.maximum, [np.abs(x) for block in blocks for x in block[2]]))
+        speeds = np.where(inside, speeds, 0.5 * np.sqrt(_fisher(metric, blocks, shrink, np)) * grow)
     if not (isinstance(speeds, np.ndarray) and speeds.shape == batch):
         speeds = np.broadcast_to(speeds, batch).copy()
     return SpeedBatch(speeds)
@@ -322,6 +329,8 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
         if traj.blocks is not None and (t > 0.0 or limit is None):  # speeds_at returns an array limit unevaluated
             blocks = traj.blocks(t)
         if blocks is not None and not traj.shape:
+            if FISHER_WINDOW[0] <= (fisher := _fisher(metric, blocks, 1.0, math)) <= FISHER_WINDOW[1]:
+                return 0.5 * math.sqrt(fisher)
             shrink, grow = _binary_scale(max([abs(x) for block in blocks for x in block[2]]))
             return 0.5 * math.sqrt(_fisher(metric, blocks, shrink, math)) * grow
     if blocks is None:

@@ -32,7 +32,14 @@ from qevspeed.models import (
     trajectory_from_key,
 )
 from qevspeed.speed import ELEM_TOL, Trajectory, kernel_speeds, rho_dot, speed_at, speeds_at
-from util import conjugate_trajectory, dense_kernel_speeds, on_libm, random_hermitian, random_unitary
+from util import (
+    always_scaled_speeds,
+    conjugate_trajectory,
+    dense_kernel_speeds,
+    on_libm,
+    random_hermitian,
+    random_unitary,
+)
 
 # every branch of the amplitude factor: oscillatory, critical, hyperbolic
 # (split at kappa t / 2 = 20, near t = 6.8 for Gamma = 7) and Markovian
@@ -326,6 +333,60 @@ def test_binary_scale_clips_floats_and_arrays_alike():
         assert got[0] * got[1] == 1.0 and -1021 <= math.frexp(got[1])[1] - 1 <= 1022
     assert [speed._binary_scale(peak)[1] for peak in PEAKS[:6]] == [0.5, 2.0**-1021, 2.0**-1021, 2.0**-1021, 0.5, 1.0]
     assert speed._binary_scale(2.0**1023) == speed._binary_scale(1.7976931348623157e308) == (2.0**-1022, 2.0**1022)
+
+
+# each model's parameters at and beyond the float range's edges: omega for
+# the closed models, the width for the open ones (None is Markovian)
+SCALE_ALPHAS = [0.0, 1e-160, 0.6, 1.0]
+SCALE_BATHS = {
+    "closed": [{"omega": omega} for omega in (1e-200, 1.0, 1e300, 1e308)],
+    "open": [{"Gamma_over_gamma0": width} for width in (1e-30, 0.5, 2.0, 10.0, 1e6)] + [{"markovian_limit": True}],
+}
+SCALE_TIMES = [1e-300, 1e-8, 2.5, 50.0, 1400.0, 1e308]
+
+
+@pytest.mark.parametrize("key", MODEL_KEYS)
+def test_on_demand_scale_keeps_every_bit(key):
+    """F summed unscaled and kept inside ``FISHER_WINDOW`` gives the bits of
+    the sum with every point's derivatives scaled (``always_scaled_speeds``):
+    on the point path, on the batch and on a family of amplitudes, under
+    both metrics, at parameters and times out to the float range's ends."""
+    family = np.array(SCALE_ALPHAS)
+    for bath in SCALE_BATHS[key.partition("-")[0]]:
+        for metric in MetricKind:
+            for alpha in SCALE_ALPHAS:
+                traj = trajectory_from_key(key, alpha=alpha, **bath)
+                want = [always_scaled_speeds(traj, t, metric).hex() for t in SCALE_TIMES]
+                assert [speed_at(traj, t, metric).hex() for t in SCALE_TIMES] == want
+                want = always_scaled_speeds(traj, np.array(SCALE_TIMES), metric).tolist()
+                assert [x.hex() for x in speeds_at(traj, SCALE_TIMES, metric).speeds.tolist()] == [x.hex() for x in want]
+            traj = trajectory_from_key(key, alpha=family, **bath)
+            times = np.array(SCALE_TIMES)[:, None]
+            want = always_scaled_speeds(traj, times, metric)
+            assert speeds_at(traj, times, metric).speeds.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize(
+    "key, bath, t, fallback",
+    [
+        ("closed-1q", {"omega": 1e308}, 2.5, True),  # F overflows
+        ("closed-2q-aligned", {"omega": 1e308}, 2.5, True),
+        ("open-1q", {"markovian_limit": True}, 1400.0, True),  # G_t near e^-700: F underflows
+        ("open-2q-aligned", {"markovian_limit": True}, 1400.0, True),
+        ("closed-2q-anti", {}, 2.5, True),  # F = 0
+        ("open-2q-aligned", {"Gamma_over_gamma0": 0.5}, 2.5, False),
+    ],
+)
+def test_only_points_outside_the_window_are_scaled(monkeypatch, key, bath, t, fallback):
+    """``_binary_scale`` runs once per evaluation where F overflows,
+    underflows or is 0, on the point path and on the batch, and never at an
+    interior point."""
+    traj = trajectory_from_key(key, alpha=0.6, **bath)
+    calls = count_calls(monkeypatch, (speed, "_binary_scale"))
+    for metric in MetricKind:
+        speed_at(traj, t, metric)
+        speeds_at(traj, [t, t], metric)
+    assert calls == ({"_binary_scale": 2 * len(MetricKind)} if fallback else {})
 
 
 @pytest.mark.parametrize("alpha", [np.array([0.7]), np.array(0.7)], ids=["family", "0-d"])

@@ -629,6 +629,30 @@ class TestDetectCommand:
         for t, s, *_ in rows:
             assert s == pytest.approx(open_qubit_speed_analytic(params, t), rel=1e-9, abs=0.0)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "model, sweep",
+        [("open-2q-aligned", "C:0.01:0.99:3"), ("open-1q", "alpha:0.01:0.99:3"), ("open-2q-anti", "alpha:0.01:0.99:3")],
+    )
+    def test_divergent_rows_carry_a_note(self, model, sweep, fmt, tmp_path):
+        """In the Markovian limit the speed diverges at gamma0_t = 0: every row
+        prints S = inf with its slope and flag nan, and one note says why. At
+        gamma0_t = 1 the rows are finite, with no note."""
+        argv = ["detect", "--model", model, "--markovian-limit", "--sweep", sweep, "--format", fmt]
+        note = "slope undefined: S diverges at gamma0_t = 0"
+        code, text = run_to_file(tmp_path, [*argv, "--time", "0"])
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(text)
+            rows, notes = np.array(payload["rows"]), payload["notes"]
+        else:
+            _, _, rows = parse_csv(text)
+            notes = [line.removeprefix("# note: ") for line in text.splitlines() if line.startswith("# note: ")]
+        assert np.isinf(rows[:, 1]).all() and np.isnan(rows[:, 2:]).all()
+        assert notes == [note]
+        later = table([*argv, "--time", "1"])
+        assert np.isfinite(later.rows).all() and later.notes == []
+
     def test_unknown_sweep_parameter(self, capsys):
         code = cli.main(
             ["detect", "--model", "open-1q", "--gamma-ratio", "1", "--sweep", "beta:0:1:5"]

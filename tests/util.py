@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -20,6 +21,8 @@ from qevspeed.speed import (
     RANK_TOL,
     SpeedBatch,
     Trajectory,
+    _binary_scale,
+    _fisher,
     stencil_step,
 )
 
@@ -190,6 +193,23 @@ def dense_kernel_speeds(rho, drho, metric: MetricKind = MetricKind.SLD, times=No
         failures[int(row)] = RankIncreaseError(float(labels[row]), (k, l), float(magnitude[row, k, l]))
         speeds[row] = math.nan
     return SpeedBatch(speeds.reshape(batch), failures)
+
+
+def always_scaled_speeds(traj: Trajectory, t, metric: MetricKind = MetricKind.SLD):
+    """Oracle for the block formulas' on-demand scale: every point's
+    derivatives scaled by ``_binary_scale`` of their largest before
+    ``_fisher``, at every point. A float time of a trajectory of shape ()
+    runs on Python floats (the point path's), anything else on numpy's
+    arrays of the times' and the family's broadcast shape."""
+    blocks = traj.blocks(t)
+    parts = [x for block in blocks for x in block[2]]
+    if isinstance(t, float) and not traj.shape:
+        shrink, grow = _binary_scale(max(abs(x) for x in parts))
+        return 0.5 * math.sqrt(_fisher(metric, blocks, shrink, math)) * grow
+    with np.errstate(under="ignore"):
+        shrink, grow = _binary_scale(functools.reduce(np.maximum, map(np.abs, parts)))
+        speeds = 0.5 * np.sqrt(_fisher(metric, blocks, shrink, np)) * grow
+    return np.broadcast_to(speeds, np.broadcast_shapes(np.shape(t), traj.shape))
 
 
 class DegenerateSpectrumError(NumericalFailure):
