@@ -22,9 +22,7 @@ from .analysis import (
 from .errors import (
     MetricRejectionError,
     NumericalFailure,
-    RankIncreaseError,
 )
-from .linalg import eigh_stack
 from .metrics import MetricKind, mc_kernel, resolve_metric
 from .models import (
     MODEL_KEYS,
@@ -44,8 +42,7 @@ from .speed import (
     SpeedBatch,
     SpeedCurve,
     Trajectory,
-    kernel_speeds,
-    rho_dot,
+    factor_trajectory,
     speed_at,
     speed_curve,
     speeds_at,
@@ -65,8 +62,6 @@ __all__ = [
     "speedup_equation",
     "MetricRejectionError",
     "NumericalFailure",
-    "RankIncreaseError",
-    "eigh_stack",
     "MetricKind",
     "mc_kernel",
     "resolve_metric",
@@ -85,8 +80,7 @@ __all__ = [
     "SpeedBatch",
     "SpeedCurve",
     "Trajectory",
-    "kernel_speeds",
-    "rho_dot",
+    "factor_trajectory",
     "speed_at",
     "speed_curve",
     "speeds_at",

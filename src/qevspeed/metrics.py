@@ -17,7 +17,6 @@ are rejected at configuration time.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -27,11 +26,6 @@ from .errors import MetricRejectionError
 class MetricKind(enum.Enum):
     SLD = "sld"
     WY = "wy"
-
-    @property
-    def epsilon(self) -> float:
-        """Pure-state prefactor relative to the Fubini-Study speed."""
-        return 1.0 if self is MetricKind.SLD else math.sqrt(2.0)
 
 
 _NON_EXTENDABLE = {

@@ -26,10 +26,14 @@ routes by the family shape that each trajectory states when it is built
 by the same expression (on libm where the batch takes numpy's ufuncs), and
 anything else is one point of ``speeds_at``.
 
-Any other trajectory is one dense block (``kernel_speeds``): the kernel
-sum over one stacked ``linalg.eigh_stack``, whatever its size. That
-adapter holds the package's tolerances, ``PURE_STATE_TOL``, ``RANK_TOL``
-and ``ELEM_TOL``, and its failures, ``RankIncreaseError``.
+A hand-written trajectory states a factor A_t of its states instead,
+rho = A A^dagger (``factor_trajectory``): a Kraus sum or a purification
+gives one directly. Its one block is the factor and its derivative A',
+whose F takes one singular value decomposition A = W Sigma V^dagger:
+W^dagger rho' W = B Sigma^T + Sigma B^dagger with B = W^dagger A' V, and
+a singular value that touches zero adds 4 |B_lk|^2 over its null rows and
+columns, with no division. That rule holds the package's one tolerance
+for the rank, ``TOUCH_TOL``.
 """
 
 from __future__ import annotations
@@ -42,20 +46,13 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import NumericalFailure, RankIncreaseError
+from .errors import NumericalFailure
 from .metrics import MetricKind, mc_kernel
 
-# The dense adapter (``kernel_speeds``) drops eigenvalue-pair sums below
-# RANK_TOL as boundary terms when the corresponding derivative element is
-# below ELEM_TOL, and fails otherwise (the dynamics would be increasing the
-# state rank).
-RANK_TOL = 1e-12
-ELEM_TOL = 1e-8
-
-# The dense adapter treats a state as pure when its second-largest
-# eigenvalue is below this: about 1e4 times eigh's eigenvalue rounding on a
-# unit-trace state, and the same cut as RANK_TOL.
-PURE_STATE_TOL = 1e-12
+# A factor's singular value at or below TOUCH_TOL times its largest counts as 0 (``_factor_fisher``). Above it, the
+# decomposition's vectors err by about eps sigma_max / sigma, and the kernel sum's error grows as the square of that;
+# below it, the touch rule errs by about sigma / sigma_max. The two errors meet near eps^(2/3), about 2^-35.
+TOUCH_TOL = 2.0**-35
 
 # The block formulas keep their F unscaled inside this window. There a finite F has no overflowed term, and
 # an underflowed one is below 2^-1022 unscaled, or 2^-1022 times the largest derivative squared (at most
@@ -75,18 +72,21 @@ class Trajectory:
     ``state_at`` takes an array of times and returns rho_t at each, stacked
     along the leading axes: Hermitian, trace-one, positive-semidefinite
     matrices of size ``dim``. ``derivative_at`` returns their analytic time
-    derivatives, stacked the same way. The built-in models broadcast the
-    times against arrays of parameters (a family of curves evaluated
-    together) and state their block function as ``blocks``, which the
-    evaluators call in place of the dense matrices; ``None`` (the default)
-    is the dense path. The block function takes what ``state_at`` takes and
-    returns the diagonal blocks, whose entries are real: (p, s) and (dp, ds)
-    for a ray (one eigenvalue p along a constant unit vector, stated as a
-    fourth item past one index), and (a, c, wr, wi, s) and
-    (da, dc, dwr, dwi, ds) for a pair [[a, w], [w*, c]], w = wr + i wi,
-    where s is a smooth signed root of the block's determinant (p = s^2,
-    ac - |w|^2 = s^2) and ds its derivative. ``dataclasses.replace`` keeps
-    ``blocks``: a trajectory whose states change takes ``blocks=None``.
+    derivatives, stacked the same way. The evaluators call neither: they
+    call the block function ``blocks``, which every trajectory states (a
+    trajectory without one raises ``ValueError``). It takes what
+    ``state_at`` takes and returns blocks of the state. The built-in models
+    broadcast the times against arrays of parameters (a family of curves
+    evaluated together) and return the diagonal blocks, whose entries are
+    real: (p, s) and (dp, ds) for a ray (one eigenvalue p along a constant
+    unit vector, stated as a fourth item past one index), and
+    (a, c, wr, wi, s) and (da, dc, dwr, dwi, ds) for a pair
+    [[a, w], [w*, c]], w = wr + i wi, where s is a smooth signed root of the
+    block's determinant (p = s^2, ac - |w|^2 = s^2) and ds its derivative.
+    A hand-written trajectory (``factor_trajectory``) returns one factor
+    block, (None, A, A') with A's decomposition as a fourth item.
+    ``dataclasses.replace`` keeps ``blocks``: a trajectory whose states
+    change states its factor anew.
     ``params`` records the numbers the trajectory was built from, and
     ``shape`` the family's shape: the broadcast shape of the parameters, ()
     (the default) for one curve. The evaluators read it in place of
@@ -105,6 +105,10 @@ class Trajectory:
     speed_at_zero: float | np.ndarray | None = None
     shape: tuple[int, ...] = ()
     blocks: Callable | None = None
+
+    def __post_init__(self):
+        if self.blocks is None:
+            raise ValueError("a trajectory needs a block function; state a hand-written one with factor_trajectory")
 
 
 @dataclass(frozen=True)
@@ -130,13 +134,6 @@ class SpeedCurve:
     failures: dict[int, NumericalFailure] = field(default_factory=dict)
 
 
-def rho_dot(traj: Trajectory, t) -> np.ndarray:
-    """The trajectory's time derivative, Hermitian-symmetrized; ``t`` may be
-    an array, and the derivatives are then stacked."""
-    d = np.asarray(traj.derivative_at(np.asarray(t, dtype=float)), dtype=complex)
-    return 0.5 * (d + d.conj().swapaxes(-2, -1))
-
-
 def _binary_scale(peak):
     """(2^-e, 2^e) with 2^e <= ``peak`` < 2^(e+1), for a Python float or
     elementwise. Derivatives are multiplied by 2^-e before they are squared
@@ -150,7 +147,7 @@ def _binary_scale(peak):
 
 
 def _fisher(metric: MetricKind, blocks, shrink, xp):
-    """F = 4 S^2 of the built-in blocks (``Trajectory``), their derivatives
+    """F = 4 S^2 of the blocks (``Trajectory``), their derivatives
     scaled by ``shrink``: Python floats with ``xp = math``, arrays that
     broadcast with ``xp = np``, by the same operations.
 
@@ -160,11 +157,15 @@ def _fisher(metric: MetricKind, blocks, shrink, xp):
     q = r'/r = (dT + 2 d|s|) / (2 r^2). The principal root needs |s|, and
     d|s| = copysign(1, s) ds takes either one-sided derivative at s = 0,
     which give the same F. No built-in pair has zero trace: the aligned
-    corner's is at least beta^2 + alpha^2 / 2, the others' 1.
+    corner's is at least beta^2 + alpha^2 / 2, the others' 1. A factor
+    block adds ``_factor_fisher``, on numpy's arrays either way.
     """
     total = 0.0
     for block in blocks:  # indexed: a star-unpacking of the ray's fourth item costs more
         state, move = block[1], block[2]
+        if block[0] is None:
+            total = total + _factor_fisher(metric, block[3], move * np.expand_dims(shrink, (-2, -1)))
+            continue
         ds = move[-1] * shrink
         if len(state) == 2:
             total = total + 4.0 * (ds * ds)
@@ -187,81 +188,95 @@ def _fisher(metric: MetricKind, blocks, shrink, xp):
     return total
 
 
+def _factor_fisher(metric: MetricKind, decomposition, move: np.ndarray):
+    """F of the states A A^dagger moving at A' A^dagger + A A'^dagger, from
+    the decomposition A = W Sigma V^dagger of stacked factors A
+    (``linalg.svd_stack``) and their derivatives A', shape (..., d, r).
+
+    With B = W^dagger A' V, the derivative in the basis W is M = X + X^dagger,
+    X = B Sigma^T, and F is its kernel sum over the eigenvalues sigma^2,
+    whose diagonal terms are 4 (Re B_kk)^2. A singular value
+    at or below ``TOUCH_TOL`` times the largest counts as 0: a null row l
+    and a null column k (past the singular values too) add 4 |B_lk|^2, the
+    limit of the terms of eigenvalues that touch zero, whatever the basis
+    of the null spaces.
+    """
+    w, sigma, vh = decomposition
+    d, r, n = w.shape[-1], vh.shape[-1], sigma.shape[-1]
+    left, right = (np.zeros(sigma.shape[:-1] + (k,)) for k in (d, r))  # Sigma's diagonal, padded on either side
+    left[..., :n] = right[..., :n] = np.where(sigma <= TOUCH_TOL * sigma[..., :1], 0.0, sigma)
+    pk, pl = left[..., :, None] ** 2, left[..., None, :] ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan F is summed again, scaled
+        b = w.conj().swapaxes(-2, -1) @ move @ vh.conj().swapaxes(-2, -1)
+        x = (b * right[..., None, :]) @ np.eye(r, d)
+        m = x + x.conj().swapaxes(-2, -1)
+        total = (mc_kernel(metric, pk, pl, where=pk + pl > 0.0) * (m.real**2 + m.imag**2)).sum(axis=(-2, -1))
+        touched = np.where((left[..., :, None] == 0.0) & (right[..., None, :] == 0.0), b.real**2 + b.imag**2, 0.0)
+        return total + 4.0 * touched.sum(axis=(-2, -1))
+
+
+def _moves(blocks):
+    """The magnitudes of the blocks' derivatives: each entry of a ray or a
+    pair, and a factor's largest at each point."""
+    for block in blocks:
+        if block[0] is None:
+            yield np.abs(block[2]).max(axis=(-2, -1), initial=0.0)
+        else:
+            yield from map(abs, block[2])
+
+
+def factor_trajectory(factor_at: Callable[[np.ndarray], tuple], **fields) -> Trajectory:
+    """The trajectory t -> A_t A_t^dagger of a factor, for a hand-written
+    curve: the one constructor of a trajectory that is not a built-in model.
+
+    ``factor_at`` takes an array of times and returns (A_t, A'_t), the
+    factors and their analytic time derivatives stacked along the times'
+    shape, each of shape (..., dim, r): the columns [K_i psi] of a Kraus sum
+    or a purification give one directly. ``fields`` are the other
+    ``Trajectory`` fields, ``dim`` among them; a factor with other than
+    ``dim`` rows raises ``ValueError``. The block function returns one
+    factor block, (None, A, A') with A's one ``linalg.svd_stack`` as a
+    fourth item, which ``_factor_fisher`` sums. ``state_at`` is A A^dagger
+    and ``derivative_at`` A' A^dagger + A A'^dagger.
+    """
+    dim = fields.get("dim")
+
+    def factors(t):
+        factor, move = (np.asarray(x, dtype=complex) for x in factor_at(np.asarray(t, dtype=float)))
+        if factor.shape[-2] != dim:
+            raise ValueError(f"trajectory declares dim={dim} but its factors have {factor.shape[-2]} rows")
+        return factor, move
+
+    def blocks(t):
+        factor, move = factors(t)
+        return [(None, factor, move, linalg.svd_stack(factor))]
+
+    def state_at(t):
+        factor, _ = factors(t)
+        return factor @ factor.conj().swapaxes(-2, -1)
+
+    def derivative_at(t):
+        factor, move = factors(t)
+        half = move @ factor.conj().swapaxes(-2, -1)
+        return half + half.conj().swapaxes(-2, -1)
+
+    return Trajectory(state_at=state_at, derivative_at=derivative_at, blocks=blocks, **fields)
+
+
 def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBatch:
-    """Speeds of built-in blocks whose entries broadcast to ``batch``. Points
-    whose F leaves ``FISHER_WINDOW`` sum it again, with their derivatives,
-    ``ds`` among them, scaled by ``_binary_scale`` before they are squared."""
+    """Speeds of blocks whose entries broadcast to ``batch``. Points whose F
+    leaves ``FISHER_WINDOW`` sum it again, with their derivatives, ``ds`` and
+    a factor's among them, scaled by ``_binary_scale`` before they are
+    squared."""
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan F is summed again, scaled
         fisher = _fisher(metric, blocks, 1.0, np)
     speeds = 0.5 * np.sqrt(fisher)
     if not np.all(inside := (fisher >= FISHER_WINDOW[0]) & (fisher <= FISHER_WINDOW[1])):
-        shrink, grow = _binary_scale(functools.reduce(np.maximum, [np.abs(x) for block in blocks for x in block[2]]))
+        shrink, grow = _binary_scale(functools.reduce(np.maximum, _moves(blocks)))
         speeds = np.where(inside, speeds, 0.5 * np.sqrt(_fisher(metric, blocks, shrink, np)) * grow)
     if not (isinstance(speeds, np.ndarray) and speeds.shape == batch):
         speeds = np.broadcast_to(speeds, batch).copy()
     return SpeedBatch(speeds)
-
-
-def _batch_speeds(metric: MetricKind, p: np.ndarray, magnitude: np.ndarray, grow: np.ndarray):
-    """Speeds from the ascending eigenvalues ``p`` (N, d) of a stack and the
-    magnitudes |<k| drho |l>| (N, d, d) in their eigenbasis, and a mask
-    (N, d, d) of the terms that escape at each failed point (whose speed is
-    nan).
-
-    A point whose second-largest eigenvalue is below ``PURE_STATE_TOL`` (or
-    that has one eigenvalue, whose speed is then 0) takes the Fubini-Study
-    reduction: epsilon times the root of the terms into the top eigenvalue's
-    column, the last. Any other takes the kernel sum, where terms whose
-    eigenvalues sum below ``RANK_TOL`` are dropped when their element is
-    below ``ELEM_TOL`` and escape otherwise.
-    """
-    p = np.maximum(p, 0.0)
-    pure = p[:, :-1].max(axis=-1, initial=0.0) < PURE_STATE_TOL
-    into_top = magnitude[:, :-1, -1]
-    pk, pl = p[:, :, None], p[:, None, :]
-    kept = pk + pl >= RANK_TOL
-    total = (mc_kernel(metric, pk, pl, where=kept) * magnitude * magnitude).sum(axis=(1, 2))
-    speeds = np.where(pure, metric.epsilon * np.sqrt((into_top * into_top).sum(axis=1)), 0.5 * np.sqrt(total)) * grow
-    escaping = ~kept & ~pure[:, None, None] & (magnitude * grow[:, None, None] >= ELEM_TOL)
-    speeds[escaping.any(axis=(1, 2))] = math.nan
-    return speeds, escaping
-
-
-def kernel_speeds(
-    rho: np.ndarray,
-    drho: np.ndarray,
-    metric: MetricKind = MetricKind.SLD,
-    times: np.ndarray | None = None,
-) -> SpeedBatch:
-    """Speeds of stacked states ``rho`` moving at ``drho`` (shape (..., d, d));
-    ``drho`` is Hermitian, as ``rho_dot`` returns it. This is the dense
-    adapter, for trajectories without a block function.
-
-    The matrices are one block, whose eigensystem ``linalg.eigh_stack``
-    takes. Each point's ``drho`` is scaled by a power of two near its
-    largest entry before it is squared (``_binary_scale``); then each point
-    takes the rules of ``_batch_speeds``, failing with
-    ``RankIncreaseError`` at its first escaping pair (k, l) of eigenvalue
-    ranks. ``times`` only labels the errors. Non-finite or non-Hermitian
-    states raise ``ValueError`` for the whole batch.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    batch, dim = rho.shape[:-2], rho.shape[-1]
-    rho = rho.reshape(-1, dim, dim)
-    drho = np.asarray(drho, dtype=complex).reshape(rho.shape)
-    p, vectors = linalg.eigh_stack(rho)
-    shrink, grow = _binary_scale(np.abs(drho).max(axis=(1, 2), initial=0.0))
-    with np.errstate(under="ignore"):  # negligible terms flush to zero
-        magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ (drho * shrink[:, None, None]) @ vectors)
-        speeds, escaping = _batch_speeds(metric, p, magnitude, grow)
-    failures = {}
-    failed = np.flatnonzero(escaping.any(axis=(1, 2))).tolist()
-    if failed:  # each failure is labelled with its time
-        labels = np.broadcast_to(math.nan if times is None else times, batch).ravel()
-    for i in failed:
-        k, l = divmod(int(np.argmax(escaping[i])), dim)  # the first pair in row-major order
-        failures[i] = RankIncreaseError(float(labels[i]), (k, l), float(magnitude[i, k, l] * grow[i]))
-    return SpeedBatch(speeds.reshape(batch), failures)
 
 
 def _check_range(first, last, times) -> None:
@@ -274,13 +289,12 @@ def _check_range(first, last, times) -> None:
 def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> SpeedBatch:
     """Speeds along a trajectory at an array of times: the batch path.
 
-    A trajectory's block function (``traj.blocks``) is called once and its
-    blocks take the formulas of ``_fisher``; a trajectory without one is
-    one dense block (``kernel_speeds``). At t = 0 a trajectory's
+    The trajectory's block function (``traj.blocks``) is called once and
+    its blocks take the formulas of ``_fisher``. At t = 0 a trajectory's
     ``speed_at_zero`` limit is returned. Negative, NaN and infinite times
-    and dense states of a size other than ``traj.dim`` raise
-    ``ValueError``; a failed point is nan with its error in ``failures``.
-    No times give an empty batch.
+    and factors of a size other than ``traj.dim`` raise ``ValueError``; a
+    failed point is nan with its error in ``failures``. No times give an
+    empty batch.
     """
     t = np.asarray(times, dtype=float)
     if t.size == 0:
@@ -291,19 +305,13 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
     if limit is not None and last == 0.0:  # every point takes the limit
         return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
     with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
-        return _batch_at(traj, t, metric, None if traj.blocks is None else traj.blocks(t), first)
+        return _batch_at(traj, t, metric, traj.blocks(t), first)
 
 
 def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first) -> SpeedBatch:
     """``speeds_at`` past its checks, from the ``blocks`` of the block function
-    at ``t`` (None for a dense trajectory), whose earliest time is ``first``."""
-    if blocks is not None:
-        result = _block_speeds(blocks, np.broadcast_shapes(t.shape, traj.shape), metric)
-    else:
-        rho = np.asarray(traj.state_at(t), dtype=complex)
-        if rho.shape[-2:] != (traj.dim, traj.dim):
-            raise ValueError(f"trajectory declares dim={traj.dim} but its states have shape {rho.shape[-2:]}")
-        result = kernel_speeds(rho, rho_dot(traj, t), metric, t)
+    at ``t``, whose earliest time is ``first``."""
+    result = _block_speeds(blocks, np.broadcast_shapes(t.shape, traj.shape), metric)
     limit = traj.speed_at_zero
     if limit is None or first > 0.0:
         return result
@@ -314,11 +322,11 @@ def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first
 
 
 def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) -> float:
-    """Instantaneous speed at one time: the point path. A block function of
-    stated shape () (a built-in model with scalar parameters) runs on
-    Python floats, by the batch's operations; anything else is one point of
-    ``speeds_at``. A block function is called once either way. A failure
-    raises its error."""
+    """Instantaneous speed at one time: the point path. A trajectory of
+    stated shape () sums its blocks at once: a built-in model with scalar
+    parameters on Python floats, by the batch's operations, and a factor on
+    numpy's arrays. Anything else is one point of ``speeds_at``. The block
+    function is called once either way. A failure raises its error."""
     blocks = None
     if isinstance(t, (int, float)):  # numpy's float64 is a float
         t = float(t)
@@ -326,12 +334,12 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
         limit = traj.speed_at_zero
         if t == 0.0 and isinstance(limit, (int, float)):
             return float(limit)
-        if traj.blocks is not None and (t > 0.0 or limit is None):  # speeds_at returns an array limit unevaluated
+        if t > 0.0 or limit is None:  # speeds_at returns an array limit unevaluated
             blocks = traj.blocks(t)
         if blocks is not None and not traj.shape:
             if FISHER_WINDOW[0] <= (fisher := _fisher(metric, blocks, 1.0, math)) <= FISHER_WINDOW[1]:
                 return 0.5 * math.sqrt(fisher)
-            shrink, grow = _binary_scale(max([abs(x) for block in blocks for x in block[2]]))
+            shrink, grow = _binary_scale(max(_moves(blocks)))
             return 0.5 * math.sqrt(_fisher(metric, blocks, shrink, math)) * grow
     if blocks is None:
         result = speeds_at(traj, t, metric)

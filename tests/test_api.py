@@ -17,9 +17,6 @@ PUBLIC_NAMES = (
     # errors
     "MetricRejectionError",
     "NumericalFailure",
-    "RankIncreaseError",
-    # linalg
-    "eigh_stack",
     # metrics
     "MetricKind",
     "mc_kernel",
@@ -41,8 +38,7 @@ PUBLIC_NAMES = (
     "SpeedBatch",
     "SpeedCurve",
     "Trajectory",
-    "kernel_speeds",
-    "rho_dot",
+    "factor_trajectory",
     "speed_at",
     "speed_curve",
     "speeds_at",

@@ -18,7 +18,6 @@ import pytest
 import qevspeed.cli as cli
 import qevspeed.models as models
 from qevspeed import linalg
-from qevspeed.errors import RankIncreaseError
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     MODEL_KEYS,
@@ -35,7 +34,7 @@ from qevspeed.models import (
 from qevspeed.speed import (
     DEFAULT_TIME_STEP,
     Trajectory,
-    kernel_speeds,
+    factor_trajectory,
     speed_at,
     speed_curve,
     speeds_at,
@@ -43,13 +42,14 @@ from qevspeed.speed import (
     stencil_step,
 )
 from util import (
+    InjectedFailure,
     conjugate_trajectory,
-    leaking_trajectory,
+    fail_between,
     local_damping_evolve,
+    model_factor,
     on_libm,
     open_model,
     random_unitary,
-    rank_leaking_trajectory,
     speedup_measure,
     without_analytic_derivative,
 )
@@ -196,22 +196,30 @@ def test_zero_time_limits_and_clamp():
     assert batched[1] == speed_at(markovian, 1.0)
 
 
-def test_rank_increase_fails_only_its_point():
-    mixed = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+def test_rank_increase_is_a_touch_term_not_a_failure(monkeypatch):
+    """A factor whose null space moves at one point (the state leaves its
+    rank there) adds 4 |A'|^2 of that part, with no failure. No point of the
+    package fails alone, so an injected failure shows that a failed point
+    is nan alone, with its error, and that ``speed_at`` raises it."""
+    mixed = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex) ** 0.5
     leak = np.zeros((4, 4), dtype=complex)
-    leak[2, 3] = leak[3, 2] = 1e-3
-    rho = np.stack([mixed, mixed, mixed])
-    drho = np.stack([np.zeros((4, 4)), leak, np.diag([0.1, -0.1, 0, 0])])
-    result = kernel_speeds(rho, drho, SLD, times=np.array([0.5, 1.0, 1.5]))
-    assert list(result.failures) == [1]
-    error = result.failures[1]
-    assert isinstance(error, RankIncreaseError)
-    assert (error.time, error.pair) == (1.0, (0, 1))  # eigenbasis indices, ascending
-    assert math.isnan(result.speeds[1])
-    assert result.speeds[0] == 0.0 and result.speeds[2] > 0.0
+    leak[2, 3] = 1e-3
+    factors = np.stack([mixed, mixed, mixed])
+    moves = np.stack([np.zeros((4, 4)), leak, np.diag([0.1, -0.1, 0, 0])])
+    traj = factor_trajectory(lambda t: (factors, moves), dim=4)
+    result = speeds_at(traj, np.array([0.5, 1.0, 1.5]), SLD)
+    assert not result.failures
+    assert result.speeds[0] == 0.0 and result.speeds[1] == pytest.approx(1e-3, rel=1e-15) and result.speeds[2] > 0.0
 
-    with pytest.raises(RankIncreaseError, match="rank"):
-        speed_at(leaking_trajectory(-math.inf, math.inf), 1.0, SLD)
+    fail_between(monkeypatch, 0.9, 1.1)
+    model = trajectory_from_key("open-1q", alpha=0.6, Gamma_over_gamma0=0.5)
+    speeds, slopes, failures = speedup_measures(lambda t: speeds_at(model, t, SLD), [0.5, 1.0, 1.5])
+    assert list(failures) == [1] and isinstance(failures[1], InjectedFailure)
+    assert math.isnan(speeds[1]) and math.isnan(slopes[1])
+    assert np.isfinite(speeds[[0, 2]]).all() and np.isfinite(slopes[[0, 2]]).all()
+    family = trajectory_from_key("open-1q", alpha=np.array([0.6]), Gamma_over_gamma0=0.5)
+    with pytest.raises(InjectedFailure, match="injected at t = 1"):
+        speed_at(family, 1.0, SLD)
 
 
 @pytest.mark.parametrize("key", ["open-1q", "open-2q-aligned", "open-2q-anti"])
@@ -256,7 +264,7 @@ def test_family_validation_reports_bad_elements():
 def test_replaced_callables_are_the_ones_evaluated():
     """A trajectory's ``blocks`` is what the evaluators call: a replaced
     block function is the one evaluated, callables replaced under a kept
-    one are not, and ``blocks=None`` is the dense path over the callables."""
+    one are not, and a trajectory without one is refused at once."""
     base = trajectory_from_key("open-2q-aligned", alpha=0.6, Gamma_over_gamma0=3.0)
     other = trajectory_from_key("open-1q", alpha=0.9, Gamma_over_gamma0=0.4)
     times = np.linspace(0.1, 8.0, 11)
@@ -266,23 +274,21 @@ def test_replaced_callables_are_the_ones_evaluated():
     assert speed_at(replaced, 2.5) == speed_at(other, 2.5)
     kept = dataclasses.replace(base, dim=2, state_at=other.state_at, derivative_at=other.derivative_at)
     assert speeds_at(kept, times, SLD).speeds.tobytes() == speeds_at(base, times, SLD).speeds.tobytes()
-    swapped = dataclasses.replace(kept, blocks=None)
-    assert_close(speeds_at(swapped, times, SLD).speeds, want)
+    with pytest.raises(ValueError, match="factor_trajectory"):
+        dataclasses.replace(kept, blocks=None)
 
     calls = []
     u = random_unitary(np.random.default_rng(5), 4)
     rotated = conjugate_trajectory(base, u)
-    counted = dataclasses.replace(
-        rotated, state_at=lambda t: calls.append(t) or rotated.state_at(t)
-    )
+    counted = dataclasses.replace(rotated, blocks=lambda t: calls.append(t) or rotated.blocks(t))
     batched = speeds_at(counted, times, SLD).speeds
     assert len(calls) == 1 and np.array_equal(calls[0], times)
     assert_close(batched, speeds_at(base, times, SLD).speeds, rel=1e-10)
 
-    # only derivative_at replaced, as without_analytic_derivative does
-    numeric = without_analytic_derivative(base)
-    doubled = dataclasses.replace(numeric, derivative_at=lambda t: 2.0 * numeric.derivative_at(t))
-    assert_close(speeds_at(doubled, times, SLD).speeds, 2.0 * speeds_at(base, times, SLD).speeds, rel=1e-8)
+    # a factor whose derivative doubles doubles every speed, exactly
+    factor_at = model_factor(base)
+    doubled = factor_trajectory(lambda t: (factor_at(t)[0], 2.0 * factor_at(t)[1]), dim=4)
+    assert speeds_at(doubled, times, SLD).speeds.tobytes() == (2.0 * speeds_at(factor_trajectory(factor_at, dim=4), times, SLD).speeds).tobytes()
 
     # both callables wrapped, as bench/tracer.py wraps them: the trajectory
     # keeps its blocks, evaluated in their place
@@ -306,11 +312,11 @@ def test_replaced_callables_are_the_ones_evaluated():
 
 @pytest.mark.parametrize("key,bath", list(model_cases()))
 def test_dense_helpers_take_one_eigensolver_per_batch(monkeypatch, key, bath):
-    """A built-in model runs no eigensolver; ``conjugate_trajectory`` and
-    ``without_analytic_derivative`` drop its block function, so each of
-    their batches is one ``linalg.eigh_stack`` call, of the same speeds."""
-    solver, calls = linalg.eigh_stack, []
-    monkeypatch.setattr(linalg, "eigh_stack", lambda rho: calls.append(rho.shape) or solver(rho))
+    """A built-in model runs no decomposition; ``conjugate_trajectory`` and
+    ``without_analytic_derivative`` state its factor, so each of their
+    batches is one ``linalg.svd_stack`` call, of the same speeds."""
+    solver, calls = linalg.svd_stack, []
+    monkeypatch.setattr(linalg, "svd_stack", lambda factor: calls.append(factor.shape) or solver(factor))
     traj = trajectory_from_key(key, alpha=0.7, **bath)
     times = np.linspace(0.5, 8.0, 7)
     for metric in MetricKind:
@@ -318,10 +324,11 @@ def test_dense_helpers_take_one_eigensolver_per_batch(monkeypatch, key, bath):
         speed_at(traj, 2.5, metric)
         assert calls == []
         rotated = conjugate_trajectory(traj, random_unitary(np.random.default_rng(7), traj.dim))
-        assert_close(speeds_at(rotated, times, metric).speeds, want, rel=1e-9)
-        assert calls == [(7, traj.dim, traj.dim)]
+        assert_close(speeds_at(rotated, times, metric).speeds, want, rel=1e-12)
+        (shape,) = calls
+        assert shape[:2] == (7, traj.dim)
         assert_close(speeds_at(without_analytic_derivative(traj), times, metric).speeds, want, rel=1e-6)
-        assert calls == [(7, traj.dim, traj.dim)] * 2
+        assert calls == [shape] * 2
         calls.clear()
 
 
@@ -394,7 +401,7 @@ def test_no_floating_point_exceptions():
 
 
 def test_figure_and_detect_annotate_failed_rows(monkeypatch):
-    monkeypatch.setattr(cli, "trajectory_from_key", rank_leaking_trajectory)
+    fail_between(monkeypatch, 1.9, 2.1)
     for argv, note, failed_row in (
         # the grid point t = 2.0000933 and its stencil fail
         (["figure", "fig3b", "--points", "16"], "t=2.00009333333", ["2.00009333333", "nan", "nan"]),
@@ -404,7 +411,7 @@ def test_figure_and_detect_annotate_failed_rows(monkeypatch):
         with redirect_stdout(out):
             assert cli.main(argv) == 0
         text = out.getvalue()
-        assert f"# note: skipped {note}: derivative element" in text
+        assert f"# note: skipped {note}: injected at t = " in text
         rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")][1:]
         assert [row for row in rows if "nan" in row] == [failed_row]
 

@@ -1,5 +1,5 @@
 """The block formulas of the built-in models, their point path on Python
-floats, and the dense adapter on their conjugated states.
+floats, and the factor path on their conjugated states.
 
 The dense ``np.linalg.eigh`` kernel in util.py is the oracle.
 """
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from qevspeed import linalg, models, speed
 from qevspeed.analysis import memory_boundaries
-from qevspeed.errors import RankIncreaseError
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     MODEL_KEYS,
@@ -28,16 +27,17 @@ from qevspeed.models import (
     open_qubit_speed_analytic,
     open_two_qubit_speed_analytic,
     population_complement,
-    population_factor,
     trajectory_from_key,
 )
-from qevspeed.speed import ELEM_TOL, Trajectory, kernel_speeds, rho_dot, speed_at, speeds_at
+from qevspeed.speed import factor_trajectory, speed_at, speeds_at
 from util import (
+    InjectedFailure,
     always_scaled_speeds,
     conjugate_trajectory,
     dense_kernel_speeds,
+    fail_between,
+    model_factor,
     on_libm,
-    random_hermitian,
     random_unitary,
 )
 
@@ -55,22 +55,26 @@ MODEL_CASES = [
 
 
 def random_block(rng, kind: str, size: int) -> np.ndarray:
+    """A factor block: zero, a multiple of a unitary (a degenerate state), one
+    column (rank one) or the Cholesky factor of a state with eigenvalues of
+    at least 0.1 (generic)."""
     if kind == "zero":
         return np.zeros((size, size), dtype=complex)
     if kind == "degenerate":
-        return rng.uniform(0.1, 1.0) * np.eye(size, dtype=complex)
+        return rng.uniform(0.3, 1.0) * random_unitary(rng, size)
     m = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
     if kind == "rank1":
-        return np.outer(m[:, 0], m[:, 0].conj())
-    return m @ m.conj().T + 0.1 * np.eye(size)
+        return m * (np.arange(size) == 0)
+    return np.linalg.cholesky(m @ m.conj().T + 0.1 * np.eye(size))
 
 
 @st.composite
 def block_diagonal_stacks(draw):
-    """Stacks of block-diagonal states with their derivatives, under a
-    permutation of the indices: generic, degenerate (m I) and zero blocks of
-    sizes 1 to 3, or a pure state (one rank-one block among zero blocks).
-    Zero blocks either stay at rest or move, a rank increase."""
+    """Stacks of block-diagonal factors with their derivatives, under a
+    permutation of the indices: generic, degenerate and zero blocks of
+    sizes 1 to 3, or a pure state (one rank-one block among zero blocks),
+    whose one column moves. Zero blocks either stay at rest or move, a rank
+    increase; returns their moving part too."""
     sizes = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=4).filter(lambda s: 2 <= sum(s) <= 8))
     if draw(st.booleans()):
         kinds = ["zero"] * len(sizes)
@@ -84,40 +88,38 @@ def block_diagonal_stacks(draw):
     order = draw(st.permutations(range(dim)))
     points = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    rho = np.zeros((points, dim, dim), dtype=complex)
-    drho = np.zeros_like(rho)
+    factor = np.zeros((points, dim, dim), dtype=complex)
+    move, leak = np.zeros_like(factor), np.zeros_like(factor)
     for n in range(points):
         start = 0
         for kind, size in zip(kinds, sizes):
             span = slice(start, start + size)
-            rho[n, span, span] = random_block(rng, kind, size)
+            factor[n, span, span] = random_block(rng, kind, size)
             if kind != "zero" or leaking:
-                drho[n, span, span] = random_hermitian(rng, size)
+                moving = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+                move[n, span, span] = moving * (np.arange(size) == 0) if kind == "rank1" else moving
+            if kind == "zero":
+                leak[n, span, span] = move[n, span, span]
             start += size
-        rho[n] /= np.trace(rho[n]).real
+        factor[n] /= np.linalg.norm(factor[n])
     index = np.array(order)
-    rho, drho = rho[:, index][:, :, index], drho[:, index][:, :, index]
-    return rho, drho
+    return tuple(x[:, index][:, :, index] for x in (factor, move, leak))
 
 
 @settings(max_examples=300, deadline=None)
 @given(block_diagonal_stacks(), st.sampled_from(list(MetricKind)))
 def test_block_kernel_matches_the_dense_kernel(stack, metric):
-    rho, drho = stack
-    times = np.arange(len(rho), dtype=float)
-    got = kernel_speeds(rho, drho, metric, times)
-    want = dense_kernel_speeds(rho, drho, metric, times)
-    assert got.failures.keys() == want.failures.keys()
-    for i, error in want.failures.items():
-        assert (got.failures[i].time, got.failures[i].pair) == (error.time, error.pair)
-        # the escaping elements lie in a degenerate (zero) eigenspace, whose
-        # basis, and so the magnitude, each method picks its own way
-        assert got.failures[i].magnitude >= ELEM_TOL
-    for i, (speed, expected) in enumerate(zip(got.speeds, want.speeds)):
-        if i in want.failures:
-            assert math.isnan(speed)
-        else:
-            assert speed == pytest.approx(expected, rel=1e-12, abs=1e-13 * np.abs(drho[i]).max())
+    """The factor block's sum is the kernel sum on A A^dagger, plus 4 |A'|^2
+    of the zero blocks that move (a rank increase), which the states cannot
+    carry: their derivative is 0 there."""
+    factor, move, leak = stack
+    traj = factor_trajectory(lambda t: (factor, move), dim=factor.shape[-1])
+    got = speeds_at(traj, np.arange(len(factor), dtype=float), metric)
+    assert not got.failures
+    rho, drho = traj.state_at(np.zeros(len(factor))), traj.derivative_at(np.zeros(len(factor)))
+    want = np.sqrt(dense_kernel_speeds(rho, drho, metric) ** 2 + (np.abs(leak) ** 2).sum(axis=(1, 2)))
+    for speed, expected, scale in zip(got.speeds, want, np.abs(move).max(axis=(1, 2))):
+        assert speed == pytest.approx(expected, rel=1e-12, abs=1e-13 * scale)
 
 
 @pytest.mark.parametrize("metric", list(MetricKind))
@@ -237,7 +239,7 @@ def test_wy_takes_the_principal_root():
     wy = MetricKind.WY
     traj = trajectory_from_key("open-1q", alpha=0.6, Gamma_over_gamma0=0.1)
     times = np.array([9.0, 10.0, 12.0, 20.0, TAU_1 - 1e-3, TAU_1 + 1e-3])
-    want = dense_kernel_speeds(traj.state_at(times), rho_dot(traj, times), wy).speeds
+    want = dense_kernel_speeds(traj.state_at(times), traj.derivative_at(times), wy)
     np.testing.assert_allclose(speeds_at(traj, times, wy).speeds, want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose([speed_at(traj, float(t), wy) for t in times], want, rtol=1e-12, atol=0.0)
     zero = OpenSystemParams(Gamma=0.1691959798994975), 6.705124740062843
@@ -270,13 +272,16 @@ def test_speed_at_takes_the_float_path(monkeypatch):
             for t in (0.0, 1e-3, 2.5):
                 assert isinstance(speed_at(traj, t, metric), float)
     assert calls == {}
-    # a family of one member and a dense trajectory take the batch
+    # a factor of shape () takes the float path too, and a family of one member the batch
+    u = random_unitary(np.random.default_rng(53), 4)
+    pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
+    assert isinstance(speed_at(conjugate_trajectory(pair, u), 2.5), float)
+    assert calls == {}
     family = trajectory_from_key("open-2q-aligned", alpha=np.array([0.7]), Gamma_over_gamma0=0.5)
     speed_at(family, 2.5)
     assert calls == {"_batch_at": 1, "_block_speeds": 1}
-    turned = conjugate_trajectory(family, random_unitary(np.random.default_rng(53), 4))
-    speed_at(turned, 2.5)
-    assert calls == {"_batch_at": 2, "_block_speeds": 1}
+    speed_at(conjugate_trajectory(family, u), 2.5)
+    assert calls == {"_batch_at": 2, "_block_speeds": 2}
 
 
 # parameters of each shape a family can take; a 0-d array is one curve
@@ -591,28 +596,19 @@ def test_numpy_amplitudes_are_within_ulps_of_libm(monkeypatch):
                 )
 
 
-def leaking_pair_trajectory() -> Trajectory:
-    """diag(1/2, 0, 1/2), whose empty level fills while its pair's cross
-    element moves: a rank increase, which the dense adapter reports."""
-
-    def state_at(t):
-        return np.broadcast_to(np.diag([0.5, 0.0, 0.5]).astype(complex), np.shape(t) + (3, 3))
-
-    def derivative_at(t):
-        return np.broadcast_to(np.array([[-0.1, 0.2j, 0.0], [-0.2j, 0.1, 0.0], [0.0, 0.0, 0.0]]), np.shape(t) + (3, 3))
-
-    return Trajectory(3, state_at, derivative_at)
-
-
 @pytest.mark.parametrize("metric", list(MetricKind))
-def test_speed_at_raises_the_batch_failure(metric):
-    traj = leaking_pair_trajectory()
-    want = speeds_at(traj, np.array([2.0]), metric).failures[0]
-    with pytest.raises(RankIncreaseError) as caught:
-        speed_at(traj, 2.0, metric)
-    got = caught.value
-    assert (got.time, got.pair, got.magnitude) == (want.time, want.pair, want.magnitude)
-    assert got.pair == (0, 0)
+def test_speed_at_raises_the_batch_failure(monkeypatch, metric):
+    """A family's point is one point of the batch, whose failure it raises.
+    No point of the package fails alone: the failure is made here."""
+    fail_between(monkeypatch, 1.9, 2.1)
+    family = trajectory_from_key("open-2q-aligned", alpha=np.array([0.7]), Gamma_over_gamma0=0.5)
+    turned = conjugate_trajectory(family, random_unitary(np.random.default_rng(53), 4))
+    for traj in (family, turned):
+        want = speeds_at(traj, np.array([2.0]), metric).failures[0]
+        with pytest.raises(InjectedFailure) as caught:
+            speed_at(traj, 2.0, metric)
+        assert str(caught.value) == str(want) == "injected at t = 2"
+        assert math.isfinite(speed_at(traj, 2.5, metric))
 
 
 @pytest.mark.parametrize("key,bath", MODEL_CASES)
@@ -648,14 +644,21 @@ def test_a_model_takes_no_end_time():
 
 
 def test_built_in_models_run_no_eigensolver(monkeypatch):
+    """No built-in model calls LAPACK's eigensolvers or its singular value
+    decomposition; a factor trajectory takes one decomposition per batch."""
     calls = []
-    dense_solver = np.linalg.eigh
 
-    def counted(matrices):
-        calls.append(np.shape(matrices))
-        return dense_solver(matrices)
+    def counted(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        def call(matrices, *args, **kwargs):
+            calls.append((name, np.shape(matrices)))
+            return solver(matrices, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, call)
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        counted(name)
     times = np.linspace(0.0, 20.0, 50)
     for key, bath in MODEL_CASES:
         traj = trajectory_from_key(key, alpha=0.7, **bath)
@@ -664,21 +667,20 @@ def test_built_in_models_run_no_eigensolver(monkeypatch):
             speed_at(traj, 2.5, metric)
             speeds_at(trajectory_from_key(key, alpha=np.array([0.3, 0.7]), **bath), 2.5, metric)
     assert calls == []
-    # a dense trajectory is one block, which the eigensolver takes
+    # a factor trajectory takes one decomposition per batch, of its stacked factors
     pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
     turned = conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4))
     speeds_at(turned, times)
-    assert calls == [(50, 4, 4)]
-    # and so does a dense qubit
+    assert calls == [("svd", (50, 4, 4))]
     qubit = trajectory_from_key("open-1q", alpha=0.7, Gamma_over_gamma0=0.5)
     speeds_at(conjugate_trajectory(qubit, random_unitary(np.random.default_rng(53), 2)), times)
-    assert calls == [(50, 4, 4), (50, 2, 2)]
+    assert calls == [("svd", (50, 4, 4)), ("svd", (50, 2, 2))]
 
 
 def test_dense_qubit_matches_the_closed_form():
-    """The eigensolver recovers a dense qubit's small eigenvalue less
-    accurately than its block formula; wherever 1e-3 < alpha^2 P_t < 1 - 1e-3,
-    a conjugated open-1q still reads the closed-form SLD speed to 1e-8."""
+    """A conjugated open-1q is a factor trajectory, which keeps the term of
+    an eigenvalue that touches zero: it reads the closed-form SLD speed to
+    1e-10 over the whole grid, tau_n and the late tails included."""
     rng = np.random.default_rng(67)
     times = np.linspace(0.01, 40.0, 400)
     for alpha in (0.3, 0.6, 1.0):
@@ -686,47 +688,115 @@ def test_dense_qubit_matches_the_closed_form():
             params = OpenSystemParams(alpha=alpha, Gamma=ratio)
             traj = trajectory_from_key("open-1q", alpha=alpha, Gamma_over_gamma0=ratio)
             turned = conjugate_trajectory(traj, random_unitary(rng, 2))
-            excited = alpha * alpha * population_factor(params, times)
-            inside = (1e-3 < excited) & (excited < 1.0 - 1e-3)
-            closed = [open_qubit_speed_analytic(params, float(t)) for t in times[inside]]
-            np.testing.assert_allclose(speeds_at(turned, times[inside]).speeds, closed, rtol=1e-8, atol=0.0)
+            closed = [open_qubit_speed_analytic(params, float(t)) for t in times]
+            np.testing.assert_allclose(speeds_at(turned, times).speeds, closed, rtol=1e-10, atol=0.0)
 
 
 def test_built_in_models_skip_the_dense_adapter(monkeypatch):
-    calls = count_calls(monkeypatch, (linalg, "hermitian_stack"), (speed, "rho_dot"))
+    """No built-in model takes ``linalg.svd_stack``, on either path and as a
+    family; a factor trajectory takes it once per batch and once per point."""
+    calls = count_calls(monkeypatch, (linalg, "svd_stack"))
     times = np.linspace(0.0, 20.0, 50)
     for key, bath in MODEL_CASES:
         traj = trajectory_from_key(key, alpha=0.7, **bath)
+        family = trajectory_from_key(key, alpha=np.array([0.3, 0.7]), **bath)
         for metric in MetricKind:
             speeds_at(traj, times, metric)
             speed_at(traj, 2.5, metric)
+            speeds_at(family, times[:, None], metric)
     assert calls == {}
-    # a dense trajectory is checked once and differentiated once
     pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
-    speeds_at(conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4)), times)
-    assert calls == {"hermitian_stack": 1, "rho_dot": 1}
+    turned = conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4))
+    speeds_at(turned, times)
+    speed_at(turned, 2.5)
+    assert calls == {"svd_stack": 2}
 
 
 @pytest.mark.parametrize("dim", [2, 4])
 def test_empty_stack_is_an_empty_batch(dim):
-    assert kernel_speeds(np.zeros((0, dim, dim)), np.zeros((0, dim, dim))).speeds.shape == (0,)
+    empty = factor_trajectory(lambda t: (np.zeros(t.shape + (dim, dim)), np.zeros(t.shape + (dim, dim))), dim=dim)
+    assert speeds_at(empty, np.array([])).speeds.shape == (0,)
 
 
 @pytest.mark.parametrize("points", [1, 5])
 @pytest.mark.parametrize("power", [-1000, 1000])
 def test_derivative_scale_is_exact(points, power):
-    # states with blocks of one, two and three indices; a power of two
+    # factors with blocks of one, two and three indices; a power of two
     # scales every speed exactly, far beyond the range of the squares
     rng = np.random.default_rng(59)
-    rho = np.zeros((points, 6, 6), dtype=complex)
-    drho = np.zeros_like(rho)
+    factor = np.zeros((points, 6, 6), dtype=complex)
+    move = np.zeros_like(factor)
     for n in range(points):
         for span in (slice(0, 1), slice(1, 3), slice(3, 6)):
             size = span.stop - span.start
-            rho[n, span, span] = random_block(rng, "generic", size)
-            drho[n, span, span] = random_hermitian(rng, size)
-        rho[n] /= np.trace(rho[n]).real
+            factor[n, span, span] = random_block(rng, "generic", size)
+            move[n, span, span] = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        factor[n] /= np.linalg.norm(factor[n])
+    times = np.arange(points, dtype=float)
     for metric in MetricKind:
-        base = kernel_speeds(rho, drho, metric).speeds
-        scaled = kernel_speeds(rho, drho * 2.0**power, metric).speeds
+        base = speeds_at(factor_trajectory(lambda t: (factor, move), dim=6), times, metric).speeds
+        scaled = speeds_at(factor_trajectory(lambda t: (factor, move * 2.0**power), dim=6), times, metric).speeds
         assert scaled.tobytes() == (base * 2.0**power).tobytes()
+        one = factor_trajectory(lambda t: (factor[0], move[0] * 2.0**power), dim=6)
+        assert speed_at(one, 1.0, metric) == base[0] * 2.0**power
+
+
+TAUS = [tau for tau, _ in memory_boundaries(OpenSystemParams(Gamma=0.1), 3)]
+# an exact zero of the float G_t, where the anti pair's root vanishes
+G_ZERO = (0.1691959798994975, 6.705124740062843)
+MOTIVATION = [  # where an eigenvalue adapter read 0.80x, 1e-32 and 1e-14
+    ("open-1q", 0.6, 10.0, [30.0, 40.0, 50.0, 60.0, 70.0]),
+    ("open-1q", 1.0, 0.1, TAUS),
+    ("open-2q-aligned", 0.6, 10.0, [30.0]),
+]
+CONJUGATED = [
+    (key, alpha, bath)
+    for key in ("open-1q", "open-2q-aligned", "open-2q-anti")
+    for alpha in (0.3, 0.6, 1.0)
+    for bath in ({"Gamma_over_gamma0": 0.1}, {"Gamma_over_gamma0": 0.5}, {"Gamma_over_gamma0": 10.0}, {"markovian_limit": True})
+]
+
+
+def conjugated_errors(traj, times, rng):
+    """The relative errors of a conjugated ``traj`` against its point path
+    at ``times``, under both metrics, with the smallest ratio
+    sigma_min / sigma_max of the factor at each time."""
+    turned = conjugate_trajectory(traj, random_unitary(rng, traj.dim))
+    factor_at = model_factor(turned)
+    for t in times:
+        sigma = np.linalg.svd(factor_at(np.asarray(t))[0], compute_uv=False)
+        for metric in MetricKind:
+            want = speed_at(traj, t, metric)
+            yield abs(speed_at(turned, t, metric) - want) / want, sigma[-1] / sigma[0]
+
+
+@pytest.mark.parametrize("key,alpha,bath", CONJUGATED)
+def test_conjugated_models_match_their_point_path(key, alpha, bath):
+    """A conjugated model is a factor trajectory: it reads the model's own
+    point path to 1e-13 where sigma_min >= 1e-8 sigma_max, and to 1e-10
+    below that, where the touch rule takes over. The grid spans t in
+    [1e-3, 40] with the first tau_n and tau_n' of the width."""
+    rng = np.random.default_rng(83)
+    traj = trajectory_from_key(key, alpha=alpha, **bath)
+    times = list(np.geomspace(1e-3, 40.0, 21))
+    if "Gamma_over_gamma0" in bath and bath["Gamma_over_gamma0"] < 2.0:
+        boundaries = memory_boundaries(OpenSystemParams(Gamma=bath["Gamma_over_gamma0"]), 3)
+        times += [float(t) for ends in boundaries for t in ends]
+    for error, ratio in conjugated_errors(traj, times, rng):
+        assert error <= (1e-13 if ratio >= 1e-8 else 1e-10)
+
+
+@pytest.mark.parametrize(
+    "key,alpha,ratio,times",
+    MOTIVATION + [(key, 0.6, G_ZERO[0], [G_ZERO[1]]) for key in ("open-1q", "open-2q-aligned", "open-2q-anti")],
+)
+def test_conjugated_boundary_speeds(key, alpha, ratio, times):
+    """Where an eigenvalue touches zero or falls to 1e-34 of the largest, the
+    factor path keeps its term: conjugated, each model reads its point path
+    to 1e-13 where sigma_min >= 1e-8 sigma_max and to 1e-10 below, over 20
+    random unitaries."""
+    rng = np.random.default_rng(89)
+    traj = trajectory_from_key(key, alpha=alpha, Gamma_over_gamma0=ratio)
+    for _ in range(20):
+        for error, ratio in conjugated_errors(traj, times, rng):
+            assert error <= (1e-13 if ratio >= 1e-8 else 1e-10)

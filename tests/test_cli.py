@@ -7,7 +7,7 @@ import pytest
 
 import qevspeed.cli as cli
 from qevspeed.analysis import region_report, speedup_boundaries, speedup_equation
-from qevspeed.errors import RankIncreaseError
+from qevspeed.errors import EigenSolverError
 from qevspeed.models import (
     OpenSystemParams,
     markovian_two_qubit_speed,
@@ -15,7 +15,7 @@ from qevspeed.models import (
     trajectory_from_key,
 )
 from qevspeed.speed import speed_at, speeds_at
-from util import leaking_trajectory
+from util import fail_between
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 OPEN_AT_ONE = ("--model", "open-1q", "--gamma-ratio", "0.5", "--time", "1")
@@ -130,12 +130,8 @@ class TestSpeedCommand:
             assert s == pytest.approx(speed_at(traj, t, MetricKind.SLD), rel=1e-11)
 
     def test_singular_rows_annotated_and_run_continues(self, tmp_path, monkeypatch):
-        # A rank-2 state whose derivative couples its null space near t = 1:
-        # the kernel sum fails there with RankIncreaseError.
-        def leaky(key, **kwargs):
-            return leaking_trajectory(0.9, 1.1)
-
-        monkeypatch.setattr(cli, "trajectory_from_key", leaky)
+        # every point near t = 1 fails, with a failure made by the test
+        fail_between(monkeypatch, 0.9, 1.1)
         code, text = run_to_file(
             tmp_path,
             ["speed", "--model", "closed-1q", "--alpha", "0.6",
@@ -826,7 +822,7 @@ class TestErrors:
 
     def test_numerical_failure_maps_to_exit_three(self, monkeypatch, capsys):
         def boom(config):
-            raise RankIncreaseError(0.0, (0, 1), 1.0)
+            raise EigenSolverError("singular value decomposition did not converge")
 
         monkeypatch.setitem(cli._RUNNERS, "regions", boom)
         assert cli.main(["regions", "--gamma-ratio", "0.1"]) == 3

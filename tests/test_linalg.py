@@ -1,67 +1,22 @@
+"""``svd_stack``, the package's one decomposition. Of a factor A it gives the
+eigensystem of rho = A A^dagger: the eigenvalues sigma^2 and the
+eigenvectors W."""
+
 import numpy as np
 import pytest
 
-from qevspeed.linalg import HERM_TOL, eigh_stack
-from util import random_density, random_hermitian
+from qevspeed.errors import EigenSolverError
+from qevspeed.linalg import svd_stack
+from util import random_density
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def eigh(matrix):
-    """``eigh_stack`` on one matrix: its eigenvalues and eigenvectors."""
-    values, vectors = eigh_stack(np.asarray(matrix)[None])
-    return values[0], vectors[0]
-
-
-class TestHermitianCheck:
-    """``eigh_stack`` is the one finite and Hermitian check."""
-
-    def test_identity(self):
-        eigh(np.eye(2, dtype=complex))
-
-    def test_symmetric_but_not_hermitian(self):
-        m = np.array([[0.0, 1.0j], [1.0j, 0.0]])
-        with pytest.raises(ValueError, match="not Hermitian"):
-            eigh(m)
-
-    @pytest.mark.parametrize("pop", [0.0, 0.25, 0.5, 1.0])
-    def test_damped_qubit_matrix_shape(self, pop):
-        # [[r11 P, r10 sqrt(P)], [r01 sqrt(P), 1 - r11 P]] with real r10 is
-        # Hermitian for every P in [0, 1]
-        r11, r10 = 0.4, 0.25
-        root = np.sqrt(pop)
-        m = np.array([[r11 * pop, r10 * root], [r10 * root, 1 - r11 * pop]], complex)
-        eigh(m)
-
-    def test_rejects_nonfinite(self):
-        m = np.array([[np.nan, 0.0], [0.0, 1.0]], complex)
-        with pytest.raises(ValueError, match="NaN"):
-            eigh(m)
-
-    def test_rejects_nonsquare(self):
-        for shape in ((1, 2, 3), (2, 3), (2,)):
-            with pytest.raises(ValueError, match=r"square matrices \(N, d, d\), got shape"):
-                eigh_stack(np.zeros(shape))
-
-    @pytest.mark.parametrize("side", [0.99, 1.01])
-    def test_tolerance(self, side):
-        # an antisymmetric real part of side * HERM_TOL on one pair of entries
-        m = np.diag([0.3, 0.7]).astype(complex)
-        m[0, 1] = side * HERM_TOL
-        if side < 1.0:
-            eigh(m)
-        else:
-            with pytest.raises(ValueError, match="matrix 0 of the stack is not Hermitian"):
-                eigh(m)
-
-    def test_names_the_matrix(self):
-        stack = np.stack([np.eye(2), np.eye(2), np.triu(np.ones((2, 2)))])
-        with pytest.raises(ValueError, match="matrix 2 of the stack"):
-            eigh_stack(stack)
-
-    def test_empty_stack(self):
-        values, vectors = eigh_stack(np.zeros((0, 2, 2)))
-        assert values.shape == (0, 2) and vectors.shape == (0, 2, 2)
+    """The eigenvalues (ascending) and eigenvectors of a positive definite
+    ``matrix``, from ``svd_stack`` of its Cholesky factor."""
+    w, sigma, _ = svd_stack(np.linalg.cholesky(np.asarray(matrix, dtype=complex))[None])
+    return sigma[0, ::-1] ** 2, w[0, :, ::-1]
 
 
 class TestEigh:
@@ -79,23 +34,20 @@ class TestEigh:
         values, _ = eigh(0.5 * (np.eye(2) + 0.6 * PAULI_X))
         np.testing.assert_allclose(values, [0.2, 0.8], atol=1e-14)
 
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            eigh(np.array([[0.0, 1.0], [0.0, 0.0]], complex))
-
     @pytest.mark.parametrize("dim", [2, 4])
     def test_reconstruction_and_orthonormality(self, dim):
+        # a factor of dim rows and dim - 1, dim or dim + 1 columns
         rng = np.random.default_rng(7)
         for _ in range(500):
-            m = random_hermitian(rng, dim)
-            values, vectors = eigh(m)
-            rebuilt = (vectors * values) @ vectors.conj().T
-            assert np.linalg.norm(rebuilt - m) <= 1e-12 * dim * max(
-                1.0, np.linalg.norm(m)
-            )
-            gram = vectors.conj().T @ vectors
-            assert np.max(np.abs(gram - np.eye(dim))) <= 1e-12
-            assert np.all(np.diff(values) >= 0.0)
+            columns = dim + int(rng.integers(-1, 2))
+            a = rng.standard_normal((dim, columns)) + 1j * rng.standard_normal((dim, columns))
+            w, sigma, vh = svd_stack(a[None])
+            rebuilt = (w[0, :, : sigma.size] * sigma[0]) @ vh[0, : sigma.size]
+            assert np.linalg.norm(rebuilt - a) <= 1e-12 * dim * max(1.0, np.linalg.norm(a))
+            for unitary in (w[0], vh[0]):
+                gram = unitary.conj().T @ unitary
+                assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-12
+            assert np.all(np.diff(sigma[0]) <= 0.0)
 
     @pytest.mark.parametrize("dim", [2, 4])
     def test_density_eigenvalue_bounds(self, dim):
@@ -105,3 +57,13 @@ class TestEigh:
             assert values[0] >= -1e-12
             assert values[-1] <= 1.0 + 1e-12
             assert abs(np.sum(values) - 1.0) <= 1e-12
+
+
+class TestSvdStack:
+    def test_empty_stack(self):
+        w, sigma, vh = svd_stack(np.zeros((0, 3, 2)))
+        assert w.shape == (0, 3, 3) and sigma.shape == (0, 2) and vh.shape == (0, 2, 2)
+
+    def test_non_finite_factor_does_not_converge(self):
+        with pytest.raises(EigenSolverError, match="did not converge"):
+            svd_stack(np.array([[[np.nan, 0.0], [0.0, 1.0]]]))

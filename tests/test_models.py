@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from qevspeed.linalg import eigh_stack
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     OpenSystemParams,
@@ -366,7 +365,7 @@ class TestChannels:
         rho0 = np.outer(vec, vec)
         for pop in (0.2, 0.5, 0.9):
             evolved = local_damping_evolve(rho0, pop, n=2)
-            values = eigh_stack(evolved[None])[0][0]
+            values = np.linalg.eigvalsh(evolved)
             nonzero = sorted(v for v in values if v > 1e-12)
             assert nonzero == pytest.approx(sorted([pop, 1 - pop]), abs=1e-12)
             direct = pop * rho0

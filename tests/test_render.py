@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qevspeed.cli as cli
 from qevspeed.models import MODEL_KEYS
-from util import rank_leaking_trajectory, render_csv, render_json
+from util import fail_between, render_csv, render_json
 
 
 def table(argv: list[str]) -> cli.TableResult:
@@ -45,7 +45,7 @@ def test_speed_and_detect(model):
 
 
 def test_failed_rows(monkeypatch):
-    monkeypatch.setattr(cli, "trajectory_from_key", rank_leaking_trajectory)
+    fail_between(monkeypatch, 1.9, 2.1)
     for argv in (
         ["figure", "fig3b", "--points", "16"],
         ["detect", "--model", "closed-1q", "--sweep", "t:1:3:5"],

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qevspeed.errors import RankIncreaseError
-from qevspeed.metrics import MetricKind
+from qevspeed.metrics import MetricKind, mc_kernel
 from qevspeed.models import (
     OpenSystemParams,
     open_qubit_speed_analytic,
@@ -13,12 +12,8 @@ from qevspeed.models import (
     trajectory_from_key,
 )
 from qevspeed.speed import (
-    ELEM_TOL,
-    PURE_STATE_TOL,
-    RANK_TOL,
-    Trajectory,
-    kernel_speeds,
-    rho_dot,
+    TOUCH_TOL,
+    factor_trajectory,
     speed_at,
     speed_curve,
     speeds_at,
@@ -26,10 +21,12 @@ from qevspeed.speed import (
 )
 from util import (
     DegenerateSpectrumError,
+    InjectedFailure,
     conjugate_trajectory,
+    fail_between,
     fubini_study_speed,
-    leaking_trajectory,
     open_model,
+    random_hermitian,
     random_unitary,
     speed_spectral_form,
     speedup_measure,
@@ -41,30 +38,25 @@ SLD = MetricKind.SLD
 WY = MetricKind.WY
 
 
-def stationary_trajectory() -> Trajectory:
-    rho = np.diag([0.3, 0.7]).astype(complex)
-    return Trajectory(
-        dim=2, state_at=stacked(lambda t: rho), derivative_at=stacked(lambda t: 0.0 * rho)
-    )
+def stationary_trajectory():
+    root = np.diag([0.3, 0.7]) ** 0.5
+    return factor_trajectory(stacked(lambda t: (root, 0.0 * root)), dim=2)
 
 
-def diagonal_trajectory() -> Trajectory:
+def diagonal_trajectory():
     """Constant eigenvectors, eigenvalues (p(t), 1 - p(t)) with p < 1/2."""
 
-    def p(t):
-        return 0.25 + 0.1 * math.sin(t)
+    def factor(t):
+        p, dp = 0.25 + 0.1 * math.sin(t), 0.1 * math.cos(t)
+        roots = np.array([p, 1.0 - p]) ** 0.5
+        return np.diag(roots), np.diag([dp, -dp] / (2.0 * roots))
 
-    def state(t):
-        return np.diag([p(t), 1.0 - p(t)]).astype(complex)
-
-    def derivative(t):
-        return np.diag([0.1 * math.cos(t), -0.1 * math.cos(t)]).astype(complex)
-
-    return Trajectory(dim=2, state_at=stacked(state), derivative_at=stacked(derivative))
+    return factor_trajectory(stacked(factor), dim=2)
 
 
-def rotating_mixed_trajectory() -> Trajectory:
-    """Moving eigenvalues and rotating eigenvectors."""
+def rotating_mixed_trajectory():
+    """Moving eigenvalues and rotating eigenvectors: the factor
+    R(t) diag(sqrt d, sqrt(1 - d)) with R(t) = exp(-i rate t generator)."""
     axis = np.array([0.3, 0.5, 0.8])
     axis /= np.linalg.norm(axis)
     sigma = np.array(
@@ -78,33 +70,30 @@ def rotating_mixed_trajectory() -> Trajectory:
     generator = np.tensordot(axis, sigma, axes=1)
     rate = 0.9
 
-    def rotation(t):
-        return math.cos(rate * t) * np.eye(2) - 1j * math.sin(rate * t) * generator
+    def factor(t):
+        rotation = math.cos(rate * t) * np.eye(2) - 1j * math.sin(rate * t) * generator
+        d, d_dot = 0.3 + 0.1 * math.sin(0.7 * t), 0.07 * math.cos(0.7 * t)
+        roots = np.array([d, 1.0 - d]) ** 0.5
+        root = rotation @ np.diag(roots)
+        # d/dt R D^(1/2) = -i rate generator R D^(1/2) + R d(D^(1/2))/dt
+        return root, -1j * rate * generator @ root + rotation @ np.diag([d_dot, -d_dot] / (2.0 * roots))
 
-    def state(t):
-        d = 0.3 + 0.1 * math.sin(0.7 * t)
-        return rotation(t) @ np.diag([d, 1.0 - d]).astype(complex) @ rotation(t).conj().T
-
-    def derivative(t):
-        # d/dt U D U^dagger = -i rate [generator, rho] + U (dD/dt) U^dagger
-        rho = state(t)
-        d_dot = 0.07 * math.cos(0.7 * t)
-        moving = rotation(t) @ np.diag([d_dot, -d_dot]).astype(complex) @ rotation(t).conj().T
-        return -1j * rate * (generator @ rho - rho @ generator) + moving
-
-    return Trajectory(dim=2, state_at=stacked(state), derivative_at=stacked(derivative))
+    return factor_trajectory(stacked(factor), dim=2)
 
 
 class TestRhoDot:
+    """``derivative_at``: a model's scatters its blocks, and a factor
+    trajectory's is A' A^dagger + A A'^dagger."""
+
     def test_stationary_is_zero(self):
-        d = rho_dot(stationary_trajectory(), 1.0)
+        d = stationary_trajectory().derivative_at(1.0)
         np.testing.assert_allclose(d, np.zeros((2, 2)), atol=1e-12)
 
     def test_finite_difference_matches_analytic_closed(self):
         traj = trajectory_from_key("closed-1q", alpha=0.6, omega=1.3)
         numeric = without_analytic_derivative(traj, 1e-5)
         for t in (0.3, 1.7, 4.0):
-            np.testing.assert_allclose(rho_dot(numeric, t), rho_dot(traj, t), atol=1e-8)
+            np.testing.assert_allclose(numeric.derivative_at(t), traj.derivative_at(t), atol=1e-8)
 
     def test_open_population_rate(self):
         # d/dt of the excited-population entry equals rho_11(0) * dP/dt
@@ -115,7 +104,7 @@ class TestRhoDot:
             fd = (population_factor(params, t + h) - population_factor(params, t - h)) / (
                 2 * h
             )
-            analytic = rho_dot(traj, t)[0, 0].real
+            analytic = traj.derivative_at(t)[0, 0].real
             assert analytic == pytest.approx(0.64 * fd, abs=1e-8)
 
     def test_endpoints_use_one_sided_differences(self):
@@ -123,15 +112,12 @@ class TestRhoDot:
         traj = without_analytic_derivative(
             trajectory_from_key("closed-1q", alpha=0.6), 1e-6
         )
-        left = rho_dot(traj, 0.0)
-        right = rho_dot(traj, 1.0)
         exact = trajectory_from_key("closed-1q", alpha=0.6)
-        np.testing.assert_allclose(left, rho_dot(exact, 0.0), atol=1e-5)
-        np.testing.assert_allclose(right, rho_dot(exact, 1.0), atol=1e-5)
+        np.testing.assert_allclose(traj.derivative_at(0.0), exact.derivative_at(0.0), atol=1e-5)
+        np.testing.assert_allclose(traj.derivative_at(1.0), exact.derivative_at(1.0), atol=1e-5)
 
     def test_result_is_hermitian(self):
-        traj = rotating_mixed_trajectory()
-        d = rho_dot(traj, 1.3)
+        d = rotating_mixed_trajectory().derivative_at(1.3)
         np.testing.assert_allclose(d, d.conj().T, atol=1e-14)
 
 
@@ -162,10 +148,12 @@ class TestSpeedAt:
         assert speed_at(stationary_trajectory(), 1e3, SLD) == pytest.approx(0.0, abs=1e-10)
 
     def test_states_must_match_declared_dim(self):
-        rho = stationary_trajectory()
-        traj = Trajectory(dim=4, state_at=rho.state_at, derivative_at=rho.derivative_at)
-        with pytest.raises(ValueError, match=r"declares dim=4 but its states have shape \(2, 2\)"):
+        root = np.diag([0.3, 0.7]) ** 0.5
+        traj = factor_trajectory(stacked(lambda t: (root, 0.0 * root)), dim=4)
+        with pytest.raises(ValueError, match=r"declares dim=4 but its factors have 2 rows"):
             speeds_at(traj, np.array([1.0, 2.0]), SLD)
+        with pytest.raises(ValueError, match=r"declares dim=4 but its factors have 2 rows"):
+            speed_at(traj, 1.0, SLD)
 
     @pytest.mark.parametrize(
         "traj",
@@ -192,26 +180,29 @@ class TestSpeedAt:
             for t in np.linspace(0.1, 8.0, 25):
                 assert speed_at(traj, float(t), SLD) >= 0.0
 
-    def test_rank_increase_raises(self):
-        traj = leaking_trajectory(-math.inf, math.inf)
-        with pytest.raises(RankIncreaseError, match="rank"):
-            speed_at(traj, 1.0, SLD)
+    def test_failure_raises(self, monkeypatch):
+        # no point of the package fails alone: the failure is made here
+        fail_between(monkeypatch, 0.9, 1.1)
+        with pytest.raises(InjectedFailure, match="injected at t = 1"):
+            speed_at(stationary_trajectory(), np.array(1.0), SLD)
 
     # a state with one eigenvalue is pure: its speed is 0 on both paths
     def test_one_by_one_batch(self):
-        result = kernel_speeds(np.ones((3, 1, 1)), np.zeros((3, 1, 1)), SLD)
+        one = factor_trajectory(lambda t: (np.ones(t.shape + (1, 1)), np.zeros(t.shape + (1, 1))), dim=1)
+        result = speeds_at(one, np.array([0.5, 1.0, 2.0]), SLD)
         assert result.speeds.tolist() == [0.0, 0.0, 0.0] and not result.failures
 
     def test_one_by_one_point(self):
-        result = kernel_speeds(np.ones((1, 1)), np.zeros((1, 1)), WY)
+        one = factor_trajectory(lambda t: (np.ones((1, 1)), np.zeros((1, 1))), dim=1)
+        assert speed_at(one, 1.0, WY) == 0.0
+        result = speeds_at(one, 1.0, WY)
         assert result.speeds.shape == () and result.speeds == 0.0 and not result.failures
 
     def test_one_dimensional_trajectory(self):
-        traj = Trajectory(
-            dim=1, state_at=stacked(lambda t: [[1.0]]), derivative_at=stacked(lambda t: [[0.0]])
-        )
-        assert speeds_at(traj, np.array([0.5, 2.0]), SLD).speeds.tolist() == [0.0, 0.0]
-        assert speed_at(traj, 1.0, SLD) == 0.0
+        # a turning phase of the factor is a gauge: the state rests
+        phase = factor_trajectory(stacked(lambda t: ([[np.exp(1j * t)]], [[1j * np.exp(1j * t)]])), dim=1)
+        assert speeds_at(phase, np.array([0.5, 2.0]), SLD).speeds == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert speed_at(phase, 1.0, SLD) == pytest.approx(0.0, abs=1e-15)
 
 
 WIDTHS = [{"Gamma": 0.1}, {"Gamma": 2.0}, {"Gamma": 10.0}, {"markovian_limit": True}]
@@ -278,58 +269,72 @@ class TestDefaultTimeStep:
         assert max(self.relative_errors(slopes(1e-8))) > 1e-9
 
 
-class TestTolerances:
-    """Hand-built states on each side of each threshold of ``kernel_speeds``."""
+def touching_factor(rng, dim: int, small, tail: bool):
+    """A = W Sigma V^dagger at a point of a curve on which W and V turn under
+    generic anti-Hermitian generators, W' = W K and V' = V L, with the
+    singular values (1, 0.6, ...) and the ``small`` ones last. Each small
+    singular value touches zero (sigma' = 0.8) or decays in a tail
+    (sigma' = -0.7 sigma). Returns A, A', the eigenvalues p = sigma^2, their
+    derivatives and Omega = W^dagger W' = K."""
+    large = np.linspace(1.0, 0.6, dim - len(small))
+    sigma = np.concatenate([large, small])
+    dsigma = np.concatenate([rng.uniform(-0.5, 0.5, large.size), -0.7 * np.asarray(small) if tail else [0.8] * len(small)])
+    w, v = random_unitary(rng, dim), random_unitary(rng, dim)
+    k, l = (1j * random_hermitian(rng, dim) for _ in range(2))
+    factor = (w * sigma) @ v.conj().T
+    move = w @ (k * sigma + np.diag(dsigma) - sigma[:, None] * l) @ v.conj().T
+    return factor, move, sigma * sigma, 2.0 * sigma * dsigma, k
 
-    @pytest.mark.parametrize("side", [0.99, 1.01])
-    def test_pure_state_route(self, side):
-        # a diagonal drho on the small eigenvalue is invisible to the
-        # Fubini-Study speed of the top eigenvector; the kernel sum weights it
-        # by c(p, p) = 1/p
-        small = side * PURE_STATE_TOL
-        rho = np.diag([1.0 - small, small]).astype(complex)
-        drho = np.diag([-1e-9, 1e-9]).astype(complex)
-        speed = kernel_speeds(rho[None], drho[None], SLD).speeds[0]
-        if side < 1.0:
-            assert speed == 0.0
-        else:
-            expected = 0.5 * 1e-9 * math.sqrt(1.0 / (1.0 - small) + 1.0 / small)
-            assert speed == pytest.approx(expected, rel=1e-12)
+
+def analytic_fisher(metric, p, dsigma_terms, omega) -> float:
+    """F = sum 4 sigma_k'^2 + sum_{k != l} c(p_k, p_l) |Omega_kl|^2 (p_l - p_k)^2,
+    with the diagonal term written 4 sigma'^2 = (dp)^2 / p."""
+    pk, pl = p[:, None], p[None, :]
+    gap = (pl - pk) ** 2
+    kernel = mc_kernel(metric, pk, pl, where=gap > 0.0)
+    return float(np.sum(dsigma_terms) + np.sum(kernel * np.abs(omega) ** 2 * gap))
+
+
+SMALL = [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16, 0.0]
+
+
+class TestTolerances:
+    """``TOUCH_TOL``, the factor path's one tolerance, on each side."""
 
     @pytest.mark.parametrize("side", [0.99, 1.01])
     def test_rank_cut(self, side):
-        # a pair summing to side * RANK_TOL, coupled far above ELEM_TOL: kept
-        # with weight 2 / (x + y) above the cut, a rank increase below it
-        x = 0.5 * RANK_TOL
-        y = (side - 0.5) * RANK_TOL
-        rho = np.diag([x, y, 0.4, 0.6 - x - y]).astype(complex)
-        drho = np.zeros((4, 4), dtype=complex)
-        drho[0, 1] = drho[1, 0] = 1e-3
-        result = kernel_speeds(rho[None], drho[None], SLD, times=np.array([2.5]))
+        # a singular value sigma = side * TOUCH_TOL moves its column into the
+        # other row: that element is weighted by sigma, so it reads 0 below
+        # the cut (sigma counts as 0) and sigma / sqrt(1 + sigma^2) above
+        small = side * TOUCH_TOL
+        move = np.array([[0.0, 1.0], [0.0, 0.0]])
+        traj = factor_trajectory(lambda t: (np.diag([1.0, small]), move), dim=2)
+        speed = speed_at(traj, 1.0, SLD)
         if side < 1.0:
-            assert isinstance(result.failures[0], RankIncreaseError)
-            assert result.failures[0].pair == (0, 1)
-            assert math.isnan(result.speeds[0])
+            assert speed == 0.0
         else:
-            assert not result.failures
-            assert result.speeds[0] == pytest.approx(1e-3 / math.sqrt(x + y), rel=1e-9)
+            assert speed == pytest.approx(small / math.sqrt(1.0 + small * small), rel=1e-12)
 
-    @pytest.mark.parametrize("side", [0.99, 1.01])
-    def test_element_cut(self, side):
-        # a boundary pair (both eigenvalues 0) with a derivative element of
-        # side * ELEM_TOL: dropped below the cut, a rank increase above it
-        rho = np.diag([0.0, 0.0, 0.3, 0.7]).astype(complex)
-        drho = np.diag([0.0, 0.0, -0.01, 0.01]).astype(complex)
-        drho[0, 1] = drho[1, 0] = side * ELEM_TOL
-        result = kernel_speeds(rho[None], drho[None], SLD)
-        if side < 1.0:
-            assert not result.failures
-            assert result.speeds[0] == pytest.approx(
-                0.5 * 0.01 * math.sqrt(1.0 / 0.3 + 1.0 / 0.7), rel=1e-12
-            )
-        else:
-            assert isinstance(result.failures[0], RankIncreaseError)
-            assert math.isnan(result.speeds[0])
+    @pytest.mark.parametrize("tail", [False, True], ids=["touching", "tail"])
+    @pytest.mark.parametrize("metric", list(MetricKind))
+    def test_random_factors_on_each_side(self, metric, tail):
+        """One or two small singular values on either side of the cut, of
+        random factors: the factor path meets the analytic F to 1e-10."""
+        rng = np.random.default_rng(71)
+        worst = 0.0
+        for dim in (2, 3, 4):
+            for first in SMALL:
+                for second in [None, *SMALL[SMALL.index(first) + 1 :]] if dim > 2 else [None]:
+                    small = [first] if second is None else [first, second]
+                    factor, move, p, dp, omega = touching_factor(rng, dim, small, tail)
+                    sigma = np.sqrt(p)
+                    dsigma_terms = np.divide(dp * dp, p, out=np.zeros(dim), where=p > 0.0)
+                    if not tail:
+                        dsigma_terms[p == 0.0] = 4.0 * 0.8**2
+                    want = analytic_fisher(metric, p, dsigma_terms, omega)
+                    got = 4.0 * speed_at(factor_trajectory(lambda t: (factor, move), dim=dim), 1.0, metric) ** 2
+                    worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-10
 
 
 class TestSpectralForm:

@@ -2,33 +2,35 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import math
 
 import numpy as np
 
-from qevspeed import analysis
+from qevspeed import analysis, speed
 from qevspeed.cli import TableResult
-from qevspeed.errors import NumericalFailure, RankIncreaseError
+from qevspeed.errors import NumericalFailure
 from qevspeed.metrics import MetricKind, mc_kernel
 from qevspeed.models import OpenSystemParams, trajectory_from_key
 from qevspeed.speed import (
     DEFAULT_TIME_STEP,
-    ELEM_TOL,
-    PURE_STATE_TOL,
-    RANK_TOL,
     SpeedBatch,
     Trajectory,
     _binary_scale,
     _fisher,
+    factor_trajectory,
     stencil_step,
 )
 
 # Eigenvalues closer than this make the spectral form's eigenvector
 # derivatives ill-defined.
 EIG_DEGENERACY_TOL = 1e-9
+
+# The oracles on dense states treat eigenvalues below this as inert: about
+# 1e4 times eigh's eigenvalue rounding on a unit-trace state, so an
+# eigenvalue that is 0 in exact arithmetic is always below it.
+INERT_EIGENVALUE_TOL = 1e-12
 
 
 def libm(func):
@@ -89,18 +91,65 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * phases
 
 
+def model_factor(traj: Trajectory):
+    """A factor function (``factor_trajectory``) of any trajectory: its own
+    factor block, or one built from a model's ray and pair blocks. A ray is
+    the column s phi. A pair [[a, w], [w*, c]] is two Cholesky columns,
+    pivoted on the larger diagonal with the signed root as the second
+    pivot, [[sqrt a, 0], [w*/sqrt a, s/sqrt a]] when a >= c (and the same
+    with the indices swapped otherwise); their derivatives follow by the
+    quotient rule. A 0-d time takes the model's point path, on floats."""
+
+    def factor_at(t):
+        blocks = traj.blocks(float(t) if np.ndim(t) == 0 else t)
+        if blocks[0][0] is None:
+            return blocks[0][1], blocks[0][2]
+        columns = []  # each a list of (row, entry, derivative)
+        for indices, state, move, *ray in blocks:
+            if len(state) == 2:
+                vector = ray[0] if ray else (1.0,)
+                columns.append([(i, state[1] * u, move[1] * u) for i, u in zip(indices, vector)])
+                continue
+            (i, j), (a, c, wr, wi, s), (da, dc, dwr, dwi, ds) = indices, state, move
+            top = np.greater_equal(a, c)
+            pivot, dpivot = np.where(top, a, c), np.where(top, da, dc)
+            off = np.where(top, wr - 1j * wi, wr + 1j * wi)
+            doff = np.where(top, dwr - 1j * dwi, dwr + 1j * dwi)
+            root = np.sqrt(pivot)
+            droot = dpivot / (2.0 * root)
+            lower, dlower = off / root, doff / root - off * droot / pivot
+            last, dlast = s / root, ds / root - s * droot / pivot
+            first = [(np.where(top, i, j), root, droot), (np.where(top, j, i), lower, dlower)]
+            columns += [first, [(np.where(top, j, i), last, dlast)]]
+        shape = np.broadcast_shapes(np.shape(t), traj.shape)
+        factor = np.zeros(shape + (traj.dim, len(columns)), dtype=complex)
+        move = np.zeros_like(factor)
+        for k, column in enumerate(columns):
+            for row, x, dx in column:
+                rows = np.broadcast_to(row, shape)[..., None]
+                np.put_along_axis(factor[..., k], rows, np.broadcast_to(x, shape)[..., None], axis=-1)
+                np.put_along_axis(move[..., k], rows, np.broadcast_to(dx, shape)[..., None], axis=-1)
+        return factor, move
+
+    return factor_at
+
+
+def _carried(traj: Trajectory) -> dict:
+    """The fields of ``traj`` that a trajectory built from it keeps."""
+    return {"dim": traj.dim, "params": traj.params, "speed_at_zero": traj.speed_at_zero, "shape": traj.shape}
+
+
 def conjugate_trajectory(traj: Trajectory, unitary: np.ndarray) -> Trajectory:
-    """The trajectory t -> U rho_t U^dagger with everything else carried
-    over but the block function: it is dense."""
+    """The trajectory t -> U rho_t U^dagger, as the factor U A_t of
+    ``model_factor``, with everything else carried over."""
     u = np.asarray(unitary, dtype=complex)
-    u_dag = u.conj().T
-    state, derivative = traj.state_at, traj.derivative_at
-    return dataclasses.replace(
-        traj,
-        state_at=lambda t: u @ state(t) @ u_dag,
-        derivative_at=lambda t: u @ derivative(t) @ u_dag,
-        blocks=None,
-    )
+    factor_at = model_factor(traj)
+
+    def rotated(t):
+        factor, move = factor_at(t)
+        return u @ factor, u @ move
+
+    return factor_trajectory(rotated, **_carried(traj))
 
 
 def open_model(key: str, p: OpenSystemParams, **kwargs) -> Trajectory:
@@ -112,87 +161,71 @@ def open_model(key: str, p: OpenSystemParams, **kwargs) -> Trajectory:
 
 
 def stacked(func):
-    """An array-valued trajectory callable from ``func``, which takes one
-    time: its matrices at every time of an array, stacked along its axes."""
+    """A factor function (``factor_trajectory``) from ``func``, which takes
+    one time and returns (A, A'): both at every time of an array, stacked
+    along its axes."""
 
     def at(times):
         times = np.asarray(times, dtype=float)
-        values = [np.asarray(func(float(t)), dtype=complex) for t in times.ravel()]
-        return np.stack(values).reshape(times.shape + values[0].shape)
+        pairs = [[np.asarray(x, dtype=complex) for x in func(float(t))] for t in times.ravel()]
+        return tuple(np.stack(xs).reshape(times.shape + xs[0].shape) for xs in zip(*pairs))
 
     return at
 
 
 def without_analytic_derivative(traj: Trajectory, step: float = DEFAULT_TIME_STEP) -> Trajectory:
-    """Oracle for the analytic derivatives: the dense trajectory with its
-    derivative replaced by central differences of its states, of half-width
-    ``step`` (one-sided at t = 0)."""
-    state = traj.state_at
+    """Oracle for the analytic derivatives: the factor trajectory of
+    ``model_factor``, its derivative replaced by central differences of its
+    factors, of half-width ``step`` (one-sided at t = 0)."""
+    factor_at = model_factor(traj)
 
-    def derivative(t):
+    def differenced(t):
         t = np.asarray(t, dtype=float)
         forward = t - step < 0.0
         minus = np.where(forward, t, t - step)
         width = np.where(forward, step, 2.0 * step)
-        return (state(t + step) - state(minus)) / width[..., None, None]
+        return factor_at(t)[0], (factor_at(t + step)[0] - factor_at(minus)[0]) / width[..., None, None]
 
-    return dataclasses.replace(traj, derivative_at=derivative, blocks=None)
-
-
-def leaking_trajectory(low: float, high: float, **fields) -> Trajectory:
-    """A constant rank-2 state whose derivative leaves its support for
-    low < t < high, where every evaluation fails with a
-    ``RankIncreaseError``; ``fields`` are further ``Trajectory`` fields."""
-    rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    leak = np.zeros((4, 4), dtype=complex)
-    leak[2, 3] = leak[3, 2] = 1e-3
-
-    def state(t):
-        return np.broadcast_to(rho, np.shape(t) + (4, 4)).copy()
-
-    def derivative(t):
-        inside = (low < np.asarray(t)) & (np.asarray(t) < high)
-        return np.where(inside[..., None, None], leak, 0.0)
-
-    return Trajectory(dim=4, state_at=state, derivative_at=derivative, **fields)
+    return factor_trajectory(differenced, **_carried(traj))
 
 
-def rank_leaking_trajectory(key: str, **kwargs) -> Trajectory:
-    """A stand-in for ``trajectory_from_key`` that leaks for 1.9 < t < 2.1,
-    with a speed limit of 1 at t = 0."""
-    return leaking_trajectory(1.9, 2.1, speed_at_zero=1.0)
+def dense_kernel_speeds(rho, drho, metric: MetricKind = MetricKind.SLD) -> np.ndarray:
+    """Oracle on dense states: the speeds of the kernel sum over one dense
+    ``np.linalg.eigh`` of every state, whatever its sparsity, with the
+    derivative elements |V^dagger drho V| in that eigenbasis. Eigenvalues
+    below ``INERT_EIGENVALUE_TOL`` are 0, and pairs of them are dropped: rho
+    and its derivative cannot carry the terms of an eigenvalue that touches
+    zero, which the factor path adds."""
+    values, vectors = np.linalg.eigh(np.asarray(rho, dtype=complex))
+    p = np.where(values < INERT_EIGENVALUE_TOL, 0.0, values)
+    magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ np.asarray(drho, dtype=complex) @ vectors)
+    pk, pl = p[..., :, None], p[..., None, :]
+    kernel = mc_kernel(metric, pk, pl, where=pk + pl > 0.0)
+    return 0.5 * np.sqrt((kernel * magnitude * magnitude).sum(axis=(-2, -1)))
 
 
-def dense_kernel_speeds(rho, drho, metric: MetricKind = MetricKind.SLD, times=None) -> SpeedBatch:
-    """Oracle for ``kernel_speeds``: one dense ``np.linalg.eigh`` of every
-    state, whatever its sparsity, and the derivative elements
-    |V^dagger drho V| in that eigenbasis. The same rules follow: the
-    Fubini-Study reduction when the second-largest eigenvalue is below
-    ``PURE_STATE_TOL`` (summed over the top eigenvector's column), else the
-    kernel sum with the ``RANK_TOL``/``ELEM_TOL`` masks; a failed point
-    names its first escaping pair in ascending eigenvalue order."""
-    rho = np.asarray(rho, dtype=complex)
-    batch, dim = rho.shape[:-2], rho.shape[-1]
-    rho = rho.reshape(-1, dim, dim)
-    drho = np.asarray(drho, dtype=complex).reshape(rho.shape)
-    values, vectors = np.linalg.eigh(rho)
-    p = np.maximum(values, 0.0)
-    magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ drho @ vectors)
-    pure = p[:, -2] < PURE_STATE_TOL
-    into_top = magnitude[:, :-1, -1]
-    fubini_study = metric.epsilon * np.sqrt((into_top * into_top).sum(axis=1))
-    pk, pl = p[:, :, None], p[:, None, :]
-    kept = pk + pl >= RANK_TOL
-    total = (mc_kernel(metric, pk, pl, where=kept) * magnitude * magnitude).sum(axis=(1, 2))
-    speeds = np.where(pure, fubini_study, 0.5 * np.sqrt(total))
-    escaping = ~kept & (magnitude >= ELEM_TOL) & ~pure[:, None, None]
-    labels = np.broadcast_to(math.nan if times is None else times, batch).ravel()
-    failures = {}
-    for row in np.flatnonzero(escaping.any(axis=(1, 2))):
-        k, l = divmod(int(np.argmax(escaping[row])), dim)
-        failures[int(row)] = RankIncreaseError(float(labels[row]), (k, l), float(magnitude[row, k, l]))
-        speeds[row] = math.nan
-    return SpeedBatch(speeds.reshape(batch), failures)
+class InjectedFailure(NumericalFailure):
+    """A failure made by a test: nothing in the package fails a single
+    point, so the failure rows are exercised with this one."""
+
+
+def fail_between(monkeypatch, low: float, high: float) -> None:
+    """Make every batch (``speed._batch_at``, under ``speeds_at``, a
+    family's ``speed_at``, ``speed_curve`` and the CLI) fail each point
+    with low < t < high: nan, with an ``InjectedFailure``. Every other
+    point keeps its speed."""
+    batch_at = speed._batch_at
+
+    def failing(traj, t, metric, blocks, first):
+        result = batch_at(traj, t, metric, blocks, first)
+        times = np.broadcast_to(t, result.speeds.shape)
+        failed = np.flatnonzero((low < times) & (times < high))
+        speeds = result.speeds.copy()
+        speeds.flat[failed] = math.nan
+        failures = {int(i): InjectedFailure(f"injected at t = {times.flat[i]:.6g}") for i in failed}
+        return SpeedBatch(speeds, {**result.failures, **failures})
+
+    monkeypatch.setattr(speed, "_batch_at", failing)
 
 
 def always_scaled_speeds(traj: Trajectory, t, metric: MetricKind = MetricKind.SLD):
@@ -231,7 +264,7 @@ def speed_spectral_form(
 
     with q_k = sqrt(p_k). The derivatives are central differences of the
     eigensystems at t -/+ step, each eigenvector phase-aligned with its
-    partner at t. Eigenvalues below ``RANK_TOL`` are inert: their terms
+    partner at t. Eigenvalues below ``INERT_EIGENVALUE_TOL`` are inert: their terms
     vanish identically, so they are excluded rather than estimated from
     finite-difference noise. Degeneracy among the remaining eigenvalues
     raises ``DegenerateSpectrumError``.
@@ -248,7 +281,7 @@ def speed_spectral_form(
     values_plus, plus = np.linalg.eigh(np.asarray(traj.state_at(t + step), dtype=complex))
 
     p = np.clip(values, 0.0, None)
-    active = np.flatnonzero(values >= RANK_TOL)
+    active = np.flatnonzero(values >= INERT_EIGENVALUE_TOL)
     if active.size > 1 and np.min(np.diff(values[active])) < EIG_DEGENERACY_TOL:
         raise DegenerateSpectrumError(
             f"eigenvalues degenerate within {EIG_DEGENERACY_TOL:.1e} at t = {t:.6g}"
@@ -270,7 +303,8 @@ def speed_spectral_form(
     vectors_minus, vectors_plus = aligned(minus), aligned(plus)
     q_plus, q_minus = (np.sqrt(np.clip(v, 0.0, None)) for v in (values_plus, values_minus))
     q_dot = (q_plus - q_minus) / (2.0 * step)
-    q_dot[(values < RANK_TOL) & (values_minus < RANK_TOL) & (values_plus < RANK_TOL)] = 0.0
+    inert = INERT_EIGENVALUE_TOL
+    q_dot[(values < inert) & (values_minus < inert) & (values_plus < inert)] = 0.0
 
     total = float(np.sum(q_dot * q_dot))
     for k in active:
