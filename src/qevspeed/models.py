@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .speed import Trajectory
+from .speed import Trajectory, _check_range
 
 MODEL_KEYS = (
     "closed-1q",
@@ -54,7 +54,8 @@ class OpenSystemParams:
 
     Exactly one of ``Gamma`` (the finite spectral width Gamma / gamma0) or
     ``markovian_limit`` (the width taken to infinity) must be set.
-    ``alpha`` is the real initial excited amplitude.
+    ``alpha`` is the real initial excited amplitude. The width's kappa and
+    branch are taken once, when it is built (``_width_branch``).
     """
 
     alpha: float = 1.0
@@ -70,6 +71,7 @@ class OpenSystemParams:
             raise ValueError(f"Gamma must be positive, got {self.Gamma}")
         if self.Gamma == math.inf:
             raise ValueError("Gamma must be finite; for an infinite width, set markovian_limit")
+        object.__setattr__(self, "_width_branch", _width_branch(math.inf if self.markovian_limit else self.Gamma))
 
     @property
     def kappa(self) -> float:
@@ -79,21 +81,18 @@ class OpenSystemParams:
         nor loses the 2 Gamma next to Gamma^2 at large widths."""
         if self.markovian_limit:
             raise ValueError("kappa is undefined in the Markovian limit")
-        return math.sqrt(self.Gamma) * math.sqrt(abs(2.0 - self.Gamma))
+        return self._width_branch[1]
 
     def branch(self) -> str:
         """One of 'markovian', 'oscillatory', 'critical', 'hyperbolic'."""
-        if self.markovian_limit:
-            return "markovian"
-        if self.Gamma == 2.0:
-            return "critical"
-        return "oscillatory" if self.Gamma < 2.0 else "hyperbolic"
+        return ("markovian", "critical", "oscillatory", "hyperbolic")[self._width_branch[2]]
 
 
-def _check_time(t) -> None:
-    t = np.asarray(t)
-    if (t < 0.0).any():
-        raise ValueError(f"time must be nonnegative, got {t[t < 0.0].flat[0]}")
+def _check_time(t) -> None:  # the trajectories' ValueError for a number or an array outside [0, inf)
+    if isinstance(t, (int, float)) and not 0.0 <= t < math.inf:
+        _check_range(t, t, t)
+    elif not isinstance(t, (int, float)) and (t := np.asarray(t, dtype=float)).size:
+        _check_range(t.min(), t.max(), t)
 
 
 def _scalar_or_array(value: np.ndarray):
@@ -140,28 +139,25 @@ def _hyperbolic_split(xp, t, g, k):
 _BRANCHES = (_markovian, _critical, _oscillatory, _hyperbolic, _hyperbolic_split)
 
 
-def _one_width(Gamma):
-    """``_amplitudes`` at one width, a function of t whose kappa and branch are taken once."""
+def _width_branch(Gamma) -> tuple[float, float, int]:
+    """``_one_width``'s leading arguments: the width, its kappa (inf in the Markovian limit) and branch index."""
     g = float(Gamma)
-    k = math.sqrt(g) * math.sqrt(abs(2.0 - g))  # inf in the Markovian limit
-    code = 0 if math.isinf(g) else 1 if g == 2.0 else 2 if g < 2.0 else 3
+    return g, math.sqrt(g) * math.sqrt(abs(2.0 - g)), 0 if math.isinf(g) else 1 if g == 2.0 else 2 if g < 2.0 else 3
 
-    def amplitudes(t):
-        if isinstance(t, (int, float)) or getattr(t, "ndim", None) == 0:
-            if (t := float(t)) < 0.0:
-                raise ValueError(f"time must be nonnegative, got {t}")
-            return _BRANCHES[code if code < 3 or 0.5 * k * t < 20.0 else 4](math, t, g, k)
-        _check_time(t)
-        t = np.asarray(t, dtype=float)
-        with np.errstate(under="ignore", over="ignore"):
-            if code == 3 and not (near := 0.5 * k * t < 20.0).all():
-                value, slope = _hyperbolic_split(np, t, g, k)
-                if near.any():
-                    value[near], slope[near] = _hyperbolic(np, t[near], g, k)
-                return value, slope
-            return _BRANCHES[code](np, t, g, k)
 
-    return amplitudes
+def _one_width(g, k, code, t):
+    """``_amplitudes`` at one width, from its ``_width_branch``, with ``t`` unchecked."""
+    if isinstance(t, (int, float)) or getattr(t, "ndim", None) == 0:
+        t = float(t)
+        return _BRANCHES[code if code < 3 or 0.5 * k * t < 20.0 else 4](math, t, g, k)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(under="ignore", over="ignore"):
+        if code == 3 and not (near := 0.5 * k * t < 20.0).all():
+            value, slope = _hyperbolic_split(np, t, g, k)
+            if near.any():
+                value[near], slope[near] = _hyperbolic(np, t[near], g, k)
+            return value, slope
+        return _BRANCHES[code](np, t, g, k)
 
 
 def _amplitudes(t, Gamma):
@@ -169,20 +165,20 @@ def _amplitudes(t, Gamma):
 
     ``Gamma = inf`` is the Markovian limit. Each element takes the branch
     that ``OpenSystemParams.branch`` names for its width, and the
-    hyperbolic branch splits at kappa t / 2 = 20 (NaN times take the split
-    form). One width (an int, a float or a 0-d array) takes ``_one_width``'s
-    function, which a model binds once: a ``t`` of the same kinds then gives
-    Python floats on libm (``xp = math``) with no numpy call, and any other
-    ``t`` runs the branch on the whole time array. An array of widths routes
-    each element by mask. Arrays take numpy's ufuncs (``xp = np``): the two
+    hyperbolic branch splits at kappa t / 2 = 20. A time outside [0, inf)
+    raises ``ValueError``. One width (an int, a float or a 0-d array) takes
+    ``_one_width``, which a model binds at build with no time check: a
+    ``t`` of the same kinds gives Python floats on libm (``xp = math``),
+    any other ``t`` runs the branch on the whole time array. An array of
+    widths routes each element by mask. Arrays take numpy's ufuncs: the two
     array selections give the same bits, within a few ulp of the point
     path's. Their decaying terms may flush to zero, and their kappa t / 2
     may overflow to inf at late times, which takes the split form, where
     exp(-inf) is the 0 it rounds to: neither raises a warning.
     """
-    if isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0:
-        return _one_width(Gamma)(t)
     _check_time(t)
+    if isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0:
+        return _one_width(*_width_branch(Gamma), t)
     t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
     markovian = np.isinf(g)
     finite = np.where(markovian, 0.0, g)
@@ -198,8 +194,10 @@ def _amplitudes(t, Gamma):
     return value, slope
 
 
-def _width(p: OpenSystemParams) -> float:
-    return math.inf if p.markovian_limit else p.Gamma
+def _at(p: OpenSystemParams, t):
+    """``_amplitudes`` at the width of ``p``, whose kappa and branch it took when it was built."""
+    _check_time(t)
+    return _one_width(*p._width_branch, t)
 
 
 def amplitude_factor(p: OpenSystemParams, t):
@@ -209,12 +207,12 @@ def amplitude_factor(p: OpenSystemParams, t):
     the coherences; the population factor is insensitive to the sign. ``t``
     may be an array.
     """
-    return _amplitudes(t, _width(p))[0]
+    return _at(p, t)[0]
 
 
 def amplitude_factor_dot(p: OpenSystemParams, t):
     """Closed-form time derivative of the coherence amplitude G_t."""
-    return _amplitudes(t, _width(p))[1]
+    return _at(p, t)[1]
 
 
 def population_factor(p: OpenSystemParams, t):
@@ -225,7 +223,7 @@ def population_factor(p: OpenSystemParams, t):
 
 def population_factor_dot(p: OpenSystemParams, t):
     """Closed-form dP/dt = 2 G_t dG/dt."""
-    g, dg = _amplitudes(t, _width(p))
+    g, dg = _at(p, t)
     return 2.0 * g * dg
 
 
@@ -316,60 +314,71 @@ def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
     indices, and G_t and c_t for the anti pair, P_t|phi0><phi0| +
     (1-P_t)|00><00|, whose P_t along phi0 is a ray: its speed is |G'_t| / c_t
     at any alpha. Every closed-model root is 0 (c_t = 0) but the ray's.
-    The phase is real arithmetic on libm's cos and sin at one point of
-    scalar parameters (Python floats), on numpy's over a batch.
+    A block function per layout is bound at build, over an entry function per
+    bath: a closed model's computes only the phase (G = 1), an open one's none.
     """
     b = math.sqrt(1.0 - a * a) if isinstance(a, float) else np.sqrt(1.0 - a * a)
-    ab = a * b
-    dim = 2 if kind == "1q" else 4
+    aa, ab, bb = a * a, a * b, b * b
     turns = {"1q": 1.0, "aligned": 2.0, "anti": 0.0}[kind] if w else 0.0  # the coherence's phase is turns (w t)
     turn = -turns * (w * ab)  # the phase's rate times -alpha beta, finite where turns w is not
     # the last time of finite phase, whose phase later times take: no speed depends on it
     wrap = sys.float_info.max / turns / max(w, 1.0 / turns) if turns else 0.0
     wrap = math.nextafter(wrap, 0.0) if turns * (w * wrap) == math.inf else wrap
+    ab_sin0, turn_sin0 = ab * 0.0, turn * 0.0  # at phase 0, where cos is 1
 
-    if Gamma is not None:  # t -> (G_t, G'_t), bound once
-        amplitudes = _one_width(Gamma) if np.ndim(Gamma) == 0 else functools.partial(_amplitudes, Gamma=Gamma)
-
-    def blocks(t):
-        g, dg = (1.0, 0.0) if Gamma is None else amplitudes(t)
-        cos, sin = 1.0, 0.0
-        if turns and isinstance(t, float):  # one point, on libm
-            phase = turns * (w * (t if t <= wrap else wrap))
-            cos, sin = math.cos(phase), math.sin(phase)
-        elif turns:  # numpy's float64 (a 0-d time's phase) is a float
-            xp = math if isinstance(phase := turns * (w * np.minimum(t, wrap)), float) else np
+    if Gamma is None and not turns:
+        def entries(t):
+            return 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, ab, ab_sin0, turn, turn_sin0
+    elif Gamma is None:
+        def entries(t):  # one point on libm (numpy's float64, a 0-d time's phase, is a float), a batch on numpy's
+            phase = turns * (w * ((t if t <= wrap else wrap) if isinstance(t, float) else np.minimum(t, wrap)))
+            xp = math if isinstance(phase, float) else np
             cos, sin = xp.cos(phase), xp.sin(phase)
-        dpop = 2.0 * g * dg
-        # c_t = sqrt(1 - P_t) of P_t = min(G^2, 1), whose root is at most 1, and c' = -G G' / c, or 0 where c is
-        # 0: at t = 0, where the speed takes its limit, and where 1 - P_t rounds to 0 (t < 1e-8 at Gamma 0.1)
-        if isinstance(g, float):  # one point, or a closed model
-            root = math.sqrt(pop := min(g * g, 1.0))
-            decay = math.sqrt(1.0 - root * root)
-            ddecay = -(g * dg) / decay if decay else 0.0
-        else:
+            return 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, ab * cos, ab * sin, turn * cos, turn * sin
+    else:
+        amplitudes = functools.partial(_amplitudes, Gamma=Gamma)  # t -> (G_t, G'_t)
+        if np.ndim(Gamma) == 0:  # with no time check, which speeds_at has made
+            amplitudes = functools.partial(_one_width, *_width_branch(Gamma))
+
+        def entries(t):
+            g, dg = amplitudes(t)
+            dpop = 2.0 * g * dg
+            # c_t = sqrt(1 - P_t) of P_t = min(G^2, 1), whose root is at most 1, and c' = -G G' / c, or 0 where c is
+            # 0: at t = 0, where the speed takes its limit, and where 1 - P_t rounds to 0 (t < 1e-8 at Gamma 0.1)
+            if isinstance(g, float):  # one point
+                root = math.sqrt(pop := min(g * g, 1.0))
+                decay = math.sqrt(1.0 - root * root)
+                ddecay = -(g * dg) / decay if decay else 0.0
+                return g, dg, pop, dpop, root, decay, ddecay, ab, ab_sin0, turn, turn_sin0
             root = np.sqrt(pop := np.minimum(g * g, 1.0))
             decay = np.sqrt(1.0 - root * root)
             ddecay = np.divide(-(g * dg), decay, out=np.zeros(np.shape(decay)), where=decay != 0.0)
-        if kind == "1q":
-            square = g * g
-            state = [a * a * square, 1.0 - a * a * square, g * (ab * cos), -(g * (ab * sin)), a * a * (g * decay)]
-            move = [a * a * dpop, -a * a * dpop]
-            move += [dg * (ab * cos) + g * (turn * sin), g * (turn * cos) - dg * (ab * sin)]
-            move.append(a * a * (dg * decay + g * ddecay))
-            return [((0, 1), state, move)]
-        if kind == "aligned":
-            kept, moved, lost = root * root, root * decay, decay * decay
-            inner = a * a * dpop * (1.0 - 2.0 * pop)  # d(alpha^2 P (1 - P)) / dt
-            corners = [kept * (a * a) * kept, b * b + lost * (a * a) * lost]
-            corners += [kept * (ab * cos), -(kept * (ab * sin)), (a * a) * kept * lost]
-            moves = [2.0 * a * a * pop * dpop, -2.0 * a * a * dpop * (1.0 - pop)]
-            moves += [dpop * (ab * cos) + kept * (turn * sin), kept * (turn * cos) - dpop * (ab * sin), inner]
-            middle = [moved * (a * a) * moved, a * (g * decay)], [inner, a * (dg * decay + g * ddecay)]
-            return [((0, 3), corners, moves), ((1,), *middle), ((2,), *middle)]
-        lost = decay * (b * b) * decay + decay * (a * a) * decay
+            return g, dg, pop, dpop, root, decay, ddecay, ab, ab_sin0, turn, turn_sin0
+
+    def qubit(t):
+        g, dg, pop, dpop, root, decay, ddecay, ab_cos, ab_sin, turn_cos, turn_sin = entries(t)
+        square = g * g
+        state = [aa * square, 1.0 - aa * square, g * ab_cos, -(g * ab_sin), aa * (g * decay)]
+        move = [aa * dpop, -aa * dpop, dg * ab_cos + g * turn_sin, g * turn_cos - dg * ab_sin]
+        move.append(aa * (dg * decay + g * ddecay))
+        return [((0, 1), state, move)]
+
+    def aligned(t):
+        g, dg, pop, dpop, root, decay, ddecay, ab_cos, ab_sin, turn_cos, turn_sin = entries(t)
+        kept, moved, lost = root * root, root * decay, decay * decay
+        inner = aa * dpop * (1.0 - 2.0 * pop)  # d(alpha^2 P (1 - P)) / dt
+        corners = [kept * aa * kept, bb + lost * aa * lost, kept * ab_cos, -(kept * ab_sin), aa * kept * lost]
+        moves = [2.0 * a * a * pop * dpop, -2.0 * a * a * dpop * (1.0 - pop)]  # (2a) a: 2 aa differs at subnormal aa
+        moves += [dpop * ab_cos + kept * turn_sin, kept * turn_cos - dpop * ab_sin, inner]
+        middle = [moved * aa * moved, a * (g * decay)], [inner, a * (dg * decay + g * ddecay)]
+        return [((0, 3), corners, moves), ((1,), *middle), ((2,), *middle)]
+
+    def anti(t):
+        g, dg, pop, dpop, root, decay, ddecay = entries(t)[:7]
+        lost = decay * bb * decay + decay * aa * decay
         return [((1, 2), [pop, g], [dpop, dg], (a, b)), ((3,), [lost, decay], [-dpop, ddecay])]
 
+    blocks, dim = {"1q": (qubit, 2), "aligned": (aligned, 4), "anti": (anti, 4)}[kind]
     state, derivative = (functools.partial(_scatter, dim, blocks, part) for part in (1, 2))
     if Gamma is None:
         record = {"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)}

@@ -20,11 +20,11 @@ written as 4 s'^2; the WY form is the sqrt(rho) embedding of that metric
 (Gibilisco and Isola, J. Math. Phys. 44, 3752 (2003)). Both stay exact
 where an eigenvalue touches zero, the rank discontinuity analysed by
 Safranek (PRA 95, 052320 (2017)). ``speeds_at`` evaluates them over a batch
-of times (and a model family built on arrays of parameters). ``speed_at``
-routes by the family shape that each trajectory states when it is built
-(``Trajectory.shape``): a block function of shape () runs on Python floats
-by the same expression (on libm where the batch takes numpy's ufuncs), and
-anything else is one point of ``speeds_at``.
+of times (and a model family built on arrays of parameters), ``speed_at``
+by the family shape each trajectory states (``Trajectory.shape``): a block
+function of shape () runs on Python floats by the same expression (on libm
+where the batch takes numpy's ufuncs), anything else is one point of
+``speeds_at``. Both sum again, scaled, only where F leaves ``FISHER_WINDOW``.
 
 A hand-written trajectory states a factor A_t of its states instead,
 rho = A A^dagger (``factor_trajectory``): a Kraus sum or a purification
@@ -146,10 +146,10 @@ def _binary_scale(peak):
     return np.ldexp(1.0, -e), np.ldexp(1.0, e)
 
 
-def _fisher(metric: MetricKind, blocks, shrink, xp):
-    """F = 4 S^2 of the blocks (``Trajectory``), their derivatives
-    scaled by ``shrink``: Python floats with ``xp = math``, arrays that
-    broadcast with ``xp = np``, by the same operations.
+def _fisher(metric: MetricKind, blocks, xp):
+    """F = 4 S^2 of the blocks (``Trajectory``) as they are (``_scaled``
+    scales them): Python floats with ``xp = math``, arrays that broadcast
+    with ``xp = np``, by the same operations.
 
     A ray adds 4 ds^2. A pair of trace T adds, under SLD,
     ((da - dc)^2 + 4 |dw|^2 + 4 ds^2) / T, and under WY 4 tr(X^2) with
@@ -164,14 +164,13 @@ def _fisher(metric: MetricKind, blocks, shrink, xp):
     for block in blocks:  # indexed: a star-unpacking of the ray's fourth item costs more
         state, move = block[1], block[2]
         if block[0] is None:
-            total = total + _factor_fisher(metric, block[3], move * np.expand_dims(shrink, (-2, -1)))
+            total = total + _factor_fisher(metric, block[3], move)
             continue
-        ds = move[-1] * shrink
         if len(state) == 2:
-            total = total + 4.0 * (ds * ds)
+            total = total + 4.0 * (move[1] * move[1])
             continue
         a, c, wr, wi, s = state
-        da, dc, dwr, dwi = move[0] * shrink, move[1] * shrink, move[2] * shrink, move[3] * shrink
+        da, dc, dwr, dwi, ds = move
         if metric is MetricKind.SLD:
             diff = da - dc
             moved = diff * diff + 4.0 * (dwr * dwr + dwi * dwi) + 4.0 * (ds * ds)
@@ -215,9 +214,14 @@ def _factor_fisher(metric: MetricKind, decomposition, move: np.ndarray):
         return total + 4.0 * touched.sum(axis=(-2, -1))
 
 
+def _scaled(blocks, shrink):
+    """The blocks with every derivative multiplied by ``shrink`` (a factor's at each point)."""
+    factor = np.expand_dims(shrink, (-2, -1))
+    return [(*b[:2], b[2] * factor if b[0] is None else [x * shrink for x in b[2]], *b[3:]) for b in blocks]
+
+
 def _moves(blocks):
-    """The magnitudes of the blocks' derivatives: each entry of a ray or a
-    pair, and a factor's largest at each point."""
+    """The magnitudes of the blocks' derivatives: a ray's or a pair's entries, a factor's largest."""
     for block in blocks:
         if block[0] is None:
             yield np.abs(block[2]).max(axis=(-2, -1), initial=0.0)
@@ -265,15 +269,14 @@ def factor_trajectory(factor_at: Callable[[np.ndarray], tuple], **fields) -> Tra
 
 def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBatch:
     """Speeds of blocks whose entries broadcast to ``batch``. Points whose F
-    leaves ``FISHER_WINDOW`` sum it again, with their derivatives, ``ds`` and
-    a factor's among them, scaled by ``_binary_scale`` before they are
-    squared."""
+    leaves ``FISHER_WINDOW`` sum it again from ``_scaled`` blocks: every
+    derivative, ``ds`` and a factor's too, times ``_binary_scale``'s 2^-e."""
     with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan F is summed again, scaled
-        fisher = _fisher(metric, blocks, 1.0, np)
+        fisher = _fisher(metric, blocks, np)
     speeds = 0.5 * np.sqrt(fisher)
     if not np.all(inside := (fisher >= FISHER_WINDOW[0]) & (fisher <= FISHER_WINDOW[1])):
         shrink, grow = _binary_scale(functools.reduce(np.maximum, _moves(blocks)))
-        speeds = np.where(inside, speeds, 0.5 * np.sqrt(_fisher(metric, blocks, shrink, np)) * grow)
+        speeds = np.where(inside, speeds, 0.5 * np.sqrt(_fisher(metric, _scaled(blocks, shrink), np)) * grow)
     if not (isinstance(speeds, np.ndarray) and speeds.shape == batch):
         speeds = np.broadcast_to(speeds, batch).copy()
     return SpeedBatch(speeds)
@@ -325,22 +328,25 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
     """Instantaneous speed at one time: the point path. A trajectory of
     stated shape () sums its blocks at once: a built-in model with scalar
     parameters on Python floats, by the batch's operations, and a factor on
-    numpy's arrays. Anything else is one point of ``speeds_at``. The block
-    function is called once either way. A failure raises its error."""
+    numpy's arrays; a state at rest (every derivative 0, so F = 0) reads
+    +0.0 with no scaled sum. Anything else is one point of ``speeds_at``.
+    The block function is called once either way. A failure raises it."""
     blocks = None
     if isinstance(t, (int, float)):  # numpy's float64 is a float
-        t = float(t)
-        _check_range(t, t, t)
+        if not 0.0 <= (t := float(t)) < math.inf:
+            _check_range(t, t, t)
         limit = traj.speed_at_zero
         if t == 0.0 and isinstance(limit, (int, float)):
             return float(limit)
         if t > 0.0 or limit is None:  # speeds_at returns an array limit unevaluated
             blocks = traj.blocks(t)
         if blocks is not None and not traj.shape:
-            if FISHER_WINDOW[0] <= (fisher := _fisher(metric, blocks, 1.0, math)) <= FISHER_WINDOW[1]:
+            if FISHER_WINDOW[0] <= (fisher := _fisher(metric, blocks, math)) <= FISHER_WINDOW[1]:
                 return 0.5 * math.sqrt(fisher)
-            shrink, grow = _binary_scale(max(_moves(blocks)))
-            return 0.5 * math.sqrt(_fisher(metric, blocks, shrink, math)) * grow
+            if not (peak := max(_moves(blocks))):  # at rest: every move is 0, and so is F
+                return 0.0
+            shrink, grow = _binary_scale(peak)
+            return 0.5 * math.sqrt(_fisher(metric, _scaled(blocks, shrink), math)) * grow
     if blocks is None:
         result = speeds_at(traj, t, metric)
     else:  # a family: the batch takes the blocks at hand

@@ -67,3 +67,12 @@ tau_1 = 8.242034311692072
 got, want = speed_at(factor_trajectory(kraus_columns, dim=2), tau_1), speed_at(trajectory_from_key("open-1q", Gamma_over_gamma0=0.1), tau_1)
 assert abs(got - want) <= 1e-12 * want, (got, want)
 PY
+# the installed package reads the pinned values of the point path, with src/ off the path
+python - <<'PY'
+import pathlib, sys
+src = pathlib.Path("src").resolve()
+sys.path[:] = [entry for entry in sys.path if pathlib.Path(entry or ".").resolve() != src]
+import pytest, qevspeed
+assert src not in pathlib.Path(qevspeed.__file__).resolve().parents, qevspeed.__file__
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", "tests/test_pinned_points.py"]))
+PY

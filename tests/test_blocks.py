@@ -378,20 +378,55 @@ def test_on_demand_scale_keeps_every_bit(key):
         ("closed-2q-aligned", {"omega": 1e308}, 2.5, True),
         ("open-1q", {"markovian_limit": True}, 1400.0, True),  # G_t near e^-700: F underflows
         ("open-2q-aligned", {"markovian_limit": True}, 1400.0, True),
-        ("closed-2q-anti", {}, 2.5, True),  # F = 0
+        ("closed-2q-anti", {}, 2.5, True),  # F = 0, at rest
         ("open-2q-aligned", {"Gamma_over_gamma0": 0.5}, 2.5, False),
     ],
 )
 def test_only_points_outside_the_window_are_scaled(monkeypatch, key, bath, t, fallback):
     """``_binary_scale`` runs once per evaluation where F overflows,
     underflows or is 0, on the point path and on the batch, and never at an
-    interior point."""
+    interior point; the point path returns a state at rest unscaled."""
     traj = trajectory_from_key(key, alpha=0.6, **bath)
     calls = count_calls(monkeypatch, (speed, "_binary_scale"))
     for metric in MetricKind:
         speed_at(traj, t, metric)
         speeds_at(traj, [t, t], metric)
-    assert calls == ({"_binary_scale": 2 * len(MetricKind)} if fallback else {})
+    paths = 1 if key == "closed-2q-anti" else 2
+    assert calls == ({"_binary_scale": paths * len(MetricKind)} if fallback else {})
+
+
+@pytest.mark.parametrize(
+    "key, alphas, bath",
+    [
+        ("closed-1q", [0.0, 1.0], {}),
+        ("closed-2q-aligned", [0.0, 1.0], {}),
+        ("closed-2q-anti", [0.0, 1e-160, 0.6, 1.0], {}),
+        ("closed-2q-anti", [0.6], {"omega": 1e308}),
+        ("open-1q", [0.0], {"Gamma_over_gamma0": 0.5}),
+        ("open-1q", [0.0], {"markovian_limit": True}),
+        ("open-2q-aligned", [0.0], {"Gamma_over_gamma0": 0.5}),
+        ("open-2q-aligned", [0.0], {"Gamma_over_gamma0": 10.0}),
+    ],
+)
+def test_states_at_rest_read_exactly_zero(monkeypatch, key, alphas, bath):
+    """Every move of a state at rest is exactly 0, and so is its F: it reads
+    +0.0 on both paths, and the point path takes no ``_binary_scale``."""
+    for alpha in alphas:
+        traj = trajectory_from_key(key, alpha=alpha, **bath)
+        calls = count_calls(monkeypatch, (speed, "_binary_scale"))
+        for metric in MetricKind:
+            for t in (1e-300, 2.5, 45.0, 1400.0):
+                assert speed_at(traj, t, metric).hex() == "0x0.0p+0"
+        assert calls == {}
+        for metric in MetricKind:
+            assert speeds_at(traj, [1e-300, 2.5, 45.0, 1400.0], metric).speeds.tobytes() == bytes(32)
+
+
+def test_anti_pair_at_alpha_zero_still_moves():
+    """The open anti pair at alpha 0 starts in |01>, which decays: not a state at rest."""
+    traj = trajectory_from_key("open-2q-anti", alpha=0.0, Gamma_over_gamma0=0.5)
+    for metric in MetricKind:
+        assert speed_at(traj, 2.5, metric) == speeds_at(traj, [2.5], metric).speeds[0] == pytest.approx(0.3204396, rel=1e-7)
 
 
 @pytest.mark.parametrize("alpha", [np.array([0.7]), np.array(0.7)], ids=["family", "0-d"])

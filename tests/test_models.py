@@ -8,6 +8,7 @@ from qevspeed.models import (
     OpenSystemParams,
     alpha_from_concurrence,
     amplitude_factor,
+    amplitude_factor_dot,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
     open_two_qubit_speed_analytic,
@@ -87,8 +88,26 @@ class TestParams:
         with pytest.raises(ValueError, match="^kappa is undefined in the Markovian limit$"):
             OpenSystemParams(markovian_limit=True).kappa
 
+    @pytest.mark.parametrize("bath", [{"Gamma": 0.5}, {"Gamma": 2.0}, {"Gamma": 10.0}, {"markovian_limit": True}])
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf])
+    def test_helpers_take_one_time_check(self, bath, t):
+        """Every public helper rejects a negative, NaN or infinite time with
+        the trajectories' message, on every branch, as a float and (where it
+        takes one) in an array, before any branch evaluates it."""
+        p = OpenSystemParams(alpha=0.6, **bath)
+        message = f"^t = {t} outside trajectory range \\[0, inf\\)$"
+        for func in (amplitude_factor, amplitude_factor_dot, population_factor, population_factor_dot):
+            for times in (t, np.array([1.0, t, 2.0])):
+                with pytest.raises(ValueError, match=message):
+                    func(p, times)
+        for func in (population_complement, open_qubit_speed_analytic, open_two_qubit_speed_analytic):
+            with pytest.raises(ValueError, match=message):
+                func(p, t)
+        with pytest.raises(ValueError, match=message):
+            markovian_two_qubit_speed(0.5, t)
+
     def test_negative_time_in_an_array_is_named(self):
-        with pytest.raises(ValueError, match=r"^time must be nonnegative, got -2\.0$"):
+        with pytest.raises(ValueError, match=r"^t = -2\.0 outside trajectory range \[0, inf\)$"):
             amplitude_factor(OpenSystemParams(Gamma=0.5), np.array([1.0, -2.0]))
 
     @pytest.mark.parametrize("width", [1e17, 1e200, 1e300])
@@ -199,7 +218,7 @@ class TestPopulationFactor:
                 assert 0.0 <= value <= 1.0
 
     def test_rejects_negative_time(self):
-        with pytest.raises(ValueError, match="nonnegative"):
+        with pytest.raises(ValueError, match="outside trajectory range"):
             population_factor(OpenSystemParams(Gamma=1.0), -0.1)
 
 

@@ -19,6 +19,7 @@ from qevspeed.speed import (
     Trajectory,
     _binary_scale,
     _fisher,
+    _scaled,
     factor_trajectory,
     stencil_step,
 )
@@ -238,10 +239,10 @@ def always_scaled_speeds(traj: Trajectory, t, metric: MetricKind = MetricKind.SL
     parts = [x for block in blocks for x in block[2]]
     if isinstance(t, float) and not traj.shape:
         shrink, grow = _binary_scale(max(abs(x) for x in parts))
-        return 0.5 * math.sqrt(_fisher(metric, blocks, shrink, math)) * grow
+        return 0.5 * math.sqrt(_fisher(metric, _scaled(blocks, shrink), math)) * grow
     with np.errstate(under="ignore"):
         shrink, grow = _binary_scale(functools.reduce(np.maximum, map(np.abs, parts)))
-        speeds = 0.5 * np.sqrt(_fisher(metric, blocks, shrink, np)) * grow
+        speeds = 0.5 * np.sqrt(_fisher(metric, _scaled(blocks, shrink), np)) * grow
     return np.broadcast_to(speeds, np.broadcast_shapes(np.shape(t), traj.shape))
 
 
