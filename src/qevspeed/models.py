@@ -54,8 +54,7 @@ class OpenSystemParams:
 
     Exactly one of ``Gamma`` (the finite spectral width Gamma / gamma0) or
     ``markovian_limit`` (the width taken to infinity) must be set.
-    ``alpha`` is the real initial excited amplitude. The width's kappa and
-    branch are taken once, when it is built (``_width_branch``).
+    ``alpha`` is the real initial excited amplitude.
     """
 
     alpha: float = 1.0
@@ -71,7 +70,6 @@ class OpenSystemParams:
             raise ValueError(f"Gamma must be positive, got {self.Gamma}")
         if self.Gamma == math.inf:
             raise ValueError("Gamma must be finite; for an infinite width, set markovian_limit")
-        object.__setattr__(self, "_width_branch", _width_branch(math.inf if self.markovian_limit else self.Gamma))
 
     @property
     def kappa(self) -> float:
@@ -81,11 +79,11 @@ class OpenSystemParams:
         nor loses the 2 Gamma next to Gamma^2 at large widths."""
         if self.markovian_limit:
             raise ValueError("kappa is undefined in the Markovian limit")
-        return self._width_branch[1]
+        return math.sqrt(self.Gamma) * math.sqrt(abs(2.0 - self.Gamma))
 
     def branch(self) -> str:
         """One of 'markovian', 'oscillatory', 'critical', 'hyperbolic'."""
-        return ("markovian", "critical", "oscillatory", "hyperbolic")[self._width_branch[2]]
+        return ("markovian", "critical", "oscillatory", "hyperbolic")[_width_branch(_width(self))[2]]
 
 
 def _check_time(t) -> None:  # the trajectories' ValueError for a number or an array outside [0, inf)
@@ -194,10 +192,8 @@ def _amplitudes(t, Gamma):
     return value, slope
 
 
-def _at(p: OpenSystemParams, t):
-    """``_amplitudes`` at the width of ``p``, whose kappa and branch it took when it was built."""
-    _check_time(t)
-    return _one_width(*p._width_branch, t)
+def _width(p: OpenSystemParams) -> float:
+    return math.inf if p.markovian_limit else p.Gamma
 
 
 def amplitude_factor(p: OpenSystemParams, t):
@@ -207,12 +203,12 @@ def amplitude_factor(p: OpenSystemParams, t):
     the coherences; the population factor is insensitive to the sign. ``t``
     may be an array.
     """
-    return _at(p, t)[0]
+    return _amplitudes(t, _width(p))[0]
 
 
 def amplitude_factor_dot(p: OpenSystemParams, t):
     """Closed-form time derivative of the coherence amplitude G_t."""
-    return _at(p, t)[1]
+    return _amplitudes(t, _width(p))[1]
 
 
 def population_factor(p: OpenSystemParams, t):
@@ -223,7 +219,7 @@ def population_factor(p: OpenSystemParams, t):
 
 def population_factor_dot(p: OpenSystemParams, t):
     """Closed-form dP/dt = 2 G_t dG/dt."""
-    g, dg = _at(p, t)
+    g, dg = _amplitudes(t, _width(p))
     return 2.0 * g * dg
 
 
@@ -276,7 +272,9 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
 
 def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
     """The dense state (``part`` 1) or derivative (2) matrices of the blocks
-    at times ``t``, stacked along their broadcast shape."""
+    at times ``t``, checked as ``speeds_at`` checks them, stacked along
+    their broadcast shape."""
+    _check_time(t)
     entries = [(block[0], block[part], *block[3:]) for block in blocks(t)]
     shape = np.broadcast_shapes(np.shape(t), *(np.shape(x) for _, *lists in entries for xs in lists for x in xs))
     out = np.zeros(shape + (dim, dim), dtype=complex)

@@ -216,8 +216,8 @@ def _factor_fisher(metric: MetricKind, decomposition, move: np.ndarray):
 
 def _scaled(blocks, shrink):
     """The blocks with every derivative multiplied by ``shrink`` (a factor's at each point)."""
-    factor = np.expand_dims(shrink, (-2, -1))
-    return [(*b[:2], b[2] * factor if b[0] is None else [x * shrink for x in b[2]], *b[3:]) for b in blocks]
+    for b in blocks:
+        yield (*b[:2], b[2] * np.expand_dims(shrink, (-2, -1)) if b[0] is None else [x * shrink for x in b[2]], *b[3:])
 
 
 def _moves(blocks):

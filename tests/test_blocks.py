@@ -453,14 +453,16 @@ class NoNumpy:
 def test_point_path_calls_no_numpy(monkeypatch):
     """With scalar parameters, ``speed_at`` runs from the block function to
     the speed on Python floats: every branch of G_t (Gamma/gamma0 = 10 at
-    t = 40 is past the hyperbolic split), both metrics and the t = 0 limit
-    give their bits with numpy gone from ``models`` and ``speed``."""
+    t = 40 is past the hyperbolic split), both metrics, the t = 0 limit and
+    the points outside ``FISHER_WINDOW`` (t = 1400, omega = 1e308), which
+    are scaled, give their bits with numpy gone from ``models`` and ``speed``."""
     wide = [(key, {"Gamma_over_gamma0": 10.0}) for key in MODEL_KEYS if key.startswith("open")]
+    fast = [(key, {"omega": 1e308}) for key in MODEL_KEYS if key.startswith("closed")]
     points = []
-    for key, bath in MODEL_CASES + wide:
+    for key, bath in MODEL_CASES + wide + fast:
         traj = trajectory_from_key(key, alpha=0.7, **bath)
         for metric in MetricKind:
-            for t in (0.0, 1e-3, 2.5, 40.0):
+            for t in (0.0, 1e-3, 2.5, 40.0, 1400.0):
                 points.append((traj, t, metric, speed_at(traj, t, metric).hex()))
     for module in (models, speed):
         monkeypatch.setattr(module, "np", NoNumpy())
@@ -671,6 +673,19 @@ def test_speed_at_checks_the_range_as_the_batch(monkeypatch, t):
         with pytest.raises(ValueError) as one:
             speed_at(traj, t)
         assert str(one.value) == str(batch.value) == f"t = {t} outside trajectory range [0, inf)"
+
+
+@pytest.mark.parametrize("key,bath", MODEL_CASES)
+def test_dense_states_check_the_range(key, bath):
+    """``state_at`` and ``derivative_at`` raise the trajectories' error for a
+    negative, NaN or infinite time, as a float and in an array, on every
+    model: a width that binds its branch unchecked among them."""
+    traj = trajectory_from_key(key, alpha=0.6, **bath)
+    for t in (-1.0, math.nan, math.inf):
+        for times in (t, np.array([0.5, t])):
+            for dense in (traj.state_at, traj.derivative_at):
+                with pytest.raises(ValueError, match=f"^t = {t} outside trajectory range \\[0, inf\\)$"):
+                    dense(times)
 
 
 def test_a_model_takes_no_end_time():
