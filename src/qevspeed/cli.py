@@ -379,7 +379,7 @@ def run_figure(config: RunConfig) -> TableResult:
     if name == "C":
         return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes), notes)
     if name == "Omega":
-        rows = _rows(grid, speeds, slopes, np.where(grid < 0.5, 1.0, 0.0))
+        rows = _rows(grid, speeds, slopes, (grid < 0.5).astype(float))
         return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows, notes)
     s0 = float(evaluate(0.0).speeds)  # the trajectory's t = 0 limit
     columns = ["t", "S_over_S0"]
@@ -394,7 +394,11 @@ def run_figure(config: RunConfig) -> TableResult:
 
 
 def _rows(*columns: np.ndarray) -> np.ndarray:
-    return np.column_stack(columns)
+    """The table of ``columns``, equal-length 1-d arrays, filled in place."""
+    rows = np.empty((len(columns[0]), len(columns)))
+    for i, column in enumerate(columns):
+        rows[:, i] = column
+    return rows
 
 
 def run_regions(config: RunConfig) -> TableResult:
@@ -518,7 +522,7 @@ def run_detect(config: RunConfig) -> TableResult:
         header.append(("alpha", _format_value(config.alpha)))
 
     speeds, slopes, failures = speedup_measures(evaluate, grid)
-    flags = np.where(slopes > SLOPE_NOISE_TOL * np.abs(speeds), 1.0, 0.0)
+    flags = (slopes > SLOPE_NOISE_TOL * np.abs(speeds)).astype(float)
     flags[np.isnan(slopes)] = math.nan  # failed rows, and divergent speeds
     notes = _skipped(name, grid, failures)
     if np.isinf(speeds).any():  # only at time 0, the first point of a t sweep; a failed row's speed is nan

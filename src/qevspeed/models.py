@@ -149,13 +149,29 @@ def _one_width(g, k, code, t):
         t = float(t)
         return _BRANCHES[code if code < 3 or 0.5 * k * t < 20.0 else 4](math, t, g, k)
     t = np.asarray(t, dtype=float)
-    with np.errstate(under="ignore", over="ignore"):
-        if code == 3 and not (near := 0.5 * k * t < 20.0).all():
-            value, slope = _hyperbolic_split(np, t, g, k)
-            if near.any():
-                value[near], slope[near] = _hyperbolic(np, t[near], g, k)
-            return value, slope
-        return _BRANCHES[code](np, t, g, k)
+    if code == 3 and not (near := 0.5 * k * t < 20.0).all():
+        value, slope = _hyperbolic_split(np, t, g, k)
+        if near.any():
+            value[near], slope[near] = _hyperbolic(np, t[near], g, k)
+        return value, slope
+    return _BRANCHES[code](np, t, g, k)
+
+
+def _widths(t, Gamma):
+    """``_amplitudes`` over an array of widths, with ``t`` unchecked: each
+    element takes its width's branch by mask."""
+    t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
+    markovian = np.isinf(g)
+    finite = np.where(markovian, 0.0, g)
+    k = np.sqrt(finite) * np.sqrt(np.abs(2.0 - finite))
+    value, slope = np.empty(t.shape), np.empty(t.shape)
+    code = np.where(finite == 2.0, 1, np.where(finite < 2.0, 2, np.where(0.5 * k * t < 20.0, 3, 4)))
+    code[markovian] = 0
+    for branch, formula in enumerate(_BRANCHES):
+        mask = code == branch
+        if mask.any():
+            value[mask], slope[mask] = formula(np, t[mask], g[mask], k[mask])
+    return value, slope
 
 
 def _amplitudes(t, Gamma):
@@ -165,31 +181,27 @@ def _amplitudes(t, Gamma):
     that ``OpenSystemParams.branch`` names for its width, and the
     hyperbolic branch splits at kappa t / 2 = 20. A time outside [0, inf)
     raises ``ValueError``. One width (an int, a float or a 0-d array) takes
-    ``_one_width``, which a model binds at build with no time check: a
-    ``t`` of the same kinds gives Python floats on libm (``xp = math``),
-    any other ``t`` runs the branch on the whole time array. An array of
-    widths routes each element by mask. Arrays take numpy's ufuncs: the two
-    array selections give the same bits, within a few ulp of the point
-    path's. Their decaying terms may flush to zero, and their kappa t / 2
-    may overflow to inf at late times, which takes the split form, where
-    exp(-inf) is the 0 it rounds to: neither raises a warning.
+    ``_one_width`` and an array of widths ``_widths``: a model binds either
+    at build, with no time check and no floating-point scope, which its
+    block function's callers hold. A ``t`` of the same kinds as one width
+    gives Python floats on libm (``xp = math``); any other ``t`` runs the
+    branch on the whole time array, and an array of widths routes each
+    element by mask. Arrays take numpy's ufuncs: the two array selections
+    give the same bits, within a few ulp of the point path's. Their
+    decaying terms may flush to zero, and their kappa t / 2 may overflow to
+    inf at late times, which takes the split form, where exp(-inf) is the 0
+    it rounds to: neither raises a warning.
     """
-    _check_time(t)
-    if isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0:
-        return _one_width(*_width_branch(Gamma), t)
-    t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
-    markovian = np.isinf(g)
-    finite = np.where(markovian, 0.0, g)
-    k = np.sqrt(finite) * np.sqrt(np.abs(2.0 - finite))
-    value, slope = np.empty(t.shape), np.empty(t.shape)
+    one = isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0
+    if isinstance(t, (int, float)):
+        if not 0.0 <= t < math.inf:
+            _check_range(t, t, t)
+        if one:  # Python floats: no numpy and no scope
+            return _one_width(*_width_branch(Gamma), t)
+    else:
+        _check_time(t)
     with np.errstate(under="ignore", over="ignore"):
-        code = np.where(finite == 2.0, 1, np.where(finite < 2.0, 2, np.where(0.5 * k * t < 20.0, 3, 4)))
-        code[markovian] = 0
-        for branch, formula in enumerate(_BRANCHES):
-            mask = code == branch
-            if mask.any():
-                value[mask], slope[mask] = formula(np, t[mask], g[mask], k[mask])
-    return value, slope
+        return _one_width(*_width_branch(Gamma), t) if one else _widths(t, Gamma)
 
 
 def _width(p: OpenSystemParams) -> float:
@@ -267,15 +279,19 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
 # model's parameters (which may be arrays too) and returns the diagonal
 # blocks in the real layout ``speed.Trajectory`` states, each with the
 # smooth signed root s of its determinant, so a whole grid is built in one
-# call. ``state_at`` and ``derivative_at`` scatter the blocks.
+# call. It takes its time unchecked and runs in its caller's floating-point
+# state: ``speeds_at``, ``speed_at``'s family path and ``_scatter`` check the
+# time and hold the scope. ``state_at`` and ``derivative_at`` scatter the blocks.
 
 
 def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
     """The dense state (``part`` 1) or derivative (2) matrices of the blocks
     at times ``t``, checked as ``speeds_at`` checks them, stacked along
-    their broadcast shape."""
+    their broadcast shape. It holds the block function's floating-point
+    scope, with underflow and overflow ignored, as ``speeds_at`` does."""
     _check_time(t)
-    entries = [(block[0], block[part], *block[3:]) for block in blocks(t)]
+    with np.errstate(under="ignore", over="ignore"):
+        entries = [(block[0], block[part], *block[3:]) for block in blocks(t)]
     shape = np.broadcast_shapes(np.shape(t), *(np.shape(x) for _, *lists in entries for xs in lists for x in xs))
     out = np.zeros(shape + (dim, dim), dtype=complex)
     for indices, xs, *ray in entries:
@@ -334,9 +350,11 @@ def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
             cos, sin = xp.cos(phase), xp.sin(phase)
             return 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, ab * cos, ab * sin, turn * cos, turn * sin
     else:
-        amplitudes = functools.partial(_amplitudes, Gamma=Gamma)  # t -> (G_t, G'_t)
-        if np.ndim(Gamma) == 0:  # with no time check, which speeds_at has made
+        # t -> (G_t, G'_t), with no time check: the block function's callers make it
+        if np.ndim(Gamma) == 0:
             amplitudes = functools.partial(_one_width, *_width_branch(Gamma))
+        else:
+            amplitudes = functools.partial(_widths, Gamma=Gamma)
 
         def entries(t):
             g, dg = amplitudes(t)
@@ -475,8 +493,9 @@ def markovian_two_qubit_speed(C, t: float):
     pop = math.exp(-t)
     comp = -math.expm1(-t)
     numerator = x * pop * (1.0 - 2.0 * pop * comp)
-    denominator = comp * (1.0 - x * pop * comp)
-    return _scalar_or_array(0.5 * np.sqrt(numerator / denominator))
+    if comp < sys.float_info.min:  # a subnormal t, which comp is: its root divides apart, or the quotient overflows
+        return _scalar_or_array(0.5 * np.sqrt(numerator / (1.0 - x * pop * comp)) / math.sqrt(comp))
+    return _scalar_or_array(0.5 * np.sqrt(numerator / (comp * (1.0 - x * pop * comp))))
 
 
 def alpha_from_concurrence(C):

@@ -59,6 +59,11 @@ TOUCH_TOL = 2.0**-35
 # about F) scaled: below 2^-122 F either way, which both sums absorb. The upper end mirrors the lower.
 FISHER_WINDOW = (2.0**-900, 2.0**900)
 
+# A batch's floating-point scope, which its entry (``speeds_at``, ``speed_at``'s family path) opens once around the
+# block function and the sums: tiny entries of late states flush to zero, kappa t may overflow to inf at late times,
+# and an inf or nan F is summed again, scaled (``_block_speeds``).
+_BATCH_SCOPE = functools.partial(np.errstate, under="ignore", over="ignore", invalid="ignore")
+
 # Half-width of the slope stencil per unit max(1, |xi|) (``stencil_step``).
 # The truncation error of a central difference grows as h^2 and its rounding
 # error as eps/h; they balance near eps^(1/3), about 6e-6.
@@ -252,7 +257,8 @@ def factor_trajectory(factor_at: Callable[[np.ndarray], tuple], **fields) -> Tra
         return factor, move
 
     def blocks(t):
-        factor, move = factors(t)
+        with np.errstate(over="warn", invalid="warn"):  # the factor's own exceptions warn inside a batch's scope too
+            factor, move = factors(t)
         return [(None, factor, move, linalg.svd_stack(factor))]
 
     def state_at(t):
@@ -270,11 +276,13 @@ def factor_trajectory(factor_at: Callable[[np.ndarray], tuple], **fields) -> Tra
 def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBatch:
     """Speeds of blocks whose entries broadcast to ``batch``. Points whose F
     leaves ``FISHER_WINDOW`` sum it again from ``_scaled`` blocks: every
-    derivative, ``ds`` and a factor's too, times ``_binary_scale``'s 2^-e."""
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan F is summed again, scaled
-        fisher = _fisher(metric, blocks, np)
+    derivative, ``ds`` and a factor's too, times ``_binary_scale``'s 2^-e.
+    It runs in its caller's ``_BATCH_SCOPE``, where an inf or nan F warns
+    nothing."""
+    fisher = _fisher(metric, blocks, np)
     speeds = 0.5 * np.sqrt(fisher)
-    if not np.all(inside := (fisher >= FISHER_WINDOW[0]) & (fisher <= FISHER_WINDOW[1])):
+    # a ufunc's bool has .all(), and the F of constant blocks (the closed anti pair's) is a Python float
+    if not (inside := np.greater_equal(fisher, FISHER_WINDOW[0]) & (fisher <= FISHER_WINDOW[1])).all():
         shrink, grow = _binary_scale(functools.reduce(np.maximum, _moves(blocks)))
         speeds = np.where(inside, speeds, 0.5 * np.sqrt(_fisher(metric, _scaled(blocks, shrink), np)) * grow)
     if not (isinstance(speeds, np.ndarray) and speeds.shape == batch):
@@ -293,28 +301,34 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
     """Speeds along a trajectory at an array of times: the batch path.
 
     The trajectory's block function (``traj.blocks``) is called once and
-    its blocks take the formulas of ``_fisher``. At t = 0 a trajectory's
-    ``speed_at_zero`` limit is returned. Negative, NaN and infinite times
-    and factors of a size other than ``traj.dim`` raise ``ValueError``; a
-    failed point is nan with its error in ``failures``. No times give an
-    empty batch.
+    its blocks take the formulas of ``_fisher``, all in one
+    ``_BATCH_SCOPE``. At t = 0 a trajectory's ``speed_at_zero`` limit is
+    returned. Negative, NaN and infinite times and factors of a size other
+    than ``traj.dim`` raise ``ValueError``; a failed point is nan with its
+    error in ``failures``. No times give an empty batch.
     """
     t = np.asarray(times, dtype=float)
-    if t.size == 0:
+    if not t.ndim:  # one time, as every transverse sweep takes: checked as a float
+        first = last = float(t)
+    elif not t.size:
         return SpeedBatch(np.empty(t.shape))
-    first, last = t.min(), t.max()
+    else:
+        first, last = t.min(), t.max()
     _check_range(first, last, t)
     limit = traj.speed_at_zero
     if limit is not None and last == 0.0:  # every point takes the limit
         return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
-    with np.errstate(under="ignore"):  # tiny entries of late states flush to zero
+    with _BATCH_SCOPE():
         return _batch_at(traj, t, metric, traj.blocks(t), first)
 
 
 def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first) -> SpeedBatch:
     """``speeds_at`` past its checks, from the ``blocks`` of the block function
     at ``t``, whose earliest time is ``first``."""
-    result = _block_speeds(blocks, np.broadcast_shapes(t.shape, traj.shape), metric)
+    batch = t.shape
+    if traj.shape and traj.shape != batch:  # a family's shape, broadcast only where the times' is not () either
+        batch = np.broadcast_shapes(batch, traj.shape) if batch else traj.shape
+    result = _block_speeds(blocks, batch, metric)
     limit = traj.speed_at_zero
     if limit is None or first > 0.0:
         return result
@@ -331,27 +345,26 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
     numpy's arrays; a state at rest (every derivative 0, so F = 0) reads
     +0.0 with no scaled sum. Anything else is one point of ``speeds_at``.
     The block function is called once either way. A failure raises it."""
-    blocks = None
+    result = None
     if isinstance(t, (int, float)):  # numpy's float64 is a float
         if not 0.0 <= (t := float(t)) < math.inf:
             _check_range(t, t, t)
         limit = traj.speed_at_zero
         if t == 0.0 and isinstance(limit, (int, float)):
             return float(limit)
-        if t > 0.0 or limit is None:  # speeds_at returns an array limit unevaluated
+        if (t > 0.0 or limit is None) and not traj.shape:
             blocks = traj.blocks(t)
-        if blocks is not None and not traj.shape:
             if FISHER_WINDOW[0] <= (fisher := _fisher(metric, blocks, math)) <= FISHER_WINDOW[1]:
                 return 0.5 * math.sqrt(fisher)
             if not (peak := max(_moves(blocks))):  # at rest: every move is 0, and so is F
                 return 0.0
             shrink, grow = _binary_scale(peak)
             return 0.5 * math.sqrt(_fisher(metric, _scaled(blocks, shrink), math)) * grow
-    if blocks is None:
+        if t > 0.0 or limit is None:  # a family: one point of the batch, from the blocks at the float time
+            with _BATCH_SCOPE():
+                result = _batch_at(traj, np.asarray(t), metric, traj.blocks(t), t)
+    if result is None:  # speeds_at returns an array limit unevaluated
         result = speeds_at(traj, t, metric)
-    else:  # a family: the batch takes the blocks at hand
-        with np.errstate(under="ignore"):
-            result = _batch_at(traj, np.asarray(t), metric, blocks, t)
     if result.speeds.size != 1:
         raise ValueError("speed_at evaluates one point; use speeds_at for a family")
     if result.failures:
@@ -375,7 +388,9 @@ def speedup_measures(evaluate: Callable[[np.ndarray], SpeedBatch], xi) -> tuple[
     """
     xi = np.asarray(xi, dtype=float)
     h = stencil_step(xi)
-    result = evaluate(np.stack([xi, xi + h, xi - h]))
+    stencil = np.empty((3, *xi.shape))
+    stencil[0], stencil[1], stencil[2] = xi, xi + h, xi - h
+    result = evaluate(stencil)
     s = result.speeds
     speeds = s[0].copy()
     with np.errstate(invalid="ignore"):  # inf - inf: a divergent speed has no slope
@@ -401,7 +416,7 @@ def speed_curve(
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
-    if np.any(np.diff(times) <= 0.0):
+    if (times[1:] - times[:-1] <= 0.0).any():  # np.diff's test, without its call
         raise ValueError("grid must be strictly increasing")
     result = speeds_at(traj, times, metric)
     speeds = result.speeds

@@ -394,6 +394,24 @@ def test_no_floating_point_exceptions():
         for figure_id in cli.FIGURES:
             with redirect_stdout(io.StringIO()):
                 assert cli.main(["figure", figure_id]) == 0
+        # the block function runs in its caller's scope: each entry holds one. Widths up to 50 take the
+        # hyperbolic split at these times, and kappa t / 2 overflows at 1e308
+        xi = np.linspace(0.02, 3.0, 40)
+        h = stencil_step(xi)
+        widths = 1.0 / np.stack([xi, xi + h, xi - h])
+        late = np.array([1.0, 700.0, 1e308])
+        for key in ("open-1q", "open-2q-aligned", "open-2q-anti"):
+            family = trajectory_from_key(key, alpha=0.7, Gamma_over_gamma0=widths)
+            one = trajectory_from_key(key, alpha=0.7, Gamma_over_gamma0=np.array([50.0]))
+            for metric in MetricKind:
+                for t in late.tolist():
+                    assert np.isfinite(speeds_at(family, t, metric).speeds).all()
+                    assert math.isfinite(speed_at(one, t, metric))
+            family = trajectory_from_key(key, alpha=0.7, Gamma_over_gamma0=np.array([0.4, 2.0, 7.0, 50.0]))
+            for dense in (family.state_at(late[:, None]), family.derivative_at(late[:, None])):
+                assert np.isfinite(dense).all()
+        p = OpenSystemParams(Gamma=10.0)  # kappa t / 2 = 20 near t = 4.5
+        assert np.isfinite(amplitude_factor(p, np.array([1.0, 5.0, 50.0, 1e5, 1e308]))).all()
 
 
 def test_figure_and_detect_annotate_failed_rows(monkeypatch):

@@ -422,6 +422,22 @@ def test_states_at_rest_read_exactly_zero(monkeypatch, key, alphas, bath):
             assert speeds_at(traj, [1e-300, 2.5, 45.0, 1400.0], metric).speeds.tobytes() == bytes(32)
 
 
+def test_a_factors_own_overflow_still_warns():
+    """A batch's floating-point scope leaves a hand-written factor's own
+    exceptions to warn: exp(1000 t) overflows to inf inside ``factor_at``,
+    where it adds 1 / (1 + inf) = 0 to the angle of a rotating pure state."""
+
+    def factor_at(t):
+        angle = t + 1.0 / (1.0 + np.exp(1000.0 * t))
+        cos, sin = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
+        return np.concatenate([cos, sin], -2), np.concatenate([-sin, cos], -2)
+
+    traj = factor_trajectory(factor_at, dim=2)
+    for evaluate in (lambda: speeds_at(traj, [1.0, 2.0]).speeds, lambda: speed_at(traj, 1.0)):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+            assert evaluate() == pytest.approx(1.0, rel=1e-12)
+
+
 def test_anti_pair_at_alpha_zero_still_moves():
     """The open anti pair at alpha 0 starts in |01>, which decays: not a state at rest."""
     traj = trajectory_from_key("open-2q-anti", alpha=0.0, Gamma_over_gamma0=0.5)
@@ -487,6 +503,20 @@ def test_zero_d_time_takes_the_float_branch(monkeypatch, Gamma):
     calls = count_calls(monkeypatch, (models, "_check_time"))
     assert speeds_at(family, 4.4).speeds.shape == (5,)
     assert calls == {}
+
+
+def test_a_batch_checks_its_times_once(monkeypatch):
+    """``speeds_at`` checks its times, and a width family's block function
+    takes them unchecked, at a time array and at a 0-d time; ``state_at``
+    checks them once in ``_scatter``."""
+    family = trajectory_from_key("open-2q-aligned", alpha=0.6, Gamma_over_gamma0=np.array([0.4, 2.0, 7.0, 1e6]))
+    calls = count_calls(monkeypatch, (models, "_check_time"))
+    for times in (np.array([[0.5], [40.0]]), np.asarray(4.4), 4.4):
+        for metric in MetricKind:
+            assert np.isfinite(speeds_at(family, times, metric).speeds).all()
+    assert calls == {}
+    family.state_at(np.array([[0.5], [40.0]]))
+    assert calls == {"_check_time": 1}
 
 
 # the tau_n (n <= 6) of 200 widths in [0.01, 1.99] where the float G_t is

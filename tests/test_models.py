@@ -552,6 +552,19 @@ class TestMarkovianTwoQubitSpeed:
         with pytest.raises(ValueError, match="concurrence"):
             markovian_two_qubit_speed(1.2, 1.0)
 
+    @pytest.mark.parametrize("t", [5e-324, 1e-320, 1e-310])
+    def test_finite_at_subnormal_times(self, t):
+        """Where 1 - P = -expm1(-t) is the subnormal t itself, the speed is
+        about 0.5 sqrt(x / t): finite, with no overflow in the quotient."""
+        concurrences = np.array([0.0, 0.3, 0.6, 1.0])
+        x = 1.0 - np.sqrt(1.0 - concurrences**2)
+        want = 0.5 * np.sqrt(x) / math.sqrt(t)
+        got = markovian_two_qubit_speed(concurrences, t)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        assert [markovian_two_qubit_speed(float(c), t) for c in concurrences] == got.tolist()
+        if t == 5e-324:
+            assert markovian_two_qubit_speed(0.3, t) == pytest.approx(4.83e160, rel=1e-3)
+
     @pytest.mark.parametrize("t", [1.0, 10.0])
     def test_strictly_increasing_in_concurrence(self, t):
         grid = np.linspace(0.05, 0.999, 120)

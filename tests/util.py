@@ -234,8 +234,11 @@ def always_scaled_speeds(traj: Trajectory, t, metric: MetricKind = MetricKind.SL
     derivatives scaled by ``_binary_scale`` of their largest before
     ``_fisher``, at every point. A float time of a trajectory of shape ()
     runs on Python floats (the point path's), anything else on numpy's
-    arrays of the times' and the family's broadcast shape."""
-    blocks = traj.blocks(t)
+    arrays of the times' and the family's broadcast shape. The block
+    function runs in its caller's floating-point state, so this call holds
+    the scope that ``speeds_at`` holds around it."""
+    with np.errstate(under="ignore", over="ignore", invalid="ignore"):
+        blocks = traj.blocks(t)
     parts = [x for block in blocks for x in block[2]]
     if isinstance(t, float) and not traj.shape:
         shrink, grow = _binary_scale(max(abs(x) for x in parts))
