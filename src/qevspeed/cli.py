@@ -394,11 +394,7 @@ def run_figure(config: RunConfig) -> TableResult:
 
 
 def _rows(*columns: np.ndarray) -> np.ndarray:
-    """The table of ``columns``, equal-length 1-d arrays, filled in place."""
-    rows = np.empty((len(columns[0]), len(columns)))
-    for i, column in enumerate(columns):
-        rows[:, i] = column
-    return rows
+    return np.column_stack(columns)
 
 
 def run_regions(config: RunConfig) -> TableResult:

@@ -59,9 +59,10 @@ TOUCH_TOL = 2.0**-35
 # about F) scaled: below 2^-122 F either way, which both sums absorb. The upper end mirrors the lower.
 FISHER_WINDOW = (2.0**-900, 2.0**900)
 
-# A batch's floating-point scope, which its entry (``speeds_at``, ``speed_at``'s family path) opens once around the
-# block function and the sums: tiny entries of late states flush to zero, kappa t may overflow to inf at late times,
-# and an inf or nan F is summed again, scaled (``_block_speeds``).
+# A batch's floating-point scope, which its entry (``speeds_at``, ``speed_at``'s family path) opens once around a
+# model's block function and the sums (a hand-written factor runs before it, ``_unscoped_blocks``): tiny entries of
+# late states flush to zero, kappa t may overflow to inf at late times, and an inf or nan F is summed again, scaled
+# (``_block_speeds``).
 _BATCH_SCOPE = functools.partial(np.errstate, under="ignore", over="ignore", invalid="ignore")
 
 # Half-width of the slope stencil per unit max(1, |xi|) (``stencil_step``).
@@ -246,7 +247,8 @@ def factor_trajectory(factor_at: Callable[[np.ndarray], tuple], **fields) -> Tra
     ``dim`` rows raises ``ValueError``. The block function returns one
     factor block, (None, A, A') with A's one ``linalg.svd_stack`` as a
     fourth item, which ``_factor_fisher`` sums. ``state_at`` is A A^dagger
-    and ``derivative_at`` A' A^dagger + A A'^dagger.
+    and ``derivative_at`` A' A^dagger + A A'^dagger. Every evaluator runs
+    ``factor_at`` in its caller's floating-point state.
     """
     dim = fields.get("dim")
 
@@ -255,11 +257,6 @@ def factor_trajectory(factor_at: Callable[[np.ndarray], tuple], **fields) -> Tra
         if factor.shape[-2] != dim:
             raise ValueError(f"trajectory declares dim={dim} but its factors have {factor.shape[-2]} rows")
         return factor, move
-
-    def blocks(t):
-        with np.errstate(over="warn", invalid="warn"):  # the factor's own exceptions warn inside a batch's scope too
-            factor, move = factors(t)
-        return [(None, factor, move, linalg.svd_stack(factor))]
 
     def state_at(t):
         factor, _ = factors(t)
@@ -270,7 +267,22 @@ def factor_trajectory(factor_at: Callable[[np.ndarray], tuple], **fields) -> Tra
         half = move @ factor.conj().swapaxes(-2, -1)
         return half + half.conj().swapaxes(-2, -1)
 
+    blocks = functools.partial(_factor_blocks, factors)
     return Trajectory(state_at=state_at, derivative_at=derivative_at, blocks=blocks, **fields)
+
+
+def _factor_blocks(factors, t):
+    """A hand-written trajectory's block function: its one factor block at ``t``."""
+    factor, move = factors(t)
+    return [(None, factor, move, linalg.svd_stack(factor))]
+
+
+def _unscoped_blocks(traj: Trajectory, t):
+    """A hand-written factor's blocks at ``t``, which a batch takes before it
+    opens ``_BATCH_SCOPE``: ``factor_at`` runs in its caller's floating-point
+    state, as ``state_at`` and ``speed_at``'s float path run it. None for a
+    model, whose block function runs in the scope."""
+    return traj.blocks(t) if getattr(traj.blocks, "func", None) is _factor_blocks else None
 
 
 def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBatch:
@@ -281,8 +293,7 @@ def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBa
     nothing."""
     fisher = _fisher(metric, blocks, np)
     speeds = 0.5 * np.sqrt(fisher)
-    # a ufunc's bool has .all(), and the F of constant blocks (the closed anti pair's) is a Python float
-    if not (inside := np.greater_equal(fisher, FISHER_WINDOW[0]) & (fisher <= FISHER_WINDOW[1])).all():
+    if not np.all(inside := (fisher >= FISHER_WINDOW[0]) & (fisher <= FISHER_WINDOW[1])):
         shrink, grow = _binary_scale(functools.reduce(np.maximum, _moves(blocks)))
         speeds = np.where(inside, speeds, 0.5 * np.sqrt(_fisher(metric, _scaled(blocks, shrink), np)) * grow)
     if not (isinstance(speeds, np.ndarray) and speeds.shape == batch):
@@ -302,10 +313,12 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
 
     The trajectory's block function (``traj.blocks``) is called once and
     its blocks take the formulas of ``_fisher``, all in one
-    ``_BATCH_SCOPE``. At t = 0 a trajectory's ``speed_at_zero`` limit is
-    returned. Negative, NaN and infinite times and factors of a size other
-    than ``traj.dim`` raise ``ValueError``; a failed point is nan with its
-    error in ``failures``. No times give an empty batch.
+    ``_BATCH_SCOPE`` but for a hand-written factor's block function, which
+    runs in the caller's floating-point state. At t = 0 a trajectory's
+    ``speed_at_zero`` limit is returned. Negative, NaN and infinite times
+    and factors of a size other than ``traj.dim`` raise ``ValueError``; a
+    failed point is nan with its error in ``failures``. No times give an
+    empty batch.
     """
     t = np.asarray(times, dtype=float)
     if not t.ndim:  # one time, as every transverse sweep takes: checked as a float
@@ -318,8 +331,9 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
     limit = traj.speed_at_zero
     if limit is not None and last == 0.0:  # every point takes the limit
         return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
+    blocks = _unscoped_blocks(traj, t)
     with _BATCH_SCOPE():
-        return _batch_at(traj, t, metric, traj.blocks(t), first)
+        return _batch_at(traj, t, metric, blocks or traj.blocks(t), first)
 
 
 def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first) -> SpeedBatch:
@@ -361,8 +375,9 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
             shrink, grow = _binary_scale(peak)
             return 0.5 * math.sqrt(_fisher(metric, _scaled(blocks, shrink), math)) * grow
         if t > 0.0 or limit is None:  # a family: one point of the batch, from the blocks at the float time
+            blocks = _unscoped_blocks(traj, t)
             with _BATCH_SCOPE():
-                result = _batch_at(traj, np.asarray(t), metric, traj.blocks(t), t)
+                result = _batch_at(traj, np.asarray(t), metric, blocks or traj.blocks(t), t)
     if result is None:  # speeds_at returns an array limit unevaluated
         result = speeds_at(traj, t, metric)
     if result.speeds.size != 1:

@@ -9,6 +9,7 @@ import importlib
 import itertools
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -422,10 +423,12 @@ def test_states_at_rest_read_exactly_zero(monkeypatch, key, alphas, bath):
             assert speeds_at(traj, [1e-300, 2.5, 45.0, 1400.0], metric).speeds.tobytes() == bytes(32)
 
 
-def test_a_factors_own_overflow_still_warns():
-    """A batch's floating-point scope leaves a hand-written factor's own
-    exceptions to warn: exp(1000 t) overflows to inf inside ``factor_at``,
-    where it adds 1 / (1 + inf) = 0 to the angle of a rotating pure state."""
+@pytest.mark.parametrize("over", ["warn", "ignore", "raise"])
+def test_a_factors_own_overflow_keeps_the_callers_setting(over):
+    """A hand-written factor runs in its caller's floating-point state on
+    every route, outside a batch's scope: exp(1000 t) overflows to inf
+    inside ``factor_at``, where it adds 1 / (1 + inf) = 0 to the angle of a
+    rotating pure state, and warns, passes silently or raises as set."""
 
     def factor_at(t):
         angle = t + 1.0 / (1.0 + np.exp(1000.0 * t))
@@ -433,9 +436,19 @@ def test_a_factors_own_overflow_still_warns():
         return np.concatenate([cos, sin], -2), np.concatenate([-sin, cos], -2)
 
     traj = factor_trajectory(factor_at, dim=2)
-    for evaluate in (lambda: speeds_at(traj, [1.0, 2.0]).speeds, lambda: speed_at(traj, 1.0)):
-        with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
-            assert evaluate() == pytest.approx(1.0, rel=1e-12)
+    for evaluate in (lambda: speeds_at(traj, [1.0, 2.0]).speeds, lambda: speeds_at(traj, 1.0).speeds,
+                     lambda: speed_at(traj, 1.0)):
+        with np.errstate(over=over):
+            if over == "raise":
+                with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
+                    evaluate()
+            elif over == "warn":
+                with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+                    assert np.all(evaluate() == pytest.approx(1.0, rel=1e-12))
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert np.all(evaluate() == pytest.approx(1.0, rel=1e-12))
 
 
 def test_anti_pair_at_alpha_zero_still_moves():

@@ -4,9 +4,9 @@
         --workload sweeps --seeds 2901-2910 --claim sweeps:op_p50_ms
 
 Runs ``python3 bench/run.py --workload W --seed S --seconds N --trace 0`` in
-the parent's tree and in the change's (this checkout by default), one pair
-per seed. The side that runs first alternates pair by pair: the parent at
-the first seed, the change at the second, and so on. Each run's result is
+the parent's tree and in this checkout, one pair per seed. The side that
+runs first alternates pair by pair: the parent at the first seed, the
+change at the second, and so on. Each run's result is
 the last line of its stdout. The file gets every run in the order it ran,
 and a summary per workload: for each end-to-end metric, the median and the
 interquartile range (inclusive quartiles) of each side, the median and the
@@ -105,9 +105,7 @@ def machine() -> dict:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path, help="a checkout of the parent commit")
-    parser.add_argument("--change", default=ROOT, type=Path, help="the change's checkout (default: this one)")
-    parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json in the change's checkout")
-    parser.add_argument("--out", type=Path, help="output path in place of BENCH_<pr>.json")
+    parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json in this checkout")
     parser.add_argument("--workload", required=True, choices=("curves", "sweeps", "points"))
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 2901-2910 or 5,9,12")
     parser.add_argument("--seconds", type=float, default=35.0)
@@ -115,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--claim", help="workload:metric the change claims to improve, recorded as 'claimed'")
     args = parser.parse_args(argv)
 
-    out = args.out or args.change / f"BENCH_{args.pr}.json"
+    out = ROOT / f"BENCH_{args.pr}.json"
     record = json.loads(out.read_text()) if out.exists() else {}
     record["benchmark"] = (
         f"python3 bench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0, parent commit and change "
@@ -128,10 +126,10 @@ def main(argv: list[str] | None = None) -> int:
         workload, _, metric = args.claim.partition(":")
         record["claimed"] = {"workload": workload, "metric": metric}
     runs = record.setdefault("runs", [])
-    config = json.loads((args.change / "BENCHMARK.json").read_text())
+    config = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in config["end_to_end"]}
 
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
     for index, seed in enumerate(args.seeds):
         for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
             result = run_once(trees[side], args.workload, seed, args.seconds)
