@@ -39,7 +39,6 @@ from .models import (
     trajectory_from_key,
 )
 from .speed import (
-    SpeedBatch,
     SpeedCurve,
     Trajectory,
     factor_trajectory,
@@ -77,7 +76,6 @@ __all__ = [
     "population_factor",
     "population_factor_dot",
     "trajectory_from_key",
-    "SpeedBatch",
     "SpeedCurve",
     "Trajectory",
     "factor_trajectory",

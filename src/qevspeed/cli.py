@@ -306,11 +306,6 @@ def _allocated(key: str, count: int, build, *args):
         raise UsageError(f"{key} must be small enough to allocate, got {count} ({exc})") from None
 
 
-def _skipped(name: str, points: np.ndarray, failures: dict) -> list[str]:
-    """One ``# note`` per failed point of a batch, in grid order."""
-    return [f"skipped {name}={points[i]:.12g}: {failures[i]}" for i in sorted(failures)]
-
-
 def run_speed(config: RunConfig) -> TableResult:
     metric = resolve_metric(config.metric)
     traj = _build_trajectory(config)
@@ -332,7 +327,7 @@ def run_speed(config: RunConfig) -> TableResult:
     if traj.speed_at_zero is not None and 0.0 < traj.speed_at_zero < math.inf:
         columns.append("S_over_S0")
         values.append(curve.speeds / traj.speed_at_zero)
-    return TableResult(header, columns, _rows(*values), _skipped("t", grid, curve.failures))
+    return TableResult(header, columns, _rows(*values))
 
 
 def run_figure(config: RunConfig) -> TableResult:
@@ -374,14 +369,13 @@ def run_figure(config: RunConfig) -> TableResult:
     if spec.fixed_time is not None:  # a transverse sweep's time
         sweep_config.time = spec.fixed_time
     evaluate, _ = _sweep_evaluator(sweep_config, name, metric)
-    speeds, slopes, failures = speedup_measures(evaluate, grid)
-    notes = _skipped(name, grid, failures)
+    speeds, slopes = speedup_measures(evaluate, grid)
     if name == "C":
-        return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes), notes)
+        return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes))
     if name == "Omega":
         rows = _rows(grid, speeds, slopes, (grid < 0.5).astype(float))
-        return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows, notes)
-    s0 = float(evaluate(0.0).speeds)  # the trajectory's t = 0 limit
+        return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows)
+    s0 = float(evaluate(0.0))  # the trajectory's t = 0 limit
     columns = ["t", "S_over_S0"]
     values = [grid, speeds / s0]
     if spec.model == "open-1q":
@@ -390,7 +384,7 @@ def run_figure(config: RunConfig) -> TableResult:
         values.append(memory_witness(witness_params, grid))
     columns.append("dS_dt_over_S0")
     values.append(slopes / s0)
-    return TableResult(header, columns, _rows(*values), notes)
+    return TableResult(header, columns, _rows(*values))
 
 
 def _rows(*columns: np.ndarray) -> np.ndarray:
@@ -517,11 +511,11 @@ def run_detect(config: RunConfig) -> TableResult:
     if name not in ("alpha", "C"):  # a C sweep runs at alpha_from_concurrence(C)
         header.append(("alpha", _format_value(config.alpha)))
 
-    speeds, slopes, failures = speedup_measures(evaluate, grid)
+    speeds, slopes = speedup_measures(evaluate, grid)
     flags = (slopes > SLOPE_NOISE_TOL * np.abs(speeds)).astype(float)
-    flags[np.isnan(slopes)] = math.nan  # failed rows, and divergent speeds
-    notes = _skipped(name, grid, failures)
-    if np.isinf(speeds).any():  # only at time 0, the first point of a t sweep; a failed row's speed is nan
+    flags[np.isnan(slopes)] = math.nan  # divergent speeds
+    notes = []
+    if np.isinf(speeds).any():  # only at time 0: a t sweep's first point, or every point of a sweep at time 0
         notes.append(f"slope undefined: S diverges at {at[0]} = {_format_value(at[1])}")
     return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], _rows(grid, speeds, slopes, flags), notes)
 

@@ -280,8 +280,8 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
 # blocks in the real layout ``speed.Trajectory`` states, each with the
 # smooth signed root s of its determinant, so a whole grid is built in one
 # call. It takes its time unchecked and runs in its caller's floating-point
-# state: ``speeds_at``, ``speed_at``'s family path and ``_scatter`` check the
-# time and hold the scope. ``state_at`` and ``derivative_at`` scatter the blocks.
+# state: ``speeds_at`` and ``_scatter`` check the time and hold the scope.
+# ``state_at`` and ``derivative_at`` scatter the blocks.
 
 
 def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:

@@ -46,7 +46,6 @@ from typing import Callable
 import numpy as np
 
 from . import linalg
-from .errors import NumericalFailure
 from .metrics import MetricKind, mc_kernel
 
 # A factor's singular value at or below TOUCH_TOL times its largest counts as 0 (``_factor_fisher``). Above it, the
@@ -59,10 +58,9 @@ TOUCH_TOL = 2.0**-35
 # about F) scaled: below 2^-122 F either way, which both sums absorb. The upper end mirrors the lower.
 FISHER_WINDOW = (2.0**-900, 2.0**900)
 
-# A batch's floating-point scope, which its entry (``speeds_at``, ``speed_at``'s family path) opens once around a
-# model's block function and the sums (a hand-written factor runs before it, ``_unscoped_blocks``): tiny entries of
-# late states flush to zero, kappa t may overflow to inf at late times, and an inf or nan F is summed again, scaled
-# (``_block_speeds``).
+# A batch's floating-point scope, which ``speeds_at`` opens once around a model's block function and the sums (a
+# hand-written factor runs before it, ``_unscoped_blocks``): tiny entries of late states flush to zero, kappa t may
+# overflow to inf at late times, and an inf or nan F is summed again, scaled (``_block_speeds``).
 _BATCH_SCOPE = functools.partial(np.errstate, under="ignore", over="ignore", invalid="ignore")
 
 # Half-width of the slope stencil per unit max(1, |xi|) (``stencil_step``).
@@ -118,26 +116,13 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class SpeedBatch:
-    """Speeds at a batch of points; ``failures`` maps the flat index of each
-    point whose evaluation failed to its error, and its speed is nan."""
-
-    speeds: np.ndarray
-    failures: dict[int, NumericalFailure] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class SpeedCurve:
-    """Speed samples along a time grid, with slopes from the samples.
-
-    Failed samples are nan, with their errors in ``failures`` by index.
-    """
+    """Speed samples along a time grid, with slopes from the samples."""
 
     metric: MetricKind
     times: np.ndarray
     speeds: np.ndarray
     slopes: np.ndarray  # dS/dt, central differences of the samples
-    failures: dict[int, NumericalFailure] = field(default_factory=dict)
 
 
 def _binary_scale(peak):
@@ -285,7 +270,7 @@ def _unscoped_blocks(traj: Trajectory, t):
     return traj.blocks(t) if getattr(traj.blocks, "func", None) is _factor_blocks else None
 
 
-def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBatch:
+def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> np.ndarray:
     """Speeds of blocks whose entries broadcast to ``batch``. Points whose F
     leaves ``FISHER_WINDOW`` sum it again from ``_scaled`` blocks: every
     derivative, ``ds`` and a factor's too, times ``_binary_scale``'s 2^-e.
@@ -296,9 +281,9 @@ def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> SpeedBa
     if not np.all(inside := (fisher >= FISHER_WINDOW[0]) & (fisher <= FISHER_WINDOW[1])):
         shrink, grow = _binary_scale(functools.reduce(np.maximum, _moves(blocks)))
         speeds = np.where(inside, speeds, 0.5 * np.sqrt(_fisher(metric, _scaled(blocks, shrink), np)) * grow)
-    if not (isinstance(speeds, np.ndarray) and speeds.shape == batch):
-        speeds = np.broadcast_to(speeds, batch).copy()
-    return SpeedBatch(speeds)
+    if isinstance(speeds, np.ndarray) and speeds.shape == batch:
+        return speeds
+    return np.broadcast_to(speeds, batch).copy()
 
 
 def _check_range(first, last, times) -> None:
@@ -308,7 +293,7 @@ def _check_range(first, last, times) -> None:
         raise ValueError(f"t = {bad} outside trajectory range [0, inf)")
 
 
-def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> SpeedBatch:
+def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> np.ndarray:
     """Speeds along a trajectory at an array of times: the batch path.
 
     The trajectory's block function (``traj.blocks``) is called once and
@@ -316,40 +301,38 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> S
     ``_BATCH_SCOPE`` but for a hand-written factor's block function, which
     runs in the caller's floating-point state. At t = 0 a trajectory's
     ``speed_at_zero`` limit is returned. Negative, NaN and infinite times
-    and factors of a size other than ``traj.dim`` raise ``ValueError``; a
-    failed point is nan with its error in ``failures``. No times give an
-    empty batch.
+    and factors of a size other than ``traj.dim`` raise ``ValueError``, as
+    do times whose shape does not broadcast against the family's. Returns
+    the speeds, of the broadcast shape of the times and the family; no
+    times give an empty array.
     """
     t = np.asarray(times, dtype=float)
     if not t.ndim:  # one time, as every transverse sweep takes: checked as a float
         first = last = float(t)
     elif not t.size:
-        return SpeedBatch(np.empty(t.shape))
+        return np.empty(np.broadcast_shapes(t.shape, traj.shape))
     else:
         first, last = t.min(), t.max()
     _check_range(first, last, t)
     limit = traj.speed_at_zero
     if limit is not None and last == 0.0:  # every point takes the limit
-        return SpeedBatch(np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit))
+        return np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit)
     blocks = _unscoped_blocks(traj, t)
     with _BATCH_SCOPE():
         return _batch_at(traj, t, metric, blocks or traj.blocks(t), first)
 
 
-def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first) -> SpeedBatch:
+def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first) -> np.ndarray:
     """``speeds_at`` past its checks, from the ``blocks`` of the block function
     at ``t``, whose earliest time is ``first``."""
     batch = t.shape
     if traj.shape and traj.shape != batch:  # a family's shape, broadcast only where the times' is not () either
         batch = np.broadcast_shapes(batch, traj.shape) if batch else traj.shape
-    result = _block_speeds(blocks, batch, metric)
+    speeds = _block_speeds(blocks, batch, metric)
     limit = traj.speed_at_zero
     if limit is None or first > 0.0:
-        return result
-    at_zero = np.broadcast_to(t == 0.0, result.speeds.shape)
-    speeds = np.where(at_zero, limit, result.speeds)
-    failures = {i: e for i, e in result.failures.items() if not at_zero.flat[i]}
-    return SpeedBatch(speeds, failures)
+        return speeds
+    return np.where(t == 0.0, limit, speeds)
 
 
 def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) -> float:
@@ -358,15 +341,14 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
     parameters on Python floats, by the batch's operations, and a factor on
     numpy's arrays; a state at rest (every derivative 0, so F = 0) reads
     +0.0 with no scaled sum. Anything else is one point of ``speeds_at``.
-    The block function is called once either way. A failure raises it."""
-    result = None
-    if isinstance(t, (int, float)):  # numpy's float64 is a float
+    The block function is called once either way."""
+    if isinstance(t, (int, float)) and not traj.shape:  # numpy's float64 is a float
         if not 0.0 <= (t := float(t)) < math.inf:
             _check_range(t, t, t)
         limit = traj.speed_at_zero
         if t == 0.0 and isinstance(limit, (int, float)):
             return float(limit)
-        if (t > 0.0 or limit is None) and not traj.shape:
+        if t > 0.0 or limit is None:
             blocks = traj.blocks(t)
             if FISHER_WINDOW[0] <= (fisher := _fisher(metric, blocks, math)) <= FISHER_WINDOW[1]:
                 return 0.5 * math.sqrt(fisher)
@@ -374,17 +356,10 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
                 return 0.0
             shrink, grow = _binary_scale(peak)
             return 0.5 * math.sqrt(_fisher(metric, _scaled(blocks, shrink), math)) * grow
-        if t > 0.0 or limit is None:  # a family: one point of the batch, from the blocks at the float time
-            blocks = _unscoped_blocks(traj, t)
-            with _BATCH_SCOPE():
-                result = _batch_at(traj, np.asarray(t), metric, blocks or traj.blocks(t), t)
-    if result is None:  # speeds_at returns an array limit unevaluated
-        result = speeds_at(traj, t, metric)
-    if result.speeds.size != 1:
+    speeds = speeds_at(traj, t, metric)  # a family, or an array limit at t = 0
+    if speeds.size != 1:
         raise ValueError("speed_at evaluates one point; use speeds_at for a family")
-    if result.failures:
-        raise next(iter(result.failures.values()))
-    return float(result.speeds.reshape(-1)[0])
+    return float(speeds.reshape(-1)[0])
 
 
 def stencil_step(xi) -> np.ndarray:
@@ -392,30 +367,22 @@ def stencil_step(xi) -> np.ndarray:
     return DEFAULT_TIME_STEP * np.maximum(1.0, np.abs(xi))
 
 
-def speedup_measures(evaluate: Callable[[np.ndarray], SpeedBatch], xi) -> tuple[np.ndarray, np.ndarray, dict]:
+def speedup_measures(evaluate: Callable[[np.ndarray], np.ndarray], xi) -> tuple[np.ndarray, np.ndarray]:
     """Speeds and central-difference slopes dS/dxi at every xi, one batch.
 
     A positive slope detects dynamical speedup in the swept parameter.
     ``evaluate`` receives the stencil (xi, xi + h, xi - h) stacked as an
-    array of shape (3, N) and returns its ``SpeedBatch``. Returns the speeds
-    at xi, the slopes dS/dxi and the failures by row; a row with any failed
-    point has nan speed and slope.
+    array of shape (3, N) and returns its speeds. Returns the speeds at xi
+    and the slopes dS/dxi.
     """
     xi = np.asarray(xi, dtype=float)
     h = stencil_step(xi)
     stencil = np.empty((3, *xi.shape))
     stencil[0], stencil[1], stencil[2] = xi, xi + h, xi - h
-    result = evaluate(stencil)
-    s = result.speeds
-    speeds = s[0].copy()
+    s = evaluate(stencil)
     with np.errstate(invalid="ignore"):  # inf - inf: a divergent speed has no slope
         slopes = (s[1] - s[2]) / (2.0 * h)
-    failures = {}
-    for index, error in sorted(result.failures.items()):
-        failures.setdefault(index % xi.size, error)
-    for row in failures:
-        speeds[row] = slopes[row] = math.nan
-    return speeds, slopes, failures
+    return s[0], slopes
 
 
 def speed_curve(
@@ -424,20 +391,18 @@ def speed_curve(
     """Sample the speed over a strictly increasing time grid, in one batch.
 
     Slopes are central differences of the sampled speeds (one-sided at the
-    endpoints), so they converge with the grid spacing. A failed sample is
-    nan (so are the slopes next to it), with its error in ``failures``; an
-    infinite t = 0 limit makes the slopes next to it infinite.
+    endpoints), so they converge with the grid spacing. An infinite t = 0
+    limit makes the slopes next to it infinite.
     """
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if (times[1:] - times[:-1] <= 0.0).any():  # np.diff's test, without its call
         raise ValueError("grid must be strictly increasing")
-    result = speeds_at(traj, times, metric)
-    speeds = result.speeds
+    speeds = speeds_at(traj, times, metric)
     slopes = np.empty_like(speeds)
     slopes[0] = (speeds[1] - speeds[0]) / (times[1] - times[0])
     slopes[-1] = (speeds[-1] - speeds[-2]) / (times[-1] - times[-2])
     if times.size > 2:
         slopes[1:-1] = (speeds[2:] - speeds[:-2]) / (times[2:] - times[:-2])
-    return SpeedCurve(metric, times, speeds, slopes, result.failures)
+    return SpeedCurve(metric, times, speeds, slopes)

@@ -67,6 +67,22 @@ tau_1 = 8.242034311692072
 got, want = speed_at(factor_trajectory(kraus_columns, dim=2), tau_1), speed_at(trajectory_from_key("open-1q", Gamma_over_gamma0=0.1), tau_1)
 assert abs(got - want) <= 1e-12 * want, (got, want)
 PY
+# the installed library's batch API returns plain arrays, with src/ off the path: speeds_at an array of the
+# family's broadcast shape (the README's (2, 3) family at t = 2), and speedup_measures the speeds and the slopes
+python - <<'PY'
+import pathlib, sys
+src = pathlib.Path("src").resolve()
+sys.path[:] = [entry for entry in sys.path if pathlib.Path(entry or ".").resolve() != src]
+import numpy as np, qevspeed
+from qevspeed import speeds_at, speedup_measures, trajectory_from_key
+assert src not in pathlib.Path(qevspeed.__file__).resolve().parents, qevspeed.__file__
+family = trajectory_from_key("open-2q-aligned", alpha=np.array([[0.3], [0.7]]), Gamma_over_gamma0=np.array([0.1, 1.0, 10.0]))
+speeds = speeds_at(family, 2.0)
+assert type(speeds) is np.ndarray and speeds.shape == (2, 3) and np.isfinite(speeds).all(), speeds
+qubit = trajectory_from_key("open-1q", alpha=1.0, Gamma_over_gamma0=0.1)
+measures = speedup_measures(lambda t: speeds_at(qubit, t), [16.0])
+assert len(measures) == 2 and all(type(x) is np.ndarray and x.shape == (1,) for x in measures), measures
+PY
 # the installed package reads the pinned values of the point path, with src/ off the path
 python - <<'PY'
 import pathlib, sys

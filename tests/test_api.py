@@ -35,7 +35,6 @@ PUBLIC_NAMES = (
     "population_factor_dot",
     "trajectory_from_key",
     # speed
-    "SpeedBatch",
     "SpeedCurve",
     "Trajectory",
     "factor_trajectory",

@@ -32,11 +32,9 @@ from qevspeed.models import (
 )
 from qevspeed.speed import factor_trajectory, speed_at, speeds_at
 from util import (
-    InjectedFailure,
     always_scaled_speeds,
     conjugate_trajectory,
     dense_kernel_speeds,
-    fail_between,
     model_factor,
     on_libm,
     random_unitary,
@@ -116,10 +114,9 @@ def test_block_kernel_matches_the_dense_kernel(stack, metric):
     factor, move, leak = stack
     traj = factor_trajectory(lambda t: (factor, move), dim=factor.shape[-1])
     got = speeds_at(traj, np.arange(len(factor), dtype=float), metric)
-    assert not got.failures
     rho, drho = traj.state_at(np.zeros(len(factor))), traj.derivative_at(np.zeros(len(factor)))
     want = np.sqrt(dense_kernel_speeds(rho, drho, metric) ** 2 + (np.abs(leak) ** 2).sum(axis=(1, 2)))
-    for speed, expected, scale in zip(got.speeds, want, np.abs(move).max(axis=(1, 2))):
+    for speed, expected, scale in zip(got, want, np.abs(move).max(axis=(1, 2))):
         assert speed == pytest.approx(expected, rel=1e-12, abs=1e-13 * scale)
 
 
@@ -133,7 +130,7 @@ def test_speed_at_is_the_batch_to_the_last_bit(monkeypatch, key, bath, metric):
     times = np.concatenate([[0.0, 1e-6, 1e-3], rng.uniform(0.0, 45.0, 40)])
     for alpha in (0.0, *rng.uniform(0.05, 0.99, 2), 1.0):
         traj = trajectory_from_key(key, alpha=float(alpha), omega=1.7, **bath)
-        batch = speeds_at(traj, times, metric).speeds
+        batch = speeds_at(traj, times, metric)
         one = np.array([speed_at(traj, float(t), metric) for t in times])
         assert one.tobytes() == batch.tobytes()
 
@@ -229,7 +226,7 @@ def test_boundary_speeds_match_the_closed_forms(key, alpha, ratio, t):
     closed = (open_qubit_speed_analytic if key == "open-1q" else open_two_qubit_speed_analytic)(params, t)
     traj = trajectory_from_key(key, alpha=alpha, Gamma_over_gamma0=ratio)
     assert speed_at(traj, t) == pytest.approx(closed, rel=1e-13, abs=0.0)
-    assert speeds_at(traj, [t]).speeds[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
+    assert speeds_at(traj, [t])[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 def test_wy_takes_the_principal_root():
@@ -241,7 +238,7 @@ def test_wy_takes_the_principal_root():
     traj = trajectory_from_key("open-1q", alpha=0.6, Gamma_over_gamma0=0.1)
     times = np.array([9.0, 10.0, 12.0, 20.0, TAU_1 - 1e-3, TAU_1 + 1e-3])
     want = dense_kernel_speeds(traj.state_at(times), traj.derivative_at(times), wy)
-    np.testing.assert_allclose(speeds_at(traj, times, wy).speeds, want, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(speeds_at(traj, times, wy), want, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose([speed_at(traj, float(t), wy) for t in times], want, rtol=1e-12, atol=0.0)
     zero = OpenSystemParams(Gamma=0.1691959798994975), 6.705124740062843
     assert amplitude_factor(*zero) == 0.0
@@ -311,10 +308,10 @@ def test_a_trajectory_states_its_family_shape(monkeypatch, key, alpha, bath):
     traj = trajectory_from_key(key, **kwargs)
     shape = np.broadcast_shapes(*(np.shape(value) for value in kwargs.values()))
     assert traj.shape == shape
-    assert speeds_at(traj, 2.5).speeds.shape == shape
+    assert speeds_at(traj, 2.5).shape == shape
     times = np.linspace(0.5, 4.0, 4).reshape((4,) + (1,) * len(shape))
     for metric in MetricKind:
-        assert speeds_at(traj, times, metric).speeds.shape == (4, *shape)
+        assert speeds_at(traj, times, metric).shape == (4, *shape)
     calls = count_calls(monkeypatch, (speed, "_batch_at"))
     if math.prod(shape) == 1:
         assert isinstance(speed_at(traj, 2.5), float)
@@ -365,11 +362,11 @@ def test_on_demand_scale_keeps_every_bit(key):
                 want = [always_scaled_speeds(traj, t, metric).hex() for t in SCALE_TIMES]
                 assert [speed_at(traj, t, metric).hex() for t in SCALE_TIMES] == want
                 want = always_scaled_speeds(traj, np.array(SCALE_TIMES), metric).tolist()
-                assert [x.hex() for x in speeds_at(traj, SCALE_TIMES, metric).speeds.tolist()] == [x.hex() for x in want]
+                assert [x.hex() for x in speeds_at(traj, SCALE_TIMES, metric).tolist()] == [x.hex() for x in want]
             traj = trajectory_from_key(key, alpha=family, **bath)
             times = np.array(SCALE_TIMES)[:, None]
             want = always_scaled_speeds(traj, times, metric)
-            assert speeds_at(traj, times, metric).speeds.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert speeds_at(traj, times, metric).tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @pytest.mark.parametrize(
@@ -420,7 +417,7 @@ def test_states_at_rest_read_exactly_zero(monkeypatch, key, alphas, bath):
                 assert speed_at(traj, t, metric).hex() == "0x0.0p+0"
         assert calls == {}
         for metric in MetricKind:
-            assert speeds_at(traj, [1e-300, 2.5, 45.0, 1400.0], metric).speeds.tobytes() == bytes(32)
+            assert speeds_at(traj, [1e-300, 2.5, 45.0, 1400.0], metric).tobytes() == bytes(32)
 
 
 @pytest.mark.parametrize("over", ["warn", "ignore", "raise"])
@@ -436,7 +433,7 @@ def test_a_factors_own_overflow_keeps_the_callers_setting(over):
         return np.concatenate([cos, sin], -2), np.concatenate([-sin, cos], -2)
 
     traj = factor_trajectory(factor_at, dim=2)
-    for evaluate in (lambda: speeds_at(traj, [1.0, 2.0]).speeds, lambda: speeds_at(traj, 1.0).speeds,
+    for evaluate in (lambda: speeds_at(traj, [1.0, 2.0]), lambda: speeds_at(traj, 1.0),
                      lambda: speed_at(traj, 1.0)):
         with np.errstate(over=over):
             if over == "raise":
@@ -455,21 +452,35 @@ def test_anti_pair_at_alpha_zero_still_moves():
     """The open anti pair at alpha 0 starts in |01>, which decays: not a state at rest."""
     traj = trajectory_from_key("open-2q-anti", alpha=0.0, Gamma_over_gamma0=0.5)
     for metric in MetricKind:
-        assert speed_at(traj, 2.5, metric) == speeds_at(traj, [2.5], metric).speeds[0] == pytest.approx(0.3204396, rel=1e-7)
+        assert speed_at(traj, 2.5, metric) == speeds_at(traj, [2.5], metric)[0] == pytest.approx(0.3204396, rel=1e-7)
 
 
-@pytest.mark.parametrize("alpha", [np.array([0.7]), np.array(0.7)], ids=["family", "0-d"])
+# one-member families of alpha (every model) and of the width (the open ones), and parameters of shape ()
+ONE_MEMBER_CASES = [
+    (key, member)
+    for key in MODEL_KEYS
+    for member in (("alpha", "0-d") if key.startswith("closed") else ("alpha", "width", "0-d"))
+]
+
+
+@pytest.mark.parametrize("metric", list(MetricKind))
+@pytest.mark.parametrize("key,member", ONE_MEMBER_CASES)
 @pytest.mark.parametrize("t", [0.0, 2.5])
-def test_speed_at_calls_the_block_function_once(alpha, t):
-    """A one-member family takes the batch and parameters of shape () the
-    float path; either way the trajectory's ``blocks`` at ``t`` are built
-    once (none at the t = 0 limit), and the speed is the batch's."""
-    traj = trajectory_from_key("open-2q-aligned", alpha=alpha, Gamma_over_gamma0=0.5)
-    want = speeds_at(traj, t).speeds.item()
+def test_speed_at_calls_the_block_function_once(key, member, t, metric):
+    """A one-member family is one point of the batch and parameters of
+    shape () take the float path; either way the trajectory's ``blocks`` at
+    ``t`` are built once (none at a t = 0 limit), and the speed is the
+    batch's to the last bit."""
+    kwargs = {"alpha": np.array([0.7]) if member == "alpha" else np.array(0.7)}
+    if not key.startswith("closed"):
+        kwargs["Gamma_over_gamma0"] = np.array([0.5]) if member == "width" else 0.5
+    traj = trajectory_from_key(key, **kwargs)
+    assert traj.shape == (() if member == "0-d" else (1,))
+    want = speeds_at(traj, t, metric).item()
     calls = []
     counted = dataclasses.replace(traj, blocks=lambda times: calls.append(times) or traj.blocks(times))
-    assert speed_at(counted, t).hex() == want.hex()
-    assert calls == ([] if t == 0.0 else [t])
+    assert speed_at(counted, t, metric).hex() == want.hex()
+    assert calls == ([] if t == 0.0 and traj.speed_at_zero is not None else [t])
 
 
 class NoNumpy:
@@ -514,7 +525,7 @@ def test_zero_d_time_takes_the_float_branch(monkeypatch, Gamma):
     bath = {"markovian_limit": True} if Gamma == math.inf else {"Gamma_over_gamma0": Gamma}
     family = trajectory_from_key("open-2q-aligned", alpha=np.linspace(0.1, 0.9, 5), **bath)
     calls = count_calls(monkeypatch, (models, "_check_time"))
-    assert speeds_at(family, 4.4).speeds.shape == (5,)
+    assert speeds_at(family, 4.4).shape == (5,)
     assert calls == {}
 
 
@@ -526,7 +537,7 @@ def test_a_batch_checks_its_times_once(monkeypatch):
     calls = count_calls(monkeypatch, (models, "_check_time"))
     for times in (np.array([[0.5], [40.0]]), np.asarray(4.4), 4.4):
         for metric in MetricKind:
-            assert np.isfinite(speeds_at(family, times, metric).speeds).all()
+            assert np.isfinite(speeds_at(family, times, metric)).all()
     assert calls == {}
     family.state_at(np.array([[0.5], [40.0]]))
     assert calls == {"_check_time": 1}
@@ -558,7 +569,7 @@ def test_anti_pair_speed_at_an_exact_zero_of_the_amplitude():
         traj = trajectory_from_key("open-2q-anti", alpha=0.6, Gamma_over_gamma0=width)
         for metric in MetricKind:
             assert speed_at(traj, tau, metric) == pytest.approx(closed, rel=1e-13, abs=0.0)
-            assert speeds_at(traj, [tau], metric).speeds[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
+            assert speeds_at(traj, [tau], metric)[0] == pytest.approx(closed, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("width", [0.1, 0.5, 1.9, 2.0, 10.0])
@@ -570,11 +581,11 @@ def test_anti_pair_speed_does_not_depend_on_alpha(width):
     qubit = trajectory_from_key("open-1q", alpha=1.0, Gamma_over_gamma0=width)
     one = trajectory_from_key("open-2q-anti", alpha=0.6, Gamma_over_gamma0=width)
     for metric in MetricKind:
-        speeds = speeds_at(family, np.linspace(1.0, 45.0, 2000)[:, None], metric).speeds
+        speeds = speeds_at(family, np.linspace(1.0, 45.0, 2000)[:, None], metric)
         assert all(column.tobytes() == speeds[:, 0].tobytes() for column in speeds.T)
         times = np.linspace(1e-3, 45.0, 2000)
-        want = speeds_at(qubit, times, metric).speeds
-        got = speeds_at(family, times[:, None], metric).speeds
+        want = speeds_at(qubit, times, metric)
+        got = speeds_at(family, times[:, None], metric)
         np.testing.assert_allclose(got, np.broadcast_to(want[:, None], got.shape), rtol=1e-14, atol=0.0)
         points = [speed_at(one, t, metric) for t in times[::50].tolist()]
         np.testing.assert_allclose(points, want[::50], rtol=1e-14, atol=0.0)
@@ -589,7 +600,7 @@ def test_results_take_the_shape_of_the_times(key, bath, shape):
     assert traj.state_at(times).shape == shape + (traj.dim, traj.dim)
     assert traj.derivative_at(times).shape == shape + (traj.dim, traj.dim)
     for metric in MetricKind:
-        assert speeds_at(traj, times, metric).speeds.shape == shape
+        assert speeds_at(traj, times, metric).shape == shape
 
 
 @pytest.mark.parametrize("key,bath", MODEL_CASES)
@@ -676,21 +687,6 @@ def test_numpy_amplitudes_are_within_ulps_of_libm(monkeypatch):
                 )
 
 
-@pytest.mark.parametrize("metric", list(MetricKind))
-def test_speed_at_raises_the_batch_failure(monkeypatch, metric):
-    """A family's point is one point of the batch, whose failure it raises.
-    No point of the package fails alone: the failure is made here."""
-    fail_between(monkeypatch, 1.9, 2.1)
-    family = trajectory_from_key("open-2q-aligned", alpha=np.array([0.7]), Gamma_over_gamma0=0.5)
-    turned = conjugate_trajectory(family, random_unitary(np.random.default_rng(53), 4))
-    for traj in (family, turned):
-        want = speeds_at(traj, np.array([2.0]), metric).failures[0]
-        with pytest.raises(InjectedFailure) as caught:
-            speed_at(traj, 2.0, metric)
-        assert str(caught.value) == str(want) == "injected at t = 2"
-        assert math.isfinite(speed_at(traj, 2.5, metric))
-
-
 @pytest.mark.parametrize("key,bath", MODEL_CASES)
 def test_speed_at_takes_any_number(key, bath):
     traj = trajectory_from_key(key, alpha=0.7, **bath)
@@ -709,7 +705,7 @@ def test_speed_at_checks_the_range_as_the_batch(monkeypatch, t):
     on_libm(monkeypatch, models)
     for traj in (trajectory_from_key("closed-1q"), trajectory_from_key("open-1q", markovian_limit=True)):
         if 0.0 <= t < math.inf:
-            assert speed_at(traj, t).hex() == speeds_at(traj, t).speeds.item().hex()
+            assert speed_at(traj, t).hex() == speeds_at(traj, t).item().hex()
             continue
         with pytest.raises(ValueError) as batch:
             speeds_at(traj, t)
@@ -782,7 +778,7 @@ def test_dense_qubit_matches_the_closed_form():
             traj = trajectory_from_key("open-1q", alpha=alpha, Gamma_over_gamma0=ratio)
             turned = conjugate_trajectory(traj, random_unitary(rng, 2))
             closed = [open_qubit_speed_analytic(params, float(t)) for t in times]
-            np.testing.assert_allclose(speeds_at(turned, times).speeds, closed, rtol=1e-10, atol=0.0)
+            np.testing.assert_allclose(speeds_at(turned, times), closed, rtol=1e-10, atol=0.0)
 
 
 def test_built_in_models_skip_the_dense_adapter(monkeypatch):
@@ -808,7 +804,7 @@ def test_built_in_models_skip_the_dense_adapter(monkeypatch):
 @pytest.mark.parametrize("dim", [2, 4])
 def test_empty_stack_is_an_empty_batch(dim):
     empty = factor_trajectory(lambda t: (np.zeros(t.shape + (dim, dim)), np.zeros(t.shape + (dim, dim))), dim=dim)
-    assert speeds_at(empty, np.array([])).speeds.shape == (0,)
+    assert speeds_at(empty, np.array([])).shape == (0,)
 
 
 @pytest.mark.parametrize("points", [1, 5])
@@ -827,8 +823,8 @@ def test_derivative_scale_is_exact(points, power):
         factor[n] /= np.linalg.norm(factor[n])
     times = np.arange(points, dtype=float)
     for metric in MetricKind:
-        base = speeds_at(factor_trajectory(lambda t: (factor, move), dim=6), times, metric).speeds
-        scaled = speeds_at(factor_trajectory(lambda t: (factor, move * 2.0**power), dim=6), times, metric).speeds
+        base = speeds_at(factor_trajectory(lambda t: (factor, move), dim=6), times, metric)
+        scaled = speeds_at(factor_trajectory(lambda t: (factor, move * 2.0**power), dim=6), times, metric)
         assert scaled.tobytes() == (base * 2.0**power).tobytes()
         one = factor_trajectory(lambda t: (factor[0], move[0] * 2.0**power), dim=6)
         assert speed_at(one, 1.0, metric) == base[0] * 2.0**power

@@ -15,7 +15,6 @@ from qevspeed.models import (
     trajectory_from_key,
 )
 from qevspeed.speed import speed_at, speeds_at
-from util import fail_between
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 OPEN_AT_ONE = ("--model", "open-1q", "--gamma-ratio", "0.5", "--time", "1")
@@ -129,19 +128,6 @@ class TestSpeedCommand:
         for t, s, *_ in rows:
             assert s == pytest.approx(speed_at(traj, t, MetricKind.SLD), rel=1e-11)
 
-    def test_singular_rows_annotated_and_run_continues(self, tmp_path, monkeypatch):
-        # every point near t = 1 fails, with a failure made by the test
-        fail_between(monkeypatch, 0.9, 1.1)
-        code, text = run_to_file(
-            tmp_path,
-            ["speed", "--model", "closed-1q", "--alpha", "0.6",
-             "--tmin", "0.0", "--tmax", "2.0", "--points", "5"],
-        )
-        assert code == 0
-        assert "# note: skipped t=1:" in text
-        _, _, rows = parse_csv(text)
-        assert np.isnan(rows[2, 1])
-        assert np.isfinite(rows[0, 1]) and np.isfinite(rows[-1, 1])
 
 
     @pytest.mark.parametrize("ratio", ["1e17", "1e200", "1e300"])
@@ -185,7 +171,7 @@ class TestSpeedCommand:
             np.testing.assert_allclose(parse_csv(out)[2][:, 1:], [[closed_form, 0.0]] * 3, rtol=1e-12, atol=1e-300)
             traj = trajectory_from_key("closed-2q-aligned", alpha=0.5)
             assert speed_at(traj, 1e308) == pytest.approx(closed_form, rel=1e-12)
-            assert speeds_at(traj, [1e308, 1.7e308]).speeds == pytest.approx([closed_form] * 2, rel=1e-12)
+            assert speeds_at(traj, [1e308, 1.7e308]) == pytest.approx([closed_form] * 2, rel=1e-12)
 
 
     @pytest.mark.parametrize("metric, factor", [("sld", 1.0), ("wy", math.sqrt(2.0))], ids=["sld", "wy"])

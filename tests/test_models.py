@@ -140,8 +140,8 @@ class TestLargeWidths:
             wide = trajectory_from_key(key, alpha=0.8, Gamma_over_gamma0=width)
             for metric in MetricKind:
                 np.testing.assert_allclose(
-                    speeds_at(wide, self.TIMES, metric).speeds,
-                    speeds_at(limit, self.TIMES, metric).speeds,
+                    speeds_at(wide, self.TIMES, metric),
+                    speeds_at(limit, self.TIMES, metric),
                     rtol=1e-12,
                 )
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import qevspeed.cli as cli
 from qevspeed.models import MODEL_KEYS
-from util import fail_between, render_csv, render_json
+from util import render_csv, render_json
 
 
 def table(argv: list[str]) -> cli.TableResult:
@@ -44,16 +44,13 @@ def test_speed_and_detect(model):
     )
 
 
-def test_failed_rows(monkeypatch):
-    fail_between(monkeypatch, 1.9, 2.1)
-    for argv in (
-        ["figure", "fig3b", "--points", "16"],
-        ["detect", "--model", "closed-1q", "--sweep", "t:1:3:5"],
-    ):
-        result = table(argv)
-        assert np.isnan(result.rows).any() and result.notes
-        assert_renders_as_oracle(result)
-        assert "NaN" in cli.render_json(result)
+def test_failed_rows():
+    # at time 0 the Markovian pair's speed diverges at every C: S is inf, and its slope and flag nan
+    argv = ["detect", "--model", "open-2q-aligned", "--markovian-limit", "--sweep", "C:0.01:0.99:3", "--time", "0"]
+    result = table(argv)
+    assert np.isinf(result.rows[:, 1]).all() and np.isnan(result.rows[:, 2:]).all() and result.notes
+    assert_renders_as_oracle(result)
+    assert "Infinity" in cli.render_json(result) and "NaN" in cli.render_json(result)
 
 
 @pytest.mark.parametrize(

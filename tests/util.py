@@ -8,14 +8,13 @@ import math
 
 import numpy as np
 
-from qevspeed import analysis, speed
+from qevspeed import analysis
 from qevspeed.cli import TableResult
 from qevspeed.errors import NumericalFailure
 from qevspeed.metrics import MetricKind, mc_kernel
 from qevspeed.models import OpenSystemParams, trajectory_from_key
 from qevspeed.speed import (
     DEFAULT_TIME_STEP,
-    SpeedBatch,
     Trajectory,
     _binary_scale,
     _fisher,
@@ -203,30 +202,6 @@ def dense_kernel_speeds(rho, drho, metric: MetricKind = MetricKind.SLD) -> np.nd
     pk, pl = p[..., :, None], p[..., None, :]
     kernel = mc_kernel(metric, pk, pl, where=pk + pl > 0.0)
     return 0.5 * np.sqrt((kernel * magnitude * magnitude).sum(axis=(-2, -1)))
-
-
-class InjectedFailure(NumericalFailure):
-    """A failure made by a test: nothing in the package fails a single
-    point, so the failure rows are exercised with this one."""
-
-
-def fail_between(monkeypatch, low: float, high: float) -> None:
-    """Make every batch (``speed._batch_at``, under ``speeds_at``, a
-    family's ``speed_at``, ``speed_curve`` and the CLI) fail each point
-    with low < t < high: nan, with an ``InjectedFailure``. Every other
-    point keeps its speed."""
-    batch_at = speed._batch_at
-
-    def failing(traj, t, metric, blocks, first):
-        result = batch_at(traj, t, metric, blocks, first)
-        times = np.broadcast_to(t, result.speeds.shape)
-        failed = np.flatnonzero((low < times) & (times < high))
-        speeds = result.speeds.copy()
-        speeds.flat[failed] = math.nan
-        failures = {int(i): InjectedFailure(f"injected at t = {times.flat[i]:.6g}") for i in failed}
-        return SpeedBatch(speeds, {**result.failures, **failures})
-
-    monkeypatch.setattr(speed, "_batch_at", failing)
 
 
 def always_scaled_speeds(traj: Trajectory, t, metric: MetricKind = MetricKind.SLD):

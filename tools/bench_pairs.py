@@ -7,11 +7,15 @@ Runs ``python3 bench/run.py --workload W --seed S --seconds N --trace 0`` in
 the parent's tree and in this checkout, one pair per seed. The side that
 runs first alternates pair by pair: the parent at the first seed, the
 change at the second, and so on. Each run's result is
-the last line of its stdout. The file gets every run in the order it ran,
+the last line of its stdout, and its pass count ``details.timing.passes``
+of the line before. The file gets every run in the order it ran,
 and a summary per workload: for each end-to-end metric, the median and the
 interquartile range (inclusive quartiles) of each side, the median and the
 range of the per-pair ratios change / parent, and in how many pairs the
-change was better, in the direction ``BENCHMARK.json`` states.
+change was better, in the direction ``BENCHMARK.json`` states. Next to
+``peak_rss_mb``, ``passes`` gives each side's median pass count and the
+per-pair ratios: a workload that keeps a little memory per pass (``points``
+does) moves its peak RSS with the pass count, whatever the program's own.
 
 Run it once per workload: an existing output file keeps its runs and other
 keys, and its summary is recomputed from all of them. Only the standard
@@ -42,15 +46,15 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one untraced benchmark run in ``tree``."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
+    """The result line of one untraced benchmark run in ``tree``, and its pass count."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
-    if done.returncode or not lines:
+    if done.returncode or len(lines) < 2:
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {done.returncode}:\n{done.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    return json.loads(lines[-1]), json.loads(lines[-2])["details"]["timing"]["passes"]
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -58,9 +62,11 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         sides = {"parent": {}, "change": {}}
+        passes = {"parent": {}, "change": {}}
         for run in runs:
             if run["workload"] == workload:
                 sides[run["side"]][run["seed"]] = run["result"]
+                passes[run["side"]][run["seed"]] = run.get("passes")  # absent from runs recorded before it was kept
         seeds = [seed for seed in sides["parent"] if seed in sides["change"]]
         entry = {"pairs": len(seeds), "seeds": seeds}
         if not seeds:
@@ -79,6 +85,14 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "median_ratio": statistics.median(ratios),
                 "ratio_range": [min(ratios), max(ratios)],
                 "change_better_pairs": sum((c < p) if lower else (c > p) for c, p in zip(change, parent)),
+            }
+        parent, change = ([passes[side][seed] for seed in seeds] for side in ("parent", "change"))
+        if None not in parent + change:
+            entry["passes"] = {
+                "parent_median": statistics.median(parent),
+                "change_median": statistics.median(change),
+                "median_ratio": statistics.median(c / p for c, p in zip(change, parent)),
+                "pair_ratios": [c / p for c, p in zip(change, parent)],
             }
         results = [sides[side][seed] for side in sides for seed in seeds]
         entry["failed"] = sum(result["failed"] for result in results)
@@ -132,14 +146,17 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     for index, seed in enumerate(args.seeds):
         for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
-            result = run_once(trees[side], args.workload, seed, args.seconds)
-            runs.append({"workload": args.workload, "seed": seed, "side": side, "result": result})
+            result, passes = run_once(trees[side], args.workload, seed, args.seconds)
+            runs.append({"workload": args.workload, "seed": seed, "side": side, "result": result, "passes": passes})
             metrics = {name: round(value["value"], 6) for name, value in result["metrics"].items()}
-            print(f"{args.workload} seed {seed} {side}: {metrics}", flush=True)
+            print(f"{args.workload} seed {seed} {side}: {metrics}, {passes} passes", flush=True)
             record["summary"] = summarize(runs, better)
             out.write_text(json.dumps(record, indent=1) + "\n")  # after every run, so a stopped series keeps its pairs
     for name, stats in record["summary"][args.workload].items():
-        if isinstance(stats, dict):
+        if name == "passes":
+            print(f"passes: median {stats['parent_median']:g} parent, {stats['change_median']:g} change, "
+                  f"median ratio {stats['median_ratio']:.3f}")
+        elif isinstance(stats, dict):
             print(f"{name}: median ratio {stats['median_ratio']:.3f}, change better in "
                   f"{stats['change_better_pairs']} of {record['summary'][args.workload]['pairs']}")
     return 0
