@@ -23,7 +23,8 @@ from .errors import (
     MetricRejectionError,
     NumericalFailure,
 )
-from .metrics import MetricKind, mc_kernel, resolve_metric
+from . import linalg  # noqa: F401  loaded with the package, as bench/tracer.py traces every layer module by name
+from .metrics import MetricKind, resolve_metric
 from .models import (
     MODEL_KEYS,
     OpenSystemParams,
@@ -41,7 +42,6 @@ from .models import (
 from .speed import (
     SpeedCurve,
     Trajectory,
-    factor_trajectory,
     speed_at,
     speed_curve,
     speeds_at,
@@ -62,7 +62,6 @@ __all__ = [
     "MetricRejectionError",
     "NumericalFailure",
     "MetricKind",
-    "mc_kernel",
     "resolve_metric",
     "MODEL_KEYS",
     "OpenSystemParams",
@@ -78,7 +77,6 @@ __all__ = [
     "trajectory_from_key",
     "SpeedCurve",
     "Trajectory",
-    "factor_trajectory",
     "speed_at",
     "speed_curve",
     "speeds_at",

@@ -3,7 +3,7 @@ speedup-detection sweeps, emitted as self-describing CSV or JSON.
 
 Every value in the output is reproducible by calling the library directly
 with the parameters echoed in the header block; the CLI only arranges grids
-and serialization. Exit codes: 0 success, 2 usage error, 3 numerical failure.
+and serialization. Exit codes: 0 success, 2 usage error.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import Regime, _region_columns, memory_witness, speedup_equation
-from .errors import NumericalFailure
 from .metrics import MetricKind, resolve_metric
 from .models import (
     MODEL_KEYS,
@@ -624,9 +623,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # usage errors and rejected metrics alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
 
     text = render_csv(result) if config.fmt == "csv" else render_json(result)
     if not config.out:

@@ -1,10 +1,10 @@
 """Dense complex linear algebra for operators on small Hilbert spaces.
 
 Everything here targets dimensions <= 8 (one to three qubits), so clarity and
-determinism win over asymptotic performance. ``svd_stack`` is the package's
-one decomposition, for stacks of any size. It serves the factor block of a
-hand-written trajectory (``speed.factor_trajectory``) only: the built-in
-models take no decomposition.
+determinism win over asymptotic performance. ``svd_stack`` is a
+decomposition for stacks of any size. No evaluator of the package calls it:
+the built-in models take no decomposition, and the factor oracle of the
+tests (``tests/util.py``) sums its F from it.
 """
 
 from __future__ import annotations

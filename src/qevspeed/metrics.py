@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import enum
 
-import numpy as np
-
 from .errors import MetricRejectionError
 
 
@@ -53,18 +51,4 @@ def resolve_metric(name: str) -> MetricKind:
     raise MetricRejectionError(
         f"unknown metric '{name}'; supported boundary-extendable metrics: sld, wy"
     )
-
-
-def mc_kernel(kind: MetricKind, x, y, where=True) -> np.ndarray:
-    """The kernel c(x, y) elementwise over broadcast arrays of eigenvalues.
-
-    Unchecked; entries where ``where`` is False (the boundary pairs with
-    x + y = 0, which callers must drop) are 0, from a division by infinity.
-    The WY kernel is evaluated as 4 / (sqrt(x) + sqrt(y))^2 to stay
-    accurate for tiny arguments.
-    """
-    if kind is MetricKind.SLD:
-        return 2.0 / np.where(where, np.add(x, y), np.inf)
-    root = np.where(where, np.sqrt(x) + np.sqrt(y), np.inf)
-    return 4.0 / (root * root)
 

@@ -25,15 +25,6 @@ by the family shape each trajectory states (``Trajectory.shape``): a block
 function of shape () runs on Python floats by the same expression (on libm
 where the batch takes numpy's ufuncs), anything else is one point of
 ``speeds_at``. Both sum again, scaled, only where F leaves ``FISHER_WINDOW``.
-
-A hand-written trajectory states a factor A_t of its states instead,
-rho = A A^dagger (``factor_trajectory``): a Kraus sum or a purification
-gives one directly. Its one block is the factor and its derivative A',
-whose F takes one singular value decomposition A = W Sigma V^dagger:
-W^dagger rho' W = B Sigma^T + Sigma B^dagger with B = W^dagger A' V, and
-a singular value that touches zero adds 4 |B_lk|^2 over its null rows and
-columns, with no division. That rule holds the package's one tolerance
-for the rank, ``TOUCH_TOL``.
 """
 
 from __future__ import annotations
@@ -45,22 +36,16 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg
-from .metrics import MetricKind, mc_kernel
-
-# A factor's singular value at or below TOUCH_TOL times its largest counts as 0 (``_factor_fisher``). Above it, the
-# decomposition's vectors err by about eps sigma_max / sigma, and the kernel sum's error grows as the square of that;
-# below it, the touch rule errs by about sigma / sigma_max. The two errors meet near eps^(2/3), about 2^-35.
-TOUCH_TOL = 2.0**-35
+from .metrics import MetricKind
 
 # The block formulas keep their F unscaled inside this window. There a finite F has no overflowed term, and
 # an underflowed one is below 2^-1022 unscaled, or 2^-1022 times the largest derivative squared (at most
 # about F) scaled: below 2^-122 F either way, which both sums absorb. The upper end mirrors the lower.
 FISHER_WINDOW = (2.0**-900, 2.0**900)
 
-# A batch's floating-point scope, which ``speeds_at`` opens once around a model's block function and the sums (a
-# hand-written factor runs before it, ``_unscoped_blocks``): tiny entries of late states flush to zero, kappa t may
-# overflow to inf at late times, and an inf or nan F is summed again, scaled (``_block_speeds``).
+# A batch's floating-point scope, which ``speeds_at`` opens once around the block function and the sums: tiny
+# entries of late states flush to zero, kappa t may overflow to inf at late times, and an inf or nan F is summed
+# again, scaled (``_block_speeds``).
 _BATCH_SCOPE = functools.partial(np.errstate, under="ignore", over="ignore", invalid="ignore")
 
 # Half-width of the slope stencil per unit max(1, |xi|) (``stencil_step``).
@@ -87,10 +72,9 @@ class Trajectory:
     (a, c, wr, wi, s) and (da, dc, dwr, dwi, ds) for a pair
     [[a, w], [w*, c]], w = wr + i wi, where s is a smooth signed root of the
     block's determinant (p = s^2, ac - |w|^2 = s^2) and ds its derivative.
-    A hand-written trajectory (``factor_trajectory``) returns one factor
-    block, (None, A, A') with A's decomposition as a fourth item.
+    A hand-written curve states its blocks in the same layout.
     ``dataclasses.replace`` keeps ``blocks``: a trajectory whose states
-    change states its factor anew.
+    change states its blocks anew.
     ``params`` records the numbers the trajectory was built from, and
     ``shape`` the family's shape: the broadcast shape of the parameters, ()
     (the default) for one curve. The evaluators read it in place of
@@ -112,7 +96,7 @@ class Trajectory:
 
     def __post_init__(self):
         if self.blocks is None:
-            raise ValueError("a trajectory needs a block function; state a hand-written one with factor_trajectory")
+            raise ValueError("a trajectory needs a block function (Trajectory.blocks)")
 
 
 @dataclass(frozen=True)
@@ -148,15 +132,11 @@ def _fisher(metric: MetricKind, blocks, xp):
     q = r'/r = (dT + 2 d|s|) / (2 r^2). The principal root needs |s|, and
     d|s| = copysign(1, s) ds takes either one-sided derivative at s = 0,
     which give the same F. No built-in pair has zero trace: the aligned
-    corner's is at least beta^2 + alpha^2 / 2, the others' 1. A factor
-    block adds ``_factor_fisher``, on numpy's arrays either way.
+    corner's is at least beta^2 + alpha^2 / 2, the others' 1.
     """
     total = 0.0
     for block in blocks:  # indexed: a star-unpacking of the ray's fourth item costs more
         state, move = block[1], block[2]
-        if block[0] is None:
-            total = total + _factor_fisher(metric, block[3], move)
-            continue
         if len(state) == 2:
             total = total + 4.0 * (move[1] * move[1])
             continue
@@ -178,102 +158,22 @@ def _fisher(metric: MetricKind, blocks, xp):
     return total
 
 
-def _factor_fisher(metric: MetricKind, decomposition, move: np.ndarray):
-    """F of the states A A^dagger moving at A' A^dagger + A A'^dagger, from
-    the decomposition A = W Sigma V^dagger of stacked factors A
-    (``linalg.svd_stack``) and their derivatives A', shape (..., d, r).
-
-    With B = W^dagger A' V, the derivative in the basis W is M = X + X^dagger,
-    X = B Sigma^T, and F is its kernel sum over the eigenvalues sigma^2,
-    whose diagonal terms are 4 (Re B_kk)^2. A singular value
-    at or below ``TOUCH_TOL`` times the largest counts as 0: a null row l
-    and a null column k (past the singular values too) add 4 |B_lk|^2, the
-    limit of the terms of eigenvalues that touch zero, whatever the basis
-    of the null spaces.
-    """
-    w, sigma, vh = decomposition
-    d, r, n = w.shape[-1], vh.shape[-1], sigma.shape[-1]
-    left, right = (np.zeros(sigma.shape[:-1] + (k,)) for k in (d, r))  # Sigma's diagonal, padded on either side
-    left[..., :n] = right[..., :n] = np.where(sigma <= TOUCH_TOL * sigma[..., :1], 0.0, sigma)
-    pk, pl = left[..., :, None] ** 2, left[..., None, :] ** 2
-    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan F is summed again, scaled
-        b = w.conj().swapaxes(-2, -1) @ move @ vh.conj().swapaxes(-2, -1)
-        x = (b * right[..., None, :]) @ np.eye(r, d)
-        m = x + x.conj().swapaxes(-2, -1)
-        total = (mc_kernel(metric, pk, pl, where=pk + pl > 0.0) * (m.real**2 + m.imag**2)).sum(axis=(-2, -1))
-        touched = np.where((left[..., :, None] == 0.0) & (right[..., None, :] == 0.0), b.real**2 + b.imag**2, 0.0)
-        return total + 4.0 * touched.sum(axis=(-2, -1))
-
-
 def _scaled(blocks, shrink):
-    """The blocks with every derivative multiplied by ``shrink`` (a factor's at each point)."""
+    """The blocks with every derivative multiplied by ``shrink``."""
     for b in blocks:
-        yield (*b[:2], b[2] * np.expand_dims(shrink, (-2, -1)) if b[0] is None else [x * shrink for x in b[2]], *b[3:])
+        yield (*b[:2], [x * shrink for x in b[2]], *b[3:])
 
 
 def _moves(blocks):
-    """The magnitudes of the blocks' derivatives: a ray's or a pair's entries, a factor's largest."""
+    """The magnitudes of the blocks' derivatives, entry by entry."""
     for block in blocks:
-        if block[0] is None:
-            yield np.abs(block[2]).max(axis=(-2, -1), initial=0.0)
-        else:
-            yield from map(abs, block[2])
-
-
-def factor_trajectory(factor_at: Callable[[np.ndarray], tuple], **fields) -> Trajectory:
-    """The trajectory t -> A_t A_t^dagger of a factor, for a hand-written
-    curve: the one constructor of a trajectory that is not a built-in model.
-
-    ``factor_at`` takes an array of times and returns (A_t, A'_t), the
-    factors and their analytic time derivatives stacked along the times'
-    shape, each of shape (..., dim, r): the columns [K_i psi] of a Kraus sum
-    or a purification give one directly. ``fields`` are the other
-    ``Trajectory`` fields, ``dim`` among them; a factor with other than
-    ``dim`` rows raises ``ValueError``. The block function returns one
-    factor block, (None, A, A') with A's one ``linalg.svd_stack`` as a
-    fourth item, which ``_factor_fisher`` sums. ``state_at`` is A A^dagger
-    and ``derivative_at`` A' A^dagger + A A'^dagger. Every evaluator runs
-    ``factor_at`` in its caller's floating-point state.
-    """
-    dim = fields.get("dim")
-
-    def factors(t):
-        factor, move = (np.asarray(x, dtype=complex) for x in factor_at(np.asarray(t, dtype=float)))
-        if factor.shape[-2] != dim:
-            raise ValueError(f"trajectory declares dim={dim} but its factors have {factor.shape[-2]} rows")
-        return factor, move
-
-    def state_at(t):
-        factor, _ = factors(t)
-        return factor @ factor.conj().swapaxes(-2, -1)
-
-    def derivative_at(t):
-        factor, move = factors(t)
-        half = move @ factor.conj().swapaxes(-2, -1)
-        return half + half.conj().swapaxes(-2, -1)
-
-    blocks = functools.partial(_factor_blocks, factors)
-    return Trajectory(state_at=state_at, derivative_at=derivative_at, blocks=blocks, **fields)
-
-
-def _factor_blocks(factors, t):
-    """A hand-written trajectory's block function: its one factor block at ``t``."""
-    factor, move = factors(t)
-    return [(None, factor, move, linalg.svd_stack(factor))]
-
-
-def _unscoped_blocks(traj: Trajectory, t):
-    """A hand-written factor's blocks at ``t``, which a batch takes before it
-    opens ``_BATCH_SCOPE``: ``factor_at`` runs in its caller's floating-point
-    state, as ``state_at`` and ``speed_at``'s float path run it. None for a
-    model, whose block function runs in the scope."""
-    return traj.blocks(t) if getattr(traj.blocks, "func", None) is _factor_blocks else None
+        yield from map(abs, block[2])
 
 
 def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> np.ndarray:
     """Speeds of blocks whose entries broadcast to ``batch``. Points whose F
     leaves ``FISHER_WINDOW`` sum it again from ``_scaled`` blocks: every
-    derivative, ``ds`` and a factor's too, times ``_binary_scale``'s 2^-e.
+    derivative, ``ds`` too, times ``_binary_scale``'s 2^-e.
     It runs in its caller's ``_BATCH_SCOPE``, where an inf or nan F warns
     nothing."""
     fisher = _fisher(metric, blocks, np)
@@ -298,11 +198,9 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> n
 
     The trajectory's block function (``traj.blocks``) is called once and
     its blocks take the formulas of ``_fisher``, all in one
-    ``_BATCH_SCOPE`` but for a hand-written factor's block function, which
-    runs in the caller's floating-point state. At t = 0 a trajectory's
-    ``speed_at_zero`` limit is returned. Negative, NaN and infinite times
-    and factors of a size other than ``traj.dim`` raise ``ValueError``, as
-    do times whose shape does not broadcast against the family's. Returns
+    ``_BATCH_SCOPE``. At t = 0 a trajectory's ``speed_at_zero`` limit is
+    returned. Negative, NaN and infinite times raise ``ValueError``, as do
+    times whose shape does not broadcast against the family's. Returns
     the speeds, of the broadcast shape of the times and the family; no
     times give an empty array.
     """
@@ -317,18 +215,16 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> n
     limit = traj.speed_at_zero
     if limit is not None and last == 0.0:  # every point takes the limit
         return np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit)
-    blocks = _unscoped_blocks(traj, t)
     with _BATCH_SCOPE():
-        return _batch_at(traj, t, metric, blocks or traj.blocks(t), first)
+        return _batch_at(traj, t, metric, first)
 
 
-def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first) -> np.ndarray:
-    """``speeds_at`` past its checks, from the ``blocks`` of the block function
-    at ``t``, whose earliest time is ``first``."""
+def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, first) -> np.ndarray:
+    """``speeds_at`` past its checks, at ``t``, whose earliest time is ``first``."""
     batch = t.shape
     if traj.shape and traj.shape != batch:  # a family's shape, broadcast only where the times' is not () either
         batch = np.broadcast_shapes(batch, traj.shape) if batch else traj.shape
-    speeds = _block_speeds(blocks, batch, metric)
+    speeds = _block_speeds(traj.blocks(t), batch, metric)
     limit = traj.speed_at_zero
     if limit is None or first > 0.0:
         return speeds
@@ -337,11 +233,10 @@ def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, blocks, first
 
 def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) -> float:
     """Instantaneous speed at one time: the point path. A trajectory of
-    stated shape () sums its blocks at once: a built-in model with scalar
-    parameters on Python floats, by the batch's operations, and a factor on
-    numpy's arrays; a state at rest (every derivative 0, so F = 0) reads
-    +0.0 with no scaled sum. Anything else is one point of ``speeds_at``.
-    The block function is called once either way."""
+    stated shape () sums its blocks at once, on Python floats, by the
+    batch's operations; a state at rest (every derivative 0, so F = 0)
+    reads +0.0 with no scaled sum. Anything else is one point of
+    ``speeds_at``. The block function is called once either way."""
     if isinstance(t, (int, float)) and not traj.shape:  # numpy's float64 is a float
         if not 0.0 <= (t := float(t)) < math.inf:
             _check_range(t, t, t)

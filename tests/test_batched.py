@@ -34,7 +34,6 @@ from qevspeed.models import (
 from qevspeed.speed import (
     DEFAULT_TIME_STEP,
     Trajectory,
-    factor_trajectory,
     speed_at,
     speed_curve,
     speeds_at,
@@ -42,9 +41,10 @@ from qevspeed.speed import (
     stencil_step,
 )
 from util import (
+    FactorTrajectory,
     conjugate_trajectory,
+    factor_speeds,
     local_damping_evolve,
-    model_factor,
     on_libm,
     open_model,
     random_unitary,
@@ -195,8 +195,8 @@ def test_rank_increase_is_a_touch_term_not_a_failure():
     leak[2, 3] = 1e-3
     factors = np.stack([mixed, mixed, mixed])
     moves = np.stack([np.zeros((4, 4)), leak, np.diag([0.1, -0.1, 0, 0])])
-    traj = factor_trajectory(lambda t: (factors, moves), dim=4)
-    speeds = speeds_at(traj, np.array([0.5, 1.0, 1.5]), SLD)
+    traj = FactorTrajectory(lambda t: (factors, moves), dim=4)
+    speeds = factor_speeds(traj, np.array([0.5, 1.0, 1.5]), SLD)
     assert speeds[0] == 0.0 and speeds[1] == pytest.approx(1e-3, rel=1e-15) and speeds[2] > 0.0
 
 
@@ -252,21 +252,13 @@ def test_replaced_callables_are_the_ones_evaluated():
     assert speed_at(replaced, 2.5) == speed_at(other, 2.5)
     kept = dataclasses.replace(base, dim=2, state_at=other.state_at, derivative_at=other.derivative_at)
     assert speeds_at(kept, times, SLD).tobytes() == speeds_at(base, times, SLD).tobytes()
-    with pytest.raises(ValueError, match="factor_trajectory"):
+    with pytest.raises(ValueError, match="block function"):
         dataclasses.replace(kept, blocks=None)
 
     calls = []
-    u = random_unitary(np.random.default_rng(5), 4)
-    rotated = conjugate_trajectory(base, u)
-    counted = dataclasses.replace(rotated, blocks=lambda t: calls.append(t) or rotated.blocks(t))
-    batched = speeds_at(counted, times, SLD)
+    counted = dataclasses.replace(base, blocks=lambda t: calls.append(t) or base.blocks(t))
+    assert speeds_at(counted, times, SLD).tobytes() == speeds_at(base, times, SLD).tobytes()
     assert len(calls) == 1 and np.array_equal(calls[0], times)
-    assert_close(batched, speeds_at(base, times, SLD), rel=1e-10)
-
-    # a factor whose derivative doubles doubles every speed, exactly
-    factor_at = model_factor(base)
-    doubled = factor_trajectory(lambda t: (factor_at(t)[0], 2.0 * factor_at(t)[1]), dim=4)
-    assert speeds_at(doubled, times, SLD).tobytes() == (2.0 * speeds_at(factor_trajectory(factor_at, dim=4), times, SLD)).tobytes()
 
     # both callables wrapped, as bench/tracer.py wraps them: the trajectory
     # keeps its blocks, evaluated in their place
@@ -302,10 +294,10 @@ def test_dense_helpers_take_one_eigensolver_per_batch(monkeypatch, key, bath):
         speed_at(traj, 2.5, metric)
         assert calls == []
         rotated = conjugate_trajectory(traj, random_unitary(np.random.default_rng(7), traj.dim))
-        assert_close(speeds_at(rotated, times, metric), want, rel=1e-12)
+        assert_close(factor_speeds(rotated, times, metric), want, rel=1e-12)
         (shape,) = calls
         assert shape[:2] == (7, traj.dim)
-        assert_close(speeds_at(without_analytic_derivative(traj), times, metric), want, rel=1e-6)
+        assert_close(factor_speeds(without_analytic_derivative(traj), times, metric), want, rel=1e-6)
         assert calls == [shape] * 2
         calls.clear()
 

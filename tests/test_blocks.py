@@ -1,5 +1,5 @@
 """The block formulas of the built-in models, their point path on Python
-floats, and the factor path on their conjugated states.
+floats, and the factor oracle on their conjugated states.
 
 The dense ``np.linalg.eigh`` kernel in util.py is the oracle.
 """
@@ -9,7 +9,6 @@ import importlib
 import itertools
 import math
 import sys
-import warnings
 from collections import Counter
 
 import numpy as np
@@ -17,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevspeed import linalg, models, speed
+from qevspeed import models, speed
 from qevspeed.analysis import memory_boundaries
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
@@ -30,11 +29,13 @@ from qevspeed.models import (
     population_complement,
     trajectory_from_key,
 )
-from qevspeed.speed import factor_trajectory, speed_at, speeds_at
+from qevspeed.speed import speed_at, speeds_at
 from util import (
+    FactorTrajectory,
     always_scaled_speeds,
     conjugate_trajectory,
     dense_kernel_speeds,
+    factor_speeds,
     model_factor,
     on_libm,
     random_unitary,
@@ -108,12 +109,12 @@ def block_diagonal_stacks(draw):
 @settings(max_examples=300, deadline=None)
 @given(block_diagonal_stacks(), st.sampled_from(list(MetricKind)))
 def test_block_kernel_matches_the_dense_kernel(stack, metric):
-    """The factor block's sum is the kernel sum on A A^dagger, plus 4 |A'|^2
+    """The factor oracle's sum is the kernel sum on A A^dagger, plus 4 |A'|^2
     of the zero blocks that move (a rank increase), which the states cannot
     carry: their derivative is 0 there."""
     factor, move, leak = stack
-    traj = factor_trajectory(lambda t: (factor, move), dim=factor.shape[-1])
-    got = speeds_at(traj, np.arange(len(factor), dtype=float), metric)
+    traj = FactorTrajectory(lambda t: (factor, move), dim=factor.shape[-1])
+    got = factor_speeds(traj, np.arange(len(factor), dtype=float), metric)
     rho, drho = traj.state_at(np.zeros(len(factor))), traj.derivative_at(np.zeros(len(factor)))
     want = np.sqrt(dense_kernel_speeds(rho, drho, metric) ** 2 + (np.abs(leak) ** 2).sum(axis=(1, 2)))
     for speed, expected, scale in zip(got, want, np.abs(move).max(axis=(1, 2))):
@@ -270,16 +271,10 @@ def test_speed_at_takes_the_float_path(monkeypatch):
             for t in (0.0, 1e-3, 2.5):
                 assert isinstance(speed_at(traj, t, metric), float)
     assert calls == {}
-    # a factor of shape () takes the float path too, and a family of one member the batch
-    u = random_unitary(np.random.default_rng(53), 4)
-    pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
-    assert isinstance(speed_at(conjugate_trajectory(pair, u), 2.5), float)
-    assert calls == {}
+    # a family of one member takes the batch
     family = trajectory_from_key("open-2q-aligned", alpha=np.array([0.7]), Gamma_over_gamma0=0.5)
     speed_at(family, 2.5)
     assert calls == {"_batch_at": 1, "_block_speeds": 1}
-    speed_at(conjugate_trajectory(family, u), 2.5)
-    assert calls == {"_batch_at": 2, "_block_speeds": 2}
 
 
 # parameters of each shape a family can take; a 0-d array is one curve
@@ -418,34 +413,6 @@ def test_states_at_rest_read_exactly_zero(monkeypatch, key, alphas, bath):
         assert calls == {}
         for metric in MetricKind:
             assert speeds_at(traj, [1e-300, 2.5, 45.0, 1400.0], metric).tobytes() == bytes(32)
-
-
-@pytest.mark.parametrize("over", ["warn", "ignore", "raise"])
-def test_a_factors_own_overflow_keeps_the_callers_setting(over):
-    """A hand-written factor runs in its caller's floating-point state on
-    every route, outside a batch's scope: exp(1000 t) overflows to inf
-    inside ``factor_at``, where it adds 1 / (1 + inf) = 0 to the angle of a
-    rotating pure state, and warns, passes silently or raises as set."""
-
-    def factor_at(t):
-        angle = t + 1.0 / (1.0 + np.exp(1000.0 * t))
-        cos, sin = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
-        return np.concatenate([cos, sin], -2), np.concatenate([-sin, cos], -2)
-
-    traj = factor_trajectory(factor_at, dim=2)
-    for evaluate in (lambda: speeds_at(traj, [1.0, 2.0]), lambda: speeds_at(traj, 1.0),
-                     lambda: speed_at(traj, 1.0)):
-        with np.errstate(over=over):
-            if over == "raise":
-                with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
-                    evaluate()
-            elif over == "warn":
-                with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
-                    assert np.all(evaluate() == pytest.approx(1.0, rel=1e-12))
-            else:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    assert np.all(evaluate() == pytest.approx(1.0, rel=1e-12))
 
 
 def test_anti_pair_at_alpha_zero_still_moves():
@@ -734,7 +701,7 @@ def test_a_model_takes_no_end_time():
 
 def test_built_in_models_run_no_eigensolver(monkeypatch):
     """No built-in model calls LAPACK's eigensolvers or its singular value
-    decomposition; a factor trajectory takes one decomposition per batch."""
+    decomposition, on either path and as a family."""
     calls = []
 
     def counted(name):
@@ -754,21 +721,15 @@ def test_built_in_models_run_no_eigensolver(monkeypatch):
         for metric in MetricKind:
             speeds_at(traj, times, metric)
             speed_at(traj, 2.5, metric)
-            speeds_at(trajectory_from_key(key, alpha=np.array([0.3, 0.7]), **bath), 2.5, metric)
+            family = trajectory_from_key(key, alpha=np.array([0.3, 0.7]), **bath)
+            speeds_at(family, 2.5, metric)
+            speeds_at(family, times[:, None], metric)
     assert calls == []
-    # a factor trajectory takes one decomposition per batch, of its stacked factors
-    pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
-    turned = conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4))
-    speeds_at(turned, times)
-    assert calls == [("svd", (50, 4, 4))]
-    qubit = trajectory_from_key("open-1q", alpha=0.7, Gamma_over_gamma0=0.5)
-    speeds_at(conjugate_trajectory(qubit, random_unitary(np.random.default_rng(53), 2)), times)
-    assert calls == [("svd", (50, 4, 4)), ("svd", (50, 2, 2))]
 
 
 def test_dense_qubit_matches_the_closed_form():
-    """A conjugated open-1q is a factor trajectory, which keeps the term of
-    an eigenvalue that touches zero: it reads the closed-form SLD speed to
+    """A conjugated open-1q is a factor trajectory, whose oracle keeps the term
+    of an eigenvalue that touches zero: it reads the closed-form SLD speed to
     1e-10 over the whole grid, tau_n and the late tails included."""
     rng = np.random.default_rng(67)
     times = np.linspace(0.01, 40.0, 400)
@@ -778,56 +739,7 @@ def test_dense_qubit_matches_the_closed_form():
             traj = trajectory_from_key("open-1q", alpha=alpha, Gamma_over_gamma0=ratio)
             turned = conjugate_trajectory(traj, random_unitary(rng, 2))
             closed = [open_qubit_speed_analytic(params, float(t)) for t in times]
-            np.testing.assert_allclose(speeds_at(turned, times), closed, rtol=1e-10, atol=0.0)
-
-
-def test_built_in_models_skip_the_dense_adapter(monkeypatch):
-    """No built-in model takes ``linalg.svd_stack``, on either path and as a
-    family; a factor trajectory takes it once per batch and once per point."""
-    calls = count_calls(monkeypatch, (linalg, "svd_stack"))
-    times = np.linspace(0.0, 20.0, 50)
-    for key, bath in MODEL_CASES:
-        traj = trajectory_from_key(key, alpha=0.7, **bath)
-        family = trajectory_from_key(key, alpha=np.array([0.3, 0.7]), **bath)
-        for metric in MetricKind:
-            speeds_at(traj, times, metric)
-            speed_at(traj, 2.5, metric)
-            speeds_at(family, times[:, None], metric)
-    assert calls == {}
-    pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
-    turned = conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4))
-    speeds_at(turned, times)
-    speed_at(turned, 2.5)
-    assert calls == {"svd_stack": 2}
-
-
-@pytest.mark.parametrize("dim", [2, 4])
-def test_empty_stack_is_an_empty_batch(dim):
-    empty = factor_trajectory(lambda t: (np.zeros(t.shape + (dim, dim)), np.zeros(t.shape + (dim, dim))), dim=dim)
-    assert speeds_at(empty, np.array([])).shape == (0,)
-
-
-@pytest.mark.parametrize("points", [1, 5])
-@pytest.mark.parametrize("power", [-1000, 1000])
-def test_derivative_scale_is_exact(points, power):
-    # factors with blocks of one, two and three indices; a power of two
-    # scales every speed exactly, far beyond the range of the squares
-    rng = np.random.default_rng(59)
-    factor = np.zeros((points, 6, 6), dtype=complex)
-    move = np.zeros_like(factor)
-    for n in range(points):
-        for span in (slice(0, 1), slice(1, 3), slice(3, 6)):
-            size = span.stop - span.start
-            factor[n, span, span] = random_block(rng, "generic", size)
-            move[n, span, span] = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
-        factor[n] /= np.linalg.norm(factor[n])
-    times = np.arange(points, dtype=float)
-    for metric in MetricKind:
-        base = speeds_at(factor_trajectory(lambda t: (factor, move), dim=6), times, metric)
-        scaled = speeds_at(factor_trajectory(lambda t: (factor, move * 2.0**power), dim=6), times, metric)
-        assert scaled.tobytes() == (base * 2.0**power).tobytes()
-        one = factor_trajectory(lambda t: (factor[0], move[0] * 2.0**power), dim=6)
-        assert speed_at(one, 1.0, metric) == base[0] * 2.0**power
+            np.testing.assert_allclose(factor_speeds(turned, times), closed, rtol=1e-10, atol=0.0)
 
 
 TAUS = [tau for tau, _ in memory_boundaries(OpenSystemParams(Gamma=0.1), 3)]
@@ -856,12 +768,12 @@ def conjugated_errors(traj, times, rng):
         sigma = np.linalg.svd(factor_at(np.asarray(t))[0], compute_uv=False)
         for metric in MetricKind:
             want = speed_at(traj, t, metric)
-            yield abs(speed_at(turned, t, metric) - want) / want, sigma[-1] / sigma[0]
+            yield abs(factor_speeds(turned, t, metric) - want) / want, sigma[-1] / sigma[0]
 
 
 @pytest.mark.parametrize("key,alpha,bath", CONJUGATED)
 def test_conjugated_models_match_their_point_path(key, alpha, bath):
-    """A conjugated model is a factor trajectory: it reads the model's own
+    """A conjugated model is a factor trajectory: its oracle reads the model's own
     point path to 1e-13 where sigma_min >= 1e-8 sigma_max, and to 1e-10
     below that, where the touch rule takes over. The grid spans t in
     [1e-3, 40] with the first tau_n and tau_n' of the width."""
@@ -881,7 +793,7 @@ def test_conjugated_models_match_their_point_path(key, alpha, bath):
 )
 def test_conjugated_boundary_speeds(key, alpha, ratio, times):
     """Where an eigenvalue touches zero or falls to 1e-34 of the largest, the
-    factor path keeps its term: conjugated, each model reads its point path
+    factor oracle keeps its term: conjugated, each model reads its point path
     to 1e-13 where sigma_min >= 1e-8 sigma_max and to 1e-10 below, over 20
     random unitaries."""
     rng = np.random.default_rng(89)

@@ -7,7 +7,6 @@ import pytest
 
 import qevspeed.cli as cli
 from qevspeed.analysis import region_report, speedup_boundaries, speedup_equation
-from qevspeed.errors import EigenSolverError
 from qevspeed.models import (
     OpenSystemParams,
     markovian_two_qubit_speed,
@@ -805,14 +804,6 @@ class TestErrors:
     def test_open_model_needs_width(self, capsys):
         assert cli.main(["speed", "--model", "open-1q"]) == 2
         assert "Gamma_over_gamma0" in capsys.readouterr().err
-
-    def test_numerical_failure_maps_to_exit_three(self, monkeypatch, capsys):
-        def boom(config):
-            raise EigenSolverError("singular value decomposition did not converge")
-
-        monkeypatch.setitem(cli._RUNNERS, "regions", boom)
-        assert cli.main(["regions", "--gamma-ratio", "0.1"]) == 3
-        assert "numerical failure" in capsys.readouterr().err
 
     def test_missing_subcommand_is_usage_error(self):
         assert cli.main([]) == 2

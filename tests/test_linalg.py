@@ -1,6 +1,6 @@
-"""``svd_stack``, the package's one decomposition. Of a factor A it gives the
-eigensystem of rho = A A^dagger: the eigenvalues sigma^2 and the
-eigenvectors W."""
+"""``svd_stack``, the decomposition of the factor oracle (``util.factor_speeds``).
+Of a factor A it gives the eigensystem of rho = A A^dagger: the eigenvalues
+sigma^2 and the eigenvectors W."""
 
 import numpy as np
 import pytest

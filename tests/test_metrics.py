@@ -6,9 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qevspeed.errors import MetricRejectionError
-from qevspeed.metrics import MetricKind, mc_kernel, resolve_metric
-from qevspeed.speed import factor_trajectory, speed_at
-from util import fubini_study_speed
+from qevspeed.metrics import MetricKind, resolve_metric
+from util import FactorTrajectory, factor_speeds, fubini_study_speed, mc_kernel
 
 EIGENVALUE_GRID = np.linspace(0.02, 1.0, 15)
 
@@ -83,8 +82,8 @@ def _precessing_state(alpha, beta, omega, t):
 def pure_state_speed(psi, psi_dot, kind):
     """The speed of the pure state |psi><psi| moving at
     |psi_dot><psi| + |psi><psi_dot|: a one-column factor."""
-    pure = factor_trajectory(lambda t: (psi[:, None], psi_dot[:, None]), dim=psi.size)
-    return speed_at(pure, 0.0, kind)
+    pure = FactorTrajectory(lambda t: (psi[:, None], psi_dot[:, None]), dim=psi.size)
+    return float(factor_speeds(pure, 0.0, kind))
 
 
 class TestPureStateSpeed:

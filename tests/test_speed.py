@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qevspeed.metrics import MetricKind, mc_kernel
+from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     OpenSystemParams,
     open_qubit_speed_analytic,
@@ -12,17 +12,19 @@ from qevspeed.models import (
     trajectory_from_key,
 )
 from qevspeed.speed import (
-    TOUCH_TOL,
-    factor_trajectory,
     speed_at,
     speed_curve,
     speeds_at,
     speedup_measures,
 )
 from util import (
+    TOUCH_TOL,
     DegenerateSpectrumError,
+    FactorTrajectory,
     conjugate_trajectory,
+    factor_speeds,
     fubini_study_speed,
+    mc_kernel,
     open_model,
     random_hermitian,
     random_unitary,
@@ -38,7 +40,7 @@ WY = MetricKind.WY
 
 def stationary_trajectory():
     root = np.diag([0.3, 0.7]) ** 0.5
-    return factor_trajectory(stacked(lambda t: (root, 0.0 * root)), dim=2)
+    return FactorTrajectory(stacked(lambda t: (root, 0.0 * root)), dim=2)
 
 
 def diagonal_trajectory():
@@ -49,7 +51,7 @@ def diagonal_trajectory():
         roots = np.array([p, 1.0 - p]) ** 0.5
         return np.diag(roots), np.diag([dp, -dp] / (2.0 * roots))
 
-    return factor_trajectory(stacked(factor), dim=2)
+    return FactorTrajectory(stacked(factor), dim=2)
 
 
 def rotating_mixed_trajectory():
@@ -76,12 +78,12 @@ def rotating_mixed_trajectory():
         # d/dt R D^(1/2) = -i rate generator R D^(1/2) + R d(D^(1/2))/dt
         return root, -1j * rate * generator @ root + rotation @ np.diag([d_dot, -d_dot] / (2.0 * roots))
 
-    return factor_trajectory(stacked(factor), dim=2)
+    return FactorTrajectory(stacked(factor), dim=2)
 
 
 class TestRhoDot:
-    """``derivative_at``: a model's scatters its blocks, and a factor
-    trajectory's is A' A^dagger + A A'^dagger."""
+    """``derivative_at``: a model's scatters its blocks, and the factor
+    oracle's is A' A^dagger + A A'^dagger."""
 
     def test_stationary_is_zero(self):
         d = stationary_trajectory().derivative_at(1.0)
@@ -126,7 +128,7 @@ class TestSpeedAt:
             assert speed_at(traj, t, SLD) == pytest.approx(0.48, rel=1e-12)
 
     def test_stationary_speed_is_zero(self):
-        assert speed_at(stationary_trajectory(), 1.0, SLD) == pytest.approx(0.0, abs=1e-10)
+        assert factor_speeds(stationary_trajectory(), 1.0, SLD) == pytest.approx(0.0, abs=1e-10)
 
     def test_markovian_qubit_value(self):
         # S = 1 / (2 sqrt(e - 1)) at t = 1 for alpha = 1
@@ -140,29 +142,21 @@ class TestSpeedAt:
         assert speed_at(traj, 0.0, SLD) == pytest.approx(math.sqrt(0.05), rel=1e-12)
 
     def test_out_of_range_rejected(self):
-        # a trajectory is defined for every t >= 0, a hand-written one too
+        # a trajectory is defined for every t >= 0
+        traj = trajectory_from_key("closed-1q", alpha=0.6, omega=1.0)
         with pytest.raises(ValueError, match=r"^t = -1.0 outside trajectory range \[0, inf\)$"):
-            speed_at(stationary_trajectory(), -1.0, SLD)
-        assert speed_at(stationary_trajectory(), 1e3, SLD) == pytest.approx(0.0, abs=1e-10)
-
-    def test_states_must_match_declared_dim(self):
-        root = np.diag([0.3, 0.7]) ** 0.5
-        traj = factor_trajectory(stacked(lambda t: (root, 0.0 * root)), dim=4)
-        with pytest.raises(ValueError, match=r"declares dim=4 but its factors have 2 rows"):
-            speeds_at(traj, np.array([1.0, 2.0]), SLD)
-        with pytest.raises(ValueError, match=r"declares dim=4 but its factors have 2 rows"):
-            speed_at(traj, 1.0, SLD)
+            speed_at(traj, -1.0, SLD)
+        assert speed_at(traj, 1e3, SLD) == pytest.approx(0.48, rel=1e-12)
 
     @pytest.mark.parametrize(
         "traj",
         [
-            stationary_trajectory(),
             trajectory_from_key("closed-2q-aligned", alpha=0.6),
             trajectory_from_key("open-1q", alpha=0.6, Gamma_over_gamma0=0.1),
             trajectory_from_key("closed-1q", alpha=np.array([0.2, 0.6, 0.9])),
             trajectory_from_key("open-1q", alpha=np.array([0.2, 0.6, 0.9]), Gamma_over_gamma0=0.1),
         ],
-        ids=["hand-written", "closed", "open", "closed-family", "open-family"],
+        ids=["closed", "open", "closed-family", "open-family"],
     )
     def test_empty_batches(self, traj):
         """No times give an empty batch of the shape some times give: the
@@ -188,23 +182,6 @@ class TestSpeedAt:
         for traj in trajectories:
             for t in np.linspace(0.1, 8.0, 25):
                 assert speed_at(traj, float(t), SLD) >= 0.0
-
-    # a state with one eigenvalue is pure: its speed is 0 on both paths
-    def test_one_by_one_batch(self):
-        one = factor_trajectory(lambda t: (np.ones(t.shape + (1, 1)), np.zeros(t.shape + (1, 1))), dim=1)
-        assert speeds_at(one, np.array([0.5, 1.0, 2.0]), SLD).tolist() == [0.0, 0.0, 0.0]
-
-    def test_one_by_one_point(self):
-        one = factor_trajectory(lambda t: (np.ones((1, 1)), np.zeros((1, 1))), dim=1)
-        assert speed_at(one, 1.0, WY) == 0.0
-        speeds = speeds_at(one, 1.0, WY)
-        assert speeds.shape == () and speeds == 0.0
-
-    def test_one_dimensional_trajectory(self):
-        # a turning phase of the factor is a gauge: the state rests
-        phase = factor_trajectory(stacked(lambda t: ([[np.exp(1j * t)]], [[1j * np.exp(1j * t)]])), dim=1)
-        assert speeds_at(phase, np.array([0.5, 2.0]), SLD) == pytest.approx([0.0, 0.0], abs=1e-15)
-        assert speed_at(phase, 1.0, SLD) == pytest.approx(0.0, abs=1e-15)
 
 
 WIDTHS = [{"Gamma": 0.1}, {"Gamma": 2.0}, {"Gamma": 10.0}, {"markovian_limit": True}]
@@ -300,7 +277,7 @@ SMALL = [1e-4, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 1e-16, 0.0]
 
 
 class TestTolerances:
-    """``TOUCH_TOL``, the factor path's one tolerance, on each side."""
+    """``TOUCH_TOL``, the factor oracle's one tolerance, on each side."""
 
     @pytest.mark.parametrize("side", [0.99, 1.01])
     def test_rank_cut(self, side):
@@ -309,8 +286,8 @@ class TestTolerances:
         # the cut (sigma counts as 0) and sigma / sqrt(1 + sigma^2) above
         small = side * TOUCH_TOL
         move = np.array([[0.0, 1.0], [0.0, 0.0]])
-        traj = factor_trajectory(lambda t: (np.diag([1.0, small]), move), dim=2)
-        speed = speed_at(traj, 1.0, SLD)
+        traj = FactorTrajectory(lambda t: (np.diag([1.0, small]), move), dim=2)
+        speed = factor_speeds(traj, 1.0, SLD)
         if side < 1.0:
             assert speed == 0.0
         else:
@@ -320,7 +297,7 @@ class TestTolerances:
     @pytest.mark.parametrize("metric", list(MetricKind))
     def test_random_factors_on_each_side(self, metric, tail):
         """One or two small singular values on either side of the cut, of
-        random factors: the factor path meets the analytic F to 1e-10."""
+        random factors: the factor oracle meets the analytic F to 1e-10."""
         rng = np.random.default_rng(71)
         worst = 0.0
         for dim in (2, 3, 4):
@@ -333,7 +310,7 @@ class TestTolerances:
                     if not tail:
                         dsigma_terms[p == 0.0] = 4.0 * 0.8**2
                     want = analytic_fisher(metric, p, dsigma_terms, omega)
-                    got = 4.0 * speed_at(factor_trajectory(lambda t: (factor, move), dim=dim), 1.0, metric) ** 2
+                    got = 4.0 * factor_speeds(FactorTrajectory(lambda t: (factor, move), dim=dim), 1.0, metric) ** 2
                     worst = max(worst, abs(got - want) / want)
         assert worst <= 1e-10
 
@@ -363,11 +340,11 @@ class TestSpectralForm:
     def test_agrees_with_kernel_sum_on_rotating_state(self):
         traj = rotating_mixed_trajectory()
         for t in (0.4, 1.1, 2.9, 5.0):
-            direct = speed_at(traj, t, SLD)
+            direct = float(factor_speeds(traj, t, SLD))
             spectral = speed_spectral_form(traj, t, SLD)
             assert spectral == pytest.approx(direct, rel=1e-6)
             assert speed_spectral_form(traj, t, WY) == pytest.approx(
-                speed_at(traj, t, WY), rel=1e-6
+                float(factor_speeds(traj, t, WY)), rel=1e-6
             )
 
     def test_degenerate_spectrum_raises(self):
@@ -457,7 +434,7 @@ class TestInvariants:
             rotated = conjugate_trajectory(traj, u)
             for t in np.linspace(0.2, 6.0, 12):
                 t = float(t)
-                assert speed_at(rotated, t, SLD) == pytest.approx(
+                assert float(factor_speeds(rotated, t, SLD)) == pytest.approx(
                     speed_at(traj, t, SLD), abs=1e-10, rel=1e-10
                 )
 

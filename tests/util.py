@@ -5,13 +5,15 @@ from __future__ import annotations
 import functools
 import json
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from qevspeed import analysis
+from qevspeed import analysis, linalg
 from qevspeed.cli import TableResult
 from qevspeed.errors import NumericalFailure
-from qevspeed.metrics import MetricKind, mc_kernel
+from qevspeed.metrics import MetricKind
 from qevspeed.models import OpenSystemParams, trajectory_from_key
 from qevspeed.speed import (
     DEFAULT_TIME_STEP,
@@ -19,7 +21,6 @@ from qevspeed.speed import (
     _binary_scale,
     _fisher,
     _scaled,
-    factor_trajectory,
     stencil_step,
 )
 
@@ -31,6 +32,77 @@ EIG_DEGENERACY_TOL = 1e-9
 # 1e4 times eigh's eigenvalue rounding on a unit-trace state, so an
 # eigenvalue that is 0 in exact arithmetic is always below it.
 INERT_EIGENVALUE_TOL = 1e-12
+
+# A factor's singular value at or below TOUCH_TOL times its largest counts as 0 (``factor_speeds``). Above it, the
+# decomposition's vectors err by about eps sigma_max / sigma, and the kernel sum's error grows as the square of that;
+# below it, the touch rule errs by about sigma / sigma_max. The two errors meet near eps^(2/3), about 2^-35.
+TOUCH_TOL = 2.0**-35
+
+
+def mc_kernel(kind: MetricKind, x, y, where=True) -> np.ndarray:
+    """The metric kernel c(x, y) elementwise over broadcast arrays of
+    eigenvalues: 2 / (x + y) under SLD, 4 / (sqrt(x) + sqrt(y))^2 under WY,
+    the latter accurate for tiny arguments. Unchecked; entries where
+    ``where`` is False (the boundary pairs with x + y = 0, which callers
+    must drop) are 0, from a division by infinity."""
+    if kind is MetricKind.SLD:
+        return 2.0 / np.where(where, np.add(x, y), np.inf)
+    root = np.where(where, np.sqrt(x) + np.sqrt(y), np.inf)
+    return 4.0 / (root * root)
+
+
+@dataclass(frozen=True)
+class FactorTrajectory:
+    """Oracle for the block formulas: the curve t -> A_t A_t^dagger of a
+    hand-written factor, whose speeds ``factor_speeds`` sums from one
+    singular value decomposition, independent of the blocks' layout.
+
+    ``factor_at`` takes an array of times and returns (A_t, A'_t), the
+    factors and their analytic time derivatives stacked along the times'
+    shape, each of shape (..., dim, r): the columns [K_i psi] of a Kraus sum
+    or a purification give one directly."""
+
+    factor_at: Callable[[np.ndarray], tuple]
+    dim: int
+
+    def factors(self, t) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.asarray(x, dtype=complex) for x in self.factor_at(np.asarray(t, dtype=float)))
+
+    def state_at(self, t) -> np.ndarray:
+        factor, _ = self.factors(t)
+        return factor @ factor.conj().swapaxes(-2, -1)
+
+    def derivative_at(self, t) -> np.ndarray:
+        factor, move = self.factors(t)
+        half = move @ factor.conj().swapaxes(-2, -1)
+        return half + half.conj().swapaxes(-2, -1)
+
+
+def factor_speeds(traj: FactorTrajectory, t, metric: MetricKind = MetricKind.SLD) -> np.ndarray:
+    """Speeds of a ``FactorTrajectory`` at the times ``t``, one per stacked
+    factor, from the decomposition A = W Sigma V^dagger of the stack
+    (``linalg.svd_stack``).
+
+    With B = W^dagger A' V, the derivative in the basis W is M = X + X^dagger,
+    X = B Sigma^T, and F is its kernel sum over the eigenvalues sigma^2,
+    whose diagonal terms are 4 (Re B_kk)^2. A singular value at or below
+    ``TOUCH_TOL`` times the largest counts as 0: a null row l and a null
+    column k (past the singular values too) add 4 |B_lk|^2, the limit of the
+    terms of eigenvalues that touch zero, whatever the basis of the null
+    spaces. F is summed unscaled, so it must be a finite float.
+    """
+    factor, move = traj.factors(t)
+    w, sigma, vh = linalg.svd_stack(factor)
+    d, r, n = w.shape[-1], vh.shape[-1], sigma.shape[-1]
+    left, right = (np.zeros(sigma.shape[:-1] + (k,)) for k in (d, r))  # Sigma's diagonal, padded on either side
+    left[..., :n] = right[..., :n] = np.where(sigma <= TOUCH_TOL * sigma[..., :1], 0.0, sigma)
+    pk, pl = left[..., :, None] ** 2, left[..., None, :] ** 2
+    b = w.conj().swapaxes(-2, -1) @ move @ vh.conj().swapaxes(-2, -1)
+    x = (b * right[..., None, :]) @ np.eye(r, d)
+    m = x + x.conj().swapaxes(-2, -1)
+    total = (mc_kernel(metric, pk, pl, where=pk + pl > 0.0) * (m.real**2 + m.imag**2)).sum(axis=(-2, -1))
+    touched = np.where((left[..., :, None] == 0.0) & (right[..., None, :] == 0.0), b.real**2 + b.imag**2, 0.0)
+    return 0.5 * np.sqrt(total + 4.0 * touched.sum(axis=(-2, -1)))
 
 
 def libm(func):
@@ -91,19 +163,19 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * phases
 
 
-def model_factor(traj: Trajectory):
-    """A factor function (``factor_trajectory``) of any trajectory: its own
-    factor block, or one built from a model's ray and pair blocks. A ray is
+def model_factor(traj: Trajectory | FactorTrajectory):
+    """A factor function (``FactorTrajectory``) of any trajectory: its own
+    factor, or one built from a model's ray and pair blocks. A ray is
     the column s phi. A pair [[a, w], [w*, c]] is two Cholesky columns,
     pivoted on the larger diagonal with the signed root as the second
     pivot, [[sqrt a, 0], [w*/sqrt a, s/sqrt a]] when a >= c (and the same
     with the indices swapped otherwise); their derivatives follow by the
     quotient rule. A 0-d time takes the model's point path, on floats."""
+    if isinstance(traj, FactorTrajectory):
+        return traj.factors
 
     def factor_at(t):
         blocks = traj.blocks(float(t) if np.ndim(t) == 0 else t)
-        if blocks[0][0] is None:
-            return blocks[0][1], blocks[0][2]
         columns = []  # each a list of (row, entry, derivative)
         for indices, state, move, *ray in blocks:
             if len(state) == 2:
@@ -134,14 +206,9 @@ def model_factor(traj: Trajectory):
     return factor_at
 
 
-def _carried(traj: Trajectory) -> dict:
-    """The fields of ``traj`` that a trajectory built from it keeps."""
-    return {"dim": traj.dim, "params": traj.params, "speed_at_zero": traj.speed_at_zero, "shape": traj.shape}
-
-
-def conjugate_trajectory(traj: Trajectory, unitary: np.ndarray) -> Trajectory:
+def conjugate_trajectory(traj: Trajectory, unitary: np.ndarray) -> FactorTrajectory:
     """The trajectory t -> U rho_t U^dagger, as the factor U A_t of
-    ``model_factor``, with everything else carried over."""
+    ``model_factor``."""
     u = np.asarray(unitary, dtype=complex)
     factor_at = model_factor(traj)
 
@@ -149,7 +216,7 @@ def conjugate_trajectory(traj: Trajectory, unitary: np.ndarray) -> Trajectory:
         factor, move = factor_at(t)
         return u @ factor, u @ move
 
-    return factor_trajectory(rotated, **_carried(traj))
+    return FactorTrajectory(rotated, traj.dim)
 
 
 def open_model(key: str, p: OpenSystemParams, **kwargs) -> Trajectory:
@@ -161,7 +228,7 @@ def open_model(key: str, p: OpenSystemParams, **kwargs) -> Trajectory:
 
 
 def stacked(func):
-    """A factor function (``factor_trajectory``) from ``func``, which takes
+    """A factor function (``FactorTrajectory``) from ``func``, which takes
     one time and returns (A, A'): both at every time of an array, stacked
     along its axes."""
 
@@ -173,7 +240,7 @@ def stacked(func):
     return at
 
 
-def without_analytic_derivative(traj: Trajectory, step: float = DEFAULT_TIME_STEP) -> Trajectory:
+def without_analytic_derivative(traj: Trajectory, step: float = DEFAULT_TIME_STEP) -> FactorTrajectory:
     """Oracle for the analytic derivatives: the factor trajectory of
     ``model_factor``, its derivative replaced by central differences of its
     factors, of half-width ``step`` (one-sided at t = 0)."""
@@ -186,7 +253,7 @@ def without_analytic_derivative(traj: Trajectory, step: float = DEFAULT_TIME_STE
         width = np.where(forward, step, 2.0 * step)
         return factor_at(t)[0], (factor_at(t + step)[0] - factor_at(minus)[0]) / width[..., None, None]
 
-    return factor_trajectory(differenced, **_carried(traj))
+    return FactorTrajectory(differenced, traj.dim)
 
 
 def dense_kernel_speeds(rho, drho, metric: MetricKind = MetricKind.SLD) -> np.ndarray:
@@ -195,7 +262,7 @@ def dense_kernel_speeds(rho, drho, metric: MetricKind = MetricKind.SLD) -> np.nd
     derivative elements |V^dagger drho V| in that eigenbasis. Eigenvalues
     below ``INERT_EIGENVALUE_TOL`` are 0, and pairs of them are dropped: rho
     and its derivative cannot carry the terms of an eigenvalue that touches
-    zero, which the factor path adds."""
+    zero, which ``factor_speeds`` adds."""
     values, vectors = np.linalg.eigh(np.asarray(rho, dtype=complex))
     p = np.where(values < INERT_EIGENVALUE_TOL, 0.0, values)
     magnitude = np.abs(vectors.conj().swapaxes(-2, -1) @ np.asarray(drho, dtype=complex) @ vectors)
