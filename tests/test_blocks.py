@@ -9,6 +9,7 @@ import importlib
 import itertools
 import math
 import sys
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qevspeed import models, speed
+from qevspeed import linalg, models, speed
 from qevspeed.analysis import memory_boundaries
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
@@ -29,7 +30,7 @@ from qevspeed.models import (
     population_complement,
     trajectory_from_key,
 )
-from qevspeed.speed import speed_at, speeds_at
+from qevspeed.speed import Trajectory, speed_at, speeds_at
 from util import (
     FactorTrajectory,
     always_scaled_speeds,
@@ -415,6 +416,52 @@ def test_states_at_rest_read_exactly_zero(monkeypatch, key, alphas, bath):
             assert speeds_at(traj, [1e-300, 2.5, 45.0, 1400.0], metric).tobytes() == bytes(32)
 
 
+def rotating_pure_blocks(t):
+    """The blocks of a pure state rotating at unit rate, |psi> = (cos, sin)
+    at the angle t + 1 / (1 + exp(1000 t)), as one pair with root 0; the
+    moves take the angle's rate as 1."""
+    angle = t + 1.0 / (1.0 + np.exp(1000.0 * t))
+    cos, sin = np.cos(angle), np.sin(angle)
+    zero = 0.0 * angle
+    state = (cos * cos, sin * sin, cos * sin, zero, zero)
+    move = (-2.0 * cos * sin, 2.0 * cos * sin, cos * cos - sin * sin, zero, zero)
+    return [((0, 1), state, move)]
+
+
+@pytest.mark.parametrize("over", ["warn", "ignore", "raise"])
+def test_a_factors_own_overflow_keeps_the_callers_setting(over):
+    """A hand-written factor runs in its caller's floating-point state on
+    every route of the oracle, and a hand-written block function on the
+    point path: exp(1000 t) overflows to inf there, where it adds
+    1 / (1 + inf) = 0 to the angle of a rotating pure state, and warns,
+    passes silently or raises as set. The batch path holds its own scope,
+    in which it passes silently."""
+
+    def factor_at(t):
+        angle = t + 1.0 / (1.0 + np.exp(1000.0 * t))
+        cos, sin = np.cos(angle)[..., None, None], np.sin(angle)[..., None, None]
+        return np.concatenate([cos, sin], -2), np.concatenate([-sin, cos], -2)
+
+    traj = FactorTrajectory(factor_at, dim=2)
+    curve = Trajectory(dim=2, state_at=None, derivative_at=None, blocks=rotating_pure_blocks)
+    for evaluate in (lambda: factor_speeds(traj, [1.0, 2.0]), lambda: factor_speeds(traj, 1.0),
+                     lambda: speed_at(curve, 1.0)):
+        with np.errstate(over=over):
+            if over == "raise":
+                with pytest.raises(FloatingPointError, match="overflow encountered in exp"):
+                    evaluate()
+            elif over == "warn":
+                with pytest.warns(RuntimeWarning, match="overflow encountered in exp"):
+                    assert np.all(evaluate() == pytest.approx(1.0, rel=1e-12))
+            else:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert np.all(evaluate() == pytest.approx(1.0, rel=1e-12))
+    with np.errstate(over=over), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert speeds_at(curve, [1.0, 2.0]) == pytest.approx([1.0, 1.0], rel=1e-12)
+
+
 def test_anti_pair_at_alpha_zero_still_moves():
     """The open anti pair at alpha 0 starts in |01>, which decays: not a state at rest."""
     traj = trajectory_from_key("open-2q-anti", alpha=0.0, Gamma_over_gamma0=0.5)
@@ -740,6 +787,71 @@ def test_dense_qubit_matches_the_closed_form():
             turned = conjugate_trajectory(traj, random_unitary(rng, 2))
             closed = [open_qubit_speed_analytic(params, float(t)) for t in times]
             np.testing.assert_allclose(factor_speeds(turned, times), closed, rtol=1e-10, atol=0.0)
+
+
+def test_built_in_models_skip_the_dense_adapter(monkeypatch):
+    """No built-in model takes ``linalg.svd_stack``, on either path and as a
+    family; the factor oracle takes it once per batch and once per point."""
+    calls = count_calls(monkeypatch, (linalg, "svd_stack"))
+    times = np.linspace(0.0, 20.0, 50)
+    for key, bath in MODEL_CASES:
+        traj = trajectory_from_key(key, alpha=0.7, **bath)
+        family = trajectory_from_key(key, alpha=np.array([0.3, 0.7]), **bath)
+        for metric in MetricKind:
+            speeds_at(traj, times, metric)
+            speed_at(traj, 2.5, metric)
+            speeds_at(family, times[:, None], metric)
+    assert calls == {}
+    pair = trajectory_from_key("open-2q-aligned", alpha=0.7, Gamma_over_gamma0=0.5)
+    turned = conjugate_trajectory(pair, random_unitary(np.random.default_rng(53), 4))
+    factor_speeds(turned, times)
+    factor_speeds(turned, 2.5)
+    assert calls == {"svd_stack": 2}
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+def test_empty_stack_is_an_empty_batch(dim):
+    """No times give an empty batch, of the oracle and of a hand-written
+    block curve, whose block function is not called."""
+    empty = FactorTrajectory(lambda t: (np.zeros(t.shape + (dim, dim)), np.zeros(t.shape + (dim, dim))), dim=dim)
+    assert factor_speeds(empty, np.array([])).shape == (0,)
+    rays = Trajectory(dim=dim, state_at=None, derivative_at=None, blocks=lambda t: pytest.fail("blocks called"))
+    assert speeds_at(rays, np.array([])).shape == (0,)
+
+
+def random_blocks(rng, points: int):
+    """Blocks of a random state of dim 6, stacked over ``points``: a ray on
+    one index, a pair, a ray along a unit vector over two indices and a ray
+    on one more, with normal random moves."""
+    p0, p3, p5 = rng.uniform(0.1, 1.0, (3, points))
+    a, c = rng.uniform(0.5, 1.0, (2, points))
+    wr, wi = rng.uniform(-0.3, 0.3, (2, points))
+    total = p0 + a + c + p3 + p5
+    p0, a, c, wr, wi, p3, p5 = (x / total for x in (p0, a, c, wr, wi, p3, p5))
+    moves = rng.standard_normal((11, points))
+    return [
+        ((0,), (p0, np.sqrt(p0)), tuple(moves[0:2])),
+        ((1, 2), (a, c, wr, wi, np.sqrt(a * c - wr * wr - wi * wi)), tuple(moves[2:7])),
+        ((3, 4), (p3, np.sqrt(p3)), tuple(moves[7:9]), (0.6, 0.8)),
+        ((5,), (p5, np.sqrt(p5)), tuple(moves[9:11])),
+    ]
+
+
+@pytest.mark.parametrize("points", [1, 5])
+@pytest.mark.parametrize("power", [-1000, 1000])
+def test_derivative_scale_is_exact(points, power):
+    # hand-written blocks, rays and a pair; a power of two scales every
+    # speed exactly, far beyond the range of the squares, on both paths
+    blocks = random_blocks(np.random.default_rng(59), points)
+    scaled = [(b[0], b[1], tuple(x * 2.0**power for x in b[2]), *b[3:]) for b in blocks]
+    first = [(b[0], tuple(float(x[0]) for x in b[1]), tuple(float(x[0]) for x in b[2]), *b[3:]) for b in scaled]
+    times = np.arange(1, points + 1, dtype=float)
+    for metric in MetricKind:
+        base = speeds_at(Trajectory(dim=6, state_at=None, derivative_at=None, blocks=lambda t: blocks), times, metric)
+        grown = speeds_at(Trajectory(dim=6, state_at=None, derivative_at=None, blocks=lambda t: scaled), times, metric)
+        assert grown.tobytes() == (base * 2.0**power).tobytes()
+        one = Trajectory(dim=6, state_at=None, derivative_at=None, blocks=lambda t: first)
+        assert speed_at(one, 1.0, metric) == base[0] * 2.0**power
 
 
 TAUS = [tau for tau, _ in memory_boundaries(OpenSystemParams(Gamma=0.1), 3)]

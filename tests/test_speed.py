@@ -5,6 +5,7 @@ import pytest
 
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
+    MODEL_KEYS,
     OpenSystemParams,
     open_qubit_speed_analytic,
     open_two_qubit_speed_analytic,
@@ -12,6 +13,7 @@ from qevspeed.models import (
     trajectory_from_key,
 )
 from qevspeed.speed import (
+    Trajectory,
     speed_at,
     speed_curve,
     speeds_at,
@@ -41,6 +43,13 @@ WY = MetricKind.WY
 def stationary_trajectory():
     root = np.diag([0.3, 0.7]) ** 0.5
     return FactorTrajectory(stacked(lambda t: (root, 0.0 * root)), dim=2)
+
+
+def stationary_blocks():
+    """A hand-written curve in ``Trajectory``'s block layout that rests at
+    diag(0.3, 0.7): two rays (index, (p, s), (dp, ds)) that do not move."""
+    rays = [((0,), (0.3, 0.3**0.5), (0.0, 0.0)), ((1,), (0.7, 0.7**0.5), (0.0, 0.0))]
+    return Trajectory(dim=2, state_at=None, derivative_at=None, blocks=lambda t: rays)
 
 
 def diagonal_trajectory():
@@ -148,15 +157,33 @@ class TestSpeedAt:
             speed_at(traj, -1.0, SLD)
         assert speed_at(traj, 1e3, SLD) == pytest.approx(0.48, rel=1e-12)
 
+    def test_states_must_match_declared_dim(self):
+        """Every model's states and derivatives are of its declared dim, on
+        one time and on a batch; the factor oracle rejects factors of another
+        size on either."""
+        for key in MODEL_KEYS:
+            bath = {} if key.startswith("closed") else {"Gamma_over_gamma0": 0.5}
+            traj = trajectory_from_key(key, alpha=0.6, **bath)
+            for t in (1.0, np.array([1.0, 2.0])):
+                for matrices in (traj.state_at(t), traj.derivative_at(t)):
+                    assert matrices.shape == np.shape(t) + (traj.dim, traj.dim), key
+        root = np.diag([0.3, 0.7]) ** 0.5
+        traj = FactorTrajectory(stacked(lambda t: (root, 0.0 * root)), dim=4)
+        with pytest.raises(ValueError, match=r"declares dim=4 but its factors have 2 rows"):
+            factor_speeds(traj, np.array([1.0, 2.0]), SLD)
+        with pytest.raises(ValueError, match=r"declares dim=4 but its factors have 2 rows"):
+            factor_speeds(traj, 1.0, SLD)
+
     @pytest.mark.parametrize(
         "traj",
         [
+            stationary_blocks(),
             trajectory_from_key("closed-2q-aligned", alpha=0.6),
             trajectory_from_key("open-1q", alpha=0.6, Gamma_over_gamma0=0.1),
             trajectory_from_key("closed-1q", alpha=np.array([0.2, 0.6, 0.9])),
             trajectory_from_key("open-1q", alpha=np.array([0.2, 0.6, 0.9]), Gamma_over_gamma0=0.1),
         ],
-        ids=["closed", "open", "closed-family", "open-family"],
+        ids=["hand-written", "closed", "open", "closed-family", "open-family"],
     )
     def test_empty_batches(self, traj):
         """No times give an empty batch of the shape some times give: the
@@ -182,6 +209,28 @@ class TestSpeedAt:
         for traj in trajectories:
             for t in np.linspace(0.1, 8.0, 25):
                 assert speed_at(traj, float(t), SLD) >= 0.0
+
+    # a state with one eigenvalue is pure: its speed is 0 on both paths
+    def test_one_by_one_batch(self):
+        one = Trajectory(dim=1, state_at=None, derivative_at=None, blocks=lambda t: [((0,), (1.0, 1.0), (0.0, 0.0))])
+        assert speeds_at(one, np.array([0.5, 1.0, 2.0]), SLD).tolist() == [0.0, 0.0, 0.0]
+
+    def test_one_by_one_point(self):
+        one = Trajectory(dim=1, state_at=None, derivative_at=None, blocks=lambda t: [((0,), (1.0, 1.0), (0.0, 0.0))])
+        assert speed_at(one, 1.0, WY) == 0.0
+        speeds = speeds_at(one, 1.0, WY)
+        assert speeds.shape == () and speeds == 0.0
+
+    def test_one_dimensional_trajectory(self):
+        # a turning phase of the factor is a gauge: the state rests, by the
+        # oracle and by the blocks, whose root may take either sign
+        phase = FactorTrajectory(stacked(lambda t: ([[np.exp(1j * t)]], [[1j * np.exp(1j * t)]])), dim=1)
+        assert factor_speeds(phase, np.array([0.5, 2.0]), SLD) == pytest.approx([0.0, 0.0], abs=1e-15)
+        assert factor_speeds(phase, 1.0, SLD) == pytest.approx(0.0, abs=1e-15)
+        signed = Trajectory(dim=1, state_at=None, derivative_at=None, blocks=lambda t: [((0,), (1.0, -1.0), (0.0, 0.0))])
+        for metric in MetricKind:
+            assert speeds_at(signed, np.array([0.5, 2.0]), metric).tolist() == [0.0, 0.0]
+            assert speed_at(signed, 1.0, metric) == 0.0
 
 
 WIDTHS = [{"Gamma": 0.1}, {"Gamma": 2.0}, {"Gamma": 10.0}, {"markovian_limit": True}]

@@ -66,7 +66,10 @@ class FactorTrajectory:
     dim: int
 
     def factors(self, t) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(np.asarray(x, dtype=complex) for x in self.factor_at(np.asarray(t, dtype=float)))
+        factor, move = (np.asarray(x, dtype=complex) for x in self.factor_at(np.asarray(t, dtype=float)))
+        if factor.shape[-2] != self.dim:
+            raise ValueError(f"a factor trajectory declares dim={self.dim} but its factors have {factor.shape[-2]} rows")
+        return factor, move
 
     def state_at(self, t) -> np.ndarray:
         factor, _ = self.factors(t)
