@@ -31,11 +31,11 @@ from .speed import Trajectory, speed_curve, speedup_measures, speeds_at
 
 SWEEP_PARAMS = ("t", "alpha", "C", "Omega", "Gamma_over_gamma0")
 
-# ``detect`` flags a speedup where dS/dxi > SLOPE_NOISE_TOL * |S|. The slope
-# is a central difference over 2h >= 2e-5 (h = DEFAULT_TIME_STEP * max(1, |xi|))
-# of speeds with a relative error of a few eps, so rounding alone reaches
-# about 2e-11 |S| - the whole slope of a constant-speed closed model. The
-# floor leaves a margin of 50.
+# ``detect`` flags a speedup where dS/dxi > SLOPE_NOISE_TOL * |S|. The slope is a central difference over 2h >= 2e-5
+# (h = DEFAULT_TIME_STEP * max(1, |xi|)) of rounded speeds. A closed time slope is exactly 0; closed alpha and C slopes
+# carry at most 1.4e-11 |S| of rounding at alpha in [0.1, 0.9] (against exact differences of the same stencil), growing
+# as 1 / (1 - alpha^2) past it, where the slope is steeply negative. The floor leaves a margin of 70. It decides a flag
+# only within 1e-9 |S| of a sign change: on closed alpha sweeps, within about 1e-10 of alpha = 1/sqrt(2).
 SLOPE_NOISE_TOL = 1e-9
 
 # Config-file key -> the JSON type its value must have. JSON true and false

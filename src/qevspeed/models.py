@@ -24,7 +24,7 @@ functions for Gamma > 2, the degenerate form exp(-Gamma t / 2)(1 + Gamma t / 2)
 at kappa = 0, and exp(-t / 2) in the Markovian limit Gamma -> infinity.
 
 One builder makes all six: a closed model is the damped one with the bath
-switched off (G_t = 1) and the precession phase on its coherence.
+switched off (G_t = 1) and the precession phase on its dense states.
 """
 
 from __future__ import annotations
@@ -281,19 +281,26 @@ def population_complement(p: OpenSystemParams, t: float) -> float:
 # smooth signed root s of its determinant, so a whole grid is built in one
 # call. It takes its time unchecked and runs in its caller's floating-point
 # state: ``speeds_at`` and ``_scatter`` check the time and hold the scope.
-# ``state_at`` and ``derivative_at`` scatter the blocks.
+# ``state_at`` and ``derivative_at`` scatter the blocks and apply the phase.
 
 
-def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
+def _scatter(dim: int, blocks, turns: float, w: float, part: int, t) -> np.ndarray:
     """The dense state (``part`` 1) or derivative (2) matrices of the blocks
     at times ``t``, checked as ``speeds_at`` checks them, stacked along
     their broadcast shape. It holds the block function's floating-point
-    scope, with underflow and overflow ignored, as ``speeds_at`` does."""
+    scope, with underflow and overflow ignored, as ``speeds_at`` does. It
+    turns each pair by the phase turns (w t), clamped where it stays finite."""
     _check_time(t)
     with np.errstate(under="ignore", over="ignore"):
         entries = [(block[0], block[part], *block[3:]) for block in blocks(t)]
     shape = np.broadcast_shapes(np.shape(t), *(np.shape(x) for _, *lists in entries for xs in lists for x in xs))
     out = np.zeros(shape + (dim, dim), dtype=complex)
+    if turns:  # one point on libm (numpy's float64, a 0-d time's phase, is a float), a batch on numpy's
+        wrap = sys.float_info.max / turns / max(w, 1.0 / turns)
+        wrap = math.nextafter(wrap, 0.0) if turns * (w * wrap) == math.inf else wrap
+        phase = turns * (w * ((t if t <= wrap else wrap) if isinstance(t, float) else np.minimum(t, wrap)))
+        xp = math if isinstance(phase, float) else np
+        cos, sin = xp.cos(phase), xp.sin(phase)
     for indices, xs, *ray in entries:
         for u, v in ray:  # a ray's vector: p phi phi^T in np.kron's order, root (phi_i phi_j) root, root = sqrt(p)
             left, right = (np.sqrt(xs[0]),) * 2 if part == 1 else (xs[0], 1.0)
@@ -302,6 +309,7 @@ def _scatter(dim: int, blocks, part: int, t) -> np.ndarray:
             out.real[..., i, i] = x
         if len(indices) == 2:
             (i, j), (re, im) = indices, xs[2:4]
+            re, im = (re * cos + im * sin, im * cos - re * sin) if turns else (re, im)
             out.real[..., i, j] = out.real[..., j, i] = re
             out.imag[..., i, j], out.imag[..., j, i] = im, -im
     return out
@@ -329,26 +337,17 @@ def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
     (1-P_t)|00><00|, whose P_t along phi0 is a ray: its speed is |G'_t| / c_t
     at any alpha. Every closed-model root is 0 (c_t = 0) but the ray's.
     A block function per layout is bound at build, over an entry function per
-    bath: a closed model's computes only the phase (G = 1), an open one's none.
+    bath (a closed model's returns constants), and states phase 0: ``_scatter``
+    applies the phase.
     """
     b = math.sqrt(1.0 - a * a) if isinstance(a, float) else np.sqrt(1.0 - a * a)
     aa, ab, bb = a * a, a * b, b * b
     turns = {"1q": 1.0, "aligned": 2.0, "anti": 0.0}[kind] if w else 0.0  # the coherence's phase is turns (w t)
     turn = -turns * (w * ab)  # the phase's rate times -alpha beta, finite where turns w is not
-    # the last time of finite phase, whose phase later times take: no speed depends on it
-    wrap = sys.float_info.max / turns / max(w, 1.0 / turns) if turns else 0.0
-    wrap = math.nextafter(wrap, 0.0) if turns * (w * wrap) == math.inf else wrap
-    ab_sin0, turn_sin0 = ab * 0.0, turn * 0.0  # at phase 0, where cos is 1
 
-    if Gamma is None and not turns:
+    if Gamma is None:
         def entries(t):
-            return 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, ab, ab_sin0, turn, turn_sin0
-    elif Gamma is None:
-        def entries(t):  # one point on libm (numpy's float64, a 0-d time's phase, is a float), a batch on numpy's
-            phase = turns * (w * ((t if t <= wrap else wrap) if isinstance(t, float) else np.minimum(t, wrap)))
-            xp = math if isinstance(phase, float) else np
-            cos, sin = xp.cos(phase), xp.sin(phase)
-            return 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, ab * cos, ab * sin, turn * cos, turn * sin
+            return 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0
     else:
         # t -> (G_t, G'_t), with no time check: the block function's callers make it
         if np.ndim(Gamma) == 0:
@@ -365,37 +364,36 @@ def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
                 root = math.sqrt(pop := min(g * g, 1.0))
                 decay = math.sqrt(1.0 - root * root)
                 ddecay = -(g * dg) / decay if decay else 0.0
-                return g, dg, pop, dpop, root, decay, ddecay, ab, ab_sin0, turn, turn_sin0
+                return g, dg, pop, dpop, root, decay, ddecay
             root = np.sqrt(pop := np.minimum(g * g, 1.0))
             decay = np.sqrt(1.0 - root * root)
             ddecay = np.divide(-(g * dg), decay, out=np.zeros(np.shape(decay)), where=decay != 0.0)
-            return g, dg, pop, dpop, root, decay, ddecay, ab, ab_sin0, turn, turn_sin0
+            return g, dg, pop, dpop, root, decay, ddecay
 
     def qubit(t):
-        g, dg, pop, dpop, root, decay, ddecay, ab_cos, ab_sin, turn_cos, turn_sin = entries(t)
+        g, dg, pop, dpop, root, decay, ddecay = entries(t)
         square = g * g
-        state = [aa * square, 1.0 - aa * square, g * ab_cos, -(g * ab_sin), aa * (g * decay)]
-        move = [aa * dpop, -aa * dpop, dg * ab_cos + g * turn_sin, g * turn_cos - dg * ab_sin]
-        move.append(aa * (dg * decay + g * ddecay))
+        state = [aa * square, 1.0 - aa * square, g * ab, 0.0, aa * (g * decay)]
+        move = [aa * dpop, -aa * dpop, dg * ab, g * turn, aa * (dg * decay + g * ddecay)]
         return [((0, 1), state, move)]
 
     def aligned(t):
-        g, dg, pop, dpop, root, decay, ddecay, ab_cos, ab_sin, turn_cos, turn_sin = entries(t)
+        g, dg, pop, dpop, root, decay, ddecay = entries(t)
         kept, moved, lost = root * root, root * decay, decay * decay
         inner = aa * dpop * (1.0 - 2.0 * pop)  # d(alpha^2 P (1 - P)) / dt
-        corners = [kept * aa * kept, bb + lost * aa * lost, kept * ab_cos, -(kept * ab_sin), aa * kept * lost]
+        corners = [kept * aa * kept, bb + lost * aa * lost, kept * ab, 0.0, aa * kept * lost]
         moves = [2.0 * a * a * pop * dpop, -2.0 * a * a * dpop * (1.0 - pop)]  # (2a) a: 2 aa differs at subnormal aa
-        moves += [dpop * ab_cos + kept * turn_sin, kept * turn_cos - dpop * ab_sin, inner]
+        moves += [dpop * ab, kept * turn, inner]
         middle = [moved * aa * moved, a * (g * decay)], [inner, a * (dg * decay + g * ddecay)]
         return [((0, 3), corners, moves), ((1,), *middle), ((2,), *middle)]
 
     def anti(t):
-        g, dg, pop, dpop, root, decay, ddecay = entries(t)[:7]
+        g, dg, pop, dpop, root, decay, ddecay = entries(t)
         lost = decay * bb * decay + decay * aa * decay
         return [((1, 2), [pop, g], [dpop, dg], (a, b)), ((3,), [lost, decay], [-dpop, ddecay])]
 
     blocks, dim = {"1q": (qubit, 2), "aligned": (aligned, 4), "anti": (anti, 4)}[kind]
-    state, derivative = (functools.partial(_scatter, dim, blocks, part) for part in (1, 2))
+    state, derivative = (functools.partial(_scatter, dim, blocks, turns, w, part) for part in (1, 2))
     if Gamma is None:
         record = {"omega": w, "alpha_abs": np.abs(a), "beta_abs": np.abs(b)}
         return Trajectory(dim, state, derivative, record, shape=getattr(a, "shape", ()), blocks=blocks)

@@ -72,9 +72,11 @@ class Trajectory:
     (a, c, wr, wi, s) and (da, dc, dwr, dwi, ds) for a pair
     [[a, w], [w*, c]], w = wr + i wi, where s is a smooth signed root of the
     block's determinant (p = s^2, ac - |w|^2 = s^2) and ds its derivative.
-    A hand-written curve states its blocks in the same layout.
-    ``dataclasses.replace`` keeps ``blocks``: a trajectory whose states
-    change states its blocks anew.
+    A pair's state and move may be conjugated by one per-time diagonal
+    unitary U, which leaves F unchanged: its move is then U^dagger rho' U,
+    not the derivative of its entries (a closed model's phase is only in
+    ``state_at``). A hand-written curve states its blocks in the same layout;
+    ``dataclasses.replace`` keeps them, so changed states need new blocks.
     ``params`` records the numbers the trajectory was built from, and
     ``shape`` the family's shape: the broadcast shape of the parameters, ()
     (the default) for one curve. The evaluators read it in place of

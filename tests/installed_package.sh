@@ -9,6 +9,8 @@ qevspeed figure fig1a --points 3
 qevspeed regions --gamma-ratio 0.1 --n-max 300 --format json | python -c "import json, sys; json.load(sys.stdin)"
 # every S is finite where the float 1 - P_t rounds to 0 near t = 0
 qevspeed speed --model open-2q-anti --gamma-ratio 0.5 --tmin 0 --tmax 1e-5 --points 5 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert rows and all(math.isfinite(float(row[1])) for row in rows), rows"
+# a closed model moves at constant speed and its blocks take no phase: every row prints one S and a dS_dt of exactly 0
+qevspeed speed --model closed-1q --alpha 0.2855253624007461 --omega 1.1107957869229923 --points 8 | python -c "import sys; rows = [line.strip().split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 8 and all(row[2] == '0' for row in rows) and len({row[1] for row in rows}) == 1, rows"
 # fig4 is its detect C sweep, so it takes the WY metric too
 qevspeed figure fig4b --metric wy --points 3 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert rows and all(math.isfinite(float(row[1])) for row in rows), rows"
 # one width on a time array: the sweep crosses the hyperbolic split (t = 4.47)

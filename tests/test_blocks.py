@@ -162,9 +162,12 @@ def test_closed_blocks_on_floats_and_arrays_agree_to_the_last_bit(monkeypatch, k
 @pytest.mark.parametrize("omega", [0.3, 1.0, 3.0, 7.1e299, 8.9e307, 1e308, sys.float_info.max])
 @pytest.mark.parametrize("key, turns", [("closed-1q", 1.0), ("closed-2q-aligned", 2.0)])
 def test_the_phase_keeps_its_bits_up_to_its_overflow(monkeypatch, key, turns, omega):
-    """At the last time whose phase turns (omega t) is finite, the
-    coherence has that phase's bits, also where turns omega overflows; a
-    later time takes a finite phase, and floats and arrays agree at both."""
+    """The blocks state the coherence at phase 0, and the dense states turn
+    it and its move by exp(-i phase), phase = turns (omega t). At the last
+    time whose phase is finite, also where turns omega overflows, the dense
+    coherence and its move have that phase's bits; the next float takes the
+    same phase, and floats and arrays agree at both. Where every time has
+    a finite phase, the last is the largest float, and no time follows it."""
     on_libm(monkeypatch, models)
 
     def phase(t):
@@ -175,15 +178,18 @@ def test_the_phase_keeps_its_bits_up_to_its_overflow(monkeypatch, key, turns, om
         last = math.nextafter(last, 0.0)
     while last < sys.float_info.max and phase(math.nextafter(last, math.inf)) < math.inf:
         last = math.nextafter(last, math.inf)
-    times = [last, math.nextafter(last, math.inf)]
-    blocks = trajectory_from_key(key, alpha=0.6, omega=omega).blocks
+    times = [t for t in (last, math.nextafter(last, math.inf)) if t < math.inf]
+    traj = trajectory_from_key(key, alpha=0.6, omega=omega)
     ab = 0.6 * math.sqrt(1.0 - 0.6 * 0.6)
-    assert blocks(last)[0][1][2] == ab * math.cos(phase(last))
-    batch = blocks(np.array(times))
+    turn = -turns * (omega * ab)
+    cos, sin = math.cos(phase(last)), math.sin(phase(last))
+    wants = complex(ab * cos, -(ab * sin)), complex(turn * sin, turn * cos)
+    j = traj.dim - 1  # the pair's second index: (0, 1) for one spin, (0, 3) for the aligned pair
+    batches = traj.state_at(np.array(times)), traj.derivative_at(np.array(times))
     for i, t in enumerate(times):
-        for (indices, *entries), (_, *columns) in zip(blocks(t), batch):
-            for x, column in zip(itertools.chain(*entries), itertools.chain(*columns)):
-                assert math.isfinite(x) and x.hex() == float(np.broadcast_to(column, (2,))[i]).hex()
+        for dense, batch, want in zip((traj.state_at(t), traj.derivative_at(t)), batches, wants):
+            assert np.isfinite(dense).all() and dense[0, j] == want and dense[j, 0] == want.conjugate()
+            assert dense.tobytes() == batch[i].tobytes()
 
 
 @pytest.mark.parametrize("key,bath", MODEL_CASES)
@@ -619,24 +625,33 @@ def test_results_take_the_shape_of_the_times(key, bath, shape):
 
 @pytest.mark.parametrize("key,bath", MODEL_CASES)
 def test_only_a_turning_coherence_calls_the_phase(monkeypatch, key, bath):
-    """cos and sin (numpy's over a batch, libm's at a point) are called once
-    each per evaluation for the phase of the closed one-spin and aligned
-    models, and for an oscillatory G_t; never for the anti pair or the
-    other widths of the open models."""
-    traj = trajectory_from_key(key, alpha=0.7, omega=1.3, **bath)
+    """The blocks state every coherence at phase 0, so neither speed path
+    calls cos or sin (numpy's over a batch, libm's at a point) for it, on
+    one curve or a family: only an oscillatory G_t calls each, once per
+    evaluation. The dense states of the closed one-spin and aligned models
+    call each once more per batch, for the phase; the anti pair's and the
+    other open models' never do."""
     calls = count_calls(monkeypatch, *((module, name) for module in (math, np) for name in ("cos", "sin")))
-    for metric in MetricKind:
-        speeds_at(traj, np.linspace(0.1, 20.0, 50), metric)
-        speed_at(traj, 2.5, metric)
-    turning = key in ("closed-1q", "closed-2q-aligned")
     oscillatory = bath.get("Gamma_over_gamma0", 2.0) < 2.0
-    evaluations = 2 * len(MetricKind) * (turning + oscillatory)
-    assert calls == ({"cos": evaluations, "sin": evaluations} if evaluations else {})
+    turning = key in ("closed-1q", "closed-2q-aligned")
+    for alpha in (0.7, np.array([0.7])):
+        traj = trajectory_from_key(key, alpha=alpha, omega=1.3, **bath)
+        calls.clear()
+        for metric in MetricKind:
+            speeds_at(traj, np.linspace(0.1, 20.0, 50), metric)
+            speed_at(traj, 2.5, metric)
+        evaluations = 2 * len(MetricKind) * oscillatory
+        assert calls == ({"cos": evaluations, "sin": evaluations} if evaluations else {})
+        calls.clear()
+        traj.state_at(np.linspace(0.1, 20.0, 50))
+        traj.derivative_at(2.5)
+        batches = 2 * (turning + oscillatory)
+        assert calls == ({"cos": batches, "sin": batches} if batches else {})
 
 
 def test_the_batch_calls_libm_a_fixed_number_of_times(monkeypatch):
     """``speeds_at`` over 1,000 times calls the ``math`` functions behind
-    G_t and the phase as often as over 10 times: on every model and branch
+    G_t as often as over 10 times: on every model and branch
     under both metrics, and on a family of widths across the branches. So
     does ``speedup_equation``. The package is imported afresh with the
     counters in place, so they count its calls however it holds these
@@ -680,8 +695,9 @@ ULP_BOUND = 8
 
 def test_numpy_amplitudes_are_within_ulps_of_libm(monkeypatch):
     """The batch's G_t and G'_t, on numpy's ufuncs, and the closed models'
-    phase entries stay within ``ULP_BOUND`` ulp of the same expressions on
-    libm's functions (the point path's), at every width and time."""
+    dense states, which carry the phase, stay within ``ULP_BOUND`` ulp of
+    the same expressions on libm's functions (the point path's), at every
+    width and time."""
 
     def numpy_and_libm(run):
         with monkeypatch.context() as patch:
@@ -693,12 +709,10 @@ def test_numpy_amplitudes_are_within_ulps_of_libm(monkeypatch):
         for x, y in numpy_and_libm(lambda: models._amplitudes(ULP_TIMES, width)):
             np.testing.assert_array_max_ulp(x, y, maxulp=ULP_BOUND)
     for key in ("closed-1q", "closed-2q-aligned"):
-        blocks = trajectory_from_key(key, alpha=0.3, omega=1.3).blocks
-        for (_, state, move), (_, states, moves) in numpy_and_libm(lambda: blocks(ULP_TIMES)):
-            for x, y in zip(state + move, states + moves):
-                np.testing.assert_array_max_ulp(
-                    np.broadcast_to(x, ULP_TIMES.shape), np.broadcast_to(y, ULP_TIMES.shape), maxulp=ULP_BOUND
-                )
+        traj = trajectory_from_key(key, alpha=0.3, omega=1.3)
+        for x, y in numpy_and_libm(lambda: (traj.state_at(ULP_TIMES), traj.derivative_at(ULP_TIMES))):
+            np.testing.assert_array_max_ulp(x.real, y.real, maxulp=ULP_BOUND)
+            np.testing.assert_array_max_ulp(x.imag, y.imag, maxulp=ULP_BOUND)
 
 
 @pytest.mark.parametrize("key,bath", MODEL_CASES)

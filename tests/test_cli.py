@@ -8,6 +8,7 @@ import pytest
 import qevspeed.cli as cli
 from qevspeed.analysis import region_report, speedup_boundaries, speedup_equation
 from qevspeed.models import (
+    MODEL_KEYS,
     OpenSystemParams,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
@@ -62,6 +63,17 @@ class TestSpeedCommand:
         assert columns == ["t", "S", "dS_dt"]
         np.testing.assert_allclose(rows[:, 1], 0.48, rtol=1e-10)
         assert header["model"] == "closed-1q"
+
+    @pytest.mark.parametrize("metric", ["sld", "wy"])
+    def test_a_closed_speed_prints_slope_zero(self, capsys, metric):
+        """A closed model moves at constant speed, and its blocks take no
+        phase: every row prints one S and a dS_dt of exactly 0, also at
+        parameters where the phase once rounded S to three values."""
+        argv = ["speed", "--model", "closed-1q", "--alpha", "0.2855253624007461", "--omega", "1.1107957869229923"]
+        assert cli.main([*argv, "--points", "8", "--metric", metric]) == 0
+        cells = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")][1:]
+        assert len(cells) == 8 and [row[2] for row in cells] == ["0"] * 8
+        assert len({row[1] for row in cells}) == 1
 
     def test_markovian_qubit_value_at_unit_time(self, tmp_path):
         code, text = run_to_file(
@@ -150,9 +162,9 @@ class TestSpeedCommand:
         np.testing.assert_allclose(parse_csv(text)[2][:, 1], 0.6 * 0.8 * 1e300, rtol=1e-12)
 
     def test_overflowing_phase_keeps_the_precession_speed(self, capsys):
-        """Where omega t overflows, the phase is the last finite one's: no
-        closed-model speed depends on it. Under warnings as errors, the
-        rows are the closed forms, with no note and nothing on stderr."""
+        """Where omega t overflows, the speeds take no phase: the blocks
+        state the coherence at phase 0. Under warnings as errors, the rows
+        are the closed forms, with no note and nothing on stderr."""
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             detect = ["detect", "--model", "closed-1q", "--alpha", "0.6", "--omega", "1e308", "--time", "5"]
@@ -565,6 +577,14 @@ class TestDetectCommand:
         _, _, rows = parse_csv(text)
         assert np.all(np.abs(rows[:, 2]) <= 0.1 * cli.SLOPE_NOISE_TOL * rows[:, 1])
         assert np.all(rows[:, 3] == 0.0)
+
+    @pytest.mark.parametrize("key", [key for key in MODEL_KEYS if key.startswith("closed")])
+    @pytest.mark.parametrize("metric", ["sld", "wy"])
+    def test_a_closed_time_sweep_prints_slope_and_flag_zero(self, capsys, key, metric):
+        argv = ["detect", "--model", key, "--metric", metric, "--alpha", "0.2855253624007461"]
+        assert cli.main([*argv, "--omega", "1.1107957869229923", "--sweep", "t:0.3:29.7:30"]) == 0
+        cells = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")][1:]
+        assert len(cells) == 30 and all(row[2:] == ["0", "0"] for row in cells)
 
     def test_memory_time_sweep_flags_its_speedup_interval(self, tmp_path):
         code, text = run_to_file(

@@ -173,23 +173,26 @@ def model_factor(traj: Trajectory | FactorTrajectory):
     pivoted on the larger diagonal with the signed root as the second
     pivot, [[sqrt a, 0], [w*/sqrt a, s/sqrt a]] when a >= c (and the same
     with the indices swapped otherwise); their derivatives follow by the
-    quotient rule. A 0-d time takes the model's point path, on floats."""
+    quotient rule. The blocks state a closed model's coherence at phase 0,
+    so w and w' are read from the dense states (``state_at`` and
+    ``derivative_at``), which carry the phase, and the factor is one of the
+    curve itself. A 0-d time takes the model's point path, on floats."""
     if isinstance(traj, FactorTrajectory):
         return traj.factors
 
     def factor_at(t):
-        blocks = traj.blocks(float(t) if np.ndim(t) == 0 else t)
+        t = float(t) if np.ndim(t) == 0 else t
+        blocks, rho, drho = traj.blocks(t), traj.state_at(t), traj.derivative_at(t)
         columns = []  # each a list of (row, entry, derivative)
         for indices, state, move, *ray in blocks:
             if len(state) == 2:
                 vector = ray[0] if ray else (1.0,)
                 columns.append([(i, state[1] * u, move[1] * u) for i, u in zip(indices, vector)])
                 continue
-            (i, j), (a, c, wr, wi, s), (da, dc, dwr, dwi, ds) = indices, state, move
+            (i, j), (a, c, s), (da, dc, ds) = indices, state[:2] + state[4:], move[:2] + move[4:]
             top = np.greater_equal(a, c)
             pivot, dpivot = np.where(top, a, c), np.where(top, da, dc)
-            off = np.where(top, wr - 1j * wi, wr + 1j * wi)
-            doff = np.where(top, dwr - 1j * dwi, dwr + 1j * dwi)
+            off, doff = np.where(top, rho[..., j, i], rho[..., i, j]), np.where(top, drho[..., j, i], drho[..., i, j])
             root = np.sqrt(pivot)
             droot = dpivot / (2.0 * root)
             lower, dlower = off / root, doff / root - off * droot / pivot

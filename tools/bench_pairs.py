@@ -16,6 +16,11 @@ change was better, in the direction ``BENCHMARK.json`` states. Next to
 ``peak_rss_mb``, ``passes`` gives each side's median pass count and the
 per-pair ratios: a workload that keeps a little memory per pass (``points``
 does) moves its peak RSS with the pass count, whatever the program's own.
+Each run also keeps the ``details.accuracy`` block of that line, its checks
+against the closed forms, and ``accuracy`` gives each side's worst over its
+runs: the fewest ``checked`` and ``min_digits``, the most
+``closed_form_misses``, and the largest ``worst_rel_err``, overall and per
+category.
 
 Run it once per workload: an existing output file keeps its runs and other
 keys, and its summary is recomputed from all of them. Only the standard
@@ -46,15 +51,31 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int]:
-    """The result line of one untraced benchmark run in ``tree``, and its pass count."""
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict, int, dict]:
+    """The result line of one untraced benchmark run in ``tree``, its pass count and its accuracy block."""
     argv = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed)]
     argv += ["--seconds", f"{seconds:g}", "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
     lines = done.stdout.strip().splitlines()
     if done.returncode or len(lines) < 2:
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {done.returncode}:\n{done.stderr[-2000:]}")
-    return json.loads(lines[-1]), json.loads(lines[-2])["details"]["timing"]["passes"]
+    details = json.loads(lines[-2])["details"]
+    return json.loads(lines[-1]), details["timing"]["passes"], details["accuracy"]
+
+
+def worst_accuracy(blocks: list[dict]) -> dict:
+    """The worst of each accuracy value over ``blocks``: the fewest checks and digits, the most misses and the
+    largest relative errors, per category over the categories any block reports."""
+    categories = dict.fromkeys(name for block in blocks for name in block["worst_rel_err_by_category"])
+    return {
+        "checked": min(block["checked"] for block in blocks),
+        "closed_form_misses": max(block["closed_form_misses"] for block in blocks),
+        "min_digits": min(block["min_digits"] for block in blocks),
+        "worst_rel_err": max(block["worst_rel_err"] for block in blocks),
+        "worst_rel_err_by_category": {
+            name: max(block["worst_rel_err_by_category"].get(name, 0.0) for block in blocks) for name in categories
+        },
+    }
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
@@ -62,41 +83,42 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         sides = {"parent": {}, "change": {}}
-        passes = {"parent": {}, "change": {}}
         for run in runs:
             if run["workload"] == workload:
-                sides[run["side"]][run["seed"]] = run["result"]
-                passes[run["side"]][run["seed"]] = run.get("passes")  # absent from runs recorded before it was kept
+                sides[run["side"]][run["seed"]] = run
         seeds = [seed for seed in sides["parent"] if seed in sides["change"]]
         entry = {"pairs": len(seeds), "seeds": seeds}
         if not seeds:
             summary[workload] = entry
             continue
-        for name in sides["parent"][seeds[0]]["metrics"]:
-            parent = [sides["parent"][seed]["metrics"][name]["value"] for seed in seeds]
-            change = [sides["change"][seed]["metrics"][name]["value"] for seed in seeds]
-            ratios = [c / p for c, p in zip(change, parent)]
+        parent, change = ([sides[side][seed] for seed in seeds] for side in sides)
+        for name in parent[0]["result"]["metrics"]:
+            before, after = ([run["result"]["metrics"][name]["value"] for run in pairs] for pairs in (parent, change))
+            ratios = [c / p for c, p in zip(after, before)]
             lower = better.get(name, "lower") == "lower"
             entry[name] = {
-                "parent_median": statistics.median(parent),
-                "parent_iqr": quartiles(parent),
-                "change_median": statistics.median(change),
-                "change_iqr": quartiles(change),
+                "parent_median": statistics.median(before),
+                "parent_iqr": quartiles(before),
+                "change_median": statistics.median(after),
+                "change_iqr": quartiles(after),
                 "median_ratio": statistics.median(ratios),
                 "ratio_range": [min(ratios), max(ratios)],
-                "change_better_pairs": sum((c < p) if lower else (c > p) for c, p in zip(change, parent)),
+                "change_better_pairs": sum((c < p) if lower else (c > p) for c, p in zip(after, before)),
             }
-        parent, change = ([passes[side][seed] for seed in seeds] for side in ("parent", "change"))
-        if None not in parent + change:
+        # passes and accuracy are absent from runs recorded before they were kept
+        before, after = ([run.get("passes") for run in pairs] for pairs in (parent, change))
+        if None not in before + after:
             entry["passes"] = {
-                "parent_median": statistics.median(parent),
-                "change_median": statistics.median(change),
-                "median_ratio": statistics.median(c / p for c, p in zip(change, parent)),
-                "pair_ratios": [c / p for c, p in zip(change, parent)],
+                "parent_median": statistics.median(before),
+                "change_median": statistics.median(after),
+                "median_ratio": statistics.median(c / p for c, p in zip(after, before)),
+                "pair_ratios": [c / p for c, p in zip(after, before)],
             }
-        results = [sides[side][seed] for side in sides for seed in seeds]
-        entry["failed"] = sum(result["failed"] for result in results)
-        entry["all_correct"] = all(result["correct"] for result in results)
+        if all("accuracy" in run for run in parent + change):
+            entry["accuracy"] = {side: worst_accuracy([run["accuracy"] for run in pairs])
+                                 for side, pairs in (("parent", parent), ("change", change))}
+        entry["failed"] = sum(run["result"]["failed"] for run in parent + change)
+        entry["all_correct"] = all(run["result"]["correct"] for run in parent + change)
         summary[workload] = entry
     return summary
 
@@ -146,16 +168,22 @@ def main(argv: list[str] | None = None) -> int:
     trees = {"parent": args.parent.resolve(), "change": ROOT}
     for index, seed in enumerate(args.seeds):
         for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
-            result, passes = run_once(trees[side], args.workload, seed, args.seconds)
-            runs.append({"workload": args.workload, "seed": seed, "side": side, "result": result, "passes": passes})
+            result, passes, accuracy = run_once(trees[side], args.workload, seed, args.seconds)
+            runs.append({"workload": args.workload, "seed": seed, "side": side, "result": result, "passes": passes,
+                         "accuracy": accuracy})
             metrics = {name: round(value["value"], 6) for name, value in result["metrics"].items()}
-            print(f"{args.workload} seed {seed} {side}: {metrics}, {passes} passes", flush=True)
+            print(f"{args.workload} seed {seed} {side}: {metrics}, {passes} passes, "
+                  f"worst_rel_err {accuracy['worst_rel_err']:.3g}", flush=True)
             record["summary"] = summarize(runs, better)
             out.write_text(json.dumps(record, indent=1) + "\n")  # after every run, so a stopped series keeps its pairs
     for name, stats in record["summary"][args.workload].items():
         if name == "passes":
             print(f"passes: median {stats['parent_median']:g} parent, {stats['change_median']:g} change, "
                   f"median ratio {stats['median_ratio']:.3f}")
+        elif name == "accuracy":
+            for side, worst in stats.items():
+                print(f"accuracy, {side}: {worst['checked']} checked, {worst['closed_form_misses']} closed-form misses, "
+                      f"min_digits {worst['min_digits']:.3f}, worst_rel_err {worst['worst_rel_err']:.3g}")
         elif isinstance(stats, dict):
             print(f"{name}: median ratio {stats['median_ratio']:.3f}, change better in "
                   f"{stats['change_better_pairs']} of {record['summary'][args.workload]['pairs']}")
