@@ -27,7 +27,7 @@ from .models import (
     alpha_from_concurrence,
     trajectory_from_key,
 )
-from .speed import Trajectory, speed_curve, speedup_measures, speeds_at
+from .speed import Trajectory, speed_at, speed_curve, speedup_measures, speeds_at
 
 SWEEP_PARAMS = ("t", "alpha", "C", "Omega", "Gamma_over_gamma0")
 
@@ -323,9 +323,10 @@ def run_speed(config: RunConfig) -> TableResult:
     )
     columns = ["t", "S", "dS_dt"]
     values = [grid, curve.speeds, curve.slopes]
-    if traj.speed_at_zero is not None and 0.0 < traj.speed_at_zero < math.inf:
+    s0 = speed_at(traj, 0.0, metric) if config.model.startswith("open") else 0.0  # an open model's start
+    if 0.0 < s0 < math.inf:
         columns.append("S_over_S0")
-        values.append(curve.speeds / traj.speed_at_zero)
+        values.append(curve.speeds / s0)
     return TableResult(header, columns, _rows(*values))
 
 
@@ -374,7 +375,7 @@ def run_figure(config: RunConfig) -> TableResult:
     if name == "Omega":
         rows = _rows(grid, speeds, slopes, (grid < 0.5).astype(float))
         return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows)
-    s0 = float(evaluate(0.0))  # the trajectory's t = 0 limit
+    s0 = float(evaluate(0.0))  # the speed at t = 0
     columns = ["t", "S_over_S0"]
     values = [grid, speeds / s0]
     if spec.model == "open-1q":

@@ -73,17 +73,15 @@ class OpenSystemParams:
 
     @property
     def kappa(self) -> float:
-        """|2 Gamma - Gamma^2|^(1/2); real oscillation rate when Gamma < 2.
-
-        Evaluated as sqrt(Gamma) sqrt(|2 - Gamma|), which neither overflows
-        nor loses the 2 Gamma next to Gamma^2 at large widths."""
+        """|2 Gamma - Gamma^2|^(1/2), the oscillation rate when Gamma < 2, as ``_width_branch`` takes it:
+        sqrt(Gamma) sqrt(|2 - Gamma|) neither overflows nor loses 2 Gamma next to Gamma^2 at large widths."""
         if self.markovian_limit:
             raise ValueError("kappa is undefined in the Markovian limit")
-        return math.sqrt(self.Gamma) * math.sqrt(abs(2.0 - self.Gamma))
+        return _width_branch(self.Gamma)[1]
 
     def branch(self) -> str:
         """One of 'markovian', 'oscillatory', 'critical', 'hyperbolic'."""
-        return ("markovian", "critical", "oscillatory", "hyperbolic")[_width_branch(_width(self))[2]]
+        return {0: "markovian", 2: "critical", 3: "oscillatory", 4: "hyperbolic"}[_width_branch(_width(self))[2]]
 
 
 def _check_time(t) -> None:  # the trajectories' ValueError for a number or an array outside [0, inf)
@@ -98,63 +96,117 @@ def _scalar_or_array(value: np.ndarray):
     return float(value) if value.ndim == 0 else value
 
 
+# The branch table: each entry takes the module (``math`` or ``np``), times, widths and kappas and returns G_t, G'_t
+# and 1 - G_t, the last without the cancellation of 1 minus a G_t near 1: -expm1(-Gamma t / 2) plus the rest.
+
+
 def _markovian(xp, t, g, k):
     decay = xp.exp(-0.5 * t)
-    return decay, -0.5 * decay
+    return decay, -0.5 * decay, -xp.expm1(-0.5 * t)
+
+
+# The series branch's terms d_2 .. d_16: where it runs u < 1/2, and the terms fall as about 2 u^(n-2) / n! against the
+# first, so the last is below 1e-17 of it.
+_SERIES_TERMS = 15
+
+
+def _series_coefficients(g):
+    """(s, [(d_n, n d_n) for n = 16 .. 2]) of G_t = 1 + sum d_n u^n, u = s t and s = max(Gamma, 1), from G'' = -Gamma G'
+    - (Gamma / 2) G, G = 1 and G' = 0 at t = 0: in u the rates are Gamma / s <= 1 and Gamma / (2 s^2) <= 1/2."""
+    s = np.maximum(g, 1.0) if isinstance(g, np.ndarray) else max(g, 1.0)
+    a, b = g / s, g / (2.0 * s * s)
+    d, d_next, coefficients = 1.0, 0.0, []
+    for n in range(_SERIES_TERMS):
+        d, d_next = d_next, -(a * (n + 1) * d_next + b * d) / ((n + 2) * (n + 1))
+        coefficients.append((d_next, (n + 2) * d_next))
+    return s, coefficients[::-1]
+
+
+_width_series = functools.lru_cache(maxsize=256)(_series_coefficients)
+
+
+def _series(xp, t, g, k):
+    # Gamma t < 1/2 and t < 1/4, where every closed form cancels in 1 - G_t = Gamma t^2 / 4 + ...; coefficients cached
+    s, coefficients = _width_series(g) if isinstance(g, float) else _series_coefficients(g)
+    u = s * t
+    value = slope = 0.0
+    for d, nd in coefficients:  # Horner's rule
+        value = value * u + d
+        slope = slope * u + nd
+    lost = u * u * -value  # +0.0 at t = 0
+    return 1.0 - lost, s * (u * slope), lost
 
 
 def _critical(xp, t, g, k):
-    decay = xp.exp(-0.5 * g * t)
-    return decay * (1.0 + 0.5 * g * t), -0.25 * g * g * t * decay
+    x = 0.5 * g * t
+    decay = xp.exp(-x)
+    return decay * (1.0 + x), -0.25 * g * g * t * decay, -xp.expm1(-x) - x * decay
 
 
 def _oscillatory(xp, t, g, k):
     half = 0.5 * k * t
-    decay, sine = xp.exp(-0.5 * g * t), xp.sin(half)
-    return decay * (xp.cos(half) + (g / k) * sine), -(g / k) * decay * sine
+    decay, sine, quarter = xp.exp(-0.5 * g * t), xp.sin(half), xp.sin(0.5 * half)
+    lost = -xp.expm1(-0.5 * g * t) + decay * (2.0 * quarter * quarter - (g / k) * sine)
+    return decay * (xp.cos(half) + (g / k) * sine), -(g / k) * decay * sine, lost
 
 
 def _hyperbolic(xp, t, g, k):
-    # For small arguments keep cosh/sinh (the split form below cancels badly
-    # when Gamma/kappa is huge near the critical point).
+    # between the split form's ranges, where it cancels badly if Gamma / kappa is huge (near the critical width)
     half = 0.5 * k * t
-    decay, sinh = xp.exp(-0.5 * g * t), xp.sinh(half)
-    return decay * (xp.cosh(half) + (g / k) * sinh), -(g / k) * decay * sinh
+    decay, sinh, quarter = xp.exp(-0.5 * g * t), xp.sinh(half), xp.sinh(0.5 * half)
+    lost = -xp.expm1(-0.5 * g * t) - decay * (2.0 * quarter * quarter + (g / k) * sinh)
+    return decay * (xp.cosh(half) + (g / k) * sinh), -(g / k) * decay * sinh, lost
 
 
 def _hyperbolic_split(xp, t, g, k):
-    # For large arguments expand into decaying exponentials (kappa < Gamma)
-    # to avoid cosh overflow. kappa - Gamma = -2 Gamma / (kappa + Gamma)
-    # without the cancellation of the difference at large widths.
+    # t < 1/4 or kappa t / 2 >= 20 (where cosh overflows): decaying exponentials, kappa - Gamma = -2 Gamma / (kappa +
+    # Gamma) and 1 - Gamma / kappa = -2 Gamma / (kappa (kappa + Gamma)) without the differences' cancellation
     up = xp.exp(-g / (k + g) * t)
     down = xp.exp(-0.5 * (k + g) * t)
-    return (
-        0.5 * ((1.0 + g / k) * up + (1.0 - g / k) * down),
-        -(g / (2.0 * k)) * (up - down),
-    )
+    lost = 0.5 * ((g / (k + g)) * (2.0 / k) * xp.expm1(-0.5 * (k + g) * t) - (1.0 + g / k) * xp.expm1(-g / (k + g) * t))
+    return 0.5 * ((1.0 + g / k) * up + (1.0 - g / k) * down), -(g / (2.0 * k)) * (up - down), lost
 
 
-_BRANCHES = (_markovian, _critical, _oscillatory, _hyperbolic, _hyperbolic_split)
+_BRANCHES = (_markovian, _series, _critical, _oscillatory, _hyperbolic, _hyperbolic_split)
 
 
 def _width_branch(Gamma) -> tuple[float, float, int]:
-    """``_one_width``'s leading arguments: the width, its kappa (inf in the Markovian limit) and branch index."""
+    """``_one_width``'s leading arguments: the width, its kappa (inf in the Markovian limit) and its width's
+    ``_BRANCHES`` index (0, 2, 3 or 4), which the time refines to the series (1) or the split form (5)."""
     g = float(Gamma)
-    return g, math.sqrt(g) * math.sqrt(abs(2.0 - g)), 0 if math.isinf(g) else 1 if g == 2.0 else 2 if g < 2.0 else 3
+    return g, math.sqrt(g) * math.sqrt(abs(2.0 - g)), 0 if math.isinf(g) else 2 if g == 2.0 else 3 if g < 2.0 else 4
 
 
 def _one_width(g, k, code, t):
     """``_amplitudes`` at one width, from its ``_width_branch``, with ``t`` unchecked."""
     if isinstance(t, (int, float)) or getattr(t, "ndim", None) == 0:
-        t = float(t)
-        return _BRANCHES[code if code < 3 or 0.5 * k * t < 20.0 else 4](math, t, g, k)
+        t = float(t)  # _codes' choice, on one time
+        code = 1 if code and g * t < 0.5 and t < 0.25 else 5 if code == 4 and (t < 0.25 or 0.5 * k * t >= 20.0) else code
+        return _BRANCHES[code](math, t, g, k)
     t = np.asarray(t, dtype=float)
-    if code == 3 and not (near := 0.5 * k * t < 20.0).all():
-        value, slope = _hyperbolic_split(np, t, g, k)
-        if near.any():
-            value[near], slope[near] = _hyperbolic(np, t[near], g, k)
-        return value, slope
-    return _BRANCHES[code](np, t, g, k)
+    return _by_mask(_codes(t, g, k, code) if code else code, t, g, k)
+
+
+def _codes(t, g, k, code):
+    """Each time's ``_BRANCHES`` index from its finite width's ``code``
+    (all broadcast), as one int where they all agree."""
+    series = (g * t < 0.5) & (t < 0.25)
+    codes = np.where(series, 1, np.where((code == 4) & ((t < 0.25) | (0.5 * k * t >= 20.0)), 5, code))
+    first = int(codes.flat[0]) if codes.size else 0
+    return first if (codes == first).all() else codes
+
+
+def _by_mask(codes, t, g, k):
+    """G_t, G'_t and 1 - G_t of each element by its branch in ``codes`` (one int: all of them, with no mask)."""
+    if isinstance(codes, int):
+        return _BRANCHES[codes](np, t, g, k)
+    t, g, k = np.broadcast_arrays(t, g, k)
+    out = np.empty((3, *codes.shape))
+    for branch, formula in enumerate(_BRANCHES):
+        mask = codes == branch
+        if mask.any():
+            out[:, mask] = formula(np, t[mask], g[mask], k[mask])
+    return out[0], out[1], out[2]
 
 
 def _widths(t, Gamma):
@@ -164,33 +216,29 @@ def _widths(t, Gamma):
     markovian = np.isinf(g)
     finite = np.where(markovian, 0.0, g)
     k = np.sqrt(finite) * np.sqrt(np.abs(2.0 - finite))
-    value, slope = np.empty(t.shape), np.empty(t.shape)
-    code = np.where(finite == 2.0, 1, np.where(finite < 2.0, 2, np.where(0.5 * k * t < 20.0, 3, 4)))
-    code[markovian] = 0
-    for branch, formula in enumerate(_BRANCHES):
-        mask = code == branch
-        if mask.any():
-            value[mask], slope[mask] = formula(np, t[mask], g[mask], k[mask])
-    return value, slope
+    code = np.where(finite == 2.0, 2, np.where(finite < 2.0, 3, 4))
+    codes = np.where(markovian, 0, _codes(t, finite, k, code))
+    return _by_mask(codes, t, g, k)
 
 
 def _amplitudes(t, Gamma):
-    """G_t and dG_t/dt elementwise over broadcast times and widths.
+    """G_t, dG_t/dt and 1 - G_t elementwise over broadcast times and widths.
 
-    ``Gamma = inf`` is the Markovian limit. Each element takes the branch
-    that ``OpenSystemParams.branch`` names for its width, and the
-    hyperbolic branch splits at kappa t / 2 = 20. A time outside [0, inf)
-    raises ``ValueError``. One width (an int, a float or a 0-d array) takes
-    ``_one_width`` and an array of widths ``_widths``: a model binds either
-    at build, with no time check and no floating-point scope, which its
-    block function's callers hold. A ``t`` of the same kinds as one width
-    gives Python floats on libm (``xp = math``); any other ``t`` runs the
-    branch on the whole time array, and an array of widths routes each
-    element by mask. Arrays take numpy's ufuncs: the two array selections
-    give the same bits, within a few ulp of the point path's. Their
-    decaying terms may flush to zero, and their kappa t / 2 may overflow to
-    inf at late times, which takes the split form, where exp(-inf) is the 0
-    it rounds to: neither raises a warning.
+    ``Gamma = inf`` is the Markovian limit. Each element takes the entry of
+    ``_BRANCHES`` its width names (``OpenSystemParams.branch``), but the
+    Taylor series where Gamma t < 1/2 and t < 1/4 at a finite width, and
+    the hyperbolic split form where t < 1/4 or kappa t / 2 >= 20. So
+    1 - P_t = (1 - G_t)(1 + G_t) keeps its digits next to P_t = 1. A time
+    outside [0, inf) raises ``ValueError``. One width (an int, a float or a
+    0-d array) takes ``_one_width`` and an array of widths ``_widths``: a
+    model binds either at build, with no time check and no floating-point
+    scope, which its block function's callers hold. A ``t`` of the same
+    kinds as one width gives Python floats on libm (``xp = math``); any
+    other ``t`` runs the branches on numpy's ufuncs, by mask where they
+    differ, within a few ulp of the point path (more in 1 - G_t just past
+    t = 1/4, where it keeps 1/8 of its terms). Their decaying terms may
+    flush to zero, and kappa t / 2 may overflow to inf, which takes the
+    split form, where exp(-inf) is the 0 it rounds to: neither warns.
     """
     one = isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0
     if isinstance(t, (int, float)):
@@ -231,44 +279,15 @@ def population_factor(p: OpenSystemParams, t):
 
 def population_factor_dot(p: OpenSystemParams, t):
     """Closed-form dP/dt = 2 G_t dG/dt."""
-    g, dg = _amplitudes(t, _width(p))
+    g, dg, _ = _amplitudes(t, _width(p))
     return 2.0 * g * dg
 
 
-def population_complement(p: OpenSystemParams, t: float) -> float:
-    """1 - P_t without cancellation near P_t = 1.
-
-    Computed from expm1/log1p of the amplitude factor when P_t >= 1/2; the
-    direct subtraction is already accurate below that, and where G_t < 0
-    (P_t stays below about 0.64 there for widths of at least 0.01).
-    """
-    _check_time(t)
-    branch = p.branch()
-    if branch == "markovian":
-        return -math.expm1(-t)
-    value = population_factor(p, t)
-    if value < 0.5:
-        return 1.0 - value
-    g, k = p.Gamma, p.kappa
-    # P >= 1/2 only happens while the bracket u = G exp(Gamma t / 2) stays
-    # close to 1, where u - 1 is computed stably term by term.
-    if branch == "critical":
-        um1 = 0.5 * g * t
-    elif branch == "oscillatory":
-        quarter = 0.25 * k * t
-        um1 = -2.0 * math.sin(quarter) ** 2 + (g / k) * math.sin(0.5 * k * t)
-    else:
-        quarter = 0.25 * k * t
-        try:
-            um1 = 2.0 * math.sinh(quarter) ** 2 + (g / k) * math.sinh(0.5 * k * t)
-        except OverflowError:
-            um1 = math.inf
-        if um1 == math.inf:  # no sinh: u = exp(kappa t / 2) (1 - Gamma expm1(-kappa t) / (kappa (kappa + Gamma)))
-            return -math.expm1(2.0 * math.log1p(-g / (k * (k + g)) * math.expm1(-k * t)) - 2.0 * g * t / (g + k))
-    if um1 <= -1.0:  # u <= 0: G_t < 0 has no logarithm
-        return 1.0 - value
-    log_p = -g * t + 2.0 * math.log1p(um1)
-    return -math.expm1(log_p)
+def population_complement(p: OpenSystemParams, t):
+    """1 - P_t = (1 - G_t)(1 + G_t), with 1 - G_t from the branch table,
+    so it keeps its digits where P_t is near 1. ``t`` may be an array."""
+    g, _, lost = _amplitudes(t, _width(p))
+    return lost * (1.0 + g)
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +347,18 @@ def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
     One qubit keeps the signed G_t, so it is smooth through the zeros of
     P_t (the amplitude-damping channel agrees wherever G_t >= 0). The pairs
     take P_t = min(G_t^2, 1) and multiply out the local operation elements
-    {[[sqrt P, 0], [0, 1]], [[0, 0], [sqrt(1 - P), 0]]} of each qubit in the
-    order of the Kraus sum with ``np.kron``, so both give the same bits.
-    Each block also states the root s of its determinant through
-    c_t = sqrt(1 - P_t): alpha^2 G_t c_t for one qubit, alpha^2 P_t (1 - P_t)
-    and alpha G_t c_t for the aligned pair's corner block and middle
-    indices, and G_t and c_t for the anti pair, P_t|phi0><phi0| +
-    (1-P_t)|00><00|, whose P_t along phi0 is a ray: its speed is |G'_t| / c_t
-    at any alpha. Every closed-model root is 0 (c_t = 0) but the ray's.
-    A block function per layout is bound at build, over an entry function per
-    bath (a closed model's returns constants), and states phase 0: ``_scatter``
-    applies the phase.
+    {[[sqrt P, 0], [0, 1]], [[0, 0], [c_t, 0]]} of each qubit in the order
+    of the Kraus sum with ``np.kron``, with c_t = sqrt((1 - G_t)(1 + G_t))
+    from the branch table. Each block states the root s of its determinant
+    through c_t: alpha^2 G_t c_t for one qubit, alpha^2 P_t (1 - P_t) and
+    alpha G_t c_t for the aligned pair's corner block and middle indices,
+    and G_t and c_t for the anti pair, P_t|phi0><phi0| + (1-P_t)|00><00|,
+    whose speed is |G'_t| / c_t at any alpha. c' = -G_t G'_t / c_t, and
+    where c_t is 0 (t = 0) its limit sqrt(Gamma / 2), so t = 0 needs no
+    case of its own. A closed model's roots are 0 (c_t = 0) but the ray's.
+    A block function per layout is bound at build, over an entry function
+    per bath (a closed model's returns constants), and states phase 0:
+    ``_scatter`` applies the phase.
     """
     b = math.sqrt(1.0 - a * a) if isinstance(a, float) else np.sqrt(1.0 - a * a)
     aa, ab, bb = a * a, a * b, b * b
@@ -349,25 +369,32 @@ def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
         def entries(t):
             return 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0
     else:
-        # t -> (G_t, G'_t), with no time check: the block function's callers make it
+        # t -> (G_t, G'_t, 1 - G_t), with no time check: the block function's callers make it
         if np.ndim(Gamma) == 0:
             amplitudes = functools.partial(_one_width, *_width_branch(Gamma))
         else:
             amplitudes = functools.partial(_widths, Gamma=Gamma)
 
+        # c' where c_t is 0 (at t = 0, or where 1 - P_t underflows): sqrt(Gamma / 2), the limit of -G G' / c. It is
+        # inf in the Markovian limit, and 0 where the state is at rest, which no block then multiplies by inf.
+        if np.ndim(a) or np.ndim(Gamma):
+            escape = np.where((a == 0.0) & (kind != "anti"), 0.0, np.sqrt(0.5 * Gamma))
+        else:
+            escape = 0.0 if a == 0.0 and kind != "anti" else math.sqrt(0.5 * Gamma)
+
         def entries(t):
-            g, dg = amplitudes(t)
+            g, dg, lost = amplitudes(t)
             dpop = 2.0 * g * dg
-            # c_t = sqrt(1 - P_t) of P_t = min(G^2, 1), whose root is at most 1, and c' = -G G' / c, or 0 where c is
-            # 0: at t = 0, where the speed takes its limit, and where 1 - P_t rounds to 0 (t < 1e-8 at Gamma 0.1)
+            # P_t = min(G^2, 1), whose root is at most 1, c_t = sqrt((1 - G)(1 + G)) and c' = -G G' / c
             if isinstance(g, float):  # one point
                 root = math.sqrt(pop := min(g * g, 1.0))
-                decay = math.sqrt(1.0 - root * root)
-                ddecay = -(g * dg) / decay if decay else 0.0
+                decay = math.sqrt(lost * (1.0 + g))
+                ddecay = -(g * dg) / decay if decay else escape
                 return g, dg, pop, dpop, root, decay, ddecay
             root = np.sqrt(pop := np.minimum(g * g, 1.0))
-            decay = np.sqrt(1.0 - root * root)
-            ddecay = np.divide(-(g * dg), decay, out=np.zeros(np.shape(decay)), where=decay != 0.0)
+            decay = np.sqrt(lost * (1.0 + g))
+            ddecay = np.full(np.broadcast_shapes(decay.shape, np.shape(escape)), escape)
+            np.divide(-(g * dg), decay, out=ddecay, where=decay != 0.0)
             return g, dg, pop, dpop, root, decay, ddecay
 
     def qubit(t):
@@ -403,18 +430,8 @@ def _x_trajectory(kind: str, a, w: float, Gamma) -> Trajectory:
         record["markovian_limit"] = 1.0
     else:
         record["Gamma_over_gamma0"] = Gamma
-    # The speed at t = 0, where the kernel sum is 0/0: the amplitude scale
-    # times a rate that diverges in the Markovian limit, so alpha^2
-    # sqrt(Gamma / 2) for one qubit, alpha sqrt(Gamma) for the aligned pair
-    # and sqrt(Gamma / 2) for the anti pair. A zero scale is a state at
-    # rest, whose limit is 0 at every width.
-    scale = {"1q": a * a, "aligned": a, "anti": 1.0}[kind]
-    escape = np.sqrt((1.0 if kind == "aligned" else 0.5) * Gamma)
-    with np.errstate(invalid="ignore"):  # 0 * inf
-        limit = np.where(scale == 0.0, 0.0, scale * escape)
-    shape = np.broadcast_shapes(np.shape(a), np.shape(Gamma))
-    limit = _scalar_or_array(np.broadcast_to(limit, shape))
-    return Trajectory(dim, state, derivative, record, limit, shape, blocks)
+    return Trajectory(dim, state, derivative, record, shape=np.broadcast_shapes(np.shape(a), np.shape(Gamma)),
+                      blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +449,8 @@ def open_qubit_speed_analytic(p: OpenSystemParams, t: float) -> float:
     """
     _check_time(t)
     a = p.alpha
-    if a == 0.0:
-        return 0.0
-    if t == 0.0:
-        if p.markovian_limit:
-            return math.inf
-        return a * a * math.sqrt(0.5 * p.Gamma)
+    if a == 0.0 or t == 0.0:
+        return a * a * math.sqrt(0.5 * _width(p)) if a else 0.0
     pop = population_factor(p, t)
     comp = population_complement(p, t)
     dg = amplitude_factor_dot(p, t)
@@ -452,12 +465,8 @@ def open_two_qubit_speed_analytic(p: OpenSystemParams, t: float) -> float:
     """
     _check_time(t)
     a = p.alpha
-    if a == 0.0:
-        return 0.0
-    if t == 0.0:
-        if p.markovian_limit:
-            return math.inf
-        return a * math.sqrt(p.Gamma)
+    if a == 0.0 or t == 0.0:
+        return a * math.sqrt(_width(p)) if a else 0.0
     pop = population_factor(p, t)
     comp = population_complement(p, t)
     dg = amplitude_factor_dot(p, t)

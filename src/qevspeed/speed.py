@@ -82,10 +82,10 @@ class Trajectory:
     (the default) for one curve. The evaluators read it in place of
     inspecting the blocks: ``speed_at`` runs the blocks on Python floats
     where it is (), and ``speeds_at`` broadcasts it against the times.
-    ``speed_at_zero`` is the limit of the speed at t = 0, returned there in
-    place of an evaluation, for trajectories that start on the boundary of
-    the state space (where the speed is a 0/0 limit); it is ``inf`` where the
-    speed diverges.
+    A curve that starts on the boundary of the state space, where the speed
+    is a 0/0 limit, states that limit in its blocks, so t = 0 is an ordinary
+    point. ``speed_at_zero`` stays ``None``: nothing in the package reads
+    it, and it is kept only because the benchmark's tracer does.
     """
 
     dim: int
@@ -175,14 +175,16 @@ def _moves(blocks):
 def _block_speeds(blocks, batch: tuple[int, ...], metric: MetricKind) -> np.ndarray:
     """Speeds of blocks whose entries broadcast to ``batch``. Points whose F
     leaves ``FISHER_WINDOW`` sum it again from ``_scaled`` blocks: every
-    derivative, ``ds`` too, times ``_binary_scale``'s 2^-e.
+    derivative, ``ds`` too, times ``_binary_scale``'s 2^-e. Where the
+    largest move is inf, the speed is inf (WY's sum would read inf - inf).
     It runs in its caller's ``_BATCH_SCOPE``, where an inf or nan F warns
     nothing."""
     fisher = _fisher(metric, blocks, np)
     speeds = 0.5 * np.sqrt(fisher)
     if not np.all(inside := (fisher >= FISHER_WINDOW[0]) & (fisher <= FISHER_WINDOW[1])):
-        shrink, grow = _binary_scale(functools.reduce(np.maximum, _moves(blocks)))
-        speeds = np.where(inside, speeds, 0.5 * np.sqrt(_fisher(metric, _scaled(blocks, shrink), np)) * grow)
+        shrink, grow = _binary_scale(peak := functools.reduce(np.maximum, _moves(blocks)))
+        scaled = 0.5 * np.sqrt(_fisher(metric, _scaled(blocks, shrink), np)) * grow
+        speeds = np.where(inside, speeds, np.where(peak == math.inf, math.inf, scaled))
     if isinstance(speeds, np.ndarray) and speeds.shape == batch:
         return speeds
     return np.broadcast_to(speeds, batch).copy()
@@ -200,60 +202,47 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> n
 
     The trajectory's block function (``traj.blocks``) is called once and
     its blocks take the formulas of ``_fisher``, all in one
-    ``_BATCH_SCOPE``. At t = 0 a trajectory's ``speed_at_zero`` limit is
-    returned. Negative, NaN and infinite times raise ``ValueError``, as do
-    times whose shape does not broadcast against the family's. Returns
+    ``_BATCH_SCOPE``; t = 0 is a point like any other, whose limit the
+    blocks state. Negative, NaN and infinite times raise ``ValueError``, as
+    do times whose shape does not broadcast against the family's. Returns
     the speeds, of the broadcast shape of the times and the family; no
     times give an empty array.
     """
     t = np.asarray(times, dtype=float)
-    if not t.ndim:  # one time, as every transverse sweep takes: checked as a float
-        first = last = float(t)
-    elif not t.size:
+    if t.ndim and not t.size:
         return np.empty(np.broadcast_shapes(t.shape, traj.shape))
-    else:
-        first, last = t.min(), t.max()
-    _check_range(first, last, t)
-    limit = traj.speed_at_zero
-    if limit is not None and last == 0.0:  # every point takes the limit
-        return np.full(np.broadcast_shapes(t.shape, np.shape(limit)), limit)
+    # one time, as every transverse sweep takes, is checked as a float
+    _check_range(*((t.min(), t.max()) if t.ndim else (float(t),) * 2), t)
     with _BATCH_SCOPE():
-        return _batch_at(traj, t, metric, first)
+        return _batch_at(traj, t, metric)
 
 
-def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind, first) -> np.ndarray:
-    """``speeds_at`` past its checks, at ``t``, whose earliest time is ``first``."""
+def _batch_at(traj: Trajectory, t: np.ndarray, metric: MetricKind) -> np.ndarray:
+    """``speeds_at`` past its checks, at ``t``."""
     batch = t.shape
     if traj.shape and traj.shape != batch:  # a family's shape, broadcast only where the times' is not () either
         batch = np.broadcast_shapes(batch, traj.shape) if batch else traj.shape
-    speeds = _block_speeds(traj.blocks(t), batch, metric)
-    limit = traj.speed_at_zero
-    if limit is None or first > 0.0:
-        return speeds
-    return np.where(t == 0.0, limit, speeds)
+    return _block_speeds(traj.blocks(t), batch, metric)
 
 
 def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) -> float:
     """Instantaneous speed at one time: the point path. A trajectory of
     stated shape () sums its blocks at once, on Python floats, by the
     batch's operations; a state at rest (every derivative 0, so F = 0)
-    reads +0.0 with no scaled sum. Anything else is one point of
-    ``speeds_at``. The block function is called once either way."""
+    reads +0.0 with no scaled sum, and an infinite move reads inf, as on
+    the batch. t = 0 is a point like any other. Anything else is one point
+    of ``speeds_at``. The block function is called once either way."""
     if isinstance(t, (int, float)) and not traj.shape:  # numpy's float64 is a float
         if not 0.0 <= (t := float(t)) < math.inf:
             _check_range(t, t, t)
-        limit = traj.speed_at_zero
-        if t == 0.0 and isinstance(limit, (int, float)):
-            return float(limit)
-        if t > 0.0 or limit is None:
-            blocks = traj.blocks(t)
-            if FISHER_WINDOW[0] <= (fisher := _fisher(metric, blocks, math)) <= FISHER_WINDOW[1]:
-                return 0.5 * math.sqrt(fisher)
-            if not (peak := max(_moves(blocks))):  # at rest: every move is 0, and so is F
-                return 0.0
-            shrink, grow = _binary_scale(peak)
-            return 0.5 * math.sqrt(_fisher(metric, _scaled(blocks, shrink), math)) * grow
-    speeds = speeds_at(traj, t, metric)  # a family, or an array limit at t = 0
+        blocks = traj.blocks(t)
+        if FISHER_WINDOW[0] <= (fisher := _fisher(metric, blocks, math)) <= FISHER_WINDOW[1]:
+            return 0.5 * math.sqrt(fisher)
+        if not (peak := max(_moves(blocks))) or peak == math.inf:  # at rest (F = 0), or an infinite move (inf - inf)
+            return float(peak)
+        shrink, grow = _binary_scale(peak)
+        return 0.5 * math.sqrt(_fisher(metric, _scaled(blocks, shrink), math)) * grow
+    speeds = speeds_at(traj, t, metric)  # a family
     if speeds.size != 1:
         raise ValueError("speed_at evaluates one point; use speeds_at for a family")
     return float(speeds.reshape(-1)[0])

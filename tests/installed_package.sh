@@ -9,6 +9,11 @@ qevspeed figure fig1a --points 3
 qevspeed regions --gamma-ratio 0.1 --n-max 300 --format json | python -c "import json, sys; json.load(sys.stdin)"
 # every S is finite where the float 1 - P_t rounds to 0 near t = 0
 qevspeed speed --model open-2q-anti --gamma-ratio 0.5 --tmin 0 --tmax 1e-5 --points 5 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert rows and all(math.isfinite(float(row[1])) for row in rows), rows"
+# near t = 0 an open curve reads its speed, alpha^2 sqrt(Gamma / 2) = 0.0804984 at t = 0 and 3.3e-9 less by t = 1e-7:
+# every row's S is within 5e-9 of that limit and no slope is steep
+qevspeed speed --model open-1q --alpha 0.6 --gamma-ratio 0.1 --tmin 0 --tmax 1e-7 --points 5 | python -c "import sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 5 and all(abs(float(row[1]) / 0.08049844718999243 - 1.0) <= 5e-9 and abs(float(row[2])) < 0.01 for row in rows), rows"
+# at a tiny width the qubit moves at sqrt(Gamma / 2) = 7.07e-16 at every time of the grid
+qevspeed speed --model open-1q --gamma-ratio 1e-30 --tmin 0 --tmax 10 --points 3 | python -c "import sys; rows = [line.strip().split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert [row[1] for row in rows] == ['7.07106781187e-16'] * 3, rows"
 # a closed model moves at constant speed and its blocks take no phase: every row prints one S and a dS_dt of exactly 0
 qevspeed speed --model closed-1q --alpha 0.2855253624007461 --omega 1.1107957869229923 --points 8 | python -c "import sys; rows = [line.strip().split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 8 and all(row[2] == '0' for row in rows) and len({row[1] for row in rows}) == 1, rows"
 # fig4 is its detect C sweep, so it takes the WY metric too

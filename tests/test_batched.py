@@ -145,8 +145,9 @@ def test_pair_states_are_the_local_channel_to_the_last_bit(kind):
     params = OpenSystemParams(alpha=0.6, Gamma=0.3)
     vec = np.array([0.6, 0, 0, 0.8] if kind == "aligned" else [0, 0.6, 0.8, 0], dtype=complex)
     states = open_model(f"open-2q-{kind}", params).state_at(TIMES)
-    for pop, rho in zip(population_factor(params, TIMES).tolist(), states):
-        channel = local_damping_evolve(np.outer(vec, vec.conj()), pop, 2)
+    lost = population_complement(params, TIMES).tolist()
+    for pop, comp, rho in zip(population_factor(params, TIMES).tolist(), lost, states):
+        channel = local_damping_evolve(np.outer(vec, vec.conj()), pop, 2, comp)
         np.testing.assert_array_max_ulp(rho.view(float), channel.view(float), maxulp=1)
 
 
@@ -162,12 +163,13 @@ def test_pair_families_are_the_local_channel_exactly(kind):
     states = family.state_at(times[:, None])
     assert states.shape == (300, 4, 4, 4)
     pops = population_factor(OpenSystemParams(Gamma=0.3), times).tolist()
+    lost = population_complement(OpenSystemParams(Gamma=0.3), times).tolist()
     moves = family.derivative_at(times[:, None])
     for k, alpha in enumerate(alphas):
         beta = math.sqrt(1.0 - alpha * alpha)
         vec = np.array([alpha, 0, 0, beta] if kind == "aligned" else [0, alpha, beta, 0], dtype=complex)
-        for pop, rho in zip(pops, states[:, k]):
-            np.testing.assert_array_equal(rho, local_damping_evolve(np.outer(vec, vec.conj()), pop, 2))
+        for pop, comp, rho in zip(pops, lost, states[:, k]):
+            np.testing.assert_array_equal(rho, local_damping_evolve(np.outer(vec, vec.conj()), pop, 2, comp))
         member = trajectory_from_key(f"open-2q-{kind}", alpha=alpha, Gamma_over_gamma0=0.3)
         np.testing.assert_array_equal(moves[:, k], member.derivative_at(times))
 
@@ -180,7 +182,8 @@ def test_pure_states_take_the_fubini_study_route():
 
 def test_zero_time_limits_and_clamp():
     finite = trajectory_from_key("open-2q-aligned", alpha=0.6, Gamma_over_gamma0=0.5)
-    assert speeds_at(finite, [0.0, 0.0], SLD).tolist() == [finite.speed_at_zero] * 2
+    assert speeds_at(finite, [0.0, 0.0], SLD).tolist() == [speed_at(finite, 0.0)] * 2
+    assert speed_at(finite, 0.0) == pytest.approx(0.6 * math.sqrt(0.5), rel=2.0**-52)
     markovian = trajectory_from_key("open-1q", alpha=0.6, markovian_limit=True)
     batched = speeds_at(markovian, [0.0, 1.0], SLD)
     assert batched[0] == speed_at(markovian, 0.0) == math.inf
@@ -385,12 +388,6 @@ def test_no_floating_point_exceptions():
         assert np.isfinite(amplitude_factor(p, np.array([1.0, 5.0, 50.0, 1e5, 1e308]))).all()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the model forms 1 - P_t as the float 1 - G_t^2, which cancels near "
-    "t = 0: c_t = sqrt(1 - P_t) and the speed move by a relative 1.5e-7 at "
-    "t = 1e-4 (ROADMAP item 2, a stable 1 - P_t)",
-)
 def test_two_qubit_speed_near_zero_matches_closed_form():
     params = OpenSystemParams(alpha=1.0 / math.sqrt(2.0), Gamma=0.1)
     traj = open_model("open-2q-aligned", params)
@@ -399,12 +396,6 @@ def test_two_qubit_speed_near_zero_matches_closed_form():
     assert speed_at(traj, 1e-4) == pytest.approx(closed, rel=1e-9)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the model forms 1 - P_t as the float 1 - G_t^2, which keeps few "
-    "digits at t <= 1e-6: the speeds read 0.50585, 0.50020 and 2.37266 "
-    "(ROADMAP item 2, a stable 1 - P_t)",
-)
 @pytest.mark.parametrize(
     "Gamma,t,expected", [(0.5, 1e-7, 0.5), (0.5, 1e-6, 0.5), (10.0, 1e-8, math.sqrt(5.0))]
 )

@@ -489,7 +489,7 @@ ONE_MEMBER_CASES = [
 def test_speed_at_calls_the_block_function_once(key, member, t, metric):
     """A one-member family is one point of the batch and parameters of
     shape () take the float path; either way the trajectory's ``blocks`` at
-    ``t`` are built once (none at a t = 0 limit), and the speed is the
+    ``t`` are built once, t = 0 too, and the speed is the
     batch's to the last bit."""
     kwargs = {"alpha": np.array([0.7]) if member == "alpha" else np.array(0.7)}
     if not key.startswith("closed"):
@@ -500,7 +500,7 @@ def test_speed_at_calls_the_block_function_once(key, member, t, metric):
     calls = []
     counted = dataclasses.replace(traj, blocks=lambda times: calls.append(times) or traj.blocks(times))
     assert speed_at(counted, t, metric).hex() == want.hex()
-    assert calls == ([] if t == 0.0 and traj.speed_at_zero is not None else [t])
+    assert calls == [t]
 
 
 class NoNumpy:
@@ -540,7 +540,7 @@ def test_zero_d_time_takes_the_float_branch(monkeypatch, Gamma):
         want = [x.hex() for x in models._amplitudes(t, Gamma)]
         for args in ((np.asarray(t), Gamma), (np.asarray(t), np.asarray(Gamma))):
             got = models._amplitudes(*args)
-            assert [type(x) for x in got] == [float, float]
+            assert [type(x) for x in got] == [float] * 3
             assert [x.hex() for x in got] == want
     bath = {"markovian_limit": True} if Gamma == math.inf else {"Gamma_over_gamma0": Gamma}
     family = trajectory_from_key("open-2q-aligned", alpha=np.linspace(0.1, 0.9, 5), **bath)
@@ -627,10 +627,11 @@ def test_results_take_the_shape_of_the_times(key, bath, shape):
 def test_only_a_turning_coherence_calls_the_phase(monkeypatch, key, bath):
     """The blocks state every coherence at phase 0, so neither speed path
     calls cos or sin (numpy's over a batch, libm's at a point) for it, on
-    one curve or a family: only an oscillatory G_t calls each, once per
-    evaluation. The dense states of the closed one-spin and aligned models
-    call each once more per batch, for the phase; the anti pair's and the
-    other open models' never do."""
+    one curve or a family: only an oscillatory G_t calls them, cos once and
+    sin twice per evaluation (sin(kappa t / 4) states 1 - G_t). The dense
+    states of the closed one-spin and aligned models call each once more
+    per batch, for the phase; the anti pair's and the other open models'
+    never do."""
     calls = count_calls(monkeypatch, *((module, name) for module in (math, np) for name in ("cos", "sin")))
     oscillatory = bath.get("Gamma_over_gamma0", 2.0) < 2.0
     turning = key in ("closed-1q", "closed-2q-aligned")
@@ -641,12 +642,12 @@ def test_only_a_turning_coherence_calls_the_phase(monkeypatch, key, bath):
             speeds_at(traj, np.linspace(0.1, 20.0, 50), metric)
             speed_at(traj, 2.5, metric)
         evaluations = 2 * len(MetricKind) * oscillatory
-        assert calls == ({"cos": evaluations, "sin": evaluations} if evaluations else {})
+        assert calls == ({"cos": evaluations, "sin": 2 * evaluations} if evaluations else {})
         calls.clear()
         traj.state_at(np.linspace(0.1, 20.0, 50))
         traj.derivative_at(2.5)
         batches = 2 * (turning + oscillatory)
-        assert calls == ({"cos": batches, "sin": batches} if batches else {})
+        assert calls == ({"cos": batches, "sin": batches + 2 * oscillatory} if batches else {})
 
 
 def test_the_batch_calls_libm_a_fixed_number_of_times(monkeypatch):
@@ -680,24 +681,27 @@ def test_the_batch_calls_libm_a_fixed_number_of_times(monkeypatch):
     few, many = (count(fresh.speedup_equation, params, np.linspace(0.1, 50.0, n)) for n in (10, 1000))
     assert few == many
     traj = fresh.trajectory_from_key("open-1q", alpha=0.7, Gamma_over_gamma0=0.4)
-    assert count(fresh.speed_at, traj, 2.5) == {"exp": 1, "sin": 1, "cos": 1}
+    assert count(fresh.speed_at, traj, 2.5) == {"exp": 1, "sin": 2, "cos": 1}
     assert count(fresh.speedup_equation, params, 2.5) == {"tan": 1, "tanh": 1}
 
 
 # ROADMAP item 2's widths and times, and a dense time grid
 ULP_WIDTHS = [1e-12, 1e-6, 0.01, 0.1, 0.5, 1.9, 2.0 - 1e-12, 2.0, 2.0 + 1e-12, 2.1, 10.0, 20.0, 1e6, 1e17, math.inf]
 ULP_TIMES = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-4, 0.01, 0.3, 1.0, 3.0, 8.0, 20.0, 49.0], np.linspace(1e-12, 50.0, 8001)])
-# numpy's SIMD exp, sin, cos, sinh and cosh differ from libm in the last
-# bits for some arguments; the largest difference measured on this grid
-# was 4 ulp for G_t and G'_t (AVX-512, numpy 2.4) and 0 for the phase
+# numpy's SIMD exp, expm1, sin, cos, sinh and cosh differ from libm in the
+# last bits for some arguments; the largest difference measured on this grid
+# was 4 ulp for G_t and G'_t (AVX-512, numpy 2.4) and 0 for the phase. 1 - G_t
+# sums terms up to about 8 times itself just past the series branch (t = 1/4),
+# so it differs by up to 16 ulp there, and its bound is twice that.
 ULP_BOUND = 8
+LOST_ULP_BOUND = 32
 
 
 def test_numpy_amplitudes_are_within_ulps_of_libm(monkeypatch):
     """The batch's G_t and G'_t, on numpy's ufuncs, and the closed models'
     dense states, which carry the phase, stay within ``ULP_BOUND`` ulp of
     the same expressions on libm's functions (the point path's), at every
-    width and time."""
+    width and time, and 1 - G_t within ``LOST_ULP_BOUND``."""
 
     def numpy_and_libm(run):
         with monkeypatch.context() as patch:
@@ -706,8 +710,8 @@ def test_numpy_amplitudes_are_within_ulps_of_libm(monkeypatch):
         return zip(run(), oracle)
 
     for width in ULP_WIDTHS:
-        for x, y in numpy_and_libm(lambda: models._amplitudes(ULP_TIMES, width)):
-            np.testing.assert_array_max_ulp(x, y, maxulp=ULP_BOUND)
+        for bound, x, y in zip((ULP_BOUND, ULP_BOUND, LOST_ULP_BOUND), *zip(*numpy_and_libm(lambda: models._amplitudes(ULP_TIMES, width)))):
+            np.testing.assert_array_max_ulp(x, y, maxulp=bound)
     for key in ("closed-1q", "closed-2q-aligned"):
         traj = trajectory_from_key(key, alpha=0.3, omega=1.3)
         for x, y in numpy_and_libm(lambda: (traj.state_at(ULP_TIMES), traj.derivative_at(ULP_TIMES))):

@@ -7,6 +7,7 @@ import pytest
 
 import qevspeed.cli as cli
 from qevspeed.analysis import region_report, speedup_boundaries, speedup_equation
+from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     MODEL_KEYS,
     OpenSystemParams,
@@ -15,6 +16,7 @@ from qevspeed.models import (
     trajectory_from_key,
 )
 from qevspeed.speed import speed_at, speeds_at
+from util import reference_speed
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 OPEN_AT_ONE = ("--model", "open-1q", "--gamma-ratio", "0.5", "--time", "1")
@@ -94,9 +96,10 @@ class TestSpeedCommand:
         "model", [("open-1q", "--alpha", "0.6", "--gamma-ratio", "0.1"), ("open-2q-anti", "--gamma-ratio", "0.5")]
     )
     def test_rows_where_the_complement_rounds_to_zero(self, tmp_path, model):
-        """At t = 0 the float 1 - P_t is 0, so the roots' derivative -G G'/c
-        is 0/0 and taken as 0; the rows are finite. Past t = 0 the open qubit
-        is within 1e-3 of its closed form, the error of that float 1 - P_t."""
+        """At t = 0, 1 - P_t is 0, so the roots' derivative -G G'/c is 0/0
+        and takes its limit sqrt(Gamma / 2); the rows are finite. Past t = 0
+        the open qubit is within 1e-3 of its closed form (within 1e-9 since
+        1 - P_t is stated without cancellation)."""
         code, text = run_to_file(
             tmp_path, ["speed", "--model", *model, "--tmin", "0", "--tmax", "1e-5", "--points", "5"]
         )
@@ -107,6 +110,32 @@ class TestSpeedCommand:
             params = OpenSystemParams(alpha=0.6, Gamma=0.1)
             for t, speed in rows[1:, :2]:
                 assert speed == pytest.approx(open_qubit_speed_analytic(params, t), rel=1e-3)
+
+    @pytest.mark.parametrize("metric", ["sld", "wy"])
+    def test_an_open_curve_starts_at_its_limit(self, capsys, metric):
+        """Every row near t = 0 reads the speed at its time within 1e-9 of
+        the extended-precision reference: 0.0804984 = alpha^2 sqrt(Gamma / 2)
+        at t = 0, falling by 3.3e-9 by t = 1e-7, with a slope of -0.00268.
+        Where 1 - P_t was the float 1 - G_t^2, the row at t = 2.5e-8 read
+        1.08e-9 and the slopes +-3e6."""
+        argv = ["speed", "--model", "open-1q", "--alpha", "0.6", "--gamma-ratio", "0.1", "--metric", metric]
+        assert cli.main([*argv, "--tmin", "0", "--tmax", "1e-7", "--points", "5"]) == 0
+        _, columns, rows = parse_csv(capsys.readouterr().out)
+        assert columns == ["t", "S", "dS_dt", "S_over_S0"] and len(rows) == 5
+        for t, speed, slope, _ in rows:
+            want = reference_speed("open-1q", 0.6, 0.1, t, MetricKind(metric)) if t else 0.36 * math.sqrt(0.05)
+            assert speed == pytest.approx(want, rel=1e-9), t
+            assert slope == pytest.approx(-0.00268328, rel=1e-5), t
+
+    def test_a_tiny_width_moves_at_its_limit(self, capsys):
+        """At Gamma/gamma0 = 1e-30, 1 - P_t = Gamma t^2 / 2 is far below eps
+        next to P_t, and the qubit moves at sqrt(Gamma / 2) = 7.07e-16 until
+        late times. Where 1 - P_t was the float 1 - G_t^2 it read 5e-30 and
+        1e-29 at t = 5 and 10."""
+        argv = ["speed", "--model", "open-1q", "--gamma-ratio", "1e-30", "--tmin", "0", "--tmax", "10", "--points", "3"]
+        assert cli.main(argv) == 0
+        cells = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")][1:]
+        assert [row[1] for row in cells] == ["7.07106781187e-16"] * 3
 
     def test_memoryless_regime_decelerates(self, tmp_path):
         code, text = run_to_file(
@@ -122,7 +151,6 @@ class TestSpeedCommand:
         assert np.all(rows[1:-1, 2] < 0.0)
 
     def test_library_reproduces_emitted_values(self, tmp_path):
-        from qevspeed.metrics import MetricKind
         from qevspeed.models import trajectory_from_key
         from qevspeed.speed import speed_at
 
@@ -276,9 +304,7 @@ class TestFigureCommand:
             ["detect", "--model", spec.model, "--alpha", repr(spec.alpha),
              "--gamma-ratio", repr(spec.gamma_ratio), "--sweep", "t:0.0001:30:400"]
         )
-        s0 = trajectory_from_key(
-            spec.model, alpha=spec.alpha, Gamma_over_gamma0=spec.gamma_ratio
-        ).speed_at_zero
+        s0 = float(speeds_at(trajectory_from_key(spec.model, alpha=spec.alpha, Gamma_over_gamma0=spec.gamma_ratio), 0.0))
         assert np.array_equal(figure.rows[:, 0], detect.rows[:, 0])
         assert np.array_equal(figure.rows[:, 1], detect.rows[:, 1] / s0)
         assert np.array_equal(figure.rows[:, -1], detect.rows[:, 2] / s0)

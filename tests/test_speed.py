@@ -237,8 +237,9 @@ WIDTHS = [{"Gamma": 0.1}, {"Gamma": 2.0}, {"Gamma": 10.0}, {"markovian_limit": T
 
 
 class TestZeroTimeLimit:
-    """At t = 0 the open models start on the boundary of the state space and
-    return their ``speed_at_zero`` limit, ``inf`` in the Markovian limit."""
+    """At t = 0 the open models start on the boundary of the state space,
+    where their blocks state the limit of the speed: t = 0 is an ordinary
+    point of both paths, ``inf`` in the Markovian limit."""
 
     @pytest.mark.parametrize("bath", WIDTHS)
     @pytest.mark.parametrize("alpha", [0.0, 0.6, 1.0])
@@ -262,7 +263,7 @@ class TestZeroTimeLimit:
         times = np.array([0.0, 1e-6, 0.5, 3.0])
         for metric in (SLD, WY):
             with_zero = speeds_at(traj, times, metric)
-            assert with_zero[0] == traj.speed_at_zero
+            assert with_zero[0] == speed_at(traj, 0.0, metric)
             without = speeds_at(traj, times[1:], metric)
             assert with_zero[1:].tobytes() == without.tobytes()
 

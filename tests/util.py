@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import functools
 import json
 import math
@@ -393,19 +394,20 @@ def concurrence(rho: np.ndarray) -> float:
     return float(min(1.0, max(0.0, lam[0] - lam[1] - lam[2] - lam[3])))
 
 
-def _damping_elements(g: float) -> list[np.ndarray]:
-    """Single-qubit operation elements at coherence amplitude g (P = g^2)."""
+def _damping_elements(g: float, c: float) -> list[np.ndarray]:
+    """Single-qubit operation elements at coherence amplitude g (P = g^2)
+    and decay amplitude c (c^2 = 1 - P)."""
     keep = np.array([[g, 0.0], [0.0, 1.0]], dtype=complex)
-    decay = np.array(
-        [[0.0, 0.0], [math.sqrt(max(1.0 - g * g, 0.0)), 0.0]], dtype=complex
-    )
+    decay = np.array([[0.0, 0.0], [c, 0.0]], dtype=complex)
     return [keep, decay]
 
 
-def local_damping_evolve(rho0: np.ndarray, P: float, n: int = 1) -> np.ndarray:
+def local_damping_evolve(rho0: np.ndarray, P: float, n: int = 1, complement: float | None = None) -> np.ndarray:
     """Oracle for the open-model states: amplitude damping at population
     factor P applied locally to each of n qubits (n in {1, 2}), as a Kraus
-    sum. The pair builders equal it bit for bit."""
+    sum. ``complement`` is 1 - P, by default the float 1 - P; given the
+    models' stable one (``population_complement``), the pair builders
+    equal it bit for bit."""
     if n not in (1, 2):
         raise ValueError(f"local damping supports 1 or 2 qubits, got n = {n}")
     if not 0.0 <= P <= 1.0:
@@ -414,7 +416,7 @@ def local_damping_evolve(rho0: np.ndarray, P: float, n: int = 1) -> np.ndarray:
     expected = 2**n
     if rho.shape != (expected, expected):
         raise ValueError(f"expected a {expected}x{expected} state for n = {n}")
-    single = _damping_elements(math.sqrt(P))
+    single = _damping_elements(math.sqrt(P), math.sqrt(max(1.0 - P, 0.0) if complement is None else complement))
     elements = single if n == 1 else [np.kron(a, b) for a in single for b in single]
     out = np.zeros_like(rho)
     for e in elements:
@@ -484,3 +486,144 @@ def render_json(result: TableResult) -> str:
         "notes": result.notes,
     }
     return json.dumps(payload, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# Extended-precision reference (ROADMAP items 2 and 3): the standard library's
+# decimal module, no numpy and no package code. Every value is exact to about
+# REFERENCE_DIGITS significant digits. It works with WORKING_DIGITS, so that
+# the digits 1 - G_t loses to G_t near 1 (down to 1 - G_t ~ 1e-37 at Gamma t
+# and t of 1e-12) and those the halvings of its trigonometric functions lose
+# still leave REFERENCE_DIGITS.
+
+REFERENCE_DIGITS = 40
+WORKING_DIGITS = REFERENCE_DIGITS + 80
+D = decimal.Decimal
+
+
+def _reference_context():
+    return decimal.localcontext(prec=WORKING_DIGITS, Emin=-10**9, Emax=10**9)
+
+
+def _sin_cos(x: decimal.Decimal, sign: int = -1) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(sin x, cos x), or (sinh x, cosh x) with ``sign`` +1: halve x until
+    it is below 1/16, sum the Taylor series (the ``decimal`` documentation's
+    recipes) and double the angle back, sin 2y = 2 sin y cos y and
+    cos 2y = 1 + 2 sign sin^2 y."""
+    halvings = 0
+    while abs(x) >= D(1) / 16:
+        x, halvings = x / 2, halvings + 1
+    square, term, sine, cosine, n = x * x, x, x, D(1), 1
+    cosine_term = D(1)
+    while True:
+        term = sign * term * square / ((n + 1) * (n + 2))
+        cosine_term = sign * cosine_term * square / (n * (n + 1))
+        if not term and not cosine_term or abs(cosine_term) < D(10) ** -(WORKING_DIGITS + 5):
+            break
+        sine, cosine, n = sine + term, cosine + cosine_term, n + 2
+    for _ in range(halvings):
+        sine, cosine = 2 * sine * cosine, 1 + 2 * sign * sine * sine
+    return sine, cosine
+
+
+def reference_amplitudes(Gamma: float, t: float) -> tuple[decimal.Decimal, decimal.Decimal, decimal.Decimal]:
+    """(G_t, G'_t, 1 - G_t) at width ``Gamma`` (inf: the Markovian limit)
+    and time ``t``, as Decimals at ``WORKING_DIGITS``, from the closed form
+    of each branch of the model docstring: the trigonometric functions of
+    ``_sin_cos`` where Gamma < 2, and where Gamma > 2 the decaying
+    exponentials exp(-(x -+ y)), x = Gamma t / 2 and y = kappa t / 2, whose
+    cosh and sinh would overflow at late times."""
+    with _reference_context():
+        t = D(t)
+        if math.isinf(Gamma):
+            g = (-t / 2).exp()
+            return +g, -g / 2, 1 - g
+        width = D(Gamma)
+        x = width * t / 2
+        decay = (-x).exp()
+        if width == 2:
+            g, dg = decay * (1 + x), -x * decay
+        elif width < 2:
+            kappa = (width * (2 - width)).sqrt()
+            sine, cosine = _sin_cos(kappa * t / 2)
+            g, dg = decay * (cosine + width / kappa * sine), -width / kappa * decay * sine
+        else:
+            kappa = (width * (width - 2)).sqrt()
+            up, down = (-(x - kappa * t / 2)).exp(), (-(x + kappa * t / 2)).exp()
+            g = ((1 + width / kappa) * up + (1 - width / kappa) * down) / 2
+            dg = -width / (2 * kappa) * (up - down)
+        return +g, +dg, 1 - g
+
+
+def _reference_pair(m: list, dm: list, metric: MetricKind) -> decimal.Decimal:
+    """F of a real symmetric 2x2 block [[m0, m2], [m2, m1]] moving at
+    ``dm`` in the same layout: the kernel sum over its eigenvalues (the
+    quadratic formula, the smaller one as det / the larger) and unit
+    eigenvectors."""
+    a, c, w = m
+    da, dc, dw = dm
+    half = (a + c) / 2
+    spread = (((a - c) / 2) ** 2 + w * w).sqrt()
+    large = half + spread
+    small = (a * c - w * w) / large
+    if spread == 0:  # a multiple of the identity: any basis diagonalizes it
+        u = (D(1), D(0))
+    else:
+        u = (w, large - a) if abs(large - a) >= abs(large - c) else (large - c, w)
+        norm = (u[0] * u[0] + u[1] * u[1]).sqrt()
+        u = (u[0] / norm, u[1] / norm)
+    v = (-u[1], u[0])
+
+    def element(p, q):
+        return p[0] * (da * q[0] + dw * q[1]) + p[1] * (dw * q[0] + dc * q[1])
+
+    def kernel(x, y):
+        if metric is MetricKind.SLD:
+            return 2 / (x + y)
+        return 4 / (x.sqrt() + y.sqrt()) ** 2
+
+    total = element(u, u) ** 2 * kernel(large, large) + 2 * element(u, v) ** 2 * kernel(large, small)
+    return total + element(v, v) ** 2 * kernel(small, small)
+
+
+def reference_speed(key: str, alpha: float, Gamma: float | None, t: float, metric: MetricKind,
+                    omega: float = 1.0, by_blocks: bool = False) -> float:
+    """The speed of model ``key`` at ``alpha``, width ``Gamma`` (inf:
+    Markovian; None for a closed model, which precesses at ``omega``) and
+    ``t`` > 0, under ``metric``, rounded to a float. A closed model moves
+    at omega alpha beta, 2 omega alpha beta or 0 (SLD), sqrt(2) times that
+    under WY. An open model's SLD speed is its closed form: alpha |G'|
+    sqrt((1 - beta^2 P) / (1 - P)) for one qubit, 2 alpha |G'| sqrt((1 - 2 P
+    (1 - P)) / (2 (1 - P) (1 - 2 alpha^2 P (1 - P)))) for the aligned pair
+    and |G'| / c, c = sqrt(1 - P), for the anti pair. Under WY it is the
+    kernel sum over the eigenvalues of each 2x2 block of the state, plus
+    4 s'^2 for each ray p = s^2 on a fixed vector; ``by_blocks`` takes
+    that route under SLD too, which checks the closed forms."""
+    with _reference_context():
+        a = D(alpha)
+        b = (1 - a * a).sqrt()
+        kind = key.split("-")[-1]
+        if Gamma is None:
+            rate = {"1q": 1, "aligned": 2, "anti": 0}[kind] * D(omega) * a * b
+            return float(rate if metric is MetricKind.SLD else rate * D(2).sqrt())
+        g, dg, lost = reference_amplitudes(Gamma, t)
+        pop, dpop, comp = g * g, 2 * g * dg, lost * (1 + g)
+        c = comp.sqrt()
+        dc = -g * dg / c
+        if metric is MetricKind.SLD and not by_blocks:
+            if kind == "1q":
+                return float(a * abs(dg) * ((1 - b * b * pop) / comp).sqrt())
+            if kind == "aligned":
+                inner = 2 * pop * comp
+                return float(2 * a * abs(dg) * ((1 - inner) / (2 * comp * (1 - a * a * inner))).sqrt())
+            return float(abs(dg) / c)
+        if kind == "1q":
+            fisher = _reference_pair([a * a * pop, 1 - a * a * pop, a * b * g], [a * a * dpop, -a * a * dpop, a * b * dg],
+                                     metric)
+        elif kind == "aligned":
+            corner = [a * a * pop * pop, b * b + a * a * comp * comp, a * b * pop]
+            moves = [2 * a * a * pop * dpop, -2 * a * a * comp * dpop, a * b * dpop]
+            fisher = _reference_pair(corner, moves, metric) + 2 * 4 * (a * (dg * c + g * dc)) ** 2
+        else:
+            fisher = 4 * dg * dg + 4 * dc * dc
+        return float(fisher.sqrt() / 2)
