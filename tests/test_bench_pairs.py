@@ -2,6 +2,7 @@
 runs: standard library only, with no benchmark run."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -78,3 +79,34 @@ def test_summary_of_paired_runs_keeps_each_sides_worst_accuracy():
 def test_a_workload_without_a_pair_has_no_statistics():
     summary = bench_pairs.summarize([run("sweeps", 7, "change", 1.0, 1.0)], BETTER)
     assert summary == {"sweeps": {"pairs": 0, "seeds": []}}
+
+
+def test_tier1_runs_in_the_tree_with_its_src_on_the_path(tmp_path, monkeypatch):
+    """``run_tier1`` runs ``TIER1`` (here a stand-in, not a whole pytest
+    run) in the tree, with the tree's ``src`` on the path, and keeps its
+    last line."""
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "tiny.py").write_text("VALUE = 3\n")
+    monkeypatch.setattr(bench_pairs, "TIER1", ["-c", "import tiny; print('.'); print(f'{tiny.VALUE} passed in 0.01s')"])
+    result = bench_pairs.run_tier1(tmp_path)
+    assert result["exit"] == 0 and result["result"] == "3 passed in 0.01s"
+    assert result["wall_s"] >= 0.0
+
+
+def test_a_file_without_tier1_runs_it_once_per_side(tmp_path, monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [{"name": "rows_per_s", "better": "higher"}]}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "machine", dict)
+    trees = []
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda tree: trees.append(tree) or {"result": "2 passed", "wall_s": 1.0})
+    result = {"correct": True, "failed": 0, "metrics": {"rows_per_s": {"value": 5.0}}}
+    accuracy_block = accuracy(1, 0, 15.0, 1e-15)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: (result, 7, accuracy_block))
+    argv = ["--parent", str(tmp_path / "parent"), "--pr", "99", "--workload", "points", "--seeds", "1", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+    assert trees == [(tmp_path / "parent").resolve(), tmp_path]
+    record = json.loads((tmp_path / "BENCH_99.json").read_text())
+    assert record["tier1"]["parent"] == record["tier1"]["change"] == {"result": "2 passed", "wall_s": 1.0}
+    assert bench_pairs.main([*argv[:5], "sweeps", *argv[6:]]) == 0
+    assert len(trees) == 2  # the file has its block: not run again
+    assert len(json.loads((tmp_path / "BENCH_99.json").read_text())["runs"]) == 4

@@ -22,6 +22,11 @@ runs: the fewest ``checked`` and ``min_digits``, the most
 ``closed_form_misses``, and the largest ``worst_rel_err``, overall and per
 category.
 
+Where the output file has no ``tier1`` block yet, the Tier-1 verify command
+of ROADMAP.md (``PYTHONPATH=src python -m pytest -q
+--continue-on-collection-errors``) runs once in each tree first, and the
+block keeps each side's exit code, result line and wall time.
+
 Run it once per workload: an existing output file keeps its runs and other
 keys, and its summary is recomputed from all of them. Only the standard
 library is used here; the runs themselves use numpy, as the benchmark does.
@@ -37,9 +42,11 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -61,6 +68,17 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple[dict
         raise SystemExit(f"{' '.join(argv)} in {tree} exited {done.returncode}:\n{done.stderr[-2000:]}")
     details = json.loads(lines[-2])["details"]
     return json.loads(lines[-1]), details["timing"]["passes"], details["accuracy"]
+
+
+def run_tier1(tree: Path) -> dict:
+    """The Tier-1 verify command run once in ``tree``: its exit code, the last line of its output (the counts and
+    pytest's own time) and the wall time of the whole process, in seconds."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=tree, env=env, capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"exit": done.returncode, "result": lines[-1] if lines else "", "wall_s": round(wall, 2)}
 
 
 def worst_accuracy(blocks: list[dict]) -> dict:
@@ -166,6 +184,12 @@ def main(argv: list[str] | None = None) -> int:
     better = {metric["name"]: metric["better"] for metric in config["end_to_end"]}
 
     trees = {"parent": args.parent.resolve(), "change": ROOT}
+    if "tier1" not in record:
+        record["tier1"] = {"command": "PYTHONPATH=src python " + " ".join(TIER1)}
+        for side, tree in trees.items():
+            record["tier1"][side] = run_tier1(tree)
+            print(f"tier1 {side}: {record['tier1'][side]['result']} ({record['tier1'][side]['wall_s']:g} s wall)")
+        out.write_text(json.dumps(record, indent=1) + "\n")
     for index, seed in enumerate(args.seeds):
         for side in ("parent", "change") if index % 2 == 0 else ("change", "parent"):
             result, passes, accuracy = run_once(trees[side], args.workload, seed, args.seconds)
