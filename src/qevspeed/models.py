@@ -105,18 +105,14 @@ def _markovian(xp, t, g, k):
     return decay, -0.5 * decay, -xp.expm1(-0.5 * t)
 
 
-# The series branch's terms d_2 .. d_16: where it runs u < 1/2, and the terms fall as about 2 u^(n-2) / n! against the
-# first, so the last is below 1e-17 of it.
-_SERIES_TERMS = 15
-
-
 def _series_coefficients(g):
     """(s, [(d_n, n d_n) for n = 16 .. 2]) of G_t = 1 + sum d_n u^n, u = s t and s = max(Gamma, 1), from G'' = -Gamma G'
-    - (Gamma / 2) G, G = 1 and G' = 0 at t = 0: in u the rates are Gamma / s <= 1 and Gamma / (2 s^2) <= 1/2."""
+    - (Gamma / 2) G, G = 1 and G' = 0 at t = 0: in u the rates are Gamma / s <= 1 and Gamma / (2 s^2) <= 1/2. Where the
+    series runs u < 1/2, and the terms fall as about 2 u^(n-2) / n! against the first: d_16's is below 1e-17 of it."""
     s = np.maximum(g, 1.0) if isinstance(g, np.ndarray) else max(g, 1.0)
     a, b = g / s, g / (2.0 * s * s)
     d, d_next, coefficients = 1.0, 0.0, []
-    for n in range(_SERIES_TERMS):
+    for n in range(15):
         d, d_next = d_next, -(a * (n + 1) * d_next + b * d) / ((n + 2) * (n + 1))
         coefficients.append((d_next, (n + 2) * d_next))
     return s, coefficients[::-1]

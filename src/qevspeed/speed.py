@@ -209,10 +209,13 @@ def speeds_at(traj: Trajectory, times, metric: MetricKind = MetricKind.SLD) -> n
     times give an empty array.
     """
     t = np.asarray(times, dtype=float)
-    if t.ndim and not t.size:
+    if not t.ndim:  # one time, as every transverse sweep takes: checked as a float
+        first = last = float(t)
+    elif not t.size:
         return np.empty(np.broadcast_shapes(t.shape, traj.shape))
-    # one time, as every transverse sweep takes, is checked as a float
-    _check_range(*((t.min(), t.max()) if t.ndim else (float(t),) * 2), t)
+    else:
+        first, last = t.min(), t.max()
+    _check_range(first, last, t)
     with _BATCH_SCOPE():
         return _batch_at(traj, t, metric)
 

@@ -502,27 +502,26 @@ D = decimal.Decimal
 
 
 def _reference_context():
-    return decimal.localcontext(prec=WORKING_DIGITS, Emin=-10**9, Emax=10**9)
+    return decimal.localcontext(decimal.Context(prec=WORKING_DIGITS, Emin=-10**9, Emax=10**9))
 
 
-def _sin_cos(x: decimal.Decimal, sign: int = -1) -> tuple[decimal.Decimal, decimal.Decimal]:
-    """(sin x, cos x), or (sinh x, cosh x) with ``sign`` +1: halve x until
-    it is below 1/16, sum the Taylor series (the ``decimal`` documentation's
-    recipes) and double the angle back, sin 2y = 2 sin y cos y and
-    cos 2y = 1 + 2 sign sin^2 y."""
+def _sin_cos(x: decimal.Decimal) -> tuple[decimal.Decimal, decimal.Decimal]:
+    """(sin x, cos x): halve x until it is below 1/16, sum the Taylor series
+    (the ``decimal`` documentation's recipes) and double the angle back,
+    sin 2y = 2 sin y cos y and cos 2y = 1 - 2 sin^2 y."""
     halvings = 0
     while abs(x) >= D(1) / 16:
         x, halvings = x / 2, halvings + 1
-    square, term, sine, cosine, n = x * x, x, x, D(1), 1
-    cosine_term = D(1)
-    while True:
-        term = sign * term * square / ((n + 1) * (n + 2))
-        cosine_term = sign * cosine_term * square / (n * (n + 1))
-        if not term and not cosine_term or abs(cosine_term) < D(10) ** -(WORKING_DIGITS + 5):
-            break
-        sine, cosine, n = sine + term, cosine + cosine_term, n + 2
+    square, tiny = x * x, D(10) ** -(WORKING_DIGITS + 5)
+    sine = sine_term = x
+    cosine = cosine_term = D(1)
+    n = 1
+    while abs(cosine_term) >= tiny:  # the terms of both series shrink by about x^2 / n^2 each
+        sine_term = -sine_term * square / ((n + 1) * (n + 2))
+        cosine_term = -cosine_term * square / (n * (n + 1))
+        sine, cosine, n = sine + sine_term, cosine + cosine_term, n + 2
     for _ in range(halvings):
-        sine, cosine = 2 * sine * cosine, 1 + 2 * sign * sine * sine
+        sine, cosine = 2 * sine * cosine, 1 - 2 * sine * sine
     return sine, cosine
 
 
@@ -530,9 +529,10 @@ def reference_amplitudes(Gamma: float, t: float) -> tuple[decimal.Decimal, decim
     """(G_t, G'_t, 1 - G_t) at width ``Gamma`` (inf: the Markovian limit)
     and time ``t``, as Decimals at ``WORKING_DIGITS``, from the closed form
     of each branch of the model docstring: the trigonometric functions of
-    ``_sin_cos`` where Gamma < 2, and where Gamma > 2 the decaying
-    exponentials exp(-(x -+ y)), x = Gamma t / 2 and y = kappa t / 2, whose
-    cosh and sinh would overflow at late times."""
+    ``_sin_cos`` where Gamma < 2, and where Gamma > 2 its cosh and sinh
+    written with ``decimal``'s exp, as the decaying exponentials
+    exp(-(x -+ y)), x = Gamma t / 2 and y = kappa t / 2, which stay in
+    range where cosh would overflow at late times."""
     with _reference_context():
         t = D(t)
         if math.isinf(Gamma):
