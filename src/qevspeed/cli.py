@@ -323,8 +323,7 @@ def run_speed(config: RunConfig) -> TableResult:
     )
     columns = ["t", "S", "dS_dt"]
     values = [grid, curve.speeds, curve.slopes]
-    s0 = speed_at(traj, 0.0, metric) if config.model.startswith("open") else 0.0  # an open model's start
-    if 0.0 < s0 < math.inf:
+    if config.model.startswith("open") and 0.0 < (s0 := speed_at(traj, 0.0, metric)) < math.inf:  # from its start
         columns.append("S_over_S0")
         values.append(curve.speeds / s0)
     return TableResult(header, columns, _rows(*values))

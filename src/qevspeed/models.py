@@ -98,37 +98,49 @@ def _scalar_or_array(value: np.ndarray):
 
 # The branch table: each entry takes the module (``math`` or ``np``), times, widths and kappas and returns G_t, G'_t
 # and 1 - G_t, the last without the cancellation of 1 minus a G_t near 1: -expm1(-Gamma t / 2) plus the rest.
-
-
 def _markovian(xp, t, g, k):
     decay = xp.exp(-0.5 * t)
     return decay, -0.5 * decay, -xp.expm1(-0.5 * t)
 
 
 def _series_coefficients(g):
-    """(s, [(d_n, n d_n) for n = 16 .. 2]) of G_t = 1 + sum d_n u^n, u = s t and s = max(Gamma, 1), from G'' = -Gamma G'
-    - (Gamma / 2) G, G = 1 and G' = 0 at t = 0: in u the rates are Gamma / s <= 1 and Gamma / (2 s^2) <= 1/2. Where the
-    series runs u < 1/2, and the terms fall as about 2 u^(n-2) / n! against the first: d_16's is below 1e-17 of it."""
+    """(d_n, n d_n) for n = 16 .. 2, stacked on the last two axes, of G_t = 1 + sum d_n u^n, u = s t and
+    s = max(Gamma, 1), from G'' = -Gamma G' - (Gamma / 2) G, G = 1 and G' = 0 at t = 0: in u the rates are
+    Gamma / s <= 1 and Gamma / (2 s^2) <= 1/2, so the coefficients stay bounded at any width. Where the series runs
+    u < 1/2, and the terms fall as about 2 u^(n-2) / n! against the first: d_16's is below 1e-17 of it."""
     s = np.maximum(g, 1.0) if isinstance(g, np.ndarray) else max(g, 1.0)
     a, b = g / s, g / (2.0 * s * s)
     d, d_next, coefficients = 1.0, 0.0, []
     for n in range(15):
         d, d_next = d_next, -(a * (n + 1) * d_next + b * d) / ((n + 2) * (n + 1))
         coefficients.append((d_next, (n + 2) * d_next))
-    return s, coefficients[::-1]
+    return np.moveaxis(np.array(coefficients[::-1]), (0, 1), (-1, -2))
 
 
-_width_series = functools.lru_cache(maxsize=256)(_series_coefficients)
+_width_series = functools.lru_cache(maxsize=256)(lambda g: (rows := _series_coefficients(g), rows.tolist()))
 
 
 def _series(xp, t, g, k):
-    # Gamma t < 1/2 and t < 1/4, where every closed form cancels in 1 - G_t = Gamma t^2 / 4 + ...; coefficients cached
-    s, coefficients = _width_series(g) if isinstance(g, float) else _series_coefficients(g)
+    # t < min(1/4, 1 / (2 Gamma)), where every closed form cancels in 1 - G_t = Gamma t^2 / 4 + ...: d_n u^(n-2) and
+    # n d_n u^(n-2) summed from n = 16 down, u^k = u^(k-1) u, by the same steps on floats and arrays (accumulate's)
+    s = max(g, 1.0) if isinstance(g, float) else np.maximum(g, 1.0)
     u = s * t
-    value = slope = 0.0
-    for d, nd in coefficients:  # Horner's rule
-        value = value * u + d
-        slope = slope * u + nd
+    if not (u if isinstance(u, float) else u.any()):
+        value = slope = -u  # u = +0 at every point, where d_2 < 0 sets only the zeros' signs: 1 - G_t = +0, G'_t = -0
+    elif isinstance(u, float):
+        powers = [1.0]
+        for _ in range(14):
+            powers.append(powers[-1] * u)
+        value = slope = 0.0
+        for d, nd, power in zip(*_width_series(g)[1], powers[::-1]):
+            value += d * power
+            slope += nd * power
+    else:
+        rows = _width_series(g)[0] if isinstance(g, float) else _series_coefficients(g)
+        powers = np.empty((*u.shape, 15))
+        powers[..., 0], powers[..., 1:] = 1.0, u[..., None]
+        sums = np.add.accumulate(np.multiply.accumulate(powers, axis=-1)[..., None, ::-1] * rows, axis=-1)
+        value, slope = sums[..., 0, -1], sums[..., 1, -1]
     lost = u * u * -value  # +0.0 at t = 0
     return 1.0 - lost, s * (u * slope), lost
 
@@ -140,26 +152,31 @@ def _critical(xp, t, g, k):
 
 
 def _oscillatory(xp, t, g, k):
-    half = 0.5 * k * t
-    decay, sine, quarter = xp.exp(-0.5 * g * t), xp.sin(half), xp.sin(0.5 * half)
-    lost = -xp.expm1(-0.5 * g * t) + decay * (2.0 * quarter * quarter - (g / k) * sine)
-    return decay * (xp.cos(half) + (g / k) * sine), -(g / k) * decay * sine, lost
+    half, x = 0.5 * k * t, -0.5 * g * t
+    decay, sine, cosine = xp.exp(x), xp.sin(half), xp.cos(half)
+    turn = (g / k) * sine
+    if xp is math:  # 1 - cos y without cancellation: sin^2 y / (1 + cos y) where cos y >= 0
+        versine = sine * sine / (1.0 + cosine) if cosine >= 0.0 else 1.0 - cosine
+    else:
+        versine = np.divide(sine * sine, 1.0 + cosine, out=1.0 - cosine, where=cosine >= 0.0)
+    return decay * (cosine + turn), -(g / k) * decay * sine, decay * (versine - turn) - xp.expm1(x)
 
 
 def _hyperbolic(xp, t, g, k):
     # between the split form's ranges, where it cancels badly if Gamma / kappa is huge (near the critical width)
-    half = 0.5 * k * t
-    decay, sinh, quarter = xp.exp(-0.5 * g * t), xp.sinh(half), xp.sinh(0.5 * half)
-    lost = -xp.expm1(-0.5 * g * t) - decay * (2.0 * quarter * quarter + (g / k) * sinh)
-    return decay * (xp.cosh(half) + (g / k) * sinh), -(g / k) * decay * sinh, lost
+    half, x = 0.5 * k * t, -0.5 * g * t
+    decay, sinh, quarter = xp.exp(x), xp.sinh(half), xp.sinh(0.5 * half)
+    turn = (g / k) * sinh
+    lost = -xp.expm1(x) - decay * (2.0 * quarter * quarter + turn)  # cosh - 1 = 2 sinh^2(kappa t / 4)
+    return decay * (xp.cosh(half) + turn), -(g / k) * decay * sinh, lost
 
 
 def _hyperbolic_split(xp, t, g, k):
     # t < 1/4 or kappa t / 2 >= 20 (where cosh overflows): decaying exponentials, kappa - Gamma = -2 Gamma / (kappa +
     # Gamma) and 1 - Gamma / kappa = -2 Gamma / (kappa (kappa + Gamma)) without the differences' cancellation
-    up = xp.exp(-g / (k + g) * t)
-    down = xp.exp(-0.5 * (k + g) * t)
-    lost = 0.5 * ((g / (k + g)) * (2.0 / k) * xp.expm1(-0.5 * (k + g) * t) - (1.0 + g / k) * xp.expm1(-g / (k + g) * t))
+    slow, fast = -g / (k + g) * t, -0.5 * (k + g) * t
+    up, down = xp.exp(slow), xp.exp(fast)
+    lost = 0.5 * ((g / (k + g)) * (2.0 / k) * xp.expm1(fast) - (1.0 + g / k) * xp.expm1(slow))
     return 0.5 * ((1.0 + g / k) * up + (1.0 - g / k) * down), -(g / (2.0 * k)) * (up - down), lost
 
 
@@ -174,47 +191,37 @@ def _width_branch(Gamma) -> tuple[float, float, int]:
 
 
 def _one_width(g, k, code, t):
-    """``_amplitudes`` at one width, from its ``_width_branch``, with ``t`` unchecked."""
+    """``_amplitudes`` at one width, from its ``_width_branch``, with ``t`` unchecked. An array of times takes the
+    width's branch everywhere (a hyperbolic width's split form), then the series' and cosh/sinh's times by mask."""
     if isinstance(t, (int, float)) or getattr(t, "ndim", None) == 0:
-        t = float(t)  # _codes' choice, on one time
-        code = 1 if code and g * t < 0.5 and t < 0.25 else 5 if code == 4 and (t < 0.25 or 0.5 * k * t >= 20.0) else code
+        t = float(t)
+        code = 1 if t < min(0.25, 0.5 / g) else 5 if code == 4 and (t < 0.25 or 0.5 * k * t >= 20.0) else code
         return _BRANCHES[code](math, t, g, k)
     t = np.asarray(t, dtype=float)
-    return _by_mask(_codes(t, g, k, code) if code else code, t, g, k)
-
-
-def _codes(t, g, k, code):
-    """Each time's ``_BRANCHES`` index from its finite width's ``code``
-    (all broadcast), as one int where they all agree."""
-    series = (g * t < 0.5) & (t < 0.25)
-    codes = np.where(series, 1, np.where((code == 4) & ((t < 0.25) | (0.5 * k * t >= 20.0)), 5, code))
-    first = int(codes.flat[0]) if codes.size else 0
-    return first if (codes == first).all() else codes
-
-
-def _by_mask(codes, t, g, k):
-    """G_t, G'_t and 1 - G_t of each element by its branch in ``codes`` (one int: all of them, with no mask)."""
-    if isinstance(codes, int):
-        return _BRANCHES[codes](np, t, g, k)
-    t, g, k = np.broadcast_arrays(t, g, k)
-    out = np.empty((3, *codes.shape))
-    for branch, formula in enumerate(_BRANCHES):
-        mask = codes == branch
+    value, slope, lost = _BRANCHES[5 if code == 4 else code](np, t, g, k)
+    patches = [(1, t < min(0.25, 0.5 / g))] if code else []
+    patches += [(4, (t >= 0.25) & (0.5 * k * t < 20.0))] if code == 4 else []
+    for branch, mask in patches:
         if mask.any():
-            out[:, mask] = formula(np, t[mask], g[mask], k[mask])
-    return out[0], out[1], out[2]
+            value[mask], slope[mask], lost[mask] = _BRANCHES[branch](np, t[mask], g, k)
+    return value, slope, lost
 
 
 def _widths(t, Gamma):
     """``_amplitudes`` over an array of widths, with ``t`` unchecked: each
-    element takes its width's branch by mask."""
+    element takes the branch ``_one_width`` gives it, by mask."""
     t, g = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(Gamma, dtype=float))
     markovian = np.isinf(g)
     finite = np.where(markovian, 0.0, g)
     k = np.sqrt(finite) * np.sqrt(np.abs(2.0 - finite))
-    code = np.where(finite == 2.0, 2, np.where(finite < 2.0, 3, 4))
-    codes = np.where(markovian, 0, _codes(t, finite, k, code))
-    return _by_mask(codes, t, g, k)
+    codes = np.where(t < np.minimum(0.25, 0.5 / g), 1, np.where(finite == 2.0, 2, np.where(finite < 2.0, 3, 4)))
+    codes = np.where((codes == 4) & ((t < 0.25) | (0.5 * k * t >= 20.0)), 5, codes)
+    codes[markovian] = 0
+    value, slope, lost = np.empty((3, *t.shape))
+    for branch in np.flatnonzero(np.bincount(codes.ravel(), minlength=len(_BRANCHES))).tolist():
+        mask = codes == branch  # a row at a time: out[:, mask] would copy the three results into one array first
+        value[mask], slope[mask], lost[mask] = _BRANCHES[branch](np, t[mask], g[mask], k[mask])
+    return value, slope, lost
 
 
 def _amplitudes(t, Gamma):
@@ -237,13 +244,9 @@ def _amplitudes(t, Gamma):
     split form, where exp(-inf) is the 0 it rounds to: neither warns.
     """
     one = isinstance(Gamma, (int, float)) or getattr(Gamma, "ndim", None) == 0
-    if isinstance(t, (int, float)):
-        if not 0.0 <= t < math.inf:
-            _check_range(t, t, t)
-        if one:  # Python floats: no numpy and no scope
-            return _one_width(*_width_branch(Gamma), t)
-    else:
-        _check_time(t)
+    _check_time(t)
+    if one and isinstance(t, (int, float)):  # Python floats: no numpy and no scope
+        return _one_width(*_width_branch(Gamma), t)
     with np.errstate(under="ignore", over="ignore"):
         return _one_width(*_width_branch(Gamma), t) if one else _widths(t, Gamma)
 
@@ -447,9 +450,8 @@ def open_qubit_speed_analytic(p: OpenSystemParams, t: float) -> float:
     a = p.alpha
     if a == 0.0 or t == 0.0:
         return a * a * math.sqrt(0.5 * _width(p)) if a else 0.0
-    pop = population_factor(p, t)
-    comp = population_complement(p, t)
-    dg = amplitude_factor_dot(p, t)
+    g, dg, lost = _amplitudes(t, _width(p))
+    pop, comp = min(g * g, 1.0), lost * (1.0 + g)
     return a * abs(dg) * math.sqrt((1.0 - (1.0 - a * a) * pop) / comp)
 
 
@@ -463,9 +465,8 @@ def open_two_qubit_speed_analytic(p: OpenSystemParams, t: float) -> float:
     a = p.alpha
     if a == 0.0 or t == 0.0:
         return a * math.sqrt(_width(p)) if a else 0.0
-    pop = population_factor(p, t)
-    comp = population_complement(p, t)
-    dg = amplitude_factor_dot(p, t)
+    g, dg, lost = _amplitudes(t, _width(p))
+    pop, comp = min(g * g, 1.0), lost * (1.0 + g)
     numerator = 1.0 - 2.0 * pop * comp
     denominator = 2.0 * comp * (1.0 - 2.0 * a * a * pop * comp)
     return 2.0 * a * abs(dg) * math.sqrt(numerator / denominator)

@@ -513,9 +513,10 @@ class NoNumpy:
 def test_point_path_calls_no_numpy(monkeypatch):
     """With scalar parameters, ``speed_at`` runs from the block function to
     the speed on Python floats: every branch of G_t (Gamma/gamma0 = 10 at
-    t = 40 is past the hyperbolic split), both metrics, the t = 0 limit and
-    the points outside ``FISHER_WINDOW`` (t = 1400, omega = 1e308), which
-    are scaled, give their bits with numpy gone from ``models`` and ``speed``."""
+    t = 40 is past the hyperbolic split, t = 1e-3 takes the series), both
+    metrics, t = 0 and the points outside ``FISHER_WINDOW`` (t = 1400,
+    omega = 1e308), which are scaled, give their bits with numpy gone from
+    ``models`` and ``speed``."""
     wide = [(key, {"Gamma_over_gamma0": 10.0}) for key in MODEL_KEYS if key.startswith("open")]
     fast = [(key, {"omega": 1e308}) for key in MODEL_KEYS if key.startswith("closed")]
     points = []
@@ -627,11 +628,10 @@ def test_results_take_the_shape_of_the_times(key, bath, shape):
 def test_only_a_turning_coherence_calls_the_phase(monkeypatch, key, bath):
     """The blocks state every coherence at phase 0, so neither speed path
     calls cos or sin (numpy's over a batch, libm's at a point) for it, on
-    one curve or a family: only an oscillatory G_t calls them, cos once and
-    sin twice per evaluation (sin(kappa t / 4) states 1 - G_t). The dense
-    states of the closed one-spin and aligned models call each once more
-    per batch, for the phase; the anti pair's and the other open models'
-    never do."""
+    one curve or a family: only an oscillatory G_t calls each, once per
+    evaluation. The dense states of the closed one-spin and aligned models
+    call each once more per batch, for the phase; the anti pair's and the
+    other open models' never do."""
     calls = count_calls(monkeypatch, *((module, name) for module in (math, np) for name in ("cos", "sin")))
     oscillatory = bath.get("Gamma_over_gamma0", 2.0) < 2.0
     turning = key in ("closed-1q", "closed-2q-aligned")
@@ -642,12 +642,12 @@ def test_only_a_turning_coherence_calls_the_phase(monkeypatch, key, bath):
             speeds_at(traj, np.linspace(0.1, 20.0, 50), metric)
             speed_at(traj, 2.5, metric)
         evaluations = 2 * len(MetricKind) * oscillatory
-        assert calls == ({"cos": evaluations, "sin": 2 * evaluations} if evaluations else {})
+        assert calls == ({"cos": evaluations, "sin": evaluations} if evaluations else {})
         calls.clear()
         traj.state_at(np.linspace(0.1, 20.0, 50))
         traj.derivative_at(2.5)
         batches = 2 * (turning + oscillatory)
-        assert calls == ({"cos": batches, "sin": batches + 2 * oscillatory} if batches else {})
+        assert calls == ({"cos": batches, "sin": batches} if batches else {})
 
 
 def test_the_batch_calls_libm_a_fixed_number_of_times(monkeypatch):
@@ -681,7 +681,7 @@ def test_the_batch_calls_libm_a_fixed_number_of_times(monkeypatch):
     few, many = (count(fresh.speedup_equation, params, np.linspace(0.1, 50.0, n)) for n in (10, 1000))
     assert few == many
     traj = fresh.trajectory_from_key("open-1q", alpha=0.7, Gamma_over_gamma0=0.4)
-    assert count(fresh.speed_at, traj, 2.5) == {"exp": 1, "sin": 2, "cos": 1}
+    assert count(fresh.speed_at, traj, 2.5) == {"exp": 1, "sin": 1, "cos": 1}
     assert count(fresh.speedup_equation, params, 2.5) == {"tan": 1, "tanh": 1}
 
 

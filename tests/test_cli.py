@@ -116,8 +116,8 @@ class TestSpeedCommand:
         """Every row near t = 0 reads the speed at its time within 1e-9 of
         the extended-precision reference: 0.0804984 = alpha^2 sqrt(Gamma / 2)
         at t = 0, falling by 3.3e-9 by t = 1e-7, with a slope of -0.00268.
-        Where 1 - P_t was the float 1 - G_t^2, the row at t = 2.5e-8 read
-        1.08e-9 and the slopes +-3e6."""
+        With 1 - P_t as the float 1 - G_t^2, which cancels there, the row at
+        t = 2.5e-8 reads 1.08e-9 and the slopes +-3e6."""
         argv = ["speed", "--model", "open-1q", "--alpha", "0.6", "--gamma-ratio", "0.1", "--metric", metric]
         assert cli.main([*argv, "--tmin", "0", "--tmax", "1e-7", "--points", "5"]) == 0
         _, columns, rows = parse_csv(capsys.readouterr().out)
@@ -130,8 +130,8 @@ class TestSpeedCommand:
     def test_a_tiny_width_moves_at_its_limit(self, capsys):
         """At Gamma/gamma0 = 1e-30, 1 - P_t = Gamma t^2 / 2 is far below eps
         next to P_t, and the qubit moves at sqrt(Gamma / 2) = 7.07e-16 until
-        late times. Where 1 - P_t was the float 1 - G_t^2 it read 5e-30 and
-        1e-29 at t = 5 and 10."""
+        late times. With 1 - P_t as the float 1 - G_t^2, which rounds to 0,
+        it reads 5e-30 and 1e-29 at t = 5 and 10."""
         argv = ["speed", "--model", "open-1q", "--gamma-ratio", "1e-30", "--tmin", "0", "--tmax", "10", "--points", "3"]
         assert cli.main(argv) == 0
         cells = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")][1:]

@@ -87,7 +87,7 @@ def test_a_closed_speed_is_one_bit_pattern(key, members, omega, ts):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(MODEL_KEYS), alphas, widths, times, st.booleans())
-@example("open-1q", 1.0, 10.0, [1e-8], False)  # 0.37 relative apart when 1 - P_t was the float 1 - G_t^2
+@example("open-1q", 1.0, 10.0, [1e-8], False)  # 0.37 relative apart with 1 - P_t as the float 1 - G_t^2
 def test_the_paths_agree(key, alpha, width, ts, zero_of_g):
     """``speed_at`` equals ``speeds_at`` within ``PATH_ULPS`` at every time,
     under both metrics; inf and 0 exactly. The times take t = 0 and, at an
