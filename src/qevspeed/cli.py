@@ -323,7 +323,8 @@ def run_speed(config: RunConfig) -> TableResult:
     )
     columns = ["t", "S", "dS_dt"]
     values = [grid, curve.speeds, curve.slopes]
-    if config.model.startswith("open") and 0.0 < (s0 := speed_at(traj, 0.0, metric)) < math.inf:  # from its start
+    # an open model's speed relative to its start, where it leaves the pure state; a closed model's is constant
+    if config.model.startswith("open") and 0.0 < (s0 := speed_at(traj, 0.0, metric)) < math.inf:
         columns.append("S_over_S0")
         values.append(curve.speeds / s0)
     return TableResult(header, columns, _rows(*values))
