@@ -3,7 +3,12 @@ speedup-detection sweeps, emitted as self-describing CSV or JSON.
 
 Every value in the output is reproducible by calling the library directly
 with the parameters echoed in the header block; the CLI only arranges grids
-and serialization. Exit codes: 0 success, 2 usage error.
+and serialization. ``speed``, ``figure`` and ``detect`` are column
+projections of one sweep (``_sweep``): a parameter's grid, checked against
+the parameter's domain, and its speeds and slopes from one
+``speedup_measures`` call, whose stencil keeps to that domain. ``speed``
+is the t sweep, and a figure its ``FigureSpec``'s bound sweep. Exit codes:
+0 success, 2 usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,15 +32,28 @@ from .models import (
     alpha_from_concurrence,
     trajectory_from_key,
 )
-from .speed import Trajectory, speed_at, speed_curve, speedup_measures, speeds_at
+from .speed import _TIME_DOMAIN, Trajectory, speed_at, speedup_measures, speeds_at
 
-SWEEP_PARAMS = ("t", "alpha", "C", "Omega", "Gamma_over_gamma0")
+# Each sweep parameter's domain as ``speedup_measures`` takes it, a closed interval whose open ends are the nearest
+# floats (t < inf, Omega and Gamma/gamma0 > 0); the usage error that names a grid point outside it; and the model
+# parameter that a transverse sweep sets, as a function of the swept value
+_POSITIVE = (math.ulp(0.0), sys.float_info.max)
+_SWEEPS = {
+    "t": (_TIME_DOMAIN, "t = {:.12g} outside trajectory range [0, inf)", None, None),
+    "alpha": ((0.0, 1.0), "alpha sweep left [0, 1] at {:.12g}", "alpha", lambda alpha: alpha),
+    "C": ((0.0, 1.0), "C sweep left [0, 1] at {:.12g}", "alpha", alpha_from_concurrence),
+    "Omega": (_POSITIVE, "Omega must stay positive, got {:.12g}", "Gamma_over_gamma0", lambda omega: 1.0 / omega),
+    "Gamma_over_gamma0": (_POSITIVE, "Gamma/gamma0 must stay positive, got {:.12g}", "Gamma_over_gamma0", lambda x: x),
+}
+SWEEP_PARAMS = tuple(_SWEEPS)
 
-# ``detect`` flags a speedup where dS/dxi > SLOPE_NOISE_TOL * |S|. The slope is a central difference over 2h >= 2e-5
-# (h = DEFAULT_TIME_STEP * max(1, |xi|)) of rounded speeds. A closed time slope is exactly 0; closed alpha and C slopes
-# carry at most 1.4e-11 |S| of rounding at alpha in [0.1, 0.9] (against exact differences of the same stencil), growing
-# as 1 / (1 - alpha^2) past it, where the slope is steeply negative. The floor leaves a margin of 70. It decides a flag
-# only within 1e-9 |S| of a sign change: on closed alpha sweeps, within about 1e-10 of alpha = 1/sqrt(2).
+# ``detect`` flags a speedup where dS/dxi > SLOPE_NOISE_TOL * |S|. A slope is a difference of rounded speeds over a
+# stencil of half-width h = DEFAULT_TIME_STEP * max(1, |xi|): central, (1, 1) / 2h, or at a domain end one-sided,
+# (3, 4, 1) / 2h, which carries up to 3x the rounding. A closed time slope is exactly 0. Against exact differences of
+# the same stencils, closed alpha and C slopes carry at most 2.3e-11 |S| of rounding at alpha in [0.1, 0.9], growing as
+# 1 / (1 - alpha^2) past it, where the slope is steeply negative, and 3.0e-11 |S| on the one-sided C = 1 row: a margin
+# of 33. At alpha = 0 and 1 S is 0, and the slope (omega, or about -580 omega) is 1e13 times its rounding. The floor
+# decides a flag only within 1e-9 |S| of a sign change: on closed alpha sweeps, within about 1e-10 of alpha = 1/sqrt(2).
 SLOPE_NOISE_TOL = 1e-9
 
 # Config-file key -> the JSON type its value must have. JSON true and false
@@ -283,17 +301,18 @@ def _open_params(config: RunConfig) -> OpenSystemParams:
     return OpenSystemParams(alpha=config.alpha, Gamma=config.gamma_ratio)
 
 
-def _base_header(config: RunConfig) -> list[tuple[str, str]]:
-    return [("artifact", f"qevspeed v{__version__}"), ("command", config.command)]
+def _header(config: RunConfig, *items: tuple[str, object]) -> list[tuple[str, str]]:
+    """The artifact and command lines, then each (key, value) item whose value is not None."""
+    header = [("artifact", f"qevspeed v{__version__}"), ("command", config.command)]
+    header.extend((key, _format_value(value)) for key, value in items if value is not None)
+    return header
 
 
-def _time_grid(config: RunConfig) -> np.ndarray:
-    points = 200 if config.points is None else config.points
+def _points(config: RunConfig, default: int) -> int:
+    points = default if config.points is None else config.points
     if points < 2:
         raise UsageError(f"grid needs at least 2 points, got {points}")
-    if not config.tmin < config.tmax:
-        raise UsageError(f"tmin must be below tmax, got [{config.tmin}, {config.tmax}]")
-    return _allocated("points", points, np.linspace, config.tmin, config.tmax, points)
+    return points
 
 
 def _allocated(key: str, count: int, build, *args):
@@ -307,84 +326,66 @@ def _allocated(key: str, count: int, build, *args):
 
 def run_speed(config: RunConfig) -> TableResult:
     metric = resolve_metric(config.metric)
-    traj = _build_trajectory(config)
-    grid = _time_grid(config)
-    if grid[0] < 0.0:
+    points = _points(config, 200)
+    if not config.tmin < config.tmax:
+        raise UsageError(f"tmin must be below tmax, got [{config.tmin}, {config.tmax}]")
+    if config.tmin < 0.0:
         raise UsageError("tmin must be nonnegative")
-    curve = speed_curve(traj, grid, metric)
-
-    header = _base_header(config)
-    header.append(("model", config.model or ""))
-    header.append(("metric", metric.value))
-    for key, value in sorted(traj.params.items()):
-        header.append((key, _format_value(value)))
-    header.append(
-        ("grid", f"tmin={config.tmin:.12g} tmax={config.tmax:.12g} points={grid.size}")
+    sweep = _sweep(config, metric, "t", config.tmin, config.tmax, points, "points")
+    traj = sweep.trajectory
+    header = _header(
+        config, ("model", config.model), ("metric", metric.value), *sorted(traj.params.items()),
+        ("grid", f"tmin={config.tmin:.12g} tmax={config.tmax:.12g} points={points}"),
     )
     columns = ["t", "S", "dS_dt"]
-    values = [grid, curve.speeds, curve.slopes]
+    values = [sweep.grid, sweep.speeds, sweep.slopes]
     # an open model's speed relative to its start, where it leaves the pure state; a closed model's is constant
     if config.model.startswith("open") and 0.0 < (s0 := speed_at(traj, 0.0, metric)) < math.inf:
         columns.append("S_over_S0")
-        values.append(curve.speeds / s0)
-    return TableResult(header, columns, _rows(*values))
+        values.append(sweep.speeds / s0)
+    return TableResult(header, columns, _rows(*values), sweep.notes)
 
 
 def run_figure(config: RunConfig) -> TableResult:
+    """A figure is its ``FigureSpec``'s bound ``detect`` sweep, with its
+    columns renamed and scaled."""
     if config.figure_id not in FIGURES:
         raise UsageError(
             f"unknown figure '{config.figure_id}'; "
             f"valid ids: {', '.join(sorted(FIGURES))}"
         )
     spec = FIGURES[config.figure_id]
-    name = spec.sweep  # every figure is the ``detect`` sweep of its model
+    name = spec.sweep
     metric = resolve_metric(config.metric)
     lo, hi, default_points = spec.grid
-    points = default_points if config.points is None else config.points
-    if points < 2:
-        raise UsageError(f"grid needs at least 2 points, got {points}")
-    grid = _allocated("points", points, np.linspace, lo, hi, points)
-
-    header = _base_header(config)
-    header.append(("figure", spec.figure_id))
-    header.append(("model", spec.model))
-    header.append(("metric", metric.value))
-    if name != "C":  # a C sweep runs at alpha_from_concurrence(C), as in detect
-        header.append(("alpha", _format_value(spec.alpha)))
-    if spec.markovian_limit:
-        header.append(("markovian_limit", "true"))
-    if spec.gamma_ratio is not None:
-        header.append(("Gamma_over_gamma0", _format_value(spec.gamma_ratio)))
-    if spec.fixed_time is not None:
-        header.append(("gamma0_t", _format_value(spec.fixed_time)))
-    header.append(("grid", f"min={lo:.12g} max={hi:.12g} points={points}"))
-
-    sweep_config = RunConfig(
-        command="figure",
-        model=spec.model,
-        alpha=spec.alpha,
-        gamma_ratio=spec.gamma_ratio,
-        markovian_limit=spec.markovian_limit,
+    points = _points(config, default_points)
+    bound = replace(
+        config, model=spec.model, alpha=spec.alpha, gamma_ratio=spec.gamma_ratio,
+        markovian_limit=spec.markovian_limit, time=spec.fixed_time,
     )
-    if spec.fixed_time is not None:  # a transverse sweep's time
-        sweep_config.time = spec.fixed_time
-    evaluate, _ = _sweep_evaluator(sweep_config, name, metric)
-    speeds, slopes = speedup_measures(evaluate, grid)
+    sweep = _sweep(bound, metric, name, lo, hi, points, "points")
+    header = _header(
+        config, ("figure", spec.figure_id), ("model", spec.model), ("metric", metric.value),
+        ("alpha", None if name == "C" else spec.alpha),  # a C sweep runs at alpha_from_concurrence(C), as in detect
+        ("markovian_limit", "true" if spec.markovian_limit else None),
+        ("Gamma_over_gamma0", spec.gamma_ratio), ("gamma0_t", spec.fixed_time),
+        ("grid", f"min={lo:.12g} max={hi:.12g} points={points}"),
+    )
+    grid, speeds, slopes = sweep.grid, sweep.speeds, sweep.slopes
     if name == "C":
-        return TableResult(header, ["C", "S_over_gamma0", "dS_dC_over_gamma0"], _rows(grid, speeds, slopes))
-    if name == "Omega":
-        rows = _rows(grid, speeds, slopes, (grid < 0.5).astype(float))
-        return TableResult(header, ["Omega", "S", "dS_dOmega", "markovian_band"], rows)
-    s0 = float(evaluate(0.0))  # the speed at t = 0
-    columns = ["t", "S_over_S0"]
-    values = [grid, speeds / s0]
-    if spec.model == "open-1q":
-        witness_params = OpenSystemParams(alpha=spec.alpha, Gamma=spec.gamma_ratio)
-        columns.append("sqrt_P")
-        values.append(memory_witness(witness_params, grid))
-    columns.append("dS_dt_over_S0")
-    values.append(slopes / s0)
-    return TableResult(header, columns, _rows(*values))
+        columns, values = ["C", "S_over_gamma0", "dS_dC_over_gamma0"], [grid, speeds, slopes]
+    elif name == "Omega":
+        band = (grid < 0.5).astype(float)  # the Markovian band Omega < 1/2
+        columns, values = ["Omega", "S", "dS_dOmega", "markovian_band"], [grid, speeds, slopes, band]
+    else:
+        s0 = float(speeds_at(sweep.trajectory, 0.0, metric))  # the speed at t = 0
+        columns, values = ["t", "S_over_S0"], [grid, speeds / s0]
+        if spec.model == "open-1q":
+            columns.append("sqrt_P")
+            values.append(memory_witness(OpenSystemParams(alpha=spec.alpha, Gamma=spec.gamma_ratio), grid))
+        columns.append("dS_dt_over_S0")
+        values.append(slopes / s0)
+    return TableResult(header, columns, _rows(*values), sweep.notes)
 
 
 def _rows(*columns: np.ndarray) -> np.ndarray:
@@ -396,15 +397,11 @@ def run_regions(config: RunConfig) -> TableResult:
         raise UsageError(f"--n-max must be nonnegative, got {config.n_max}")
     params = _open_params(config)
     regime, tau, tau_prime, tau_dprime = _allocated("n_max", config.n_max, _region_columns, params, config.n_max)
-
-    header = _base_header(config)
-    if params.markovian_limit:
-        header.append(("markovian_limit", "true"))
-    else:
-        header.append(("Gamma_over_gamma0", _format_value(params.Gamma)))
-    header.append(("regime", regime.value))
-    header.append(("n_max", str(config.n_max)))
-
+    header = _header(
+        config,
+        ("markovian_limit", "true") if params.markovian_limit else ("Gamma_over_gamma0", params.Gamma),
+        ("regime", regime.value), ("n_max", config.n_max),
+    )
     columns = ["n", "tau_n", "tau_n_prime", "tau_n_dprime", "residual"]
     # no intervals outside the non-Markovian regime, and no residual to take
     residual = speedup_equation(params, tau_dprime) if tau_dprime.size else tau_dprime
@@ -439,85 +436,72 @@ def _parse_sweep(sweep: str | None) -> tuple[str, float, float, int]:
     return name, lo, hi, n
 
 
-def _inside(points: np.ndarray, ok: np.ndarray, message: str) -> None:
-    """UsageError naming the first stencil point that fails ``ok``, in the
-    order xi, xi + h, xi - h of each row in turn."""
-    if not ok.all():
-        raise UsageError(message.format(points.T[~ok.T][0]))
+@dataclass(frozen=True)
+class _Sweep:
+    """One parameter swept over a grid: the speeds and slopes of one
+    ``speedup_measures`` call, which ``speed``, ``figure`` and ``detect``
+    project onto their columns."""
+
+    grid: np.ndarray
+    speeds: np.ndarray
+    slopes: np.ndarray
+    at: tuple[str, float]  # where a divergent speed sits: a t sweep's first time, or a transverse sweep's time
+    trajectory: Trajectory | None  # a t sweep's
+    notes: list[str]
 
 
-def _sweep_evaluator(config: RunConfig, name: str, metric: MetricKind):
-    """Batched speed as a function of the swept parameter, all else fixed."""
-    t_eval = config.time
-    margin = 2e-4  # room for the central-difference probes
-
+def _sweep(config: RunConfig, metric: MetricKind, name: str, lo: float, hi: float, count: int, key: str) -> _Sweep:
+    """The speed of the configured model, all else fixed, over ``count``
+    values of ``name`` from ``lo`` to ``hi``: a t sweep along one
+    trajectory, a transverse sweep over a family at ``config.time``. The
+    grid must lie in the parameter's domain, which the slope stencil keeps
+    to. A divergent speed gets a note (its slope is nan)."""
+    domain, message, parameter, of = _SWEEPS[name]
+    closed = (config.model or "").startswith("closed")  # precesses at omega, with no bath
     if name == "t":
         traj = _build_trajectory(config)
-        return (lambda times: speeds_at(traj, times, metric)), "longitudinal"
+        evaluate, at = (lambda times: speeds_at(traj, times, metric)), ("t", lo)
+    else:
+        traj, at = None, ("omega_t" if closed else "gamma0_t", config.time)  # 1/omega if closed
+        if name == "C" and "-2q-" not in (config.model or ""):
+            raise UsageError(f"concurrence sweep needs a two-qubit model, got '{config.model}'")
+        if name in ("Omega", "Gamma_over_gamma0"):
+            if config.model is None or closed:
+                raise UsageError(f"sweep '{name}' needs an open-system model, got '{config.model}'")
+            if config.markovian_limit:
+                raise UsageError(f"sweep '{name}' varies the spectral width; drop --markovian-limit")
 
-    if name == "C" and "-2q-" not in (config.model or ""):
-        raise UsageError(f"concurrence sweep needs a two-qubit model, got '{config.model}'")
-    if name in ("alpha", "C"):
+        def evaluate(values: np.ndarray) -> np.ndarray:
+            return speeds_at(_build_trajectory(config, **{parameter: of(values)}), config.time, metric)
 
-        def evaluate(values: np.ndarray):
-            _inside(
-                values,
-                (values >= 0.0) & (values <= 1.0),
-                f"{name} sweep left [0, 1] at {{:.6g}}; keep the grid inside "
-                f"[{margin}, {1 - margin}]",
-            )
-            alphas = values if name == "alpha" else alpha_from_concurrence(values)
-            return speeds_at(_build_trajectory(config, alpha=alphas), t_eval, metric)
-
-        return evaluate, "transverse"
-
-    if config.model is None or config.model.startswith("closed"):
-        raise UsageError(f"sweep '{name}' needs an open-system model, got '{config.model}'")
-    if config.markovian_limit:
-        raise UsageError(
-            f"sweep '{name}' varies the spectral width; drop --markovian-limit"
-        )
-    label = "Omega" if name == "Omega" else "Gamma/gamma0"
-
-    def evaluate(values: np.ndarray):
-        _inside(values, values > 0.0, f"{label} must stay positive, got {{:.6g}}")
-        ratios = 1.0 / values if name == "Omega" else values
-        return speeds_at(_build_trajectory(config, Gamma_over_gamma0=ratios), t_eval, metric)
-
-    return evaluate, "transverse"
+    grid = _allocated(key, count, np.linspace, lo, hi, count)
+    if not (domain[0] <= lo and hi <= domain[1]):
+        raise UsageError(message.format(grid[(grid < domain[0]) | (grid > domain[1])][0]))
+    speeds, slopes = speedup_measures(evaluate, grid, domain)
+    notes = [f"slope undefined: S diverges at {at[0]} = {_format_value(at[1])}"] if np.isinf(speeds).any() else []
+    return _Sweep(grid, speeds, slopes, at, traj, notes)
 
 
 def run_detect(config: RunConfig) -> TableResult:
     metric = resolve_metric(config.metric)
     name, lo, hi, n = _parse_sweep(config.sweep)
-    evaluate, classification = _sweep_evaluator(config, name, metric)
-    grid = _allocated("sweep points", n, np.linspace, lo, hi, n)
-
-    header = _base_header(config)
-    header.append(("model", config.model or ""))
-    header.append(("metric", metric.value))
-    header.append(("classification", classification))
-    header.append(("sweep", f"{name}:{lo:.12g}:{hi:.12g}:{n}"))
-    closed = (config.model or "").startswith("closed")  # precesses at omega, with no bath
-    at = ("t", lo) if name == "t" else ("omega_t" if closed else "gamma0_t", config.time)  # 1/omega if closed
-    if name != "t":
-        header.append((at[0], _format_value(at[1])))
-    if closed:
-        header.append(("omega", _format_value(config.omega)))
+    sweep = _sweep(config, metric, name, lo, hi, n, "sweep points")
+    if (config.model or "").startswith("closed"):
+        bath = ("omega", config.omega)
     elif config.markovian_limit:
-        header.append(("markovian_limit", "true"))
-    elif config.gamma_ratio is not None and name not in ("Omega", "Gamma_over_gamma0"):
-        header.append(("Gamma_over_gamma0", _format_value(config.gamma_ratio)))
-    if name not in ("alpha", "C"):  # a C sweep runs at alpha_from_concurrence(C)
-        header.append(("alpha", _format_value(config.alpha)))
-
-    speeds, slopes = speedup_measures(evaluate, grid)
-    flags = (slopes > SLOPE_NOISE_TOL * np.abs(speeds)).astype(float)
-    flags[np.isnan(slopes)] = math.nan  # divergent speeds
-    notes = []
-    if np.isinf(speeds).any():  # only at time 0: a t sweep's first point, or every point of a sweep at time 0
-        notes.append(f"slope undefined: S diverges at {at[0]} = {_format_value(at[1])}")
-    return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], _rows(grid, speeds, slopes, flags), notes)
+        bath = ("markovian_limit", "true")
+    else:
+        bath = ("Gamma_over_gamma0", None if name in ("Omega", "Gamma_over_gamma0") else config.gamma_ratio)
+    header = _header(
+        config, ("model", config.model or ""), ("metric", metric.value),
+        ("classification", "longitudinal" if name == "t" else "transverse"),
+        ("sweep", f"{name}:{lo:.12g}:{hi:.12g}:{n}"), (sweep.at[0], None if name == "t" else sweep.at[1]), bath,
+        ("alpha", None if name in ("alpha", "C") else config.alpha),  # a C sweep runs at alpha_from_concurrence(C)
+    )
+    flags = (sweep.slopes > SLOPE_NOISE_TOL * np.abs(sweep.speeds)).astype(float)
+    flags[np.isnan(sweep.slopes)] = math.nan  # divergent speeds
+    rows = _rows(sweep.grid, sweep.speeds, sweep.slopes, flags)
+    return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], rows, sweep.notes)
 
 
 # ---------------------------------------------------------------------------

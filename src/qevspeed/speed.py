@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -52,6 +53,9 @@ _BATCH_SCOPE = functools.partial(np.errstate, under="ignore", over="ignore", inv
 # The truncation error of a central difference grows as h^2 and its rounding
 # error as eps/h; they balance near eps^(1/3), about 6e-6.
 DEFAULT_TIME_STEP = 1e-5
+
+# The times of a trajectory as ``speedup_measures`` takes a domain: [0, inf), whose open end is the largest float.
+_TIME_DOMAIN = (0.0, sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class SpeedCurve:
-    """Speed samples along a time grid, with slopes from the samples."""
+    """Speed samples along a time grid, with their slopes."""
 
     metric: MetricKind
     times: np.ndarray
     speeds: np.ndarray
-    slopes: np.ndarray  # dS/dt, central differences of the samples
+    slopes: np.ndarray  # dS/dt, from the stencil of ``speedup_measures`` at each time
 
 
 def _binary_scale(peak):
@@ -252,46 +256,54 @@ def speed_at(traj: Trajectory, t: float, metric: MetricKind = MetricKind.SLD) ->
 
 
 def stencil_step(xi) -> np.ndarray:
-    """Central-difference half-width DEFAULT_TIME_STEP * max(1, |xi|)."""
+    """Stencil half-width DEFAULT_TIME_STEP * max(1, |xi|)."""
     return DEFAULT_TIME_STEP * np.maximum(1.0, np.abs(xi))
 
 
-def speedup_measures(evaluate: Callable[[np.ndarray], np.ndarray], xi) -> tuple[np.ndarray, np.ndarray]:
-    """Speeds and central-difference slopes dS/dxi at every xi, one batch.
+def speedup_measures(
+    evaluate: Callable[[np.ndarray], np.ndarray], xi, domain: tuple[float, float] = (-math.inf, math.inf)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Speeds and slopes dS/dxi at every xi, from one batch.
 
     A positive slope detects dynamical speedup in the swept parameter.
-    ``evaluate`` receives the stencil (xi, xi + h, xi - h) stacked as an
-    array of shape (3, N) and returns its speeds. Returns the speeds at xi
-    and the slopes dS/dxi.
+    ``evaluate`` receives a stencil of shape (3, N) and returns its speeds:
+    (xi, xi + h, xi - h) for a central difference, h = ``stencil_step(xi)``.
+    Where xi - h would leave ``domain``, a closed interval wider than 4h
+    about xi, the row turns one-sided, (xi, xi + h, xi + 2h), and where
+    xi + h would, (xi, xi - h, xi - 2h). A one-sided slope, second order
+    too, is (4 (S1 - S0) - (S2 - S0)) / 2h, mirrored: differences from
+    S(xi), so a constant speed has slope 0. A divergent speed gives a nan
+    slope. Returns the speeds at xi and the slopes dS/dxi.
     """
     xi = np.asarray(xi, dtype=float)
     h = stencil_step(xi)
     stencil = np.empty((3, *xi.shape))
-    stencil[0], stencil[1], stencil[2] = xi, xi + h, xi - h
+    with np.errstate(over="ignore"):  # xi + h past the largest float leaves every domain
+        stencil[0], stencil[1], stencil[2] = xi, xi + h, xi - h
+        forward, backward = stencil[2] < domain[0], stencil[1] > domain[1]
+        if one_sided := (forward | backward).any():
+            stencil[1] = np.where(backward, stencil[2], stencil[1])
+            stencil[2] = np.where(forward, xi + 2.0 * h, np.where(backward, xi - 2.0 * h, stencil[2]))
     s = evaluate(stencil)
     with np.errstate(invalid="ignore"):  # inf - inf: a divergent speed has no slope
         slopes = (s[1] - s[2]) / (2.0 * h)
+        if one_sided:
+            ahead = (4.0 * (s[1] - s[0]) - (s[2] - s[0])) / (2.0 * h)
+            behind = (4.0 * (s[0] - s[1]) - (s[0] - s[2])) / (2.0 * h)
+            slopes = np.where(forward, ahead, np.where(backward, behind, slopes))
     return s[0], slopes
 
 
 def speed_curve(
     traj: Trajectory, grid: np.ndarray, metric: MetricKind = MetricKind.SLD
 ) -> SpeedCurve:
-    """Sample the speed over a strictly increasing time grid, in one batch.
-
-    Slopes are central differences of the sampled speeds (one-sided at the
-    endpoints), so they converge with the grid spacing. An infinite t = 0
-    limit makes the slopes next to it infinite.
-    """
+    """Sample the speed over a strictly increasing time grid, in one batch,
+    with the slopes of ``speedup_measures`` over t in [0, inf): they do
+    not depend on the grid spacing, and they are one-sided where t < h."""
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if (times[1:] - times[:-1] <= 0.0).any():  # np.diff's test, without its call
         raise ValueError("grid must be strictly increasing")
-    speeds = speeds_at(traj, times, metric)
-    slopes = np.empty_like(speeds)
-    slopes[0] = (speeds[1] - speeds[0]) / (times[1] - times[0])
-    slopes[-1] = (speeds[-1] - speeds[-2]) / (times[-1] - times[-2])
-    if times.size > 2:
-        slopes[1:-1] = (speeds[2:] - speeds[:-2]) / (times[2:] - times[:-2])
+    speeds, slopes = speedup_measures(lambda t: speeds_at(traj, t, metric), times, _TIME_DOMAIN)
     return SpeedCurve(metric, times, speeds, slopes)

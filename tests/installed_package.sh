@@ -22,6 +22,10 @@ qevspeed figure fig4b --metric wy --points 3 | python -c "import math, sys; rows
 qevspeed detect --model open-1q --gamma-ratio 10 --sweep t:1:10:30 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 30 and all(math.isfinite(float(row[1])) for row in rows), rows"
 # an array of widths across every finite branch, routed element by element
 qevspeed detect --model open-2q-aligned --time 5 --sweep Gamma_over_gamma0:0.5:12:30 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 30 and all(math.isfinite(float(row[1])) for row in rows), rows"
+# a sweep to its parameter's domain end exits 0, where the slope stencil turns one-sided: t = 0, alpha and C in [0, 1]
+qevspeed detect --model open-1q --gamma-ratio 0.5 --sweep t:0:5:3 > /dev/null
+qevspeed detect --model open-1q --gamma-ratio 0.5 --sweep alpha:0:1:3 > /dev/null
+qevspeed detect --model open-2q-aligned --gamma-ratio 0.5 --time 1 --sweep C:0:1:5 > /dev/null
 # every model is defined for all t >= 0: a time sweep past t = 50
 qevspeed detect --model open-1q --gamma-ratio 0.5 --sweep t:1:60:5 | python -c "import math, sys; rows = [line.split(',') for line in sys.stdin if not line.startswith('#')][1:]; assert len(rows) == 5 and all(math.isfinite(float(row[1])) for row in rows), rows"
 # at the largest times kappa t overflows with no warning on stderr

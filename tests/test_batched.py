@@ -331,14 +331,19 @@ def test_late_times_give_finite_speeds_without_warnings(key):
                 assert np.isfinite(speeds_at(family, np.array(LATE_TIMES)[:, None], metric)).all()
 
 
-def test_speed_curve_is_one_batch_with_neighbour_slopes():
+def test_speed_curve_is_one_batch_with_stencil_slopes():
+    """A curve's slopes are the stencil's at each time, whatever the grid
+    spacing: central where t >= h, one-sided at t = 0."""
     traj = trajectory_from_key("open-2q-aligned", alpha=0.6, Gamma_over_gamma0=0.3)
-    grid = np.linspace(0.01, 12.0, 50)
+    grid = np.linspace(0.0, 12.0, 50)
     curve = speed_curve(traj, grid, SLD)
     assert_close(curve.speeds, scalar_speeds(traj, grid, SLD))
-    assert curve.slopes[3] == pytest.approx(
-        (curve.speeds[4] - curve.speeds[2]) / (grid[4] - grid[2]), rel=1e-14
-    )
+    speeds, slopes = speedup_measures(lambda t: speeds_at(traj, t, SLD), grid, (0.0, math.inf))
+    assert curve.speeds.tobytes() == speeds.tobytes() and curve.slopes.tobytes() == slopes.tobytes()
+    assert curve.slopes[3] == pytest.approx(speedup_measure(lambda t: speed_at(traj, t, SLD), grid[3]), rel=1e-9)
+    h = DEFAULT_TIME_STEP
+    ahead = [speed_at(traj, t, SLD) for t in (0.0, h, 2.0 * h)]
+    assert curve.slopes[0] == pytest.approx((4.0 * (ahead[1] - ahead[0]) - (ahead[2] - ahead[0])) / (2.0 * h), rel=1e-9)
 
 
 def test_stencil_slopes_match_speedup_measure():

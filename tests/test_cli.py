@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -11,12 +12,13 @@ from qevspeed.metrics import MetricKind
 from qevspeed.models import (
     MODEL_KEYS,
     OpenSystemParams,
+    alpha_from_concurrence,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
     trajectory_from_key,
 )
-from qevspeed.speed import speed_at, speeds_at
-from util import reference_speed
+from qevspeed.speed import speed_at, speeds_at, speedup_measures, stencil_step
+from util import exact_alpha, exact_speed, reference_slope, reference_speed
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 OPEN_AT_ONE = ("--model", "open-1q", "--gamma-ratio", "0.5", "--time", "1")
@@ -177,7 +179,10 @@ class TestSpeedCommand:
         rows = parse_csv(text)[2]
         code, markovian = run_to_file(tmp_path, [*grid, "--markovian-limit"], name="limit.csv")
         assert code == 0
-        np.testing.assert_allclose(rows[:, :3], parse_csv(markovian)[2], rtol=1e-11)
+        markovian = parse_csv(markovian)[2]
+        np.testing.assert_allclose(rows[:, :2], markovian[:, :2], rtol=1e-11)
+        # the slopes differ by the stencil's rounding of speeds a few ulp apart, below detect's noise floor
+        assert np.all(np.abs(rows[:, 2] - markovian[:, 2]) <= cli.SLOPE_NOISE_TOL * markovian[:, 1])
         assert rows[0, 1] == pytest.approx(0.381436989183, rel=1e-11)
 
     def test_huge_frequency_prints_the_precession_speed(self, tmp_path):
@@ -604,6 +609,39 @@ class TestDetectCommand:
         assert np.all(np.abs(rows[:, 2]) <= 0.1 * cli.SLOPE_NOISE_TOL * rows[:, 1])
         assert np.all(rows[:, 3] == 0.0)
 
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda metric: metric.value)
+    @pytest.mark.parametrize(
+        "key, name", [("closed-1q", "alpha"), ("closed-2q-aligned", "alpha"), ("closed-2q-aligned", "C")]
+    )
+    def test_one_sided_rows_stand_clear_of_the_noise_floor(self, key, name, metric):
+        """At alpha (or C) = 0 and 1 the stencil is one-sided, (3, 4, 1) / 2h.
+        Against exact differences of the same stencil's speeds, its rounding
+        stays below SLOPE_NOISE_TOL |S| / 20 where S is not 0 (measured:
+        1 / 33, at C = 1), and where S is 0, the slope is more than 1e12
+        times its rounding: the flag reads its sign, 1 where the speed rises
+        off a state at rest."""
+        recorded = {}
+
+        def evaluate(values):
+            alphas = values if name == "alpha" else alpha_from_concurrence(values)
+            recorded["nodes"] = values
+            return speeds_at(trajectory_from_key(key, alpha=alphas, omega=1.3), 0.7, metric)
+
+        speeds, slopes = speedup_measures(evaluate, [0.0, 1.0], (0.0, 1.0))
+        for row, toward in ((0, 1), (1, -1)):
+            nodes = recorded["nodes"][:, row].tolist()
+            exact = [exact_speed(key, Decimal(x) if name == "alpha" else exact_alpha(x), None, 0.7, metric, 1.3)
+                     for x in nodes]
+            h = Decimal(float(stencil_step(nodes[0])))
+            stencil = toward * (4 * (exact[1] - exact[0]) - (exact[2] - exact[0])) / (2 * h)
+            rounding = abs(float(Decimal(float(slopes[row])) - stencil))
+            if speeds[row]:
+                assert rounding <= cli.SLOPE_NOISE_TOL * speeds[row] / 20.0
+            else:
+                assert rounding * 1e12 <= abs(slopes[row])
+        flags = slopes > cli.SLOPE_NOISE_TOL * np.abs(speeds)
+        assert flags.tolist() == [True, name == "C"]  # a closed aligned pair moves at omega C
+
     @pytest.mark.parametrize("key", [key for key in MODEL_KEYS if key.startswith("closed")])
     @pytest.mark.parametrize("metric", ["sld", "wy"])
     def test_a_closed_time_sweep_prints_slope_and_flag_zero(self, capsys, key, metric):
@@ -693,6 +731,146 @@ class TestDetectCommand:
         )
         assert code == 2
         assert "two-qubit" in capsys.readouterr().err
+
+
+# detect arguments whose grid reaches its parameter's domain end: t = 0, alpha or C = 0 and 1, and Omega and
+# Gamma/gamma0 within h of 0
+DOMAIN_ENDS = [
+    (["--model", "open-1q", "--gamma-ratio", "0.5"], "t:0:5:3"),
+    (["--model", "open-1q", "--gamma-ratio", "0.5"], "alpha:0:1:3"),
+    (["--model", "open-1q", "--alpha", "0.6", "--time", "1"], "Omega:1e-6:1:3"),
+    ([*OPEN_AT_ONE], "alpha:0:1:5"),
+    (["--model", "open-2q-aligned", "--gamma-ratio", "0.5", "--time", "2"], "C:0:1:5"),
+    (["--model", "open-2q-anti", "--time", "2"], "Gamma_over_gamma0:1e-6:3:4"),
+    (["--model", "open-2q-aligned", "--markovian-limit"], "t:0:2:3"),
+    (["--model", "open-1q", "--markovian-limit", "--time", "0"], "alpha:0:1:3"),
+    (["--model", "closed-1q"], "t:0:5:3"),
+    (["--model", "closed-1q", "--time", "1"], "alpha:0:1:5"),
+    (["--model", "closed-2q-aligned", "--time", "1"], "C:0:1:5"),
+    (["--model", "closed-2q-anti", "--time", "1"], "alpha:0:1:3"),
+]
+
+# (detect arguments, sweep, the speed of the swept value as a Decimal under a metric) with one-sided rows where
+# the derivative is finite
+ONE_SIDED = [
+    (["--model", "open-1q", "--alpha", "0.6", "--gamma-ratio", "0.1"], "t:0:3e-5:7",
+     lambda x, metric: exact_speed("open-1q", 0.6, 0.1, x, metric)),
+    (["--model", "open-1q", "--alpha", "0.6", "--gamma-ratio", "5"], "t:0:1:3",
+     lambda x, metric: exact_speed("open-1q", 0.6, 5.0, x, metric)),
+    (["--model", "open-2q-aligned", "--alpha", "0.7", "--gamma-ratio", "0.5"], "t:0:1:3",
+     lambda x, metric: exact_speed("open-2q-aligned", 0.7, 0.5, x, metric)),
+    (["--model", "open-2q-anti", "--gamma-ratio", "0.5"], "t:0:1:3",
+     lambda x, metric: exact_speed("open-2q-anti", 1.0, 0.5, x, metric)),
+    (["--model", "closed-1q", "--omega", "1.3", "--time", "1"], "alpha:0:0.5:3",
+     lambda x, metric: exact_speed("closed-1q", x, None, 1.0, metric, omega=1.3)),
+    (["--model", "closed-2q-aligned", "--time", "1"], "C:0:1:3",
+     lambda x, metric: exact_speed("closed-2q-aligned", exact_alpha(x), None, 1.0, metric)),
+    (["--model", "open-1q", "--gamma-ratio", "0.5", "--time", "1"], "alpha:0:1:3",
+     lambda x, metric: exact_speed("open-1q", x, 0.5, 1.0, metric)),
+    (["--model", "open-2q-aligned", "--gamma-ratio", "0.5", "--time", "2"], "alpha:0:1:3",
+     lambda x, metric: exact_speed("open-2q-aligned", x, 0.5, 2.0, metric)),
+    (["--model", "open-2q-aligned", "--gamma-ratio", "0.5", "--time", "2"], "C:0:0.5:3",
+     lambda x, metric: exact_speed("open-2q-aligned", exact_alpha(x), 0.5, 2.0, metric)),
+    (["--model", "open-1q", "--alpha", "0.6", "--time", "1"], "Omega:1e-6:1:3",
+     lambda x, metric: exact_speed("open-1q", 0.6, 1 / x, 1.0, metric)),
+    (["--model", "open-2q-aligned", "--alpha", "0.6", "--time", "1"], "Omega:1e-6:1:3",
+     lambda x, metric: exact_speed("open-2q-aligned", 0.6, 1 / x, 1.0, metric)),
+]
+
+
+class TestDomainEnds:
+    """Each sweep parameter has a domain: t in [0, inf), alpha and C in
+    [0, 1], Omega and Gamma/gamma0 in (0, inf). A grid inside it exits 0,
+    and where a row's xi - h or xi + h would leave it, its slope stencil
+    turns one-sided."""
+
+    @pytest.mark.parametrize("metric", ["sld", "wy"])
+    @pytest.mark.parametrize("model, sweep", DOMAIN_ENDS, ids=[f"{model[1]}-{sweep}" for model, sweep in DOMAIN_ENDS])
+    def test_a_sweep_to_its_domain_end_exits_0(self, capsys, model, sweep, metric):
+        """Every row is printed; a row that is not finite has a note, and
+        only a divergent speed is infinite, with slope and flag nan."""
+        assert cli.main(["detect", *model, "--metric", metric, "--sweep", sweep]) == 0
+        out = capsys.readouterr().out
+        _, columns, rows = parse_csv(out)
+        assert columns[0] == sweep.split(":")[0] and len(rows) == int(sweep.split(":")[3])
+        notes = [line for line in out.splitlines() if line.startswith("# note: ")]
+        divergent = np.isinf(rows[:, 1])
+        assert not np.isinf(rows[:, 2:]).any() and np.isnan(rows[divergent, 2:]).all()
+        assert bool(notes) == (not np.isfinite(rows).all())
+        at = "t" if sweep.startswith("t:") else "gamma0_t"
+        assert notes == [f"# note: slope undefined: S diverges at {at} = 0"] * bool(notes)
+
+    @pytest.mark.parametrize("metric", list(MetricKind), ids=lambda metric: metric.value)
+    @pytest.mark.parametrize(
+        "model, sweep, speed_of", ONE_SIDED, ids=[f"{model[1]}-{sweep}" for model, sweep, _ in ONE_SIDED]
+    )
+    def test_one_sided_rows_match_the_derivative(self, model, sweep, speed_of, metric):
+        """A one-sided row's slope is the derivative of the reference speed
+        (a ``decimal`` central difference) within 1e-8 relative."""
+        name = sweep.split(":")[0]
+        result = table(["detect", *model, "--metric", metric.value, "--sweep", sweep])
+        lo, hi = cli._SWEEPS[name][0]
+        checked = 0
+        for xi, _, slope, _ in result.rows.tolist():
+            h = float(stencil_step(xi))
+            if lo <= xi - h and xi + h <= hi:
+                continue
+            want = reference_slope(lambda x: speed_of(x, metric), xi, (lo, hi))
+            assert slope == pytest.approx(want, rel=1e-8, abs=0.0), xi
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("key", [key for key in MODEL_KEYS if key.startswith("closed")] + ["open-2q-anti"])
+    @pytest.mark.parametrize("metric", ["sld", "wy"])
+    def test_a_constant_speed_has_slope_zero_on_one_sided_rows(self, capsys, key, metric):
+        """One-sided slopes are differences from S(xi): a closed model's
+        time slope, at t = 0 and at the largest float time, and the anti
+        pairs' alpha and C slopes print exactly 0 on every row."""
+        argvs, bath = [], ["--gamma-ratio", "0.5"] if key.startswith("open") else []
+        if key.startswith("closed"):
+            argvs += [["speed", "--tmin", "1e308", "--tmax", "1.7976931348623157e308", "--points", "2"],
+                      ["detect", "--sweep", "t:0:3e-5:4"]]
+        if key.endswith("anti"):
+            argvs += [["detect", "--time", "2", "--sweep", f"{name}:0:1:5"] for name in ("alpha", "C")]
+        for argv in argvs:
+            assert cli.main([*argv, "--model", key, "--metric", metric, *bath]) == 0
+            cells = [line.split(",") for line in capsys.readouterr().out.splitlines() if not line.startswith("#")][1:]
+            assert {row[2] for row in cells} == {"0"}, argv
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_markovian_speed_from_t_0_has_a_nan_slope_and_a_note(self, tmp_path, fmt):
+        """The Markovian speed diverges at t = 0: ``speed`` prints S = inf
+        with a nan slope there and one note, as ``detect`` does."""
+        argv = ["speed", "--model", "open-1q", "--markovian-limit", "--tmin", "0", "--format", fmt]
+        code, text = run_to_file(tmp_path, argv)
+        assert code == 0
+        if fmt == "json":
+            payload = json.loads(text)
+            rows, notes = np.array(payload["rows"]), payload["notes"]
+        else:
+            _, _, rows = parse_csv(text)
+            notes = [line.removeprefix("# note: ") for line in text.splitlines() if line.startswith("# note: ")]
+        assert notes == ["slope undefined: S diverges at t = 0"]
+        assert math.isinf(rows[0, 1]) and math.isnan(rows[0, 2])
+        assert np.isfinite(rows[1:]).all() and (rows[1:, 2] < 0.0).all()
+
+    @pytest.mark.parametrize(
+        "model",
+        [["--model", "closed-1q", "--alpha", "0.6"], ["--model", "open-1q", "--gamma-ratio", "0.5"],
+         ["--model", "open-2q-aligned", "--alpha", "0.7", "--markovian-limit"],
+         ["--model", "open-2q-anti", "--gamma-ratio", "3", "--metric", "wy"]],
+        ids=lambda model: model[1],
+    )
+    def test_speed_is_the_detect_time_sweep(self, model):
+        """``speed``'s t, S and dS_dt are ``detect``'s t sweep on the same
+        grid, bit for bit, and its slopes do not depend on the grid: the
+        last row reads the same bytes at 3 points and at 400."""
+        speed = table(["speed", *model, "--tmin", "0", "--tmax", "7", "--points", "9"])
+        detect = table(["detect", *model, "--sweep", "t:0:7:9"])
+        assert speed.rows[:, :3].tobytes() == detect.rows[:, :3].tobytes()
+        assert speed.notes == detect.notes
+        coarse, fine = (table(["speed", *model, "--tmin", "0.5", "--tmax", "7", "--points", n]) for n in ("3", "400"))
+        assert coarse.rows[-1, :3].tobytes() == fine.rows[-1, :3].tobytes()
 
 
 class TestConfigAndOutput:
@@ -873,7 +1051,6 @@ class TestErrors:
             (["detect", *OPEN_AT_ONE, "--sweep", "alpha:a:1:5"], "malformed sweep"),
             (["detect", *OPEN_AT_ONE, "--sweep", "alpha:0.1:0.9:1"], "at least 2 points"),
             (["detect", *OPEN_AT_ONE, "--sweep", "alpha:0.9:0.1:5"], "min must be below max"),
-            (["detect", *OPEN_AT_ONE, "--sweep", "alpha:0:1:5"], "alpha sweep left [0, 1] at -1e-05"),
             (
                 ["detect", "--model", "closed-1q", "--time", "1", "--sweep", "Omega:0.5:2:5"],
                 "needs an open-system model",
@@ -883,7 +1060,13 @@ class TestErrors:
                  "--sweep", "Gamma_over_gamma0:0.5:2:5"],
                 "drop --markovian-limit",
             ),
-            (["detect", *OPEN_AT_ONE, "--sweep", "Omega:0:2:5"], "Omega must stay positive"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "Omega:0:2:5"], "Omega must stay positive, got 0"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "alpha:-0.1:0.5:3"], "alpha sweep left [0, 1] at -0.1"),
+            (["detect", "--model", "open-2q-aligned", "--gamma-ratio", "0.5", "--sweep", "C:0.5:1.5:3"],
+             "C sweep left [0, 1] at 1.5"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "t:-1:1:3"], "t = -1 outside trajectory range [0, inf)"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "Gamma_over_gamma0:-2:2:5"],
+             "Gamma/gamma0 must stay positive, got -2"),
         ],
     )
     def test_usage_error_names_its_cause(self, tmp_path, capsys, argv, fragment):

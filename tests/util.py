@@ -588,9 +588,15 @@ def _reference_pair(m: list, dm: list, metric: MetricKind) -> decimal.Decimal:
 
 def reference_speed(key: str, alpha: float, Gamma: float | None, t: float, metric: MetricKind,
                     omega: float = 1.0, by_blocks: bool = False) -> float:
+    """``exact_speed``, rounded to a float."""
+    return float(exact_speed(key, alpha, Gamma, t, metric, omega, by_blocks))
+
+
+def exact_speed(key: str, alpha, Gamma, t, metric: MetricKind, omega=1.0, by_blocks: bool = False) -> decimal.Decimal:
     """The speed of model ``key`` at ``alpha``, width ``Gamma`` (inf:
     Markovian; None for a closed model, which precesses at ``omega``) and
-    ``t`` > 0, under ``metric``, rounded to a float. A closed model moves
+    ``t`` > 0, under ``metric``, as a Decimal at ``WORKING_DIGITS``; the
+    parameters are floats or Decimals. A closed model moves
     at omega alpha beta, 2 omega alpha beta or 0 (SLD), sqrt(2) times that
     under WY. An open model's SLD speed is its closed form: alpha |G'|
     sqrt((1 - beta^2 P) / (1 - P)) for one qubit, 2 alpha |G'| sqrt((1 - 2 P
@@ -605,18 +611,18 @@ def reference_speed(key: str, alpha: float, Gamma: float | None, t: float, metri
         kind = key.split("-")[-1]
         if Gamma is None:
             rate = {"1q": 1, "aligned": 2, "anti": 0}[kind] * D(omega) * a * b
-            return float(rate if metric is MetricKind.SLD else rate * D(2).sqrt())
+            return +rate if metric is MetricKind.SLD else rate * D(2).sqrt()
         g, dg, lost = reference_amplitudes(Gamma, t)
         pop, dpop, comp = g * g, 2 * g * dg, lost * (1 + g)
         c = comp.sqrt()
         dc = -g * dg / c
         if metric is MetricKind.SLD and not by_blocks:
             if kind == "1q":
-                return float(a * abs(dg) * ((1 - b * b * pop) / comp).sqrt())
+                return a * abs(dg) * ((1 - b * b * pop) / comp).sqrt()
             if kind == "aligned":
                 inner = 2 * pop * comp
-                return float(2 * a * abs(dg) * ((1 - inner) / (2 * comp * (1 - a * a * inner))).sqrt())
-            return float(abs(dg) / c)
+                return 2 * a * abs(dg) * ((1 - inner) / (2 * comp * (1 - a * a * inner))).sqrt()
+            return abs(dg) / c
         if kind == "1q":
             fisher = _reference_pair([a * a * pop, 1 - a * a * pop, a * b * g], [a * a * dpop, -a * a * dpop, a * b * dg],
                                      metric)
@@ -626,4 +632,28 @@ def reference_speed(key: str, alpha: float, Gamma: float | None, t: float, metri
             fisher = _reference_pair(corner, moves, metric) + 2 * 4 * (a * (dg * c + g * dc)) ** 2
         else:
             fisher = 4 * dg * dg + 4 * dc * dc
-        return float(fisher.sqrt() / 2)
+        return fisher.sqrt() / 2
+
+
+
+def exact_alpha(C) -> decimal.Decimal:
+    """``alpha_from_concurrence`` as a Decimal: sqrt((1 - sqrt(1 - C^2)) / 2)."""
+    with _reference_context():
+        C = D(C)
+        return ((1 - (1 - C * C).sqrt()) / 2).sqrt()
+
+
+def reference_slope(speed_of, xi: float, domain: tuple[float, float] = (-math.inf, math.inf)) -> float:
+    """dS/dxi at the float ``xi`` of ``speed_of``, a function of a Decimal
+    that returns one (``exact_speed``): the central difference over +-1e-20
+    at ``WORKING_DIGITS``, about xi, or about 2e-20 inside it where xi is
+    within 1e-20 of an end of ``domain``, where S may be a 0/0 limit. Its
+    error is about 1e-40 S^(3) / S', and the shift moves it by about
+    2e-20 S'' / S', far below what a float slope resolves."""
+    with _reference_context():
+        step, x = D("1e-20"), D(xi)
+        if x - step <= D(domain[0]):
+            x += 2 * step
+        elif x + step >= D(domain[1]):
+            x -= 2 * step
+        return float((speed_of(x + step) - speed_of(x - step)) / (2 * step))
