@@ -1051,6 +1051,7 @@ class TestErrors:
             (["detect", *OPEN_AT_ONE, "--sweep", "alpha:a:1:5"], "malformed sweep"),
             (["detect", *OPEN_AT_ONE, "--sweep", "alpha:0.1:0.9:1"], "at least 2 points"),
             (["detect", *OPEN_AT_ONE, "--sweep", "alpha:0.9:0.1:5"], "min must be below max"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "alpha:-0.1:0.5:3"], "alpha sweep left [0, 1] at -0.1"),
             (
                 ["detect", "--model", "closed-1q", "--time", "1", "--sweep", "Omega:0.5:2:5"],
                 "needs an open-system model",
@@ -1060,8 +1061,7 @@ class TestErrors:
                  "--sweep", "Gamma_over_gamma0:0.5:2:5"],
                 "drop --markovian-limit",
             ),
-            (["detect", *OPEN_AT_ONE, "--sweep", "Omega:0:2:5"], "Omega must stay positive, got 0"),
-            (["detect", *OPEN_AT_ONE, "--sweep", "alpha:-0.1:0.5:3"], "alpha sweep left [0, 1] at -0.1"),
+            (["detect", *OPEN_AT_ONE, "--sweep", "Omega:0:2:5"], "Omega must stay positive"),
             (["detect", "--model", "open-2q-aligned", "--gamma-ratio", "0.5", "--sweep", "C:0.5:1.5:3"],
              "C sweep left [0, 1] at 1.5"),
             (["detect", *OPEN_AT_ONE, "--sweep", "t:-1:1:3"], "t = -1 outside trajectory range [0, inf)"),
