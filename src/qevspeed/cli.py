@@ -18,7 +18,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,22 +56,15 @@ SWEEP_PARAMS = tuple(_SWEEPS)
 # decides a flag only within 1e-9 |S| of a sign change: on closed alpha sweeps, within about 1e-10 of alpha = 1/sqrt(2).
 SLOPE_NOISE_TOL = 1e-9
 
-# Config-file key -> the JSON type its value must have. JSON true and false
-# load as Python bools, which are ints too, so numbers exclude them.
-_CONFIG_TYPES = {
-    **dict.fromkeys(("alpha", "omega", "gamma_ratio", "tmin", "tmax", "time"), "a number"),
-    **dict.fromkeys(("points", "n_max"), "an integer"),
-    "markovian_limit": "true or false",
-    **dict.fromkeys(("model", "metric", "sweep", "out", "format"), "a string"),
+# An option's JSON kind: the check of a config-file value, and how its flag parses. JSON true and false load as
+# Python bools, which are ints too, so numbers exclude them.
+_KINDS = {
+    "a number": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), {"type": float}),
+    "an integer": (lambda v: isinstance(v, int) and not isinstance(v, bool), {"type": int}),
+    "true or false": (lambda v: isinstance(v, bool), {"action": "store_const", "const": True}),
+    "a string": (lambda v: isinstance(v, str), {}),
 }
-_JSON_TYPE_CHECKS = {
-    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
-    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
-    "true or false": lambda v: isinstance(v, bool),
-    "a string": lambda v: isinstance(v, str),
-}
-# Config-file key -> RunConfig attribute: the same name, except "format".
-_CONFIG_ATTRS = {key: "fmt" if key == "format" else key for key in _CONFIG_TYPES}
+_FORMATS = ("csv", "json")
 
 
 class UsageError(ValueError):
@@ -117,24 +110,45 @@ FIGURES: dict[str, FigureSpec] = {
 }
 
 
+def _option(default, kind: str, commands: str, help: str | None = None, **flag):
+    """A ``RunConfig`` field that is an option: a config-file key whose
+    value is of JSON ``kind``, and a flag of each of ``commands``, named
+    ``--`` and the key with ``-`` for ``_``."""
+    metadata = {"kind": kind, "commands": commands.split(), "flag": dict(help=help, **flag)}
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
+    """A command's parameters. Each field but ``command`` and ``figure_id``
+    is an option, declared once: default, JSON kind, commands and help."""
+
     command: str
-    model: str | None = None
-    metric: str = "sld"
-    alpha: float = 1.0
-    omega: float = 1.0
-    gamma_ratio: float | None = None
-    markovian_limit: bool = False
-    tmin: float = 1e-4
-    tmax: float = 10.0
-    points: int | None = None  # command-specific default when unset
-    time: float = 1.0
-    sweep: str | None = None
-    n_max: int = 1
+    model: str | None = _option(None, "a string", "speed detect", f"one of: {', '.join(MODEL_KEYS)}")
+    metric: str = _option("sld", "a string", "speed figure detect", "sld | wy (default sld)")
+    alpha: float = _option(1.0, "a number", "speed detect", "initial excited amplitude")
+    omega: float = _option(1.0, "a number", "speed detect", "closed-model level splitting")
+    gamma_ratio: float | None = _option(None, "a number", "speed regions detect", "Gamma / gamma0")
+    markovian_limit: bool = _option(
+        False, "true or false", "speed regions detect", "take the spectral width to infinity (P_t = exp(-gamma0 t))"
+    )
+    tmin: float = _option(1e-4, "a number", "speed")
+    tmax: float = _option(10.0, "a number", "speed")
+    points: int | None = _option(None, "an integer", "speed figure", "override the default grid size")
+    sweep: str | None = _option(
+        None, "a string", "detect",
+        f"parameter sweep as <param>:<min>:<max>:<points>, param in {{{', '.join(SWEEP_PARAMS)}}}",
+    )
+    time: float = _option(
+        1.0, "a number", "detect", "time of a transverse sweep, in units of 1/gamma0 (1/omega if closed)"
+    )
+    n_max: int = _option(1, "an integer", "regions", "intervals to list")
+    format: str = _option("csv", "a string", "speed figure regions detect", choices=_FORMATS)
+    out: str | None = _option(None, "a string", "speed figure regions detect", "output path (default: stdout)")
     figure_id: str | None = None
-    fmt: str = "csv"
-    out: str | None = None
+
+
+_OPTIONS = {option.name: option for option in fields(RunConfig) if option.metadata}
 
 
 @dataclass
@@ -153,7 +167,8 @@ class TableResult:
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser, built once per process: building it
     costs more than parsing. Its ``commands`` maps each command name to that
-    command's own parser, which sets ``command`` by default.
+    command's own parser, which sets ``command`` by default and takes the
+    flags of the options that name it, then ``--config``.
 
     ``main`` parses a command line once. One that starts with a command name
     goes to that command's parser, and what it leaves over is this parser's
@@ -169,58 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     parser.commands = sub.choices
-
-    def add_common(sp: argparse.ArgumentParser, with_model: bool = True) -> None:
-        if with_model:
-            sp.add_argument("--model", help=f"one of: {', '.join(MODEL_KEYS)}")
-            sp.add_argument("--metric", help="sld | wy (default sld)")
-            sp.add_argument("--alpha", type=float, help="initial excited amplitude")
-            sp.add_argument("--omega", type=float, help="closed-model level splitting")
-        sp.add_argument(
-            "--gamma-ratio", type=float, dest="gamma_ratio", help="Gamma / gamma0"
-        )
-        sp.add_argument(
-            "--markovian-limit",
-            action="store_const",
-            const=True,
-            dest="markovian_limit",
-            help="take the spectral width to infinity (P_t = exp(-gamma0 t))",
-        )
-        sp.add_argument("--config", help="JSON file with the same keys; flags win")
-        sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
-        sp.add_argument("--out", help="output path (default: stdout)")
-
-    sp = sub.add_parser("speed", help="sample S and dS/dt over a time grid")
-    add_common(sp)
-    sp.add_argument("--tmin", type=float)
-    sp.add_argument("--tmax", type=float)
-    sp.add_argument("--points", type=int)
-
-    sp = sub.add_parser("figure", help="emit the data behind a standard figure")
-    sp.add_argument("figure_id", help=f"one of: {', '.join(sorted(FIGURES))}")
-    sp.add_argument("--metric", help="sld | wy (default sld)")
-    sp.add_argument("--points", type=int, help="override the default grid size")
-    sp.add_argument("--config", help="JSON file with the same keys; flags win")
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"))
-    sp.add_argument("--out", help="output path (default: stdout)")
-
     ends = "the speedup ends are those of open-1q at alpha = 1 and of open-2q-anti"
-    sp = sub.add_parser("regions", help=f"memory and speedup interval report; {ends}")
-    add_common(sp, with_model=False)
-    sp.add_argument("--n-max", type=int, dest="n_max", help="intervals to list")
-
-    sp = sub.add_parser(
-        "detect", help="sweep a parameter and flag dS/dxi > 0 above rounding noise"
-    )
-    add_common(sp)
-    sp.add_argument(
-        "--sweep", help="parameter sweep as <param>:<min>:<max>:<points>, "
-        f"param in {{{', '.join(SWEEP_PARAMS)}}}"
-    )
-    sp.add_argument("--time", type=float, help="time of a transverse sweep, in units of 1/gamma0 (1/omega if closed)")
-
-    for name, command in parser.commands.items():
+    for name, help in (
+        ("speed", "sample S and dS/dt over a time grid"),
+        ("figure", "emit the data behind a standard figure"),
+        ("regions", f"memory and speedup interval report; {ends}"),
+        ("detect", "sweep a parameter and flag dS/dxi > 0 above rounding noise"),
+    ):
+        command = sub.add_parser(name, help=help)
         command.set_defaults(command=name)
+        for key, option in _OPTIONS.items():
+            if name in option.metadata["commands"]:
+                flag = "--" + key.replace("_", "-")
+                command.add_argument(flag, **_KINDS[option.metadata["kind"]][1], **option.metadata["flag"])
+        command.add_argument("--config", help="JSON file with the same keys; flags win")
+    parser.commands["figure"].add_argument("figure_id", help=f"one of: {', '.join(sorted(FIGURES))}")
     return parser
 
 
@@ -233,46 +211,39 @@ def _load_config_file(path: str) -> dict:
         raise UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config file must hold a JSON object")
-    unknown = set(data) - set(_CONFIG_ATTRS)
+    unknown = set(data) - set(_OPTIONS)
     if unknown:
         raise UsageError(
             f"unknown config keys: {', '.join(sorted(unknown))}; "
-            f"valid keys: {', '.join(sorted(_CONFIG_ATTRS))}"
+            f"valid keys: {', '.join(sorted(_OPTIONS))}"
         )
     for key, value in data.items():
-        expected = _CONFIG_TYPES[key]
-        if not _JSON_TYPE_CHECKS[expected](value):
-            raise UsageError(
-                f"config key '{key}' must be {expected}, got {json.dumps(value)}"
-            )
+        kind = _OPTIONS[key].metadata["kind"]
+        if not _KINDS[kind][0](value):
+            raise UsageError(f"config key '{key}' must be {kind}, got {json.dumps(value)}")
     return data
 
 
 def merge_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve precedence: command-line flag, then config file, then default."""
+    """Resolve precedence: command-line flag, then config file, then
+    default. Every number must be finite."""
     file_values = _load_config_file(args.config) if getattr(args, "config", None) else {}
-    config = RunConfig(command=args.command)
-    for key, attr in _CONFIG_ATTRS.items():
-        flag = getattr(args, attr, None)
-        if flag is not None:
-            setattr(config, attr, flag)
-        elif key in file_values:
-            setattr(config, attr, file_values[key])
-    for key, kind in _CONFIG_TYPES.items():
-        value = getattr(config, _CONFIG_ATTRS[key])
-        if kind not in ("a number", "an integer") or value is None:
-            continue
-        try:
-            finite = math.isfinite(value)
-        except OverflowError:  # an int, from a flag of type int or from JSON
-            digits = len(str(abs(value)))
-            raise UsageError(f"{key} must fit in a float, got an integer of {digits} digits") from None
-        if not finite:
-            hint = "; for an infinite width use --markovian-limit" if key == "gamma_ratio" else ""
-            raise UsageError(f"{key} must be a finite number, got {value}{hint}")
-    if args.command == "figure":
-        config.figure_id = args.figure_id
-    return config
+    values = {}
+    for key, option in _OPTIONS.items():
+        value = getattr(args, key, None)
+        if value is None:
+            value = file_values.get(key, option.default)
+        if value is not None and option.metadata["kind"] in ("a number", "an integer"):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int, from a flag of type int or from JSON
+                digits = len(str(abs(value)))
+                raise UsageError(f"{key} must fit in a float, got an integer of {digits} digits") from None
+            if not finite:
+                hint = "; for an infinite width use --markovian-limit" if key == "gamma_ratio" else ""
+                raise UsageError(f"{key} must be a finite number, got {value}{hint}")
+        values[key] = value
+    return RunConfig(args.command, figure_id=getattr(args, "figure_id", None), **values)
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +573,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         config = merge_config(args)
-        if config.fmt not in ("csv", "json"):
-            raise UsageError(f"unknown format '{config.fmt}'; use csv or json")
+        if config.format not in _FORMATS:
+            raise UsageError(f"unknown format '{config.format}'; use csv or json")
         result = _RUNNERS[config.command](config)
     except ValueError as exc:  # usage errors and rejected metrics alike
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = render_csv(result) if config.fmt == "csv" else render_json(result)
+    text = render_csv(result) if config.format == "csv" else render_json(result)
     if not config.out:
         sys.stdout.write(text)
         return 0
