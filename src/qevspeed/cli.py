@@ -349,7 +349,7 @@ def run_figure(config: RunConfig) -> TableResult:
         band = (grid < 0.5).astype(float)  # the Markovian band Omega < 1/2
         columns, values = ["Omega", "S", "dS_dOmega", "markovian_band"], [grid, speeds, slopes, band]
     else:
-        s0 = float(speeds_at(sweep.trajectory, 0.0, metric))  # the speed at t = 0
+        s0 = speed_at(sweep.trajectory, 0.0, metric)  # the speed at t = 0
         columns, values = ["t", "S_over_S0"], [grid, speeds / s0]
         if spec.model == "open-1q":
             columns.append("sqrt_P")
@@ -426,12 +426,17 @@ def _sweep(config: RunConfig, metric: MetricKind, name: str, lo: float, hi: floa
     values of ``name`` from ``lo`` to ``hi``: a t sweep along one
     trajectory, a transverse sweep over a family at ``config.time``. The
     grid must lie in the parameter's domain, which the slope stencil keeps
-    to. A divergent speed gets a note (its slope is nan)."""
+    to; a Markovian t stencil keeps to t > 0, off the divergent t = 0, so a
+    row at t = h turns one-sided. A divergent speed, or a slope beside a
+    divergent node, reads nan and gets a note."""
     domain, message, parameter, of = _SWEEPS[name]
+    stencil = domain
     closed = (config.model or "").startswith("closed")  # precesses at omega, with no bath
     if name == "t":
         traj = _build_trajectory(config)
         evaluate, at = (lambda times: speeds_at(traj, times, metric)), ("t", lo)
+        if config.markovian_limit:
+            stencil = _POSITIVE
     else:
         traj, at = None, ("omega_t" if closed else "gamma0_t", config.time)  # 1/omega if closed
         if name == "C" and "-2q-" not in (config.model or ""):
@@ -448,8 +453,9 @@ def _sweep(config: RunConfig, metric: MetricKind, name: str, lo: float, hi: floa
     grid = _allocated(key, count, np.linspace, lo, hi, count)
     if not (domain[0] <= lo and hi <= domain[1]):
         raise UsageError(message.format(grid[(grid < domain[0]) | (grid > domain[1])][0]))
-    speeds, slopes = speedup_measures(evaluate, grid, domain)
-    notes = [f"slope undefined: S diverges at {at[0]} = {_format_value(at[1])}"] if np.isinf(speeds).any() else []
+    speeds, slopes = speedup_measures(evaluate, grid, stencil)
+    diverges = not np.isfinite(speeds).all() or np.isnan(slopes).any()
+    notes = [f"slope undefined: S diverges at {at[0]} = {_format_value(at[1])}"] if diverges else []
     return _Sweep(grid, speeds, slopes, at, traj, notes)
 
 

@@ -17,12 +17,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qevspeed.cli as cli
-from qevspeed.models import MODEL_KEYS, alpha_from_concurrence
-from qevspeed.speed import stencil_step
+from qevspeed.models import MODEL_KEYS, trajectory_from_key
+from qevspeed.speed import speeds_at, stencil_step
 
 H = float(stencil_step(0.0))  # the stencil's half-width at t <= 1
 
@@ -70,39 +70,13 @@ def commands(draw) -> list[str]:
     return ["detect", *argv, "--sweep", f"{name}:{lo!r}:{hi!r}:{n}"]
 
 
-def evaluated(argv: list[str]) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    """The swept parameter and its grid, and the alphas and times of a
-    command's rows."""
-    alpha = [float(argv[argv.index("--alpha") + 1]) if "--alpha" in argv else 1.0]
+def swept(argv: list[str]) -> tuple[str, np.ndarray]:
+    """The swept parameter and its grid."""
     if argv[0] == "speed":
         name, lo, hi, n = "t", *(argv[argv.index(flag) + 1] for flag in ("--tmin", "--tmax", "--points"))
     else:
         name, lo, hi, n = argv[argv.index("--sweep") + 1].split(":")
-    grid = np.linspace(float(lo), float(hi), int(n))
-    if name == "t":
-        return name, grid, np.array(alpha), grid
-    alphas = grid if name == "alpha" else alpha_from_concurrence(grid) if name == "C" else np.array(alpha)
-    return name, grid, alphas, np.array([float(argv[argv.index("--time") + 1])])
-
-
-# Markovian rows beside the divergent t = 0 that broke the contract, as the
-# messages that ``known_defect`` returns
-T_AT_H = "the central stencil at t = h reaches t = 0 and prints -inf next to a finite S"
-UNDERFLOW = "where alpha^2 underflows, the qubit's move at t = 0 is 0 * inf: S is nan, with no note"
-AT_REST = "rows at rest whose stencil reaches a divergent alpha print a nan slope, with no note"
-
-
-def known_defect(argv: list[str]) -> str | None:
-    if "--markovian-limit" not in argv:
-        return None
-    name, _, alphas, times = evaluated(argv)
-    if name == "t" and (times == H).any():
-        return T_AT_H
-    if argv[2] == "open-1q" and ((alphas > 0.0) & (alphas * alphas == 0.0)).any() and times.min() < 1e-300:
-        return UNDERFLOW
-    if (times == 0.0).all() and (alphas * alphas == 0.0).all():
-        return AT_REST
-    return None
+    return name, np.linspace(float(lo), float(hi), int(n))
 
 
 def check_contract(argv: list[str]) -> None:
@@ -113,7 +87,7 @@ def check_contract(argv: list[str]) -> None:
     lines = out.getvalue().splitlines()
     notes = [line for line in lines if line.startswith("# note:")]
     columns, *rows = [line.split(",") for line in lines if not line.startswith("#")]
-    name, grid, _, _ = evaluated(argv)
+    name, grid = swept(argv)
     if argv[0] == "speed":
         assert columns[:3] == ["t", "S", "dS_dt"] and columns[3:] in ([], ["S_over_S0"]), columns
     else:
@@ -128,35 +102,43 @@ def check_contract(argv: list[str]) -> None:
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(commands())
 def test_a_valid_command_keeps_the_contract(argv):
-    assume(known_defect(argv) is None)
     check_contract(argv)
-
-
-def xfail(defect: str):
-    return pytest.mark.xfail(strict=True, reason=f"{defect} (CHANGES.md FOUND)")
 
 
 @pytest.mark.parametrize(
-    "defect, argv",
+    "argv",
     [
-        pytest.param(T_AT_H, ["detect", "--model", "open-1q", "--markovian-limit", "--sweep", f"t:{H!r}:1:3"],
-                     marks=xfail(T_AT_H), id="t=h-open-1q"),
-        pytest.param(T_AT_H, ["detect", "--model", "open-2q-anti", "--markovian-limit", "--metric", "wy",
-                              "--sweep", f"t:{H!r}:1:3"], marks=xfail(T_AT_H), id="t=h-open-2q-anti"),
-        pytest.param(T_AT_H, ["speed", "--model", "open-2q-aligned", "--alpha", "0.6", "--markovian-limit",
-                              "--tmin", "0", "--tmax", repr(2 * H), "--points", "3"],
-                     marks=xfail(T_AT_H), id="t=h-open-2q-aligned"),
-        pytest.param(UNDERFLOW, ["speed", "--model", "open-1q", "--alpha", "1e-200", "--markovian-limit",
-                                 "--tmin", "0", "--tmax", "1", "--points", "2"],
-                     marks=xfail(UNDERFLOW), id="underflow-speed"),
-        pytest.param(UNDERFLOW, ["detect", "--model", "open-1q", "--alpha", "0.5", "--markovian-limit", "--metric",
-                                 "wy", "--time", "0", "--sweep", "alpha:0:1e-170:3"],
-                     marks=xfail(UNDERFLOW), id="underflow-alpha-sweep"),
-        pytest.param(AT_REST, ["detect", "--model", "open-2q-aligned", "--alpha", "0.5", "--markovian-limit",
-                               "--time", "0", "--sweep", "C:0:1e-170:3"],
-                     marks=xfail(AT_REST), id="rest-C-sweep"),
+        # the central stencil at t = h took the divergent t = 0 as a node, and printed -inf beside a finite S
+        ["detect", "--model", "open-1q", "--markovian-limit", "--sweep", f"t:{H!r}:1:3"],
+        ["detect", "--model", "open-2q-anti", "--markovian-limit", "--metric", "wy", "--sweep", f"t:{H!r}:1:3"],
+        ["speed", "--model", "open-2q-aligned", "--alpha", "0.6", "--markovian-limit", "--tmin", "0",
+         "--tmax", repr(2 * H), "--points", "3"],
+        # a positive alpha whose square underflows: the qubit's move at t = 0 is 0 * inf, and S is nan
+        ["speed", "--model", "open-1q", "--alpha", "1e-200", "--markovian-limit", "--tmin", "0", "--tmax", "1",
+         "--points", "2"],
+        ["detect", "--model", "open-1q", "--alpha", "0.5", "--markovian-limit", "--metric", "wy", "--time", "0",
+         "--sweep", "alpha:0:1e-170:3"],
+        # rows at rest (alpha = 0) whose stencil reaches a divergent alpha > 0: nan slopes beside finite speeds
+        ["detect", "--model", "open-2q-aligned", "--alpha", "0.5", "--markovian-limit", "--time", "0",
+         "--sweep", "C:0:1e-170:3"],
     ],
+    ids=["t=h-open-1q", "t=h-open-2q-anti", "t=h-open-2q-aligned", "underflow-speed", "underflow-alpha", "rest-C"],
 )
-def test_a_markovian_row_beside_t_0_keeps_the_contract(defect, argv):
-    assert known_defect(argv) == defect
+def test_a_markovian_row_beside_t_0_keeps_the_contract(argv):
     check_contract(argv)
+
+
+def test_the_markovian_row_at_t_h_is_one_sided():
+    """At t = h the stencil keeps to t > 0: its slope is the one-sided
+    difference over (h, 2h, 3h); the t = 0 row keeps inf, nan and its note."""
+    argv = ["detect", "--model", "open-1q", "--markovian-limit", "--sweep", f"t:0:{2 * H!r}:3"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    lines = out.getvalue().splitlines()
+    assert "# note: slope undefined: S diverges at t = 0" in lines
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert rows[0][1:] == ["inf", "nan", "nan"]
+    trajectory = trajectory_from_key("open-1q", alpha=1.0, markovian_limit=True)
+    s0, s1, s2 = speeds_at(trajectory, np.array([H, 2 * H, 3 * H]))
+    assert float(rows[1][2]) == pytest.approx((4.0 * (s1 - s0) - (s2 - s0)) / (2.0 * H), rel=1e-11)
