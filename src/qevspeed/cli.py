@@ -6,9 +6,14 @@ with the parameters echoed in the header block; the CLI only arranges grids
 and serialization. ``speed``, ``figure`` and ``detect`` are column
 projections of one sweep (``_sweep``): a parameter's grid, checked against
 the parameter's domain, and its speeds and slopes from one
-``speedup_measures`` call, whose stencil keeps to that domain. ``speed``
-is the t sweep, and a figure its ``FigureSpec``'s bound sweep. Exit codes:
-0 success, 2 usage error.
+``speedup_measures`` call, whose stencil keeps to that domain (to t > 0
+in the Markovian limit, where S diverges at t = 0). ``speed`` is the t
+sweep, and a figure its ``FigureSpec``'s bound sweep.
+
+Each option is declared once, as a ``RunConfig`` field: the parser's
+flags, the config file's keys and kinds, and ``merge_config``'s precedence
+(flag, then config file, then default) come from it. Exit codes: 0
+success, 2 usage error.
 """
 
 from __future__ import annotations
@@ -427,8 +432,8 @@ def _sweep(config: RunConfig, metric: MetricKind, name: str, lo: float, hi: floa
     trajectory, a transverse sweep over a family at ``config.time``. The
     grid must lie in the parameter's domain, which the slope stencil keeps
     to; a Markovian t stencil keeps to t > 0, off the divergent t = 0, so a
-    row at t = h turns one-sided. A divergent speed, or a slope beside a
-    divergent node, reads nan and gets a note."""
+    row at t = h turns one-sided. A table with a speed that is not finite,
+    or a nan slope beside a divergent node, gets a note."""
     domain, message, parameter, of = _SWEEPS[name]
     stencil = domain
     closed = (config.model or "").startswith("closed")  # precesses at omega, with no bath
