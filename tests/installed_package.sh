@@ -60,6 +60,17 @@ status=0; qevspeed speed --bogus 2> "$bogus" || status=$?
 test "$status" -eq 2
 test "$(tail -n 1 "$bogus")" = "qevspeed: error: unrecognized arguments: --bogus"
 rm -f "$bogus"
+# every command prints its help and exits 0
+for command in speed figure regions detect; do
+    qevspeed "$command" -h > /dev/null
+done
+# a config file gives the same bytes as the same values passed as flags
+config="$(mktemp)"
+printf '{"model": "open-1q", "alpha": 0.6, "gamma_ratio": 0.5, "markovian_limit": false, "time": 2, "sweep": "alpha:0:1:5", "format": "json"}' > "$config"
+test "$(qevspeed detect --config "$config")" = "$(qevspeed detect --model open-1q --alpha 0.6 --gamma-ratio 0.5 --time 2 --sweep alpha:0:1:5 --format json)"
+printf '{"tmin": 0, "tmax": 3, "points": 4}' > "$config"
+test "$(qevspeed speed --model closed-2q-aligned --config "$config")" = "$(qevspeed speed --model closed-2q-aligned --tmin 0 --tmax 3 --points 4)"
+rm -f "$config"
 # the installed library's one-point API returns a positive Python float
 python -c "from qevspeed import speed_at, trajectory_from_key; s = speed_at(trajectory_from_key('open-2q-aligned', alpha=0.6, Gamma_over_gamma0=0.5), 2.5); assert type(s) is float and s > 0.0, s"
 # a scalar alpha takes the float route and a one-member family the batch: both agree
