@@ -37,6 +37,7 @@ from .models import (
     population_complement,
     population_factor,
     population_factor_dot,
+    speed_sweep,
     trajectory_from_key,
 )
 from .speed import (
@@ -74,6 +75,7 @@ __all__ = [
     "population_complement",
     "population_factor",
     "population_factor_dot",
+    "speed_sweep",
     "trajectory_from_key",
     "SpeedCurve",
     "Trajectory",

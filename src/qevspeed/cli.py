@@ -4,11 +4,10 @@ speedup-detection sweeps, emitted as self-describing CSV or JSON.
 Every value in the output is reproducible by calling the library directly
 with the parameters echoed in the header block; the CLI only arranges grids
 and serialization. ``speed``, ``figure`` and ``detect`` are column
-projections of one sweep (``_sweep``): a parameter's grid, checked against
-the parameter's domain, and its speeds and slopes from one
-``speedup_measures`` call, whose stencil keeps to that domain (to t > 0
-in the Markovian limit, where S diverges at t = 0). ``speed`` is the t
-sweep, and a figure its ``FigureSpec``'s bound sweep.
+projections of one sweep, the library's ``speed_sweep``: a parameter's
+grid, checked against the parameter's domain, and its speeds and slopes
+from one batch. ``speed`` is the t sweep, and a figure its
+``FigureSpec``'s bound sweep.
 
 Each option is declared once, as a ``RunConfig`` field: the parser's
 flags, the config file's keys and kinds, and ``merge_config``'s precedence
@@ -31,26 +30,8 @@ import numpy as np
 from . import __version__
 from .analysis import Regime, _region_columns, memory_witness, speedup_equation
 from .metrics import MetricKind, resolve_metric
-from .models import (
-    MODEL_KEYS,
-    OpenSystemParams,
-    alpha_from_concurrence,
-    trajectory_from_key,
-)
-from .speed import _TIME_DOMAIN, Trajectory, speed_at, speedup_measures, speeds_at
-
-# Each sweep parameter's domain as ``speedup_measures`` takes it, a closed interval whose open ends are the nearest
-# floats (t < inf, Omega and Gamma/gamma0 > 0); the usage error that names a grid point outside it; and the model
-# parameter that a transverse sweep sets, as a function of the swept value
-_POSITIVE = (math.ulp(0.0), sys.float_info.max)
-_SWEEPS = {
-    "t": (_TIME_DOMAIN, "t = {:.12g} outside trajectory range [0, inf)", None, None),
-    "alpha": ((0.0, 1.0), "alpha sweep left [0, 1] at {:.12g}", "alpha", lambda alpha: alpha),
-    "C": ((0.0, 1.0), "C sweep left [0, 1] at {:.12g}", "alpha", alpha_from_concurrence),
-    "Omega": (_POSITIVE, "Omega must stay positive, got {:.12g}", "Gamma_over_gamma0", lambda omega: 1.0 / omega),
-    "Gamma_over_gamma0": (_POSITIVE, "Gamma/gamma0 must stay positive, got {:.12g}", "Gamma_over_gamma0", lambda x: x),
-}
-SWEEP_PARAMS = tuple(_SWEEPS)
+from .models import MODEL_KEYS, SWEEP_PARAMS, OpenSystemParams, SpeedSweep, speed_sweep
+from .speed import speed_at
 
 # ``detect`` flags a speedup where dS/dxi > SLOPE_NOISE_TOL * |S|. A slope is a difference of rounded speeds over a
 # stencil of half-width h = DEFAULT_TIME_STEP * max(1, |xi|): central, (1, 1) / 2h, or at a domain end one-sided,
@@ -255,20 +236,6 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
 # Command implementations
 
 
-def _build_trajectory(config: RunConfig, **overrides) -> Trajectory:
-    """The configured model, with ``overrides`` of its parameters."""
-    if config.model is None:
-        raise UsageError(f"--model is required; valid keys: {', '.join(MODEL_KEYS)}")
-    kwargs = dict(
-        alpha=config.alpha,
-        omega=config.omega,
-        Gamma_over_gamma0=config.gamma_ratio,
-        markovian_limit=config.markovian_limit,
-    )
-    kwargs.update(overrides)
-    return trajectory_from_key(config.model, **kwargs)
-
-
 def _open_params(config: RunConfig) -> OpenSystemParams:
     if config.markovian_limit:
         return OpenSystemParams(alpha=config.alpha, markovian_limit=True)
@@ -307,7 +274,7 @@ def run_speed(config: RunConfig) -> TableResult:
         raise UsageError(f"tmin must be below tmax, got [{config.tmin}, {config.tmax}]")
     if config.tmin < 0.0:
         raise UsageError("tmin must be nonnegative")
-    sweep = _sweep(config, metric, "t", config.tmin, config.tmax, points, "points")
+    sweep, notes = _sweep(config, metric, "t", config.tmin, config.tmax, points, "points")
     traj = sweep.trajectory
     header = _header(
         config, ("model", config.model), ("metric", metric.value), *sorted(traj.params.items()),
@@ -319,7 +286,7 @@ def run_speed(config: RunConfig) -> TableResult:
     if config.model.startswith("open") and 0.0 < (s0 := speed_at(traj, 0.0, metric)) < math.inf:
         columns.append("S_over_S0")
         values.append(sweep.speeds / s0)
-    return TableResult(header, columns, _rows(*values), sweep.notes)
+    return TableResult(header, columns, _rows(*values), notes)
 
 
 def run_figure(config: RunConfig) -> TableResult:
@@ -339,10 +306,10 @@ def run_figure(config: RunConfig) -> TableResult:
         config, model=spec.model, alpha=spec.alpha, gamma_ratio=spec.gamma_ratio,
         markovian_limit=spec.markovian_limit, time=spec.fixed_time,
     )
-    sweep = _sweep(bound, metric, name, lo, hi, points, "points")
+    sweep, notes = _sweep(bound, metric, name, lo, hi, points, "points")
     header = _header(
         config, ("figure", spec.figure_id), ("model", spec.model), ("metric", metric.value),
-        ("alpha", None if name == "C" else spec.alpha),  # a C sweep runs at alpha_from_concurrence(C), as in detect
+        ("alpha", None if name == "C" else spec.alpha),  # a C sweep runs at the alpha of each C, as in detect
         ("markovian_limit", "true" if spec.markovian_limit else None),
         ("Gamma_over_gamma0", spec.gamma_ratio), ("gamma0_t", spec.fixed_time),
         ("grid", f"min={lo:.12g} max={hi:.12g} points={points}"),
@@ -361,7 +328,7 @@ def run_figure(config: RunConfig) -> TableResult:
             values.append(memory_witness(OpenSystemParams(alpha=spec.alpha, Gamma=spec.gamma_ratio), grid))
         columns.append("dS_dt_over_S0")
         values.append(slopes / s0)
-    return TableResult(header, columns, _rows(*values), sweep.notes)
+    return TableResult(header, columns, _rows(*values), notes)
 
 
 def _rows(*columns: np.ndarray) -> np.ndarray:
@@ -412,78 +379,50 @@ def _parse_sweep(sweep: str | None) -> tuple[str, float, float, int]:
     return name, lo, hi, n
 
 
-@dataclass(frozen=True)
-class _Sweep:
-    """One parameter swept over a grid: the speeds and slopes of one
-    ``speedup_measures`` call, which ``speed``, ``figure`` and ``detect``
-    project onto their columns."""
-
-    grid: np.ndarray
-    speeds: np.ndarray
-    slopes: np.ndarray
-    at: tuple[str, float]  # where a divergent speed sits: a t sweep's first time, or a transverse sweep's time
-    trajectory: Trajectory | None  # a t sweep's
-    notes: list[str]
+def _at(config: RunConfig, name: str, lo: float) -> tuple[str, object]:  # where S diverges: the first t, or the time
+    return ("t", lo) if name == "t" else ("omega_t" if config.model.startswith("closed") else "gamma0_t", config.time)
 
 
-def _sweep(config: RunConfig, metric: MetricKind, name: str, lo: float, hi: float, count: int, key: str) -> _Sweep:
-    """The speed of the configured model, all else fixed, over ``count``
-    values of ``name`` from ``lo`` to ``hi``: a t sweep along one
-    trajectory, a transverse sweep over a family at ``config.time``. The
-    grid must lie in the parameter's domain, which the slope stencil keeps
-    to; a Markovian t stencil keeps to t > 0, off the divergent t = 0, so a
-    row at t = h turns one-sided. A table with a speed that is not finite,
-    or a nan slope beside a divergent node, gets a note."""
-    domain, message, parameter, of = _SWEEPS[name]
-    stencil = domain
-    closed = (config.model or "").startswith("closed")  # precesses at omega, with no bath
-    if name == "t":
-        traj = _build_trajectory(config)
-        evaluate, at = (lambda times: speeds_at(traj, times, metric)), ("t", lo)
-        if config.markovian_limit:
-            stencil = _POSITIVE
-    else:
-        traj, at = None, ("omega_t" if closed else "gamma0_t", config.time)  # 1/omega if closed
-        if name == "C" and "-2q-" not in (config.model or ""):
-            raise UsageError(f"concurrence sweep needs a two-qubit model, got '{config.model}'")
-        if name in ("Omega", "Gamma_over_gamma0"):
-            if config.model is None or closed:
-                raise UsageError(f"sweep '{name}' needs an open-system model, got '{config.model}'")
-            if config.markovian_limit:
-                raise UsageError(f"sweep '{name}' varies the spectral width; drop --markovian-limit")
-
-        def evaluate(values: np.ndarray) -> np.ndarray:
-            return speeds_at(_build_trajectory(config, **{parameter: of(values)}), config.time, metric)
-
+def _sweep(
+    config: RunConfig, metric: MetricKind, name: str, lo: float, hi: float, count: int, key: str
+) -> tuple[SpeedSweep, list[str]]:
+    """``speed_sweep`` of the configured model over ``count`` values of
+    ``name`` from ``lo`` to ``hi``, at ``config.time`` if transverse, and
+    its notes: where a slope is nan, that a speed diverges."""
+    if config.model is None:
+        raise UsageError(f"--model is required; valid keys: {', '.join(MODEL_KEYS)}")
+    if name in ("Omega", "Gamma_over_gamma0") and config.markovian_limit and config.model.startswith("open"):
+        raise UsageError(f"sweep '{name}' varies the spectral width; drop --markovian-limit")
     grid = _allocated(key, count, np.linspace, lo, hi, count)
-    if not (domain[0] <= lo and hi <= domain[1]):
-        raise UsageError(message.format(grid[(grid < domain[0]) | (grid > domain[1])][0]))
-    speeds, slopes = speedup_measures(evaluate, grid, stencil)
-    diverges = not np.isfinite(speeds).all() or np.isnan(slopes).any()
-    notes = [f"slope undefined: S diverges at {at[0]} = {_format_value(at[1])}"] if diverges else []
-    return _Sweep(grid, speeds, slopes, at, traj, notes)
+    sweep = speed_sweep(
+        config.model, name, grid, metric, time=config.time, alpha=config.alpha, omega=config.omega,
+        Gamma_over_gamma0=config.gamma_ratio, markovian_limit=config.markovian_limit,
+    )
+    at, value = _at(config, name, lo)
+    return sweep, [f"slope undefined: S diverges at {at} = {_format_value(value)}"] if sweep.diverges else []
 
 
 def run_detect(config: RunConfig) -> TableResult:
     metric = resolve_metric(config.metric)
     name, lo, hi, n = _parse_sweep(config.sweep)
-    sweep = _sweep(config, metric, name, lo, hi, n, "sweep points")
-    if (config.model or "").startswith("closed"):
+    sweep, notes = _sweep(config, metric, name, lo, hi, n, "sweep points")
+    at, time = _at(config, name, lo)
+    if config.model.startswith("closed"):
         bath = ("omega", config.omega)
     elif config.markovian_limit:
         bath = ("markovian_limit", "true")
     else:
         bath = ("Gamma_over_gamma0", None if name in ("Omega", "Gamma_over_gamma0") else config.gamma_ratio)
     header = _header(
-        config, ("model", config.model or ""), ("metric", metric.value),
+        config, ("model", config.model), ("metric", metric.value),
         ("classification", "longitudinal" if name == "t" else "transverse"),
-        ("sweep", f"{name}:{lo:.12g}:{hi:.12g}:{n}"), (sweep.at[0], None if name == "t" else sweep.at[1]), bath,
-        ("alpha", None if name in ("alpha", "C") else config.alpha),  # a C sweep runs at alpha_from_concurrence(C)
+        ("sweep", f"{name}:{lo:.12g}:{hi:.12g}:{n}"), (at, None if name == "t" else time), bath,
+        ("alpha", None if name in ("alpha", "C") else config.alpha),  # a C sweep runs at the alpha of each C
     )
     flags = (sweep.slopes > SLOPE_NOISE_TOL * np.abs(sweep.speeds)).astype(float)
     flags[np.isnan(sweep.slopes)] = math.nan  # divergent speeds
     rows = _rows(sweep.grid, sweep.speeds, sweep.slopes, flags)
-    return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], rows, sweep.notes)
+    return TableResult(header, [name, "S", f"dS_d{name}", "speedup"], rows, notes)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .speed import Trajectory, _check_range
+from .metrics import MetricKind
+from .speed import _NONNEGATIVE, _POSITIVE, Trajectory, _check_range, _time_measures, speeds_at, speedup_measures
 
 MODEL_KEYS = (
     "closed-1q",
@@ -562,3 +563,61 @@ def trajectory_from_key(
     Gamma = math.inf if markovian_limit else Gamma_over_gamma0
     Gamma = np.asarray(Gamma, dtype=float) if np.ndim(Gamma) else float(Gamma)
     return _x_trajectory(kind, alpha, 0.0, Gamma)
+
+
+# ---------------------------------------------------------------------------
+# Sweeps
+#
+# Each sweep parameter's domain as ``speedup_measures`` takes it, which a grid must lie in; the ValueError naming a
+# point outside it; and the model parameter that a transverse sweep sets, as a function of the swept value.
+_SWEEPS = {
+    "t": (_NONNEGATIVE, "t = {:.12g} outside trajectory range [0, inf)", None, None),
+    "alpha": ((0.0, 1.0), "alpha sweep left [0, 1] at {:.12g}", "alpha", lambda alpha: alpha),
+    "C": ((0.0, 1.0), "C sweep left [0, 1] at {:.12g}", "alpha", alpha_from_concurrence),
+    "Omega": (_POSITIVE, "Omega must stay positive, got {:.12g}", "Gamma_over_gamma0", lambda omega: 1.0 / omega),
+    "Gamma_over_gamma0": (_POSITIVE, "Gamma/gamma0 must stay positive, got {:.12g}", "Gamma_over_gamma0", lambda x: x),
+}
+SWEEP_PARAMS = tuple(_SWEEPS)
+
+
+@dataclass(frozen=True)
+class SpeedSweep:
+    """Speeds along a grid of one parameter, with their slopes (``speed_sweep``)."""
+
+    grid: np.ndarray
+    speeds: np.ndarray
+    slopes: np.ndarray  # dS/dxi, nan where the row's speed diverges
+    diverges: bool  # whether any slope is nan
+    trajectory: Trajectory | None  # a t sweep's
+
+
+def speed_sweep(key: str, name: str, grid, metric: MetricKind = MetricKind.SLD, *, time=None, alpha=1.0,
+                omega: float = 1.0, Gamma_over_gamma0=None, markovian_limit: bool = False) -> SpeedSweep:
+    """The speed of model ``key``, all else fixed, and its slope dS/dxi over
+    a grid of the parameter ``name`` (``SWEEP_PARAMS``), from one batch: a t
+    sweep along one trajectory, with ``speed_curve``'s slopes on any grid,
+    or a transverse sweep over a family at ``time``. The grid must lie in
+    the domain the stencil keeps to: t in [0, inf), alpha and C in [0, 1],
+    Omega and Gamma_over_gamma0 in (0, inf). Raises ``ValueError`` for a
+    point outside it, a C sweep of one qubit, a width sweep of a closed or
+    Markovian model, and as ``trajectory_from_key`` does."""
+    domain, message, parameter, of = _SWEEPS[name]
+    grid = np.asarray(grid, dtype=float)
+    params = dict(alpha=alpha, omega=omega, Gamma_over_gamma0=Gamma_over_gamma0, markovian_limit=markovian_limit)
+    traj = trajectory_from_key(key, **params) if name == "t" else None
+    if name == "C" and "-2q-" not in key:
+        raise ValueError(f"concurrence sweep needs a two-qubit model, got '{key}'")
+    if parameter == "Gamma_over_gamma0" and key.startswith("closed"):
+        raise ValueError(f"sweep '{name}' needs an open-system model, got '{key}'")
+    if parameter == "Gamma_over_gamma0" and markovian_limit:
+        raise ValueError(f"sweep '{name}' varies the spectral width, which markovian_limit takes to infinity")
+    if not (domain[0] <= grid.min() and grid.max() <= domain[1]):
+        raise ValueError(message.format(grid[~((grid >= domain[0]) & (grid <= domain[1]))][0]))
+    if traj is not None:
+        speeds, slopes = _time_measures(traj, grid, metric)
+    else:
+        def evaluate(values: np.ndarray) -> np.ndarray:
+            return speeds_at(trajectory_from_key(key, **{**params, parameter: of(values)}), time, metric)
+
+        speeds, slopes = speedup_measures(evaluate, grid, domain)
+    return SpeedSweep(grid, speeds, slopes, bool(np.isnan(slopes).any()), traj)

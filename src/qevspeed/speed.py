@@ -54,8 +54,9 @@ _BATCH_SCOPE = functools.partial(np.errstate, under="ignore", over="ignore", inv
 # error as eps/h; they balance near eps^(1/3), about 6e-6.
 DEFAULT_TIME_STEP = 1e-5
 
-# The times of a trajectory as ``speedup_measures`` takes a domain: [0, inf), whose open end is the largest float.
-_TIME_DOMAIN = (0.0, sys.float_info.max)
+# The domains [0, inf) (of the times) and (0, inf) as ``speedup_measures`` takes them: open ends the nearest floats
+_NONNEGATIVE = (0.0, sys.float_info.max)
+_POSITIVE = (math.ulp(0.0), sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -272,8 +273,8 @@ def speedup_measures(
     about xi, the row turns one-sided, (xi, xi + h, xi + 2h), and where
     xi + h would, (xi, xi - h, xi - 2h). A one-sided slope, second order
     too, is (4 (S1 - S0) - (S2 - S0)) / 2h, mirrored: differences from
-    S(xi), so a constant speed has slope 0. A divergent speed gives a nan
-    slope. Returns the speeds at xi and the slopes dS/dxi.
+    S(xi), so a constant speed has slope 0. A speed that is not finite
+    gives a nan slope. Returns the speeds at xi and the slopes dS/dxi.
     """
     xi = np.asarray(xi, dtype=float)
     h = stencil_step(xi)
@@ -291,19 +292,28 @@ def speedup_measures(
             ahead = (4.0 * (s[1] - s[0]) - (s[2] - s[0])) / (2.0 * h)
             behind = (4.0 * (s[0] - s[1]) - (s[0] - s[2])) / (2.0 * h)
             slopes = np.where(forward, ahead, np.where(backward, behind, slopes))
-    return s[0], slopes
+    return s[0], np.where(np.isfinite(s[0]), slopes, math.nan)
+
+
+def _time_measures(traj: Trajectory, times: np.ndarray, metric: MetricKind) -> tuple[np.ndarray, np.ndarray]:
+    """``speedup_measures`` at ``times`` along ``traj``, whose stencil keeps
+    to t >= 0, and to t > 0 where ``traj.params`` records the Markovian
+    limit (S diverges at t = 0), so that a row at t = h turns one-sided."""
+    domain = _POSITIVE if traj.params.get("markovian_limit") else _NONNEGATIVE
+    return speedup_measures(lambda t: speeds_at(traj, t, metric), times, domain)
 
 
 def speed_curve(
     traj: Trajectory, grid: np.ndarray, metric: MetricKind = MetricKind.SLD
 ) -> SpeedCurve:
     """Sample the speed over a strictly increasing time grid, in one batch,
-    with the slopes of ``speedup_measures`` over t in [0, inf): they do
-    not depend on the grid spacing, and they are one-sided where t < h."""
+    with the slopes of ``speedup_measures`` over t >= 0 (t > 0 in the
+    Markovian limit): they do not depend on the grid spacing, and they are
+    one-sided where t < h (t <= h in the Markovian limit)."""
     times = np.asarray(grid, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("grid must be a 1-d array with at least two points")
     if (times[1:] - times[:-1] <= 0.0).any():  # np.diff's test, without its call
         raise ValueError("grid must be strictly increasing")
-    speeds, slopes = speedup_measures(lambda t: speeds_at(traj, t, metric), times, _TIME_DOMAIN)
+    speeds, slopes = _time_measures(traj, times, metric)
     return SpeedCurve(metric, times, speeds, slopes)

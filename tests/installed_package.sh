@@ -94,6 +94,26 @@ qubit = trajectory_from_key("open-1q", alpha=1.0, Gamma_over_gamma0=0.1)
 measures = speedup_measures(lambda t: speeds_at(qubit, t), [16.0])
 assert len(measures) == 2 and all(type(x) is np.ndarray and x.shape == (1,) for x in measures), measures
 PY
+# the installed library's speed_sweep prints the console script's detect tables, with src/ off the path: a C sweep,
+# and a Markovian t sweep whose row at t = h is one-sided, at the 12 digits printed
+aligned="$(mktemp)"; markovian="$(mktemp)"
+qevspeed detect --model open-2q-aligned --gamma-ratio 0.5 --time 1 --sweep C:0:1:5 > "$aligned"
+qevspeed detect --model open-1q --markovian-limit --sweep t:1e-5:1:3 > "$markovian"
+python - "$aligned" "$markovian" <<'PY'
+import pathlib, sys
+src = pathlib.Path("src").resolve()
+sys.path[:] = [entry for entry in sys.path if pathlib.Path(entry or ".").resolve() != src]
+import numpy as np, qevspeed
+from qevspeed import speed_sweep
+assert src not in pathlib.Path(qevspeed.__file__).resolve().parents, qevspeed.__file__
+sweeps = (speed_sweep("open-2q-aligned", "C", np.linspace(0.0, 1.0, 5), time=1.0, Gamma_over_gamma0=0.5),
+          speed_sweep("open-1q", "t", np.linspace(1e-5, 1.0, 3), markovian_limit=True))
+for path, sweep in zip(sys.argv[1:], sweeps):
+    cells = [line.strip().split(",")[:3] for line in open(path) if not line.startswith("#")][1:]
+    assert cells == [["%.12g" % x for x in row] for row in zip(sweep.grid, sweep.speeds, sweep.slopes)], cells
+assert cells[0][2] == "-5920775.60015", cells
+PY
+rm -f "$aligned" "$markovian"
 # the installed package reads the pinned values of the point path, with src/ off the path
 python - <<'PY'
 import pathlib, sys

@@ -27,7 +27,7 @@ PUBLIC_NAMES = (
     # metrics
     "MetricKind",
     "resolve_metric",
-    # models: trajectory_from_key is the one way to build a model
+    # models: trajectory_from_key is the one way to build a model, and speed_sweep to sweep one
     "MODEL_KEYS",
     "OpenSystemParams",
     "alpha_from_concurrence",
@@ -39,6 +39,7 @@ PUBLIC_NAMES = (
     "population_complement",
     "population_factor",
     "population_factor_dot",
+    "speed_sweep",
     "trajectory_from_key",
     # speed
     "SpeedCurve",

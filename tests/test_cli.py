@@ -10,14 +10,16 @@ import qevspeed.cli as cli
 from qevspeed.analysis import region_report, speedup_boundaries, speedup_equation
 from qevspeed.metrics import MetricKind
 from qevspeed.models import (
+    _SWEEPS,
     MODEL_KEYS,
     OpenSystemParams,
     alpha_from_concurrence,
     markovian_two_qubit_speed,
     open_qubit_speed_analytic,
+    speed_sweep,
     trajectory_from_key,
 )
-from qevspeed.speed import speed_at, speeds_at, speedup_measures, stencil_step
+from qevspeed.speed import speed_at, speed_curve, speeds_at, speedup_measures, stencil_step
 from util import exact_alpha, exact_speed, reference_slope, reference_speed
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -777,6 +779,24 @@ ONE_SIDED = [
      lambda x, metric: exact_speed("open-2q-aligned", 0.6, 1 / x, 1.0, metric)),
 ]
 
+# (detect arguments, sweep) for ``speed_sweep``: every parameter, with grids from its domain ends and divergent rows
+LIBRARY_SWEEPS = [
+    (["--model", "closed-1q", "--alpha", "0.6"], "t:0:7:9"),
+    (["--model", "open-1q", "--gamma-ratio", "0.5"], "t:0:7:9"),
+    (["--model", "open-2q-aligned", "--alpha", "0.7", "--markovian-limit"], "t:0:7:9"),
+    (["--model", "open-2q-anti", "--gamma-ratio", "3", "--metric", "wy"], "t:0:7:9"),
+    (["--model", "open-1q", "--markovian-limit"], "t:1e-05:1:3"),
+    (["--model", "open-1q", "--gamma-ratio", "0.5", "--time", "1"], "alpha:0:1:5"),
+    (["--model", "open-1q", "--markovian-limit", "--time", "0"], "alpha:1e-05:1:3"),
+    (["--model", "closed-2q-anti", "--time", "1", "--metric", "wy"], "alpha:0:1:3"),
+    (["--model", "open-2q-aligned", "--gamma-ratio", "0.5", "--time", "2"], "C:0:1:5"),
+    (["--model", "closed-2q-aligned", "--omega", "1.3", "--time", "1"], "C:0:1:5"),
+    (["--model", "open-1q", "--alpha", "0.6", "--time", "1"], "Omega:1e-06:1:3"),
+    (["--model", "open-2q-aligned", "--alpha", "0.6", "--time", "0", "--metric", "wy"], "Omega:1e-06:3:4"),
+    (["--model", "open-2q-anti", "--time", "2"], "Gamma_over_gamma0:1e-06:3:4"),
+    (["--model", "open-1q", "--alpha", "0.6", "--time", "1"], "Gamma_over_gamma0:1e-06:1:3"),
+]
+
 
 class TestDomainEnds:
     """Each sweep parameter has a domain: t in [0, inf), alpha and C in
@@ -809,7 +829,7 @@ class TestDomainEnds:
         (a ``decimal`` central difference) within 1e-8 relative."""
         name = sweep.split(":")[0]
         result = table(["detect", *model, "--metric", metric.value, "--sweep", sweep])
-        lo, hi = cli._SWEEPS[name][0]
+        lo, hi = _SWEEPS[name][0]
         checked = 0
         for xi, _, slope, _ in result.rows.tolist():
             h = float(stencil_step(xi))
@@ -855,22 +875,48 @@ class TestDomainEnds:
         assert np.isfinite(rows[1:]).all() and (rows[1:, 2] < 0.0).all()
 
     @pytest.mark.parametrize(
-        "model",
-        [["--model", "closed-1q", "--alpha", "0.6"], ["--model", "open-1q", "--gamma-ratio", "0.5"],
-         ["--model", "open-2q-aligned", "--alpha", "0.7", "--markovian-limit"],
-         ["--model", "open-2q-anti", "--gamma-ratio", "3", "--metric", "wy"]],
-        ids=lambda model: model[1],
+        "model, sweep", LIBRARY_SWEEPS,
+        ids=[model[1] if sweep == "t:0:7:9" else f"{model[1]}-{sweep}" for model, sweep in LIBRARY_SWEEPS],
     )
-    def test_speed_is_the_detect_time_sweep(self, model):
-        """``speed``'s t, S and dS_dt are ``detect``'s t sweep on the same
-        grid, bit for bit, and its slopes do not depend on the grid: the
-        last row reads the same bytes at 3 points and at 400."""
-        speed = table(["speed", *model, "--tmin", "0", "--tmax", "7", "--points", "9"])
-        detect = table(["detect", *model, "--sweep", "t:0:7:9"])
+    def test_speed_is_the_detect_time_sweep(self, model, sweep):
+        """``speed_sweep``, called with the parameters that ``detect``'s
+        header echoes, gives its grid, S and slope bit for bit, and diverges
+        where the table has a note. ``speed``'s t, S and dS_dt are
+        ``detect``'s t sweep on the same grid, bit for bit, and its slopes do
+        not depend on the grid: the last row reads the same bytes at 3
+        points and at 400."""
+        detect = table(["detect", *model, "--sweep", sweep])
+        header = dict(detect.header)
+
+        def value(key, default=None):
+            return float(header[key]) if key in header else default
+
+        name, lo, hi, n = header["sweep"].split(":")
+        library = speed_sweep(
+            header["model"], name, np.linspace(float(lo), float(hi), int(n)), MetricKind(header["metric"]),
+            time=value("gamma0_t", value("omega_t")), alpha=value("alpha", 1.0), omega=value("omega", 1.0),
+            Gamma_over_gamma0=value("Gamma_over_gamma0"), markovian_limit="markovian_limit" in header,
+        )
+        columns = np.column_stack([library.grid, library.speeds, library.slopes])
+        assert columns.tobytes() == detect.rows[:, :3].tobytes()
+        assert library.diverges == bool(detect.notes)
+        if name != "t":
+            return
+        speed = table(["speed", *model, "--tmin", lo, "--tmax", hi, "--points", n])
         assert speed.rows[:, :3].tobytes() == detect.rows[:, :3].tobytes()
         assert speed.notes == detect.notes
-        coarse, fine = (table(["speed", *model, "--tmin", "0.5", "--tmax", "7", "--points", n]) for n in ("3", "400"))
+        coarse, fine = (table(["speed", *model, "--tmin", "0.5", "--tmax", hi, "--points", k]) for k in ("3", "400"))
         assert coarse.rows[-1, :3].tobytes() == fine.rows[-1, :3].tobytes()
+
+    @pytest.mark.parametrize("tmin, tmax", [(1e-5, 1.0), (0.0, 2e-5)])
+    def test_speed_curve_keeps_a_markovian_stencil_off_t_0(self, tmin, tmax):
+        """``speed_curve`` gives ``speed``'s S and dS_dt bit for bit in the
+        Markovian limit, where its row at t = h is one-sided and finite."""
+        argv = ["speed", "--model", "open-1q", "--markovian-limit", "--tmin", repr(tmin), "--tmax", repr(tmax)]
+        speed = table([*argv, "--points", "3"])
+        curve = speed_curve(trajectory_from_key("open-1q", markovian_limit=True), speed.rows[:, 0])
+        assert np.column_stack([curve.speeds, curve.slopes]).tobytes() == speed.rows[:, 1:3].tobytes()
+        assert np.isfinite(curve.slopes[curve.times == 1e-5]).all()
 
 
 class TestConfigAndOutput:

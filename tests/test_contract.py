@@ -1,7 +1,8 @@
 """The CLI's valid-input contract, as a derandomized property test
 (ROADMAP item 16): a valid ``speed`` or ``detect`` command exits 0 with
 its command's columns, every row with a ``nan`` comes with a ``# note:``,
-and no slope is infinite next to a finite speed.
+no slope is infinite next to a finite speed, and where the speed is not
+finite, the slope (and ``detect``'s flag) is ``nan``.
 
 The inputs are the valid ones: every model and metric, alpha with 0 and 1,
 widths with 2 and the Markovian limit, omegas, and grids that start or end
@@ -97,6 +98,8 @@ def check_contract(argv: list[str]) -> None:
     assert notes or not np.isnan(table).any(), (argv, rows)
     speeds, slopes = table[:, 1], table[:, 2]
     assert not (np.isfinite(speeds) & np.isinf(slopes)).any(), (argv, rows)
+    divergent = table[~np.isfinite(speeds)]
+    assert np.isnan(divergent[:, 2]).all() and (argv[0] == "speed" or np.isnan(divergent[:, 3]).all()), (argv, rows)
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
@@ -121,8 +124,13 @@ def test_a_valid_command_keeps_the_contract(argv):
         # rows at rest (alpha = 0) whose stencil reaches a divergent alpha > 0: nan slopes beside finite speeds
         ["detect", "--model", "open-2q-aligned", "--alpha", "0.5", "--markovian-limit", "--time", "0",
          "--sweep", "C:0:1e-170:3"],
+        # a divergent row whose central stencil reached a node at rest printed slope +inf and flag 0
+        ["detect", "--model", "open-1q", "--markovian-limit", "--time", "0", "--sweep", "alpha:1e-5:1:3"],
+        # adjacent floats: linspace repeats grid values, which no strictly-increasing check may reject
+        ["detect", "--model", "open-1q", "--gamma-ratio", "0.5", "--sweep", "t:1:1.0000000000000002:5"],
     ],
-    ids=["t=h-open-1q", "t=h-open-2q-anti", "t=h-open-2q-aligned", "underflow-speed", "underflow-alpha", "rest-C"],
+    ids=["t=h-open-1q", "t=h-open-2q-anti", "t=h-open-2q-aligned", "underflow-speed", "underflow-alpha", "rest-C",
+         "divergent-alpha", "adjacent-floats"],
 )
 def test_a_markovian_row_beside_t_0_keeps_the_contract(argv):
     check_contract(argv)
